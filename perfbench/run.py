@@ -9,8 +9,8 @@ output is one JSON object: correct, attempted, failed, metrics.
 
 Each workload runs in its own fresh interpreter (worker.py) with the
 OpenBLAS/OpenMP pools pinned to one thread before numpy loads, so set-up
-time and peak RSS belong to that workload.  Set-up time is the median of
-several fresh interpreters importing qtransient.cli.
+time and peak RSS belong to that workload.  Set-up time is the fastest of
+several fresh interpreters importing qtransient.cli, spread across the run.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import json
 import os
 import platform
 from importlib.metadata import version
-import statistics
 import subprocess
 import sys
 import time
@@ -30,7 +29,6 @@ import workloads
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
-SETUP_RUNS = 3
 TIMEOUT_S = 170.0   # the whole run, set-up included
 
 END_TO_END = {"wall_s": "s", "peak_rss_mb": "MB", "setup_s": "s"}
@@ -45,18 +43,6 @@ def _env():
     return env
 
 
-def _setup_seconds(env, deadline):
-    """Median wall time of fresh interpreters importing qtransient.cli."""
-    argv = [sys.executable, "-c", "import qtransient.cli"]
-    times = []
-    for _ in range(SETUP_RUNS):
-        start = time.perf_counter()
-        subprocess.run(argv, cwd=ROOT, env=env, check=True,
-                       timeout=deadline - time.monotonic())
-        times.append(time.perf_counter() - start)
-    return statistics.median(times)
-
-
 def _versions():
     try:
         sha = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
@@ -69,7 +55,7 @@ def _versions():
 
 
 def run_workload(name, seed, seconds, trace, env, deadline):
-    """One workload in a fresh interpreter; returns (notes, result, setup_s)."""
+    """One workload in a fresh interpreter; returns (notes, result)."""
     argv = [sys.executable, str(HERE / "worker.py"), "--workload", name,
             "--seed", str(seed), "--seconds", str(seconds),
             "--trace", str(trace)]
@@ -79,29 +65,14 @@ def run_workload(name, seed, seconds, trace, env, deadline):
         sys.stderr.write(proc.stderr)
         raise RuntimeError(f"worker for {name} exited {proc.returncode}")
     *notes, last = proc.stdout.splitlines()
-    # after the worker, whose import filled the bytecode cache
-    setup_s = None if trace else _setup_seconds(env, deadline)
-    return notes, json.loads(last), setup_s
+    return notes, json.loads(last)
 
 
-def _metrics(result, setup_s, trace):
+def _metrics(result, trace):
     if trace:
-        return {k: {"value": v, "unit": _layer_unit(k)}
-                for k, v in result["per_layer"].items()}
-    values = dict(result, setup_s=setup_s)
-    return {k: {"value": values[k], "unit": u} for k, u in END_TO_END.items()}
-
-
-def _layer_unit(name):
-    if name.endswith("mpts_per_s"):
-        return "Mpts/s"
-    if name.endswith("_s"):
-        return "s"
-    if name.endswith("ns_per_node_step"):
-        return "ns"
-    if name.endswith(("per_peak", ".mean", "self_share")):
-        return "ratio"
-    return "count"
+        return {k: {"value": v, "unit": u}
+                for k, (v, u) in result["per_layer"].items()}
+    return {k: {"value": result[k], "unit": u} for k, u in END_TO_END.items()}
 
 
 def main(argv=None):
@@ -125,9 +96,9 @@ def main(argv=None):
                              "threads": workloads.THREADS, **_versions()}))
     summary = {"correct": True, "attempted": 0, "failed": 0, "metrics": {}}
     for name in names:
-        notes, result, setup_s = run_workload(
+        notes, result = run_workload(
             name, args.seed, args.seconds, args.trace, env, deadline)
-        metrics = _metrics(result, setup_s, args.trace)
+        metrics = _metrics(result, args.trace)
         print(f"# workload {name}: {workloads.WORKLOADS[name].why}")
         for line in notes:
             print(line)

@@ -10,7 +10,8 @@ Spans are kept per thread: each thread has its own stack of open spans.
 CLI scans run their grid points on a thread pool, so a span opened on a
 thread with an empty stack takes the open `cli.main` span as its parent.
 A span's self time is its duration minus the part of it that its child
-spans cover (children on two pool threads may overlap).
+spans, and the tracer's bookkeeping for them, cover (children on two pool
+threads may overlap).
 """
 
 from __future__ import annotations
@@ -45,12 +46,20 @@ _FADDEEVA_RADIUS = 8.0
 
 
 class Span:
-    __slots__ = ("layer", "start", "end", "parent", "info")
+    """One call of a wrapped function.
+
+    `end` is stamped as soon as the call returns; `book` is the time the
+    tracer then spends taking counts from the arguments and result, which
+    belongs to no layer.
+    """
+
+    __slots__ = ("layer", "start", "end", "book", "parent", "info")
 
     def __init__(self, layer, parent):
         self.layer = layer
         self.parent = parent
         self.info = {}
+        self.book = 0.0
         self.start = time.perf_counter()
         self.end = None
 
@@ -124,9 +133,6 @@ class Tracer:
             stack.append(span)
             try:
                 result = original(*args, **kwargs)
-                if info is not None:
-                    span.info = info(args, kwargs, result)
-                return result
             finally:
                 span.end = time.perf_counter()
                 stack.pop()
@@ -134,6 +140,10 @@ class Tracer:
                     self._root = None
                 with self._lock:
                     self.spans.append(span)
+            if info is not None:
+                span.info = info(args, kwargs, result)
+                span.book = time.perf_counter() - span.end
+            return result
 
         wrapper.__wrapped__ = original
         return wrapper
@@ -165,11 +175,16 @@ def _covered(intervals, lo, hi):
 
 
 def layer_metrics(spans, passes=1):
-    """Per-layer metrics from closed spans, averaged over `passes` passes."""
+    """Per-layer metrics from closed spans: {name: (value, unit)}.
+
+    Counts and times are per pass, averaged over `passes`; ratios, means
+    and maxima are taken over all passes at once.
+    """
     children = {}
     for s in spans:
         if s.parent is not None:
-            children.setdefault(id(s.parent), []).append((s.start, s.end))
+            children.setdefault(id(s.parent), []).append(
+                (s.start, s.end + s.book))
     self_s, dur, n = {}, {}, {}
     for s in spans:
         d = s.end - s.start
@@ -181,8 +196,14 @@ def layer_metrics(spans, passes=1):
     def total(layer, key):
         return sum(s.info.get(key, 0) for s in spans if s.layer == layer)
 
-    def selfs(*layers):
-        return sum(self_s.get(x, 0.0) for x in layers)
+    def count(v):
+        return v / passes, "count"
+
+    def secs(v):
+        return v / passes, "s"
+
+    def ratio(num, den):
+        return (num / den if den else 0.0), "ratio"
 
     traces = [s for s in spans if s.layer == "propagator.trace" and s.info]
     under_peak = [s for s in traces
@@ -193,63 +214,67 @@ def layer_metrics(spans, passes=1):
     fad_points = total("faddeeva", "points")
     fad_self = self_s.get("faddeeva", 0.0)
     solve_nodes = total("oracle.solve_banded", "nodes")
+    solve_s = dur.get("oracle.solve_banded", 0.0)
     poles_found = total("resonances.find_poles", "found")
     main_spans = [s for s in spans if s.layer == "cli.main"]
     terms = [s.info["terms"] for s in traces]
+    # cli.main's own self time is whatever no wrapped layer covers
+    explained = sum(v for layer, v in self_s.items() if layer != "cli.main")
 
-    m = {
-        "faddeeva.points": fad_points,
-        "faddeeva.points.trapezoid": total("faddeeva", "trapezoid"),
-        "faddeeva.points.contfrac": total("faddeeva", "contfrac"),
-        "faddeeva.points.reflected": total("faddeeva", "reflected"),
-        "faddeeva.self_s": fad_self,
-        "faddeeva.mpts_per_s": fad_points / fad_self / 1e6 if fad_self else 0.0,
-        "moshinsky.calls": n.get("moshinsky", 0),
-        "moshinsky.points": total("moshinsky", "points"),
-        "moshinsky.self_s": self_s.get("moshinsky", 0.0),
-        "resonances.find_poles.calls": n.get("resonances.find_poles", 0),
-        "resonances.find_poles.cold_calls": sum(
+    return {
+        "faddeeva.points": count(fad_points),
+        "faddeeva.points.trapezoid": count(total("faddeeva", "trapezoid")),
+        "faddeeva.points.contfrac": count(total("faddeeva", "contfrac")),
+        "faddeeva.points.reflected": count(total("faddeeva", "reflected")),
+        "faddeeva.self_s": secs(fad_self),
+        "faddeeva.mpts_per_s": (fad_points / fad_self / 1e6 if fad_self
+                                else 0.0, "Mpts/s"),
+        "moshinsky.calls": count(n.get("moshinsky", 0)),
+        "moshinsky.points": count(total("moshinsky", "points")),
+        "moshinsky.self_s": secs(self_s.get("moshinsky", 0.0)),
+        "resonances.find_poles.calls": count(n.get("resonances.find_poles", 0)),
+        "resonances.find_poles.cold_calls": count(sum(
             1 for s in spans
-            if s.layer == "resonances.find_poles" and s.info.get("cold")),
-        "resonances.find_poles.poles_found": poles_found,
-        "resonances.find_poles.self_s": self_s.get("resonances.find_poles", 0.0),
-        "resonances.coeffs.calls": n.get("resonances.coeffs", 0),
-        "resonances.coeffs.count": total("resonances.coeffs", "count"),
-        "resonances.coeffs.self_s": self_s.get("resonances.coeffs", 0.0),
-        "resonances.poles_found_per_peak": poles_found / peaks if peaks else 0.0,
-        "stationary.delay.calls": n.get("stationary.delay", 0),
-        "stationary.delay.self_s": self_s.get("stationary.delay", 0.0),
-        "propagator.trace.calls": n.get("propagator.trace", 0),
-        "propagator.trace.points": sum(s.info["points"] for s in traces),
-        "propagator.trace.single_point_calls": sum(
-            1 for s in traces if s.info["points"] == 1),
-        "propagator.trace.terms_used.mean": (sum(terms) / len(terms)
-                                             if terms else 0.0),
-        "propagator.trace.terms_used.max": max(terms, default=0),
-        "propagator.trace.self_s": self_s.get("propagator.trace", 0.0),
-        "analysis.peaks": peaks,
-        "analysis.scan_s": sum(s.end - s.start for s in scan),
-        "analysis.polish_s": sum(s.end - s.start for s in polish),
-        "analysis.polish_evals_per_peak": len(polish) / peaks if peaks else 0.0,
-        "analysis.self_s": self_s.get("analysis.peak", 0.0),
-        "sweeps.window.probes": sum(
+            if s.layer == "resonances.find_poles" and s.info.get("cold"))),
+        "resonances.find_poles.poles_found": count(poles_found),
+        "resonances.find_poles.self_s": secs(
+            self_s.get("resonances.find_poles", 0.0)),
+        "resonances.coeffs.calls": count(n.get("resonances.coeffs", 0)),
+        "resonances.coeffs.count": count(total("resonances.coeffs", "count")),
+        "resonances.coeffs.self_s": secs(self_s.get("resonances.coeffs", 0.0)),
+        "resonances.poles_found_per_peak": ratio(poles_found, peaks),
+        "stationary.delay.calls": count(n.get("stationary.delay", 0)),
+        "stationary.delay.self_s": secs(self_s.get("stationary.delay", 0.0)),
+        "propagator.trace.calls": count(n.get("propagator.trace", 0)),
+        "propagator.trace.points": count(sum(s.info["points"] for s in traces)),
+        "propagator.trace.single_point_calls": count(sum(
+            1 for s in traces if s.info["points"] == 1)),
+        "propagator.trace.terms_used.mean": ratio(sum(terms), len(terms)),
+        "propagator.trace.terms_used.max": (max(terms, default=0), "count"),
+        "propagator.trace.self_s": secs(self_s.get("propagator.trace", 0.0)),
+        "analysis.peaks": count(peaks),
+        "analysis.scan_s": secs(sum(s.end - s.start for s in scan)),
+        "analysis.polish_s": secs(sum(s.end - s.start for s in polish)),
+        "analysis.polish_evals_per_peak": ratio(len(polish), peaks),
+        "analysis.self_s": secs(self_s.get("analysis.peak", 0.0)),
+        "sweeps.window.probes": count(sum(
             1 for s in spans if s.layer == "analysis.peak"
-            and s.parent is not None and s.parent.layer == "sweeps.window"),
-        "sweeps.window.self_s": self_s.get("sweeps.window", 0.0),
-        "oracle.steps": n.get("oracle.solve_banded", 0),
-        "oracle.nodes": max((s.info.get("nodes", 0) for s in spans
-                             if s.layer == "oracle.solve_banded"), default=0),
-        "oracle.solve_s": dur.get("oracle.solve_banded", 0.0),
-        "oracle.ns_per_node_step": (1e9 * dur["oracle.solve_banded"] / solve_nodes
-                                    if solve_nodes else 0.0),
-        "oracle.self_s": selfs("oracle.cn_evolve", "oracle.solve_banded"),
-        "cli.commands": len(main_spans),
-        "cli.threads": max((s.info.get("threads", 0) for s in main_spans),
-                           default=0),
-        "cli.emit_s": dur.get("cli.emit", 0.0),
-        "cli.self_s": selfs("cli.main", "cli.emit"),
+            and s.parent is not None and s.parent.layer == "sweeps.window")),
+        "sweeps.window.self_s": secs(self_s.get("sweeps.window", 0.0)),
+        "oracle.steps": count(n.get("oracle.solve_banded", 0)),
+        "oracle.nodes": (max((s.info.get("nodes", 0) for s in spans
+                              if s.layer == "oracle.solve_banded"), default=0),
+                         "count"),
+        "oracle.solve_s": secs(solve_s),
+        "oracle.ns_per_node_step": (1e9 * solve_s / solve_nodes if solve_nodes
+                                    else 0.0, "ns"),
+        "oracle.self_s": secs(self_s.get("oracle.cn_evolve", 0.0)
+                              + self_s.get("oracle.solve_banded", 0.0)),
+        "cli.commands": count(len(main_spans)),
+        "cli.threads": (max((s.info.get("threads", 0) for s in main_spans),
+                            default=0), "count"),
+        "cli.emit_s": secs(dur.get("cli.emit", 0.0)),
+        "cli.self_s": secs(self_s.get("cli.main", 0.0)
+                           + self_s.get("cli.emit", 0.0)),
+        "trace.self_share": ratio(explained, dur.get("cli.main", 0.0)),
     }
-    # counts and times are per pass; ratios, maxima and means are not summed
-    per_pass = ("mpts_per_s", "per_peak", "per_node_step", ".mean", ".max",
-                "oracle.nodes", "cli.threads")
-    return {k: (v if k.endswith(per_pass) else v / passes) for k, v in m.items()}

@@ -5,9 +5,13 @@ Each op is a CLI command issued in-process through qtransient.cli.main,
 closed loop with one client: a command starts when the previous returns.
 Its CSV is captured and parsed with qtransient.config.parse_csv.
 
-Passes repeat while the next one fits in --seconds, at least two per run.
+A run makes --seconds / pass_s passes of the workload, at least two, so
+the number of samples depends on --seconds alone and not on how fast the
+program or the host is: two commits are measured with as many samples.
 With --trace 1 untraced and traced passes alternate; the traced CSV must
-match the untraced bytes exactly.
+match the untraced bytes exactly.  With --trace 0 the run also times
+SETUP_RUNS fresh interpreters importing qtransient.cli, one after each
+command until there are enough, so the samples spread across the run.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import io
 import json
 import resource
 import statistics
+import subprocess
 import sys
 import time
 import traceback
@@ -29,6 +34,11 @@ from qtransient.config import parse_csv
 
 EXIT_NUMERICAL = 3   # qtransient.cli: the program gave up and said why
 MIN_PASSES = 2
+SETUP_RUNS = 7
+# the child stamps the end itself: subprocess's wait with a timeout polls
+# every 50 ms, which would round the samples to that step
+SETUP_ARGV = (sys.executable, "-c",
+              "import qtransient.cli, time; print(time.monotonic())")
 
 
 def run_command(cmd, seen):
@@ -57,11 +67,20 @@ def run_command(cmd, seen):
     return elapsed, text, verdicts, any(v is not None for v in verdicts)
 
 
-def run_pass(cmds, log):
+def setup_seconds():
+    """Wall time from starting a fresh interpreter to qtransient.cli imported."""
+    start = time.monotonic()   # one clock for every process on the machine
+    proc = subprocess.run(SETUP_ARGV, check=True, timeout=60,
+                          capture_output=True, text=True)
+    return float(proc.stdout) - start
+
+
+def run_pass(cmds, log, after_command):
     """Every command once, in order; returns the pass record."""
     times, texts, ok, bad, wrong, seen = [], [], 0, 0, False, {}
     for cmd in cmds:
         elapsed, text, verdicts, w = run_command(cmd, seen)
+        after_command()
         times.append(elapsed)
         texts.append(text)
         wrong |= w
@@ -84,26 +103,28 @@ def pass_seconds(passes):
     return sum(min(ts) for ts in zip(*(p["times"] for p in passes)))
 
 
-def run_rounds(cmds, seconds, tracer_, log):
-    """Rounds of one untraced pass, plus one traced pass when tracing.
-
-    Rounds repeat while the next one fits in `seconds`; a run makes at
-    least MIN_PASSES passes.
+def run_rounds(cmds, passes, tracer_, log):
+    """`passes` untraced passes, or, when tracing, `passes` // 2 rounds of
+    an untraced and a traced pass.  Returns the untraced and traced passes
+    and the set-up samples (none when tracing).
     """
-    plain, traced, start = [], [], time.perf_counter()
-    while True:
-        plain.append(run_pass(cmds, log))
+    plain, traced, setups = [], [], []
+
+    def sample_setup():
+        if tracer_ is None and len(setups) < SETUP_RUNS:
+            setups.append(setup_seconds())
+
+    for _ in range(passes if tracer_ is None else passes // 2):
+        plain.append(run_pass(cmds, log, sample_setup))
         if tracer_ is not None:
             tracer_.install()
             try:
-                traced.append(run_pass(cmds, log))
+                traced.append(run_pass(cmds, log, sample_setup))
             finally:
                 tracer_.uninstall()
-        spent = time.perf_counter() - start
-        rounds = len(plain)
-        if (rounds + len(traced) >= MIN_PASSES
-                and spent + spent / rounds > seconds):
-            return plain, traced
+    while tracer_ is None and len(setups) < SETUP_RUNS:
+        sample_setup()
+    return plain, traced, setups
 
 
 def main(argv=None):
@@ -115,24 +136,23 @@ def main(argv=None):
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 
+    workload = workloads.WORKLOADS[args.workload]
     cmds = workloads.build(args.workload, args.seed)
+    passes = max(MIN_PASSES, round(args.seconds / workload.pass_s))
     notes = []
     log = notes.append
     for cmd in cmds:
         log(f"# argv: {json.dumps(list(cmd.argv))}")
 
     t = tracer.Tracer() if args.trace else None
-    plain, traced = run_rounds(cmds, args.seconds, t, log)
+    plain, traced, setups = run_rounds(cmds, passes, t, log)
     wall_s = pass_seconds(plain)
     metrics = {}
     if t is not None:
         metrics = tracer.layer_metrics(t.spans, passes=len(traced))
         traced_wall = pass_seconds(traced)
-        metrics["trace.wall_s"] = traced_wall
-        metrics["trace.overhead_s"] = traced_wall - wall_s
-        layer_self = sum(v for k, v in metrics.items() if k.endswith(".self_s"))
-        metrics["trace.self_share"] = layer_self / statistics.mean(
-            sum(p["times"]) for p in traced)
+        metrics["trace.wall_s"] = (traced_wall, "s")
+        metrics["trace.overhead_s"] = (traced_wall - wall_s, "s")
         for p in traced:
             if p["texts"] != plain[0]["texts"]:
                 p["wrong"] = True
@@ -146,6 +166,8 @@ def main(argv=None):
         "passes": len(plain),
         "traced_passes": len(traced),
         "wall_s": wall_s,
+        # the fastest sample, for the same reason as wall_s
+        "setup_s": min(setups) if setups else None,
         "ops_per_s": statistics.median(p["ok"] for p in plain) / wall_s,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "oracle_rel_err": max(oracle) if oracle else None,
