@@ -14,8 +14,8 @@ and the magnitude of the real part,
 
 measures how fast the envelope is changing -- it vanishes exactly where
 |Psi| peaks, which makes the signed real part a clean root-finding target
-for locating the transient maximum ("time-domain resonance") to machine
-precision.  A forerunner is classified as under the barrier when
+for locating the transient maximum ("time-domain resonance") to the
+pole-sum tolerance.  A forerunner is classified as under the barrier when
 omega_av < omega_V = V/hbar at its peak.
 """
 

@@ -233,9 +233,13 @@ def cmd_scan_freq_x(args):
     cfg = _load_config(args)
     sys_ = _system(cfg)
     grid = parse_grid(args.grid, "--grid")
+    # one pole cache for every probe: the pole sequence is prefix-stable,
+    # so sharing it across threads leaves every row unchanged
+    cache = pole_cache(sys_)
 
     def worker(x):
         return _tdr_row(find_time_domain_resonance(sys_, x=x, tol=cfg.tol,
+                                                   poles=cache,
                                                    cap=cfg.max_poles), x)
 
     rows = _scan_map(grid.values(), worker, args.threads)

@@ -1,30 +1,16 @@
 """The Faddeeva function w(z) = exp(-z^2) erfc(-iz), vectorized over numpy arrays.
 
-Algorithm (region-switched):
+`faddeeva` is scipy.special.wofz (S. G. Johnson's Faddeeva package) behind
+two range checks:
 
-* upper half-plane, |z| <= RADIUS: trapezoidal sum over a Gaussian-sampled
-  pole expansion,
+* non-finite input raises NonFiniteInput;
+* in the lower half-plane w(z) = 2 exp(-z^2) - w(-z) grows like exp(-z^2);
+  where that factor overflows the double range (Im^2 z - Re^2 z > 705)
+  OverflowRange is raised, because wofz would silently return an infinity.
 
-      w(z) ~= (i h / pi) sum_n exp(-t_n^2) / (z - t_n) + corr(z),
-
-  whose quadrature error is O(exp(-pi^2/h^2)) -- far below double precision
-  for h = 0.25.  The pole-image correction is summed in closed form; the
-  numerically stable forms used here are
-
-      grid A, t_n = (n + 1/2) h:  corr = exp(-z^2 + i pi z / h) / cos(pi z / h)
-      grid B, t_n = n h:          corr = -i exp(-z^2 + i pi z / h) / sin(pi z / h)
-
-  The two staggered grids interleave; each point uses the grid whose nodes
-  are farther from Re z, so the near-node cancellation between the sum and
-  the correction never exceeds a few ulp.
-
-* upper half-plane, |z| > RADIUS: Gauss continued fraction
-
-      w(z) = (i/sqrt(pi)) / (z - (1/2)/(z - 1/(z - (3/2)/(z - ...))))
-
-* lower half-plane: reflection w(z) = 2 exp(-z^2) - w(-z).  When exp(-z^2)
-  itself overflows the double range an OverflowRange error is raised instead
-  of returning inf.
+The algorithms behind the library kernel: G. P. M. Poppe and C. M. J.
+Wijers, ACM Trans. Math. Softw. 16, 38 (1990); J. A. C. Weideman, SIAM J.
+Numer. Anal. 31, 1497 (1994).
 """
 
 from __future__ import annotations
@@ -32,64 +18,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import wofz
 
 from .errors import NonFiniteInput, OverflowRange
 
-RADIUS = 8.0          # trapezoid / continued-fraction switch
-_H = 0.25             # trapezoid step
-_TMAX = 7.5           # node cutoff; exp(-56.25) ~ 4e-25
-_CF_DEPTH = 48
 _EXP_ARG_MAX = 705.0  # just under log(DBL_MAX)
 
-_N_NODES = int(_TMAX / _H)
-_NODES_A = (np.arange(-_N_NODES, _N_NODES) + 0.5) * _H
-_NODES_B = np.arange(-_N_NODES, _N_NODES + 1) * _H
-_WEIGHTS_A = (_H / math.pi) * np.exp(-_NODES_A**2)
-_WEIGHTS_B = (_H / math.pi) * np.exp(-_NODES_B**2)
-
-_ISQRTPI = 1j / math.sqrt(math.pi)
 _TWO_ISQRTPI = 2j / math.sqrt(math.pi)
-
-
-def _trapezoid_upper(z):
-    """w(z) on Im z >= 0, |z| <= RADIUS, via the corrected trapezoid sum."""
-    out = np.empty(z.shape, dtype=complex)
-    # use grid B where Re z sits near a grid-A node and vice versa
-    frac = np.mod(z.real / _H, 1.0)
-    near_a = (frac >= 0.25) & (frac < 0.75)
-    pref = np.exp(-z * z + (1j * math.pi / _H) * z)
-    for mask, nodes, weights in (
-        (near_a, _NODES_B, _WEIGHTS_B),
-        (~near_a, _NODES_A, _WEIGHTS_A),
-    ):
-        if not mask.any():
-            continue
-        zm = z[mask]
-        s = (weights / (zm[..., None] - nodes)).sum(axis=-1)
-        if nodes is _NODES_B:
-            corr = -1j * pref[mask] / np.sin(math.pi * zm / _H)
-        else:
-            corr = pref[mask] / np.cos(math.pi * zm / _H)
-        out[mask] = 1j * s + corr
-    return out
-
-
-def _contfrac_upper(z):
-    """w(z) on Im z >= 0, |z| >= RADIUS, via the Gauss continued fraction."""
-    f = z.copy()
-    for m in range(_CF_DEPTH, 0, -1):
-        f = z - (0.5 * m) / f
-    return _ISQRTPI / f
-
-
-def _upper(z):
-    out = np.empty(z.shape, dtype=complex)
-    big = np.abs(z) > RADIUS
-    if big.any():
-        out[big] = _contfrac_upper(z[big])
-    if (~big).any():
-        out[~big] = _trapezoid_upper(z[~big])
-    return out
 
 
 def faddeeva(z):
@@ -102,21 +37,11 @@ def faddeeva(z):
     z_arr = np.asarray(z, dtype=complex)
     if not np.isfinite(z_arr).all():
         raise NonFiniteInput("faddeeva requires finite input")
-    scalar = z_arr.ndim == 0
-    z_arr = np.atleast_1d(z_arr)
-
-    out = np.empty(z_arr.shape, dtype=complex)
-    lower = z_arr.imag < 0.0
-    if (~lower).any():
-        out[~lower] = _upper(z_arr[~lower])
-    if lower.any():
-        zl = z_arr[lower]
-        # w(z) = 2 exp(-z^2) - w(-z); exp(-z^2) can overflow here
-        expo = zl.imag**2 - zl.real**2
-        if (expo > _EXP_ARG_MAX).any():
-            raise OverflowRange("exp(-z^2) exceeds double range in lower half-plane")
-        out[lower] = 2.0 * np.exp(-zl * zl) - _upper(-zl)
-    return complex(out[0]) if scalar else out
+    re, im = z_arr.real, z_arr.imag
+    if np.any((im < 0.0) & (im * im - re * re > _EXP_ARG_MAX)):
+        raise OverflowRange("exp(-z^2) exceeds double range in lower half-plane")
+    w = wofz(z_arr)
+    return complex(w) if z_arr.ndim == 0 else w
 
 
 def faddeeva_dz(z, w=None):

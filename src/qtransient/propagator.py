@@ -30,6 +30,7 @@ is stable to the requested tolerance.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,8 @@ DEFAULT_TOL = 1e-8
 HARD_CAP = 2048
 _BLOCK = 8
 _WYNN_WIDTH = 25
+_COEF_POSITIONS = 64  # probe positions whose coefficients a cache keeps
+_EMPTY = np.zeros(0, dtype=complex)
 SMALL_T_GUARD = 1e-4  # fs; below this the released wave has not reached x > 0
 
 
@@ -92,14 +95,27 @@ def _moshinsky_block(x_arg, q, t, c2):
 
 
 class _PoleCache:
-    """Incrementally extended pole set with interleaved mirror partners."""
+    """Incrementally extended pole set with interleaved mirror partners.
+
+    Besides the poles it keeps, per probe position and region, the
+    expansion coefficients and wavenumbers of the interleaved (k_n, k_{-n})
+    list, extended on demand, so repeated traces at one x (a peak find's
+    scan and brentq polish) and the doubling rounds within a trace compute
+    each coefficient once.  The pole sequence is prefix-stable: the first n
+    poles do not depend on how far the set has been extended, so one cache
+    can serve any number of positions and threads.  A lock guards every
+    extension.
+    """
 
     def __init__(self, sys: BarrierSystem, base: PoleSet | None = None):
         self.sys = sys
         self.poleset = base if base is not None else find_poles(sys, _BLOCK, audit=False)
         self._mirrors = {}
+        self._coefs = {}
+        self._lock = threading.Lock()
 
-    def ensure(self, n_pos: int):
+    def _poles(self, n_pos: int):
+        """The first n_pos poles, each followed by its mirror partner."""
         if self.poleset.N_max < n_pos:
             self.poleset = find_poles(self.sys, n_pos, audit=False,
                                       previous=self.poleset)
@@ -110,6 +126,22 @@ class _PoleCache:
                 self._mirrors[p.n] = mirror_pole(p, self.sys)
             out.append(self._mirrors[p.n])
         return out
+
+    def coeffs(self, x, internal, n_pos: int):
+        """(coefficients, wavenumbers) of the first n_pos interleaved pairs."""
+        key = (float(x), bool(internal))
+        with self._lock:
+            coefs, ks = self._coefs.get(key, (_EMPTY, _EMPTY))
+            if len(ks) < 2 * n_pos:
+                new = self._poles(n_pos)[len(ks):]
+                phis, tns = expansion_coeffs(x, self.sys.k, new, self.sys)
+                coefs = np.concatenate(
+                    (coefs, np.asarray(phis if internal else tns, dtype=complex)))
+                ks = np.concatenate((ks, [p.k for p in new]))
+                self._coefs[key] = coefs, ks
+                if len(self._coefs) > _COEF_POSITIONS:
+                    del self._coefs[next(iter(self._coefs))]
+            return coefs[:2 * n_pos], ks[:2 * n_pos]
 
 
 def _wynn_tail(partials, width=_WYNN_WIDTH):
@@ -189,24 +221,27 @@ def _assemble(x, t_grid, sys, cache: _PoleCache, tol, internal, cap=HARD_CAP):
     rounds = 0
     s_hist = np.zeros(n_live, dtype=complex)
     diff_hist = np.zeros(n_live)
+    # pair-summed pole terms already evaluated, one row per active point;
+    # each doubling round evaluates only the poles it adds
+    terms = np.zeros((n_live, 0), dtype=complex)
+    dterms = np.zeros((n_live, 0), dtype=complex)
     while n_live and active.any():
-        poles = cache.ensure(n_pos)
-        phis, tns = expansion_coeffs(x, k, poles, sys)
-        coefs = np.asarray(phis if internal else tns, dtype=complex)
-        ks = np.array([p.k for p in poles])
+        n_old = terms.shape[1]
+        coefs, ks = cache.coeffs(x, internal, n_pos)
+        coefs, ks = coefs[2 * n_old:], ks[2 * n_old:]
         m, dm = _moshinsky_block(x_arg, ks, t_live[active], sys.c2)
-        terms = (coefs * m).reshape(m.shape[0], -1, 2).sum(axis=2)
-        dterms = (coefs * dm).reshape(m.shape[0], -1, 2).sum(axis=2)
+        terms = np.hstack((terms, (coefs * m).reshape(m.shape[0], -1, 2).sum(axis=2)))
+        dterms = np.hstack((dterms, (coefs * dm).reshape(m.shape[0], -1, 2).sum(axis=2)))
         # at symmetry points (e.g. x = L/2) alternate Gamow terms vanish,
         # leaving near-repeated partial sums that destabilize the epsilon
         # table; drop negligible pair columns before accumulating
         col = np.max(np.abs(terms), axis=0)
         dcol = np.max(np.abs(dterms), axis=0)
         keep = (col > 1e-14 * col.max()) | (dcol > 1e-14 * dcol.max())
-        if not keep.all():
-            terms, dterms = terms[:, keep], dterms[:, keep]
-        s_val, s_err = _wynn_tail(np.cumsum(terms, axis=1))
-        d_val, _ = _wynn_tail(np.cumsum(dterms, axis=1))
+        kept, dkept = ((terms, dterms) if keep.all()
+                       else (terms[:, keep], dterms[:, keep]))
+        s_val, s_err = _wynn_tail(np.cumsum(kept, axis=1))
+        d_val, _ = _wynn_tail(np.cumsum(dkept, axis=1))
         scale = np.maximum(np.abs(head[live][active] - s_val), 1e-300)
         # The extrapolation's internal estimate s_err can be optimistic, so
         # the error is judged by the change across block doublings: if
@@ -234,6 +269,8 @@ def _assemble(x, t_grid, sys, cache: _PoleCache, tol, internal, cap=HARD_CAP):
             break
         idx = np.flatnonzero(active)
         active[idx[done]] = False
+        if done.any():
+            terms, dterms = terms[~done], dterms[~done]
         n_top = n_pos = min(2 * n_pos, cap)
         rounds += 1
     if np.any(err_out > tol):

@@ -317,9 +317,8 @@ def _scan_low_zone(sys):
     return sorted(out, key=lambda z: z.real)
 
 
-def _next_rung(found, sys):
+def _next_rung(re_max, sys):
     """Ladder index of the next pole above the largest found Re."""
-    re_max = max((k.real for k in found), default=0.0)
     q2 = re_max * re_max - sys.v_strength
     if q2 <= (0.5 * math.pi / sys.L) ** 2:
         return 1
@@ -344,36 +343,44 @@ def find_poles(sys: BarrierSystem, N: int, audit: bool = True,
         known = []
         axis = find_axis_poles(sys)
     poles = list(known)
-    strip_ks = [p.k for p in poles]
-    found = strip_ks + [p.k for p in axis]
+    found = [p.k for p in poles] + [p.k for p in axis]
+    found_arr = np.array(found, dtype=complex)
+    re_max = max((p.k.real for p in poles), default=0.0)  # strips only, no axis
+
+    def claimed(k):
+        return bool(np.any(np.abs(found_arr - k) <= 1e-8 * max(1.0, abs(k))))
+
+    def add(k):
+        nonlocal found_arr, re_max
+        found.append(k)
+        found_arr = np.append(found_arr, k)
+        re_max = max(re_max, k.real)
+        poles.append(_build_pole(len(poles) + 1, k, sys))
+
     if not known:
         for k in _scan_low_zone(sys):
-            if not any(abs(k - kj) <= 1e-8 * max(1.0, abs(k)) for kj in found):
-                strip_ks.append(k)
-                found.append(k)
-                poles.append(_build_pole(len(poles) + 1, k, sys))
+            if not claimed(k):
+                add(k)
     attempts = 0
     while len(poles) < N:
         attempts += 1
         if attempts > 2 * N + 16:
             raise PoleNotConverged(len(poles) + 1, "(ladder stalled)")
-        m = _next_rung(strip_ks, sys)
+        m = _next_rung(re_max, sys)
         k = _newton_refine(_seed(m, sys), sys)
         if (_pole_residual(k, sys) > RESIDUAL_TOL
                 or k.real <= 0 or k.imag >= 0
                 or abs(k.real - _seed(m, sys).real) > 0.75 * math.pi / sys.L):
             k = _newton_refine(_grid_rescue(m, sys), sys)
-        if any(abs(k - kj) <= 1e-8 * max(1.0, abs(k)) for kj in found):
+        if claimed(k):
             # seed fell into an already-claimed basin; deflate and retry
             k = _newton_refine(_grid_rescue(m, sys, avoid=tuple(found)),
                                sys, avoid=tuple(found))
-            if (any(abs(k - kj) <= 1e-8 * max(1.0, abs(k)) for kj in found)
+            if (claimed(k)
                     or _pole_residual(k, sys) > RESIDUAL_TOL
                     or k.real <= 0 or k.imag >= 0):
                 raise DuplicatePole(f"could not separate pole {len(poles) + 1} near {k}")
-        strip_ks.append(k)
-        found.append(k)
-        poles.append(_build_pole(len(poles) + 1, k, sys))
+        add(k)
     poles.sort(key=lambda p: p.k.real)
     poles = poles[:N]
     for i in range(len(poles) - 1):

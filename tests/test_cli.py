@@ -76,6 +76,22 @@ def test_scan_with_threads_is_ordered(capsys):
     assert all(r[3] is True for r in rows)
 
 
+def test_scan_freq_x_shared_cache_is_thread_independent(capsys):
+    # the probes (internal at 2 nm and x = L, external at 6 nm) share one
+    # pole cache; two threads extending it in either order must emit the
+    # same rows, byte for byte, as one thread
+    body = {}
+    for threads in ("1", "2"):
+        code, out, _ = run(capsys, ["--threads", threads] + GAAS_FLAGS +
+                           ["scan-freq-x", "--grid", "2:6:3"])
+        assert code == 0
+        # the first line is the provenance comment, which echoes threads
+        body[threads] = out.split("\n", 1)[1]
+    assert body["1"] == body["2"]
+    _, _, rows = parse_csv(out)
+    assert [r[0] for r in rows] == [2.0, 4.0, 6.0]
+
+
 def test_out_file_written(capsys, tmp_path):
     path = tmp_path / "poles.csv"
     code, out, _ = run(capsys, GAAS_FLAGS + ["--out", str(path),

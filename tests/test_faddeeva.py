@@ -1,11 +1,13 @@
 """Faddeeva function against an arbitrary-precision oracle.
 
 Oracle [DERIVED]: w(z) = exp(-z^2) erfc(-iz) evaluated with mpmath at 50
-digits; the implementation must match to 1e-13 relative everywhere in the
-|Re z|, |Im z| <= 10 box, which covers both the interior quadrature region
-and the continued-fraction region.
+digits; the implementation (scipy.special.wofz behind range checks) must
+match to 1e-13 relative everywhere in the |Re z|, |Im z| <= 10 box and at
+large |z| in both half-planes, out to the |z| ~ 5e3 that far-field pole sums
+reach.
 """
 
+import cmath
 import math
 
 import mpmath
@@ -42,6 +44,18 @@ def test_matches_mpmath_random(x, y):
     z = complex(x, y)
     ref = w_oracle(z)
     assert abs(complex(faddeeva(z)) - ref) <= REL_TOL * abs(ref)
+
+
+# the propagator's arguments i y(x, k_n, t): far-field pole sums put |z| up
+# to ~5e3 (median ~340), along the rays near 45-60 degrees and, in the lower
+# half-plane, -135 to -150 degrees; the other rays cover both half-planes
+# wherever exp(-z^2) stays in range
+@pytest.mark.parametrize("r", [50.0, 340.0, 1000.0, 5000.0])
+@pytest.mark.parametrize("deg", [10, 50, 55, 80, 135, 170, -20, -140, -147, -170])
+def test_matches_mpmath_at_large_modulus(r, deg):
+    z = cmath.rect(r, math.radians(deg))
+    ref = w_oracle(z)
+    assert abs(complex(faddeeva(z)) - ref) <= REL_TOL * abs(ref), f"z={z}"
 
 
 def test_vectorized_matches_scalar():
@@ -87,3 +101,11 @@ def test_lower_half_plane_overflow():
     # negative imaginary arguments
     with pytest.raises(OverflowRange):
         faddeeva(-40.0j)
+
+
+def test_lower_half_plane_overflow_where_wofz_returns_inf():
+    # scipy's wofz returns -inf-inf*j here without complaint
+    with pytest.raises(OverflowRange):
+        faddeeva(5.0 - 30.0j)
+    with pytest.raises(OverflowRange):
+        faddeeva(np.array([0.5 + 0.5j, 5.0 - 30.0j]))

@@ -12,10 +12,14 @@ Oracles:
   stationary value |T_k|^2 at long times.
 """
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from qtransient import psi_external, psi_internal, trace, transmission
+from qtransient import (pole_cache, psi_external, psi_internal, trace,
+                        transmission)
 from qtransient.errors import (NonPositiveTime, NotConverged, XOutOfRange)
 from qtransient.systems import HBAR_EV_FS as HBAR
 
@@ -88,6 +92,52 @@ def test_determinism(gaas):
     b = trace(2.0, ts, gaas, tol=1e-9)
     assert np.array_equal(a.psi, b.psi)
     assert np.array_equal(a.dpsi_dt, b.dpsi_dt)
+
+
+@pytest.mark.parametrize("x", [2.0, 6.0])
+def test_extended_cache_reuse_is_exact(gaas, x):
+    # the pole sequence is prefix-stable and a cache hands out the same
+    # coefficients a fresh one computes, so neither a cache that other
+    # positions in both regions have extended nor a repeat at the same x
+    # moves a single bit
+    ts = np.linspace(1.0, 12.0, 40)
+    fresh = trace(x, ts, gaas, poles=pole_cache(gaas), tol=1e-9)
+    shared = pole_cache(gaas)
+    trace(3.0, ts, gaas, poles=shared, tol=1e-9)
+    trace(12.0, np.linspace(10.0, 20.0, 20), gaas, poles=shared, tol=1e-9)
+    assert shared.poleset.N_max >= 1024
+    first = trace(x, ts, gaas, poles=shared, tol=1e-9)
+    again = trace(x, ts, gaas, poles=shared, tol=1e-9)
+    for tr in (first, again):
+        assert np.array_equal(tr.psi, fresh.psi)
+        assert np.array_equal(tr.dpsi_dt, fresh.dpsi_dt)
+        assert np.array_equal(tr.trunc_error_est, fresh.trunc_error_est)
+        assert tr.n_terms_used == fresh.n_terms_used
+
+
+def test_shared_cache_under_concurrent_extension(gaas):
+    # more threads than cores, switching every microsecond, extend fresh
+    # caches to mixed depths at once; a lost update would hand a thread
+    # fewer poles than it asked for, or a gap in the pole ladder
+    depths = (16, 256, 32, 128, 64, 256, 16, 128)
+    ref = pole_cache(gaas)
+    want = {n: ref.coeffs(2.0, True, n) for n in set(depths)}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            cache = pole_cache(gaas)
+            with ThreadPoolExecutor(max_workers=len(depths)) as pool:
+                futures = [pool.submit(cache.coeffs, 2.0, True, n)
+                           for n in depths]
+                got = [f.result(timeout=120) for f in futures]
+            for n, (coefs, ks) in zip(depths, got):
+                assert np.array_equal(coefs, want[n][0])
+                assert np.array_equal(ks, want[n][1])
+            poles = cache.poleset.poles
+            assert [p.n for p in poles] == list(range(1, len(poles) + 1))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_error_estimates_within_tolerance(gaas, gaas_cache):
