@@ -33,6 +33,7 @@ from .stationary import phi_stationary, transmission
 from .systems import BarrierSystem, HBAR_EV_FS as HBAR
 
 _AMP_FLOOR = 1e-150
+PEAK_SCAN = 2000      # coarse time points of a peak search
 
 
 def local_frequency(psi, dpsi_dt):
@@ -117,7 +118,7 @@ def default_window(sys: BarrierSystem, x=None):
 
 
 def find_time_domain_resonance(sys: BarrierSystem, x=None, t_window=None,
-                               n_scan=2000, tol=1e-9, poles=None,
+                               n_scan=PEAK_SCAN, tol=1e-9, poles=None,
                                cap=HARD_CAP, height_floor=1e-6):
     """Locate the transient peak of |Psi(x, t)|^2.
 

@@ -7,6 +7,11 @@ scan-freq-alpha, window, oracle-compare.  Global flags --config / --out /
 (stdout or --out) whose first line is a provenance comment sufficient to
 reproduce the run.
 
+The three scan commands are the library sweeps of qtransient.sweeps, run
+with the config's tol and max_poles, --threads workers and a 2000-point
+peak search (analysis.PEAK_SCAN); their rows come out in ascending grid
+order.
+
 Exit codes: 0 success, 2 validation error, 3 numerical non-convergence,
 4 I/O error.
 """
@@ -16,21 +21,21 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .analysis import find_time_domain_resonance, spectrogram
+from .analysis import PEAK_SCAN, find_time_domain_resonance, spectrogram
 from .config import (CsvTable, RunConfig, apply_overrides, emit_csv,
                      parse_config, parse_grid)
 from .errors import (MissingRequired, NumericalError, QTransientError,
                      ValidationError)
 from .oracle import cn_evolve, default_cn_config
-from .propagator import pole_cache, trace
+from .propagator import trace
 from .resonances import find_poles
 from .stationary import transmission
-from .sweeps import opacity_window
-from .systems import length_for_alpha, make_system
+from .sweeps import (opacity_window, sweep_freq_vs_alpha, sweep_freq_vs_x,
+                     sweep_tmax_vs_L)
+from .systems import make_system
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -141,16 +146,14 @@ def _time_grid(args):
     return np.linspace(args.tmin, args.tmax, args.steps)
 
 
-def _scan_map(values, worker, threads):
-    """Deterministic parallel map: output order follows input order."""
-    values = list(values)
-    if threads <= 1 or len(values) <= 1:
-        return [worker(v) for v in values]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, values))
+def _check_u(args):
+    if not args.u > 1:
+        raise ValidationError(f"--u must be > 1 (tunneling), got {args.u}")
 
 
 def cmd_poles(args):
+    if args.n < 1:
+        raise ValidationError(f"--n must be >= 1, got {args.n}")
     cfg = _load_config(args)
     sys_ = _system(cfg)
     n = min(args.n, cfg.max_poles)
@@ -197,10 +200,6 @@ def cmd_spectrogram(args):
                                            ("steps", args.steps)]))
 
 
-def _tdr_row(tdr, independent):
-    return (independent, tdr.t_max, tdr.omega_ratio, tdr.exists)
-
-
 def cmd_tmax(args):
     cfg = _load_config(args)
     sys_ = _system(cfg)
@@ -214,68 +213,53 @@ def cmd_tmax(args):
         rows=tuple(rows), provenance=_provenance(cfg, args, [("x", x)]))
 
 
+def _sweep_csv(table, independent, cfg, args, extra=()):
+    rows = tuple((r.independent, r.t_max, r.omega_ratio, r.exists)
+                 for r in table.rows)
+    return CsvTable(columns=(independent, "t_max_fs", "omega_ratio", "exists"),
+                    rows=rows, provenance=_provenance(cfg, args, extra))
+
+
+def _sweep_opts(cfg, args):
+    """The peak-search settings every CLI scan passes to its sweep."""
+    return dict(tol=cfg.tol, n_scan=PEAK_SCAN, cap=cfg.max_poles,
+                threads=args.threads)
+
+
 def cmd_scan_tmax_L(args):
     cfg = _load_config(args)
     grid = parse_grid(args.grid, "--grid")
-
-    def worker(L):
-        sys_ = make_system(cfg.V_eV, cfg.E_eV, L, cfg.mass_ratio)
-        return _tdr_row(find_time_domain_resonance(sys_, tol=cfg.tol,
-                                                   cap=cfg.max_poles), L)
-
-    rows = _scan_map(grid.values(), worker, args.threads)
-    return CsvTable(columns=("L_nm", "t_max_fs", "omega_ratio", "exists"),
-                    rows=tuple(rows),
-                    provenance=_provenance(cfg, args, [("grid", grid)]))
+    table = sweep_tmax_vs_L(grid.values(), cfg.V_eV, cfg.E_eV, cfg.mass_ratio,
+                            **_sweep_opts(cfg, args))
+    return _sweep_csv(table, "L_nm", cfg, args, [("grid", grid)])
 
 
 def cmd_scan_freq_x(args):
     cfg = _load_config(args)
-    sys_ = _system(cfg)
     grid = parse_grid(args.grid, "--grid")
-    # one pole cache for every probe: the pole sequence is prefix-stable,
-    # so sharing it across threads leaves every row unchanged
-    cache = pole_cache(sys_)
-
-    def worker(x):
-        return _tdr_row(find_time_domain_resonance(sys_, x=x, tol=cfg.tol,
-                                                   poles=cache,
-                                                   cap=cfg.max_poles), x)
-
-    rows = _scan_map(grid.values(), worker, args.threads)
-    return CsvTable(columns=("x_nm", "t_max_fs", "omega_ratio", "exists"),
-                    rows=tuple(rows),
-                    provenance=_provenance(cfg, args, [("grid", grid)]))
+    table = sweep_freq_vs_x(grid.values(), _system(cfg),
+                            **_sweep_opts(cfg, args))
+    return _sweep_csv(table, "x_nm", cfg, args, [("grid", grid)])
 
 
 def cmd_scan_freq_alpha(args):
+    _check_u(args)
     cfg = _load_config(args, default_E=lambda V: (V or 0) / args.u,
                        need_L=False)
     grid = parse_grid(args.grid, "--grid")
-    if args.u <= 1:
-        raise ValidationError(f"--u must be > 1 (tunneling), got {args.u}")
-
-    def worker(alpha):
-        L = length_for_alpha(alpha, cfg.V_eV, cfg.mass_ratio)
-        sys_ = make_system(cfg.V_eV, cfg.V_eV / args.u, L, cfg.mass_ratio)
-        return _tdr_row(find_time_domain_resonance(sys_, tol=cfg.tol,
-                                                   cap=cfg.max_poles), alpha)
-
-    rows = _scan_map(grid.values(), worker, args.threads)
-    return CsvTable(columns=("alpha", "t_max_fs", "omega_ratio", "exists"),
-                    rows=tuple(rows),
-                    provenance=_provenance(cfg, args,
-                                           [("grid", grid), ("u", args.u)]))
+    table = sweep_freq_vs_alpha(grid.values(), args.u, cfg.V_eV,
+                                cfg.mass_ratio, **_sweep_opts(cfg, args))
+    return _sweep_csv(table, "alpha", cfg, args,
+                      [("grid", grid), ("u", args.u)])
 
 
 def cmd_window(args):
+    _check_u(args)
     cfg = _load_config(args, default_E=lambda V: (V or 0) / args.u,
                        need_L=False)
-    if args.u <= 1:
-        raise ValidationError(f"--u must be > 1 (tunneling), got {args.u}")
     alpha_c, alpha_u = opacity_window(
         args.u, cfg.V_eV, cfg.mass_ratio, sweep_tol=cfg.tol,
-        alpha_span=(args.alpha_min, args.alpha_max))
+        alpha_span=(args.alpha_min, args.alpha_max), cap=cfg.max_poles)
     return CsvTable(columns=("u", "alpha_c", "alpha_u"),
                     rows=((args.u, alpha_c, alpha_u),),
                     provenance=_provenance(

@@ -12,7 +12,6 @@ is a short list of scalars and grids -- so a two-section INI file covers it:
     [numerics]
     tol = 1e-8
     max_poles = 2048
-    underflow_guard = 1e-150
 
 Unknown keys are rejected (fail-closed) and every config error names the
 offending key and line.  Command-line flags override file values.
@@ -40,7 +39,7 @@ from .errors import ConfigError, MissingRequired, UnknownKey
 TOOL_VERSION = "0.1.0"
 
 _SYSTEM_KEYS = ("V_eV", "E_eV", "L_nm", "mass_ratio")
-_NUMERICS_KEYS = ("tol", "max_poles", "underflow_guard")
+_NUMERICS_KEYS = ("tol", "max_poles")
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,6 @@ class RunConfig:
     mass_ratio: float = 1.0
     tol: float = 1e-8
     max_poles: int = 2048
-    underflow_guard: float = 1e-150
     out: str | None = None
 
     def __post_init__(self):
@@ -172,7 +170,6 @@ def parse_config(text) -> RunConfig:
         mass_ratio=pull("system", "mass_ratio", float, 1.0),
         tol=pull("numerics", "tol", float, 1e-8),
         max_poles=pull("numerics", "max_poles", int, 2048),
-        underflow_guard=pull("numerics", "underflow_guard", float, 1e-150),
     )
 
 

@@ -100,9 +100,5 @@ class NotConverged(NumericalError):
     """Resonance sum still above tolerance at the hard pole cap."""
 
 
-class AbsorberLeak(NumericalError):
-    """Absorbing layers of the grid oracle reflected above tolerance."""
-
-
 class NoCrossing(NumericalError):
     """Bisection target never brackets inside the scanned interval."""

@@ -22,22 +22,10 @@ import math
 import numpy as np
 
 from .errors import NonPositiveTime
-from .faddeeva import faddeeva
+from .faddeeva import faddeeva, faddeeva_dz
 from .systems import HBAR_EV_FS as HBAR
 
 _E4 = cmath.exp(-1j * math.pi / 4)
-_TWO_ISQRTPI = 2j / math.sqrt(math.pi)
-
-
-def moshinsky_arg(x, q, t, c2):
-    """The scaled argument y(x, q, t); broadcasts over numpy inputs."""
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0.0):
-        raise NonPositiveTime("Moshinsky argument needs t > 0")
-    sqrt_t = np.sqrt(t_arr)
-    a = np.asarray(x, dtype=float) * math.sqrt(HBAR / (4.0 * c2))
-    b = np.asarray(q, dtype=complex) * math.sqrt(c2 / HBAR)
-    return _E4 * (a / sqrt_t - b * sqrt_t)
 
 
 def moshinsky_m(x, q, t, c2):
@@ -64,7 +52,7 @@ def moshinsky_m_dt(x, q, t, c2):
     phase = np.exp(1j * a * a / t_arr)
     m = 0.5 * phase * w
     dy_dt = _E4 * (-0.5 * a / (sqrt_t * t_arr) - 0.5 * b / sqrt_t)
-    dw = -2.0 * (1j * y) * np.asarray(w) + _TWO_ISQRTPI
+    dw = faddeeva_dz(1j * y, np.asarray(w))
     dm = 0.5 * phase * ((-1j * a * a / (t_arr * t_arr)) * np.asarray(w)
                         + dw * 1j * dy_dt)
     if scalar:

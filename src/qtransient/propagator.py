@@ -73,13 +73,6 @@ class WaveTrace:
     system: BarrierSystem
 
     @property
-    def samples(self):
-        return [WaveSample(self.x, float(t), complex(p), complex(d),
-                           self.n_terms_used, float(e))
-                for t, p, d, e in zip(self.times, self.psi, self.dpsi_dt,
-                                      self.trunc_error_est)]
-
-    @property
     def abs2(self):
         return np.abs(self.psi) ** 2
 

@@ -17,24 +17,29 @@ Opacity is realized by varying L at fixed V (and E = V/u): the (alpha, u)
 scaling invariance makes the choice immaterial, and it keeps the pole solver
 in a well-conditioned regime.
 
-Every sweep is a pure map over its grid: each grid point builds its own
-system and pole set, so permuting the grid permutes nothing but row order.
+Every sweep checks its whole grid before any work starts and maps it in
+ascending order, optionally over `threads` worker threads; rows come out
+sorted whatever the thread count or the order of the grid.  The CLI scan
+commands call these same functions.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import find_time_domain_resonance
 from .errors import NoCrossing, NonPositiveParameter
-from .propagator import pole_cache
+from .propagator import DEFAULT_TOL, HARD_CAP, pole_cache
 from .stationary import phase_time_delay
 from .systems import BarrierSystem, length_for_alpha, make_system
 
-SWEEP_TOL = 1e-8
+# The CLI scans at analysis.PEAK_SCAN = 2000 points; either size alone hits
+# the pole cap somewhere; they can merge once far-field sums converge
+# (ROADMAP item 5).
 SWEEP_SCAN = 1200
 
 
@@ -56,63 +61,82 @@ class SweepTable:
         return np.array([getattr(r, name) for r in self.rows])
 
 
-def _row(independent, tdr) -> SweepRow:
-    return SweepRow(independent=float(independent), t_max=tdr.t_max,
-                    omega_ratio=tdr.omega_ratio, exists=tdr.exists)
+def _sorted_grid(grid, name):
+    """The grid as ascending floats, rejected whole if any value is not > 0."""
+    values = sorted(float(v) for v in np.asarray(grid, dtype=float))
+    for v in values:
+        if not v > 0:
+            raise NonPositiveParameter(f"{name} must be > 0, got {v}")
+    return values
 
 
-def sweep_tmax_vs_L(L_grid, V, E, mass_ratio=1.0, tol=SWEEP_TOL,
-                    n_scan=SWEEP_SCAN) -> SweepTable:
+def _scan_map(values, worker, threads):
+    """Deterministic parallel map: output order follows input order."""
+    if threads <= 1 or len(values) <= 1:
+        return [worker(v) for v in values]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(worker, values))
+
+
+def _sweep(kind, fixed_params, values, peak, threads):
+    """SweepTable of peak(v) at each grid value, one row per value."""
+    def row(v):
+        tdr = peak(v)
+        return SweepRow(independent=v, t_max=tdr.t_max,
+                        omega_ratio=tdr.omega_ratio, exists=tdr.exists)
+
+    return SweepTable(kind=kind, fixed_params=fixed_params,
+                      rows=tuple(_scan_map(values, row, threads)))
+
+
+def sweep_tmax_vs_L(L_grid, V, E, mass_ratio=1.0, tol=DEFAULT_TOL,
+                    n_scan=SWEEP_SCAN, cap=HARD_CAP, threads=1) -> SweepTable:
     """t_max at x = L for each barrier width; rows sorted by L."""
-    rows = []
-    for L in sorted(float(v) for v in np.asarray(L_grid, dtype=float)):
-        if L <= 0:
-            raise NonPositiveParameter(f"L must be > 0, got {L}")
+    def peak(L):
         sys = make_system(V, E, L, mass_ratio)
-        tdr = find_time_domain_resonance(sys, tol=tol, n_scan=n_scan)
-        rows.append(_row(L, tdr))
-    return SweepTable(kind="TmaxVsL",
-                      fixed_params=dict(V=V, E=E, mass_ratio=mass_ratio),
-                      rows=tuple(rows))
+        return find_time_domain_resonance(sys, tol=tol, n_scan=n_scan, cap=cap)
+
+    return _sweep("TmaxVsL", dict(V=V, E=E, mass_ratio=mass_ratio),
+                  _sorted_grid(L_grid, "L"), peak, threads)
 
 
-def sweep_freq_vs_x(x_grid, sys: BarrierSystem, tol=SWEEP_TOL,
-                    n_scan=SWEEP_SCAN) -> SweepTable:
-    """Peak frequency ratio at each position, inside and beyond the barrier."""
+def sweep_freq_vs_x(x_grid, sys: BarrierSystem, tol=DEFAULT_TOL,
+                    n_scan=SWEEP_SCAN, cap=HARD_CAP, threads=1) -> SweepTable:
+    """Peak frequency ratio at each position, inside and beyond the barrier.
+
+    Every probe shares one pole cache; the pole sequence is prefix-stable,
+    so sharing it across threads leaves every row unchanged.
+    """
+    values = _sorted_grid(x_grid, "x")
     cache = pole_cache(sys)
-    rows = []
-    for x in sorted(float(v) for v in np.asarray(x_grid, dtype=float)):
-        if x <= 0:
-            raise NonPositiveParameter(f"x must be > 0, got {x}")
-        tdr = find_time_domain_resonance(sys, x=x, tol=tol, n_scan=n_scan,
-                                         poles=cache)
-        rows.append(_row(x, tdr))
-    return SweepTable(kind="FreqVsX",
-                      fixed_params=dict(V=sys.V, E=sys.E, L=sys.L,
-                                        mass_ratio=sys.mass_ratio),
-                      rows=tuple(rows))
+
+    def peak(x):
+        return find_time_domain_resonance(sys, x=x, tol=tol, n_scan=n_scan,
+                                          poles=cache, cap=cap)
+
+    return _sweep("FreqVsX", dict(V=sys.V, E=sys.E, L=sys.L,
+                                  mass_ratio=sys.mass_ratio),
+                  values, peak, threads)
 
 
-def _ratio_at_alpha(alpha, u, V_ref, mass_ratio, tol, n_scan):
+def _ratio_at_alpha(alpha, u, V_ref, mass_ratio, tol, n_scan, cap):
     L = length_for_alpha(alpha, V_ref, mass_ratio)
     sys = make_system(V_ref, V_ref / u, L, mass_ratio)
-    return find_time_domain_resonance(sys, tol=tol, n_scan=n_scan)
+    return find_time_domain_resonance(sys, tol=tol, n_scan=n_scan, cap=cap)
 
 
-def sweep_freq_vs_alpha(alpha_grid, u, V_ref, mass_ratio=1.0, tol=SWEEP_TOL,
-                        n_scan=SWEEP_SCAN) -> SweepTable:
+def sweep_freq_vs_alpha(alpha_grid, u, V_ref, mass_ratio=1.0, tol=DEFAULT_TOL,
+                        n_scan=SWEEP_SCAN, cap=HARD_CAP,
+                        threads=1) -> SweepTable:
     """Frequency ratio at the barrier edge versus opacity, at fixed u = V/E."""
     if u <= 1:
         raise NonPositiveParameter(f"u must be > 1 (tunneling), got {u}")
-    rows = []
-    for alpha in sorted(float(v) for v in np.asarray(alpha_grid, dtype=float)):
-        if alpha <= 0:
-            raise NonPositiveParameter(f"alpha must be > 0, got {alpha}")
-        tdr = _ratio_at_alpha(alpha, u, V_ref, mass_ratio, tol, n_scan)
-        rows.append(_row(alpha, tdr))
-    return SweepTable(kind="FreqVsAlpha",
-                      fixed_params=dict(u=u, V_ref=V_ref, mass_ratio=mass_ratio),
-                      rows=tuple(rows))
+
+    def peak(alpha):
+        return _ratio_at_alpha(alpha, u, V_ref, mass_ratio, tol, n_scan, cap)
+
+    return _sweep("FreqVsAlpha", dict(u=u, V_ref=V_ref, mass_ratio=mass_ratio),
+                  _sorted_grid(alpha_grid, "alpha"), peak, threads)
 
 
 def detect_basin(table: SweepTable):
@@ -158,7 +182,7 @@ def linear_suffix(table: SweepTable, r2_min=0.999):
 
 
 def opacity_window(u, V_ref, mass_ratio=1.0, tol=1e-3, alpha_span=(1.2, 6.0),
-                   sweep_tol=SWEEP_TOL, n_scan=SWEEP_SCAN):
+                   sweep_tol=DEFAULT_TOL, n_scan=SWEEP_SCAN, cap=HARD_CAP):
     """(alpha_c, alpha_u): the opacity interval of genuine tunneling forerunners.
 
     alpha_c is the critical opacity at which the transmission phase delay
@@ -172,7 +196,8 @@ def opacity_window(u, V_ref, mass_ratio=1.0, tol=1e-3, alpha_span=(1.2, 6.0),
         raise NonPositiveParameter(f"u must be > 1, got {u}")
 
     def probe(alpha):
-        return _ratio_at_alpha(alpha, u, V_ref, mass_ratio, sweep_tol, n_scan)
+        return _ratio_at_alpha(alpha, u, V_ref, mass_ratio, sweep_tol, n_scan,
+                               cap)
 
     def delay(alpha):
         L = length_for_alpha(alpha, V_ref, mass_ratio)

@@ -22,15 +22,6 @@ HBAR2_OVER_2ME_EV_NM2 = 0.0380998  # eV nm^2, bare electron mass
 
 
 @dataclass(frozen=True)
-class PhysConstants:
-    hbar: float = HBAR_EV_FS
-    hbar2_over_2me: float = HBAR2_OVER_2ME_EV_NM2
-
-
-CONSTANTS = PhysConstants()
-
-
-@dataclass(frozen=True)
 class BarrierSystem:
     """Rectangular barrier of height V on [0, L] hit by a plane wave of energy E.
 
@@ -80,11 +71,6 @@ class BarrierSystem:
     def v_strength(self) -> float:
         """Barrier strength 2mV/hbar^2 = V/c2 in 1/nm^2."""
         return self.V / self.c2
-
-    @property
-    def hbar_over_2m(self) -> float:
-        """hbar/2m = c2/hbar in nm^2/fs; the free dispersion is omega = (c2/hbar) k^2."""
-        return self.c2 / HBAR_EV_FS
 
 
 def make_system(V, E, L, mass_ratio=1.0) -> BarrierSystem:

@@ -28,7 +28,7 @@ def test_tmax_happy_path(capsys):
     assert abs(row["t_max_fs"] - 5.17) < 0.05
     # provenance echoes every effective parameter
     for key in ("command=tmax", "V_eV=", "E_eV=", "L_nm=", "mass_ratio=",
-                "tol=", "max_poles=", "underflow_guard=", "threads="):
+                "tol=", "max_poles=", "threads="):
         assert key in prov
 
 
@@ -66,9 +66,11 @@ def test_flags_override_config_file(capsys, tmp_path):
     assert "V_eV=0.29999999999999999" in prov
 
 
-def test_scan_with_threads_is_ordered(capsys):
+@pytest.mark.parametrize("grid", ["3:5:3", "5:3:3"])
+def test_scan_with_threads_is_ordered(capsys, grid):
+    # rows come out in ascending order, whatever the grid direction
     code, out, _ = run(capsys, ["--threads", "3"] + GAAS_FLAGS +
-                       ["scan-tmax-L", "--grid", "3:5:3"])
+                       ["scan-tmax-L", "--grid", grid])
     assert code == 0
     _, cols, rows = parse_csv(out)
     assert cols == ("L_nm", "t_max_fs", "omega_ratio", "exists")
@@ -115,11 +117,41 @@ def test_missing_parameters_exit_2(capsys):
     assert "L_nm" in err
 
 
-def test_invalid_u_exits_2(capsys):
-    code, _, err = run(capsys, ["--V", "0.3", "scan-freq-alpha",
-                                "--grid", "2:3:2", "--u", "0.5"])
+@pytest.mark.parametrize("command,u", [("scan-freq-alpha", "0.5"),
+                                       ("window", "0"),
+                                       ("scan-freq-alpha", "-2")])
+def test_invalid_u_exits_2(capsys, command, u):
+    # --u is checked before the energy V/u is derived from it
+    extra = ["--grid", "2:3:2"] if command == "scan-freq-alpha" else []
+    code, _, err = run(capsys, ["--V", "0.3", command, "--u", u] + extra)
     assert code == 2
     assert "--u" in err
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_poles_bad_count_exits_2(capsys, n):
+    code, _, err = run(capsys, GAAS_FLAGS + ["poles", "--n", n])
+    assert code == 2
+    assert "--n" in err
+
+
+def test_scan_grid_checked_before_any_pole_sum(capsys):
+    # x = 0 is rejected with the rest of the grid before the 4 nm probe
+    # or the x = 0 pole sum (which would run into the pole cap) starts
+    code, out, err = run(capsys, GAAS_FLAGS + ["scan-freq-x",
+                                               "--grid", "0:4:2"])
+    assert code == 2 and out == ""
+    assert "x must be > 0" in err
+
+
+def test_window_honours_max_poles(capsys, tmp_path):
+    # four poles cannot reach the default tolerance at the first probe
+    ini = tmp_path / "few_poles.ini"
+    ini.write_text("[system]\nV_eV=0.3\nE_eV=0.001\nL_nm=4.0\n"
+                   "mass_ratio=0.067\n[numerics]\nmax_poles=4\n")
+    code, _, err = run(capsys, ["--config", str(ini), "window", "--u", "300"])
+    assert code == 3
+    assert "cap 4" in err
 
 
 def test_nonconvergence_exits_3(capsys, tmp_path):

@@ -20,14 +20,13 @@ mass_ratio = 0.067
 [numerics]
 tol = 1e-9
 max_poles = 512
-underflow_guard = 1e-120
 """
 
 
 def test_parse_full_config():
     cfg = parse_config(FULL)
     assert cfg == RunConfig(V_eV=0.3, E_eV=0.001, L_nm=4.0, mass_ratio=0.067,
-                            tol=1e-9, max_poles=512, underflow_guard=1e-120)
+                            tol=1e-9, max_poles=512)
 
 
 def test_numerics_defaults():
@@ -35,7 +34,6 @@ def test_numerics_defaults():
     assert cfg.mass_ratio == 1.0
     assert cfg.tol == 1e-8
     assert cfg.max_poles == 2048
-    assert cfg.underflow_guard == 1e-150
 
 
 def test_missing_required_names_the_key():
@@ -46,6 +44,14 @@ def test_missing_required_names_the_key():
 def test_unknown_key_names_key_and_line():
     text = "[system]\nV_eV=0.3\nE_eV=0.001\nL_nm=4.0\nwidth_nm=4.0\n"
     with pytest.raises(UnknownKey, match=r"width_nm.*line 5"):
+        parse_config(text)
+
+
+def test_removed_underflow_guard_key_rejected():
+    # the key never reached the numerics; a file that still sets it fails
+    # closed instead of being silently ignored
+    text = FULL + "underflow_guard = 1e-150\n"
+    with pytest.raises(UnknownKey, match=r"underflow_guard.*line 11"):
         parse_config(text)
 
 
@@ -92,8 +98,7 @@ def test_apply_overrides():
 def test_provenance_items_cover_all_parameters():
     cfg = parse_config(FULL)
     keys = [k for k, _ in cfg.provenance_items()]
-    assert keys == ["V_eV", "E_eV", "L_nm", "mass_ratio", "tol", "max_poles",
-                    "underflow_guard"]
+    assert keys == ["V_eV", "E_eV", "L_nm", "mass_ratio", "tol", "max_poles"]
 
 
 @pytest.mark.parametrize("text,expected", [

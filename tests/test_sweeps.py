@@ -63,6 +63,9 @@ def test_sweep_validation(gaas):
         sweep_freq_vs_alpha([-3.0], u=300.0, V_ref=0.3)
     with pytest.raises(NonPositiveParameter):
         opacity_window(0.5, 0.3)
+    # the whole grid is checked before any worker thread starts a probe
+    with pytest.raises(NonPositiveParameter, match="got -1"):
+        sweep_tmax_vs_L([4.0, 5.0, -1.0], 0.3, 0.001, 0.067, threads=2)
 
 
 def test_opacity_window_needs_a_bracket():
