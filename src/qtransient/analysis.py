@@ -34,6 +34,7 @@ from .systems import BarrierSystem, HBAR_EV_FS as HBAR
 
 _AMP_FLOOR = 1e-150
 PEAK_SCAN = 2000      # coarse time points of a peak search
+HEIGHT_FLOOR = 1e-6   # least peak density, relative to the long-time plateau
 
 
 def local_frequency(psi, dpsi_dt):
@@ -119,11 +120,11 @@ def default_window(sys: BarrierSystem, x=None):
 
 def find_time_domain_resonance(sys: BarrierSystem, x=None, t_window=None,
                                n_scan=PEAK_SCAN, tol=1e-9, poles=None,
-                               cap=HARD_CAP, height_floor=1e-6):
+                               cap=HARD_CAP):
     """Locate the transient peak of |Psi(x, t)|^2.
 
     Scans a coarse time grid for the first interior local maximum whose
-    density exceeds height_floor times the long-time plateau, then polishes
+    density exceeds HEIGHT_FLOOR times the long-time plateau, then polishes
     it by root-finding the signed envelope rate Re[(dPsi/dt)/Psi], which
     crosses zero at the peak.  Returns exists=False when the density rises
     monotonically (no forerunner), as happens below the critical opacity.
@@ -135,12 +136,12 @@ def find_time_domain_resonance(sys: BarrierSystem, x=None, t_window=None,
     t_lo, t_hi = float(t_window[0]), float(t_window[1])
     if not (0 < t_lo < t_hi) or n_scan < 16:
         raise WindowTooNarrow(f"bad scan window ({t_lo}, {t_hi}) / n_scan={n_scan}")
-    cache = pole_cache(sys) if poles is None else poles
+    cache = pole_cache(sys, poles)
     grid = np.linspace(t_lo, t_hi, int(n_scan))
     tr = trace(x, grid, sys, poles=cache, tol=tol, cap=cap)
     rho = tr.abs2
     plateau = _plateau_density(sys, x)
-    floor = height_floor * plateau
+    floor = HEIGHT_FLOOR * plateau
 
     absent = TimeDomainResonance(x=float(x), exists=False, t_max=math.nan,
                                  height=math.nan, height_ratio=math.nan,

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -101,33 +102,26 @@ def _build_parser():
     return p
 
 
-def _load_config(args, default_E=None, need_L=True) -> RunConfig:
+def _load_config(args, u=None) -> RunConfig:
     """File config (if given) with CLI flags layered on top.
 
-    Commands that derive their own width from an opacity grid (need_L
-    false) and their own energy from u (default_E) accept configs without
-    those keys.
+    A command at fixed u = V/E (u given) runs at E = V/u and takes its
+    widths from an opacity grid, so it needs only V_eV: its config holds
+    E = V/u and no L_nm, whatever the file or the flags say.
     """
+    flags = dict(V_eV=args.V, E_eV=args.E, L_nm=args.L,
+                 mass_ratio=args.mass_ratio, tol=args.tol)
+    values = {k: v for k, v in flags.items() if v is not None}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            cfg = parse_config(fh.read())
-    else:
-        values = {"V_eV": args.V, "E_eV": args.E, "L_nm": args.L}
-        if values["E_eV"] is None and default_E is not None:
-            values["E_eV"] = default_E(values["V_eV"])
-        if values["L_nm"] is None and not need_L:
-            values["L_nm"] = 1.0   # placeholder, unused by these commands
-        for key, value in values.items():
-            if value is None:
-                raise MissingRequired(
-                    f"missing required key {key!r}: pass --config or the flag")
-        cfg = RunConfig(mass_ratio=args.mass_ratio
-                        if args.mass_ratio is not None else 1.0, **values)
-        args = argparse.Namespace(**{**vars(args), "V": None, "E": None,
-                                     "L": None, "mass_ratio": None})
-    return apply_overrides(cfg, V_eV=args.V, E_eV=args.E, L_nm=args.L,
-                           mass_ratio=args.mass_ratio, tol=args.tol,
-                           out=args.out)
+            values = asdict(apply_overrides(parse_config(fh.read()), **flags))
+    if u is not None and "V_eV" in values:
+        values.update(E_eV=values["V_eV"] / u, L_nm=None)
+    for key in ("V_eV", "E_eV", "L_nm"):
+        if key not in values:
+            raise MissingRequired(
+                f"missing required key {key!r}: pass --config or the flag")
+    return RunConfig(**values)
 
 
 def _system(cfg: RunConfig):
@@ -244,8 +238,7 @@ def cmd_scan_freq_x(args):
 
 def cmd_scan_freq_alpha(args):
     _check_u(args)
-    cfg = _load_config(args, default_E=lambda V: (V or 0) / args.u,
-                       need_L=False)
+    cfg = _load_config(args, u=args.u)
     grid = parse_grid(args.grid, "--grid")
     table = sweep_freq_vs_alpha(grid.values(), args.u, cfg.V_eV,
                                 cfg.mass_ratio, **_sweep_opts(cfg, args))
@@ -255,8 +248,7 @@ def cmd_scan_freq_alpha(args):
 
 def cmd_window(args):
     _check_u(args)
-    cfg = _load_config(args, default_E=lambda V: (V or 0) / args.u,
-                       need_L=False)
+    cfg = _load_config(args, u=args.u)
     alpha_c, alpha_u = opacity_window(
         args.u, cfg.V_eV, cfg.mass_ratio, sweep_tol=cfg.tol,
         alpha_span=(args.alpha_min, args.alpha_max), cap=cfg.max_poles)

@@ -89,15 +89,16 @@ class RunConfig:
 
     V_eV: float
     E_eV: float
-    L_nm: float
+    L_nm: float | None   # None: the command takes widths from an opacity grid
     mass_ratio: float = 1.0
     tol: float = 1e-8
     max_poles: int = 2048
-    out: str | None = None
 
     def __post_init__(self):
         for name in ("V_eV", "E_eV", "L_nm", "mass_ratio", "tol"):
             v = getattr(self, name)
+            if name == "L_nm" and v is None:
+                continue
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
                 raise MissingRequired(f"{name} must be a positive finite number, "
                                       f"got {v!r}")
@@ -105,12 +106,8 @@ class RunConfig:
             raise MissingRequired(f"max_poles must be >= 2, got {self.max_poles}")
 
     def provenance_items(self):
-        out = []
-        for f in fields(self):
-            if f.name == "out":
-                continue
-            out.append((f.name, getattr(self, f.name)))
-        return out
+        return [(f.name, getattr(self, f.name)) for f in fields(self)
+                if getattr(self, f.name) is not None]
 
 
 def _parse_ini(text):

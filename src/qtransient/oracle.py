@@ -189,7 +189,6 @@ def cn_evolve(sys: BarrierSystem, cfg: CnConfig, probes, t_grid) -> CnTrace:
 
     out = np.zeros((len(probes), len(t_grid)), dtype=complex)
     t_now = 0.0
-    prev = psi.copy()
     i_t = 0
     while i_t < len(t_grid):
         prev, t_prev = psi.copy(), t_now

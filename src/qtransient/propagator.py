@@ -45,8 +45,6 @@ DEFAULT_TOL = 1e-8
 HARD_CAP = 2048
 _BLOCK = 8
 _WYNN_WIDTH = 25
-_COEF_POSITIONS = 64  # probe positions whose coefficients a cache keeps
-_EMPTY = np.zeros(0, dtype=complex)
 SMALL_T_GUARD = 1e-4  # fs; below this the released wave has not reached x > 0
 
 
@@ -88,53 +86,39 @@ def _moshinsky_block(x_arg, q, t, c2):
 
 
 class _PoleCache:
-    """Incrementally extended pole set with interleaved mirror partners.
+    """The pole list shared by every trace on one system.
 
-    Besides the poles it keeps, per probe position and region, the
-    expansion coefficients and wavenumbers of the interleaved (k_n, k_{-n})
-    list, extended on demand, so repeated traces at one x (a peak find's
-    scan and brentq polish) and the doubling rounds within a trace compute
-    each coefficient once.  The pole sequence is prefix-stable: the first n
-    poles do not depend on how far the set has been extended, so one cache
-    can serve any number of positions and threads.  A lock guards every
-    extension.
+    `pairs(n_pos)` hands out the first n_pos poles, each followed by its
+    mirror partner k_{-n} = -conj k_n, extending the list through
+    find_poles(previous=...) on demand.  The pole sequence is prefix-stable:
+    the first n poles do not depend on how far the list has been extended,
+    so one cache serves any number of positions and threads.  The cache
+    keeps no per-position state -- expansion coefficients are cheap closed
+    forms, computed by each trace for the poles it sums.  A lock guards
+    every extension.
     """
 
     def __init__(self, sys: BarrierSystem, base: PoleSet | None = None):
         self.sys = sys
         self.poleset = base if base is not None else find_poles(sys, _BLOCK, audit=False)
-        self._mirrors = {}
-        self._coefs = {}
+        self._pairs = []
         self._lock = threading.Lock()
 
-    def _poles(self, n_pos: int):
+    def pairs(self, n_pos: int):
         """The first n_pos poles, each followed by its mirror partner."""
-        if self.poleset.N_max < n_pos:
-            self.poleset = find_poles(self.sys, n_pos, audit=False,
-                                      previous=self.poleset)
-        out = []
-        for p in self.poleset.poles[:n_pos]:
-            out.append(p)
-            if p.n not in self._mirrors:
-                self._mirrors[p.n] = mirror_pole(p, self.sys)
-            out.append(self._mirrors[p.n])
-        return out
-
-    def coeffs(self, x, internal, n_pos: int):
-        """(coefficients, wavenumbers) of the first n_pos interleaved pairs."""
-        key = (float(x), bool(internal))
         with self._lock:
-            coefs, ks = self._coefs.get(key, (_EMPTY, _EMPTY))
-            if len(ks) < 2 * n_pos:
-                new = self._poles(n_pos)[len(ks):]
-                phis, tns = expansion_coeffs(x, self.sys.k, new, self.sys)
-                coefs = np.concatenate(
-                    (coefs, np.asarray(phis if internal else tns, dtype=complex)))
-                ks = np.concatenate((ks, [p.k for p in new]))
-                self._coefs[key] = coefs, ks
-                if len(self._coefs) > _COEF_POSITIONS:
-                    del self._coefs[next(iter(self._coefs))]
-            return coefs[:2 * n_pos], ks[:2 * n_pos]
+            if self.poleset.N_max < n_pos:
+                self.poleset = find_poles(self.sys, n_pos, audit=False,
+                                          previous=self.poleset)
+            for p in self.poleset.poles[len(self._pairs) // 2:n_pos]:
+                self._pairs += (p, mirror_pole(p, self.sys))
+            return self._pairs[:2 * n_pos]
+
+
+def _coeffs(x, poles, sys, internal):
+    """Expansion coefficients of `poles` in the region's sum, and their k_n."""
+    phis, tns = expansion_coeffs(x, sys.k, poles, sys)
+    return (phis if internal else tns), np.array([p.k for p in poles])
 
 
 def _wynn_tail(partials, width=_WYNN_WIDTH):
@@ -171,11 +155,12 @@ def _wynn_tail(partials, width=_WYNN_WIDTH):
     return best, np.abs(best - prev_best)
 
 
-def _assemble(x, t_grid, sys, cache: _PoleCache, tol, internal, cap=HARD_CAP):
+def _assemble(x, t_grid, sys, poles, tol, internal, cap=HARD_CAP):
     """Shared evaluator for both regions; returns psi, dpsi, n_used, err."""
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid <= 0.0):
         raise NonPositiveTime("times must be > 0")
+    cache = pole_cache(sys, poles)
     k = sys.k
     x_arg = 0.0 if internal else x
 
@@ -194,9 +179,7 @@ def _assemble(x, t_grid, sys, cache: _PoleCache, tol, internal, cap=HARD_CAP):
     # are folded into the head rather than the accelerated tail
     axis = cache.poleset.axis_poles
     if axis:
-        a_phi, a_t = expansion_coeffs(x, k, axis, sys)
-        a_coefs = np.asarray(a_phi if internal else a_t, dtype=complex)
-        a_ks = np.array([p.k for p in axis])
+        a_coefs, a_ks = _coeffs(x, axis, sys, internal)
         m_ax, dm_ax = _moshinsky_block(x_arg, a_ks, t_grid, sys.c2)
         head = head - m_ax @ a_coefs
         dhead = dhead - dm_ax @ a_coefs
@@ -220,8 +203,7 @@ def _assemble(x, t_grid, sys, cache: _PoleCache, tol, internal, cap=HARD_CAP):
     dterms = np.zeros((n_live, 0), dtype=complex)
     while n_live and active.any():
         n_old = terms.shape[1]
-        coefs, ks = cache.coeffs(x, internal, n_pos)
-        coefs, ks = coefs[2 * n_old:], ks[2 * n_old:]
+        coefs, ks = _coeffs(x, cache.pairs(n_pos)[2 * n_old:], sys, internal)
         m, dm = _moshinsky_block(x_arg, ks, t_live[active], sys.c2)
         terms = np.hstack((terms, (coefs * m).reshape(m.shape[0], -1, 2).sum(axis=2)))
         dterms = np.hstack((dterms, (coefs * dm).reshape(m.shape[0], -1, 2).sum(axis=2)))
@@ -285,19 +267,29 @@ def trace(x, t_grid, sys: BarrierSystem, poles=None, tol=DEFAULT_TOL,
     """Transient wavefunction at fixed x over a time grid.
 
     Uses the internal expansion for x <= L, the external one for x >= L
-    (identical at x = L up to truncation).  `poles` may be a PoleSet to
-    reuse; it is extended on demand.
+    (identical at x = L up to truncation).  `poles` may be a pole cache to
+    share between traces on this system, or a PoleSet to start one from;
+    either is extended on demand.  Only the poles are shared: each trace
+    computes the expansion coefficients of the poles it sums.
     """
     if x < 0:
         raise XOutOfRange("x must be >= 0 (reflection region not modeled)")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) == 0 or np.any(np.diff(t_grid) <= 0):
         raise NonPositiveTime("time grid must be nonempty and strictly increasing")
-    cache = poles if isinstance(poles, _PoleCache) else _PoleCache(sys, poles)
-    internal = x <= sys.L
-    psi, dpsi, n_used, err = _assemble(x, t_grid, sys, cache, tol, internal, cap)
+    psi, dpsi, n_used, err = _assemble(x, t_grid, sys, poles, tol, x <= sys.L,
+                                       cap)
     return WaveTrace(x=float(x), times=t_grid, psi=psi, dpsi_dt=dpsi,
                      n_terms_used=n_used, trunc_error_est=err, system=sys)
+
+
+def _sample(x, t, sys, poles, tol, internal, cap) -> WaveSample:
+    if t <= 0:
+        raise NonPositiveTime("t must be > 0")
+    psi, dpsi, n_used, err = _assemble(x, np.array([t]), sys, poles, tol,
+                                       internal, cap)
+    return WaveSample(float(x), float(t), complex(psi[0]), complex(dpsi[0]),
+                      n_used, float(err[0]))
 
 
 def psi_internal(x, t, sys: BarrierSystem, poles=None, tol=DEFAULT_TOL,
@@ -305,12 +297,7 @@ def psi_internal(x, t, sys: BarrierSystem, poles=None, tol=DEFAULT_TOL,
     """Barrier-region evaluation at one (x, t), 0 <= x <= L."""
     if not 0.0 <= x <= sys.L * (1 + 1e-12):
         raise XOutOfRange("psi_internal requires 0 <= x <= L")
-    if t <= 0:
-        raise NonPositiveTime("t must be > 0")
-    cache = poles if isinstance(poles, _PoleCache) else _PoleCache(sys, poles)
-    psi, dpsi, n_used, err = _assemble(x, np.array([t]), sys, cache, tol, True, cap)
-    return WaveSample(float(x), float(t), complex(psi[0]), complex(dpsi[0]),
-                      n_used, float(err[0]))
+    return _sample(x, t, sys, poles, tol, True, cap)
 
 
 def psi_external(x, t, sys: BarrierSystem, poles=None, tol=DEFAULT_TOL,
@@ -318,14 +305,13 @@ def psi_external(x, t, sys: BarrierSystem, poles=None, tol=DEFAULT_TOL,
     """Transmitted-region evaluation at one (x, t), x >= L."""
     if x < sys.L * (1 - 1e-12):
         raise XOutOfRange("psi_external requires x >= L")
-    if t <= 0:
-        raise NonPositiveTime("t must be > 0")
-    cache = poles if isinstance(poles, _PoleCache) else _PoleCache(sys, poles)
-    psi, dpsi, n_used, err = _assemble(x, np.array([t]), sys, cache, tol, False, cap)
-    return WaveSample(float(x), float(t), complex(psi[0]), complex(dpsi[0]),
-                      n_used, float(err[0]))
+    return _sample(x, t, sys, poles, tol, False, cap)
 
 
-def pole_cache(sys: BarrierSystem, base: PoleSet | None = None) -> _PoleCache:
-    """Reusable pole cache for many traces on the same system."""
-    return _PoleCache(sys, base)
+def pole_cache(sys: BarrierSystem,
+               base: PoleSet | _PoleCache | None = None) -> _PoleCache:
+    """Reusable pole cache for many traces on the same system.
+
+    `base` may be a PoleSet to start from; a pole cache is returned as it is.
+    """
+    return base if isinstance(base, _PoleCache) else _PoleCache(sys, base)

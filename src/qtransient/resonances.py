@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -220,14 +220,6 @@ class PoleSet:
     def __len__(self):
         return len(self.poles)
 
-    def with_mirrors(self):
-        """Full pole list: axis poles once, then interleaved (k_n, k_{-n})."""
-        out = list(self.axis_poles)
-        for p in self.poles:
-            out.append(p)
-            out.append(mirror_pole(p, self.system))
-        return out
-
 
 def _winding_number(sys, corners, samples_per_edge=64, max_depth=14):
     """Winding of arg G(k) around a rectangular contour, adaptively refined."""
@@ -386,9 +378,7 @@ def find_poles(sys: BarrierSystem, N: int, audit: bool = True,
     for i in range(len(poles) - 1):
         if abs(poles[i].k - poles[i + 1].k) <= 1e-8:
             raise DuplicatePole(f"poles {i + 1} and {i + 2} coincide at {poles[i].k}")
-    poles = tuple(ResonancePole(n=i + 1, k=p.k, E=p.E, u0=p.u0, uL=p.uL,
-                                residual=p.residual, q=p.q,
-                                inv_sqrt_norm=p.inv_sqrt_norm)
+    poles = tuple(p if p.n == i + 1 else replace(p, n=i + 1)
                   for i, p in enumerate(poles))
     ps = PoleSet(system=sys, poles=poles, N_max=N, axis_poles=axis)
     if audit:
@@ -397,18 +387,21 @@ def find_poles(sys: BarrierSystem, N: int, audit: bool = True,
 
 
 def expansion_coeffs(x, k: float, poles, sys: BarrierSystem):
-    """Expansion coefficients (Phi_n(x), T_n) over an iterable of poles.
+    """Expansion coefficients (Phi_n(x), T_n) over a sequence of poles.
 
     Phi_n(x) = 2ik u_n(0) u_n(x) / (k^2 - k_n^2)
     T_n      = 2ik u_n(0) u_n(L) exp(-i k_n L) / (k^2 - k_n^2)
+
+    Returns two complex arrays, one entry per pole, with u_n(x) evaluated
+    as in ResonancePole.u_at.
     """
-    phi_list = []
-    t_list = []
-    for p in poles:
-        denom = k * k - p.k * p.k
-        if abs(denom) < 1e-14:
-            raise PoleCollision(f"k^2 - k_n^2 ~ 0 at n = {p.n}")
-        pref = 2j * k * p.u0 / denom
-        phi_list.append(pref * p.u_at(x))
-        t_list.append(pref * p.uL * cmath.exp(-1j * p.k * sys.L))
-    return phi_list, t_list
+    kn, q, inv_sqrt, u0, uL = np.array(
+        [(p.k, p.q, p.inv_sqrt_norm, p.u0, p.uL) for p in poles],
+        dtype=complex).reshape(-1, 5).T
+    denom = k * k - kn * kn
+    hit = np.flatnonzero(np.abs(denom) < 1e-14)
+    if len(hit):
+        raise PoleCollision(f"k^2 - k_n^2 ~ 0 at n = {poles[hit[0]].n}")
+    pref = 2j * k * u0 / denom
+    u_x = ((q - kn) * np.exp(1j * q * x) + (q + kn) * np.exp(-1j * q * x)) * inv_sqrt
+    return pref * u_x, pref * uL * np.exp(-1j * kn * sys.L)

@@ -21,6 +21,8 @@ import numpy as np
 from .errors import XOutOfRange, ZeroWavenumber
 from .systems import BarrierSystem
 
+DELAY_REL_STEP = 1e-6   # energy step of phase_time_delay, relative to E
+
 
 def _q_of_k(k, v):
     """Internal wavenumber sqrt(k^2 - v); branch is immaterial downstream."""
@@ -82,7 +84,6 @@ def transmission(k, sys: BarrierSystem):
     k_arr = np.asarray(k, dtype=complex)
     if np.any(k_arr == 0):
         raise ZeroWavenumber("transmission undefined at k = 0")
-    q = _q_of_k(k_arr, sys.v_strength)
     t = 4 * k_arr * np.exp(-1j * k_arr * sys.L) / pole_function(k_arr, sys)
     return t if t.shape else complex(t)
 
@@ -131,7 +132,7 @@ def phi_stationary(x, k, sys: BarrierSystem):
     return val if val.shape else complex(val)
 
 
-def phase_time_delay(sys: BarrierSystem, rel_step=1e-6):
+def phase_time_delay(sys: BarrierSystem):
     """Transmission phase delay hbar d(arg T)/dE in fs, by central difference.
 
     The difference is taken on the angle of the ratio T(E+dE)/T(E-dE), which
@@ -140,7 +141,7 @@ def phase_time_delay(sys: BarrierSystem, rel_step=1e-6):
     barrier edge before the monotone filling sets in.
     """
     from .systems import HBAR_EV_FS, make_system
-    dE = rel_step * sys.E
+    dE = DELAY_REL_STEP * sys.E
     lo = make_system(sys.V, sys.E - dE, sys.L, sys.mass_ratio)
     hi = make_system(sys.V, sys.E + dE, sys.L, sys.mass_ratio)
     ratio = transmission(hi.k, hi) / transmission(lo.k, lo)

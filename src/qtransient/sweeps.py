@@ -41,6 +41,7 @@ from .systems import BarrierSystem, length_for_alpha, make_system
 # the pole cap somewhere; they can merge once far-field sums converge
 # (ROADMAP item 5).
 SWEEP_SCAN = 1200
+ALPHA_TOL = 1e-3   # absolute tolerance of the opacity window edges
 
 
 @dataclass(frozen=True)
@@ -181,7 +182,7 @@ def linear_suffix(table: SweepTable, r2_min=0.999):
     return None
 
 
-def opacity_window(u, V_ref, mass_ratio=1.0, tol=1e-3, alpha_span=(1.2, 6.0),
+def opacity_window(u, V_ref, mass_ratio=1.0, alpha_span=(1.2, 6.0),
                    sweep_tol=DEFAULT_TOL, n_scan=SWEEP_SCAN, cap=HARD_CAP):
     """(alpha_c, alpha_u): the opacity interval of genuine tunneling forerunners.
 
@@ -190,7 +191,7 @@ def opacity_window(u, V_ref, mass_ratio=1.0, tol=1e-3, alpha_span=(1.2, 6.0),
     delay is positive and no transient peak forms at the barrier edge, above
     it the delay is negative and time-domain resonances become possible.
     alpha_u is where omega_av/omega_V at the peak crosses 1 (bisection on
-    the ratio).  Both to absolute tolerance tol in alpha.
+    the ratio).  Both to absolute tolerance ALPHA_TOL in alpha.
     """
     if u <= 1:
         raise NonPositiveParameter(f"u must be > 1, got {u}")
@@ -214,7 +215,7 @@ def opacity_window(u, V_ref, mass_ratio=1.0, tol=1e-3, alpha_span=(1.2, 6.0),
     if not flips:
         raise NoCrossing(f"no delay sign change for alpha in {alpha_span} at u={u}")
     a0, a1 = coarse[flips[0]], coarse[flips[0] + 1]
-    while a1 - a0 > tol:
+    while a1 - a0 > ALPHA_TOL:
         mid = 0.5 * (a0 + a1)
         if delay(mid) <= 0.0:
             a1 = mid
@@ -229,12 +230,10 @@ def opacity_window(u, V_ref, mass_ratio=1.0, tol=1e-3, alpha_span=(1.2, 6.0),
     if not cross:
         raise NoCrossing(f"no ratio=1 crossing for alpha in {alpha_span} at u={u}")
     b0, b1 = coarse[cross[-1]], coarse[cross[-1] + 1]
-    r0 = ratios[cross[-1]]
-    while b1 - b0 > tol:
+    while b1 - b0 > ALPHA_TOL:
         mid = 0.5 * (b0 + b1)
-        rm = probe(mid).omega_ratio
-        if rm < 1.0:
-            b0, r0 = mid, rm
+        if probe(mid).omega_ratio < 1.0:
+            b0 = mid
         else:
             b1 = mid
     alpha_u = 0.5 * (b0 + b1)

@@ -183,3 +183,23 @@ def test_window_command_without_L(capsys):
     assert cols == ("alpha", "t_max_fs", "omega_ratio", "exists")
     assert [r[0] for r in rows] == [2.5, 3.0]
     assert all(r[2] < 1.0 for r in rows)
+
+
+@pytest.mark.parametrize("source", ["flags", "stray flags", "config"])
+def test_fixed_u_provenance_shows_the_energy_used(capsys, tmp_path, source):
+    # scan-freq-alpha runs at E = V/u and takes its widths from the opacity
+    # grid, so the provenance shows that E and no L_nm, whatever the flags
+    # or the config file say about E and L
+    head = {"flags": ["--V", "0.3", "--mass-ratio", "0.067"],
+            "stray flags": ["--V", "0.3", "--E", "0.05", "--L", "2",
+                            "--mass-ratio", "0.067"],
+            "config": ["--config", str(tmp_path / "run.ini")]}[source]
+    (tmp_path / "run.ini").write_text(
+        "[system]\nV_eV=0.3\nE_eV=0.05\nL_nm=4.0\nmass_ratio=0.067\n")
+    code, out, _ = run(capsys, head + ["scan-freq-alpha", "--grid", "2.5:3:2",
+                                       "--u", "300"])
+    assert code == 0
+    prov, _, rows = parse_csv(out)
+    assert f" E_eV={0.3 / 300:.17g} " in prov
+    assert "L_nm" not in prov
+    assert [r[0] for r in rows] == [2.5, 3.0]

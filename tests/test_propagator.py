@@ -96,8 +96,7 @@ def test_determinism(gaas):
 
 @pytest.mark.parametrize("x", [2.0, 6.0])
 def test_extended_cache_reuse_is_exact(gaas, x):
-    # the pole sequence is prefix-stable and a cache hands out the same
-    # coefficients a fresh one computes, so neither a cache that other
+    # the pole sequence is prefix-stable, so neither a cache that other
     # positions in both regions have extended nor a repeat at the same x
     # moves a single bit
     ts = np.linspace(1.0, 12.0, 40)
@@ -115,25 +114,30 @@ def test_extended_cache_reuse_is_exact(gaas, x):
         assert tr.n_terms_used == fresh.n_terms_used
 
 
+def test_cache_interleaves_mirror_partners(gaas_cache):
+    pairs = gaas_cache.pairs(12)
+    assert [p.n for p in pairs] == [s * n for n in range(1, 13) for s in (1, -1)]
+    for pole, mirror in zip(pairs[::2], pairs[1::2]):
+        assert mirror.k == -pole.k.conjugate()
+
+
 def test_shared_cache_under_concurrent_extension(gaas):
     # more threads than cores, switching every microsecond, extend fresh
     # caches to mixed depths at once; a lost update would hand a thread
-    # fewer poles than it asked for, or a gap in the pole ladder
+    # fewer poles than it asked for, a pole twice, or a gap in the ladder
     depths = (16, 256, 32, 128, 64, 256, 16, 128)
     ref = pole_cache(gaas)
-    want = {n: ref.coeffs(2.0, True, n) for n in set(depths)}
+    want = {n: [p.k for p in ref.pairs(n)] for n in set(depths)}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
             cache = pole_cache(gaas)
             with ThreadPoolExecutor(max_workers=len(depths)) as pool:
-                futures = [pool.submit(cache.coeffs, 2.0, True, n)
-                           for n in depths]
+                futures = [pool.submit(cache.pairs, n) for n in depths]
                 got = [f.result(timeout=120) for f in futures]
-            for n, (coefs, ks) in zip(depths, got):
-                assert np.array_equal(coefs, want[n][0])
-                assert np.array_equal(ks, want[n][1])
+            for n, pairs in zip(depths, got):
+                assert [p.k for p in pairs] == want[n]
             poles = cache.poleset.poles
             assert [p.n for p in poles] == list(range(1, len(poles) + 1))
     finally:

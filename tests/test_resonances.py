@@ -9,7 +9,9 @@ Oracles:
   res T(k_n) = i u_n(0) u_n(L) exp(-i k_n L), with the residue computed
   independently from the derivative of the entire denominator function;
 * [DERIVED] the analytic Gamow normalization must agree with direct
-  Gauss-Legendre quadrature of u_n^2 plus the boundary term.
+  Gauss-Legendre quadrature of u_n^2 plus the boundary term;
+* [TRIVIAL] the vectorised expansion coefficients equal their per-pole
+  closed forms.
 """
 
 import cmath
@@ -19,7 +21,8 @@ import pytest
 
 from qtransient import find_poles, make_system
 from qtransient.errors import CountMismatch, PoleNotConverged
-from qtransient.resonances import (PoleSet, audit_pole_count, find_axis_poles,
+from qtransient.resonances import (PoleSet, audit_pole_count,
+                                   expansion_coeffs, find_axis_poles,
                                    mirror_pole)
 from qtransient.stationary import pole_function
 from qtransient.systems import length_for_alpha
@@ -115,11 +118,34 @@ def test_extension_matches_fresh_solve(gaas):
     assert [p.k for p in extended.poles] == [p.k for p in fresh.poles]
 
 
-def test_with_mirrors_interleaves(gaas_poles):
-    full = gaas_poles.with_mirrors()
-    assert len(full) == 2 * len(gaas_poles.poles)
-    assert full[0].n == 1 and full[1].n == -1
-    assert full[1].k == -full[0].k.conjugate()
+def _coeffs_one_by_one(x, poles, sys_):
+    phis, tns = [], []
+    for p in poles:
+        pref = 2j * sys_.k * p.u0 / (sys_.k ** 2 - p.k * p.k)
+        phis.append(pref * p.u_at(x))
+        tns.append(pref * p.uL * cmath.exp(-1j * p.k * sys_.L))
+    return np.array(phis), np.array(tns)
+
+
+def _with_mirrors(ps):
+    return [m for p in ps.poles for m in (p, mirror_pole(p, ps.system))]
+
+
+@pytest.mark.parametrize("frac", [0.0, 0.25, 0.5, 1.0])
+def test_expansion_coeffs_match_per_pole_definitions(gaas, gaas_poles, frac):
+    V, m = 0.3, 0.067
+    below_merge = make_system(V, 0.001, length_for_alpha(1.0, V, m), m)
+    axis_set = find_poles(below_merge, 8, audit=False)
+    assert axis_set.axis_poles
+    cases = [(gaas, _with_mirrors(
+                 find_poles(gaas, 1024, audit=False, previous=gaas_poles))),
+             (below_merge, list(axis_set.axis_poles) + _with_mirrors(axis_set))]
+    for sys_, poles in cases:
+        x = frac * sys_.L
+        got = expansion_coeffs(x, sys_.k, poles, sys_)
+        for g, w in zip(got, _coeffs_one_by_one(x, poles, sys_)):
+            assert g.shape == w.shape == (len(poles),)
+            assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w))
 
 
 def test_bad_request_rejected(gaas):
