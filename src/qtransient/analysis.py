@@ -28,7 +28,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import AmplitudeUnderflow, WindowTooNarrow
-from .propagator import DEFAULT_TOL, HARD_CAP, pole_cache, trace
+from .propagator import DEFAULT_TOL, HARD_CAP, check_x, pole_cache, trace
 from .stationary import phi_stationary, transmission
 from .systems import BarrierSystem, HBAR_EV_FS as HBAR
 
@@ -131,6 +131,7 @@ def find_time_domain_resonance(sys: BarrierSystem, x=None, t_window=None,
     """
     if x is None:
         x = sys.L
+    check_x(x)
     if t_window is None:
         t_window = default_window(sys, x)
     t_lo, t_hi = float(t_window[0]), float(t_window[1])

@@ -135,8 +135,10 @@ def _provenance(cfg: RunConfig, args, extra=()):
 
 
 def _time_grid(args):
-    if not (0 < args.tmin < args.tmax) or args.steps < 2:
-        raise ValidationError("need 0 < tmin < tmax and steps >= 2")
+    if not (0 < args.tmin < args.tmax < np.inf) or args.steps < 2:
+        raise ValidationError(
+            "need finite 0 < tmin < tmax and steps >= 2, got "
+            f"tmin={args.tmin}, tmax={args.tmax}, steps={args.steps}")
     return np.linspace(args.tmin, args.tmax, args.steps)
 
 

@@ -262,6 +262,13 @@ def _assemble(x, t_grid, sys, poles, tol, internal, cap=HARD_CAP):
     return psi, dpsi, 2 * n_top + 2, err
 
 
+def check_x(x):
+    """Reject a probe position the expansions cannot evaluate."""
+    if not 0 <= x < np.inf:
+        raise XOutOfRange(
+            f"x must be finite and >= 0 (reflection region not modeled), got x={x}")
+
+
 def trace(x, t_grid, sys: BarrierSystem, poles=None, tol=DEFAULT_TOL,
           cap=HARD_CAP) -> WaveTrace:
     """Transient wavefunction at fixed x over a time grid.
@@ -272,11 +279,12 @@ def trace(x, t_grid, sys: BarrierSystem, poles=None, tol=DEFAULT_TOL,
     either is extended on demand.  Only the poles are shared: each trace
     computes the expansion coefficients of the poles it sums.
     """
-    if x < 0:
-        raise XOutOfRange("x must be >= 0 (reflection region not modeled)")
+    check_x(x)
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or len(t_grid) == 0 or np.any(np.diff(t_grid) <= 0):
-        raise NonPositiveTime("time grid must be nonempty and strictly increasing")
+    if t_grid.ndim != 1 or len(t_grid) == 0 or not np.isfinite(t_grid).all() \
+            or np.any(np.diff(t_grid) <= 0):
+        raise NonPositiveTime(
+            "time grid must be nonempty, finite and strictly increasing")
     psi, dpsi, n_used, err = _assemble(x, t_grid, sys, poles, tol, x <= sys.L,
                                        cap)
     return WaveTrace(x=float(x), times=t_grid, psi=psi, dpsi_dt=dpsi,
@@ -284,8 +292,9 @@ def trace(x, t_grid, sys: BarrierSystem, poles=None, tol=DEFAULT_TOL,
 
 
 def _sample(x, t, sys, poles, tol, internal, cap) -> WaveSample:
-    if t <= 0:
-        raise NonPositiveTime("t must be > 0")
+    check_x(x)
+    if not 0 < t < np.inf:
+        raise NonPositiveTime(f"t must be finite and > 0, got t={t}")
     psi, dpsi, n_used, err = _assemble(x, np.array([t]), sys, poles, tol,
                                        internal, cap)
     return WaveSample(float(x), float(t), complex(psi[0]), complex(dpsi[0]),

@@ -38,8 +38,8 @@ from .stationary import phase_time_delay
 from .systems import BarrierSystem, length_for_alpha, make_system
 
 # The CLI scans at analysis.PEAK_SCAN = 2000 points; either size alone hits
-# the pole cap somewhere; they can merge once far-field sums converge
-# (ROADMAP item 5).
+# the pole cap somewhere; they can merge once far-field sums converge,
+# which needs the external pole tail summed in closed form.
 SWEEP_SCAN = 1200
 ALPHA_TOL = 1e-3   # absolute tolerance of the opacity window edges
 

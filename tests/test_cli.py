@@ -203,3 +203,20 @@ def test_fixed_u_provenance_shows_the_energy_used(capsys, tmp_path, source):
     assert f" E_eV={0.3 / 300:.17g} " in prov
     assert "L_nm" not in prov
     assert [r[0] for r in rows] == [2.5, 3.0]
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["evolve", "--x", "inf", "--tmin", "1", "--tmax", "5"], "x=inf"),
+    (["spectrogram", "--x", "nan", "--tmin", "1", "--tmax", "5"], "x=nan"),
+    (["tmax", "--x", "nan"], "x=nan"),
+    (["tmax", "--x", "inf"], "x=inf"),
+    (["oracle-compare", "--x", "nan", "--tmin", "1", "--tmax", "3"], "x=nan"),
+    (["oracle-compare", "--tmin", "1", "--tmax", "inf"], "tmax=inf"),
+    (["evolve", "--tmin", "1", "--tmax", "nan"], "tmax=nan"),
+])
+def test_non_finite_x_or_time_exits_2_naming_it(capsys, recwarn, argv, named):
+    # rejected where it enters, before any kernel sees it
+    code, out, err = run(capsys, GAAS_FLAGS + argv)
+    assert code == 2 and out == ""
+    assert named in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

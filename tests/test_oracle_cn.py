@@ -5,7 +5,9 @@ Oracles:
   closed form M(x, k, t) - M(x, -k, t); the grid solution must land on it;
 * [TRIVIAL] with theta = 0.5 the scheme is exactly unitary;
 * [DERIVED] successive dx halvings must converge at second order (measured
-  between grid solutions, which share the finite-domain continuum limit).
+  between grid solutions, which share the finite-domain continuum limit);
+* [TRIVIAL] the operator factored once and solved per step gives bit for
+  bit what a fresh scipy.linalg.solve_banded gives on every step.
 """
 
 import math
@@ -13,10 +15,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from qtransient import cn_evolve, default_cn_config, make_system
+from qtransient import cn_evolve, default_cn_config, make_system, oracle
 from qtransient.errors import GridTooCoarse, NonPositiveTime, XOutOfRange
 from qtransient.moshinsky import moshinsky_m
+from qtransient.oracle import factor_tridiagonal, solve_banded
+from qtransient.systems import HBAR_EV_FS as HBAR
 
 
 @pytest.fixture(scope="module")
@@ -114,3 +119,87 @@ def test_time_grid_validation(gaas):
         cn_evolve(gaas, cfg, [gaas.L], np.array([-1.0, 2.0]))
     with pytest.raises(NonPositiveTime):
         cn_evolve(gaas, cfg, [gaas.L], np.array([2.0, 1.0]))
+    for bad in (np.nan, np.inf):
+        # a NaN end time would never be reached by the step loop
+        with pytest.raises(NonPositiveTime):
+            cn_evolve(gaas, cfg, [gaas.L], np.array([1.0, bad]))
+
+
+def _banded(sub, diag, sup):
+    """The (3, n) band layout of scipy.linalg.solve_banded((1, 1), ...)."""
+    ab = np.zeros((3, len(diag)), dtype=complex)
+    ab[0, 1:], ab[1], ab[2, :-1] = sup, diag, sub
+    return ab
+
+
+def _random_operator(rng, n):
+    sub = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+    sup = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+    diag = 5.0 + rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return sub, diag, sup
+
+
+def _gaas_operator(sys_):
+    """The left-hand operator cn_evolve builds for the default GaAs grid."""
+    cfg = default_cn_config(sys_, 30.0)
+    x = np.arange(cfg.x_min, cfg.x_max + 0.5 * cfg.dx, cfg.dx)
+    overlap = (np.minimum(x + 0.5 * cfg.dx, sys_.L)
+               - np.maximum(x - 0.5 * cfg.dx, 0.0)).clip(min=0.0)
+    hop = sys_.c2 / (cfg.dx * cfg.dx)
+    lam_a = 1j * cfg.dt * cfg.theta / HBAR
+    diag = 1.0 + lam_a * (2.0 * hop + (sys_.V / cfg.dx) * overlap)
+    off = np.full(len(x) - 1, lam_a * (-hop), dtype=complex)
+    return off, diag, off
+
+
+@pytest.mark.parametrize("which", ["random", "gaas"])
+def test_factored_step_is_bitwise_scipy_solve_banded(gaas, which):
+    rng = np.random.default_rng(7)
+    sub, diag, sup = (_random_operator(rng, 500) if which == "random"
+                      else _gaas_operator(gaas))
+    rhs = rng.standard_normal(len(diag)) + 1j * rng.standard_normal(len(diag))
+    want = scipy.linalg.solve_banded((1, 1), _banded(sub, diag, sup), rhs)
+    ipiv, lu = factor_tridiagonal(sub, diag, sup)
+    assert lu.shape == (4, len(diag))
+    for _ in range(2):   # the factors survive a solve
+        assert np.array_equal(solve_banded(ipiv, lu, rhs.copy()), want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_step_input_raises(bad):
+    sub, diag, sup = _random_operator(np.random.default_rng(3), 50)
+    ipiv, lu = factor_tridiagonal(sub, diag, sup)
+    rhs = np.ones(50, dtype=complex)
+    rhs[17] = bad
+    with pytest.raises(ValueError):
+        solve_banded(ipiv, lu, rhs)
+    diag[17] = bad
+    with pytest.raises(ValueError):
+        factor_tridiagonal(sub, diag, sup)
+
+
+def test_singular_operator_raises():
+    zeros = np.zeros(50, dtype=complex)
+    with pytest.raises(scipy.linalg.LinAlgError):
+        factor_tridiagonal(zeros[:-1], zeros, zeros[:-1])
+
+
+def test_cn_evolve_is_bitwise_a_per_step_scipy_solve(free_system, monkeypatch):
+    s = free_system
+    times = np.array([1.0, 2.0])
+    cfg = default_cn_config(s, 2.0)
+    got = cn_evolve(s, cfg, [0.5, 1.5], times)
+    # the reference hands the unfactored band to scipy on every step
+    steps = []
+
+    def scipy_step(_, ab, rhs):
+        steps.append(1)
+        return scipy.linalg.solve_banded((1, 1), ab, rhs)
+
+    monkeypatch.setattr(oracle, "factor_tridiagonal",
+                        lambda sub, diag, sup: (None, _banded(sub, diag, sup)))
+    monkeypatch.setattr(oracle, "solve_banded", scipy_step)
+    ref = cn_evolve(s, cfg, [0.5, 1.5], times)
+    assert steps
+    assert np.array_equal(got.psi, ref.psi)
+    assert got.norm_end == ref.norm_end

@@ -167,3 +167,12 @@ def test_domain_validation(gaas, gaas_cache):
         trace(2.0, np.array([2.0, 1.0]), gaas, poles=gaas_cache)
     with pytest.raises(NonPositiveTime):
         psi_internal(2.0, 0.0, gaas, poles=gaas_cache)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(XOutOfRange, match="x="):
+            trace(bad, np.array([1.0]), gaas, poles=gaas_cache)
+        with pytest.raises(XOutOfRange, match="x="):
+            psi_external(bad, 1.0, gaas, poles=gaas_cache)
+        with pytest.raises(NonPositiveTime):
+            trace(2.0, np.array([1.0, bad]), gaas, poles=gaas_cache)
+        with pytest.raises(NonPositiveTime):
+            psi_internal(2.0, bad, gaas, poles=gaas_cache)
