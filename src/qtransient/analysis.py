@@ -27,13 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import AmplitudeUnderflow, WindowTooNarrow
+from .errors import AmplitudeUnderflow, NotConverged, WindowTooNarrow
 from .propagator import DEFAULT_TOL, HARD_CAP, check_x, pole_cache, trace
 from .stationary import phi_stationary, transmission
 from .systems import BarrierSystem, HBAR_EV_FS as HBAR
 
 _AMP_FLOOR = 1e-150
-PEAK_SCAN = 2000      # coarse time points of a peak search
+PEAK_SCAN = 1200      # coarse time points of a peak search
+SCAN_TOL = 1e-6       # the scan only brackets the peak; polish keeps tol
 HEIGHT_FLOOR = 1e-6   # least peak density, relative to the long-time plateau
 
 
@@ -119,15 +120,16 @@ def default_window(sys: BarrierSystem, x=None):
 
 
 def find_time_domain_resonance(sys: BarrierSystem, x=None, t_window=None,
-                               n_scan=PEAK_SCAN, tol=1e-9, poles=None,
-                               cap=HARD_CAP):
+                               tol=1e-9, poles=None, cap=HARD_CAP):
     """Locate the transient peak of |Psi(x, t)|^2.
 
-    Scans a coarse time grid for the first interior local maximum whose
-    density exceeds HEIGHT_FLOOR times the long-time plateau, then polishes
-    it by root-finding the signed envelope rate Re[(dPsi/dt)/Psi], which
-    crosses zero at the peak.  Returns exists=False when the density rises
-    monotonically (no forerunner), as happens below the critical opacity.
+    Scans PEAK_SCAN times for the first interior local maximum whose
+    density exceeds HEIGHT_FLOOR times the long-time plateau, summing poles
+    only to max(tol, SCAN_TOL) since the scan just brackets, then polishes
+    it at tol by root-finding the signed envelope rate Re[(dPsi/dt)/Psi],
+    which crosses zero at the peak.  Returns exists=False when the density
+    rises monotonically (no forerunner), as happens below the critical
+    opacity.
     """
     if x is None:
         x = sys.L
@@ -135,11 +137,14 @@ def find_time_domain_resonance(sys: BarrierSystem, x=None, t_window=None,
     if t_window is None:
         t_window = default_window(sys, x)
     t_lo, t_hi = float(t_window[0]), float(t_window[1])
-    if not (0 < t_lo < t_hi) or n_scan < 16:
-        raise WindowTooNarrow(f"bad scan window ({t_lo}, {t_hi}) / n_scan={n_scan}")
+    if not 0 < t_lo < t_hi:
+        raise WindowTooNarrow(f"bad scan window ({t_lo}, {t_hi})")
     cache = pole_cache(sys, poles)
-    grid = np.linspace(t_lo, t_hi, int(n_scan))
-    tr = trace(x, grid, sys, poles=cache, tol=tol, cap=cap)
+    grid = np.linspace(t_lo, t_hi, PEAK_SCAN)
+    try:
+        tr = trace(x, grid, sys, poles=cache, tol=max(tol, SCAN_TOL), cap=cap)
+    except NotConverged as exc:
+        raise NotConverged(f"bracketing scan of the peak search: {exc}") from exc
     rho = tr.abs2
     plateau = _plateau_density(sys, x)
     floor = HEIGHT_FLOOR * plateau

@@ -8,9 +8,8 @@ scan-freq-alpha, window, oracle-compare.  Global flags --config / --out /
 reproduce the run.
 
 The three scan commands are the library sweeps of qtransient.sweeps, run
-with the config's tol and max_poles, --threads workers and a 2000-point
-peak search (analysis.PEAK_SCAN); their rows come out in ascending grid
-order.
+with the config's tol and max_poles and --threads workers; their rows
+come out in ascending grid order.
 
 Exit codes: 0 success, 2 validation error, 3 numerical non-convergence,
 4 I/O error.
@@ -25,7 +24,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .analysis import PEAK_SCAN, find_time_domain_resonance, spectrogram
+from .analysis import find_time_domain_resonance, spectrogram
 from .config import (CsvTable, RunConfig, apply_overrides, emit_csv,
                      parse_config, parse_grid)
 from .errors import (MissingRequired, NumericalError, QTransientError,
@@ -218,8 +217,7 @@ def _sweep_csv(table, independent, cfg, args, extra=()):
 
 def _sweep_opts(cfg, args):
     """The peak-search settings every CLI scan passes to its sweep."""
-    return dict(tol=cfg.tol, n_scan=PEAK_SCAN, cap=cfg.max_poles,
-                threads=args.threads)
+    return dict(tol=cfg.tol, cap=cfg.max_poles, threads=args.threads)
 
 
 def cmd_scan_tmax_L(args):

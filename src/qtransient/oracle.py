@@ -237,10 +237,12 @@ def cn_evolve(sys: BarrierSystem, cfg: CnConfig, probes, t_grid) -> CnTrace:
         rhs[1:] += off_b * psi[:-1]
         psi = solve_banded(ipiv, lu, rhs)
         t_now += cfg.dt
+        if t_grid[i_t] > t_now + 1e-12:
+            continue     # no requested time in this step
         at_probe = (1.0 - w_probe) * psi[j_probe] + w_probe * psi[j_probe + 1]
+        prev_probe = (1.0 - w_probe) * prev[j_probe] + w_probe * prev[j_probe + 1]
         while i_t < len(t_grid) and t_grid[i_t] <= t_now + 1e-12:
             f = (t_grid[i_t] - t_prev) / cfg.dt
-            prev_probe = (1.0 - w_probe) * prev[j_probe] + w_probe * prev[j_probe + 1]
             out[:, i_t] = (1.0 - f) * prev_probe + f * at_probe
             i_t += 1
     norm_end = float(np.sum(np.abs(psi) ** 2) * cfg.dx)

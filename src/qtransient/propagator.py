@@ -249,9 +249,12 @@ def _assemble(x, t_grid, sys, poles, tol, internal, cap=HARD_CAP):
         n_top = n_pos = min(2 * n_pos, cap)
         rounds += 1
     if np.any(err_out > tol):
+        worst = int(np.argmax(err_out))
         raise NotConverged(
-            f"pole sum above tol={tol:.1e} at {int(np.sum(err_out > tol))} "
-            f"time points with {n_top} positive poles (cap {cap})")
+            f"pole sum at x={float(x)} above tol={tol:.1e} at "
+            f"{int(np.sum(err_out > tol))} of {n_live} time points with "
+            f"{n_top} positive poles (cap {cap}); worst "
+            f"t={t_live[worst]:.6g} fs, error estimate {err_out[worst]:.1e}")
 
     psi = np.zeros(t_grid.shape, dtype=complex)
     dpsi = np.zeros(t_grid.shape, dtype=complex)

@@ -37,10 +37,6 @@ from .propagator import DEFAULT_TOL, HARD_CAP, pole_cache
 from .stationary import phase_time_delay
 from .systems import BarrierSystem, length_for_alpha, make_system
 
-# The CLI scans at analysis.PEAK_SCAN = 2000 points; either size alone hits
-# the pole cap somewhere; they can merge once far-field sums converge,
-# which needs the external pole tail summed in closed form.
-SWEEP_SCAN = 1200
 ALPHA_TOL = 1e-3   # absolute tolerance of the opacity window edges
 
 
@@ -91,18 +87,18 @@ def _sweep(kind, fixed_params, values, peak, threads):
 
 
 def sweep_tmax_vs_L(L_grid, V, E, mass_ratio=1.0, tol=DEFAULT_TOL,
-                    n_scan=SWEEP_SCAN, cap=HARD_CAP, threads=1) -> SweepTable:
+                    cap=HARD_CAP, threads=1) -> SweepTable:
     """t_max at x = L for each barrier width; rows sorted by L."""
     def peak(L):
         sys = make_system(V, E, L, mass_ratio)
-        return find_time_domain_resonance(sys, tol=tol, n_scan=n_scan, cap=cap)
+        return find_time_domain_resonance(sys, tol=tol, cap=cap)
 
     return _sweep("TmaxVsL", dict(V=V, E=E, mass_ratio=mass_ratio),
                   _sorted_grid(L_grid, "L"), peak, threads)
 
 
 def sweep_freq_vs_x(x_grid, sys: BarrierSystem, tol=DEFAULT_TOL,
-                    n_scan=SWEEP_SCAN, cap=HARD_CAP, threads=1) -> SweepTable:
+                    cap=HARD_CAP, threads=1) -> SweepTable:
     """Peak frequency ratio at each position, inside and beyond the barrier.
 
     Every probe shares one pole cache; the pole sequence is prefix-stable,
@@ -112,29 +108,28 @@ def sweep_freq_vs_x(x_grid, sys: BarrierSystem, tol=DEFAULT_TOL,
     cache = pole_cache(sys)
 
     def peak(x):
-        return find_time_domain_resonance(sys, x=x, tol=tol, n_scan=n_scan,
-                                          poles=cache, cap=cap)
+        return find_time_domain_resonance(sys, x=x, tol=tol, poles=cache,
+                                          cap=cap)
 
     return _sweep("FreqVsX", dict(V=sys.V, E=sys.E, L=sys.L,
                                   mass_ratio=sys.mass_ratio),
                   values, peak, threads)
 
 
-def _ratio_at_alpha(alpha, u, V_ref, mass_ratio, tol, n_scan, cap):
+def _ratio_at_alpha(alpha, u, V_ref, mass_ratio, tol, cap):
     L = length_for_alpha(alpha, V_ref, mass_ratio)
     sys = make_system(V_ref, V_ref / u, L, mass_ratio)
-    return find_time_domain_resonance(sys, tol=tol, n_scan=n_scan, cap=cap)
+    return find_time_domain_resonance(sys, tol=tol, cap=cap)
 
 
 def sweep_freq_vs_alpha(alpha_grid, u, V_ref, mass_ratio=1.0, tol=DEFAULT_TOL,
-                        n_scan=SWEEP_SCAN, cap=HARD_CAP,
-                        threads=1) -> SweepTable:
+                        cap=HARD_CAP, threads=1) -> SweepTable:
     """Frequency ratio at the barrier edge versus opacity, at fixed u = V/E."""
     if u <= 1:
         raise NonPositiveParameter(f"u must be > 1 (tunneling), got {u}")
 
     def peak(alpha):
-        return _ratio_at_alpha(alpha, u, V_ref, mass_ratio, tol, n_scan, cap)
+        return _ratio_at_alpha(alpha, u, V_ref, mass_ratio, tol, cap)
 
     return _sweep("FreqVsAlpha", dict(u=u, V_ref=V_ref, mass_ratio=mass_ratio),
                   _sorted_grid(alpha_grid, "alpha"), peak, threads)
@@ -182,8 +177,19 @@ def linear_suffix(table: SweepTable, r2_min=0.999):
     return None
 
 
+def _bisect(past, a0, a1):
+    """Bisect [a0, a1] to ALPHA_TOL onto the point where past() turns true."""
+    while a1 - a0 > ALPHA_TOL:
+        mid = 0.5 * (a0 + a1)
+        if past(mid):
+            a1 = mid
+        else:
+            a0 = mid
+    return 0.5 * (a0 + a1)
+
+
 def opacity_window(u, V_ref, mass_ratio=1.0, alpha_span=(1.2, 6.0),
-                   sweep_tol=DEFAULT_TOL, n_scan=SWEEP_SCAN, cap=HARD_CAP):
+                   sweep_tol=DEFAULT_TOL, cap=HARD_CAP):
     """(alpha_c, alpha_u): the opacity interval of genuine tunneling forerunners.
 
     alpha_c is the critical opacity at which the transmission phase delay
@@ -195,18 +201,21 @@ def opacity_window(u, V_ref, mass_ratio=1.0, alpha_span=(1.2, 6.0),
     """
     if u <= 1:
         raise NonPositiveParameter(f"u must be > 1, got {u}")
+    lo, hi = map(float, alpha_span)
+    if not 0 < lo < hi < math.inf:
+        raise NonPositiveParameter(
+            "alpha_span (--alpha-min, --alpha-max) must be finite with "
+            f"0 < lo < hi, got ({lo}, {hi})")
 
     def probe(alpha):
-        return _ratio_at_alpha(alpha, u, V_ref, mass_ratio, sweep_tol, n_scan,
-                               cap)
+        return _ratio_at_alpha(alpha, u, V_ref, mass_ratio, sweep_tol, cap)
 
     def delay(alpha):
         L = length_for_alpha(alpha, V_ref, mass_ratio)
         return phase_time_delay(make_system(V_ref, V_ref / u, L, mass_ratio))
 
-    lo, hi = alpha_span
     coarse = np.linspace(lo, hi, 13)
-    tdrs = [probe(a) for a in coarse]
+    ratios = [probe(a).omega_ratio for a in coarse]   # NaN where no peak
 
     # sign change of the phase delay for alpha_c
     delays = [delay(a) for a in coarse]
@@ -214,27 +223,14 @@ def opacity_window(u, V_ref, mass_ratio=1.0, alpha_span=(1.2, 6.0),
              if delays[i] > 0.0 >= delays[i + 1]]
     if not flips:
         raise NoCrossing(f"no delay sign change for alpha in {alpha_span} at u={u}")
-    a0, a1 = coarse[flips[0]], coarse[flips[0] + 1]
-    while a1 - a0 > ALPHA_TOL:
-        mid = 0.5 * (a0 + a1)
-        if delay(mid) <= 0.0:
-            a1 = mid
-        else:
-            a0 = mid
-    alpha_c = 0.5 * (a0 + a1)
+    alpha_c = _bisect(lambda a: delay(a) <= 0.0,
+                      coarse[flips[0]], coarse[flips[0] + 1])
 
-    # unit crossing of the ratio for alpha_u
-    ratios = [t.omega_ratio if t.exists else math.nan for t in tdrs]
+    # unit crossing of the ratio for alpha_u; a NaN ratio counts as past it
     cross = [i for i in range(len(coarse) - 1)
              if (ratios[i] < 1.0 <= ratios[i + 1])]
     if not cross:
         raise NoCrossing(f"no ratio=1 crossing for alpha in {alpha_span} at u={u}")
-    b0, b1 = coarse[cross[-1]], coarse[cross[-1] + 1]
-    while b1 - b0 > ALPHA_TOL:
-        mid = 0.5 * (b0 + b1)
-        if probe(mid).omega_ratio < 1.0:
-            b0 = mid
-        else:
-            b1 = mid
-    alpha_u = 0.5 * (b0 + b1)
+    alpha_u = _bisect(lambda a: not probe(a).omega_ratio < 1.0,
+                      coarse[cross[-1]], coarse[cross[-1] + 1])
     return alpha_c, alpha_u

@@ -6,7 +6,9 @@ Oracles:
   unwrapped phase of Psi;
 * [DERIVED] pinned peak data for the GaAs reference barrier (t_max,
   frequency ratio, height ratio), converged under pole-count and scan
-  refinement.
+  refinement;
+* [DERIVED] beyond the barrier the peak find reaches the tolerance asked
+  for, and a miss is reported at that tolerance, not the scan's.
 """
 
 import math
@@ -17,7 +19,8 @@ import pytest
 from qtransient import (find_time_domain_resonance, local_frequency,
                         make_system, spectrogram, trace)
 from qtransient.analysis import default_window
-from qtransient.errors import AmplitudeUnderflow, WindowTooNarrow
+from qtransient.errors import (AmplitudeUnderflow, NotConverged,
+                               WindowTooNarrow)
 from qtransient.systems import length_for_alpha
 
 REF_T_MAX = 5.169962793690934
@@ -75,8 +78,12 @@ def test_reference_peak_values(gaas, gaas_cache):
 
 
 def test_peak_invariant_under_scan_refinement(gaas, gaas_cache):
-    coarse = find_time_domain_resonance(gaas, n_scan=800, poles=gaas_cache)
-    fine = find_time_domain_resonance(gaas, n_scan=2500, poles=gaas_cache)
+    # the same number of scan points over a shorter and a longer window
+    lo, hi = default_window(gaas, gaas.L)
+    fine = find_time_domain_resonance(gaas, t_window=(lo, 0.6 * hi),
+                                      poles=gaas_cache)
+    coarse = find_time_domain_resonance(gaas, t_window=(lo, 2.0 * hi),
+                                        poles=gaas_cache)
     assert abs(coarse.t_max - fine.t_max) <= 1e-6
 
 
@@ -103,5 +110,32 @@ def test_default_window_shifts_with_probe(gaas):
 def test_window_validation(gaas):
     with pytest.raises(WindowTooNarrow):
         find_time_domain_resonance(gaas, t_window=(0.0, 5.0))
-    with pytest.raises(WindowTooNarrow):
-        find_time_domain_resonance(gaas, n_scan=8)
+
+
+@pytest.mark.parametrize("x_over_L,alpha,u,tol", [
+    (2.0, None, None, None),
+    (2.0, 6.0, 30.0, 1e-8), (2.0, 6.0, 3000.0, 1e-8),
+    (2.0, 9.0, 30.0, 1e-8), (2.0, 9.0, 3000.0, 1e-8),
+    (6.0, None, None, 1e-9), (15.0, None, None, 1e-9),
+])
+def test_peak_converges_beyond_the_barrier(gaas, x_over_L, alpha, u, tol):
+    # GaAs (alpha None) or an (alpha, u) barrier at V = 0.3 eV; tol None is
+    # the default of find_time_domain_resonance.  The scan brackets at
+    # SCAN_TOL, so only the polish has to reach tol.
+    sys_ = gaas
+    if alpha is not None:
+        V, m = 0.3, 0.067
+        sys_ = make_system(V, V / u, length_for_alpha(alpha, V, m), m)
+    kwargs = {} if tol is None else {"tol": tol}
+    tdr = find_time_domain_resonance(sys_, x=x_over_L * sys_.L, **kwargs)
+    assert tdr.exists
+    if tol is None:
+        assert tdr.omega_ratio < 1.0
+
+
+def test_scan_tolerance_does_not_leak_into_reported_values(gaas, gaas_cache):
+    # 1e-12 is out of reach at 8 nm; the scan brackets at SCAN_TOL, so the
+    # miss surfaces in the polish at the caller's tol
+    with pytest.raises(NotConverged, match="tol=1.0e-12") as info:
+        find_time_domain_resonance(gaas, x=8.0, tol=1e-12, poles=gaas_cache)
+    assert "bracketing scan" not in str(info.value)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qtransient import make_system, sweep_freq_vs_x, sweep_tmax_vs_L
 from qtransient.cli import main
 from qtransient.config import parse_csv
 
@@ -94,6 +95,24 @@ def test_scan_freq_x_shared_cache_is_thread_independent(capsys):
     assert [r[0] for r in rows] == [2.0, 4.0, 6.0]
 
 
+@pytest.mark.parametrize("command", ["scan-freq-x", "scan-tmax-L"])
+def test_scan_rows_are_the_library_sweep(capsys, command):
+    # the CLI scan and the library sweep run one peak search, so the rows
+    # are the sweep's values at 17 digits, byte for byte
+    grid = {"scan-freq-x": "2:6:3", "scan-tmax-L": "3:5:3"}[command]
+    code, out, _ = run(capsys, ["--threads", "1"] + GAAS_FLAGS +
+                       [command, "--grid", grid])
+    assert code == 0
+    values = np.linspace(*(float(v) for v in grid.split(":")[:2]), 3)
+    if command == "scan-freq-x":
+        table = sweep_freq_vs_x(values, make_system(0.3, 0.001, 4.0, 0.067))
+    else:
+        table = sweep_tmax_vs_L(values, 0.3, 0.001, 0.067)
+    rows = [f"{r.independent:.17g},{r.t_max:.17g},{r.omega_ratio:.17g},"
+            f"{str(r.exists).lower()}" for r in table.rows]
+    assert out.splitlines()[2:] == rows
+
+
 def test_out_file_written(capsys, tmp_path):
     path = tmp_path / "poles.csv"
     code, out, _ = run(capsys, GAAS_FLAGS + ["--out", str(path),
@@ -152,6 +171,19 @@ def test_window_honours_max_poles(capsys, tmp_path):
     code, _, err = run(capsys, ["--config", str(ini), "window", "--u", "300"])
     assert code == 3
     assert "cap 4" in err
+
+
+@pytest.mark.parametrize("span", [["--alpha-min", "6", "--alpha-max", "1.2"],
+                                  ["--alpha-min", "3", "--alpha-max", "3"],
+                                  ["--alpha-max", "inf"],
+                                  ["--alpha-min", "-1"]])
+def test_window_bad_alpha_span_exits_2(capsys, recwarn, span):
+    # checked before the first probe, and blamed on the span flags
+    code, out, err = run(capsys, ["--V", "0.3", "--mass-ratio", "0.067",
+                                  "window", "--u", "300"] + span)
+    assert code == 2 and out == ""
+    assert "--alpha-min" in err and "--alpha-max" in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_nonconvergence_exits_3(capsys, tmp_path):

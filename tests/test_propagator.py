@@ -156,6 +156,14 @@ def test_not_converged_at_tiny_cap(gaas):
         trace(2.0, np.array([0.5]), gaas, tol=1e-13, cap=4)
 
 
+def test_not_converged_says_where_and_by_how_much(gaas):
+    with pytest.raises(NotConverged) as info:
+        trace(8.0, np.linspace(1.0, 30.0, 50), gaas, cap=16)
+    msg = str(info.value)
+    for part in ("x=8", "t=", "error estimate", "of 50 time points", "cap 16"):
+        assert part in msg
+
+
 def test_domain_validation(gaas, gaas_cache):
     with pytest.raises(XOutOfRange):
         trace(-1.0, np.array([1.0]), gaas)
