@@ -120,7 +120,7 @@ def default_window(sys: BarrierSystem, x=None):
 
 
 def find_time_domain_resonance(sys: BarrierSystem, x=None, t_window=None,
-                               tol=1e-9, poles=None, cap=HARD_CAP):
+                               tol=DEFAULT_TOL, poles=None, cap=HARD_CAP):
     """Locate the transient peak of |Psi(x, t)|^2.
 
     Scans PEAK_SCAN times for the first interior local maximum whose

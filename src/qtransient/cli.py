@@ -141,6 +141,19 @@ def _time_grid(args):
     return np.linspace(args.tmin, args.tmax, args.steps)
 
 
+def _probe(args):
+    """Config, system, probe x (default L), time grid if the command takes
+    one, and the provenance naming them."""
+    cfg = _load_config(args)
+    sys_ = _system(cfg)
+    x = args.x if args.x is not None else sys_.L
+    t, extra = None, [("x", x)]
+    if "tmin" in args:
+        t = _time_grid(args)
+        extra += [("tmin", args.tmin), ("tmax", args.tmax), ("steps", args.steps)]
+    return cfg, sys_, x, t, _provenance(cfg, args, extra)
+
+
 def _check_u(args):
     if not args.u > 1:
         raise ValidationError(f"--u must be > 1 (tunneling), got {args.u}")
@@ -161,10 +174,7 @@ def cmd_poles(args):
 
 
 def cmd_evolve(args):
-    cfg = _load_config(args)
-    sys_ = _system(cfg)
-    x = args.x if args.x is not None else sys_.L
-    t = _time_grid(args)
+    cfg, sys_, x, t, provenance = _probe(args)
     tr = trace(x, t, sys_, tol=cfg.tol, cap=cfg.max_poles)
     T2 = abs(transmission(sys_.k, sys_)) ** 2
     rows = [(float(tt), p.real, p.imag, abs(p) ** 2, abs(p) ** 2 / T2,
@@ -172,40 +182,29 @@ def cmd_evolve(args):
             for tt, p in zip(t, tr.psi)]
     return CsvTable(
         columns=("t_fs", "re_psi", "im_psi", "abs2", "abs2_over_T2", "n_terms"),
-        rows=tuple(rows),
-        provenance=_provenance(cfg, args, [("x", x), ("tmin", args.tmin),
-                                           ("tmax", args.tmax),
-                                           ("steps", args.steps)]))
+        rows=tuple(rows), provenance=provenance)
 
 
 def cmd_spectrogram(args):
-    cfg = _load_config(args)
-    sys_ = _system(cfg)
-    x = args.x if args.x is not None else sys_.L
-    t = _time_grid(args)
+    cfg, sys_, x, t, provenance = _probe(args)
     sg = spectrogram(sys_, x, t, tol=cfg.tol, cap=cfg.max_poles)
     T2 = abs(transmission(sys_.k, sys_)) ** 2
     rows = [(float(tt), a2 / T2, om, om / sys_.omegaV, sg_)
             for tt, a2, om, sg_ in zip(t, sg.abs2, sg.omega_av, sg.sigma)]
     return CsvTable(
         columns=("t_fs", "abs2_over_T2", "omega_av", "omega_ratio", "sigma"),
-        rows=tuple(rows),
-        provenance=_provenance(cfg, args, [("x", x), ("tmin", args.tmin),
-                                           ("tmax", args.tmax),
-                                           ("steps", args.steps)]))
+        rows=tuple(rows), provenance=provenance)
 
 
 def cmd_tmax(args):
-    cfg = _load_config(args)
-    sys_ = _system(cfg)
-    x = args.x if args.x is not None else sys_.L
+    cfg, sys_, x, _, provenance = _probe(args)
     tdr = find_time_domain_resonance(sys_, x=x, tol=cfg.tol, cap=cfg.max_poles)
     rows = [(tdr.x, tdr.exists, tdr.t_max, tdr.height, tdr.height_ratio,
              tdr.omega_av, tdr.sigma, tdr.omega_ratio)]
     return CsvTable(
         columns=("x_nm", "exists", "t_max_fs", "abs2_peak", "height_ratio",
                  "omega_av", "sigma", "omega_ratio"),
-        rows=tuple(rows), provenance=_provenance(cfg, args, [("x", x)]))
+        rows=tuple(rows), provenance=provenance)
 
 
 def _sweep_csv(table, independent, cfg, args, extra=()):
@@ -261,10 +260,7 @@ def cmd_window(args):
 
 
 def cmd_oracle_compare(args):
-    cfg = _load_config(args)
-    sys_ = _system(cfg)
-    x = args.x if args.x is not None else sys_.L
-    t = _time_grid(args)
+    cfg, sys_, x, t, provenance = _probe(args)
     an = trace(x, t, sys_, tol=cfg.tol, cap=cfg.max_poles)
     cn_cfg = default_cn_config(sys_, float(t[-1]))
     cn = cn_evolve(sys_, cn_cfg, [x], t)
@@ -273,11 +269,7 @@ def cmd_oracle_compare(args):
         rel = abs(a2 - c2) / a2 if a2 > 0 else float("nan")
         rows.append((float(tt), float(a2), float(c2), rel))
     return CsvTable(columns=("t_fs", "abs2_analytic", "abs2_cn", "rel_err"),
-                    rows=tuple(rows),
-                    provenance=_provenance(cfg, args,
-                                           [("x", x), ("tmin", args.tmin),
-                                            ("tmax", args.tmax),
-                                            ("steps", args.steps)]))
+                    rows=tuple(rows), provenance=provenance)
 
 
 _COMMANDS = {

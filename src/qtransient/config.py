@@ -35,6 +35,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .errors import ConfigError, MissingRequired, UnknownKey
+from .propagator import DEFAULT_TOL, HARD_CAP
 
 TOOL_VERSION = "0.1.0"
 
@@ -91,8 +92,8 @@ class RunConfig:
     E_eV: float
     L_nm: float | None   # None: the command takes widths from an opacity grid
     mass_ratio: float = 1.0
-    tol: float = 1e-8
-    max_poles: int = 2048
+    tol: float = DEFAULT_TOL
+    max_poles: int = HARD_CAP
 
     def __post_init__(self):
         for name in ("V_eV", "E_eV", "L_nm", "mass_ratio", "tol"):
@@ -160,13 +161,14 @@ def parse_config(text) -> RunConfig:
             raise ConfigError(
                 f"key {key!r} at line {lineno}: cannot parse {value!r}") from None
 
+    default = {f.name: f.default for f in fields(RunConfig)}
     return RunConfig(
         V_eV=pull("system", "V_eV", float),
         E_eV=pull("system", "E_eV", float),
         L_nm=pull("system", "L_nm", float),
-        mass_ratio=pull("system", "mass_ratio", float, 1.0),
-        tol=pull("numerics", "tol", float, 1e-8),
-        max_poles=pull("numerics", "max_poles", int, 2048),
+        mass_ratio=pull("system", "mass_ratio", float, default["mass_ratio"]),
+        tol=pull("numerics", "tol", float, default["tol"]),
+        max_poles=pull("numerics", "max_poles", int, default["max_poles"]),
     )
 
 

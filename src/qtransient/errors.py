@@ -49,7 +49,7 @@ class AmplitudeUnderflow(ValidationError):
 
 
 class WindowTooNarrow(ValidationError):
-    """The stationary plateau was not reached inside the search window."""
+    """A peak-search scan window that is not 0 < lo < hi."""
 
 
 class GridTooCoarse(ValidationError):

@@ -12,7 +12,9 @@ sum over the resonance poles:
 where M(x,q) is the Moshinsky function at time t and M0(q) = M(0,q) -- in
 the internal region all position dependence lives in the coefficients, so
 the Moshinsky arguments are evaluated at the shutter position x = 0.  Both
-sums run over the full pole set (k_n and k_{-n} = -conj k_n).
+sums run over the full pole set, each k_n with its mirror k_{-n} = -conj k_n.
+For real k the mirror's coefficient is minus the conjugate of its partner's,
+so only the k_n have coefficients evaluated; the mirror terms follow from them.
 
 Convention note: transcriptions of these solutions disagree about an extra
 -i on the external pole sum and about the external Moshinsky argument
@@ -37,7 +39,7 @@ import numpy as np
 
 from .errors import NonPositiveTime, NotConverged, XOutOfRange
 from .moshinsky import moshinsky_m_dt
-from .resonances import PoleSet, expansion_coeffs, find_poles, mirror_pole
+from .resonances import PoleSet, expansion_coeffs, find_poles
 from .stationary import phi_stationary, transmission
 from .systems import BarrierSystem
 
@@ -88,37 +90,28 @@ def _moshinsky_block(x_arg, q, t, c2):
 class _PoleCache:
     """The pole list shared by every trace on one system.
 
-    `pairs(n_pos)` hands out the first n_pos poles, each followed by its
-    mirror partner k_{-n} = -conj k_n, extending the list through
+    `poles(n)` hands out the first n poles, extending the list through
     find_poles(previous=...) on demand.  The pole sequence is prefix-stable:
     the first n poles do not depend on how far the list has been extended,
     so one cache serves any number of positions and threads.  The cache
-    keeps no per-position state -- expansion coefficients are cheap closed
-    forms, computed by each trace for the poles it sums.  A lock guards
-    every extension.
+    keeps no per-position state and no mirror poles: each trace computes
+    the expansion coefficients of the poles it sums, cheap closed forms,
+    and takes the mirror terms from symmetry.  A lock guards every
+    extension.
     """
 
     def __init__(self, sys: BarrierSystem, base: PoleSet | None = None):
         self.sys = sys
         self.poleset = base if base is not None else find_poles(sys, _BLOCK, audit=False)
-        self._pairs = []
         self._lock = threading.Lock()
 
-    def pairs(self, n_pos: int):
-        """The first n_pos poles, each followed by its mirror partner."""
+    def poles(self, n: int):
+        """The first n poles."""
         with self._lock:
-            if self.poleset.N_max < n_pos:
-                self.poleset = find_poles(self.sys, n_pos, audit=False,
+            if self.poleset.N_max < n:
+                self.poleset = find_poles(self.sys, n, audit=False,
                                           previous=self.poleset)
-            for p in self.poleset.poles[len(self._pairs) // 2:n_pos]:
-                self._pairs += (p, mirror_pole(p, self.sys))
-            return self._pairs[:2 * n_pos]
-
-
-def _coeffs(x, poles, sys, internal):
-    """Expansion coefficients of `poles` in the region's sum, and their k_n."""
-    phis, tns = expansion_coeffs(x, sys.k, poles, sys)
-    return (phis if internal else tns), np.array([p.k for p in poles])
+            return self.poleset.poles[:n]
 
 
 def _wynn_tail(partials, width=_WYNN_WIDTH):
@@ -179,7 +172,7 @@ def _assemble(x, t_grid, sys, poles, tol, internal, cap=HARD_CAP):
     # are folded into the head rather than the accelerated tail
     axis = cache.poleset.axis_poles
     if axis:
-        a_coefs, a_ks = _coeffs(x, axis, sys, internal)
+        a_coefs, a_ks = expansion_coeffs(x, k, axis, sys, internal)
         m_ax, dm_ax = _moshinsky_block(x_arg, a_ks, t_grid, sys.c2)
         head = head - m_ax @ a_coefs
         dhead = dhead - dm_ax @ a_coefs
@@ -202,11 +195,15 @@ def _assemble(x, t_grid, sys, poles, tol, internal, cap=HARD_CAP):
     terms = np.zeros((n_live, 0), dtype=complex)
     dterms = np.zeros((n_live, 0), dtype=complex)
     while n_live and active.any():
-        n_old = terms.shape[1]
-        coefs, ks = _coeffs(x, cache.pairs(n_pos)[2 * n_old:], sys, internal)
-        m, dm = _moshinsky_block(x_arg, ks, t_live[active], sys.c2)
-        terms = np.hstack((terms, (coefs * m).reshape(m.shape[0], -1, 2).sum(axis=2)))
-        dterms = np.hstack((dterms, (coefs * dm).reshape(m.shape[0], -1, 2).sum(axis=2)))
+        coefs, kn = expansion_coeffs(x, k, cache.poles(n_pos)[terms.shape[1]:],
+                                     sys, internal)
+        n_new = len(kn)
+        m, dm = _moshinsky_block(x_arg, np.concatenate((kn, -kn.conj())),
+                                 t_live[active], sys.c2)
+        # pair column n: c_n M(k_n) + c_{-n} M(k_{-n}), c_{-n} = -conj c_n
+        cc = coefs.conj()
+        terms = np.hstack((terms, coefs * m[:, :n_new] - cc * m[:, n_new:]))
+        dterms = np.hstack((dterms, coefs * dm[:, :n_new] - cc * dm[:, n_new:]))
         # at symmetry points (e.g. x = L/2) alternate Gamow terms vanish,
         # leaving near-repeated partial sums that destabilize the epsilon
         # table; drop negligible pair columns before accumulating

@@ -177,11 +177,6 @@ def _build_pole(n, k, sys) -> ResonancePole:
                          residual=res, q=q, inv_sqrt_norm=inv_sqrt)
 
 
-def mirror_pole(pole: ResonancePole, sys: BarrierSystem) -> ResonancePole:
-    """Negative-index partner k_{-n} = -conj(k_n), built independently."""
-    return _build_pole(-pole.n, -pole.k.conjugate(), sys)
-
-
 def find_axis_poles(sys: BarrierSystem):
     """Antibound poles on the negative imaginary axis, k = -i kappa.
 
@@ -386,14 +381,16 @@ def find_poles(sys: BarrierSystem, N: int, audit: bool = True,
     return ps
 
 
-def expansion_coeffs(x, k: float, poles, sys: BarrierSystem):
-    """Expansion coefficients (Phi_n(x), T_n) over a sequence of poles.
+def expansion_coeffs(x, k: float, poles, sys: BarrierSystem, internal: bool):
+    """One region's expansion coefficients over a sequence of poles.
 
-    Phi_n(x) = 2ik u_n(0) u_n(x) / (k^2 - k_n^2)
-    T_n      = 2ik u_n(0) u_n(L) exp(-i k_n L) / (k^2 - k_n^2)
+    internal: Phi_n(x) = 2ik u_n(0) u_n(x) / (k^2 - k_n^2)
+    external: T_n      = 2ik u_n(0) u_n(L) exp(-i k_n L) / (k^2 - k_n^2)
 
-    Returns two complex arrays, one entry per pole, with u_n(x) evaluated
-    as in ResonancePole.u_at.
+    Returns (coefs, kn), complex arrays with one entry per pole, u_n(x)
+    evaluated as in ResonancePole.u_at.  For real k the mirror pole
+    k_{-n} = -conj k_n has coefficient -conj of its partner's, so the
+    mirrors need no entries of their own.
     """
     kn, q, inv_sqrt, u0, uL = np.array(
         [(p.k, p.q, p.inv_sqrt_norm, p.u0, p.uL) for p in poles],
@@ -403,5 +400,8 @@ def expansion_coeffs(x, k: float, poles, sys: BarrierSystem):
     if len(hit):
         raise PoleCollision(f"k^2 - k_n^2 ~ 0 at n = {poles[hit[0]].n}")
     pref = 2j * k * u0 / denom
-    u_x = ((q - kn) * np.exp(1j * q * x) + (q + kn) * np.exp(-1j * q * x)) * inv_sqrt
-    return pref * u_x, pref * uL * np.exp(-1j * kn * sys.L)
+    if internal:
+        u_x = ((q - kn) * np.exp(1j * q * x)
+               + (q + kn) * np.exp(-1j * q * x)) * inv_sqrt
+        return pref * u_x, kn
+    return pref * uL * np.exp(-1j * kn * sys.L), kn

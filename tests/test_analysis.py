@@ -113,7 +113,7 @@ def test_window_validation(gaas):
 
 
 @pytest.mark.parametrize("x_over_L,alpha,u,tol", [
-    (2.0, None, None, None),
+    (2.0, None, None, None), (2.0, None, None, 1e-9),
     (2.0, 6.0, 30.0, 1e-8), (2.0, 6.0, 3000.0, 1e-8),
     (2.0, 9.0, 30.0, 1e-8), (2.0, 9.0, 3000.0, 1e-8),
     (6.0, None, None, 1e-9), (15.0, None, None, 1e-9),

@@ -13,13 +13,14 @@ Oracles:
 """
 
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from qtransient import (pole_cache, psi_external, psi_internal, trace,
-                        transmission)
+from qtransient import (find_poles, pole_cache, propagator, psi_external,
+                        psi_internal, trace, transmission)
 from qtransient.errors import (NonPositiveTime, NotConverged, XOutOfRange)
 from qtransient.systems import HBAR_EV_FS as HBAR
 
@@ -114,34 +115,54 @@ def test_extended_cache_reuse_is_exact(gaas, x):
         assert tr.n_terms_used == fresh.n_terms_used
 
 
-def test_cache_interleaves_mirror_partners(gaas_cache):
-    pairs = gaas_cache.pairs(12)
-    assert [p.n for p in pairs] == [s * n for n in range(1, 13) for s in (1, -1)]
-    for pole, mirror in zip(pairs[::2], pairs[1::2]):
-        assert mirror.k == -pole.k.conjugate()
-
-
-def test_shared_cache_under_concurrent_extension(gaas):
+def test_shared_cache_under_concurrent_extension(gaas, monkeypatch):
     # more threads than cores, switching every microsecond, extend fresh
     # caches to mixed depths at once; a lost update would hand a thread
-    # fewer poles than it asked for, a pole twice, or a gap in the ladder
+    # fewer poles than it asked for, a pole twice, a gap in the ladder, or
+    # a cache shorter than the deepest request
     depths = (16, 256, 32, 128, 64, 256, 16, 128)
     ref = pole_cache(gaas)
-    want = {n: [p.k for p in ref.pairs(n)] for n in set(depths)}
+    want = {n: [p.k for p in ref.poles(n)] for n in set(depths)}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
             cache = pole_cache(gaas)
             with ThreadPoolExecutor(max_workers=len(depths)) as pool:
-                futures = [pool.submit(cache.pairs, n) for n in depths]
+                futures = [pool.submit(cache.poles, n) for n in depths]
                 got = [f.result(timeout=120) for f in futures]
-            for n, pairs in zip(depths, got):
-                assert [p.k for p in pairs] == want[n]
+            for n, poles in zip(depths, got):
+                assert [p.k for p in poles] == want[n]
             poles = cache.poleset.poles
             assert [p.n for p in poles] == list(range(1, len(poles) + 1))
+            assert len(poles) == max(depths)
     finally:
         sys.setswitchinterval(interval)
+
+    # a short extension held until a long one has finished must not leave
+    # the cache short: under the lock the short one waits out its timeout
+    # and the long one extends after it; without the lock the long one
+    # finishes first and the short one's late store shrinks the cache
+    long_done, short_started = threading.Event(), threading.Event()
+
+    def paced(sys_, n, **kwargs):
+        if n == 32:
+            short_started.set()
+            long_done.wait(timeout=0.5)
+        out = find_poles(sys_, n, **kwargs)
+        if n == 64:
+            long_done.set()
+        return out
+
+    monkeypatch.setattr(propagator, "find_poles", paced)
+    cache = pole_cache(gaas)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        short = pool.submit(cache.poles, 32)
+        assert short_started.wait(timeout=60)
+        long_ = pool.submit(cache.poles, 64)
+        assert len(short.result(timeout=60)) == 32
+        assert len(long_.result(timeout=60)) == 64
+    assert cache.poleset.N_max == 64
 
 
 def test_error_estimates_within_tolerance(gaas, gaas_cache):

@@ -11,7 +11,10 @@ Oracles:
 * [DERIVED] the analytic Gamow normalization must agree with direct
   Gauss-Legendre quadrature of u_n^2 plus the boundary term;
 * [TRIVIAL] the vectorised expansion coefficients equal their per-pole
-  closed forms.
+  closed forms;
+* [DERIVED] each mirror pole k_{-n} = -conj k_n, built as a pole of its
+  own, has minus the conjugate of its partner's coefficients, which is
+  what lets the pole sums evaluate only the k_n.
 """
 
 import cmath
@@ -21,9 +24,8 @@ import pytest
 
 from qtransient import find_poles, make_system
 from qtransient.errors import CountMismatch, PoleNotConverged
-from qtransient.resonances import (PoleSet, audit_pole_count,
-                                   expansion_coeffs, find_axis_poles,
-                                   mirror_pole)
+from qtransient.resonances import (PoleSet, _build_pole, audit_pole_count,
+                                   expansion_coeffs, find_axis_poles)
 from qtransient.stationary import pole_function
 from qtransient.systems import length_for_alpha
 
@@ -51,14 +53,6 @@ def test_argument_principle_catches_missing_pole(gaas, gaas_poles):
                      axis_poles=gaas_poles.axis_poles)
     with pytest.raises(CountMismatch):
         audit_pole_count(broken)
-
-
-def test_mirror_pole_is_reflected_conjugate(gaas, gaas_poles):
-    for p in gaas_poles.poles[:4]:
-        m = mirror_pole(p, gaas)
-        assert m.k == -p.k.conjugate()
-        assert m.n == -p.n
-        assert m.residual <= 1e-12
 
 
 def test_residue_identity(gaas, gaas_poles):
@@ -127,25 +121,39 @@ def _coeffs_one_by_one(x, poles, sys_):
     return np.array(phis), np.array(tns)
 
 
-def _with_mirrors(ps):
-    return [m for p in ps.poles for m in (p, mirror_pole(p, ps.system))]
-
-
-@pytest.mark.parametrize("frac", [0.0, 0.25, 0.5, 1.0])
-def test_expansion_coeffs_match_per_pole_definitions(gaas, gaas_poles, frac):
+@pytest.fixture(scope="module")
+def coeff_cases(gaas, gaas_poles):
+    """(system, axis poles, ladder poles): 1024 GaAs poles, and an alpha = 1
+    barrier whose lowest pair sits on the imaginary axis."""
     V, m = 0.3, 0.067
     below_merge = make_system(V, 0.001, length_for_alpha(1.0, V, m), m)
     axis_set = find_poles(below_merge, 8, audit=False)
     assert axis_set.axis_poles
-    cases = [(gaas, _with_mirrors(
-                 find_poles(gaas, 1024, audit=False, previous=gaas_poles))),
-             (below_merge, list(axis_set.axis_poles) + _with_mirrors(axis_set))]
-    for sys_, poles in cases:
+    gaas_set = find_poles(gaas, 1024, audit=False, previous=gaas_poles)
+    return [(gaas, (), gaas_set.poles),
+            (below_merge, axis_set.axis_poles, axis_set.poles)]
+
+
+@pytest.mark.parametrize("frac", [0.0, 0.25, 0.5, 1.0])
+def test_expansion_coeffs_match_per_pole_definitions(coeff_cases, frac):
+    for sys_, axis, ladder in coeff_cases:
+        poles = axis + ladder
         x = frac * sys_.L
-        got = expansion_coeffs(x, sys_.k, poles, sys_)
-        for g, w in zip(got, _coeffs_one_by_one(x, poles, sys_)):
-            assert g.shape == w.shape == (len(poles),)
-            assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w))
+        for internal, want in zip((True, False), _coeffs_one_by_one(x, poles, sys_)):
+            got, kn = expansion_coeffs(x, sys_.k, poles, sys_, internal)
+            assert got.shape == want.shape == (len(poles),)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            assert kn.tolist() == [p.k for p in poles]
+
+
+@pytest.mark.parametrize("frac", [0.0, 0.25, 0.5, 1.0])
+def test_mirror_coefficients_are_minus_conjugate(coeff_cases, frac):
+    for sys_, _, ladder in coeff_cases:
+        mirrors = [_build_pole(-p.n, -p.k.conjugate(), sys_) for p in ladder]
+        x = frac * sys_.L
+        for internal, want in zip((True, False), _coeffs_one_by_one(x, mirrors, sys_)):
+            got, _ = expansion_coeffs(x, sys_.k, ladder, sys_, internal)
+            assert np.max(np.abs(-got.conj() - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_bad_request_rejected(gaas):
