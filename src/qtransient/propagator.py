@@ -25,9 +25,9 @@ identity res T(k_n) = i u_n(0) u_n(L) e^{-i k_n L}, which this package
 verifies numerically in its test suite.
 
 The pole sums converge slowly (oscillatory O(1/n) tails) in the internal
-region; partial sums over (+n, -n) pairs are extrapolated with the Wynn
-epsilon algorithm, and pole blocks are doubled until the extrapolated value
-is stable to the requested tolerance.
+region; partial sums over (+n, -n) pairs, of Psi and dPsi/dt in one table,
+are extrapolated with the Wynn epsilon algorithm, and pole blocks are doubled
+until the extrapolated value is stable to the requested tolerance.
 """
 
 from __future__ import annotations
@@ -120,31 +120,42 @@ def _wynn_tail(partials, width=_WYNN_WIDTH):
     The pole-sum tail is a superposition of a few slowly decaying oscillatory
     modes exp(i n pi x / L)/n; the epsilon algorithm annihilates such modes
     exactly, reaching the limit from a few dozen terms where direct summation
-    would need tens of thousands.  Vanishing denominators flag columns that
-    have already converged; those entries are masked out and the estimate is
-    frozen at the last valid even column.  Returns (value, error_estimate)
-    per leading axis.
+    would need tens of thousands.  A vanishing denominator flags a column
+    that has already converged: its entry becomes NaN, which the recurrence
+    carries into every entry built from it, and the estimate is frozen at the
+    last even column whose final entry is not NaN.  Returns (value,
+    error_estimate) per leading axis.
+
+    Every leading index is extrapolated on its own, so independent series
+    (psi and dpsi/dt) stack into one table and one pass.  The table keeps
+    its columns along the first axis, so each column is one contiguous
+    block, and the recurrence eps_{j+1} = eps_{j-1} + 1/(eps_j[1:] -
+    eps_j[:-1]) runs in place: each new column overwrites the one two
+    steps back.
     """
     w = min(width, partials.shape[-1])
-    e_curr = np.array(partials[..., -w:], dtype=complex)
-    e_prev = np.zeros(partials.shape[:-1] + (w + 1,), dtype=complex)
-    valid_curr = np.ones(e_curr.shape, dtype=bool)
-    valid_prev = np.ones(e_prev.shape, dtype=bool)
-    best = e_curr[..., -1].copy()
-    prev_best = e_curr[..., -2].copy() if w >= 2 else best.copy()
+    lead = partials.shape[:-1]
+    e_curr = np.array(np.moveaxis(partials[..., -w:], -1, 0), dtype=complex,
+                      order="C")
+    e_prev = np.zeros((w + 1,) + lead, dtype=complex)
+    best = e_curr[-1].copy()
+    prev_best = e_curr[-2].copy() if w >= 2 else best.copy()
+    inv_d = np.empty((max(w - 1, 0),) + lead, dtype=complex)
     col = 0
-    while e_curr.shape[-1] >= 2:
-        d = e_curr[..., 1:] - e_curr[..., :-1]
-        ok = valid_curr[..., 1:] & valid_curr[..., :-1] & (np.abs(d) > 1e-305)
-        e_next = e_prev[..., 1:-1] + np.where(ok, 1.0 / np.where(ok, d, 1.0), 0.0)
-        valid_next = ok & valid_prev[..., 1:-1]
-        e_prev, valid_prev = e_curr, valid_curr
-        e_curr, valid_curr = e_next, valid_next
-        col += 1
-        if col % 2 == 0:
-            upd = valid_curr[..., -1]
-            prev_best = np.where(upd, best, prev_best)
-            best = np.where(upd, e_curr[..., -1], best)
+    # 1/NaN raises the invalid flag; here it only marks converged entries
+    with np.errstate(invalid="ignore"):
+        for m in range(w, 1, -1):  # m: length of the current column
+            d = inv_d[:m - 1]
+            np.subtract(e_curr[1:], e_curr[:-1], out=d)
+            d[np.abs(d) <= 1e-305] = np.nan
+            np.divide(1.0, d, out=d)
+            e_prev[1:m] += d
+            e_prev, e_curr = e_curr, e_prev[1:m]
+            col += 1
+            if col % 2 == 0:
+                upd = ~np.isnan(e_curr[-1])
+                prev_best = np.where(upd, best, prev_best)
+                best = np.where(upd, e_curr[-1], best)
     return best, np.abs(best - prev_best)
 
 
@@ -204,6 +215,7 @@ def _assemble(x, t_grid, sys, poles, tol, internal, cap=HARD_CAP):
         cc = coefs.conj()
         terms = np.hstack((terms, coefs * m[:, :n_new] - cc * m[:, n_new:]))
         dterms = np.hstack((dterms, coefs * dm[:, :n_new] - cc * dm[:, n_new:]))
+        del m, dm
         # at symmetry points (e.g. x = L/2) alternate Gamow terms vanish,
         # leaving near-repeated partial sums that destabilize the epsilon
         # table; drop negligible pair columns before accumulating
@@ -212,8 +224,14 @@ def _assemble(x, t_grid, sys, poles, tol, internal, cap=HARD_CAP):
         keep = (col > 1e-14 * col.max()) | (dcol > 1e-14 * dcol.max())
         kept, dkept = ((terms, dterms) if keep.all()
                        else (terms[:, keep], dterms[:, keep]))
-        s_val, s_err = _wynn_tail(np.cumsum(kept, axis=1))
-        d_val, _ = _wynn_tail(np.cumsum(dkept, axis=1))
+        # psi and dpsi/dt share one epsilon table.  A first round short of
+        # the cap only seeds the doubling difference: no point can pass on
+        # it unless tol is infinite, so its dpsi/dt would be thrown away.
+        seed = rounds == 0 and n_pos < cap and tol < np.inf
+        vals, errs = _wynn_tail(np.stack(
+            [np.cumsum(c, axis=1)[:, -_WYNN_WIDTH:]
+             for c in ((kept,) if seed else (kept, dkept))]))
+        s_val, s_err = vals[0], errs[0]
         scale = np.maximum(np.abs(head[live][active] - s_val), 1e-300)
         # The extrapolation's internal estimate s_err can be optimistic, so
         # the error is judged by the change across block doublings: if
@@ -234,7 +252,8 @@ def _assemble(x, t_grid, sys, poles, tol, internal, cap=HARD_CAP):
                        else s_err / scale)
         s_hist[active] = s_val
         s_out[active] = s_val
-        d_out[active] = d_val
+        if not seed:
+            d_out[active] = vals[1]
         err_out[active] = rel_err
         done = rel_err <= tol
         if done.all() or n_pos >= cap:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (CountMismatch, DuplicatePole, NormalizationSingular,
                      PoleCollision, PoleNotConverged)
-from .stationary import _q_of_k, pole_function, pole_function_scale
+from .stationary import _q_of_k, pole_function, relative_pole_function
 from .systems import BarrierSystem
 
 RESIDUAL_TOL = 1e-12
@@ -31,23 +31,25 @@ _NEWTON_MAX_ITER = 60
 
 
 def _log_pole_eq(k, sys):
-    """H(k) = 2iqL - 2 Log((k+q)/(k-q)), reduced mod 2 pi i.
+    """H(k) = 2iqL - 2 Log((k+q)/(k-q)), reduced mod 2 pi i, elementwise.
 
     Equivalent zero set to the transmission denominator, but free of the
     exponential cancellation that limits D(k) near machine precision; the
     derivative is exactly (2iLk - 4)/q.
     """
     v = sys.v_strength
-    q = complex(_q_of_k(k, v))
+    q = _q_of_k(k, v)
+    kp, km = k + q, k - q
     # avoid the cancelling difference: (k+q)(k-q) = v exactly
-    if abs(k - q) < 0.1 * abs(k):
-        ratio = (k + q) ** 2 / v
-    elif abs(k + q) < 0.1 * abs(k):
-        ratio = v / (k - q) ** 2
-    else:
-        ratio = (k + q) / (k - q)
-    h = 2j * q * sys.L - 2.0 * cmath.log(ratio)
-    h -= 2j * math.pi * round(h.imag / (2 * math.pi))
+    # |k - q| and |k + q| cannot both fall below 0.1 |k|: they sum to >= 2|k|
+    tenth = 0.1 * np.abs(k)
+    near_m = np.abs(km) < tenth
+    near_p = np.abs(kp) < tenth
+    ratio = kp**2 / v
+    np.divide(v, km**2, out=ratio, where=near_p)
+    np.divide(kp, km, out=ratio, where=~(near_m | near_p))
+    h = 2j * q * sys.L - 2.0 * np.log(ratio)
+    h -= 2j * math.pi * np.rint(h.imag / (2 * math.pi))
     return h, q
 
 
@@ -56,39 +58,53 @@ def _pole_residual(k, sys):
 
     This is the dimensionless distance from k to the true zero, which is the
     quantity a double-precision root can actually drive to ~eps (the raw
-    |H(k)| has an unavoidable floor ~eps * |k| L at large |k|).
+    |H(k)| has an unavoidable floor ~eps * |k| L at large |k|).  Elementwise.
     """
-    k = complex(k)
     h, q = _log_pole_eq(k, sys)
-    return abs(h * q / (2j * sys.L * k - 4.0)) / max(1.0, abs(k))
+    return np.abs(h * q / (2j * sys.L * k - 4.0)) / np.maximum(1.0, np.abs(k))
 
 
 def _newton_refine(k0, sys, avoid=()):
     """Newton iteration on the log-form pole equation, analytic derivative.
 
-    `avoid` lists already-found zeros; Maehly deflation steers the iteration
-    away from them (needed at small opacity where neighboring seeds share a
-    basin of attraction).
+    Runs elementwise over a 1-D array of starting points; each one stops on
+    its own step test, so its root does not depend on the others.  `avoid`
+    lists already-found zeros; Maehly deflation steers the iteration away
+    from them (needed at small opacity where neighboring seeds share a
+    basin of attraction).  Without deflation a point whose final |H| is
+    worse than its best iterate returns that iterate.
     """
-    k = complex(k0)
-    best_k, best_h = k, math.inf
+    k = np.array(k0, dtype=complex, ndmin=1)
+    avoid = np.asarray(avoid, dtype=complex)
+    best_k, best_h = k.copy(), np.full(k.shape, np.inf)
+    # the points still iterating: their indices, iterates and best iterates
+    live, kl, bkl, bhl = np.arange(k.size), k.copy(), k.copy(), best_h.copy()
     for _ in range(_NEWTON_MAX_ITER):
-        h, q = _log_pole_eq(k, sys)
-        if abs(h) < best_h:
-            best_k, best_h = k, abs(h)
-        hp = (2j * sys.L * k - 4.0) / q
-        for kj in avoid:
-            hp -= h / (k - kj)
-        step = h / hp
-        k -= step
-        if abs(step) < 1e-15 * max(1.0, abs(k)):
+        if not live.size:
             break
+        h, q = _log_pole_eq(kl, sys)
+        ah = np.abs(h)
+        better = ah < bhl
+        np.copyto(bkl, kl, where=better)
+        np.copyto(bhl, ah, where=better)
+        hp = (2j * sys.L * kl - 4.0) / q
+        if avoid.size:
+            hp -= np.sum(h[:, None] / (kl[:, None] - avoid), axis=1)
+        step = h / hp
+        kl -= step
+        stop = np.abs(step) < 1e-15 * np.maximum(1.0, np.abs(kl))
+        if np.count_nonzero(stop):
+            done = live[stop]
+            k[done], best_k[done], best_h[done] = kl[stop], bkl[stop], bhl[stop]
+            go = ~stop
+            live, kl, bkl, bhl = live[go], kl[go], bkl[go], bhl[go]
+    k[live], best_k[live], best_h[live] = kl, bkl, bhl
     h, _ = _log_pole_eq(k, sys)
-    return k if abs(h) <= best_h or avoid else best_k
+    return k if avoid.size else np.where(np.abs(h) <= best_h, k, best_k)
 
 
 def _seed(n, sys):
-    """Asymptotic pole location.
+    """Asymptotic pole location, elementwise in the rung index n.
 
     Resonances sit near q L = n pi, so Re k ~ sqrt((n pi / L)^2 + v) -- the
     barrier shift matters for the lowest n at large opacity.  The imaginary
@@ -96,10 +112,9 @@ def _seed(n, sys):
     """
     L = sys.L
     v = sys.v_strength
-    a = math.sqrt((n * math.pi / L) ** 2 + v)
-    arg = 16.0 * a**4 / v**2
-    b = max(math.log(arg) / (2 * L), 0.05 / L)
-    return complex(a, -b)
+    a = np.sqrt((np.asarray(n, dtype=float) * math.pi / L) ** 2 + v)
+    b = np.maximum(np.log(16.0 * a**4 / v**2) / (2 * L), 0.05 / L)
+    return a - 1j * b
 
 
 def _grid_rescue(n, sys, avoid=()):
@@ -115,11 +130,11 @@ def _grid_rescue(n, sys, avoid=()):
     re = np.linspace(max(s.real - width, 1e-3 / sys.L), s.real + width, 61)
     im = np.linspace(min(3 * s.imag, -4 / sys.L), -1e-3 / sys.L, 61)
     kk = re[:, None] + 1j * im[None, :]
-    g = np.abs(pole_function(kk, sys)) / pole_function_scale(kk, sys)
+    g = relative_pole_function(kk, sys)
     for kj in avoid:
         g = g / np.minimum(np.abs(kk - kj), 1.0)
     i, j = np.unravel_index(np.argmin(g), g.shape)
-    return complex(kk[i, j])
+    return kk[i, j]
 
 
 @dataclass(frozen=True)
@@ -144,37 +159,44 @@ class ResonancePole:
         return val if val.shape else complex(val)
 
 
-def gamow_boundary_data(k_n: complex, sys: BarrierSystem):
-    """Normalized (u_n(0), u_n(L)) for a converged pole k_n.
+def gamow_boundary_data(k_n, sys: BarrierSystem):
+    """Normalized (u_n(0), u_n(L)) for converged poles k_n, elementwise.
 
     Also returns the raw ingredients (q, 1/sqrt(norm)) so u_n(x) can be
     rebuilt with a consistent sqrt branch.
     """
-    k = complex(k_n)
-    q = complex(_q_of_k(k, sys.v_strength))
+    k = np.asarray(k_n, dtype=complex)
+    q = _q_of_k(k, sys.v_strength)
     L = sys.L
     p_c = q - k     # coefficient of exp(+iqx)
     q_c = q + k     # coefficient of exp(-iqx)
     u0 = p_c + q_c  # = 2q
-    uL = p_c * cmath.exp(1j * q * L) + q_c * cmath.exp(-1j * q * L)
-    integral = (p_c**2 * (cmath.exp(2j * q * L) - 1.0) / (2j * q)
-                + q_c**2 * (1.0 - cmath.exp(-2j * q * L)) / (2j * q)
+    uL = p_c * np.exp(1j * q * L) + q_c * np.exp(-1j * q * L)
+    integral = (p_c**2 * (np.exp(2j * q * L) - 1.0) / (2j * q)
+                + q_c**2 * (1.0 - np.exp(-2j * q * L)) / (2j * q)
                 + 2.0 * p_c * q_c * L)
     norm = integral + 1j * (u0**2 + uL**2) / (2 * k)
-    scale = abs(integral) + abs(u0**2 + uL**2) / (2 * abs(k))
-    if abs(norm) < 1e-12 * scale:
-        raise NormalizationSingular(f"vanishing Gamow norm at k = {k}")
-    inv_sqrt = 1.0 / cmath.sqrt(norm)
+    scale = np.abs(integral) + np.abs(u0**2 + uL**2) / (2 * np.abs(k))
+    bad = np.flatnonzero(np.abs(norm) < 1e-12 * scale)
+    if bad.size:
+        raise NormalizationSingular(f"vanishing Gamow norm at k = {k.flat[bad[0]]}")
+    inv_sqrt = 1.0 / np.sqrt(norm)
     return u0 * inv_sqrt, uL * inv_sqrt, q, inv_sqrt
 
 
-def _build_pole(n, k, sys) -> ResonancePole:
-    res = _pole_residual(k, sys)
-    if res > RESIDUAL_TOL:
-        raise PoleNotConverged(n, f"(residual {res:.2e})")
-    u0, uL, q, inv_sqrt = gamow_boundary_data(k, sys)
-    return ResonancePole(n=n, k=k, E=sys.c2 * k * k, u0=u0, uL=uL,
-                         residual=res, q=q, inv_sqrt_norm=inv_sqrt)
+def _build_poles(ns, ks, sys) -> list:
+    """ResonancePole records for the roots ks, numbered ns."""
+    ks = np.asarray(ks, dtype=complex)
+    res = _pole_residual(ks, sys)
+    bad = np.flatnonzero(res > RESIDUAL_TOL)
+    if bad.size:
+        raise PoleNotConverged(ns[bad[0]], f"(residual {res[bad[0]]:.2e})")
+    u0, uL, q, inv_sqrt = gamow_boundary_data(ks, sys)
+    cols = (ks, sys.c2 * ks * ks, u0, uL, res, q, inv_sqrt)
+    return [ResonancePole(n=n, k=k, E=E, u0=a, uL=b, residual=r, q=qq,
+                          inv_sqrt_norm=s)
+            for n, (k, E, a, b, r, qq, s)
+            in zip(ns, zip(*(c.tolist() for c in cols)))]
 
 
 def find_axis_poles(sys: BarrierSystem):
@@ -190,16 +212,17 @@ def find_axis_poles(sys: BarrierSystem):
     y = np.geomspace(1e-6 / L, (3.0 * sys.alpha + 12.0) / L, 6000)
     g_im = pole_function(-1j * y, sys).imag
     flips = np.flatnonzero(np.diff(np.sign(g_im)) != 0)
+    # polish can drift off-axis at roundoff level
+    kappa = _newton_refine(-1j * 0.5 * (y[flips] + y[flips + 1]), sys).imag
+    k = np.zeros(kappa.shape, dtype=complex)
+    k.imag = kappa
+    ok = (_pole_residual(k, sys) <= RESIDUAL_TOL) & (kappa < 0)
     out = []
-    for f in flips:
-        k = _newton_refine(-1j * 0.5 * (y[f] + y[f + 1]), sys)
-        k = complex(0.0, k.imag)  # polish can drift off-axis at roundoff level
-        if _pole_residual(k, sys) > RESIDUAL_TOL or k.imag >= 0:
-            continue
-        if any(abs(k - p) < 1e-10 for p in out):
-            continue
-        out.append(k)
-    return tuple(_build_pole(0, k, sys) for k in sorted(out, key=lambda z: -z.imag))
+    for kk in k[ok].tolist():
+        if not any(abs(kk - p) < 1e-10 for p in out):
+            out.append(kk)
+    out.sort(key=lambda z: -z.imag)
+    return tuple(_build_poles([0] * len(out), out, sys))
 
 
 @dataclass(frozen=True)
@@ -287,29 +310,34 @@ def _scan_low_zone(sys):
     re = np.linspace(1e-3 / L, s1.real + 0.75 * math.pi / L, 181)
     im = np.linspace(-(2.0 * abs(s1.imag) + 6.0 / L), -1e-4 / L, 121)
     kk = re[:, None] + 1j * im[None, :]
-    g = np.abs(pole_function(kk, sys)) / pole_function_scale(kk, sys)
+    g = relative_pole_function(kk, sys)
     from scipy.ndimage import minimum_filter
     # the prune threshold only rejects obvious non-basins: very narrow poles
     # (opaque barriers) leave a shallow dip on this grid, so keep anything
     # below 0.5 and let Newton + the residual test decide
     mins = (g == minimum_filter(g, size=5)) & (g < 0.5)
+    k = _newton_refine(kk[mins], sys)
+    ok = ((_pole_residual(k, sys) <= RESIDUAL_TOL) & (k.imag < 0)
+          & (1e-6 / L < k.real) & (k.real <= re[-1]))
     out = []
-    for i, j in zip(*np.where(mins)):
-        k = _newton_refine(complex(kk[i, j]), sys)
-        if (_pole_residual(k, sys) > RESIDUAL_TOL or k.imag >= 0
-                or not 1e-6 / L < k.real <= re[-1]):
-            continue
-        if not any(abs(k - kj) < 1e-8 * max(1.0, abs(k)) for kj in out):
-            out.append(k)
+    for kj in k[ok].tolist():
+        if not any(abs(kj - ki) < 1e-8 * max(1.0, abs(kj)) for ki in out):
+            out.append(kj)
     return sorted(out, key=lambda z: z.real)
 
 
 def _next_rung(re_max, sys):
-    """Ladder index of the next pole above the largest found Re."""
-    q2 = re_max * re_max - sys.v_strength
-    if q2 <= (0.5 * math.pi / sys.L) ** 2:
-        return 1
-    return int(math.floor(math.sqrt(q2) * sys.L / math.pi + 0.5)) + 1
+    """Ladder index of the next pole above the largest found Re (elementwise)."""
+    q2 = np.asarray(re_max, dtype=float) ** 2 - sys.v_strength
+    rung = np.floor(np.sqrt(np.maximum(q2, 0.0)) * sys.L / math.pi + 0.5) + 1
+    return np.where(q2 <= (0.5 * math.pi / sys.L) ** 2, 1, rung).astype(int)
+
+
+def _on_rung(k, seed, sys):
+    """Roots that pass the per-rung checks: residual, quadrant, strip."""
+    return ((_pole_residual(k, sys) <= RESIDUAL_TOL) & (k.real > 0)
+            & (k.imag < 0)
+            & (np.abs(k.real - seed.real) <= 0.75 * math.pi / sys.L))
 
 
 def find_poles(sys: BarrierSystem, N: int, audit: bool = True,
@@ -318,55 +346,81 @@ def find_poles(sys: BarrierSystem, N: int, audit: bool = True,
 
     Deterministic: a dense scan of the irregular low-|k| zone, then Newton
     down the asymptotic seed ladder, each rung chosen from the largest Re
-    found so far.  Pass a previous PoleSet for the same system to extend it
-    without recomputation.
+    found so far.  The ladder runs in batches: one array Newton refines
+    every rung still needed, and the longest prefix of roots that pass the
+    per-rung checks (residual <= RESIDUAL_TOL, Re > 0, Im < 0, within
+    0.75 pi/L of the seed's strip), rise strictly in Re clear of every
+    root so far, and each lead to the next rung of the batch is taken at
+    once.  The first rung past that prefix goes through the grid rescue
+    and Maehly deflation alone; then batching resumes.  Every root depends
+    only on its own seed, so the first n poles do not depend on N: pass a
+    previous PoleSet for the same system to extend it without
+    recomputation.
     """
     if N < 1:
         raise PoleNotConverged(N, "(need N >= 1)")
     if previous is not None and previous.system == sys:
-        known = list(previous.poles[:N])
+        poles = list(previous.poles[:N])
         axis = previous.axis_poles
     else:
-        known = []
+        poles = []
         axis = find_axis_poles(sys)
-    poles = list(known)
-    found = [p.k for p in poles] + [p.k for p in axis]
-    found_arr = np.array(found, dtype=complex)
     re_max = max((p.k.real for p in poles), default=0.0)  # strips only, no axis
 
+    def roots():
+        return [p.k for p in poles + list(axis)]
+
     def claimed(k):
-        return bool(np.any(np.abs(found_arr - k) <= 1e-8 * max(1.0, abs(k))))
+        return any(abs(kj - k) <= 1e-8 * max(1.0, abs(k)) for kj in roots())
 
-    def add(k):
-        nonlocal found_arr, re_max
-        found.append(k)
-        found_arr = np.append(found_arr, k)
-        re_max = max(re_max, k.real)
-        poles.append(_build_pole(len(poles) + 1, k, sys))
+    def add(ks):
+        nonlocal re_max
+        n = len(poles)
+        poles.extend(_build_poles(range(n + 1, n + len(ks) + 1), ks, sys))
+        re_max = max([re_max] + [p.k.real for p in poles[n:]])
 
-    if not known:
+    if not poles:
         for k in _scan_low_zone(sys):
             if not claimed(k):
-                add(k)
+                add([k])
     attempts = 0
     while len(poles) < N:
+        rungs = int(_next_rung(re_max, sys)) + np.arange(N - len(poles))
+        seeds = _seed(rungs, sys)
+        k = _newton_refine(seeds, sys)
+        # a root clear of the previous Re by more than the claim distance
+        # is clear of every root so far: all of them lie at or left of it
+        prev_re = np.concatenate(([re_max], k.real[:-1]))
+        ok = _on_rung(k, seeds, sys) & (
+            k.real - prev_re > 1e-8 * np.maximum(1.0, np.abs(k)))
+        take = len(ok) if ok.all() else int(np.argmin(ok))
+        # each root taken must lead the ladder on to the batch's next rung
+        chain = _next_rung(k.real[:max(take - 1, 0)], sys) == rungs[1:take]
+        if not chain.all():
+            take = int(np.argmin(chain)) + 1
+        attempts += take
+        if take:
+            add(k[:take])
+        if len(poles) >= N:
+            break
         attempts += 1
         if attempts > 2 * N + 16:
             raise PoleNotConverged(len(poles) + 1, "(ladder stalled)")
-        m = _next_rung(re_max, sys)
-        k = _newton_refine(_seed(m, sys), sys)
-        if (_pole_residual(k, sys) > RESIDUAL_TOL
-                or k.real <= 0 or k.imag >= 0
-                or abs(k.real - _seed(m, sys).real) > 0.75 * math.pi / sys.L):
+        m = int(_next_rung(re_max, sys))
+        seed = _seed([m], sys)
+        k = _newton_refine(seed, sys)
+        if not _on_rung(k, seed, sys)[0]:
             k = _newton_refine(_grid_rescue(m, sys), sys)
-        if claimed(k):
+        if claimed(k[0]):
             # seed fell into an already-claimed basin; deflate and retry
-            k = _newton_refine(_grid_rescue(m, sys, avoid=tuple(found)),
-                               sys, avoid=tuple(found))
-            if (claimed(k)
-                    or _pole_residual(k, sys) > RESIDUAL_TOL
-                    or k.real <= 0 or k.imag >= 0):
-                raise DuplicatePole(f"could not separate pole {len(poles) + 1} near {k}")
+            avoid = tuple(roots())
+            k = _newton_refine(_grid_rescue(m, sys, avoid=avoid), sys,
+                               avoid=avoid)
+            if (claimed(k[0])
+                    or _pole_residual(k, sys)[0] > RESIDUAL_TOL
+                    or k[0].real <= 0 or k[0].imag >= 0):
+                raise DuplicatePole(
+                    f"could not separate pole {len(poles) + 1} near {k[0]}")
         add(k)
     poles.sort(key=lambda p: p.k.real)
     poles = poles[:N]

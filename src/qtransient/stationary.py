@@ -29,44 +29,44 @@ def _q_of_k(k, v):
     return np.sqrt(np.asarray(k, dtype=complex) ** 2 - v)
 
 
-def denominator(k, sys: BarrierSystem):
-    """Transmission denominator D(k) = (k+q)^2 e^{-iqL} - (k-q)^2 e^{iqL}.
+def _pole_function_terms(k, sys: BarrierSystem):
+    """G(k) = D(k)/q with q and the two terms of the transmission
+    denominator D(k) = (k+q)^2 e^{-iqL} - (k-q)^2 e^{iqL}.
 
-    D is odd under q -> -q, so D itself is branch dependent; use
-    pole_function for anything that must be single valued in k.
+    D is odd under q -> -q, so D itself is branch dependent; G is even in
+    q and single valued in k.
     """
     k = np.asarray(k, dtype=complex)
     q = _q_of_k(k, sys.v_strength)
-    return (k + q) ** 2 * np.exp(-1j * q * sys.L) - (k - q) ** 2 * np.exp(1j * q * sys.L)
+    t_minus = (k + q) ** 2 * np.exp(-1j * q * sys.L)
+    t_plus = (k - q) ** 2 * np.exp(1j * q * sys.L)
+    small = np.abs(q) < 1e-8
+    if np.any(small):
+        # removable point q ~ 0: G = 4k - 2i(L k^2 + ...) + O(q^2); expand
+        g = np.empty(q.shape, dtype=complex)
+        g[~small] = (t_minus[~small] - t_plus[~small]) / q[~small]
+        ks = k[small]
+        L = sys.L
+        # series of D/q in q^2 around q=0
+        qs = q[small] ** 2
+        g[small] = (4 * ks - 2j * L * ks**2
+                    + qs * (-2j * L - 2 * L**2 * ks + 1j * L**3 * ks**2 / 3))
+    else:
+        g = (t_minus - t_plus) / q
+    return g, q, t_minus, t_plus
 
 
 def pole_function(k, sys: BarrierSystem):
     """G(k) = D(k)/q(k): entire in k, zero exactly at the resonance poles."""
-    k = np.asarray(k, dtype=complex)
-    q = _q_of_k(k, sys.v_strength)
-    small = np.abs(q) < 1e-8
-    if np.any(small):
-        # removable point q ~ 0: G = 4k - 2i(L k^2 + ...) + O(q^2); expand
-        out = np.empty(np.broadcast(k, q).shape, dtype=complex)
-        km, qm = np.broadcast_arrays(k, q)
-        out[~small] = denominator(km[~small], sys) / qm[~small]
-        ks = km[small]
-        L = sys.L
-        # series of D/q in q^2 around q=0
-        qs = qm[small] ** 2
-        out[small] = (4 * ks - 2j * L * ks**2
-                      + qs * (-2j * L - 2 * L**2 * ks + 1j * L**3 * ks**2 / 3))
-        return out
-    return denominator(k, sys) / q
+    return _pole_function_terms(k, sys)[0]
 
 
-def pole_function_scale(k, sys: BarrierSystem):
-    """Magnitude scale of the two terms of G(k), for relative residuals."""
-    k = np.asarray(k, dtype=complex)
-    q = _q_of_k(k, sys.v_strength)
-    aq = np.maximum(np.abs(q), 1e-8)
-    return (np.abs((k + q) ** 2 * np.exp(-1j * q * sys.L))
-            + np.abs((k - q) ** 2 * np.exp(1j * q * sys.L))) / aq
+def relative_pole_function(k, sys: BarrierSystem):
+    """|G(k)| relative to the magnitude of its two terms, for locating
+    poles on a grid; q and e^{+-iqL} are evaluated once."""
+    g, q, t_minus, t_plus = _pole_function_terms(k, sys)
+    scale = (np.abs(t_minus) + np.abs(t_plus)) / np.maximum(np.abs(q), 1e-8)
+    return np.abs(g) / scale
 
 
 @dataclass(frozen=True)

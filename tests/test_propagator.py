@@ -9,7 +9,10 @@ Oracles:
 * [TRIVIAL] the full wave must satisfy the barrier Schroedinger equation
   i hbar dPsi/dt = -c2 Psi'' + V Psi (finite-difference Laplacian);
 * [DERIVED] the transmitted density at the barrier edge settles to the
-  stationary value |T_k|^2 at long times.
+  stationary value |T_k|^2 at long times;
+* [TRIVIAL] the in-place Wynn epsilon table with psi and dpsi/dt stacked
+  equals, bit for bit, each channel alone and a table built one array per
+  column.
 """
 
 import sys
@@ -205,3 +208,69 @@ def test_domain_validation(gaas, gaas_cache):
             trace(2.0, np.array([1.0, bad]), gaas, poles=gaas_cache)
         with pytest.raises(NonPositiveTime):
             psi_internal(2.0, bad, gaas, poles=gaas_cache)
+
+
+def _wynn_reference(partials, width):
+    """The epsilon table written out column by column, each column a new
+    array: the in-place recurrence must reproduce it bit for bit."""
+    w = min(width, partials.shape[-1])
+    e_curr = np.array(partials[..., -w:], dtype=complex)
+    e_prev = np.zeros(partials.shape[:-1] + (w + 1,), dtype=complex)
+    valid_curr = np.ones(e_curr.shape, dtype=bool)
+    valid_prev = np.ones(e_prev.shape, dtype=bool)
+    best = e_curr[..., -1].copy()
+    prev_best = e_curr[..., -2].copy() if w >= 2 else best.copy()
+    col = 0
+    while e_curr.shape[-1] >= 2:
+        d = e_curr[..., 1:] - e_curr[..., :-1]
+        ok = valid_curr[..., 1:] & valid_curr[..., :-1] & (np.abs(d) > 1e-305)
+        e_next = e_prev[..., 1:-1] + np.where(ok, 1.0 / np.where(ok, d, 1.0), 0.0)
+        valid_next = ok & valid_prev[..., 1:-1]
+        e_prev, valid_prev = e_curr, valid_curr
+        e_curr, valid_curr = e_next, valid_next
+        col += 1
+        if col % 2 == 0:
+            upd = valid_curr[..., -1]
+            prev_best = np.where(upd, best, prev_best)
+            best = np.where(upd, e_curr[..., -1], best)
+    return best, np.abs(best - prev_best)
+
+
+def _wynn_rows(rng, n_cols):
+    """Partial sums of alternating O(1/n) series, one per row, with
+    repeated entries in some rows (every other term zero, as at
+    symmetry points) and one row that converges exactly."""
+    n = np.arange(1, n_cols + 1)
+    phase = rng.uniform(0.2, 1.0, (5, 1))
+    terms = rng.normal(size=(5, 1)) * np.exp(1j * np.pi * n * phase) / n
+    terms[1, ::2] = 0.0
+    terms[2, 1::2] = 0.0
+    terms[3, n_cols // 2:] = 0.0
+    return np.cumsum(terms, axis=1)
+
+
+@pytest.mark.parametrize("n_cols", [1, 2, 3, 10, propagator._WYNN_WIDTH - 1,
+                                    propagator._WYNN_WIDTH, 40])
+def test_wynn_stacked_channels_are_bitwise_the_single_ones(n_cols):
+    # psi and dpsi/dt share one epsilon table in the pole sums; each channel
+    # must come out exactly as if extrapolated alone, and as the table built
+    # one new array per column
+    rng = np.random.default_rng(n_cols)
+    psi, dpsi = _wynn_rows(rng, n_cols), _wynn_rows(rng, n_cols)
+    given = psi.copy(), dpsi.copy()
+    (v_psi, v_dpsi), (e_psi, e_dpsi) = propagator._wynn_tail(
+        np.stack((psi, dpsi)))
+    for rows, value, err in ((psi, v_psi, e_psi), (dpsi, v_dpsi, e_dpsi)):
+        alone = propagator._wynn_tail(rows)
+        assert np.array_equal(value, alone[0])
+        assert np.array_equal(err, alone[1])
+        ref = _wynn_reference(rows, propagator._WYNN_WIDTH)
+        assert np.array_equal(value, ref[0]) and np.array_equal(err, ref[1])
+        for i, row in enumerate(rows):
+            one = propagator._wynn_tail(row)
+            assert one[0] == value[i] and one[1] == err[i]
+    # the table is built in place, but never in the caller's array
+    assert np.array_equal(psi, given[0]) and np.array_equal(dpsi, given[1])
+    if n_cols >= 10:
+        # the masked columns still extrapolate: the converged row is exact
+        assert v_psi[3] == psi[3, -1] and e_psi[3] == 0.0

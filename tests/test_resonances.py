@@ -3,6 +3,8 @@
 Oracles:
 * [TRIVIAL] every accepted pole satisfies the pole equation to 1e-12
   (backward error) and lies in the fourth quadrant;
+* [DERIVED] across opacities and energies the ladder roots agree with
+  40-digit mpmath roots of the transmission denominator to 1e-14;
 * [DERIVED] the argument principle over the scanned rectangle must count
   exactly the poles that were found;
 * [DERIVED] the transmission-pole residue identity
@@ -24,8 +26,9 @@ import pytest
 
 from qtransient import find_poles, make_system
 from qtransient.errors import CountMismatch, PoleNotConverged
-from qtransient.resonances import (PoleSet, _build_pole, audit_pole_count,
-                                   expansion_coeffs, find_axis_poles)
+from qtransient.resonances import (RESIDUAL_TOL, PoleSet, _build_poles,
+                                   audit_pole_count, expansion_coeffs,
+                                   find_axis_poles)
 from qtransient.stationary import pole_function
 from qtransient.systems import length_for_alpha
 
@@ -105,11 +108,55 @@ def test_determinism(gaas):
     assert [p.inv_sqrt_norm for p in a.poles] == [p.inv_sqrt_norm for p in b.poles]
 
 
+def _pole_data(poles):
+    return [(p.k, p.u0, p.uL, p.inv_sqrt_norm) for p in poles]
+
+
 def test_extension_matches_fresh_solve(gaas):
-    base = find_poles(gaas, 8, audit=False)
-    extended = find_poles(gaas, 16, audit=False, previous=base)
-    fresh = find_poles(gaas, 16, audit=False)
-    assert [p.k for p in extended.poles] == [p.k for p in fresh.poles]
+    # the batched ladder refines each rung on its own, so a pole list grown
+    # by doubling is bitwise the one found in a single call: on the
+    # reference barrier, below the merge opacity (axis poles) and deep in
+    # the opaque regime
+    V, m = 0.3, 0.067
+    cases = (gaas,
+             make_system(V, 0.001, length_for_alpha(1.0, V, m), m),
+             make_system(V, V / 3000, length_for_alpha(9.0, V, m), m))
+    for sys_ in cases:
+        chain = find_poles(sys_, 8, audit=False)
+        while chain.N_max < 1024:
+            chain = find_poles(sys_, 2 * chain.N_max, audit=False,
+                               previous=chain)
+        fresh = find_poles(sys_, 1024, audit=False)
+        assert _pole_data(chain.poles) == _pole_data(fresh.poles)
+        assert _pole_data(chain.axis_poles) == _pole_data(fresh.axis_poles)
+
+
+def _mp_root(k, sys_):
+    """The pole nearest k, polished on D(k) at 40 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        v, L = mp.mpf(sys_.v_strength), mp.mpf(sys_.L)
+
+        def d(z):
+            q = mp.sqrt(z * z - v)
+            return ((z + q) ** 2 * mp.exp(-1j * q * L)
+                    - (z - q) ** 2 * mp.exp(1j * q * L))
+        return complex(mp.findroot(d, mp.mpc(k.real, k.imag)))
+
+
+@pytest.mark.parametrize("alpha", [0.8, 1.2, 2.9, 6.0, 9.0])
+def test_ladder_across_opacity_and_energy(alpha):
+    V, m = 0.3, 0.067
+    L = length_for_alpha(alpha, V, m)
+    for u in (1.2, 30.0, 3000.0):
+        sys_ = make_system(V, V / u, L, m)
+        ps = find_poles(sys_, 256)   # audits the count
+        k = np.array([p.k for p in ps.poles])
+        assert max(p.residual for p in ps.poles + ps.axis_poles) <= RESIDUAL_TOL
+        assert np.all(np.diff(k.real) > 0)
+        for n in (1, 2, 17, 256):
+            ref = _mp_root(k[n - 1], sys_)
+            assert abs(k[n - 1] - ref) <= 1e-14 * abs(ref)
 
 
 def _coeffs_one_by_one(x, poles, sys_):
@@ -149,7 +196,8 @@ def test_expansion_coeffs_match_per_pole_definitions(coeff_cases, frac):
 @pytest.mark.parametrize("frac", [0.0, 0.25, 0.5, 1.0])
 def test_mirror_coefficients_are_minus_conjugate(coeff_cases, frac):
     for sys_, _, ladder in coeff_cases:
-        mirrors = [_build_pole(-p.n, -p.k.conjugate(), sys_) for p in ladder]
+        mirrors = _build_poles([-p.n for p in ladder],
+                               [-p.k.conjugate() for p in ladder], sys_)
         x = frac * sys_.L
         for internal, want in zip((True, False), _coeffs_one_by_one(x, mirrors, sys_)):
             got, _ = expansion_coeffs(x, sys_.k, ladder, sys_, internal)

@@ -5,7 +5,9 @@ Oracles:
 * [TRIVIAL] the internal solution must match the boundary values
   Phi(0) = 1 + R and Phi(L) = T exp(ikL);
 * [DERIVED] the transmission phase delay changes sign between small and
-  large opacity (checked at alpha = 1.5 and the reference alpha ~ 2.9).
+  large opacity (checked at alpha = 1.5 and the reference alpha ~ 2.9);
+* [TRIVIAL] the relative pole function is bitwise |G| over the magnitude
+  of its two terms, the series branch at q ~ 0 included.
 """
 
 import cmath
@@ -17,8 +19,10 @@ from hypothesis import strategies as st
 
 from qtransient import make_system
 from qtransient.errors import XOutOfRange, ZeroWavenumber
-from qtransient.stationary import (phase_time_delay, phi_stationary,
-                                   reflection, scattering_state, transmission)
+from qtransient.stationary import (_q_of_k, phase_time_delay,
+                                   phi_stationary, pole_function, reflection,
+                                   relative_pole_function, scattering_state,
+                                   transmission)
 from qtransient.systems import length_for_alpha
 
 SYSTEMS = [
@@ -95,3 +99,24 @@ def test_phi_stationary_domain(gaas):
         phi_stationary(-0.1, gaas.k, gaas)
     with pytest.raises(XOutOfRange):
         phi_stationary(gaas.L + 0.1, gaas.k, gaas)
+
+
+# at V = 1 eV, m = m_e no double k near sqrt(v) squares to v exactly, so
+# |q| never drops below 1e-8 there and the series branch is out of reach
+@pytest.mark.parametrize("sys_", SYSTEMS[:2] + SYSTEMS[3:])
+def test_relative_pole_function_is_g_over_its_term_scale(sys_):
+    # one evaluation of q and e^{+-iqL} must give bitwise |G| divided by
+    # the magnitude of the two terms of D/q, on a grid of the pole zone and
+    # at |q| < 1e-8 (k^2 ~ v), where G takes its series branch
+    v, L = sys_.v_strength, sys_.L
+    re = np.linspace(1e-3 / L, 8.0 / L, 41)
+    im = np.linspace(-6.0 / L, -1e-4 / L, 29)
+    kk = re[:, None] + 1j * im[None, :]
+    root = np.sqrt(v)
+    kk[0, :17] = root + np.arange(-8, 9) * np.spacing(root)
+    q = _q_of_k(kk, v)
+    assert np.sum(np.abs(q) < 1e-8) >= 1
+    scale = (np.abs((kk + q) ** 2 * np.exp(-1j * q * L))
+             + np.abs((kk - q) ** 2 * np.exp(1j * q * L))) / np.maximum(np.abs(q), 1e-8)
+    want = np.abs(pole_function(kk, sys_)) / scale
+    assert np.array_equal(relative_pole_function(kk, sys_), want)
