@@ -28,7 +28,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import AmplitudeUnderflow, NotConverged, WindowTooNarrow
-from .propagator import DEFAULT_TOL, HARD_CAP, check_x, pole_cache, trace
+from .propagator import DEFAULT_TOL, check_x, pole_cache, trace
 from .stationary import phi_stationary, transmission
 from .systems import BarrierSystem, HBAR_EV_FS as HBAR
 
@@ -67,11 +67,10 @@ class Spectrogram:
     system: BarrierSystem
 
 
-def spectrogram(sys: BarrierSystem, x, t_grid, tol=DEFAULT_TOL, poles=None,
-                cap=HARD_CAP) -> Spectrogram:
+def spectrogram(sys: BarrierSystem, x, t_grid, tol=DEFAULT_TOL,
+                poles=None) -> Spectrogram:
     """Local-frequency diagnostics of the transient wave on a time grid."""
-    tr = trace(x, np.asarray(t_grid, dtype=float), sys, poles=poles,
-               tol=tol, cap=cap)
+    tr = trace(x, np.asarray(t_grid, dtype=float), sys, poles=poles, tol=tol)
     omega_av, sigma = local_frequency(tr.psi, tr.dpsi_dt)
     return Spectrogram(x=tr.x, times=tr.times, omega_av=omega_av,
                        sigma=sigma, abs2=tr.abs2, system=sys)
@@ -120,7 +119,7 @@ def default_window(sys: BarrierSystem, x=None):
 
 
 def find_time_domain_resonance(sys: BarrierSystem, x=None, t_window=None,
-                               tol=DEFAULT_TOL, poles=None, cap=HARD_CAP):
+                               tol=DEFAULT_TOL, poles=None):
     """Locate the transient peak of |Psi(x, t)|^2.
 
     Scans PEAK_SCAN times for the first interior local maximum whose
@@ -142,7 +141,7 @@ def find_time_domain_resonance(sys: BarrierSystem, x=None, t_window=None,
     cache = pole_cache(sys, poles)
     grid = np.linspace(t_lo, t_hi, PEAK_SCAN)
     try:
-        tr = trace(x, grid, sys, poles=cache, tol=max(tol, SCAN_TOL), cap=cap)
+        tr = trace(x, grid, sys, poles=cache, tol=max(tol, SCAN_TOL))
     except NotConverged as exc:
         raise NotConverged(f"bracketing scan of the peak search: {exc}") from exc
     rho = tr.abs2
@@ -160,7 +159,7 @@ def find_time_domain_resonance(sys: BarrierSystem, x=None, t_window=None,
     i = int(idx[0]) + 1
 
     def envelope_rate(t):
-        w = trace(x, np.array([t]), sys, poles=cache, tol=tol, cap=cap)
+        w = trace(x, np.array([t]), sys, poles=cache, tol=tol)
         return float(np.real(w.dpsi_dt[0] / w.psi[0]))
 
     lo, hi = grid[i - 1], grid[i + 1]
@@ -174,7 +173,7 @@ def find_time_domain_resonance(sys: BarrierSystem, x=None, t_window=None,
         if f_lo <= 0.0 or f_hi >= 0.0:
             return absent
     t_max = brentq(envelope_rate, lo, hi, xtol=1e-12, rtol=8.9e-16)
-    w = trace(x, np.array([t_max]), sys, poles=cache, tol=tol, cap=cap)
+    w = trace(x, np.array([t_max]), sys, poles=cache, tol=tol)
     omega_av, sigma = local_frequency(complex(w.psi[0]), complex(w.dpsi_dt[0]))
     height = abs(w.psi[0]) ** 2
     return TimeDomainResonance(x=float(x), exists=True, t_max=float(t_max),

@@ -8,8 +8,9 @@ scan-freq-alpha, window, oracle-compare.  Global flags --config / --out /
 reproduce the run.
 
 The three scan commands are the library sweeps of qtransient.sweeps, run
-with the config's tol and max_poles and --threads workers; their rows
-come out in ascending grid order.
+with the config's tol and --threads workers; their rows come out in
+ascending grid order.  Every pole sum runs to at most
+qtransient.propagator.HARD_CAP positive poles.
 
 Exit codes: 0 success, 2 validation error, 3 numerical non-convergence,
 4 I/O error.
@@ -30,7 +31,7 @@ from .config import (CsvTable, RunConfig, apply_overrides, emit_csv,
 from .errors import (MissingRequired, NumericalError, QTransientError,
                      ValidationError)
 from .oracle import cn_evolve, default_cn_config
-from .propagator import trace
+from .propagator import HARD_CAP, trace
 from .resonances import find_poles
 from .stationary import transmission
 from .sweeps import (opacity_window, sweep_freq_vs_alpha, sweep_freq_vs_x,
@@ -164,7 +165,7 @@ def cmd_poles(args):
         raise ValidationError(f"--n must be >= 1, got {args.n}")
     cfg = _load_config(args)
     sys_ = _system(cfg)
-    n = min(args.n, cfg.max_poles)
+    n = min(args.n, HARD_CAP)
     ps = find_poles(sys_, n)
     rows = [(p.n, p.k.real, p.k.imag, p.E.real, p.E.imag, p.residual)
             for p in ps.poles]
@@ -175,7 +176,7 @@ def cmd_poles(args):
 
 def cmd_evolve(args):
     cfg, sys_, x, t, provenance = _probe(args)
-    tr = trace(x, t, sys_, tol=cfg.tol, cap=cfg.max_poles)
+    tr = trace(x, t, sys_, tol=cfg.tol)
     T2 = abs(transmission(sys_.k, sys_)) ** 2
     rows = [(float(tt), p.real, p.imag, abs(p) ** 2, abs(p) ** 2 / T2,
              tr.n_terms_used)
@@ -187,7 +188,7 @@ def cmd_evolve(args):
 
 def cmd_spectrogram(args):
     cfg, sys_, x, t, provenance = _probe(args)
-    sg = spectrogram(sys_, x, t, tol=cfg.tol, cap=cfg.max_poles)
+    sg = spectrogram(sys_, x, t, tol=cfg.tol)
     T2 = abs(transmission(sys_.k, sys_)) ** 2
     rows = [(float(tt), a2 / T2, om, om / sys_.omegaV, sg_)
             for tt, a2, om, sg_ in zip(t, sg.abs2, sg.omega_av, sg.sigma)]
@@ -198,7 +199,7 @@ def cmd_spectrogram(args):
 
 def cmd_tmax(args):
     cfg, sys_, x, _, provenance = _probe(args)
-    tdr = find_time_domain_resonance(sys_, x=x, tol=cfg.tol, cap=cfg.max_poles)
+    tdr = find_time_domain_resonance(sys_, x=x, tol=cfg.tol)
     rows = [(tdr.x, tdr.exists, tdr.t_max, tdr.height, tdr.height_ratio,
              tdr.omega_av, tdr.sigma, tdr.omega_ratio)]
     return CsvTable(
@@ -216,7 +217,7 @@ def _sweep_csv(table, independent, cfg, args, extra=()):
 
 def _sweep_opts(cfg, args):
     """The peak-search settings every CLI scan passes to its sweep."""
-    return dict(tol=cfg.tol, cap=cfg.max_poles, threads=args.threads)
+    return dict(tol=cfg.tol, threads=args.threads)
 
 
 def cmd_scan_tmax_L(args):
@@ -250,7 +251,7 @@ def cmd_window(args):
     cfg = _load_config(args, u=args.u)
     alpha_c, alpha_u = opacity_window(
         args.u, cfg.V_eV, cfg.mass_ratio, sweep_tol=cfg.tol,
-        alpha_span=(args.alpha_min, args.alpha_max), cap=cfg.max_poles)
+        alpha_span=(args.alpha_min, args.alpha_max))
     return CsvTable(columns=("u", "alpha_c", "alpha_u"),
                     rows=((args.u, alpha_c, alpha_u),),
                     provenance=_provenance(
@@ -261,7 +262,7 @@ def cmd_window(args):
 
 def cmd_oracle_compare(args):
     cfg, sys_, x, t, provenance = _probe(args)
-    an = trace(x, t, sys_, tol=cfg.tol, cap=cfg.max_poles)
+    an = trace(x, t, sys_, tol=cfg.tol)
     cn_cfg = default_cn_config(sys_, float(t[-1]))
     cn = cn_evolve(sys_, cn_cfg, [x], t)
     rows = []

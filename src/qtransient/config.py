@@ -11,10 +11,11 @@ is a short list of scalars and grids -- so a two-section INI file covers it:
 
     [numerics]
     tol = 1e-8
-    max_poles = 2048
 
 Unknown keys are rejected (fail-closed) and every config error names the
-offending key and line.  Command-line flags override file values.
+offending key and line; that includes retired keys such as `max_poles`,
+since every pole sum runs to the fixed budget propagator.HARD_CAP.
+Command-line flags override file values.
 
 Grids are `start:stop:count` triplets with an optional trailing `:lin` or
 `:log` spacing flag.
@@ -35,12 +36,12 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .errors import ConfigError, MissingRequired, UnknownKey
-from .propagator import DEFAULT_TOL, HARD_CAP
+from .propagator import DEFAULT_TOL
 
 TOOL_VERSION = "0.1.0"
 
 _SYSTEM_KEYS = ("V_eV", "E_eV", "L_nm", "mass_ratio")
-_NUMERICS_KEYS = ("tol", "max_poles")
+_NUMERICS_KEYS = ("tol",)
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,6 @@ class RunConfig:
     L_nm: float | None   # None: the command takes widths from an opacity grid
     mass_ratio: float = 1.0
     tol: float = DEFAULT_TOL
-    max_poles: int = HARD_CAP
 
     def __post_init__(self):
         for name in ("V_eV", "E_eV", "L_nm", "mass_ratio", "tol"):
@@ -103,8 +103,6 @@ class RunConfig:
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
                 raise MissingRequired(f"{name} must be a positive finite number, "
                                       f"got {v!r}")
-        if self.max_poles < 2:
-            raise MissingRequired(f"max_poles must be >= 2, got {self.max_poles}")
 
     def provenance_items(self):
         return [(f.name, getattr(self, f.name)) for f in fields(self)
@@ -168,7 +166,6 @@ def parse_config(text) -> RunConfig:
         L_nm=pull("system", "L_nm", float),
         mass_ratio=pull("system", "mass_ratio", float, default["mass_ratio"]),
         tol=pull("numerics", "tol", float, default["tol"]),
-        max_poles=pull("numerics", "max_poles", int, default["max_poles"]),
     )
 
 

@@ -122,9 +122,10 @@ def _wynn_tail(partials, width=_WYNN_WIDTH):
     exactly, reaching the limit from a few dozen terms where direct summation
     would need tens of thousands.  A vanishing denominator flags a column
     that has already converged: its entry becomes NaN, which the recurrence
-    carries into every entry built from it, and the estimate is frozen at the
-    last even column whose final entry is not NaN.  Returns (value,
-    error_estimate) per leading axis.
+    carries into every entry built from it, and the value is frozen at the
+    last even column whose final entry is not NaN.  Returns the extrapolated
+    value per leading axis; the caller judges its error by the change across
+    block doublings.
 
     Every leading index is extrapolated on its own, so independent series
     (psi and dpsi/dt) stack into one table and one pass.  The table keeps
@@ -139,7 +140,6 @@ def _wynn_tail(partials, width=_WYNN_WIDTH):
                       order="C")
     e_prev = np.zeros((w + 1,) + lead, dtype=complex)
     best = e_curr[-1].copy()
-    prev_best = e_curr[-2].copy() if w >= 2 else best.copy()
     inv_d = np.empty((max(w - 1, 0),) + lead, dtype=complex)
     col = 0
     # 1/NaN raises the invalid flag; here it only marks converged entries
@@ -153,13 +153,11 @@ def _wynn_tail(partials, width=_WYNN_WIDTH):
             e_prev, e_curr = e_curr, e_prev[1:m]
             col += 1
             if col % 2 == 0:
-                upd = ~np.isnan(e_curr[-1])
-                prev_best = np.where(upd, best, prev_best)
-                best = np.where(upd, e_curr[-1], best)
-    return best, np.abs(best - prev_best)
+                best = np.where(np.isnan(e_curr[-1]), best, e_curr[-1])
+    return best
 
 
-def _assemble(x, t_grid, sys, poles, tol, internal, cap=HARD_CAP):
+def _assemble(x, t_grid, sys, poles, tol, internal):
     """Shared evaluator for both regions; returns psi, dpsi, n_used, err."""
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid <= 0.0):
@@ -196,7 +194,7 @@ def _assemble(x, t_grid, sys, poles, tol, internal, cap=HARD_CAP):
     err_out = np.zeros(n_live)
     active = np.ones(n_live, dtype=bool)
 
-    n_pos = min(2 * _BLOCK, cap)
+    n_pos = 2 * _BLOCK
     n_top = n_pos if n_live else 0
     rounds = 0
     s_hist = np.zeros(n_live, dtype=complex)
@@ -224,22 +222,21 @@ def _assemble(x, t_grid, sys, poles, tol, internal, cap=HARD_CAP):
         keep = (col > 1e-14 * col.max()) | (dcol > 1e-14 * dcol.max())
         kept, dkept = ((terms, dterms) if keep.all()
                        else (terms[:, keep], dterms[:, keep]))
-        # psi and dpsi/dt share one epsilon table.  A first round short of
-        # the cap only seeds the doubling difference: no point can pass on
-        # it unless tol is infinite, so its dpsi/dt would be thrown away.
-        seed = rounds == 0 and n_pos < cap and tol < np.inf
-        vals, errs = _wynn_tail(np.stack(
+        # psi and dpsi/dt share one epsilon table.  The first round only
+        # seeds the doubling difference: no point can pass on it unless tol
+        # is infinite, so its dpsi/dt would be thrown away.
+        seed = rounds == 0 and tol < np.inf
+        vals = _wynn_tail(np.stack(
             [np.cumsum(c, axis=1)[:, -_WYNN_WIDTH:]
              for c in ((kept,) if seed else (kept, dkept))]))
-        s_val, s_err = vals[0], errs[0]
-        scale = np.maximum(np.abs(head[live][active] - s_val), 1e-300)
-        # The extrapolation's internal estimate s_err can be optimistic, so
-        # the error is judged by the change across block doublings: if
+        s_val = vals[0]
+        # The error is judged by the change across block doublings: if
         # successive changes shrink by a factor r, the remaining error is
         # ~ diff/(r - 1).  Every point still active has been through every
         # doubling, so per-point history stays aligned as converged points
         # retire.
         if rounds >= 1:
+            scale = np.maximum(np.abs(head[live][active] - s_val), 1e-300)
             diff = np.abs(s_val - s_hist[active])
             if rounds >= 2:
                 r = np.clip(diff_hist[active] / np.maximum(diff, 1e-300), 2.0, 64.0)
@@ -248,28 +245,27 @@ def _assemble(x, t_grid, sys, poles, tol, internal, cap=HARD_CAP):
                 rel_err = diff / scale
             diff_hist[active] = diff
         else:
-            rel_err = (np.full(scale.shape, np.inf) if n_pos < cap
-                       else s_err / scale)
+            rel_err = np.full(s_val.shape, np.inf)
         s_hist[active] = s_val
         s_out[active] = s_val
         if not seed:
             d_out[active] = vals[1]
         err_out[active] = rel_err
         done = rel_err <= tol
-        if done.all() or n_pos >= cap:
+        if done.all() or n_pos >= HARD_CAP:
             break
         idx = np.flatnonzero(active)
         active[idx[done]] = False
         if done.any():
             terms, dterms = terms[~done], dterms[~done]
-        n_top = n_pos = min(2 * n_pos, cap)
+        n_top = n_pos = min(2 * n_pos, HARD_CAP)
         rounds += 1
     if np.any(err_out > tol):
         worst = int(np.argmax(err_out))
         raise NotConverged(
             f"pole sum at x={float(x)} above tol={tol:.1e} at "
             f"{int(np.sum(err_out > tol))} of {n_live} time points with "
-            f"{n_top} positive poles (cap {cap}); worst "
+            f"{n_top} positive poles (cap {HARD_CAP}); worst "
             f"t={t_live[worst]:.6g} fs, error estimate {err_out[worst]:.1e}")
 
     psi = np.zeros(t_grid.shape, dtype=complex)
@@ -288,8 +284,8 @@ def check_x(x):
             f"x must be finite and >= 0 (reflection region not modeled), got x={x}")
 
 
-def trace(x, t_grid, sys: BarrierSystem, poles=None, tol=DEFAULT_TOL,
-          cap=HARD_CAP) -> WaveTrace:
+def trace(x, t_grid, sys: BarrierSystem, poles=None,
+          tol=DEFAULT_TOL) -> WaveTrace:
     """Transient wavefunction at fixed x over a time grid.
 
     Uses the internal expansion for x <= L, the external one for x >= L
@@ -304,36 +300,35 @@ def trace(x, t_grid, sys: BarrierSystem, poles=None, tol=DEFAULT_TOL,
             or np.any(np.diff(t_grid) <= 0):
         raise NonPositiveTime(
             "time grid must be nonempty, finite and strictly increasing")
-    psi, dpsi, n_used, err = _assemble(x, t_grid, sys, poles, tol, x <= sys.L,
-                                       cap)
+    psi, dpsi, n_used, err = _assemble(x, t_grid, sys, poles, tol, x <= sys.L)
     return WaveTrace(x=float(x), times=t_grid, psi=psi, dpsi_dt=dpsi,
                      n_terms_used=n_used, trunc_error_est=err, system=sys)
 
 
-def _sample(x, t, sys, poles, tol, internal, cap) -> WaveSample:
+def _sample(x, t, sys, poles, tol, internal) -> WaveSample:
     check_x(x)
     if not 0 < t < np.inf:
         raise NonPositiveTime(f"t must be finite and > 0, got t={t}")
     psi, dpsi, n_used, err = _assemble(x, np.array([t]), sys, poles, tol,
-                                       internal, cap)
+                                       internal)
     return WaveSample(float(x), float(t), complex(psi[0]), complex(dpsi[0]),
                       n_used, float(err[0]))
 
 
-def psi_internal(x, t, sys: BarrierSystem, poles=None, tol=DEFAULT_TOL,
-                 cap=HARD_CAP) -> WaveSample:
+def psi_internal(x, t, sys: BarrierSystem, poles=None,
+                 tol=DEFAULT_TOL) -> WaveSample:
     """Barrier-region evaluation at one (x, t), 0 <= x <= L."""
     if not 0.0 <= x <= sys.L * (1 + 1e-12):
         raise XOutOfRange("psi_internal requires 0 <= x <= L")
-    return _sample(x, t, sys, poles, tol, True, cap)
+    return _sample(x, t, sys, poles, tol, True)
 
 
-def psi_external(x, t, sys: BarrierSystem, poles=None, tol=DEFAULT_TOL,
-                 cap=HARD_CAP) -> WaveSample:
+def psi_external(x, t, sys: BarrierSystem, poles=None,
+                 tol=DEFAULT_TOL) -> WaveSample:
     """Transmitted-region evaluation at one (x, t), x >= L."""
     if x < sys.L * (1 - 1e-12):
         raise XOutOfRange("psi_external requires x >= L")
-    return _sample(x, t, sys, poles, tol, False, cap)
+    return _sample(x, t, sys, poles, tol, False)
 
 
 def pole_cache(sys: BarrierSystem,

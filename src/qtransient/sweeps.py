@@ -33,7 +33,7 @@ import numpy as np
 
 from .analysis import find_time_domain_resonance
 from .errors import NoCrossing, NonPositiveParameter
-from .propagator import DEFAULT_TOL, HARD_CAP, pole_cache
+from .propagator import DEFAULT_TOL, pole_cache
 from .stationary import phase_time_delay
 from .systems import BarrierSystem, length_for_alpha, make_system
 
@@ -87,18 +87,18 @@ def _sweep(kind, fixed_params, values, peak, threads):
 
 
 def sweep_tmax_vs_L(L_grid, V, E, mass_ratio=1.0, tol=DEFAULT_TOL,
-                    cap=HARD_CAP, threads=1) -> SweepTable:
+                    threads=1) -> SweepTable:
     """t_max at x = L for each barrier width; rows sorted by L."""
     def peak(L):
         sys = make_system(V, E, L, mass_ratio)
-        return find_time_domain_resonance(sys, tol=tol, cap=cap)
+        return find_time_domain_resonance(sys, tol=tol)
 
     return _sweep("TmaxVsL", dict(V=V, E=E, mass_ratio=mass_ratio),
                   _sorted_grid(L_grid, "L"), peak, threads)
 
 
 def sweep_freq_vs_x(x_grid, sys: BarrierSystem, tol=DEFAULT_TOL,
-                    cap=HARD_CAP, threads=1) -> SweepTable:
+                    threads=1) -> SweepTable:
     """Peak frequency ratio at each position, inside and beyond the barrier.
 
     Every probe shares one pole cache; the pole sequence is prefix-stable,
@@ -108,28 +108,27 @@ def sweep_freq_vs_x(x_grid, sys: BarrierSystem, tol=DEFAULT_TOL,
     cache = pole_cache(sys)
 
     def peak(x):
-        return find_time_domain_resonance(sys, x=x, tol=tol, poles=cache,
-                                          cap=cap)
+        return find_time_domain_resonance(sys, x=x, tol=tol, poles=cache)
 
     return _sweep("FreqVsX", dict(V=sys.V, E=sys.E, L=sys.L,
                                   mass_ratio=sys.mass_ratio),
                   values, peak, threads)
 
 
-def _ratio_at_alpha(alpha, u, V_ref, mass_ratio, tol, cap):
+def _ratio_at_alpha(alpha, u, V_ref, mass_ratio, tol):
     L = length_for_alpha(alpha, V_ref, mass_ratio)
     sys = make_system(V_ref, V_ref / u, L, mass_ratio)
-    return find_time_domain_resonance(sys, tol=tol, cap=cap)
+    return find_time_domain_resonance(sys, tol=tol)
 
 
 def sweep_freq_vs_alpha(alpha_grid, u, V_ref, mass_ratio=1.0, tol=DEFAULT_TOL,
-                        cap=HARD_CAP, threads=1) -> SweepTable:
+                        threads=1) -> SweepTable:
     """Frequency ratio at the barrier edge versus opacity, at fixed u = V/E."""
     if u <= 1:
         raise NonPositiveParameter(f"u must be > 1 (tunneling), got {u}")
 
     def peak(alpha):
-        return _ratio_at_alpha(alpha, u, V_ref, mass_ratio, tol, cap)
+        return _ratio_at_alpha(alpha, u, V_ref, mass_ratio, tol)
 
     return _sweep("FreqVsAlpha", dict(u=u, V_ref=V_ref, mass_ratio=mass_ratio),
                   _sorted_grid(alpha_grid, "alpha"), peak, threads)
@@ -189,7 +188,7 @@ def _bisect(past, a0, a1):
 
 
 def opacity_window(u, V_ref, mass_ratio=1.0, alpha_span=(1.2, 6.0),
-                   sweep_tol=DEFAULT_TOL, cap=HARD_CAP):
+                   sweep_tol=DEFAULT_TOL):
     """(alpha_c, alpha_u): the opacity interval of genuine tunneling forerunners.
 
     alpha_c is the critical opacity at which the transmission phase delay
@@ -208,7 +207,7 @@ def opacity_window(u, V_ref, mass_ratio=1.0, alpha_span=(1.2, 6.0),
             f"0 < lo < hi, got ({lo}, {hi})")
 
     def probe(alpha):
-        return _ratio_at_alpha(alpha, u, V_ref, mass_ratio, sweep_tol, cap)
+        return _ratio_at_alpha(alpha, u, V_ref, mass_ratio, sweep_tol)
 
     def delay(alpha):
         L = length_for_alpha(alpha, V_ref, mass_ratio)

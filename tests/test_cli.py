@@ -29,8 +29,9 @@ def test_tmax_happy_path(capsys):
     assert abs(row["t_max_fs"] - 5.17) < 0.05
     # provenance echoes every effective parameter
     for key in ("command=tmax", "V_eV=", "E_eV=", "L_nm=", "mass_ratio=",
-                "tol=", "max_poles=", "threads="):
+                "tol=", "threads="):
         assert key in prov
+    assert "max_poles" not in prov
 
 
 def test_poles_table(capsys):
@@ -163,16 +164,6 @@ def test_scan_grid_checked_before_any_pole_sum(capsys):
     assert "x must be > 0" in err
 
 
-def test_window_honours_max_poles(capsys, tmp_path):
-    # four poles cannot reach the default tolerance at the first probe
-    ini = tmp_path / "few_poles.ini"
-    ini.write_text("[system]\nV_eV=0.3\nE_eV=0.001\nL_nm=4.0\n"
-                   "mass_ratio=0.067\n[numerics]\nmax_poles=4\n")
-    code, _, err = run(capsys, ["--config", str(ini), "window", "--u", "300"])
-    assert code == 3
-    assert "cap 4" in err
-
-
 @pytest.mark.parametrize("span", [["--alpha-min", "6", "--alpha-max", "1.2"],
                                   ["--alpha-min", "3", "--alpha-max", "3"],
                                   ["--alpha-max", "inf"],
@@ -186,14 +177,13 @@ def test_window_bad_alpha_span_exits_2(capsys, recwarn, span):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
-def test_nonconvergence_exits_3(capsys, tmp_path):
-    ini = tmp_path / "tight.ini"
-    ini.write_text("[system]\nV_eV=0.3\nE_eV=0.001\nL_nm=4.0\n"
-                   "mass_ratio=0.067\n[numerics]\ntol=1e-13\nmax_poles=4\n")
-    code, _, err = run(capsys, ["--config", str(ini), "evolve", "--x", "2",
-                                "--tmin", "0.5", "--tmax", "1", "--steps", "3"])
+def test_nonconvergence_exits_3(capsys):
+    # next to the shutter 2048 poles do not reach the default tolerance
+    code, _, err = run(capsys, GAAS_FLAGS + ["evolve", "--x", "0.05",
+                                             "--tmin", "0.5", "--tmax", "1",
+                                             "--steps", "3"])
     assert code == 3
-    assert "error:" in err
+    assert "error:" in err and "cap 2048" in err
 
 
 def test_unwritable_output_exits_4(capsys):

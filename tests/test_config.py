@@ -19,21 +19,19 @@ mass_ratio = 0.067
 
 [numerics]
 tol = 1e-9
-max_poles = 512
 """
 
 
 def test_parse_full_config():
     cfg = parse_config(FULL)
     assert cfg == RunConfig(V_eV=0.3, E_eV=0.001, L_nm=4.0, mass_ratio=0.067,
-                            tol=1e-9, max_poles=512)
+                            tol=1e-9)
 
 
 def test_numerics_defaults():
     cfg = parse_config("[system]\nV_eV=0.3\nE_eV=0.001\nL_nm=4.0\n")
     assert cfg.mass_ratio == 1.0
     assert cfg.tol == 1e-8
-    assert cfg.max_poles == 2048
 
 
 def test_missing_required_names_the_key():
@@ -48,11 +46,13 @@ def test_unknown_key_names_key_and_line():
 
 
 def test_removed_underflow_guard_key_rejected():
-    # the key never reached the numerics; a file that still sets it fails
+    # underflow_guard never reached the numerics, and the pole budget is
+    # fixed at propagator.HARD_CAP; a file that still sets either key fails
     # closed instead of being silently ignored
-    text = FULL + "underflow_guard = 1e-150\n"
-    with pytest.raises(UnknownKey, match=r"underflow_guard.*line 11"):
-        parse_config(text)
+    for line in ("underflow_guard = 1e-150", "max_poles = 2048"):
+        key = line.split()[0]
+        with pytest.raises(UnknownKey, match=rf"{key}.*line 10"):
+            parse_config(FULL + line + "\n")
 
 
 def test_unknown_section_rejected():
@@ -82,8 +82,6 @@ def test_runconfig_validation():
         RunConfig(V_eV=-0.3, E_eV=0.001, L_nm=4.0)
     with pytest.raises(MissingRequired, match="tol"):
         RunConfig(V_eV=0.3, E_eV=0.001, L_nm=4.0, tol=0.0)
-    with pytest.raises(MissingRequired, match="max_poles"):
-        RunConfig(V_eV=0.3, E_eV=0.001, L_nm=4.0, max_poles=1)
 
 
 def test_apply_overrides():
@@ -98,7 +96,7 @@ def test_apply_overrides():
 def test_provenance_items_cover_all_parameters():
     cfg = parse_config(FULL)
     keys = [k for k, _ in cfg.provenance_items()]
-    assert keys == ["V_eV", "E_eV", "L_nm", "mass_ratio", "tol", "max_poles"]
+    assert keys == ["V_eV", "E_eV", "L_nm", "mass_ratio", "tol"]
 
 
 @pytest.mark.parametrize("text,expected", [

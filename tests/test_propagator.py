@@ -175,16 +175,20 @@ def test_error_estimates_within_tolerance(gaas, gaas_cache):
     assert tr.n_terms_used >= 2
 
 
-def test_not_converged_at_tiny_cap(gaas):
+def test_not_converged_at_tiny_cap(gaas, gaas_cache):
+    # next to the shutter the internal sum misses the default tolerance
+    # with every pole the cap allows
     with pytest.raises(NotConverged):
-        trace(2.0, np.array([0.5]), gaas, tol=1e-13, cap=4)
+        trace(0.05, np.array([0.5]), gaas, poles=gaas_cache)
 
 
-def test_not_converged_says_where_and_by_how_much(gaas):
+def test_not_converged_says_where_and_by_how_much(gaas, gaas_cache):
     with pytest.raises(NotConverged) as info:
-        trace(8.0, np.linspace(1.0, 30.0, 50), gaas, cap=16)
+        trace(8.0, np.linspace(1.0, 30.0, 50), gaas, poles=gaas_cache,
+              tol=1e-10)
     msg = str(info.value)
-    for part in ("x=8", "t=", "error estimate", "of 50 time points", "cap 16"):
+    for part in ("x=8", "t=", "error estimate", "of 50 time points",
+                 "2048 positive poles (cap 2048)"):
         assert part in msg
 
 
@@ -219,7 +223,6 @@ def _wynn_reference(partials, width):
     valid_curr = np.ones(e_curr.shape, dtype=bool)
     valid_prev = np.ones(e_prev.shape, dtype=bool)
     best = e_curr[..., -1].copy()
-    prev_best = e_curr[..., -2].copy() if w >= 2 else best.copy()
     col = 0
     while e_curr.shape[-1] >= 2:
         d = e_curr[..., 1:] - e_curr[..., :-1]
@@ -230,10 +233,8 @@ def _wynn_reference(partials, width):
         e_curr, valid_curr = e_next, valid_next
         col += 1
         if col % 2 == 0:
-            upd = valid_curr[..., -1]
-            prev_best = np.where(upd, best, prev_best)
-            best = np.where(upd, e_curr[..., -1], best)
-    return best, np.abs(best - prev_best)
+            best = np.where(valid_curr[..., -1], e_curr[..., -1], best)
+    return best
 
 
 def _wynn_rows(rng, n_cols):
@@ -258,19 +259,15 @@ def test_wynn_stacked_channels_are_bitwise_the_single_ones(n_cols):
     rng = np.random.default_rng(n_cols)
     psi, dpsi = _wynn_rows(rng, n_cols), _wynn_rows(rng, n_cols)
     given = psi.copy(), dpsi.copy()
-    (v_psi, v_dpsi), (e_psi, e_dpsi) = propagator._wynn_tail(
-        np.stack((psi, dpsi)))
-    for rows, value, err in ((psi, v_psi, e_psi), (dpsi, v_dpsi, e_dpsi)):
-        alone = propagator._wynn_tail(rows)
-        assert np.array_equal(value, alone[0])
-        assert np.array_equal(err, alone[1])
-        ref = _wynn_reference(rows, propagator._WYNN_WIDTH)
-        assert np.array_equal(value, ref[0]) and np.array_equal(err, ref[1])
+    v_psi, v_dpsi = propagator._wynn_tail(np.stack((psi, dpsi)))
+    for rows, value in ((psi, v_psi), (dpsi, v_dpsi)):
+        assert np.array_equal(value, propagator._wynn_tail(rows))
+        assert np.array_equal(value,
+                              _wynn_reference(rows, propagator._WYNN_WIDTH))
         for i, row in enumerate(rows):
-            one = propagator._wynn_tail(row)
-            assert one[0] == value[i] and one[1] == err[i]
+            assert propagator._wynn_tail(row) == value[i]
     # the table is built in place, but never in the caller's array
     assert np.array_equal(psi, given[0]) and np.array_equal(dpsi, given[1])
     if n_cols >= 10:
         # the masked columns still extrapolate: the converged row is exact
-        assert v_psi[3] == psi[3, -1] and e_psi[3] == 0.0
+        assert v_psi[3] == psi[3, -1]
