@@ -9,8 +9,7 @@ reproduce the run.
 
 The three scan commands are the library sweeps of qtransient.sweeps, run
 with the config's tol and --threads workers; their rows come out in
-ascending grid order.  Every pole sum runs to at most
-qtransient.propagator.HARD_CAP positive poles.
+ascending grid order.
 
 Exit codes: 0 success, 2 validation error, 3 numerical non-convergence,
 4 I/O error.
@@ -161,17 +160,17 @@ def _check_u(args):
 
 
 def cmd_poles(args):
-    if args.n < 1:
-        raise ValidationError(f"--n must be >= 1, got {args.n}")
+    if not 1 <= args.n <= HARD_CAP:
+        raise ValidationError(
+            f"--n must be between 1 and the pole cap {HARD_CAP}, got {args.n}")
     cfg = _load_config(args)
     sys_ = _system(cfg)
-    n = min(args.n, HARD_CAP)
-    ps = find_poles(sys_, n)
+    ps = find_poles(sys_, args.n)
     rows = [(p.n, p.k.real, p.k.imag, p.E.real, p.E.imag, p.residual)
             for p in ps.poles]
     return CsvTable(columns=("n", "Re_k", "Im_k", "Re_E", "Im_E", "residual"),
                     rows=tuple(rows),
-                    provenance=_provenance(cfg, args, [("n", n)]))
+                    provenance=_provenance(cfg, args, [("n", args.n)]))
 
 
 def cmd_evolve(args):
@@ -250,7 +249,7 @@ def cmd_window(args):
     _check_u(args)
     cfg = _load_config(args, u=args.u)
     alpha_c, alpha_u = opacity_window(
-        args.u, cfg.V_eV, cfg.mass_ratio, sweep_tol=cfg.tol,
+        args.u, cfg.V_eV, cfg.mass_ratio, tol=cfg.tol,
         alpha_span=(args.alpha_min, args.alpha_max))
     return CsvTable(columns=("u", "alpha_c", "alpha_u"),
                     rows=((args.u, alpha_c, alpha_u),),

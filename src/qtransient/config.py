@@ -13,9 +13,9 @@ is a short list of scalars and grids -- so a two-section INI file covers it:
     tol = 1e-8
 
 Unknown keys are rejected (fail-closed) and every config error names the
-offending key and line; that includes retired keys such as `max_poles`,
-since every pole sum runs to the fixed budget propagator.HARD_CAP.
-Command-line flags override file values.
+offending key and line, retired keys such as `max_poles` included (the
+pole budget is the constant propagator.HARD_CAP).  Command-line flags
+override file values.
 
 Grids are `start:stop:count` triplets with an optional trailing `:lin` or
 `:log` spacing flag.
@@ -41,7 +41,6 @@ from .propagator import DEFAULT_TOL
 TOOL_VERSION = "0.1.0"
 
 _SYSTEM_KEYS = ("V_eV", "E_eV", "L_nm", "mass_ratio")
-_NUMERICS_KEYS = ("tol",)
 
 
 @dataclass(frozen=True)
@@ -141,8 +140,7 @@ def parse_config(text) -> RunConfig:
     to documented defaults.
     """
     entries = _parse_ini(text)
-    known = {("system", k) for k in _SYSTEM_KEYS} \
-        | {("numerics", k) for k in _NUMERICS_KEYS}
+    known = {("system", k) for k in _SYSTEM_KEYS} | {("numerics", "tol")}
     for (section, key), (_, lineno) in entries.items():
         if (section, key) not in known:
             raise UnknownKey(f"unknown key {key!r} in [{section}] at line {lineno}")

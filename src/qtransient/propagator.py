@@ -37,7 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveTime, NotConverged, XOutOfRange
+from .errors import (NonPositiveParameter, NonPositiveTime, NotConverged,
+                     XOutOfRange)
 from .moshinsky import moshinsky_m_dt
 from .resonances import PoleSet, expansion_coeffs, find_poles
 from .stationary import phi_stationary, transmission
@@ -124,8 +125,7 @@ def _wynn_tail(partials, width=_WYNN_WIDTH):
     that has already converged: its entry becomes NaN, which the recurrence
     carries into every entry built from it, and the value is frozen at the
     last even column whose final entry is not NaN.  Returns the extrapolated
-    value per leading axis; the caller judges its error by the change across
-    block doublings.
+    value per leading axis.
 
     Every leading index is extrapolated on its own, so independent series
     (psi and dpsi/dt) stack into one table and one pass.  The table keeps
@@ -159,6 +159,8 @@ def _wynn_tail(partials, width=_WYNN_WIDTH):
 
 def _assemble(x, t_grid, sys, poles, tol, internal):
     """Shared evaluator for both regions; returns psi, dpsi, n_used, err."""
+    check_x(x)
+    check_tol(tol)
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid <= 0.0):
         raise NonPositiveTime("times must be > 0")
@@ -194,10 +196,8 @@ def _assemble(x, t_grid, sys, poles, tol, internal):
     err_out = np.zeros(n_live)
     active = np.ones(n_live, dtype=bool)
 
-    n_pos = 2 * _BLOCK
-    n_top = n_pos if n_live else 0
+    n_pos = 2 * _BLOCK if n_live else 0
     rounds = 0
-    s_hist = np.zeros(n_live, dtype=complex)
     diff_hist = np.zeros(n_live)
     # pair-summed pole terms already evaluated, one row per active point;
     # each doubling round evaluates only the poles it adds
@@ -223,33 +223,27 @@ def _assemble(x, t_grid, sys, poles, tol, internal):
         kept, dkept = ((terms, dterms) if keep.all()
                        else (terms[:, keep], dterms[:, keep]))
         # psi and dpsi/dt share one epsilon table.  The first round only
-        # seeds the doubling difference: no point can pass on it unless tol
-        # is infinite, so its dpsi/dt would be thrown away.
-        seed = rounds == 0 and tol < np.inf
+        # seeds the doubling difference: no point can pass on it, so its
+        # dpsi/dt would be thrown away.
         vals = _wynn_tail(np.stack(
             [np.cumsum(c, axis=1)[:, -_WYNN_WIDTH:]
-             for c in ((kept,) if seed else (kept, dkept))]))
+             for c in ((kept,) if rounds == 0 else (kept, dkept))]))
         s_val = vals[0]
-        # The error is judged by the change across block doublings: if
-        # successive changes shrink by a factor r, the remaining error is
-        # ~ diff/(r - 1).  Every point still active has been through every
-        # doubling, so per-point history stays aligned as converged points
-        # retire.
-        if rounds >= 1:
+        rel_err = np.full(s_val.shape, np.inf)
+        if rounds:
+            # The error is judged by the change across block doublings: if
+            # successive changes shrink by a factor r, the remaining error
+            # is ~ diff/(r - 1); after one doubling diff_hist is still 0, so
+            # r = 2 and the error is diff itself.  Every point still active
+            # has been through every doubling, so per-point history stays
+            # aligned as converged points retire.
+            diff = np.abs(s_val - s_out[active])
+            r = np.clip(diff_hist[active] / np.maximum(diff, 1e-300), 2.0, 64.0)
             scale = np.maximum(np.abs(head[live][active] - s_val), 1e-300)
-            diff = np.abs(s_val - s_hist[active])
-            if rounds >= 2:
-                r = np.clip(diff_hist[active] / np.maximum(diff, 1e-300), 2.0, 64.0)
-                rel_err = diff / (r - 1.0) / scale
-            else:
-                rel_err = diff / scale
+            rel_err = diff / (r - 1.0) / scale
             diff_hist[active] = diff
-        else:
-            rel_err = np.full(s_val.shape, np.inf)
-        s_hist[active] = s_val
-        s_out[active] = s_val
-        if not seed:
             d_out[active] = vals[1]
+        s_out[active] = s_val
         err_out[active] = rel_err
         done = rel_err <= tol
         if done.all() or n_pos >= HARD_CAP:
@@ -258,14 +252,14 @@ def _assemble(x, t_grid, sys, poles, tol, internal):
         active[idx[done]] = False
         if done.any():
             terms, dterms = terms[~done], dterms[~done]
-        n_top = n_pos = min(2 * n_pos, HARD_CAP)
+        n_pos = min(2 * n_pos, HARD_CAP)
         rounds += 1
     if np.any(err_out > tol):
         worst = int(np.argmax(err_out))
         raise NotConverged(
             f"pole sum at x={float(x)} above tol={tol:.1e} at "
             f"{int(np.sum(err_out > tol))} of {n_live} time points with "
-            f"{n_top} positive poles (cap {HARD_CAP}); worst "
+            f"{n_pos} positive poles (cap {HARD_CAP}); worst "
             f"t={t_live[worst]:.6g} fs, error estimate {err_out[worst]:.1e}")
 
     psi = np.zeros(t_grid.shape, dtype=complex)
@@ -274,7 +268,7 @@ def _assemble(x, t_grid, sys, poles, tol, internal):
     psi[live] = head[live] - s_out
     dpsi[live] = dhead[live] - d_out
     err[live] = err_out
-    return psi, dpsi, 2 * n_top + 2, err
+    return psi, dpsi, 2 * n_pos + 2, err
 
 
 def check_x(x):
@@ -282,6 +276,12 @@ def check_x(x):
     if not 0 <= x < np.inf:
         raise XOutOfRange(
             f"x must be finite and >= 0 (reflection region not modeled), got x={x}")
+
+
+def check_tol(tol):
+    """Reject a pole-sum tolerance no sum can meet or that means nothing."""
+    if not 0 < tol < np.inf:
+        raise NonPositiveParameter(f"tol must be finite and > 0, got tol={tol}")
 
 
 def trace(x, t_grid, sys: BarrierSystem, poles=None,
@@ -294,7 +294,6 @@ def trace(x, t_grid, sys: BarrierSystem, poles=None,
     either is extended on demand.  Only the poles are shared: each trace
     computes the expansion coefficients of the poles it sums.
     """
-    check_x(x)
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) == 0 or not np.isfinite(t_grid).all() \
             or np.any(np.diff(t_grid) <= 0):
@@ -306,7 +305,6 @@ def trace(x, t_grid, sys: BarrierSystem, poles=None,
 
 
 def _sample(x, t, sys, poles, tol, internal) -> WaveSample:
-    check_x(x)
     if not 0 < t < np.inf:
         raise NonPositiveTime(f"t must be finite and > 0, got t={t}")
     psi, dpsi, n_used, err = _assemble(x, np.array([t]), sys, poles, tol,

@@ -8,9 +8,9 @@ the normalization integral
 
     int_0^L u_n^2 dx + i (u_n(0)^2 + u_n(L)^2) / (2 k_n) = 1
 
-is evaluated analytically (no quadrature).  The overall sign of sqrt leaves
-u_n defined up to a global sign, which cancels in every product the
-expansion coefficients use.
+reduces on the pole equation to the closed form -2v (L + 2i/k_n).  The
+overall sign of sqrt leaves u_n defined up to a global sign, which cancels
+in every product the expansion coefficients use.
 """
 
 from __future__ import annotations
@@ -163,21 +163,22 @@ def gamow_boundary_data(k_n, sys: BarrierSystem):
     """Normalized (u_n(0), u_n(L)) for converged poles k_n, elementwise.
 
     Also returns the raw ingredients (q, 1/sqrt(norm)) so u_n(x) can be
-    rebuilt with a consistent sqrt branch.
+    rebuilt with a consistent sqrt branch.  On the pole equation
+    (q+k)^2 = (q-k)^2 e^{2iqL}, u_n(L) = +-u_n(0) = +-2q and the norm is
+    4iq^2/k - 4ik - 2vL = -2v (L + 2i/k), zero only at the double root
+    k = -2i/L; summing the integral term by term instead cancels terms of
+    size e^{2|Im q| L} (~1e13 at n ~ 1000 on GaAs).  The sign of u_n(L) is
+    read off its direct evaluation, whose two terms do not cancel.
     """
     k = np.asarray(k_n, dtype=complex)
-    q = _q_of_k(k, sys.v_strength)
+    v = sys.v_strength
+    q = _q_of_k(k, v)
     L = sys.L
-    p_c = q - k     # coefficient of exp(+iqx)
-    q_c = q + k     # coefficient of exp(-iqx)
-    u0 = p_c + q_c  # = 2q
-    uL = p_c * np.exp(1j * q * L) + q_c * np.exp(-1j * q * L)
-    integral = (p_c**2 * (np.exp(2j * q * L) - 1.0) / (2j * q)
-                + q_c**2 * (1.0 - np.exp(-2j * q * L)) / (2j * q)
-                + 2.0 * p_c * q_c * L)
-    norm = integral + 1j * (u0**2 + uL**2) / (2 * k)
-    scale = np.abs(integral) + np.abs(u0**2 + uL**2) / (2 * np.abs(k))
-    bad = np.flatnonzero(np.abs(norm) < 1e-12 * scale)
+    u0 = 2.0 * q
+    u_l = (q - k) * np.exp(1j * q * L) + (q + k) * np.exp(-1j * q * L)
+    uL = np.where((u_l * u0.conj()).real < 0.0, -u0, u0)
+    norm = -2.0 * v * (L + 2j / k)
+    bad = np.flatnonzero(np.abs(norm) < 1e-12 * 2.0 * v * (L + 2.0 / np.abs(k)))
     if bad.size:
         raise NormalizationSingular(f"vanishing Gamow norm at k = {k.flat[bad[0]]}")
     inv_sqrt = 1.0 / np.sqrt(norm)
@@ -314,8 +315,12 @@ def _scan_low_zone(sys):
     from scipy.ndimage import minimum_filter
     # the prune threshold only rejects obvious non-basins: very narrow poles
     # (opaque barriers) leave a shallow dip on this grid, so keep anything
-    # below 0.5 and let Newton + the residual test decide
-    mins = (g == minimum_filter(g, size=5)) & (g < 0.5)
+    # below 0.5 and let Newton + the residual test decide.  g also dips to
+    # 0 at k = sqrt v (q = 0), where its scale diverges but G = 2k(2 - iLk)
+    # does not vanish: the cells within one step of that point are no basin.
+    q0 = (np.abs(kk.real - math.sqrt(sys.v_strength)) <= re[1] - re[0]) \
+        & (np.abs(kk.imag) <= im[1] - im[0])
+    mins = (g == minimum_filter(g, size=5)) & (g < 0.5) & ~q0
     k = _newton_refine(kk[mins], sys)
     ok = ((_pole_residual(k, sys) <= RESIDUAL_TOL) & (k.imag < 0)
           & (1e-6 / L < k.real) & (k.real <= re[-1]))

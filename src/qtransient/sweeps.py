@@ -33,7 +33,7 @@ import numpy as np
 
 from .analysis import find_time_domain_resonance
 from .errors import NoCrossing, NonPositiveParameter
-from .propagator import DEFAULT_TOL, pole_cache
+from .propagator import DEFAULT_TOL, check_tol, pole_cache
 from .stationary import phase_time_delay
 from .systems import BarrierSystem, length_for_alpha, make_system
 
@@ -89,6 +89,8 @@ def _sweep(kind, fixed_params, values, peak, threads):
 def sweep_tmax_vs_L(L_grid, V, E, mass_ratio=1.0, tol=DEFAULT_TOL,
                     threads=1) -> SweepTable:
     """t_max at x = L for each barrier width; rows sorted by L."""
+    check_tol(tol)
+
     def peak(L):
         sys = make_system(V, E, L, mass_ratio)
         return find_time_domain_resonance(sys, tol=tol)
@@ -105,6 +107,7 @@ def sweep_freq_vs_x(x_grid, sys: BarrierSystem, tol=DEFAULT_TOL,
     so sharing it across threads leaves every row unchanged.
     """
     values = _sorted_grid(x_grid, "x")
+    check_tol(tol)
     cache = pole_cache(sys)
 
     def peak(x):
@@ -126,6 +129,7 @@ def sweep_freq_vs_alpha(alpha_grid, u, V_ref, mass_ratio=1.0, tol=DEFAULT_TOL,
     """Frequency ratio at the barrier edge versus opacity, at fixed u = V/E."""
     if u <= 1:
         raise NonPositiveParameter(f"u must be > 1 (tunneling), got {u}")
+    check_tol(tol)
 
     def peak(alpha):
         return _ratio_at_alpha(alpha, u, V_ref, mass_ratio, tol)
@@ -188,7 +192,7 @@ def _bisect(past, a0, a1):
 
 
 def opacity_window(u, V_ref, mass_ratio=1.0, alpha_span=(1.2, 6.0),
-                   sweep_tol=DEFAULT_TOL):
+                   tol=DEFAULT_TOL):
     """(alpha_c, alpha_u): the opacity interval of genuine tunneling forerunners.
 
     alpha_c is the critical opacity at which the transmission phase delay
@@ -196,7 +200,9 @@ def opacity_window(u, V_ref, mass_ratio=1.0, alpha_span=(1.2, 6.0),
     delay is positive and no transient peak forms at the barrier edge, above
     it the delay is negative and time-domain resonances become possible.
     alpha_u is where omega_av/omega_V at the peak crosses 1 (bisection on
-    the ratio).  Both to absolute tolerance ALPHA_TOL in alpha.
+    the ratio).  Both to absolute tolerance ALPHA_TOL in alpha.  The
+    delays are cheap and checked first: a span without a delay sign change
+    raises NoCrossing before any peak is searched.
     """
     if u <= 1:
         raise NonPositiveParameter(f"u must be > 1, got {u}")
@@ -205,16 +211,18 @@ def opacity_window(u, V_ref, mass_ratio=1.0, alpha_span=(1.2, 6.0),
         raise NonPositiveParameter(
             "alpha_span (--alpha-min, --alpha-max) must be finite with "
             f"0 < lo < hi, got ({lo}, {hi})")
+    check_tol(tol)
 
-    def probe(alpha):
-        return _ratio_at_alpha(alpha, u, V_ref, mass_ratio, sweep_tol)
+    def past_unit(alpha):
+        # a NaN ratio (no peak) counts as past the unit crossing
+        return not _ratio_at_alpha(alpha, u, V_ref, mass_ratio,
+                                   tol).omega_ratio < 1.0
 
     def delay(alpha):
         L = length_for_alpha(alpha, V_ref, mass_ratio)
         return phase_time_delay(make_system(V_ref, V_ref / u, L, mass_ratio))
 
     coarse = np.linspace(lo, hi, 13)
-    ratios = [probe(a).omega_ratio for a in coarse]   # NaN where no peak
 
     # sign change of the phase delay for alpha_c
     delays = [delay(a) for a in coarse]
@@ -225,11 +233,10 @@ def opacity_window(u, V_ref, mass_ratio=1.0, alpha_span=(1.2, 6.0),
     alpha_c = _bisect(lambda a: delay(a) <= 0.0,
                       coarse[flips[0]], coarse[flips[0] + 1])
 
-    # unit crossing of the ratio for alpha_u; a NaN ratio counts as past it
-    cross = [i for i in range(len(coarse) - 1)
-             if (ratios[i] < 1.0 <= ratios[i + 1])]
+    # unit crossing of the ratio for alpha_u
+    past = [past_unit(a) for a in coarse]
+    cross = [i for i in range(len(coarse) - 1) if past[i + 1] and not past[i]]
     if not cross:
         raise NoCrossing(f"no ratio=1 crossing for alpha in {alpha_span} at u={u}")
-    alpha_u = _bisect(lambda a: not probe(a).omega_ratio < 1.0,
-                      coarse[cross[-1]], coarse[cross[-1] + 1])
+    alpha_u = _bisect(past_unit, coarse[cross[-1]], coarse[cross[-1] + 1])
     return alpha_c, alpha_u

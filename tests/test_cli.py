@@ -148,11 +148,12 @@ def test_invalid_u_exits_2(capsys, command, u):
     assert "--u" in err
 
 
-@pytest.mark.parametrize("n", ["0", "-3"])
+@pytest.mark.parametrize("n", ["0", "-3", "3000"])
 def test_poles_bad_count_exits_2(capsys, n):
-    code, _, err = run(capsys, GAAS_FLAGS + ["poles", "--n", n])
-    assert code == 2
-    assert "--n" in err
+    # above the pole cap the table would silently stop at 2048 rows
+    code, out, err = run(capsys, GAAS_FLAGS + ["poles", "--n", n])
+    assert code == 2 and out == ""
+    assert "--n" in err and "2048" in err
 
 
 def test_scan_grid_checked_before_any_pole_sum(capsys):

@@ -11,7 +11,9 @@ Oracles:
   res T(k_n) = i u_n(0) u_n(L) exp(-i k_n L), with the residue computed
   independently from the derivative of the entire denominator function;
 * [DERIVED] the analytic Gamow normalization must agree with direct
-  Gauss-Legendre quadrature of u_n^2 plus the boundary term;
+  Gauss-Legendre quadrature of u_n^2 plus the boundary term, and, up to
+  n = 2047, with the normalization integral evaluated at 40 digits on an
+  mpmath-polished root;
 * [TRIVIAL] the vectorised expansion coefficients equal their per-pole
   closed forms;
 * [DERIVED] each mirror pole k_{-n} = -conj k_n, built as a pole of its
@@ -24,11 +26,11 @@ import cmath
 import numpy as np
 import pytest
 
-from qtransient import find_poles, make_system
+from qtransient import find_poles, make_system, resonances
 from qtransient.errors import CountMismatch, PoleNotConverged
 from qtransient.resonances import (RESIDUAL_TOL, PoleSet, _build_poles,
                                    audit_pole_count, expansion_coeffs,
-                                   find_axis_poles)
+                                   find_axis_poles, gamow_boundary_data)
 from qtransient.stationary import pole_function
 from qtransient.systems import length_for_alpha
 
@@ -131,17 +133,22 @@ def test_extension_matches_fresh_solve(gaas):
         assert _pole_data(chain.axis_poles) == _pole_data(fresh.axis_poles)
 
 
+def _mp_pole(mp, k, sys_):
+    """The pole nearest k, polished on D(k) at mpmath's working precision."""
+    v, L = mp.mpf(sys_.v_strength), mp.mpf(sys_.L)
+
+    def d(z):
+        q = mp.sqrt(z * z - v)
+        return ((z + q) ** 2 * mp.exp(-1j * q * L)
+                - (z - q) ** 2 * mp.exp(1j * q * L))
+    return mp.findroot(d, mp.mpc(k.real, k.imag))
+
+
 def _mp_root(k, sys_):
     """The pole nearest k, polished on D(k) at 40 digits."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(40):
-        v, L = mp.mpf(sys_.v_strength), mp.mpf(sys_.L)
-
-        def d(z):
-            q = mp.sqrt(z * z - v)
-            return ((z + q) ** 2 * mp.exp(-1j * q * L)
-                    - (z - q) ** 2 * mp.exp(1j * q * L))
-        return complex(mp.findroot(d, mp.mpc(k.real, k.imag)))
+        return complex(_mp_pole(mp, k, sys_))
 
 
 @pytest.mark.parametrize("alpha", [0.8, 1.2, 2.9, 6.0, 9.0])
@@ -157,6 +164,68 @@ def test_ladder_across_opacity_and_energy(alpha):
         for n in (1, 2, 17, 256):
             ref = _mp_root(k[n - 1], sys_)
             assert abs(k[n - 1] - ref) <= 1e-14 * abs(ref)
+
+
+def _mp_inv_sqrt_norm(k, sys_):
+    """1/sqrt of the Gamow norm, integral plus boundary term, summed term
+    by term at 40 digits on the mpmath-polished root nearest k."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        v, L = mp.mpf(sys_.v_strength), mp.mpf(sys_.L)
+        z = _mp_pole(mp, k, sys_)
+        q = mp.sqrt(z * z - v)
+        p_c, q_c = q - z, q + z
+        u_l = p_c * mp.exp(1j * q * L) + q_c * mp.exp(-1j * q * L)
+        norm = (p_c**2 * (mp.exp(2j * q * L) - 1) / (2j * q)
+                + q_c**2 * (1 - mp.exp(-2j * q * L)) / (2j * q)
+                + 2 * p_c * q_c * L + 1j * (4 * q * q + u_l**2) / (2 * z))
+        return complex(1 / mp.sqrt(norm))
+
+
+def test_gamow_normalization_against_mpmath(gaas, gaas_poles):
+    # the direct sum of the normalization integral cancels terms of size
+    # e^{2 |Im q| L} and lost up to 4e-10 here; the closed form on the pole
+    # equation keeps full precision.  The sign of sqrt is conventional.
+    ps = find_poles(gaas, 2048, audit=False, previous=gaas_poles)
+    for n in (1, 100, 1000, 2047):
+        got, ref = ps.poles[n - 1].inv_sqrt_norm, _mp_inv_sqrt_norm(
+            ps.poles[n - 1].k, gaas)
+        assert min(abs(got - ref), abs(got + ref)) <= 1e-12 * abs(ref)
+
+
+def test_gamow_normalization_is_stable_under_one_ulp(gaas, gaas_poles):
+    # one ulp in k_n moved inv_sqrt_norm by up to 1.9e-10 near n = 1100
+    ps = find_poles(gaas, 1110, audit=False, previous=gaas_poles)
+    k = np.array([p.k for p in ps.poles[1089:1110]])
+    base = gamow_boundary_data(k, gaas)[3]
+    for step in (np.inf, -np.inf):
+        for moved in (np.nextafter(k.real, step) + 1j * k.imag,
+                      k.real + 1j * np.nextafter(k.imag, step)):
+            got = gamow_boundary_data(moved, gaas)[3]
+            change = np.minimum(np.abs(got - base), np.abs(got + base))
+            assert np.all(change <= 1e-13 * np.abs(base))
+
+
+def test_low_zone_skips_the_removable_point(gaas, monkeypatch):
+    # g = |G|/scale dips to 0 next to k = sqrt v, where the scale diverges
+    # but G does not vanish; no such candidate may reach Newton
+    seen = []
+
+    def spy(k0, sys_, avoid=()):
+        seen.append(np.array(k0, dtype=complex, ndmin=1))
+        return newton(k0, sys_, avoid)
+
+    newton = resonances._newton_refine
+    monkeypatch.setattr(resonances, "_newton_refine", spy)
+    resonances._scan_low_zone(gaas)
+    s1 = resonances._seed(1, gaas)
+    cell_re = (s1.real + 0.75 * np.pi / gaas.L - 1e-3 / gaas.L) / 180
+    cell_im = (2.0 * abs(s1.imag) + 6.0 / gaas.L - 1e-4 / gaas.L) / 120
+    candidates = np.concatenate(seen)
+    assert candidates.size
+    near = ((np.abs(candidates.real - np.sqrt(gaas.v_strength)) <= cell_re)
+            & (np.abs(candidates.imag) <= cell_im))
+    assert not near.any()
 
 
 def _coeffs_one_by_one(x, poles, sys_):

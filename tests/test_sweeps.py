@@ -1,13 +1,17 @@
 """Parameter sweeps: ordering invariance, basin/suffix detectors, windows."""
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from qtransient import (detect_basin, linear_suffix, make_system,
-                        opacity_window, sweep_freq_vs_alpha, sweep_freq_vs_x,
-                        sweep_tmax_vs_L)
+from qtransient import (analysis, detect_basin, find_time_domain_resonance,
+                        linear_suffix, make_system, opacity_window,
+                        psi_external, psi_internal, sweep_freq_vs_alpha,
+                        sweep_freq_vs_x, sweep_tmax_vs_L, sweeps, trace)
 from qtransient.errors import NoCrossing, NonPositiveParameter
-from qtransient.sweeps import SweepRow, SweepTable
+from qtransient.sweeps import ALPHA_TOL, SweepRow, SweepTable
 
 
 def test_grid_permutation_is_a_noop():
@@ -68,7 +72,48 @@ def test_sweep_validation(gaas):
         sweep_tmax_vs_L([4.0, 5.0, -1.0], 0.3, 0.001, 0.067, threads=2)
 
 
-def test_opacity_window_needs_a_bracket():
-    # below alpha ~ 2 the phase delay never changes sign
-    with pytest.raises(NoCrossing):
+def _no_probe(*args, **kwargs):
+    raise AssertionError("a peak search or pole sum ran")
+
+
+def test_opacity_window_needs_a_bracket(monkeypatch):
+    # below alpha ~ 2 the phase delay never changes sign; the delays are
+    # checked before any peak search runs
+    monkeypatch.setattr(sweeps, "find_time_domain_resonance", _no_probe)
+    with pytest.raises(NoCrossing, match="delay"):
         opacity_window(300.0, 0.3, mass_ratio=0.067, alpha_span=(1.3, 1.9))
+
+
+def test_opacity_window_counts_no_peak_as_past_the_unit_crossing(monkeypatch):
+    # the coarse scan and the bisection share one predicate: a ratio that
+    # is not below 1, NaN (no peak) included, is past the crossing
+    def peak(sys_, tol):
+        ratio = 0.5 if sys_.alpha < 3.0 else math.nan
+        return SimpleNamespace(omega_ratio=ratio)
+
+    monkeypatch.setattr(sweeps, "find_time_domain_resonance", peak)
+    alpha_c, alpha_u = opacity_window(300.0, 0.3, mass_ratio=0.067)
+    assert abs(alpha_c - 2.0653) < 0.01
+    assert abs(alpha_u - 3.0) <= ALPHA_TOL
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0, math.inf])
+def test_tol_checked_where_it_enters(gaas, gaas_cache, monkeypatch, bad):
+    # rejected as bad input before any pole sum, peak search or delay runs
+    for module, name in ((sweeps, "find_time_domain_resonance"),
+                         (sweeps, "pole_cache"), (sweeps, "phase_time_delay"),
+                         (analysis, "pole_cache"), (analysis, "trace")):
+        monkeypatch.setattr(module, name, _no_probe)
+    calls = (
+        lambda: trace(2.0, np.array([1.0]), gaas, poles=gaas_cache, tol=bad),
+        lambda: psi_internal(2.0, 1.0, gaas, poles=gaas_cache, tol=bad),
+        lambda: psi_external(6.0, 1.0, gaas, poles=gaas_cache, tol=bad),
+        lambda: find_time_domain_resonance(gaas, tol=bad),
+        lambda: sweep_tmax_vs_L([4.0], 0.3, 0.001, 0.067, tol=bad),
+        lambda: sweep_freq_vs_x([2.0], gaas, tol=bad),
+        lambda: sweep_freq_vs_alpha([3.0], 300.0, 0.3, 0.067, tol=bad),
+        lambda: opacity_window(300.0, 0.3, 0.067, tol=bad),
+    )
+    for call in calls:
+        with pytest.raises(NonPositiveParameter, match="tol="):
+            call()
