@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import AmplitudeUnderflow, NotConverged, WindowTooNarrow
 from .propagator import DEFAULT_TOL, check_tol, check_x, pole_cache, trace
@@ -163,6 +162,9 @@ def find_time_domain_resonance(sys: BarrierSystem, x=None, t_window=None,
         w = trace(x, np.array([t]), sys, poles=cache, tol=tol)
         return float(np.real(w.dpsi_dt[0] / w.psi[0]))
 
+    # deferred: importing scipy.optimize takes about 0.1 s, which commands
+    # that never polish a peak need not pay at start-up
+    from scipy.optimize import brentq
     lo, hi = grid[i - 1], grid[i + 1]
     f_lo, f_hi = envelope_rate(lo), envelope_rate(hi)
     if f_lo <= 0.0 or f_hi >= 0.0:

@@ -97,7 +97,7 @@ class PoleCollision(NumericalError):
 
 
 class NotConverged(NumericalError):
-    """Resonance sum still above tolerance at the hard pole cap."""
+    """Resonance sum that cannot meet its tolerance within the pole cap."""
 
 
 class NoCrossing(NumericalError):

@@ -24,14 +24,45 @@ they are also the unique pair consistent with the transmission-pole residue
 identity res T(k_n) = i u_n(0) u_n(L) e^{-i k_n L}, which this package
 verifies numerically in its test suite.
 
-The pole sums converge slowly (oscillatory O(1/n) tails) in the internal
-region; partial sums over (+n, -n) pairs, of Psi and dPsi/dt in one table,
-are extrapolated with the Wynn epsilon algorithm, and pole blocks are doubled
-until the extrapolated value is stable to the requested tolerance.
+Closing the pole sums.  Write M(x,q) = (1/2) e^{i a^2/t} w(z) with
+z = e^{i pi/4} s (k_c - q), s = sqrt(c2 t/hbar), k_c = hbar x/(2 c2 t) and
+a = x sqrt(hbar/4 c2) (internally x = 0, so k_c = 0 and the phase is 1).
+The first N poles, their mirrors and any antibound poles are summed term by
+term.  Every later pole has a large |z|, where (Abramowitz & Stegun 7.1.23)
+
+    w(z) ~ 2 e^{-z^2} [Im z < 0] + i/(sqrt(pi) z) sum_{j<=J} (2j-1)!!/(2z^2)^j,
+
+so their share of the sum is sum_j alpha_j(t) mu_{2j+1} with the moments
+mu_m = sum_q c_q/(k_c - q)^m of the omitted poles, plus the damped resonance
+exponentials c_q e^{iqx - i c2 q^2 t/hbar} of those with Im z < 0.  Over
+every pole the first moment is a closed form, the Mittag-Leffler expansion
+of the stationary amplitude f (T outside, Phi(x, .) inside):
+
+    sum_q c_q/(c - q) = f(k)/(c - k) - f(-k)/(c + k) + 2k f(c)/(k^2 - c^2),
+
+and the higher moments are its Taylor coefficients.  Inside, k_c = 0 for
+every t: a Cauchy integral of this form minus the exact poles, on a ring
+inside the first omitted pole, gives every moment once per call.  Outside,
+a small Cauchy circle around each k_c gives mu_1 .. mu_{2J+1} of all poles,
+from which the exact poles' share is subtracted; mu_{2J+2}, which only
+dPsi/dt needs, converges fast and is summed directly over a pool of the
+next poles, which also carries the exponentials.
+
+Both counts are set before any sum, for an absolute target of tol * _AIM
+times the stationary amplitude |f(k)|; times whose |Psi| turns out far
+below |f(k)| are summed once more, sized from |Psi|.  The pool is sized at
+the earliest time, where |z| of every omitted pole is smallest: it doubles
+until what lies beyond it is within half the target and it holds twice the
+exact poles that time needs.  Each time then takes the least N whose first
+omitted series term, bounded pole by pole, is within the other half,
+rounded up to a power of two.  The two halves, relative to |Psi|, are each
+point's trunc_error_est.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 import threading
 from dataclasses import dataclass
 
@@ -42,12 +73,27 @@ from .errors import (NonPositiveParameter, NonPositiveTime, NotConverged,
 from .moshinsky import moshinsky_m_dt
 from .resonances import PoleSet, expansion_coeffs, find_poles
 from .stationary import phi_stationary, transmission
+from .systems import HBAR_EV_FS as HBAR
 from .systems import BarrierSystem
 
 DEFAULT_TOL = 1e-8
 HARD_CAP = 2048
 _BLOCK = 8
-_WYNN_WIDTH = 25
+_POOL = 32          # first pool size; it doubles from here as needed
+_ORDER = {True: 3, False: 1}   # J, the last series term kept: inside, outside
+_Z_MIN = 3.0        # least s (Re q - k_c) of an omitted pole
+# Sums are sized for tol * _AIM where the cap allows.  The tail error falls
+# steeply with N, so the margin costs few poles (97 -> 111 at the earliest
+# time of a GaAs edge scan), and it keeps dPsi/dt, and with it omega_av and
+# t_max, inside tol.
+_AIM = 1e-3
+_RING = 64          # Cauchy nodes of the internal moments
+_ARC = 16           # Cauchy nodes around each external k_c
+# Most radius x L of the internal ring: a wider ring passes near more exact
+# poles, whose cancelling terms cost digits (3e-12 at 300 / L, alpha = 1).
+_RING_MAX = 20.0
+_DFACT = (1, 1, 3, 15, 105)    # (2j - 1)!!
+_C0 = 0.5j * cmath.exp(-0.25j * math.pi) / math.sqrt(math.pi)
 SMALL_T_GUARD = 1e-4  # fs; below this the released wave has not reached x > 0
 
 
@@ -63,7 +109,14 @@ class WaveSample:
 
 @dataclass(frozen=True)
 class WaveTrace:
-    """Psi(x, t) on a fixed-x time grid, with analytic time derivatives."""
+    """Psi(x, t) on a fixed-x time grid, with analytic time derivatives.
+
+    n_terms_used counts the Moshinsky terms summed exactly at the time
+    that needs the most, as a rule the earliest: the two incident ones, the
+    N exact poles with their mirrors, and any antibound poles.
+    trunc_error_est is each point's estimated error of the closed-form
+    tail, relative to |Psi|.
+    """
 
     x: float
     times: np.ndarray
@@ -96,9 +149,8 @@ class _PoleCache:
     the first n poles do not depend on how far the list has been extended,
     so one cache serves any number of positions and threads.  The cache
     keeps no per-position state and no mirror poles: each trace computes
-    the expansion coefficients of the poles it sums, cheap closed forms,
-    and takes the mirror terms from symmetry.  A lock guards every
-    extension.
+    the expansion coefficients of its pool, cheap closed forms, and takes
+    the mirror terms from symmetry.  A lock guards every extension.
     """
 
     def __init__(self, sys: BarrierSystem, base: PoleSet | None = None):
@@ -115,46 +167,219 @@ class _PoleCache:
             return self.poleset.poles[:n]
 
 
-def _wynn_tail(partials, width=_WYNN_WIDTH):
-    """Wynn epsilon extrapolation of the trailing partial sums.
+def _scales(x_arg, t, c2):
+    """(s, k_c, a^2/t) of the Moshinsky argument at times t."""
+    return (np.sqrt(c2 * t / HBAR), HBAR * x_arg / (2.0 * c2 * t),
+            HBAR * x_arg * x_arg / (4.0 * c2 * t))
 
-    The pole-sum tail is a superposition of a few slowly decaying oscillatory
-    modes exp(i n pi x / L)/n; the epsilon algorithm annihilates such modes
-    exactly, reaching the limit from a few dozen terms where direct summation
-    would need tens of thousands.  A vanishing denominator flags a column
-    that has already converged: its entry becomes NaN, which the recurrence
-    carries into every entry built from it, and the value is frozen at the
-    last even column whose final entry is not NaN.  Returns the extrapolated
-    value per leading axis.
 
-    Every leading index is extrapolated on its own, so independent series
-    (psi and dpsi/dt) stack into one table and one pass.  The table keeps
-    its columns along the first axis, so each column is one contiguous
-    block, and the recurrence eps_{j+1} = eps_{j-1} + 1/(eps_j[1:] -
-    eps_j[:-1]) runs in place: each new column overwrites the one two
-    steps back.
+def _alpha(j, s, phase):
+    """Weight alpha_j(t) of mu_{2j+1} in the large-|z| form of a pole sum."""
+    return _C0 * _DFACT[j] * (-0.5j) ** j * phase / s ** (2 * j + 1)
+
+
+def _resolvent(c, f_c, f_k, k):
+    """sum_q c_q/(c - q) over every pole, mirrors and antibound included."""
+    return (f_k[0] / (c - k) - f_k[1] / (c + k)
+            + 2.0 * k * f_c / (k * k - c * c))
+
+
+def _bound(kc, q, c, m):
+    """sum_n |c_n| (|kc - q_n|^-m + |kc + conj q_n|^-m) per pole n, (T, n)."""
+    return np.abs(c) * (np.abs(kc[:, None] - q) ** -m
+                        + np.abs(kc[:, None] + q.conj()) ** -m)
+
+
+def _beyond(coefs, kn, s, kc):
+    """Estimated sum of the damped exponentials past the pool, per time.
+
+    |c| e^{-2 s^2 (Re q - k_c) |Im q|} falls off faster than geometrically
+    once Re q > k_c; the remainder is taken geometric from the last two
+    pool poles, and infinite while they do not yet fall.
     """
-    w = min(width, partials.shape[-1])
-    lead = partials.shape[:-1]
-    e_curr = np.array(np.moveaxis(partials[..., -w:], -1, 0), dtype=complex,
-                      order="C")
-    e_prev = np.zeros((w + 1,) + lead, dtype=complex)
-    best = e_curr[-1].copy()
-    inv_d = np.empty((max(w - 1, 0),) + lead, dtype=complex)
-    col = 0
-    # 1/NaN raises the invalid flag; here it only marks converged entries
-    with np.errstate(invalid="ignore"):
-        for m in range(w, 1, -1):  # m: length of the current column
-            d = inv_d[:m - 1]
-            np.subtract(e_curr[1:], e_curr[:-1], out=d)
-            d[np.abs(d) <= 1e-305] = np.nan
-            np.divide(1.0, d, out=d)
-            e_prev[1:m] += d
-            e_prev, e_curr = e_curr, e_prev[1:m]
-            col += 1
-            if col % 2 == 0:
-                best = np.where(np.isnan(e_curr[-1]), best, e_curr[-1])
-    return best
+    ahead = kn[-2:].real - kc[:, None]
+    damp = np.abs(coefs[-2:]) * np.exp(
+        2.0 * s[:, None] ** 2 * np.maximum(ahead, 0.0) * kn[-2:].imag)
+    ratio = damp[:, 1] / np.maximum(damp[:, 0], 1e-300)
+    return np.divide(damp[:, 1] * ratio, 1.0 - ratio,
+                     out=np.full(len(s), np.inf),
+                     where=(ratio < 1.0) & (ahead[:, 0] > 0.0))
+
+
+def _omitted(s, kc, kn, coefs, J):
+    """(weight, later): the first omitted series term, bounded pole by pole
+    over the pool, is weight[i] * later[i, n] at time i when the poles from
+    n on are left to the series; later has P + 1 columns.
+
+    Inside, k_c = 0 at every time, so later has one row for all times.
+    """
+    rows = kc[:1] if not np.any(kc) else kc
+    bound = _bound(rows, kn, coefs, 2 * J + 3)
+    later = np.zeros((len(rows), len(kn) + 1))
+    later[:, :-1] = np.cumsum(bound[:, ::-1], axis=1)[:, ::-1]
+    return np.abs(_alpha(J + 1, s, 1.0)), later
+
+
+def _exact_count(weight, later, s, kc, kn, target):
+    """Least exact-pole count per time whose omitted term is within target,
+    and never short of a pole with Re q below k_c + _Z_MIN / s."""
+    return np.maximum(np.sum(later > (target / weight)[:, None], axis=1),
+                      np.searchsorted(kn.real, kc + _Z_MIN / s))
+
+
+def _size(x, s0, kc0, sys, cache, internal, tol, scale):
+    """(coefs, kn): the pole pool and its coefficients for times from the
+    one with scale s0 and centre kc0 (1-element arrays) on.
+
+    The pool starts at _POOL poles and doubles until it holds twice the
+    exact poles that time needs and its remainder is within half the
+    absolute target tol * _AIM * scale; the omitted series term takes the
+    other half.  At the cap the target relaxes to tol * scale before
+    NotConverged is raised.
+    """
+    J = _ORDER[internal]
+    coefs = kn = np.zeros(0, dtype=complex)
+    p = _POOL
+    while True:
+        c_new, k_new = expansion_coeffs(x, sys.k, cache.poles(p)[len(kn):],
+                                        sys, internal)
+        coefs, kn = np.concatenate((coefs, c_new)), np.concatenate((kn, k_new))
+        weight, later = _omitted(s0, kc0, kn, coefs, J)
+        rem = _beyond(coefs, kn, s0, kc0)[0]
+        for target in ((tol * _AIM * scale, tol * scale) if p >= HARD_CAP
+                       else (tol * _AIM * scale,)):
+            n = int(_exact_count(weight, later, s0, kc0, kn, 0.5 * target)[0])
+            if 2 * n <= p and rem <= 0.5 * target:
+                return coefs, kn
+        if p >= HARD_CAP:
+            n = min(n, p // 2)
+            est = (weight[0] * later[0, n] + rem) / scale
+            t0 = HBAR * s0[0] ** 2 / sys.c2
+            raise NotConverged(
+                f"pole sum at x={float(x)} cannot reach tol={tol:.1e} within "
+                f"{HARD_CAP} poles (cap {HARD_CAP}): worst t={t0:.6g} fs, "
+                f"error estimate {est:.1e} with N={n} exact poles")
+        p = min(2 * p, HARD_CAP)
+
+
+def _moments(kc, head, tail, f, f_k, sys, J, internal):
+    """mu_1 .. mu_{2J+2} of the omitted poles at each k_c, shape (2J+2, T).
+
+    head and tail are (q, c) arrays of the exact and omitted pool poles,
+    mirrors included.  Inside, one ring of radius half the least omitted
+    |q| carries the closed form minus the exact poles, which leaves a
+    function analytic inside the ring whose Taylor coefficients are the
+    omitted moments.  Outside, a circle of radius one eighth of the
+    distance to the nearest pole, kept clear of the removable points
+    c = +-k, gives mu_1 .. mu_{2J+1} of all poles, and the exact poles'
+    share is subtracted; mu_{2J+2}, which only dPsi/dt uses, is summed
+    directly over the pool.
+    """
+    (hq, hc), (tq, tc) = head, tail
+    k = sys.k
+    if internal:
+        r = min(0.5 * np.min(np.abs(tq)), _RING_MAX / sys.L)
+        theta = 2.0 * math.pi * (np.arange(_RING) + 0.5) / _RING
+        c = r * np.exp(1j * theta)
+        g = _resolvent(c, f(c), f_k, k) - (1.0 / (c[:, None] - hq)) @ hc
+        # Taylor coefficient a_m = mean g c^-m; mu_{m+1} = (-1)^m a_m
+        m = np.arange(2 * J + 2)
+        mu = np.exp(-1j * np.outer(m, theta)) @ g / (_RING * (-r) ** m)
+        return np.repeat(mu[:, None], len(kc), axis=1)
+    d_head = kc[:, None] - hq
+    d_tail = kc[:, None] - tq
+    near = np.minimum(np.min(np.abs(d_head), axis=1, initial=np.inf),
+                      np.min(np.abs(d_tail), axis=1))
+    r = near / 8.0
+    # the closed form cancels near c = +-k: keep every node r from them
+    dk = np.minimum(np.abs(kc - k), kc + k)
+    r = np.where((dk >= 0.5 * r) & (dk <= 2.0 * r), 0.5 * dk, r)
+    theta = 2.0 * math.pi * (np.arange(_ARC) + 0.5) / _ARC
+    c = kc[:, None] + r[:, None] * np.exp(1j * theta)
+    circle = _resolvent(c, f(c), f_k, k)
+    inv_h = 1.0 / d_head
+    mu, power = [], np.ones_like(inv_h)
+    for m in range(2 * J + 1):
+        power = power * inv_h
+        mu.append(np.mean(circle * np.exp(-1j * m * theta), axis=1)
+                  / (-r) ** m - power @ hc)
+    mu.append((1.0 / d_tail) ** (2 * J + 2) @ tc)
+    return np.array(mu)
+
+
+def _sum_at(n, x, t, coefs, kn, axis, f, f_k, sys, internal):
+    """sum_q c_q M(q) and its time derivative with n exact poles."""
+    J = _ORDER[internal]
+    c2 = sys.c2
+    x_arg = 0.0 if internal else x
+    mirror_c, mirror_k = -coefs.conj(), -kn.conj()
+    # antibound poles are their own mirrors: each enters once, always exact
+    head = (np.concatenate((kn[:n], mirror_k[:n], axis[1])),
+            np.concatenate((coefs[:n], mirror_c[:n], axis[0])))
+    tail = (np.concatenate((kn[n:], mirror_k[n:])),
+            np.concatenate((coefs[n:], mirror_c[n:])))
+    m, dm = _moshinsky_block(x_arg, head[0], t, c2)
+    total, dtotal = m @ head[1], dm @ head[1]
+    del m, dm
+
+    s, kc, a2t = _scales(x_arg, t, c2)
+    phase = np.exp(1j * a2t)
+    mu = _moments(kc, head, tail, f, f_k, sys, J, internal)
+    for j in range(J + 1):
+        al = _alpha(j, s, phase)
+        total += al * mu[2 * j]
+        # d alpha_j/dt = alpha_j (-i a^2/t - j - 1/2)/t and
+        # d mu_m/dt = m mu_{m+1} k_c/t
+        dtotal += al / t * ((-1j * a2t - j - 0.5) * mu[2 * j]
+                            + (2 * j + 1) * kc * mu[2 * j + 1])
+
+    # damped exponentials of the pool's omitted poles with Im z < 0, up to
+    # the last one that does not underflow (exp < -745) at the earliest time
+    kt, ct = kn[n:], coefs[n:]
+    i0 = int(np.argmin(t))
+    live = np.flatnonzero(2.0 * s[i0] ** 2 * (kt.real - kc[i0]) * kt.imag
+                          > -745.0)
+    last = live[-1] + 1 if live.size else 0
+    kt, ct = kt[:last], ct[:last]
+    rate = -1j * (c2 / HBAR) * kt * kt
+    e = np.multiply.outer(t, rate)
+    e += 1j * kt * x_arg
+    e[kt.real + kt.imag <= kc[:, None]] = -1e3    # Im z >= 0: no term
+    np.exp(e, out=e)
+    total += e @ ct
+    dtotal += e @ (rate * ct)
+    return total, dtotal
+
+
+def _pole_sum(x, t, sys, cache, internal, f, f_k, tol, scale):
+    """sum_q c_q M(q) and its time derivative over every pole, at times t.
+
+    Each time gets the least exact-pole count that meets the absolute
+    target tol * _AIM * scale, rounded up to a power of two so that few
+    distinct sums run; the pool is sized at the earliest time, which needs
+    the most.  Returns (sum, dsum, est, n): est is the absolute error
+    estimate per time and n the largest count.
+    """
+    J = _ORDER[internal]
+    s, kc, _ = _scales(0.0 if internal else x, t, sys.c2)
+    i0 = [int(np.argmin(t))]
+    coefs, kn = _size(x, s[i0], kc[i0], sys, cache, internal, tol, scale)
+    weight, later = _omitted(s, kc, kn, coefs, J)
+    need = _exact_count(weight, later, s, kc, kn, 0.5 * tol * _AIM * scale)
+    level = np.minimum(2 ** np.ceil(np.log2(np.maximum(need, 1))).astype(int),
+                       min(need.max(), len(kn) // 2))
+    axis = cache.poleset.axis_poles
+    axis = (expansion_coeffs(x, sys.k, axis, sys, internal) if axis
+            else (np.zeros(0, dtype=complex),) * 2)
+    total = np.empty(len(t), dtype=complex)
+    dtotal = np.empty(len(t), dtype=complex)
+    for n in np.unique(level):
+        rows = np.flatnonzero(level == n)
+        total[rows], dtotal[rows] = _sum_at(int(n), x, t[rows], coefs, kn,
+                                            axis, f, f_k, sys, internal)
+    est = (weight * later[np.arange(len(t)) % len(later), level]
+           + _beyond(coefs, kn, s, kc))
+    return total, dtotal, est, int(level.max())
 
 
 def _assemble(x, t_grid, sys, poles, tol, internal):
@@ -168,107 +393,45 @@ def _assemble(x, t_grid, sys, poles, tol, internal):
     k = sys.k
     x_arg = 0.0 if internal else x
 
-    if internal:
-        c_plus = complex(phi_stationary(x, k, sys))
-        c_minus = complex(phi_stationary(x, -k, sys))
-    else:
-        c_plus = transmission(k, sys)
-        c_minus = transmission(-k, sys)
+    def f(c):
+        return phi_stationary(x, c, sys) if internal else transmission(c, sys)
+
+    f_k = f(np.array([k, -k]))
     m_inc, dm_inc = _moshinsky_block(x_arg, np.array([k, -k]), t_grid, sys.c2)
-    head = c_plus * m_inc[:, 0] - c_minus * m_inc[:, 1]
-    dhead = c_plus * dm_inc[:, 0] - c_minus * dm_inc[:, 1]
-
-    # antibound (imaginary-axis) poles are self-conjugate under the mirror
-    # map and enter the sum exactly once; being few and slowly damped they
-    # are folded into the head rather than the accelerated tail
-    axis = cache.poleset.axis_poles
-    if axis:
-        a_coefs, a_ks = expansion_coeffs(x, k, axis, sys, internal)
-        m_ax, dm_ax = _moshinsky_block(x_arg, a_ks, t_grid, sys.c2)
-        head = head - m_ax @ a_coefs
-        dhead = dhead - dm_ax @ a_coefs
-
-    live = t_grid >= SMALL_T_GUARD
-    t_live = t_grid[live]
-    n_live = len(t_live)
-    s_out = np.zeros(n_live, dtype=complex)
-    d_out = np.zeros(n_live, dtype=complex)
-    err_out = np.zeros(n_live)
-    active = np.ones(n_live, dtype=bool)
-
-    n_pos = 2 * _BLOCK if n_live else 0
-    rounds = 0
-    diff_hist = np.zeros(n_live)
-    # pair-summed pole terms already evaluated, one row per active point;
-    # each doubling round evaluates only the poles it adds
-    terms = np.zeros((n_live, 0), dtype=complex)
-    dterms = np.zeros((n_live, 0), dtype=complex)
-    while n_live and active.any():
-        coefs, kn = expansion_coeffs(x, k, cache.poles(n_pos)[terms.shape[1]:],
-                                     sys, internal)
-        n_new = len(kn)
-        m, dm = _moshinsky_block(x_arg, np.concatenate((kn, -kn.conj())),
-                                 t_live[active], sys.c2)
-        # pair column n: c_n M(k_n) + c_{-n} M(k_{-n}), c_{-n} = -conj c_n
-        cc = coefs.conj()
-        terms = np.hstack((terms, coefs * m[:, :n_new] - cc * m[:, n_new:]))
-        dterms = np.hstack((dterms, coefs * dm[:, :n_new] - cc * dm[:, n_new:]))
-        del m, dm
-        # at symmetry points (e.g. x = L/2) alternate Gamow terms vanish,
-        # leaving near-repeated partial sums that destabilize the epsilon
-        # table; drop negligible pair columns before accumulating
-        col = np.max(np.abs(terms), axis=0)
-        dcol = np.max(np.abs(dterms), axis=0)
-        keep = (col > 1e-14 * col.max()) | (dcol > 1e-14 * dcol.max())
-        kept, dkept = ((terms, dterms) if keep.all()
-                       else (terms[:, keep], dterms[:, keep]))
-        # psi and dpsi/dt share one epsilon table.  The first round only
-        # seeds the doubling difference: no point can pass on it, so its
-        # dpsi/dt would be thrown away.
-        vals = _wynn_tail(np.stack(
-            [np.cumsum(c, axis=1)[:, -_WYNN_WIDTH:]
-             for c in ((kept,) if rounds == 0 else (kept, dkept))]))
-        s_val = vals[0]
-        rel_err = np.full(s_val.shape, np.inf)
-        if rounds:
-            # The error is judged by the change across block doublings: if
-            # successive changes shrink by a factor r, the remaining error
-            # is ~ diff/(r - 1); after one doubling diff_hist is still 0, so
-            # r = 2 and the error is diff itself.  Every point still active
-            # has been through every doubling, so per-point history stays
-            # aligned as converged points retire.
-            diff = np.abs(s_val - s_out[active])
-            r = np.clip(diff_hist[active] / np.maximum(diff, 1e-300), 2.0, 64.0)
-            scale = np.maximum(np.abs(head[live][active] - s_val), 1e-300)
-            rel_err = diff / (r - 1.0) / scale
-            diff_hist[active] = diff
-            d_out[active] = vals[1]
-        s_out[active] = s_val
-        err_out[active] = rel_err
-        done = rel_err <= tol
-        if done.all() or n_pos >= HARD_CAP:
-            break
-        idx = np.flatnonzero(active)
-        active[idx[done]] = False
-        if done.any():
-            terms, dterms = terms[~done], dterms[~done]
-        n_pos = min(2 * n_pos, HARD_CAP)
-        rounds += 1
-    if np.any(err_out > tol):
-        worst = int(np.argmax(err_out))
-        raise NotConverged(
-            f"pole sum at x={float(x)} above tol={tol:.1e} at "
-            f"{int(np.sum(err_out > tol))} of {n_live} time points with "
-            f"{n_pos} positive poles (cap {HARD_CAP}); worst "
-            f"t={t_live[worst]:.6g} fs, error estimate {err_out[worst]:.1e}")
+    head = m_inc @ (f_k * [1.0, -1.0])
+    dhead = dm_inc @ (f_k * [1.0, -1.0])
 
     psi = np.zeros(t_grid.shape, dtype=complex)
     dpsi = np.zeros(t_grid.shape, dtype=complex)
     err = np.zeros(t_grid.shape)
-    psi[live] = head[live] - s_out
-    dpsi[live] = dhead[live] - d_out
-    err[live] = err_out
-    return psi, dpsi, 2 * n_pos + 2, err
+    n_poles = 0
+    live = np.flatnonzero(t_grid >= SMALL_T_GUARD)
+    if live.size:
+        t = t_grid[live]
+        # size the sums against the stationary amplitude; points whose |psi|
+        # lies so far below it that they miss tol are summed once more,
+        # sized from |psi|
+        total, dtotal, est, n_poles = _pole_sum(
+            x, t, sys, cache, internal, f, f_k, tol, abs(f_k[0]))
+        p = head[live] - total
+        redo = np.flatnonzero(est > tol * np.abs(p))
+        if redo.size:
+            floor = max(float(np.min(np.abs(p[redo]))), 1e-300)
+            total[redo], dtotal[redo], est[redo], n_redo = _pole_sum(
+                x, t[redo], sys, cache, internal, f, f_k, tol, 0.5 * floor)
+            p[redo] = head[live][redo] - total[redo]
+            n_poles = max(n_poles, n_redo)
+        rel = est / np.maximum(np.abs(p), 1e-300)
+        if np.any(rel > tol):
+            worst = int(np.argmax(rel))
+            raise NotConverged(
+                f"pole sum at x={float(x)} above tol={tol:.1e} at "
+                f"{int(np.sum(rel > tol))} of {len(t)} time points; worst "
+                f"t={t[worst]:.6g} fs, error estimate {rel[worst]:.1e} "
+                f"with N={n_poles} exact poles")
+        psi[live], dpsi[live], err[live] = p, dhead[live] - dtotal, rel
+    n_axis = len(cache.poleset.axis_poles)
+    return psi, dpsi, 2 + 2 * n_poles + n_axis, err
 
 
 def check_x(x):
@@ -292,7 +455,7 @@ def trace(x, t_grid, sys: BarrierSystem, poles=None,
     (identical at x = L up to truncation).  `poles` may be a pole cache to
     share between traces on this system, or a PoleSet to start one from;
     either is extended on demand.  Only the poles are shared: each trace
-    computes the expansion coefficients of the poles it sums.
+    computes the expansion coefficients of its pole pool.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) == 0 or not np.isfinite(t_grid).all() \

@@ -117,16 +117,17 @@ def phi_stationary(x, k, sys: BarrierSystem):
     """Internal stationary wavefunction Phi_k(x) on 0 <= x <= L.
 
     Matched so that Phi_k(0) = 1 + R_k and Phi_k(L) = T_k exp(ikL).  Accepts
-    complex k; x may be an array.  Exponentials are organized around x - L so
-    that for E < V every magnitude is bounded by the dominant barrier scale.
+    complex k; x and k may be arrays, which broadcast.  Exponentials are
+    organized around x - L so that for E < V every magnitude is bounded by
+    the dominant barrier scale.
     """
     x_arr = np.asarray(x, dtype=float)
     if np.any((x_arr < 0) | (x_arr > sys.L * (1 + 1e-12))):
         raise XOutOfRange("phi_stationary requires 0 <= x <= L")
-    k_c = complex(k)
-    q = complex(_q_of_k(k_c, sys.v_strength))
+    k_c = np.asarray(k, dtype=complex)
+    q = _q_of_k(k_c, sys.v_strength)
     t = transmission(k_c, sys)
-    pref = t * cmath.exp(1j * k_c * sys.L) / (2 * q)
+    pref = t * np.exp(1j * k_c * sys.L) / (2 * q)
     val = pref * ((q + k_c) * np.exp(1j * q * (x_arr - sys.L))
                   + (q - k_c) * np.exp(-1j * q * (x_arr - sys.L)))
     return val if val.shape else complex(val)

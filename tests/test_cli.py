@@ -1,4 +1,9 @@
-"""End-to-end CLI: output contract, precedence, and exit codes."""
+"""End-to-end CLI: output contract, precedence, exit codes and start-up."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,9 +184,10 @@ def test_window_bad_alpha_span_exits_2(capsys, recwarn, span):
 
 
 def test_nonconvergence_exits_3(capsys):
-    # next to the shutter 2048 poles do not reach the default tolerance
+    # next to the shutter, 1e-3 fs after release, 2048 poles do not reach
+    # the default tolerance
     code, _, err = run(capsys, GAAS_FLAGS + ["evolve", "--x", "0.05",
-                                             "--tmin", "0.5", "--tmax", "1",
+                                             "--tmin", "0.001", "--tmax", "1",
                                              "--steps", "3"])
     assert code == 3
     assert "error:" in err and "cap 2048" in err
@@ -243,3 +249,17 @@ def test_non_finite_x_or_time_exits_2_naming_it(capsys, recwarn, argv, named):
     assert code == 2 and out == ""
     assert named in err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # the peak polish imports scipy.optimize when it first runs, so the
+    # commands that never polish do not pay for it at start-up
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    probe = "import sys, qtransient.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
