@@ -21,6 +21,7 @@ omega_av < omega_V = V/hbar at its peak.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -117,6 +118,12 @@ def default_window(sys: BarrierSystem, x=None):
     return lo, hi
 
 
+def _envelope_rate(t, sample):
+    """Re[(dPsi/dt)/Psi] at time t, which crosses zero at a peak of |Psi|."""
+    w = sample(t)
+    return float(np.real(w.dpsi_dt[0] / w.psi[0]))
+
+
 def find_time_domain_resonance(sys: BarrierSystem, x=None, t_window=None,
                                tol=DEFAULT_TOL, poles=None):
     """Locate the transient peak of |Psi(x, t)|^2.
@@ -158,25 +165,29 @@ def find_time_domain_resonance(sys: BarrierSystem, x=None, t_window=None,
         return absent
     i = int(idx[0]) + 1
 
-    def envelope_rate(t):
-        w = trace(x, np.array([t]), sys, poles=cache, tol=tol)
-        return float(np.real(w.dpsi_dt[0] / w.psi[0]))
+    # each time is traced once: brentq evaluates the bracket ends again and
+    # returns a time it has evaluated
+    sample = functools.lru_cache(maxsize=None)(
+        lambda t: trace(x, np.array([t]), sys, poles=cache, tol=tol))
 
     # deferred: importing scipy.optimize takes about 0.1 s, which commands
     # that never polish a peak need not pay at start-up
     from scipy.optimize import brentq
     lo, hi = grid[i - 1], grid[i + 1]
-    f_lo, f_hi = envelope_rate(lo), envelope_rate(hi)
+    f_lo, f_hi = _envelope_rate(lo, sample), _envelope_rate(hi, sample)
     if f_lo <= 0.0 or f_hi >= 0.0:
         # shallow discrete maximum: widen once; if the envelope rate still
         # does not cross zero there is no genuine peak at this resolution
         lo = grid[max(i - 2, 0)]
         hi = grid[min(i + 2, len(grid) - 1)]
-        f_lo, f_hi = envelope_rate(lo), envelope_rate(hi)
+        f_lo, f_hi = _envelope_rate(lo, sample), _envelope_rate(hi, sample)
         if f_lo <= 0.0 or f_hi >= 0.0:
             return absent
-    t_max = brentq(envelope_rate, lo, hi, xtol=1e-12, rtol=8.9e-16)
-    w = trace(x, np.array([t_max]), sys, poles=cache, tol=tol)
+    # sample goes in args: brentq's self-referencing wrapper of its function
+    # would keep a closure, and the pole table in it, alive until a full GC
+    t_max = brentq(_envelope_rate, lo, hi, args=(sample,), xtol=1e-12,
+                   rtol=8.9e-16)
+    w = sample(t_max)
     omega_av, sigma = local_frequency(complex(w.psi[0]), complex(w.dpsi_dt[0]))
     height = abs(w.psi[0]) ** 2
     return TimeDomainResonance(x=float(x), exists=True, t_max=float(t_max),

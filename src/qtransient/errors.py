@@ -48,6 +48,10 @@ class AmplitudeUnderflow(ValidationError):
     """|psi| too small to divide by in the frequency diagnostics."""
 
 
+class PoleSetMismatch(ValidationError):
+    """Poles passed in were found for another barrier system."""
+
+
 class WindowTooNarrow(ValidationError):
     """A peak-search scan window that is not 0 < lo < hi."""
 

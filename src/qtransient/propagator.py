@@ -63,13 +63,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (NonPositiveParameter, NonPositiveTime, NotConverged,
-                     XOutOfRange)
+                     PoleSetMismatch, XOutOfRange)
 from .moshinsky import moshinsky_m_dt
 from .resonances import PoleSet, expansion_coeffs, find_poles
 from .stationary import phi_stationary, transmission
@@ -78,7 +77,6 @@ from .systems import BarrierSystem
 
 DEFAULT_TOL = 1e-8
 HARD_CAP = 2048
-_BLOCK = 8
 _POOL = 32          # first pool size; it doubles from here as needed
 _ORDER = {True: 3, False: 1}   # J, the last series term kept: inside, outside
 _Z_MIN = 3.0        # least s (Re q - k_c) of an omitted pole
@@ -141,32 +139,6 @@ def _moshinsky_block(x_arg, q, t, c2):
                           np.asarray(t, dtype=float)[:, None], c2)
 
 
-class _PoleCache:
-    """The pole list shared by every trace on one system.
-
-    `poles(n)` hands out the first n poles, extending the list through
-    find_poles(previous=...) on demand.  The pole sequence is prefix-stable:
-    the first n poles do not depend on how far the list has been extended,
-    so one cache serves any number of positions and threads.  The cache
-    keeps no per-position state and no mirror poles: each trace computes
-    the expansion coefficients of its pool, cheap closed forms, and takes
-    the mirror terms from symmetry.  A lock guards every extension.
-    """
-
-    def __init__(self, sys: BarrierSystem, base: PoleSet | None = None):
-        self.sys = sys
-        self.poleset = base if base is not None else find_poles(sys, _BLOCK, audit=False)
-        self._lock = threading.Lock()
-
-    def poles(self, n: int):
-        """The first n poles."""
-        with self._lock:
-            if self.poleset.N_max < n:
-                self.poleset = find_poles(self.sys, n, audit=False,
-                                          previous=self.poleset)
-            return self.poleset.poles[:n]
-
-
 def _scales(x_arg, t, c2):
     """(s, k_c, a^2/t) of the Moshinsky argument at times t."""
     return (np.sqrt(c2 * t / HBAR), HBAR * x_arg / (2.0 * c2 * t),
@@ -227,7 +199,7 @@ def _exact_count(weight, later, s, kc, kn, target):
                       np.searchsorted(kn.real, kc + _Z_MIN / s))
 
 
-def _size(x, s0, kc0, sys, cache, internal, tol, scale):
+def _size(x, s0, kc0, sys, table, internal, tol, scale):
     """(coefs, kn): the pole pool and its coefficients for times from the
     one with scale s0 and centre kc0 (1-element arrays) on.
 
@@ -241,8 +213,8 @@ def _size(x, s0, kc0, sys, cache, internal, tol, scale):
     coefs = kn = np.zeros(0, dtype=complex)
     p = _POOL
     while True:
-        c_new, k_new = expansion_coeffs(x, sys.k, cache.poles(p)[len(kn):],
-                                        sys, internal)
+        c_new, k_new = expansion_coeffs(x, sys.k, table[len(kn):p], sys,
+                                        internal)
         coefs, kn = np.concatenate((coefs, c_new)), np.concatenate((kn, k_new))
         weight, later = _omitted(s0, kc0, kn, coefs, J)
         rem = _beyond(coefs, kn, s0, kc0)[0]
@@ -351,7 +323,7 @@ def _sum_at(n, x, t, coefs, kn, axis, f, f_k, sys, internal):
     return total, dtotal
 
 
-def _pole_sum(x, t, sys, cache, internal, f, f_k, tol, scale):
+def _pole_sum(x, t, sys, table, internal, f, f_k, tol, scale):
     """sum_q c_q M(q) and its time derivative over every pole, at times t.
 
     Each time gets the least exact-pole count that meets the absolute
@@ -363,14 +335,12 @@ def _pole_sum(x, t, sys, cache, internal, f, f_k, tol, scale):
     J = _ORDER[internal]
     s, kc, _ = _scales(0.0 if internal else x, t, sys.c2)
     i0 = [int(np.argmin(t))]
-    coefs, kn = _size(x, s[i0], kc[i0], sys, cache, internal, tol, scale)
+    coefs, kn = _size(x, s[i0], kc[i0], sys, table, internal, tol, scale)
     weight, later = _omitted(s, kc, kn, coefs, J)
     need = _exact_count(weight, later, s, kc, kn, 0.5 * tol * _AIM * scale)
     level = np.minimum(2 ** np.ceil(np.log2(np.maximum(need, 1))).astype(int),
                        min(need.max(), len(kn) // 2))
-    axis = cache.poleset.axis_poles
-    axis = (expansion_coeffs(x, sys.k, axis, sys, internal) if axis
-            else (np.zeros(0, dtype=complex),) * 2)
+    axis = expansion_coeffs(x, sys.k, table.axis_poles, sys, internal)
     total = np.empty(len(t), dtype=complex)
     dtotal = np.empty(len(t), dtype=complex)
     for n in np.unique(level):
@@ -389,7 +359,7 @@ def _assemble(x, t_grid, sys, poles, tol, internal):
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid <= 0.0):
         raise NonPositiveTime("times must be > 0")
-    cache = pole_cache(sys, poles)
+    table = pole_cache(sys, poles)
     k = sys.k
     x_arg = 0.0 if internal else x
 
@@ -412,13 +382,13 @@ def _assemble(x, t_grid, sys, poles, tol, internal):
         # lies so far below it that they miss tol are summed once more,
         # sized from |psi|
         total, dtotal, est, n_poles = _pole_sum(
-            x, t, sys, cache, internal, f, f_k, tol, abs(f_k[0]))
+            x, t, sys, table, internal, f, f_k, tol, abs(f_k[0]))
         p = head[live] - total
         redo = np.flatnonzero(est > tol * np.abs(p))
         if redo.size:
             floor = max(float(np.min(np.abs(p[redo]))), 1e-300)
             total[redo], dtotal[redo], est[redo], n_redo = _pole_sum(
-                x, t[redo], sys, cache, internal, f, f_k, tol, 0.5 * floor)
+                x, t[redo], sys, table, internal, f, f_k, tol, 0.5 * floor)
             p[redo] = head[live][redo] - total[redo]
             n_poles = max(n_poles, n_redo)
         rel = est / np.maximum(np.abs(p), 1e-300)
@@ -430,8 +400,7 @@ def _assemble(x, t_grid, sys, poles, tol, internal):
                 f"t={t[worst]:.6g} fs, error estimate {rel[worst]:.1e} "
                 f"with N={n_poles} exact poles")
         psi[live], dpsi[live], err[live] = p, dhead[live] - dtotal, rel
-    n_axis = len(cache.poleset.axis_poles)
-    return psi, dpsi, 2 + 2 * n_poles + n_axis, err
+    return psi, dpsi, 2 + 2 * n_poles + len(table.axis_poles), err
 
 
 def check_x(x):
@@ -452,10 +421,10 @@ def trace(x, t_grid, sys: BarrierSystem, poles=None,
     """Transient wavefunction at fixed x over a time grid.
 
     Uses the internal expansion for x <= L, the external one for x >= L
-    (identical at x = L up to truncation).  `poles` may be a pole cache to
-    share between traces on this system, or a PoleSet to start one from;
-    either is extended on demand.  Only the poles are shared: each trace
-    computes the expansion coefficients of its pole pool.
+    (identical at x = L up to truncation).  `poles` may be a PoleSet of
+    this system, as pole_cache returns it, to share between traces; a
+    shorter one is replaced by a full table.  Only the poles are shared:
+    each trace computes the expansion coefficients of its pole pool.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) == 0 or not np.isfinite(t_grid).all() \
@@ -492,10 +461,16 @@ def psi_external(x, t, sys: BarrierSystem, poles=None,
     return _sample(x, t, sys, poles, tol, False)
 
 
-def pole_cache(sys: BarrierSystem,
-               base: PoleSet | _PoleCache | None = None) -> _PoleCache:
-    """Reusable pole cache for many traces on the same system.
+def pole_cache(sys: BarrierSystem, base: PoleSet | None = None) -> PoleSet:
+    """The pole table of sys that traces share: HARD_CAP poles, found once.
 
-    `base` may be a PoleSet to start from; a pole cache is returned as it is.
+    A `base` of this system that holds HARD_CAP poles is returned as it is;
+    a shorter one is replaced by a fresh search, whose first rows are the
+    same.  Poles found for another system raise PoleSetMismatch.
     """
-    return base if isinstance(base, _PoleCache) else _PoleCache(sys, base)
+    if base is not None and base.system != sys:
+        raise PoleSetMismatch(
+            f"poles found for {base.system} cannot serve {sys}")
+    if base is not None and len(base) >= HARD_CAP:
+        return base
+    return find_poles(sys, HARD_CAP, audit=False)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -185,19 +186,51 @@ def gamow_boundary_data(k_n, sys: BarrierSystem):
     return u0 * inv_sqrt, uL * inv_sqrt, q, inv_sqrt
 
 
-def _build_poles(ns, ks, sys) -> list:
-    """ResonancePole records for the roots ks, numbered ns."""
-    ks = np.asarray(ks, dtype=complex)
-    res = _pole_residual(ks, sys)
-    bad = np.flatnonzero(res > RESIDUAL_TOL)
-    if bad.size:
-        raise PoleNotConverged(ns[bad[0]], f"(residual {res[bad[0]]:.2e})")
-    u0, uL, q, inv_sqrt = gamow_boundary_data(ks, sys)
-    cols = (ks, sys.c2 * ks * ks, u0, uL, res, q, inv_sqrt)
-    return [ResonancePole(n=n, k=k, E=E, u0=a, uL=b, residual=r, q=qq,
-                          inv_sqrt_norm=s)
-            for n, (k, E, a, b, r, qq, s)
-            in zip(ns, zip(*(c.tolist() for c in cols)))]
+_COLUMNS = ("n", "k", "q", "u0", "uL", "inv_sqrt_norm", "residual")
+
+
+@dataclass(frozen=True, eq=False)
+class PoleSet:
+    """Poles of one system as columns, one row per pole: the first N
+    positive-Re poles sorted by ascending Re k_n and numbered n = 1..N, or
+    the antibound poles on the imaginary axis, numbered 0.  A ladder table
+    carries its system's antibound poles as a table in `axis_poles`.
+    """
+
+    system: BarrierSystem
+    n: np.ndarray
+    k: np.ndarray
+    q: np.ndarray
+    u0: np.ndarray
+    uL: np.ndarray
+    inv_sqrt_norm: np.ndarray
+    residual: np.ndarray
+    axis_poles: PoleSet | None = None
+
+    def __len__(self):
+        return len(self.k)
+
+    N_max = property(__len__, doc="The number of poles in the table.")
+
+    def __getitem__(self, rows):
+        """The table of the poles at `rows`, with the same antibound poles."""
+        return replace(self, **{c: getattr(self, c)[rows] for c in _COLUMNS})
+
+    @cached_property
+    def poles(self):
+        """The rows as ResonancePole records, built on first use; sums over
+        the poles read the columns."""
+        cols = (self.n, self.k, self.system.c2 * self.k * self.k, self.u0,
+                self.uL, self.residual, self.q, self.inv_sqrt_norm)
+        return tuple(map(ResonancePole, *(c.tolist() for c in cols)))
+
+
+def _pole_set(sys, n, k, axis_poles=None):
+    """PoleSet of the converged roots k, numbered n, with their Gamow data."""
+    u0, uL, q, inv_sqrt = gamow_boundary_data(k, sys)
+    return PoleSet(system=sys, n=n, k=k, q=q, u0=u0, uL=uL,
+                   inv_sqrt_norm=inv_sqrt, residual=_pole_residual(k, sys),
+                   axis_poles=axis_poles)
 
 
 def find_axis_poles(sys: BarrierSystem):
@@ -223,21 +256,8 @@ def find_axis_poles(sys: BarrierSystem):
         if not any(abs(kk - p) < 1e-10 for p in out):
             out.append(kk)
     out.sort(key=lambda z: -z.imag)
-    return tuple(_build_poles([0] * len(out), out, sys))
-
-
-@dataclass(frozen=True)
-class PoleSet:
-    """The first N positive-Re poles (plus any imaginary-axis antibound
-    poles), sorted by ascending Re k_n."""
-
-    system: BarrierSystem
-    poles: tuple
-    N_max: int
-    axis_poles: tuple = ()
-
-    def __len__(self):
-        return len(self.poles)
+    return _pole_set(sys, np.zeros(len(out), dtype=int),
+                     np.array(out, dtype=complex))
 
 
 def _winding_number(sys, corners, samples_per_edge=64, max_depth=14):
@@ -280,9 +300,9 @@ def audit_pole_count(poleset: PoleSet):
     scan in find_axis_poles).
     """
     sys = poleset.system
-    n = len(poleset.poles)
-    a_max = max(p.k.real for p in poleset.poles)
-    b_max = max(-p.k.imag for p in poleset.poles)
+    n = len(poleset)
+    a_max = float(np.max(poleset.k.real))
+    b_max = float(np.max(-poleset.k.imag))
     x0 = 1e-6 if not poleset.axis_poles else 1.0 / sys.L
     # right edge halfway to the next expected pole: consecutive Re spacings
     # compress below pi/L at strong barrier shift, so a fixed margin can
@@ -345,8 +365,7 @@ def _on_rung(k, seed, sys):
             & (np.abs(k.real - seed.real) <= 0.75 * math.pi / sys.L))
 
 
-def find_poles(sys: BarrierSystem, N: int, audit: bool = True,
-               previous: PoleSet | None = None) -> PoleSet:
+def find_poles(sys: BarrierSystem, N: int, audit: bool = True) -> PoleSet:
     """Locate the N poles of smallest positive Re k_n.
 
     Deterministic: a dense scan of the irregular low-|k| zone, then Newton
@@ -358,39 +377,30 @@ def find_poles(sys: BarrierSystem, N: int, audit: bool = True,
     root so far, and each lead to the next rung of the batch is taken at
     once.  The first rung past that prefix goes through the grid rescue
     and Maehly deflation alone; then batching resumes.  Every root depends
-    only on its own seed, so the first n poles do not depend on N: pass a
-    previous PoleSet for the same system to extend it without
-    recomputation.
+    only on its own seed, so the first n poles do not depend on N.  The
+    roots are sorted once and their Gamow data filled in as columns.
     """
     if N < 1:
         raise PoleNotConverged(N, "(need N >= 1)")
-    if previous is not None and previous.system == sys:
-        poles = list(previous.poles[:N])
-        axis = previous.axis_poles
-    else:
-        poles = []
-        axis = find_axis_poles(sys)
-    re_max = max((p.k.real for p in poles), default=0.0)  # strips only, no axis
-
-    def roots():
-        return [p.k for p in poles + list(axis)]
+    axis = find_axis_poles(sys)
+    axis_k = axis.k.tolist()
+    ks = []         # ladder roots in the order found
+    re_max = 0.0    # strips only, no axis
 
     def claimed(k):
-        return any(abs(kj - k) <= 1e-8 * max(1.0, abs(k)) for kj in roots())
+        return any(abs(kj - k) <= 1e-8 * max(1.0, abs(k)) for kj in ks + axis_k)
 
-    def add(ks):
+    def add(new):
         nonlocal re_max
-        n = len(poles)
-        poles.extend(_build_poles(range(n + 1, n + len(ks) + 1), ks, sys))
-        re_max = max([re_max] + [p.k.real for p in poles[n:]])
+        ks.extend(new)
+        re_max = max([re_max] + [k.real for k in new])
 
-    if not poles:
-        for k in _scan_low_zone(sys):
-            if not claimed(k):
-                add([k])
+    for k in _scan_low_zone(sys):
+        if not claimed(k):
+            add([k])
     attempts = 0
-    while len(poles) < N:
-        rungs = int(_next_rung(re_max, sys)) + np.arange(N - len(poles))
+    while len(ks) < N:
+        rungs = int(_next_rung(re_max, sys)) + np.arange(N - len(ks))
         seeds = _seed(rungs, sys)
         k = _newton_refine(seeds, sys)
         # a root clear of the previous Re by more than the claim distance
@@ -405,12 +415,12 @@ def find_poles(sys: BarrierSystem, N: int, audit: bool = True,
             take = int(np.argmin(chain)) + 1
         attempts += take
         if take:
-            add(k[:take])
-        if len(poles) >= N:
+            add(k[:take].tolist())
+        if len(ks) >= N:
             break
         attempts += 1
         if attempts > 2 * N + 16:
-            raise PoleNotConverged(len(poles) + 1, "(ladder stalled)")
+            raise PoleNotConverged(len(ks) + 1, "(ladder stalled)")
         m = int(_next_rung(re_max, sys))
         seed = _seed([m], sys)
         k = _newton_refine(seed, sys)
@@ -418,30 +428,30 @@ def find_poles(sys: BarrierSystem, N: int, audit: bool = True,
             k = _newton_refine(_grid_rescue(m, sys), sys)
         if claimed(k[0]):
             # seed fell into an already-claimed basin; deflate and retry
-            avoid = tuple(roots())
+            avoid = tuple(ks + axis_k)
             k = _newton_refine(_grid_rescue(m, sys, avoid=avoid), sys,
                                avoid=avoid)
             if (claimed(k[0])
                     or _pole_residual(k, sys)[0] > RESIDUAL_TOL
                     or k[0].real <= 0 or k[0].imag >= 0):
                 raise DuplicatePole(
-                    f"could not separate pole {len(poles) + 1} near {k[0]}")
-        add(k)
-    poles.sort(key=lambda p: p.k.real)
-    poles = poles[:N]
-    for i in range(len(poles) - 1):
-        if abs(poles[i].k - poles[i + 1].k) <= 1e-8:
-            raise DuplicatePole(f"poles {i + 1} and {i + 2} coincide at {poles[i].k}")
-    poles = tuple(p if p.n == i + 1 else replace(p, n=i + 1)
-                  for i, p in enumerate(poles))
-    ps = PoleSet(system=sys, poles=poles, N_max=N, axis_poles=axis)
+                    f"could not separate pole {len(ks) + 1} near {k[0]}")
+        res = _pole_residual(k, sys)[0]
+        if res > RESIDUAL_TOL:
+            raise PoleNotConverged(len(ks) + 1, f"(residual {res:.2e})")
+        add(k.tolist())
+    k = np.array(sorted(ks, key=lambda z: z.real)[:N])
+    for i in np.flatnonzero(np.abs(np.diff(k)) <= 1e-8)[:1]:
+        raise DuplicatePole(f"poles {i + 1} and {i + 2} coincide at {k[i]}")
+    ps = _pole_set(sys, np.arange(1, len(k) + 1), k, axis_poles=axis)
     if audit:
         audit_pole_count(ps)
     return ps
 
 
-def expansion_coeffs(x, k: float, poles, sys: BarrierSystem, internal: bool):
-    """One region's expansion coefficients over a sequence of poles.
+def expansion_coeffs(x, k: float, poles: PoleSet, sys: BarrierSystem,
+                     internal: bool):
+    """One region's expansion coefficients over the rows of a pole table.
 
     internal: Phi_n(x) = 2ik u_n(0) u_n(x) / (k^2 - k_n^2)
     external: T_n      = 2ik u_n(0) u_n(L) exp(-i k_n L) / (k^2 - k_n^2)
@@ -451,16 +461,14 @@ def expansion_coeffs(x, k: float, poles, sys: BarrierSystem, internal: bool):
     k_{-n} = -conj k_n has coefficient -conj of its partner's, so the
     mirrors need no entries of their own.
     """
-    kn, q, inv_sqrt, u0, uL = np.array(
-        [(p.k, p.q, p.inv_sqrt_norm, p.u0, p.uL) for p in poles],
-        dtype=complex).reshape(-1, 5).T
+    kn, q, inv_sqrt = poles.k, poles.q, poles.inv_sqrt_norm
     denom = k * k - kn * kn
     hit = np.flatnonzero(np.abs(denom) < 1e-14)
     if len(hit):
-        raise PoleCollision(f"k^2 - k_n^2 ~ 0 at n = {poles[hit[0]].n}")
-    pref = 2j * k * u0 / denom
+        raise PoleCollision(f"k^2 - k_n^2 ~ 0 at n = {poles.n[hit[0]]}")
+    pref = 2j * k * poles.u0 / denom
     if internal:
         u_x = ((q - kn) * np.exp(1j * q * x)
                + (q + kn) * np.exp(-1j * q * x)) * inv_sqrt
         return pref * u_x, kn
-    return pref * uL * np.exp(-1j * kn * sys.L), kn
+    return pref * poles.uL * np.exp(-1j * kn * sys.L), kn

@@ -103,8 +103,8 @@ def sweep_freq_vs_x(x_grid, sys: BarrierSystem, tol=DEFAULT_TOL,
                     threads=1) -> SweepTable:
     """Peak frequency ratio at each position, inside and beyond the barrier.
 
-    Every probe shares one pole cache; the pole sequence is prefix-stable,
-    so sharing it across threads leaves every row unchanged.
+    Every probe shares one immutable pole table, found once, so sharing it
+    across threads leaves every row unchanged.
     """
     values = _sorted_grid(x_grid, "x")
     check_tol(tol)

@@ -2,9 +2,9 @@
 
 The reference system (V = 0.3 eV, E = 1 meV, L = 4 nm, m/m_e = 0.067) is a
 deeply tunneling GaAs barrier with opacity alpha ~ 2.9, squarely inside the
-regime where a transient density peak forms at the barrier edge.  Poles and
-the pole cache are session scoped: they are deterministic and immutable
-apart from on-demand extension, so sharing them only saves time.
+regime where a transient density peak forms at the barrier edge.  The poles
+and the full pole table are session scoped: they are deterministic and
+immutable, so sharing them only saves time.
 """
 
 import pytest

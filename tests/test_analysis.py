@@ -7,6 +7,7 @@ Oracles:
 * [DERIVED] pinned peak data for the GaAs reference barrier (t_max,
   frequency ratio, height ratio), converged under pole-count and scan
   refinement;
+* [TRIVIAL] the peak polish traces each time once;
 * [DERIVED] beyond the barrier and next to the shutter the peak find
   reaches the tolerance asked for, t_max 0.1 nm from the shutter agrees
   with a 1024-pole reference to that tolerance, and a miss is reported at
@@ -18,8 +19,8 @@ import math
 import numpy as np
 import pytest
 
-from qtransient import (find_time_domain_resonance, local_frequency,
-                        make_system, spectrogram, trace)
+from qtransient import (analysis, find_time_domain_resonance,
+                        local_frequency, make_system, spectrogram, trace)
 from qtransient.analysis import default_window
 from qtransient.errors import (AmplitudeUnderflow, NotConverged,
                                WindowTooNarrow)
@@ -98,6 +99,23 @@ def test_peak_invariant_under_scan_refinement(gaas, gaas_cache):
     coarse = find_time_domain_resonance(gaas, t_window=(lo, 2.0 * hi),
                                         poles=gaas_cache)
     assert abs(coarse.t_max - fine.t_max) <= 1e-6
+
+
+@pytest.mark.parametrize("x", [1.0, 4.0, 8.0])
+def test_peak_polish_traces_each_time_once(gaas, gaas_cache, monkeypatch, x):
+    # brentq evaluates the bracket ends again, and the reported values come
+    # from the last time it evaluated
+    times = []
+
+    def spy(x_, t_grid, *args, **kwargs):
+        if len(t_grid) == 1:
+            times.append(float(t_grid[0]))
+        return trace(x_, t_grid, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "trace", spy)
+    tdr = find_time_domain_resonance(gaas, x=x, poles=gaas_cache)
+    assert tdr.exists and tdr.t_max in times
+    assert len(times) == len(set(times)) > 2
 
 
 def test_sigma_vanishes_at_peak(gaas, gaas_cache):

@@ -87,8 +87,8 @@ def test_scan_with_threads_is_ordered(capsys, grid):
 
 def test_scan_freq_x_shared_cache_is_thread_independent(capsys):
     # the probes (internal at 2 nm and x = L, external at 6 nm) share one
-    # pole cache; two threads extending it in either order must emit the
-    # same rows, byte for byte, as one thread
+    # pole table; two threads reading it must emit the same rows, byte for
+    # byte, as one thread
     body = {}
     for threads in ("1", "2"):
         code, out, _ = run(capsys, ["--threads", threads] + GAAS_FLAGS +

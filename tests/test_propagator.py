@@ -13,20 +13,19 @@ Oracles:
 * [TRIVIAL] the full wave must satisfy the barrier Schroedinger equation
   i hbar dPsi/dt = -c2 Psi'' + V Psi (finite-difference Laplacian);
 * [DERIVED] the transmitted density at the barrier edge settles to the
-  stationary value |T_k|^2 at long times.
+  stationary value |T_k|^2 at long times;
+* [TRIVIAL] one pole table per system is found once and shared, and poles
+  found for another system are refused.
 """
-
-import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from qtransient import (find_poles, length_for_alpha, make_system,
-                        pole_cache, propagator, psi_external, psi_internal,
-                        trace, transmission)
-from qtransient.errors import (NonPositiveTime, NotConverged, XOutOfRange)
+from qtransient import (find_poles, find_time_domain_resonance,
+                        length_for_alpha, make_system, pole_cache, propagator,
+                        psi_external, psi_internal, trace, transmission)
+from qtransient.errors import (NonPositiveTime, NotConverged, PoleSetMismatch,
+                               ValidationError, XOutOfRange)
 from qtransient.systems import HBAR_EV_FS as HBAR
 
 # pinned reference values for the GaAs barrier, converged to ~1e-11 with
@@ -58,14 +57,14 @@ def test_pinned_reference_values(gaas, gaas_cache):
 DEEP = 16384   # exact poles of the deep reference sums
 
 
-def _deep_trace(x, ts, sys_, cache, monkeypatch):
+def _deep_trace(x, ts, sys_, table, monkeypatch):
     """The trace with DEEP exact poles at every time and the same tail: a
     zero aim takes every pole the cap's pool allows."""
     with monkeypatch.context() as patch:
         patch.setattr(propagator, "_AIM", 0.0)
         patch.setattr(propagator, "HARD_CAP", 2 * DEEP)
-        tr = trace(x, ts, sys_, poles=cache, tol=1e-10)
-    assert tr.n_terms_used == 2 * DEEP + 2 + len(cache.poleset.axis_poles)
+        tr = trace(x, ts, sys_, poles=table, tol=1e-10)
+    assert tr.n_terms_used == 2 * DEEP + 2 + len(table.axis_poles)
     return tr.psi
 
 
@@ -78,12 +77,14 @@ def test_tail_agrees_with_deep_pole_sums(gaas, monkeypatch):
               (gaas, 60.0, np.array([1.8, 5.0, 20.0, 50.0])),
               (merged, merged.L, np.array([0.5, 2.0, 8.0])),
               (merged, 2.0 * merged.L, np.array([0.5, 2.0, 8.0]))]
-    caches = {gaas: pole_cache(gaas), merged: pole_cache(merged)}
-    assert caches[merged].poleset.axis_poles
+    # tables deep enough for the reference sums; the traces at the cap
+    # read their first HARD_CAP rows
+    tables = {s: find_poles(s, 2 * DEEP, audit=False) for s in (gaas, merged)}
+    assert tables[merged].axis_poles
     for sys_, x, ts in cases:
-        ref = _deep_trace(x, ts, sys_, caches[sys_], monkeypatch)
+        ref = _deep_trace(x, ts, sys_, tables[sys_], monkeypatch)
         for tol in (1e-8, 1e-10):
-            tr = trace(x, ts, sys_, poles=caches[sys_], tol=tol)
+            tr = trace(x, ts, sys_, poles=tables[sys_], tol=tol)
             err = np.abs(tr.psi - ref) / np.abs(ref)
             assert np.all(err <= tol), (x, tol, err)
             # the deep sums carry 32768 terms, each rounded near 1e-17
@@ -140,16 +141,14 @@ def test_determinism(gaas):
 
 @pytest.mark.parametrize("x", [2.0, 6.0])
 def test_extended_cache_reuse_is_exact(gaas, x):
-    # the pole sequence is prefix-stable, so neither a cache that other
-    # positions in both regions have extended nor a repeat at the same x
+    # traces keep no state in the shared table, so neither a table that
+    # other positions in both regions have read nor a repeat at the same x
     # moves a single bit
     ts = np.linspace(1.0, 12.0, 40)
     fresh = trace(x, ts, gaas, poles=pole_cache(gaas), tol=1e-9)
     shared = pole_cache(gaas)
     trace(3.0, ts, gaas, poles=shared, tol=1e-9)
     trace(12.0, np.linspace(10.0, 20.0, 20), gaas, poles=shared, tol=1e-9)
-    shared.poles(1024)    # deeper than any pool these traces size
-    assert shared.poleset.N_max >= 1024
     first = trace(x, ts, gaas, poles=shared, tol=1e-9)
     again = trace(x, ts, gaas, poles=shared, tol=1e-9)
     for tr in (first, again):
@@ -159,54 +158,41 @@ def test_extended_cache_reuse_is_exact(gaas, x):
         assert tr.n_terms_used == fresh.n_terms_used
 
 
-def test_shared_cache_under_concurrent_extension(gaas, monkeypatch):
-    # more threads than cores, switching every microsecond, extend fresh
-    # caches to mixed depths at once; a lost update would hand a thread
-    # fewer poles than it asked for, a pole twice, a gap in the ladder, or
-    # a cache shorter than the deepest request
-    depths = (16, 256, 32, 128, 64, 256, 16, 128)
-    ref = pole_cache(gaas)
-    want = {n: [p.k for p in ref.poles(n)] for n in set(depths)}
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            cache = pole_cache(gaas)
-            with ThreadPoolExecutor(max_workers=len(depths)) as pool:
-                futures = [pool.submit(cache.poles, n) for n in depths]
-                got = [f.result(timeout=120) for f in futures]
-            for n, poles in zip(depths, got):
-                assert [p.k for p in poles] == want[n]
-            poles = cache.poleset.poles
-            assert [p.n for p in poles] == list(range(1, len(poles) + 1))
-            assert len(poles) == max(depths)
-    finally:
-        sys.setswitchinterval(interval)
+def test_pole_table_is_found_once_and_shared(gaas, gaas_poles, monkeypatch):
+    # a full table of the same system is used as it is; a shorter one is
+    # replaced by a full search, whose first rows are the shorter one's
+    calls = []
 
-    # a short extension held until a long one has finished must not leave
-    # the cache short: under the lock the short one waits out its timeout
-    # and the long one extends after it; without the lock the long one
-    # finishes first and the short one's late store shrinks the cache
-    long_done, short_started = threading.Event(), threading.Event()
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return find_poles(*args, **kwargs)
 
-    def paced(sys_, n, **kwargs):
-        if n == 32:
-            short_started.set()
-            long_done.wait(timeout=0.5)
-        out = find_poles(sys_, n, **kwargs)
-        if n == 64:
-            long_done.set()
-        return out
+    monkeypatch.setattr(propagator, "find_poles", spy)
+    table = pole_cache(gaas, gaas_poles)
+    assert calls == [(gaas, propagator.HARD_CAP)] and len(table) == 2048
+    assert table.k[:len(gaas_poles)].tolist() == gaas_poles.k.tolist()
+    assert pole_cache(make_system(0.3, 0.001, 4.0, 0.067), table) is table
+    trace(2.0, np.linspace(1.0, 9.0, 5), gaas, poles=table)
+    psi_external(6.0, 3.0, gaas, poles=table)
+    assert len(calls) == 1
 
-    monkeypatch.setattr(propagator, "find_poles", paced)
-    cache = pole_cache(gaas)
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        short = pool.submit(cache.poles, 32)
-        assert short_started.wait(timeout=60)
-        long_ = pool.submit(cache.poles, 64)
-        assert len(short.result(timeout=60)) == 32
-        assert len(long_.result(timeout=60)) == 64
-    assert cache.poleset.N_max == 64
+
+def test_poles_of_another_system_are_rejected(gaas, gaas_poles, gaas_cache):
+    # GaAs poles at L = 4 nm summed on an L = 6 nm barrier were off by a
+    # factor 42 over 1-10 fs, and moved the peak from 5.6 fs to 0.19 fs
+    wide = make_system(0.3, 0.001, 6.0, 0.067)
+    for poles in (gaas_poles, gaas_cache):
+        calls = (
+            lambda: trace(wide.L, np.linspace(1.0, 10.0, 10), wide,
+                          poles=poles),
+            lambda: psi_external(wide.L, 5.0, wide, poles=poles),
+            lambda: find_time_domain_resonance(wide, poles=poles),
+        )
+        for call in calls:
+            with pytest.raises(PoleSetMismatch,
+                               match=r"L=4\.0, .* L=6\.0, ") as info:
+                call()
+            assert isinstance(info.value, ValidationError)
 
 
 def test_error_estimates_within_tolerance(gaas, gaas_cache):

@@ -16,6 +16,8 @@ Oracles:
   mpmath-polished root;
 * [TRIVIAL] the vectorised expansion coefficients equal their per-pole
   closed forms;
+* [TRIVIAL] a shorter pole search gives bitwise the first rows of the
+  full table, and the pole records repeat the table's columns;
 * [DERIVED] each mirror pole k_{-n} = -conj k_n, built as a pole of its
   own, has minus the conjugate of its partner's coefficients, which is
   what lets the pole sums evaluate only the k_n.
@@ -28,9 +30,10 @@ import pytest
 
 from qtransient import find_poles, make_system, resonances
 from qtransient.errors import CountMismatch, PoleNotConverged
-from qtransient.resonances import (RESIDUAL_TOL, PoleSet, _build_poles,
-                                   audit_pole_count, expansion_coeffs,
-                                   find_axis_poles, gamow_boundary_data)
+from qtransient.propagator import HARD_CAP
+from qtransient.resonances import (RESIDUAL_TOL, _pole_set, audit_pole_count,
+                                   expansion_coeffs, find_axis_poles,
+                                   gamow_boundary_data)
 from qtransient.stationary import pole_function
 from qtransient.systems import length_for_alpha
 
@@ -53,9 +56,8 @@ def test_argument_principle_certifies_count(gaas_poles):
 
 
 def test_argument_principle_catches_missing_pole(gaas, gaas_poles):
-    holed = tuple(p for p in gaas_poles.poles[:8] if p.n != 5)
-    broken = PoleSet(system=gaas, poles=holed, N_max=8,
-                     axis_poles=gaas_poles.axis_poles)
+    broken = gaas_poles[np.flatnonzero(gaas_poles.n[:8] != 5)]
+    assert broken.n.tolist() == [1, 2, 3, 4, 6, 7, 8]
     with pytest.raises(CountMismatch):
         audit_pole_count(broken)
 
@@ -94,13 +96,13 @@ def test_axis_poles_below_merge_opacity():
     sys_ = make_system(V, 0.001, length_for_alpha(1.0, V, m), m)
     axis = find_axis_poles(sys_)
     assert len(axis) == 2
-    for p in axis:
+    for p in axis.poles:
         assert p.k.real == 0.0 and p.k.imag < 0.0
         assert p.residual <= 1e-12
 
 
 def test_no_axis_poles_for_reference_barrier(gaas_poles):
-    assert gaas_poles.axis_poles == ()
+    assert len(gaas_poles.axis_poles) == 0
 
 
 def test_determinism(gaas):
@@ -110,27 +112,32 @@ def test_determinism(gaas):
     assert [p.inv_sqrt_norm for p in a.poles] == [p.inv_sqrt_norm for p in b.poles]
 
 
-def _pole_data(poles):
-    return [(p.k, p.u0, p.uL, p.inv_sqrt_norm) for p in poles]
+def _columns(ps):
+    return [getattr(ps, c).tolist()
+            for c in ("n", "k", "q", "u0", "uL", "inv_sqrt_norm", "residual")]
 
 
-def test_extension_matches_fresh_solve(gaas):
-    # the batched ladder refines each rung on its own, so a pole list grown
-    # by doubling is bitwise the one found in a single call: on the
-    # reference barrier, below the merge opacity (axis poles) and deep in
-    # the opaque regime
+def test_shorter_search_is_a_prefix_of_the_full_table(gaas):
+    # the batched ladder refines each rung on its own, so a shorter search
+    # gives bitwise the first rows of the full table: on the reference
+    # barrier, below the merge opacity (axis poles) and deep in the opaque
+    # regime
     V, m = 0.3, 0.067
     cases = (gaas,
              make_system(V, 0.001, length_for_alpha(1.0, V, m), m),
              make_system(V, V / 3000, length_for_alpha(9.0, V, m), m))
     for sys_ in cases:
-        chain = find_poles(sys_, 8, audit=False)
-        while chain.N_max < 1024:
-            chain = find_poles(sys_, 2 * chain.N_max, audit=False,
-                               previous=chain)
-        fresh = find_poles(sys_, 1024, audit=False)
-        assert _pole_data(chain.poles) == _pole_data(fresh.poles)
-        assert _pole_data(chain.axis_poles) == _pole_data(fresh.axis_poles)
+        full = find_poles(sys_, HARD_CAP, audit=False)
+        assert len(full) == full.N_max == HARD_CAP
+        for n in (8, 24, 256):
+            short = find_poles(sys_, n, audit=False)
+            assert _columns(short) == _columns(full[:n])
+            assert _columns(short.axis_poles) == _columns(full.axis_poles)
+        # the records are the columns, row by row
+        for ps in (full, full.axis_poles):
+            assert [(p.n, p.k, p.q, p.u0, p.uL, p.inv_sqrt_norm, p.residual)
+                    for p in ps.poles] == list(zip(*_columns(ps)))
+            assert [p.E for p in ps.poles] == (sys_.c2 * ps.k * ps.k).tolist()
 
 
 def _mp_pole(mp, k, sys_):
@@ -158,9 +165,14 @@ def test_ladder_across_opacity_and_energy(alpha):
     for u in (1.2, 30.0, 3000.0):
         sys_ = make_system(V, V / u, L, m)
         ps = find_poles(sys_, 256)   # audits the count
-        k = np.array([p.k for p in ps.poles])
-        assert max(p.residual for p in ps.poles + ps.axis_poles) <= RESIDUAL_TOL
+        k = ps.k
+        assert max(p.residual for p in ps.poles + ps.axis_poles.poles) \
+            <= RESIDUAL_TOL
         assert np.all(np.diff(k.real) > 0)
+        # every cold system searches this deep
+        deep = find_poles(sys_, HARD_CAP, audit=False)
+        assert np.max(deep.residual) <= RESIDUAL_TOL
+        assert np.all(np.diff(deep.k.real) > 0)
         for n in (1, 2, 17, 256):
             ref = _mp_root(k[n - 1], sys_)
             assert abs(k[n - 1] - ref) <= 1e-14 * abs(ref)
@@ -182,21 +194,20 @@ def _mp_inv_sqrt_norm(k, sys_):
         return complex(1 / mp.sqrt(norm))
 
 
-def test_gamow_normalization_against_mpmath(gaas, gaas_poles):
+def test_gamow_normalization_against_mpmath(gaas, gaas_cache):
     # the direct sum of the normalization integral cancels terms of size
     # e^{2 |Im q| L} and lost up to 4e-10 here; the closed form on the pole
     # equation keeps full precision.  The sign of sqrt is conventional.
-    ps = find_poles(gaas, 2048, audit=False, previous=gaas_poles)
+    ps = gaas_cache
     for n in (1, 100, 1000, 2047):
         got, ref = ps.poles[n - 1].inv_sqrt_norm, _mp_inv_sqrt_norm(
             ps.poles[n - 1].k, gaas)
         assert min(abs(got - ref), abs(got + ref)) <= 1e-12 * abs(ref)
 
 
-def test_gamow_normalization_is_stable_under_one_ulp(gaas, gaas_poles):
+def test_gamow_normalization_is_stable_under_one_ulp(gaas, gaas_cache):
     # one ulp in k_n moved inv_sqrt_norm by up to 1.9e-10 near n = 1100
-    ps = find_poles(gaas, 1110, audit=False, previous=gaas_poles)
-    k = np.array([p.k for p in ps.poles[1089:1110]])
+    k = gaas_cache.k[1089:1110]
     base = gamow_boundary_data(k, gaas)[3]
     for step in (np.inf, -np.inf):
         for moved in (np.nextafter(k.real, step) + 1j * k.imag,
@@ -238,25 +249,27 @@ def _coeffs_one_by_one(x, poles, sys_):
 
 
 @pytest.fixture(scope="module")
-def coeff_cases(gaas, gaas_poles):
-    """(system, axis poles, ladder poles): 1024 GaAs poles, and an alpha = 1
-    barrier whose lowest pair sits on the imaginary axis."""
+def coeff_cases(gaas, gaas_cache):
+    """(system, axis poles, ladder poles): 1024 GaAs poles and no axis
+    poles, and an alpha = 1 barrier whose lowest pair sits on the imaginary
+    axis."""
     V, m = 0.3, 0.067
     below_merge = make_system(V, 0.001, length_for_alpha(1.0, V, m), m)
     axis_set = find_poles(below_merge, 8, audit=False)
     assert axis_set.axis_poles
-    gaas_set = find_poles(gaas, 1024, audit=False, previous=gaas_poles)
-    return [(gaas, (), gaas_set.poles),
-            (below_merge, axis_set.axis_poles, axis_set.poles)]
+    return [(gaas, gaas_cache.axis_poles, gaas_cache[:1024]),
+            (below_merge, axis_set.axis_poles, axis_set)]
 
 
 @pytest.mark.parametrize("frac", [0.0, 0.25, 0.5, 1.0])
 def test_expansion_coeffs_match_per_pole_definitions(coeff_cases, frac):
     for sys_, axis, ladder in coeff_cases:
-        poles = axis + ladder
+        poles = axis.poles + ladder.poles
         x = frac * sys_.L
         for internal, want in zip((True, False), _coeffs_one_by_one(x, poles, sys_)):
-            got, kn = expansion_coeffs(x, sys_.k, poles, sys_, internal)
+            got, kn = (np.concatenate(c) for c in zip(
+                expansion_coeffs(x, sys_.k, axis, sys_, internal),
+                expansion_coeffs(x, sys_.k, ladder, sys_, internal)))
             assert got.shape == want.shape == (len(poles),)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
             assert kn.tolist() == [p.k for p in poles]
@@ -265,10 +278,10 @@ def test_expansion_coeffs_match_per_pole_definitions(coeff_cases, frac):
 @pytest.mark.parametrize("frac", [0.0, 0.25, 0.5, 1.0])
 def test_mirror_coefficients_are_minus_conjugate(coeff_cases, frac):
     for sys_, _, ladder in coeff_cases:
-        mirrors = _build_poles([-p.n for p in ladder],
-                               [-p.k.conjugate() for p in ladder], sys_)
+        mirrors = _pole_set(sys_, -ladder.n, -ladder.k.conj())
         x = frac * sys_.L
-        for internal, want in zip((True, False), _coeffs_one_by_one(x, mirrors, sys_)):
+        for internal, want in zip((True, False),
+                                  _coeffs_one_by_one(x, mirrors.poles, sys_)):
             got, _ = expansion_coeffs(x, sys_.k, ladder, sys_, internal)
             assert np.max(np.abs(-got.conj() - want)) <= 1e-14 * np.max(np.abs(want))
 
