@@ -7,7 +7,12 @@ Oracles:
 * [DERIVED] successive dx halvings must converge at second order (measured
   between grid solutions, which share the finite-domain continuum limit);
 * [TRIVIAL] the operator factored once and solved per step gives bit for
-  bit what a fresh scipy.linalg.solve_banded gives on every step.
+  bit what a fresh scipy.linalg.solve_banded gives on every step;
+* [DERIVED] B = (1 + r) - r A, so the one-solve step (1 + r) A^-1 psi - r psi
+  equals A^-1 (B psi) with B built explicitly;
+* [DERIVED] the default (dt, theta) keeps (2 theta - 1) dt, the damping of
+  physical modes, at the older (0.25 dx^2 hbar / c2, 0.55) pairing's value,
+  and its traces match that pairing's.
 """
 
 import math
@@ -16,11 +21,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from qtransient import cn_evolve, default_cn_config, make_system, oracle
-from qtransient.errors import GridTooCoarse, NonPositiveTime, XOutOfRange
+from qtransient.errors import (GridTooCoarse, NonPositiveTime, ValidationError,
+                               XOutOfRange)
 from qtransient.moshinsky import moshinsky_m
-from qtransient.oracle import factor_tridiagonal, solve_banded
+from qtransient.oracle import cn_step, factor_tridiagonal, solve_banded
 from qtransient.systems import HBAR_EV_FS as HBAR
 
 
@@ -139,17 +146,23 @@ def _random_operator(rng, n):
     return sub, diag, sup
 
 
-def _gaas_operator(sys_):
-    """The left-hand operator cn_evolve builds for the default GaAs grid."""
-    cfg = default_cn_config(sys_, 30.0)
+def _theta_operators(sys_, cfg):
+    """A = 1 + i theta H dt / hbar and B = 1 - i (1 - theta) H dt / hbar,
+    each as (sub, diag, sup), on the grid cn_evolve builds for cfg."""
     x = np.arange(cfg.x_min, cfg.x_max + 0.5 * cfg.dx, cfg.dx)
     overlap = (np.minimum(x + 0.5 * cfg.dx, sys_.L)
                - np.maximum(x - 0.5 * cfg.dx, 0.0)).clip(min=0.0)
     hop = sys_.c2 / (cfg.dx * cfg.dx)
-    lam_a = 1j * cfg.dt * cfg.theta / HBAR
-    diag = 1.0 + lam_a * (2.0 * hop + (sys_.V / cfg.dx) * overlap)
-    off = np.full(len(x) - 1, lam_a * (-hop), dtype=complex)
-    return off, diag, off
+    h_diag = 2.0 * hop + (sys_.V / cfg.dx) * overlap
+    h_off = np.full(len(x) - 1, -hop, dtype=complex)
+    return [(lam * h_off, 1.0 + lam * h_diag, lam * h_off)
+            for lam in (1j * cfg.dt * cfg.theta / HBAR,
+                        -1j * cfg.dt * (1.0 - cfg.theta) / HBAR)]
+
+
+def _gaas_operator(sys_):
+    """The left-hand operator cn_evolve builds for the default GaAs grid."""
+    return _theta_operators(sys_, default_cn_config(sys_, 30.0))[0]
 
 
 @pytest.mark.parametrize("which", ["random", "gaas"])
@@ -203,3 +216,55 @@ def test_cn_evolve_is_bitwise_a_per_step_scipy_solve(free_system, monkeypatch):
     assert steps
     assert np.array_equal(got.psi, ref.psi)
     assert got.norm_end == ref.norm_end
+
+
+@pytest.mark.parametrize("which", ["free", "gaas"])
+def test_one_solve_step_is_a_inverse_b(free_system, gaas, which):
+    sys_, t_end = (free_system, 2.0) if which == "free" else (gaas, 30.0)
+    cfg = default_cn_config(sys_, t_end)
+    a, b = _theta_operators(sys_, cfg)
+    rng = np.random.default_rng(11)
+    psi = rng.standard_normal(len(a[1])) + 1j * rng.standard_normal(len(a[1]))
+    b_psi = scipy.sparse.diags(b, [-1, 0, 1]) @ psi
+    want = scipy.linalg.solve_banded((1, 1), _banded(*a), b_psi)
+    ipiv, lu = factor_tridiagonal(*a)
+    before = psi.copy()
+    got = cn_step(ipiv, lu, (1.0 - cfg.theta) / cfg.theta, psi)
+    assert np.array_equal(psi, before)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_default_pairs_dt_with_theta(gaas):
+    cfg = default_cn_config(gaas, 6.0)
+    unit = cfg.dx * cfg.dx * HBAR / gaas.c2
+    # the physical damping (2 theta - 1) dt of the older (0.25, 0.55) pairing
+    assert (2.0 * cfg.theta - 1.0) * cfg.dt / unit == pytest.approx(0.025,
+                                                                    rel=1e-12)
+    assert cfg.dt < 0.5 * unit
+    probes, times = [2.0, 4.0, 8.0], np.linspace(2.5, 6.0, 8)
+    new = cn_evolve(gaas, cfg, probes, times).abs2
+    old = cn_evolve(gaas, replace(cfg, theta=0.55, dt=0.25 * unit),
+                    probes, times).abs2
+    assert np.max(np.abs(new - old) / old) <= 2e-4
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dt", 0.0), ("dt", -1e-3), ("dt", _NAN), ("dt", _INF),
+    ("dx", "negated"), ("dx", 0.0), ("dx", _NAN),
+    ("x_max", _INF), ("x_min", -_INF), ("x_min", _NAN),
+    ("absorber_width", -1.0), ("absorber_width", _NAN),
+])
+def test_invalid_grid_is_rejected_by_field(gaas, field, value):
+    good = default_cn_config(gaas, 2.0)
+    if value == "negated":
+        value = -good.dx
+    bad = replace(good, **{field: value})
+    t = np.array([2.0])
+    # through _validate first: a step loop with dt <= 0 never ends
+    with pytest.raises(ValidationError, match=field):
+        oracle._validate(gaas, bad, np.array([gaas.L]), 2.0)
+    with pytest.raises(ValidationError, match=field):
+        cn_evolve(gaas, bad, [gaas.L], t)
