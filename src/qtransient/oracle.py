@@ -1,7 +1,7 @@
 """Brute-force grid oracle: Crank-Nicolson integration of the shutter problem.
 
 An independent verifier for the analytic propagator.  The cutoff initial
-wave Theta(-x)(e^{ikx} - e^{-ikx}) is discretized on a finite grid, the
+wave Theta(-x)(e^{ikx} - e^{-ikx}) is discretized on a uniform grid, the
 barrier potential is cell-averaged onto the lattice (point sampling would
 snap the edges and change the effective width by O(dx), which the
 transmission amplifies exponentially), and the field is stepped with the
@@ -17,19 +17,32 @@ with dt = 0.45 dx^2 hbar / c2: a mode of energy E is damped by about
 zero-group-velocity band-edge lattice modes radiated by the initial kink at
 the shutter (E ~ 4 c2 / dx^2) decay like e^{-20} per fs on the GaAs grid.
 That junk would otherwise contaminate the exponentially small transmitted
-signal and does not vanish under grid refinement.  The left-hand operator A
-never changes during a run, so it is LU-factored once (LAPACK zgttrf)
-before the first step.  The right-hand operator is B = (1 + r) - r A with
-r = (1 - theta) / theta, so a step is psi <- (1 + r) A^{-1} psi - r psi:
-one solve with the stored factors (zgttrs) and one axpy.
+signal and does not vanish under grid refinement.
 
-Both walls are hard and protected by causality alone: the default domain
-is so large that no signal can complete a round trip to a wall and back to
-a probe inside the simulated window (factor-3 margin on the fastest
-over-barrier velocity).  The initial sea is tapered to zero across a layer
-at the left wall, since a hard jump there would radiate fast components
-that defeat the causal margin; probes must stay that layer's width away
-from either wall.
+There are no walls.  The untapered sea S_j = 2i sin(k x_j) for x_j <= 0
+(0 beyond) is an eigenvector of the discrete H with eigenvalue
+lam_s = 2 (c2/dx^2)(1 - cos k dx) at every node but x = 0, so the scheme
+advances it in closed form, g^n S with
+g = (1 - i (1 - theta) lam_s dt/hbar) / (1 + i theta lam_s dt/hbar).  Only
+the disturbance chi = psi - g^n S is stepped: it starts at zero and is
+driven by a source at x = 0 alone, A chi^{n+1} = B chi^n + s g^n e_0.  On
+either side of a window that just covers the barrier and the probes, chi
+obeys the free homogeneous scheme with zero initial data, which the exact
+discrete transparent boundary condition closes (Antoine, Arnold, Besse,
+Ehrhardt & Schaedle, Commun. Comput. Phys. 4, 729 (2008)):
+the first node outside each end is the convolution of the edge node's
+history with the Laurent coefficients of the decaying root rho(z) of
+rho + 1/rho = 2 + (z - 1) / (i (dt/hbar)(c2/dx^2)(theta z + 1 - theta)).
+The result is the solution on the unbounded lattice: it does not depend on
+where the window ends, and no signal returns from a wall.
+
+The instantaneous term of the convolution joins A's corner diagonals, so
+the left-hand operator never changes during a run and is LU-factored once
+(LAPACK zgttrf) before the first step.  The right-hand operator is
+B = (1 + r) - r A with r = (1 - theta) / theta, so a step is
+chi <- A^{-1} ((1 + r) chi + b) - r chi, with b the boundary history and
+the source: one solve with the stored factors (zgttrs), one axpy and one
+history dot product per end, O(steps^2) in all.
 
 This module is test / CLI infrastructure only; nothing in the analytic
 evaluation path imports it.
@@ -45,23 +58,23 @@ from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .errors import (GridTooCoarse, NonFiniteInput, NonPositiveParameter,
-                     NonPositiveTime, XOutOfRange)
+                     NonPositiveTime, ValidationError)
 from .systems import BarrierSystem, HBAR_EV_FS as HBAR
 
 _DX_LIMIT = 0.1          # max k*dx and kappa0*dx: ~60 points per wavelength
-_CAUSALITY_MARGIN = 3.0
+_MARGIN = 2              # window nodes beyond x = 0 or the barrier and probes
 
 
 @dataclass(frozen=True)
 class CnConfig:
-    """Grid and stepping parameters for the Crank-Nicolson oracle."""
+    """Grid and stepping parameters for the Crank-Nicolson oracle.
 
-    x_min: float            # nm, left of the shutter (negative)
-    x_max: float            # nm, beyond the barrier
+    The window is not configured: cn_evolve derives it from the barrier and
+    the probes, and its transparent ends make the result independent of it.
+    """
+
     dx: float               # nm
     dt: float               # fs
-    absorber_width: float   # nm, taper of the initial sea at the left wall;
-                            # probes keep this margin from either wall
     theta: float = 0.5 + 1.0 / 36.0
                             # implicitness; 0.5 is unitary Crank-Nicolson.
                             # With default_cn_config's dt = 0.45 dx^2 hbar/c2
@@ -75,8 +88,9 @@ def default_cn_config(sys: BarrierSystem, t_end: float, dx=None) -> CnConfig:
     so the barrier edges land on grid nodes); dt = 0.45 dx^2 hbar / c2 sits
     below the accuracy heuristic dt < dx^2 hbar / (2 c2) that _validate
     enforces, and with the default theta its damping (2 theta - 1) dt is
-    0.025 dx^2 hbar / c2; both walls are pushed out to twice the causal
-    reach of the probes.
+    0.025 dx^2 hbar / c2.  Neither depends on t_end: the boundaries are
+    transparent, so the spatial window no longer grows with the time
+    window; t_end is kept for callers that pass it.
     """
     scale = max(sys.k, math.sqrt(sys.v_strength), abs(sys.kappa0))
     if dx is None:
@@ -85,31 +99,20 @@ def default_cn_config(sys: BarrierSystem, t_end: float, dx=None) -> CnConfig:
     # probe positions) fall exactly on grid nodes; a sub-cell edge offset
     # shifts the effective width, which the transmission amplifies
     dx = 0.5 * sys.L / max(1, round(0.5 * sys.L / dx))
-    v_max = 2.0 * sys.c2 * scale / HBAR
-    width = max(25.0 * dx, 24.0 / scale)
-    # both walls sit at twice the causal reach (plus the taper layer), so a
-    # disturbance must travel at more than double the protected velocity to
-    # complete a wall round trip inside the window -- and anything that fast
-    # is annihilated by the theta damping long before it returns.  No
-    # absorbing layer is needed at all; hard walls plus the tapered initial
-    # sea are exactly unitary and leave the probes clean.
-    reach = 2.0 * 1.02 * _CAUSALITY_MARGIN * v_max * t_end
-    x_min = -dx * math.ceil((reach + width) / dx)
-    x_max = dx * math.ceil((max(3.0 * sys.L, sys.L + reach) + width) / dx)
     dt = 0.45 * dx * dx * HBAR / sys.c2
-    return CnConfig(x_min=x_min, x_max=x_max, dx=dx, dt=dt,
-                    absorber_width=width)
+    return CnConfig(dx=dx, dt=dt)
 
 
 @dataclass(frozen=True)
 class CnTrace:
-    """Probe traces from one Crank-Nicolson evolution."""
+    """Probe traces from one Crank-Nicolson evolution.
+
+    There is no norm: the incident sea is infinite, and the window is open.
+    """
 
     times: np.ndarray       # (T,)
     probes: np.ndarray      # (P,)
     psi: np.ndarray         # (P, T) complex
-    norm_start: float
-    norm_end: float
     config: CnConfig
 
     @property
@@ -117,19 +120,22 @@ class CnTrace:
         return np.abs(self.psi) ** 2
 
 
-def _validate(sys, cfg, probes, t_end):
-    # a non-positive dt never reaches t_end, and a non-finite grid or a
-    # negative taper would only fail later inside numpy or LAPACK
-    for name in ("x_min", "x_max", "dx", "dt"):
+def _validate(sys, cfg, probes):
+    # a non-positive dt never reaches t_end, and a non-finite grid would
+    # only fail later inside numpy or LAPACK
+    for name in ("dx", "dt"):
         if not math.isfinite(getattr(cfg, name)):
             raise NonFiniteInput(f"{name}={getattr(cfg, name)} must be finite")
-    for name in ("dx", "dt"):
         if getattr(cfg, name) <= 0.0:
             raise NonPositiveParameter(
                 f"{name}={getattr(cfg, name)} must be positive")
-    if not cfg.absorber_width >= 0.0:
-        raise NonPositiveParameter(
-            f"absorber_width={cfg.absorber_width} must be >= 0")
+    # the window is built from the probes: an empty list has no extent, and
+    # a non-finite probe would make it infinite
+    if probes.ndim != 1 or len(probes) == 0:
+        raise ValidationError(
+            f"probes must be a non-empty list of positions, got {probes!r}")
+    if not np.isfinite(probes).all():
+        raise NonFiniteInput(f"probes={probes.tolist()} must be finite")
     scale = max(sys.k, math.sqrt(sys.v_strength), abs(sys.kappa0))
     if scale * cfg.dx >= _DX_LIMIT:
         raise GridTooCoarse(
@@ -139,18 +145,28 @@ def _validate(sys, cfg, probes, t_end):
         raise GridTooCoarse(f"dt={cfg.dt} above accuracy heuristic {dt_max:.4g}")
     if not 0.5 <= cfg.theta <= 1.0:
         raise GridTooCoarse(f"theta={cfg.theta} outside the stable range [0.5, 1]")
-    if cfg.x_min >= 0 or cfg.x_max < 3.0 * sys.L:
-        raise GridTooCoarse(
-            f"domain [{cfg.x_min}, {cfg.x_max}] must span [<0, >=3L]")
-    v_max = 2.0 * sys.c2 * scale / HBAR
-    if abs(cfg.x_min) - cfg.absorber_width < _CAUSALITY_MARGIN * v_max * t_end:
-        raise GridTooCoarse(
-            f"|x_min|={abs(cfg.x_min)} inside causal reach "
-            f"{_CAUSALITY_MARGIN * v_max * t_end:.4g} of the probes")
-    for x in probes:
-        if not cfg.x_min + cfg.absorber_width < x < cfg.x_max - cfg.absorber_width:
-            raise XOutOfRange(f"probe x={x} closer than absorber_width="
-                              f"{cfg.absorber_width:.4g} nm to a wall")
+
+
+def transparent_kernel(w, theta, n):
+    """Laurent coefficients l_0 .. l_n of the exterior root rho(z).
+
+    rho is the root with |rho| < 1 of rho + 1/rho = 2 kappa(z),
+    kappa = 1 + (z - 1) / (2 i w (theta z + 1 - theta)), w = dt c2 /
+    (hbar dx^2): the Z transform of the free theta scheme with zero initial
+    data.  Outside the window the disturbance then obeys
+    chi_out^m = sum_p l_p chi_edge^{m-p}.  rho is analytic for |z| > 1, so
+    one FFT on |z| = R with R^N = 1e12 gives l_p to about 1e-12, aliasing
+    included, for p up to N / 4.
+    """
+    size = 1 << math.ceil(math.log2(4 * (n + 1)))
+    radius = 1e12 ** (1.0 / size)
+    z = radius * np.exp(2j * np.pi * np.arange(size) / size)
+    kappa = 1.0 + (z - 1.0) / (2j * w * (theta * z + 1.0 - theta))
+    root = np.sqrt(kappa * kappa - 1.0)
+    # the growing root without cancellation, then its reciprocal
+    grow = np.where((kappa.conjugate() * root).real >= 0.0,
+                    kappa + root, kappa - root)
+    return np.fft.ifft(1.0 / grow)[:n + 1] * radius ** np.arange(n + 1)
 
 
 def factor_tridiagonal(sub, diag, sup):
@@ -191,15 +207,16 @@ def solve_banded(ipiv, lu, rhs):
     return x
 
 
-def cn_step(ipiv, lu, r, psi):
-    """One theta-scheme step A^{-1} B psi as (1 + r) A^{-1} psi - r psi.
+def cn_step(ipiv, lu, r, psi, load):
+    """One theta-scheme step A^{-1} (B psi + load) as
+    A^{-1} ((1 + r) psi + load) - r psi.
 
     ipiv, lu are the factors of A = 1 + i theta H dt / hbar and
     r = (1 - theta) / theta; then B = 1 - i (1 - theta) H dt / hbar equals
-    (1 + r) - r A, so the step is one solve and one axpy.  psi is not
-    modified.
+    (1 + r) - r A, so the step is one solve and one axpy.  psi and load are
+    not modified.
     """
-    nxt = solve_banded(ipiv, lu, (1.0 + r) * psi)
+    nxt = solve_banded(ipiv, lu, (1.0 + r) * psi + load)
     nxt -= r * psi
     return nxt
 
@@ -207,6 +224,8 @@ def cn_step(ipiv, lu, r, psi):
 def cn_evolve(sys: BarrierSystem, cfg: CnConfig, probes, t_grid) -> CnTrace:
     """Evolve the shutter initial state and sample psi at probe positions.
 
+    The window runs from min(0, probes) to max(L, probes), two nodes of
+    margin beyond each, with transparent ends (see the module docstring).
     Probe values are linearly interpolated between the two Crank-Nicolson
     steps bracketing each requested time (consistent with the O(dt^2)
     accuracy of the stepping itself).
@@ -217,15 +236,19 @@ def cn_evolve(sys: BarrierSystem, cfg: CnConfig, probes, t_grid) -> CnTrace:
         raise NonPositiveTime(
             "time grid must be positive, finite and strictly increasing")
     probes = np.asarray(probes, dtype=float)
-    t_end = float(t_grid[-1])
-    _validate(sys, cfg, probes, t_end)
+    _validate(sys, cfg, probes)
 
-    x = np.arange(cfg.x_min, cfg.x_max + 0.5 * cfg.dx, cfg.dx)
+    # the first node outside either end sits at x < 0 or beyond L + 2 dx, so
+    # it carries no potential and the exterior is free
+    lo = math.floor(min(0.0, probes.min()) / cfg.dx) - _MARGIN
+    hi = math.ceil(max(sys.L, probes.max()) / cfg.dx) + _MARGIN
+    x = cfg.dx * np.arange(lo, hi + 1)
     n = len(x)
+    j0 = -lo                     # the node at x = 0
     # probes rarely fall on grid points; sample by linear interpolation
     # between the bracketing cells (the density gradient inside the barrier
     # is ~2 kappa, so nearest-cell snapping would cost several percent)
-    frac = (probes - cfg.x_min) / cfg.dx
+    frac = probes / cfg.dx - lo
     j_probe = np.clip(np.floor(frac).astype(int), 0, n - 2)
     w_probe = frac - j_probe
 
@@ -236,41 +259,66 @@ def cn_evolve(sys: BarrierSystem, cfg: CnConfig, probes, t_grid) -> CnTrace:
                - np.maximum(x - 0.5 * cfg.dx, 0.0)).clip(min=0.0)
     pot = (sys.V / cfg.dx) * overlap.astype(complex)
 
-    # tridiagonal H: diag 2 c2/dx^2 + V_j, off-diagonal -c2/dx^2.  Only the
-    # left-hand operator A = 1 + i theta H dt / hbar is built; the
-    # right-hand one is B = (1 + r) - r A (see cn_step)
+    # at most this many steps reach t_end (t_now accumulates rounding)
+    steps = math.ceil(t_grid[-1] / cfg.dt) + 1
     hop = sys.c2 / (cfg.dx * cfg.dx)
+    w = cfg.dt * hop / HBAR
+    ell = transparent_kernel(w, cfg.theta, steps)
+
+    # tridiagonal H: diag 2 c2/dx^2 + V_j, off-diagonal -c2/dx^2.  Only the
+    # left-hand operator A = 1 + i theta H dt / hbar is built, its corners
+    # closed by the instantaneous boundary term chi_out = l_0 chi_edge; the
+    # right-hand one is B = (1 + r) - r A (see cn_step)
     lam = 1j * cfg.dt * cfg.theta / HBAR
     off = np.full(n - 1, lam * (-hop), dtype=complex)
-    ipiv, lu = factor_tridiagonal(off, 1.0 + lam * (2.0 * hop + pot), off)
+    diag = 1.0 + lam * (2.0 * hop + pot)
+    diag[[0, -1]] -= lam * hop * ell[0]
+    ipiv, lu = factor_tridiagonal(off, diag, off)
     r = (1.0 - cfg.theta) / cfg.theta
 
-    psi = np.where(x < 0.0, np.exp(1j * sys.k * x) - np.exp(-1j * sys.k * x), 0.0)
-    psi = psi.astype(complex)
-    if cfg.absorber_width > 0.0:
-        # taper the truncated sea to zero across the left layer: a hard jump
-        # at the wall would radiate fast dispersive components that outrun
-        # the causality margin and contaminate the probes
-        u = np.clip((x - cfg.x_min) / cfg.absorber_width, 0.0, 1.0)
-        psi *= u * u * (3.0 - 2.0 * u)
-    norm_start = float(np.sum(np.abs(psi) ** 2) * cfg.dx)
+    # the boundary history chi_out^{n+1} (A side) and chi_out^n (B side)
+    # less the l_0 terms that A's corners and B = (1 + r) - r A carry:
+    # at step n each edge row of the load is sum_q memory_q chi_edge^{n-q}
+    memory = cfg.theta * ell[1:] + (1.0 - cfg.theta) * ell[:-1]
+    memory[0] = cfg.theta * ell[1]
+    memory *= 1j * w
+    # edge values, newest first: chi^m at both ends sits in column steps - m
+    history = np.zeros((2, steps + 1), dtype=complex)
 
+    # the sea g^n S and the source its residual at x = 0 drives
+    sea = np.where(x <= 0.0, 2j * np.sin(sys.k * x), 0.0)
+    lam_s = 2.0 * hop * (1.0 - math.cos(sys.k * cfg.dx))
+    g = ((1.0 - 1j * (1.0 - cfg.theta) * cfg.dt * lam_s / HBAR)
+         / (1.0 + 1j * cfg.theta * cfg.dt * lam_s / HBAR))
+    r0 = 2j * hop * math.sin(sys.k * cfg.dx)
+    source = (-1j * cfg.dt / HBAR * r0 * ((1.0 - cfg.theta) + g * cfg.theta)
+              * g ** np.arange(steps))
+    sea_probe = (1.0 - w_probe) * sea[j_probe] + w_probe * sea[j_probe + 1]
+
+    def at_probes(chi, m):
+        return (g ** m * sea_probe + (1.0 - w_probe) * chi[j_probe]
+                + w_probe * chi[j_probe + 1])
+
+    chi = np.zeros(n, dtype=complex)
+    load = np.zeros(n, dtype=complex)
     out = np.zeros((len(probes), len(t_grid)), dtype=complex)
     t_now = 0.0
     i_t = 0
+    step = 0
     while i_t < len(t_grid):
-        # psi is rebound below, never written in place
-        prev, t_prev = psi, t_now
-        psi = cn_step(ipiv, lu, r, psi)
+        load[0], load[-1] = history[:, steps - step:] @ memory[:step + 1]
+        load[j0] = source[step]
+        # chi is rebound below, never written in place
+        prev, t_prev = chi, t_now
+        chi = cn_step(ipiv, lu, r, chi, load)
+        step += 1
         t_now += cfg.dt
+        history[:, steps - step] = chi[0], chi[-1]
         if t_grid[i_t] > t_now + 1e-12:
             continue     # no requested time in this step
-        at_probe = (1.0 - w_probe) * psi[j_probe] + w_probe * psi[j_probe + 1]
-        prev_probe = (1.0 - w_probe) * prev[j_probe] + w_probe * prev[j_probe + 1]
+        at_probe, prev_probe = at_probes(chi, step), at_probes(prev, step - 1)
         while i_t < len(t_grid) and t_grid[i_t] <= t_now + 1e-12:
             f = (t_grid[i_t] - t_prev) / cfg.dt
             out[:, i_t] = (1.0 - f) * prev_probe + f * at_probe
             i_t += 1
-    norm_end = float(np.sum(np.abs(psi) ** 2) * cfg.dx)
-    return CnTrace(times=t_grid, probes=probes, psi=out,
-                   norm_start=norm_start, norm_end=norm_end, config=cfg)
+    return CnTrace(times=t_grid, probes=probes, psi=out, config=cfg)
