@@ -13,19 +13,20 @@ and the magnitude of the real part,
     sigma(t) = | Re[ (dPsi/dt) / Psi ] |,
 
 measures how fast the envelope is changing -- it vanishes exactly where
-|Psi| peaks, which makes the signed real part a clean root-finding target
-for locating the transient maximum ("time-domain resonance") to the
-pole-sum tolerance.  A forerunner is classified as under the barrier when
+|Psi| peaks.  The signed real part is analytic in t, so a Chebyshev
+interpolant of it through a few times around a coarse maximum puts its
+zero, the transient maximum ("time-domain resonance"), at the pole-sum
+tolerance.  A forerunner is classified as under the barrier when
 omega_av < omega_V = V/hbar at its peak.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import Chebyshev, chebpts2
 
 from .errors import AmplitudeUnderflow, NotConverged, WindowTooNarrow
 from .propagator import DEFAULT_TOL, check_tol, check_x, pole_cache, trace
@@ -36,6 +37,7 @@ _AMP_FLOOR = 1e-150
 PEAK_SCAN = 1200      # coarse time points of a peak search
 SCAN_TOL = 1e-6       # the scan only brackets the peak; polish keeps tol
 HEIGHT_FLOOR = 1e-6   # least peak density, relative to the long-time plateau
+POLISH_NODES = 16     # Chebyshev-Lobatto times of the polish trace
 
 
 def local_frequency(psi, dpsi_dt):
@@ -118,23 +120,18 @@ def default_window(sys: BarrierSystem, x=None):
     return lo, hi
 
 
-def _envelope_rate(t, sample):
-    """Re[(dPsi/dt)/Psi] at time t, which crosses zero at a peak of |Psi|."""
-    w = sample(t)
-    return float(np.real(w.dpsi_dt[0] / w.psi[0]))
-
-
 def find_time_domain_resonance(sys: BarrierSystem, x=None, t_window=None,
                                tol=DEFAULT_TOL, poles=None):
     """Locate the transient peak of |Psi(x, t)|^2.
 
     Scans PEAK_SCAN times for the first interior local maximum whose
     density exceeds HEIGHT_FLOOR times the long-time plateau, summing poles
-    only to max(tol, SCAN_TOL) since the scan just brackets, then polishes
-    it at tol by root-finding the signed envelope rate Re[(dPsi/dt)/Psi],
-    which crosses zero at the peak.  Returns exists=False when the density
-    rises monotonically (no forerunner), as happens below the critical
-    opacity.
+    only to max(tol, SCAN_TOL) since the scan just brackets.  The polish
+    traces the signed envelope rate Re[(dPsi/dt)/Psi] at tol on
+    POLISH_NODES Chebyshev-Lobatto times two scan steps either side of it;
+    t_max is the first falling zero of their interpolant.  Returns
+    exists=False when the density rises monotonically (no forerunner), as
+    happens below the critical opacity.
     """
     if x is None:
         x = sys.L
@@ -143,8 +140,9 @@ def find_time_domain_resonance(sys: BarrierSystem, x=None, t_window=None,
     if t_window is None:
         t_window = default_window(sys, x)
     t_lo, t_hi = float(t_window[0]), float(t_window[1])
-    if not 0 < t_lo < t_hi:
-        raise WindowTooNarrow(f"bad scan window ({t_lo}, {t_hi})")
+    if not 0 < t_lo < t_hi < math.inf:
+        raise WindowTooNarrow(f"t_window must be finite with 0 < lo < hi, "
+                              f"got ({t_lo}, {t_hi})")
     cache = pole_cache(sys, poles)
     grid = np.linspace(t_lo, t_hi, PEAK_SCAN)
     try:
@@ -165,29 +163,20 @@ def find_time_domain_resonance(sys: BarrierSystem, x=None, t_window=None,
         return absent
     i = int(idx[0]) + 1
 
-    # each time is traced once: brentq evaluates the bracket ends again and
-    # returns a time it has evaluated
-    sample = functools.lru_cache(maxsize=None)(
-        lambda t: trace(x, np.array([t]), sys, poles=cache, tol=tol))
-
-    # deferred: importing scipy.optimize takes about 0.1 s, which commands
-    # that never polish a peak need not pay at start-up
-    from scipy.optimize import brentq
-    lo, hi = grid[i - 1], grid[i + 1]
-    f_lo, f_hi = _envelope_rate(lo, sample), _envelope_rate(hi, sample)
-    if f_lo <= 0.0 or f_hi >= 0.0:
-        # shallow discrete maximum: widen once; if the envelope rate still
-        # does not cross zero there is no genuine peak at this resolution
-        lo = grid[max(i - 2, 0)]
-        hi = grid[min(i + 2, len(grid) - 1)]
-        f_lo, f_hi = _envelope_rate(lo, sample), _envelope_rate(hi, sample)
-        if f_lo <= 0.0 or f_hi >= 0.0:
-            return absent
-    # sample goes in args: brentq's self-referencing wrapper of its function
-    # would keep a closure, and the pole table in it, alive until a full GC
-    t_max = brentq(_envelope_rate, lo, hi, args=(sample,), xtol=1e-12,
-                   rtol=8.9e-16)
-    w = sample(t_max)
+    lo, hi = grid[max(i - 2, 0)], grid[min(i + 2, len(grid) - 1)]
+    nodes = lo + (hi - lo) * 0.5 * (1.0 + chebpts2(POLISH_NODES))
+    w = trace(x, nodes, sys, poles=cache, tol=tol)
+    rate = np.real(w.dpsi_dt / w.psi)
+    if not rate[0] > 0.0 > rate[-1]:
+        # the envelope rate does not fall through zero across the bracket:
+        # no genuine peak at this resolution
+        return absent
+    # the interpolant takes the end signs, so it has a falling zero in [lo, hi]
+    fit = Chebyshev.fit(nodes, rate, POLISH_NODES - 1, domain=(lo, hi))
+    slope = fit.deriv()
+    t_max = min(r.real for r in fit.roots()
+                if r.imag == 0 and lo <= r.real <= hi and slope(r.real) < 0)
+    w = trace(x, np.array([t_max]), sys, poles=cache, tol=tol)
     omega_av, sigma = local_frequency(complex(w.psi[0]), complex(w.dpsi_dt[0]))
     height = abs(w.psi[0]) ** 2
     return TimeDomainResonance(x=float(x), exists=True, t_max=float(t_max),

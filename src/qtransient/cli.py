@@ -288,6 +288,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ValidationError(f"--threads must be >= 1, got {args.threads}")
         table = _COMMANDS[args.command](args)
         emit_csv(table, args.out)
     except ValidationError as exc:

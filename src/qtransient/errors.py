@@ -53,7 +53,7 @@ class PoleSetMismatch(ValidationError):
 
 
 class WindowTooNarrow(ValidationError):
-    """A peak-search scan window that is not 0 < lo < hi."""
+    """A peak-search scan window that is not finite with 0 < lo < hi."""
 
 
 class GridTooCoarse(ValidationError):

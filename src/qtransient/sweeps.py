@@ -67,6 +67,11 @@ def _sorted_grid(grid, name):
     return values
 
 
+def _check_threads(threads):
+    if not threads >= 1:
+        raise NonPositiveParameter(f"threads must be >= 1, got {threads}")
+
+
 def _scan_map(values, worker, threads):
     """Deterministic parallel map: output order follows input order."""
     if threads <= 1 or len(values) <= 1:
@@ -89,6 +94,7 @@ def _sweep(kind, fixed_params, values, peak, threads):
 def sweep_tmax_vs_L(L_grid, V, E, mass_ratio=1.0, tol=DEFAULT_TOL,
                     threads=1) -> SweepTable:
     """t_max at x = L for each barrier width; rows sorted by L."""
+    _check_threads(threads)
     check_tol(tol)
 
     def peak(L):
@@ -106,6 +112,7 @@ def sweep_freq_vs_x(x_grid, sys: BarrierSystem, tol=DEFAULT_TOL,
     Every probe shares one immutable pole table, found once, so sharing it
     across threads leaves every row unchanged.
     """
+    _check_threads(threads)
     values = _sorted_grid(x_grid, "x")
     check_tol(tol)
     cache = pole_cache(sys)
@@ -127,6 +134,7 @@ def _ratio_at_alpha(alpha, u, V_ref, mass_ratio, tol):
 def sweep_freq_vs_alpha(alpha_grid, u, V_ref, mass_ratio=1.0, tol=DEFAULT_TOL,
                         threads=1) -> SweepTable:
     """Frequency ratio at the barrier edge versus opacity, at fixed u = V/E."""
+    _check_threads(threads)
     if u <= 1:
         raise NonPositiveParameter(f"u must be > 1 (tunneling), got {u}")
     check_tol(tol)

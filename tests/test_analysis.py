@@ -7,7 +7,10 @@ Oracles:
 * [DERIVED] pinned peak data for the GaAs reference barrier (t_max,
   frequency ratio, height ratio), converged under pole-count and scan
   refinement;
-* [TRIVIAL] the peak polish traces each time once;
+* [TRIVIAL] a peak find makes three traces: the scan, the polish nodes
+  inside the scan bracket, and the reported time;
+* [DERIVED] on opaque barriers the polished t_max agrees to 1e-11 with
+  pinned references from Brent's method;
 * [DERIVED] beyond the barrier and next to the shutter the peak find
   reaches the tolerance asked for, t_max 0.1 nm from the shutter agrees
   with a 1024-pole reference to that tolerance, and a miss is reported at
@@ -103,19 +106,61 @@ def test_peak_invariant_under_scan_refinement(gaas, gaas_cache):
 
 @pytest.mark.parametrize("x", [1.0, 4.0, 8.0])
 def test_peak_polish_traces_each_time_once(gaas, gaas_cache, monkeypatch, x):
-    # brentq evaluates the bracket ends again, and the reported values come
-    # from the last time it evaluated
-    times = []
+    calls = []
 
-    def spy(x_, t_grid, *args, **kwargs):
-        if len(t_grid) == 1:
-            times.append(float(t_grid[0]))
-        return trace(x_, t_grid, *args, **kwargs)
+    def spy(x_, t_grid, *args, tol, **kwargs):
+        tr = trace(x_, t_grid, *args, tol=tol, **kwargs)
+        calls.append((tr, tol))
+        return tr
 
     monkeypatch.setattr(analysis, "trace", spy)
-    tdr = find_time_domain_resonance(gaas, x=x, poles=gaas_cache)
-    assert tdr.exists and tdr.t_max in times
-    assert len(times) == len(set(times)) > 2
+    tol = 1e-9
+    tdr = find_time_domain_resonance(gaas, x=x, tol=tol, poles=gaas_cache)
+    assert tdr.exists
+    (scan, scan_tol), (polish, polish_tol), (last, last_tol) = calls
+    assert len(scan.times) == analysis.PEAK_SCAN
+    assert scan_tol == max(tol, analysis.SCAN_TOL)
+    # the polish spans two scan steps either side of the coarse maximum
+    nodes, rho = polish.times, scan.abs2
+    i = int(np.searchsorted(scan.times, nodes[0]))
+    assert nodes[0] == scan.times[i] and rho[i + 1] < rho[i + 2] >= rho[i + 3]
+    assert nodes[-1] == pytest.approx(scan.times[i + 4], rel=1e-15, abs=0.0)
+    assert len(nodes) == analysis.POLISH_NODES and polish_tol == tol
+    assert nodes[0] < tdr.t_max < nodes[-1] and tdr.t_max not in nodes
+    assert last.times.tolist() == [tdr.t_max] and last_tol == tol
+    assert tdr.height == abs(last.psi[0]) ** 2
+
+
+# t_max (fs) at x = L, V = 0.3 eV, m = 0.067, tol 1e-11, from Brent's method
+# on the envelope rate
+OPAQUE_REFERENCES = [
+    ((6.0, 30.0), 6.863877726297539),
+    ((6.0, 300.0), 6.778364781946191),
+    ((6.0, 3000.0), 6.770095043400849),
+    ((9.0, 30.0), 9.614953109985743),
+    ((9.0, 300.0), 9.528178754556118),
+    ((9.0, 3000.0), 9.519777161735254),
+    ((None, 5.9), 5.582286253037109),
+    ((None, 6.85), 5.996338877791042),
+    ((None, 7.8), 6.5311347268839555),
+    ((None, 8.75), 7.084108043583695),
+    ((None, 9.7), 7.695938068170701),
+    ((None, 10.65), 8.326312524362121),
+    ((None, 11.6), 8.983189003324144),
+]
+
+
+def test_polish_matches_opaque_references():
+    # (alpha, u) barriers, then E = 1 meV barriers of width L (alpha None);
+    # the error of the polish is the interpolant's, independent of tol
+    V, m = 0.3, 0.067
+    for (alpha, param), ref in OPAQUE_REFERENCES:
+        if alpha is None:
+            sys_ = make_system(V, 0.001, param, m)
+        else:
+            sys_ = make_system(V, V / param, length_for_alpha(alpha, V, m), m)
+        tdr = find_time_domain_resonance(sys_, tol=1e-11)
+        assert abs(tdr.t_max / ref - 1.0) <= 1e-11, (alpha, param)
 
 
 def test_sigma_vanishes_at_peak(gaas, gaas_cache):
@@ -139,8 +184,9 @@ def test_default_window_shifts_with_probe(gaas):
 
 
 def test_window_validation(gaas):
-    with pytest.raises(WindowTooNarrow):
-        find_time_domain_resonance(gaas, t_window=(0.0, 5.0))
+    for window in [(0.0, 5.0), (1.0, math.inf), (math.nan, 5.0)]:
+        with pytest.raises(WindowTooNarrow, match="t_window"):
+            find_time_domain_resonance(gaas, t_window=window)
 
 
 @pytest.mark.parametrize("x_over_L,alpha,u,tol", [

@@ -183,6 +183,14 @@ def test_window_bad_alpha_span_exits_2(capsys, recwarn, span):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("threads,command", [
+    ("0", ["scan-freq-x", "--grid", "2:6:3"]), ("-4", ["tmax"])])
+def test_threads_below_one_exits_2(capsys, threads, command):
+    code, out, err = run(capsys, ["--threads", threads] + GAAS_FLAGS + command)
+    assert code == 2 and out == ""
+    assert "--threads" in err
+
+
 def test_nonconvergence_exits_3(capsys):
     # next to the shutter, 1e-3 fs after release, 2048 poles do not reach
     # the default tolerance
@@ -252,14 +260,18 @@ def test_non_finite_x_or_time_exits_2_naming_it(capsys, recwarn, argv, named):
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # the peak polish imports scipy.optimize when it first runs, so the
-    # commands that never polish do not pay for it at start-up
+    # scipy.optimize costs start-up time and memory that no command needs,
+    # neither at import nor in a peak find
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(__file__).resolve().parents[1] / "src")]
         + [p for p in [env.get("PYTHONPATH")] if p])
-    probe = "import sys, qtransient.cli; print('scipy.optimize' in sys.modules)"
+    probe = ("import io, sys, contextlib, qtransient.cli as cli\n"
+             "print('scipy.optimize' in sys.modules)\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    code = cli.main({GAAS_FLAGS + ['tmax']!r})\n"
+             "print(code, 'scipy.optimize' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split("\n")[:2] == ["False", "0 False"]

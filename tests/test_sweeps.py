@@ -56,7 +56,7 @@ def test_linear_suffix_on_synthetic_data():
     assert linear_suffix(ragged) is None
 
 
-def test_sweep_validation(gaas):
+def test_sweep_validation(gaas, monkeypatch):
     with pytest.raises(NonPositiveParameter):
         sweep_tmax_vs_L([-1.0, 4.0], 0.3, 0.001, 0.067)
     with pytest.raises(NonPositiveParameter):
@@ -70,6 +70,14 @@ def test_sweep_validation(gaas):
     # the whole grid is checked before any worker thread starts a probe
     with pytest.raises(NonPositiveParameter, match="got -1"):
         sweep_tmax_vs_L([4.0, 5.0, -1.0], 0.3, 0.001, 0.067, threads=2)
+    # a thread count below 1 is rejected before the pole search or a probe
+    monkeypatch.setattr(sweeps, "find_time_domain_resonance", _no_probe)
+    monkeypatch.setattr(sweeps, "pole_cache", _no_probe)
+    for sweep in (lambda **kw: sweep_tmax_vs_L([4.0], 0.3, 0.001, **kw),
+                  lambda **kw: sweep_freq_vs_x([4.0], gaas, **kw),
+                  lambda **kw: sweep_freq_vs_alpha([3.0], 300.0, 0.3, **kw)):
+        with pytest.raises(NonPositiveParameter, match="threads"):
+            sweep(threads=0)
 
 
 def _no_probe(*args, **kwargs):
