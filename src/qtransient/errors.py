@@ -84,10 +84,6 @@ class PoleNotConverged(NumericalError):
         self.n = n
 
 
-class DuplicatePole(NumericalError):
-    pass
-
-
 class CountMismatch(NumericalError):
     """Argument-principle zero count disagrees with the pole list."""
 

@@ -1,10 +1,12 @@
 """Complex resonance poles of the barrier and their Gamow-state data.
 
 The poles k_n are the zeros of the transmission denominator, located with
-Newton's method from asymptotic seeds and certified by an argument-principle
-zero count over the scanned rectangle of the complex k-plane.  For each pole
-the resonant eigenfunction u_n is known in closed form up to normalization;
-the normalization integral
+one array Newton pass from first-order seeds.  The branch index of the
+log-form pole equation numbers the poles, so it certifies every table: no
+pole below the last one can be missing.  With audit=True an
+argument-principle zero count over a rectangle of the complex k-plane
+checks the table as well.  For each pole the resonant eigenfunction u_n is
+known in closed form up to normalization; the normalization integral
 
     int_0^L u_n^2 dx + i (u_n(0)^2 + u_n(L)^2) / (2 k_n) = 1
 
@@ -22,9 +24,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (CountMismatch, DuplicatePole, NormalizationSingular,
-                     PoleCollision, PoleNotConverged)
-from .stationary import _q_of_k, pole_function, relative_pole_function
+from .errors import (CountMismatch, NormalizationSingular, PoleCollision,
+                     PoleNotConverged)
+from .stationary import _q_of_k, pole_function
 from .systems import BarrierSystem
 
 RESIDUAL_TOL = 1e-12
@@ -36,7 +38,8 @@ def _log_pole_eq(k, sys):
 
     Equivalent zero set to the transmission denominator, but free of the
     exponential cancellation that limits D(k) near machine precision; the
-    derivative is exactly (2iLk - 4)/q.
+    derivative is exactly (2iLk - 4)/q.  Returns (H, q, m), where the
+    unreduced H is H + 2 pi i m: at a pole, m is its branch index.
     """
     v = sys.v_strength
     q = _q_of_k(k, v)
@@ -50,8 +53,9 @@ def _log_pole_eq(k, sys):
     np.divide(v, km**2, out=ratio, where=near_p)
     np.divide(kp, km, out=ratio, where=~(near_m | near_p))
     h = 2j * q * sys.L - 2.0 * np.log(ratio)
-    h -= 2j * math.pi * np.rint(h.imag / (2 * math.pi))
-    return h, q
+    m = np.rint(h.imag / (2 * math.pi))
+    h -= 2j * math.pi * m
+    return h, q, m
 
 
 def _pole_residual(k, sys):
@@ -61,37 +65,30 @@ def _pole_residual(k, sys):
     quantity a double-precision root can actually drive to ~eps (the raw
     |H(k)| has an unavoidable floor ~eps * |k| L at large |k|).  Elementwise.
     """
-    h, q = _log_pole_eq(k, sys)
+    h, q, _ = _log_pole_eq(k, sys)
     return np.abs(h * q / (2j * sys.L * k - 4.0)) / np.maximum(1.0, np.abs(k))
 
 
-def _newton_refine(k0, sys, avoid=()):
+def _newton_refine(k0, sys):
     """Newton iteration on the log-form pole equation, analytic derivative.
 
     Runs elementwise over a 1-D array of starting points; each one stops on
-    its own step test, so its root does not depend on the others.  `avoid`
-    lists already-found zeros; Maehly deflation steers the iteration away
-    from them (needed at small opacity where neighboring seeds share a
-    basin of attraction).  Without deflation a point whose final |H| is
-    worse than its best iterate returns that iterate.
+    its own step test, so its root does not depend on the others.  A point
+    whose final |H| is worse than its best iterate returns that iterate.
     """
     k = np.array(k0, dtype=complex, ndmin=1)
-    avoid = np.asarray(avoid, dtype=complex)
     best_k, best_h = k.copy(), np.full(k.shape, np.inf)
     # the points still iterating: their indices, iterates and best iterates
     live, kl, bkl, bhl = np.arange(k.size), k.copy(), k.copy(), best_h.copy()
     for _ in range(_NEWTON_MAX_ITER):
         if not live.size:
             break
-        h, q = _log_pole_eq(kl, sys)
+        h, q, _ = _log_pole_eq(kl, sys)
         ah = np.abs(h)
         better = ah < bhl
         np.copyto(bkl, kl, where=better)
         np.copyto(bhl, ah, where=better)
-        hp = (2j * sys.L * kl - 4.0) / q
-        if avoid.size:
-            hp -= np.sum(h[:, None] / (kl[:, None] - avoid), axis=1)
-        step = h / hp
+        step = h / ((2j * sys.L * kl - 4.0) / q)
         kl -= step
         stop = np.abs(step) < 1e-15 * np.maximum(1.0, np.abs(kl))
         if np.count_nonzero(stop):
@@ -100,42 +97,22 @@ def _newton_refine(k0, sys, avoid=()):
             go = ~stop
             live, kl, bkl, bhl = live[go], kl[go], bkl[go], bhl[go]
     k[live], best_k[live], best_h[live] = kl, bkl, bhl
-    h, _ = _log_pole_eq(k, sys)
-    return k if avoid.size else np.where(np.abs(h) <= best_h, k, best_k)
+    h, _, _ = _log_pole_eq(k, sys)
+    return np.where(np.abs(h) <= best_h, k, best_k)
 
 
 def _seed(n, sys):
-    """Asymptotic pole location, elementwise in the rung index n.
+    """First-order pole location on rung n, elementwise.
 
-    Resonances sit near q L = n pi, so Re k ~ sqrt((n pi / L)^2 + v) -- the
-    barrier shift matters for the lowest n at large opacity.  The imaginary
-    part follows the slow logarithmic growth law.
+    On the pole equation qL = n pi - i Log((k+q)^2/v).  At q = n pi/L,
+    k = a = sqrt(q^2 + v), the log term moves q by -i ln((a+q)^2/v)/L and so
+    k by q/a times that; at large n this is the logarithmic growth law
+    Im k ~ -ln(16 a^4/v^2)/(2L).
     """
-    L = sys.L
     v = sys.v_strength
-    a = np.sqrt((np.asarray(n, dtype=float) * math.pi / L) ** 2 + v)
-    b = np.maximum(np.log(16.0 * a**4 / v**2) / (2 * L), 0.05 / L)
-    return a - 1j * b
-
-
-def _grid_rescue(n, sys, avoid=()):
-    """Fallback: scan a grid around the seed for the best restart point.
-
-    With `avoid` nonempty the landscape is deflated by the distance to the
-    already-found zeros, and the window is widened: at small opacity the
-    low-n poles sit well off their asymptotic strips.
-    """
-    s = _seed(n, sys)
-    da = math.pi / sys.L
-    width = 0.85 * da if not avoid else 1.5 * da
-    re = np.linspace(max(s.real - width, 1e-3 / sys.L), s.real + width, 61)
-    im = np.linspace(min(3 * s.imag, -4 / sys.L), -1e-3 / sys.L, 61)
-    kk = re[:, None] + 1j * im[None, :]
-    g = relative_pole_function(kk, sys)
-    for kj in avoid:
-        g = g / np.minimum(np.abs(kk - kj), 1.0)
-    i, j = np.unravel_index(np.argmin(g), g.shape)
-    return kk[i, j]
+    q = np.asarray(n, dtype=float) * math.pi / sys.L
+    a = np.sqrt(q * q + v)
+    return a - 1j * (q / a) * np.log((a + q) ** 2 / v) / sys.L
 
 
 @dataclass(frozen=True)
@@ -263,12 +240,9 @@ def find_axis_poles(sys: BarrierSystem):
 def _winding_number(sys, corners, samples_per_edge=64, max_depth=14):
     """Winding of arg G(k) around a rectangular contour, adaptively refined."""
     x0, x1, y0, y1 = corners
-    pts = []
     cs = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
-    for a, b in zip(cs, cs[1:] + cs[:1]):
-        s = np.linspace(0.0, 1.0, samples_per_edge, endpoint=False)
-        pts.append(a + (b - a) * s)
-    pts = np.concatenate(pts)
+    pts = np.concatenate([_edge_points(a, b, samples_per_edge, sys.v_strength)
+                          for a, b in zip(cs, cs[1:] + cs[:1])])
     vals = pole_function(pts, sys)
     total = 0.0
     npts = len(pts)
@@ -277,6 +251,22 @@ def _winding_number(sys, corners, samples_per_edge=64, max_depth=14):
         va, vb = vals[i], vals[(i + 1) % npts]
         total += _phase_increment(sys, a, b, va, vb, max_depth)
     return round(total / (2 * math.pi))
+
+
+def _edge_points(a, b, n, v):
+    """n points from corner a toward corner b, b left out.
+
+    A horizontal edge k = x + iy is spaced evenly in s = Re q, q =
+    sqrt(k^2 - v), where x^2 = s^2 (s^2 + y^2 + v)/(s^2 + y^2): near
+    k ~ sqrt v the phase of G turns faster than even steps in Re k resolve.
+    """
+    t = np.linspace(0.0, 1.0, n, endpoint=False)
+    if a.imag != b.imag:
+        return a + (b - a) * t
+    sa, sb = _q_of_k(np.array([a, b]), v).real
+    s2 = (sa + (sb - sa) * t) ** 2
+    y2 = a.imag ** 2
+    return np.sqrt(s2 * (s2 + y2 + v) / (s2 + y2)) + 1j * a.imag
 
 
 def _phase_increment(sys, a, b, va, vb, depth):
@@ -306,9 +296,8 @@ def audit_pole_count(poleset: PoleSet):
     x0 = 1e-6 if not poleset.axis_poles else 1.0 / sys.L
     # right edge halfway to the next expected pole: consecutive Re spacings
     # compress below pi/L at strong barrier shift, so a fixed margin can
-    # swallow pole N+1
-    shift = len(poleset.axis_poles) // 2
-    a_next = _seed(n + shift + 1, sys).real
+    # swallow pole N+1; beside antibound poles, pole n has branch index n + 1
+    a_next = _seed(n + 1 + bool(poleset.axis_poles), sys).real
     corners = (x0, 0.5 * (a_max + a_next), -(1.5 * b_max + 1.0 / sys.L), -1e-9)
     # phase advances ~2 pi per enclosed zero along the contour; sample densely
     # enough that no segment can alias a full turn into a small increment
@@ -319,131 +308,39 @@ def audit_pole_count(poleset: PoleSet):
     return count
 
 
-def _scan_low_zone(sys):
-    """Dense scan of the irregular low-|k| region for off-ladder zeros.
-
-    Near the merge opacity the lowest pole pair sits far off the asymptotic
-    strips (Re well below sqrt((pi/L)^2 + v)); a grid search over the first
-    strip-and-a-half catches it.  Returns refined zeros with Re > 0.
-    """
-    L = sys.L
-    s1 = _seed(1, sys)
-    re = np.linspace(1e-3 / L, s1.real + 0.75 * math.pi / L, 181)
-    im = np.linspace(-(2.0 * abs(s1.imag) + 6.0 / L), -1e-4 / L, 121)
-    kk = re[:, None] + 1j * im[None, :]
-    g = relative_pole_function(kk, sys)
-    from scipy.ndimage import minimum_filter
-    # the prune threshold only rejects obvious non-basins: very narrow poles
-    # (opaque barriers) leave a shallow dip on this grid, so keep anything
-    # below 0.5 and let Newton + the residual test decide.  g also dips to
-    # 0 at k = sqrt v (q = 0), where its scale diverges but G = 2k(2 - iLk)
-    # does not vanish: the cells within one step of that point are no basin.
-    q0 = (np.abs(kk.real - math.sqrt(sys.v_strength)) <= re[1] - re[0]) \
-        & (np.abs(kk.imag) <= im[1] - im[0])
-    mins = (g == minimum_filter(g, size=5)) & (g < 0.5) & ~q0
-    k = _newton_refine(kk[mins], sys)
-    ok = ((_pole_residual(k, sys) <= RESIDUAL_TOL) & (k.imag < 0)
-          & (1e-6 / L < k.real) & (k.real <= re[-1]))
-    out = []
-    for kj in k[ok].tolist():
-        if not any(abs(kj - ki) < 1e-8 * max(1.0, abs(kj)) for ki in out):
-            out.append(kj)
-    return sorted(out, key=lambda z: z.real)
-
-
-def _next_rung(re_max, sys):
-    """Ladder index of the next pole above the largest found Re (elementwise)."""
-    q2 = np.asarray(re_max, dtype=float) ** 2 - sys.v_strength
-    rung = np.floor(np.sqrt(np.maximum(q2, 0.0)) * sys.L / math.pi + 0.5) + 1
-    return np.where(q2 <= (0.5 * math.pi / sys.L) ** 2, 1, rung).astype(int)
-
-
-def _on_rung(k, seed, sys):
-    """Roots that pass the per-rung checks: residual, quadrant, strip."""
-    return ((_pole_residual(k, sys) <= RESIDUAL_TOL) & (k.real > 0)
-            & (k.imag < 0)
-            & (np.abs(k.real - seed.real) <= 0.75 * math.pi / sys.L))
-
-
 def find_poles(sys: BarrierSystem, N: int, audit: bool = True) -> PoleSet:
     """Locate the N poles of smallest positive Re k_n.
 
-    Deterministic: a dense scan of the irregular low-|k| zone, then Newton
-    down the asymptotic seed ladder, each rung chosen from the largest Re
-    found so far.  The ladder runs in batches: one array Newton refines
-    every rung still needed, and the longest prefix of roots that pass the
-    per-rung checks (residual <= RESIDUAL_TOL, Re > 0, Im < 0, within
-    0.75 pi/L of the seed's strip), rise strictly in Re clear of every
-    root so far, and each lead to the next rung of the batch is taken at
-    once.  The first rung past that prefix goes through the grid rescue
-    and Maehly deflation alone; then batching resumes.  Every root depends
-    only on its own seed, so the first n poles do not depend on N.  The
-    roots are sorted once and their Gamow data filled in as columns.
+    Deterministic: one array Newton refines N + 2 seeds, the first-order
+    seed of each rung 1..N+1 and a fixed seed (1 - 2i)/L next to the double
+    root k = -2i/L, where the antibound pair leaves the imaginary axis as
+    pole 1.  Roots with residual <= RESIDUAL_TOL, Re k > 1e-6/L and Im k < 0
+    are sorted by Re once, and roots within 1e-8 max(1, |k|) of the one
+    before are dropped as duplicates.  The branch index m of the pole
+    equation numbers the poles: the N kept roots must carry m = 1..N, or
+    2..N+1 beside the antibound pair, and a gap raises PoleNotConverged
+    naming the missing pole.  Every root depends only on its own seed, so
+    the first n poles do not depend on N.  audit=True counts the zeros by
+    the argument principle as well.
     """
     if N < 1:
         raise PoleNotConverged(N, "(need N >= 1)")
     axis = find_axis_poles(sys)
-    axis_k = axis.k.tolist()
-    ks = []         # ladder roots in the order found
-    re_max = 0.0    # strips only, no axis
-
-    def claimed(k):
-        return any(abs(kj - k) <= 1e-8 * max(1.0, abs(k)) for kj in ks + axis_k)
-
-    def add(new):
-        nonlocal re_max
-        ks.extend(new)
-        re_max = max([re_max] + [k.real for k in new])
-
-    for k in _scan_low_zone(sys):
-        if not claimed(k):
-            add([k])
-    attempts = 0
-    while len(ks) < N:
-        rungs = int(_next_rung(re_max, sys)) + np.arange(N - len(ks))
-        seeds = _seed(rungs, sys)
-        k = _newton_refine(seeds, sys)
-        # a root clear of the previous Re by more than the claim distance
-        # is clear of every root so far: all of them lie at or left of it
-        prev_re = np.concatenate(([re_max], k.real[:-1]))
-        ok = _on_rung(k, seeds, sys) & (
-            k.real - prev_re > 1e-8 * np.maximum(1.0, np.abs(k)))
-        take = len(ok) if ok.all() else int(np.argmin(ok))
-        # each root taken must lead the ladder on to the batch's next rung
-        chain = _next_rung(k.real[:max(take - 1, 0)], sys) == rungs[1:take]
-        if not chain.all():
-            take = int(np.argmin(chain)) + 1
-        attempts += take
-        if take:
-            add(k[:take].tolist())
-        if len(ks) >= N:
-            break
-        attempts += 1
-        if attempts > 2 * N + 16:
-            raise PoleNotConverged(len(ks) + 1, "(ladder stalled)")
-        m = int(_next_rung(re_max, sys))
-        seed = _seed([m], sys)
-        k = _newton_refine(seed, sys)
-        if not _on_rung(k, seed, sys)[0]:
-            k = _newton_refine(_grid_rescue(m, sys), sys)
-        if claimed(k[0]):
-            # seed fell into an already-claimed basin; deflate and retry
-            avoid = tuple(ks + axis_k)
-            k = _newton_refine(_grid_rescue(m, sys, avoid=avoid), sys,
-                               avoid=avoid)
-            if (claimed(k[0])
-                    or _pole_residual(k, sys)[0] > RESIDUAL_TOL
-                    or k[0].real <= 0 or k[0].imag >= 0):
-                raise DuplicatePole(
-                    f"could not separate pole {len(ks) + 1} near {k[0]}")
-        res = _pole_residual(k, sys)[0]
-        if res > RESIDUAL_TOL:
-            raise PoleNotConverged(len(ks) + 1, f"(residual {res:.2e})")
-        add(k.tolist())
-    k = np.array(sorted(ks, key=lambda z: z.real)[:N])
-    for i in np.flatnonzero(np.abs(np.diff(k)) <= 1e-8)[:1]:
-        raise DuplicatePole(f"poles {i + 1} and {i + 2} coincide at {k[i]}")
-    ps = _pole_set(sys, np.arange(1, len(k) + 1), k, axis_poles=axis)
+    L = sys.L
+    seeds = np.append(_seed(np.arange(1, N + 2), sys), (1 - 2j) / L)
+    k = _newton_refine(seeds, sys)
+    k = k[(_pole_residual(k, sys) <= RESIDUAL_TOL) & (k.real > 1e-6 / L)
+          & (k.imag < 0)]
+    k = k[np.argsort(k.real, kind="stable")]
+    near = 1e-8 * np.maximum(1.0, np.abs(k))
+    k = k[np.abs(np.diff(k, prepend=np.inf)) > near][:N]
+    first = 2 if axis else 1
+    want = np.arange(first, first + N)
+    gap = np.flatnonzero(_log_pole_eq(k, sys)[2] != want[:len(k)])
+    if gap.size or len(k) < N:
+        n = int(gap[0]) + 1 if gap.size else len(k) + 1
+        raise PoleNotConverged(n, f"(no root on branch m = {want[n - 1]})")
+    ps = _pole_set(sys, np.arange(1, N + 1), k, axis_poles=axis)
     if audit:
         audit_pole_count(ps)
     return ps

@@ -29,12 +29,12 @@ def _q_of_k(k, v):
     return np.sqrt(np.asarray(k, dtype=complex) ** 2 - v)
 
 
-def _pole_function_terms(k, sys: BarrierSystem):
-    """G(k) = D(k)/q with q and the two terms of the transmission
-    denominator D(k) = (k+q)^2 e^{-iqL} - (k-q)^2 e^{iqL}.
+def pole_function(k, sys: BarrierSystem):
+    """G(k) = D(k)/q(k): entire in k, zero exactly at the resonance poles.
 
-    D is odd under q -> -q, so D itself is branch dependent; G is even in
-    q and single valued in k.
+    D(k) = (k+q)^2 e^{-iqL} - (k-q)^2 e^{iqL} is the transmission
+    denominator.  D is odd under q -> -q, so D itself is branch dependent;
+    G is even in q and single valued in k.
     """
     k = np.asarray(k, dtype=complex)
     q = _q_of_k(k, sys.v_strength)
@@ -53,20 +53,7 @@ def _pole_function_terms(k, sys: BarrierSystem):
                     + qs * (-2j * L - 2 * L**2 * ks + 1j * L**3 * ks**2 / 3))
     else:
         g = (t_minus - t_plus) / q
-    return g, q, t_minus, t_plus
-
-
-def pole_function(k, sys: BarrierSystem):
-    """G(k) = D(k)/q(k): entire in k, zero exactly at the resonance poles."""
-    return _pole_function_terms(k, sys)[0]
-
-
-def relative_pole_function(k, sys: BarrierSystem):
-    """|G(k)| relative to the magnitude of its two terms, for locating
-    poles on a grid; q and e^{+-iqL} are evaluated once."""
-    g, q, t_minus, t_plus = _pole_function_terms(k, sys)
-    scale = (np.abs(t_minus) + np.abs(t_plus)) / np.maximum(np.abs(q), 1e-8)
-    return np.abs(g) / scale
+    return g
 
 
 @dataclass(frozen=True)

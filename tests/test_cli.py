@@ -275,3 +275,19 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split("\n")[:2] == ["False", "0 False"]
+
+
+def test_cold_pole_search_leaves_scipy_ndimage_unloaded():
+    # the pole search is one Newton pass over its seeds: no grid filter
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    probe = ("import sys, qtransient.cli\n"
+             "from qtransient import find_poles, make_system\n"
+             "find_poles(make_system(0.3, 0.001, 4.0, 0.067), 64)\n"
+             "print('scipy.ndimage' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -7,6 +7,9 @@ Oracles:
   40-digit mpmath roots of the transmission denominator to 1e-14;
 * [DERIVED] the argument principle over the scanned rectangle must count
   exactly the poles that were found;
+* [DERIVED] the branch index of the pole equation numbers the poles: a
+  rung whose Newton lands on its neighbour's root leaves a gap, and the
+  search names the missing pole;
 * [DERIVED] the transmission-pole residue identity
   res T(k_n) = i u_n(0) u_n(L) exp(-i k_n L), with the residue computed
   independently from the derivative of the entire denominator function;
@@ -118,7 +121,7 @@ def _columns(ps):
 
 
 def test_shorter_search_is_a_prefix_of_the_full_table(gaas):
-    # the batched ladder refines each rung on its own, so a shorter search
+    # the Newton pass refines each seed on its own, so a shorter search
     # gives bitwise the first rows of the full table: on the reference
     # barrier, below the merge opacity (axis poles) and deep in the opaque
     # regime
@@ -158,7 +161,7 @@ def _mp_root(k, sys_):
         return complex(_mp_pole(mp, k, sys_))
 
 
-@pytest.mark.parametrize("alpha", [0.8, 1.2, 2.9, 6.0, 9.0])
+@pytest.mark.parametrize("alpha", [0.8, 1.2, 1.33, 2.9, 6.0, 9.0, 11.6, 30.0])
 def test_ladder_across_opacity_and_energy(alpha):
     V, m = 0.3, 0.067
     L = length_for_alpha(alpha, V, m)
@@ -176,6 +179,38 @@ def test_ladder_across_opacity_and_energy(alpha):
         for n in (1, 2, 17, 256):
             ref = _mp_root(k[n - 1], sys_)
             assert abs(k[n - 1] - ref) <= 1e-14 * abs(ref)
+
+
+def test_lowest_pole_of_an_opaque_barrier():
+    # at alpha ~ 30 pole 1 sits just above k = sqrt v, where the lowest
+    # poles crowd far closer than pi/L; the audit counts it only with its
+    # samples spaced evenly in Re q
+    sys_ = make_system(0.3, 0.001, 41.3, 0.067)
+    k1 = find_poles(sys_, 64).k[0]   # audits the count
+    assert abs(k1 * sys_.L - (30.1595 - 0.0216j)) <= 1e-3
+    ref = _mp_root(k1, sys_)
+    assert abs(k1 - ref) <= 1e-14 * abs(ref)
+
+
+def test_branch_index_names_a_missing_pole(gaas, monkeypatch):
+    # the rung that finds pole 5 returns its neighbour's root instead: with
+    # and without antibound poles the search must raise for pole 5 rather
+    # than number the table around the gap
+    V, m = 0.3, 0.067
+    below_merge = make_system(V, 0.001, length_for_alpha(1.0, V, m), m)
+    newton = resonances._newton_refine
+    for sys_ in (gaas, below_merge):
+        k = find_poles(sys_, 8, audit=False).k
+
+        def stray(k0, sys_, lost=k[4], kept=k[3]):
+            roots = newton(k0, sys_)
+            return np.where(roots == lost, kept, roots)
+
+        monkeypatch.setattr(resonances, "_newton_refine", stray)
+        with pytest.raises(PoleNotConverged, match="n=5 ") as err:
+            find_poles(sys_, 8, audit=False)
+        assert err.value.n == 5
+        monkeypatch.undo()
 
 
 def _mp_inv_sqrt_norm(k, sys_):
@@ -215,28 +250,6 @@ def test_gamow_normalization_is_stable_under_one_ulp(gaas, gaas_cache):
             got = gamow_boundary_data(moved, gaas)[3]
             change = np.minimum(np.abs(got - base), np.abs(got + base))
             assert np.all(change <= 1e-13 * np.abs(base))
-
-
-def test_low_zone_skips_the_removable_point(gaas, monkeypatch):
-    # g = |G|/scale dips to 0 next to k = sqrt v, where the scale diverges
-    # but G does not vanish; no such candidate may reach Newton
-    seen = []
-
-    def spy(k0, sys_, avoid=()):
-        seen.append(np.array(k0, dtype=complex, ndmin=1))
-        return newton(k0, sys_, avoid)
-
-    newton = resonances._newton_refine
-    monkeypatch.setattr(resonances, "_newton_refine", spy)
-    resonances._scan_low_zone(gaas)
-    s1 = resonances._seed(1, gaas)
-    cell_re = (s1.real + 0.75 * np.pi / gaas.L - 1e-3 / gaas.L) / 180
-    cell_im = (2.0 * abs(s1.imag) + 6.0 / gaas.L - 1e-4 / gaas.L) / 120
-    candidates = np.concatenate(seen)
-    assert candidates.size
-    near = ((np.abs(candidates.real - np.sqrt(gaas.v_strength)) <= cell_re)
-            & (np.abs(candidates.imag) <= cell_im))
-    assert not near.any()
 
 
 def _coeffs_one_by_one(x, poles, sys_):

@@ -6,8 +6,9 @@ Oracles:
   Phi(0) = 1 + R and Phi(L) = T exp(ikL);
 * [DERIVED] the transmission phase delay changes sign between small and
   large opacity (checked at alpha = 1.5 and the reference alpha ~ 2.9);
-* [TRIVIAL] the relative pole function is bitwise |G| over the magnitude
-  of its two terms, the series branch at q ~ 0 included.
+* [DERIVED] the pole function G = D/q is bitwise the quotient of its two
+  terms on a grid of the pole zone, and at the removable point q ~ 0,
+  where it takes its series branch, it agrees with D/q at 40 digits.
 """
 
 import cmath
@@ -21,8 +22,7 @@ from qtransient import make_system
 from qtransient.errors import XOutOfRange, ZeroWavenumber
 from qtransient.stationary import (_q_of_k, phase_time_delay,
                                    phi_stationary, pole_function, reflection,
-                                   relative_pole_function, scattering_state,
-                                   transmission)
+                                   scattering_state, transmission)
 from qtransient.systems import length_for_alpha
 
 SYSTEMS = [
@@ -104,10 +104,10 @@ def test_phi_stationary_domain(gaas):
 # at V = 1 eV, m = m_e no double k near sqrt(v) squares to v exactly, so
 # |q| never drops below 1e-8 there and the series branch is out of reach
 @pytest.mark.parametrize("sys_", SYSTEMS[:2] + SYSTEMS[3:])
-def test_relative_pole_function_is_g_over_its_term_scale(sys_):
-    # one evaluation of q and e^{+-iqL} must give bitwise |G| divided by
-    # the magnitude of the two terms of D/q, on a grid of the pole zone and
-    # at |q| < 1e-8 (k^2 ~ v), where G takes its series branch
+def test_pole_function_series_branch_matches_d_over_q(sys_):
+    # on a grid of the pole zone G is bitwise D/q; at |q| < 1e-8 (k^2 ~ v)
+    # it takes its series branch, which must match D/q at 40 digits
+    mp = pytest.importorskip("mpmath")
     v, L = sys_.v_strength, sys_.L
     re = np.linspace(1e-3 / L, 8.0 / L, 41)
     im = np.linspace(-6.0 / L, -1e-4 / L, 29)
@@ -115,8 +115,17 @@ def test_relative_pole_function_is_g_over_its_term_scale(sys_):
     root = np.sqrt(v)
     kk[0, :17] = root + np.arange(-8, 9) * np.spacing(root)
     q = _q_of_k(kk, v)
-    assert np.sum(np.abs(q) < 1e-8) >= 1
-    scale = (np.abs((kk + q) ** 2 * np.exp(-1j * q * L))
-             + np.abs((kk - q) ** 2 * np.exp(1j * q * L))) / np.maximum(np.abs(q), 1e-8)
-    want = np.abs(pole_function(kk, sys_)) / scale
-    assert np.array_equal(relative_pole_function(kk, sys_), want)
+    small = np.abs(q) < 1e-8
+    assert np.sum(small) >= 1
+    got = pole_function(kk, sys_)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        want = ((kk + q) ** 2 * np.exp(-1j * q * L)
+                - (kk - q) ** 2 * np.exp(1j * q * L)) / q
+    assert np.array_equal(got[~small], want[~small])
+    with mp.workdps(40):
+        for k, g in zip(kk[small].tolist(), got[small].tolist()):
+            z = mp.mpc(k.real, k.imag)
+            qm = mp.sqrt(z * z - mp.mpf(v))
+            ref = complex(((z + qm) ** 2 * mp.exp(-1j * qm * L)
+                           - (z - qm) ** 2 * mp.exp(1j * qm * L)) / qm)
+            assert abs(g - ref) <= 1e-14 * abs(ref)
