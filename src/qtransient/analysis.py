@@ -16,7 +16,8 @@ measures how fast the envelope is changing -- it vanishes exactly where
 |Psi| peaks.  The signed real part is analytic in t, so a Chebyshev
 interpolant of it through a few times around a coarse maximum puts its
 zero, the transient maximum ("time-domain resonance"), at the pole-sum
-tolerance.  A forerunner is classified as under the barrier when
+tolerance.  The coarse scan that brackets it stops at the first maximum it
+closes.  A forerunner is classified as under the barrier when
 omega_av < omega_V = V/hbar at its peak.
 """
 
@@ -124,14 +125,16 @@ def find_time_domain_resonance(sys: BarrierSystem, x=None, t_window=None,
                                tol=DEFAULT_TOL, poles=None):
     """Locate the transient peak of |Psi(x, t)|^2.
 
-    Scans PEAK_SCAN times for the first interior local maximum whose
-    density exceeds HEIGHT_FLOOR times the long-time plateau, summing poles
-    only to max(tol, SCAN_TOL) since the scan just brackets.  The polish
-    traces the signed envelope rate Re[(dPsi/dt)/Psi] at tol on
-    POLISH_NODES Chebyshev-Lobatto times two scan steps either side of it;
-    t_max is the first falling zero of their interpolant.  Returns
-    exists=False when the density rises monotonically (no forerunner), as
-    happens below the critical opacity.
+    Scans a grid of PEAK_SCAN times for the first interior local maximum
+    whose density exceeds HEIGHT_FLOOR times the long-time plateau, summing
+    poles only to max(tol, SCAN_TOL) since the scan just brackets.  The grid
+    is traced in time order in chunks that double from PEAK_SCAN // 8, and
+    the scan stops at the chunk that closes the first such maximum; a search
+    with no peak traces every grid time once.  The polish traces the signed
+    envelope rate Re[(dPsi/dt)/Psi] at tol on POLISH_NODES Chebyshev-Lobatto
+    times two scan steps either side of it; t_max is the first falling zero
+    of their interpolant.  Returns exists=False when the density rises
+    monotonically (no forerunner), as happens below the critical opacity.
     """
     if x is None:
         x = sys.L
@@ -145,22 +148,28 @@ def find_time_domain_resonance(sys: BarrierSystem, x=None, t_window=None,
                               f"got ({t_lo}, {t_hi})")
     cache = pole_cache(sys, poles)
     grid = np.linspace(t_lo, t_hi, PEAK_SCAN)
-    try:
-        tr = trace(x, grid, sys, poles=cache, tol=max(tol, SCAN_TOL))
-    except NotConverged as exc:
-        raise NotConverged(f"bracketing scan of the peak search: {exc}") from exc
-    rho = tr.abs2
     plateau = _plateau_density(sys, x)
     floor = HEIGHT_FLOOR * plateau
-
     absent = TimeDomainResonance(x=float(x), exists=False, t_max=math.nan,
                                  height=math.nan, height_ratio=math.nan,
                                  omega_av=math.nan, sigma=math.nan,
                                  omega_ratio=math.nan)
-    interior = (rho[1:-1] > rho[:-2]) & (rho[1:-1] >= rho[2:]) & (rho[1:-1] > floor)
-    idx = np.flatnonzero(interior)
-    if len(idx) == 0:
-        return absent
+    # trace the grid in doubling chunks, in time order, until a maximum is
+    # closed on both sides: the peak lies early in the window
+    rho, start, size, idx = np.empty(0), 0, PEAK_SCAN // 8, ()
+    while len(idx) == 0:
+        if start == PEAK_SCAN:
+            return absent
+        stop = min(start + size, PEAK_SCAN)
+        try:
+            tr = trace(x, grid[start:stop], sys, poles=cache,
+                       tol=max(tol, SCAN_TOL))
+        except NotConverged as exc:
+            raise NotConverged(f"bracketing scan of the peak search: {exc}") from exc
+        rho = np.concatenate([rho, tr.abs2])
+        start, size = stop, 2 * size
+        idx = np.flatnonzero((rho[1:-1] > rho[:-2]) & (rho[1:-1] >= rho[2:])
+                             & (rho[1:-1] > floor))
     i = int(idx[0]) + 1
 
     lo, hi = grid[max(i - 2, 0)], grid[min(i + 2, len(grid) - 1)]

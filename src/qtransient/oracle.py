@@ -52,10 +52,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .errors import (GridTooCoarse, NonFiniteInput, NonPositiveParameter,
                      NonPositiveTime, ValidationError)
@@ -169,6 +168,17 @@ def transparent_kernel(w, theta, n):
     return np.fft.ifft(1.0 / grow)[:n + 1] * radius ** np.arange(n + 1)
 
 
+@cache
+def _lapack():
+    """scipy's LAPACK wrappers, imported on first use.
+
+    Only the oracle needs scipy.linalg, so the analytic path never loads
+    it; a cached lookup costs less per step than an import statement.
+    """
+    from scipy.linalg import lapack
+    return lapack
+
+
 def factor_tridiagonal(sub, diag, sup):
     """LU factors of the complex tridiagonal matrix (sub, diag, sup).
 
@@ -180,8 +190,9 @@ def factor_tridiagonal(sub, diag, sup):
     if not (np.isfinite(sub).all() and np.isfinite(diag).all()
             and np.isfinite(sup).all()):
         raise ValueError("tridiagonal operator must not contain infs or NaNs")
-    dl, d, du, du2, ipiv, info = zgttrf(sub, diag, sup)
+    dl, d, du, du2, ipiv, info = _lapack().zgttrf(sub, diag, sup)
     if info > 0:
+        from scipy.linalg import LinAlgError
         raise LinAlgError("singular matrix")
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of zgttrf")
@@ -200,8 +211,8 @@ def solve_banded(ipiv, lu, rhs):
     if not np.isfinite(rhs).all():
         raise ValueError("right-hand side must not contain infs or NaNs")
     n = lu.shape[1]
-    x, info = zgttrs(lu[0, :n - 1], lu[1], lu[2, :n - 1], lu[3, :n - 2],
-                     ipiv, rhs, overwrite_b=1)
+    x, info = _lapack().zgttrs(lu[0, :n - 1], lu[1], lu[2, :n - 1],
+                               lu[3, :n - 2], ipiv, rhs, overwrite_b=1)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of zgttrs")
     return x

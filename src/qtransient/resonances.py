@@ -217,12 +217,18 @@ def find_axis_poles(sys: BarrierSystem):
     lowest resonance pair sits on the axis as two purely-damped poles; they
     are self-conjugate under k -> -conj(k), so the expansion includes each
     exactly once.  G(-i y) is purely imaginary, so sign changes of Im G
-    locate them; each candidate is polished and residual-checked.
+    locate them; each candidate is polished and residual-checked.  With
+    K = sqrt(y^2 + v), Im G has the sign of K L + ln v - 2 ln(K + y): the
+    same sign with the growing exponential e^{K L} scaled out.  The deeper
+    pole sits near y L = 2 ln(2 y L / alpha), so the scan reaches past
+    2.5 ln(1/alpha) as alpha -> 0.
     """
-    L = sys.L
-    y = np.geomspace(1e-6 / L, (3.0 * sys.alpha + 12.0) / L, 6000)
-    g_im = pole_function(-1j * y, sys).imag
-    flips = np.flatnonzero(np.diff(np.sign(g_im)) != 0)
+    L, v = sys.L, sys.v_strength
+    y_hi = max(3.0 * sys.alpha + 12.0, 8.0 + 2.5 * math.log(1.0 / sys.alpha))
+    y = np.geomspace(1e-6 / L, y_hi / L, 6000)
+    big_k = np.sqrt(y * y + v)
+    flips = np.flatnonzero(np.diff(np.sign(
+        big_k * L + math.log(v) - 2.0 * np.log(big_k + y))) != 0)
     # polish can drift off-axis at roundoff level
     kappa = _newton_refine(-1j * 0.5 * (y[flips] + y[flips + 1]), sys).imag
     k = np.zeros(kappa.shape, dtype=complex)

@@ -7,8 +7,12 @@ Oracles:
 * [DERIVED] pinned peak data for the GaAs reference barrier (t_max,
   frequency ratio, height ratio), converged under pole-count and scan
   refinement;
-* [TRIVIAL] a peak find makes three traces: the scan, the polish nodes
-  inside the scan bracket, and the reported time;
+* [TRIVIAL] a peak find traces a prefix of the scan grid, each time once,
+  up to the chunk that closes the first maximum, then the polish nodes
+  inside the scan bracket, then the reported time;
+* [DERIVED] the chunked scan brackets the same maximum as one trace of the
+  whole grid, so t_max is bitwise the same, and a search with no peak
+  traces every grid time once;
 * [DERIVED] on opaque barriers the polished t_max agrees to 1e-11 with
   pinned references from Brent's method;
 * [DERIVED] beyond the barrier and next to the shutter the peak find
@@ -18,15 +22,18 @@ Oracles:
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from qtransient import (analysis, find_time_domain_resonance,
-                        local_frequency, make_system, spectrogram, trace)
+                        local_frequency, make_system, pole_cache,
+                        spectrogram, trace)
 from qtransient.analysis import default_window
 from qtransient.errors import (AmplitudeUnderflow, NotConverged,
                                WindowTooNarrow)
+from qtransient.propagator import DEFAULT_TOL
 from qtransient.systems import length_for_alpha
 
 REF_T_MAX = 5.169962793690934
@@ -117,18 +124,69 @@ def test_peak_polish_traces_each_time_once(gaas, gaas_cache, monkeypatch, x):
     tol = 1e-9
     tdr = find_time_domain_resonance(gaas, x=x, tol=tol, poles=gaas_cache)
     assert tdr.exists
-    (scan, scan_tol), (polish, polish_tol), (last, last_tol) = calls
-    assert len(scan.times) == analysis.PEAK_SCAN
-    assert scan_tol == max(tol, analysis.SCAN_TOL)
+    *scans, (polish, polish_tol), (last, last_tol) = calls
+    assert {scan_tol for _, scan_tol in scans} == {max(tol, analysis.SCAN_TOL)}
+    # the scan traces a prefix of the grid in time order, each time once
+    times = np.concatenate([scan.times for scan, _ in scans])
+    rho = np.concatenate([scan.abs2 for scan, _ in scans])
+    grid = np.linspace(*default_window(gaas, x), analysis.PEAK_SCAN)
+    assert times.tolist() == grid[:len(times)].tolist()
     # the polish spans two scan steps either side of the coarse maximum
-    nodes, rho = polish.times, scan.abs2
-    i = int(np.searchsorted(scan.times, nodes[0]))
-    assert nodes[0] == scan.times[i] and rho[i + 1] < rho[i + 2] >= rho[i + 3]
-    assert nodes[-1] == pytest.approx(scan.times[i + 4], rel=1e-15, abs=0.0)
+    nodes = polish.times
+    i = int(np.searchsorted(times, nodes[0]))
+    assert nodes[0] == times[i] and rho[i + 1] < rho[i + 2] >= rho[i + 3]
+    assert nodes[-1] == pytest.approx(grid[i + 4], rel=1e-15, abs=0.0)
+    # nothing past the chunk that closes the maximum is traced
+    assert len(times) - len(scans[-1][0].times) <= i + 3 < len(times)
     assert len(nodes) == analysis.POLISH_NODES and polish_tol == tol
     assert nodes[0] < tdr.t_max < nodes[-1] and tdr.t_max not in nodes
     assert last.times.tolist() == [tdr.t_max] and last_tol == tol
     assert tdr.height == abs(last.psi[0]) ** 2
+
+
+@pytest.mark.parametrize("E,L,x_over_L,exists", [
+    *[(E, 4.0, n, True) for E in (0.001, 0.01) for n in (1, 2, 5, 15)],
+    (0.001, length_for_alpha(6.0, 0.3, 0.067), 1.0, True),
+    (0.001, length_for_alpha(1.8, 0.3, 0.067), 1.0, False),
+])
+def test_chunked_scan_brackets_like_the_full_scan(monkeypatch, E, L,
+                                                  x_over_L, exists):
+    # GaAs at E = 1 and 10 meV, then (alpha, u) = (6, 300) and (1.8, 300)
+    sys_ = make_system(0.3, E, L, 0.067)
+    x = x_over_L * L
+    cache = pole_cache(sys_)
+    scan_tol = max(DEFAULT_TOL, analysis.SCAN_TOL)
+    grid = np.linspace(*default_window(sys_, x), analysis.PEAK_SCAN)
+    full = trace(x, grid, sys_, poles=cache, tol=scan_tol)
+    # the first interior maximum above the height floor, on the whole grid
+    rho = full.abs2
+    floor = analysis.HEIGHT_FLOOR * analysis._plateau_density(sys_, x)
+    idx = np.flatnonzero((rho[1:-1] > rho[:-2]) & (rho[1:-1] >= rho[2:])
+                         & (rho[1:-1] > floor))
+
+    scanned = []
+
+    def from_full_scan(x_, t_grid, *a, tol, **kw):
+        # the scan reads the full-grid densities: the one-trace search
+        if tol != scan_tol:
+            return trace(x_, t_grid, *a, tol=tol, **kw)
+        start = int(np.searchsorted(grid, t_grid[0]))
+        return SimpleNamespace(abs2=rho[start:start + len(t_grid)])
+
+    def spy(x_, t_grid, *a, tol, **kw):
+        if tol == scan_tol:
+            scanned.append(t_grid)
+        return trace(x_, t_grid, *a, tol=tol, **kw)
+
+    monkeypatch.setattr(analysis, "trace", from_full_scan)
+    ref = find_time_domain_resonance(sys_, x=x, poles=cache)
+    monkeypatch.setattr(analysis, "trace", spy)
+    tdr = find_time_domain_resonance(sys_, x=x, poles=cache)
+    assert tdr.exists is ref.exists is (len(idx) > 0) is exists
+    if exists:
+        assert tdr.t_max == ref.t_max
+    else:
+        assert np.concatenate(scanned).tolist() == grid.tolist()
 
 
 # t_max (fs) at x = L, V = 0.3 eV, m = 0.067, tol 1e-11, from Brent's method

@@ -277,6 +277,24 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     assert out.stdout.split("\n")[:2] == ["False", "0 False"]
 
 
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # only the grid oracle solves with LAPACK; it imports scipy.linalg on
+    # its first use, so start-up and the analytic commands skip it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    probe = ("import io, sys, contextlib, qtransient.cli as cli\n"
+             "print('scipy.linalg' in sys.modules)\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    code = cli.main({GAAS_FLAGS + ['tmax']!r})\n"
+             "print(code, 'scipy.linalg' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n")[:2] == ["False", "0 False"]
+
+
 def test_cold_pole_search_leaves_scipy_ndimage_unloaded():
     # the pole search is one Newton pass over its seeds: no grid filter
     env = dict(os.environ)

@@ -7,6 +7,9 @@ Oracles:
   40-digit mpmath roots of the transmission denominator to 1e-14;
 * [DERIVED] the argument principle over the scanned rectangle must count
   exactly the poles that were found;
+* [DERIVED] the antibound poles agree with an independent sign scan of
+  Im G on the negative imaginary axis out to 200/L, and the scan stays
+  finite at opacities where e^{|q| L} overflows;
 * [DERIVED] the branch index of the pole equation numbers the poles: a
   rung whose Newton lands on its neighbour's root leaves a gap, and the
   search names the missing pole;
@@ -102,6 +105,29 @@ def test_axis_poles_below_merge_opacity():
     for p in axis.poles:
         assert p.k.real == 0.0 and p.k.imag < 0.0
         assert p.residual <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.02, 0.05])
+def test_axis_poles_include_the_deep_antibound_pole(alpha):
+    # the second axis zero of G moves out like 2 ln(1/alpha) / L; an
+    # independent sign scan of Im G(-iy) out to 200/L brackets every zero
+    V, m = 0.3, 0.067
+    sys_ = make_system(V, V / 300.0, length_for_alpha(alpha, V, m), m)
+    y = np.geomspace(1e-6, 200.0, 200001) / sys_.L
+    flips = np.flatnonzero(np.diff(np.sign(pole_function(-1j * y, sys_).imag)))
+    axis = find_axis_poles(sys_)
+    assert len(axis) == len(flips) == 2
+    for p, i in zip(axis.poles, flips):
+        assert p.k.real == 0.0 and y[i] <= -p.k.imag <= y[i + 1]
+        assert p.residual <= 1e-12
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_axis_scan_does_not_overflow_at_high_opacity():
+    # GaAs at L = 400 nm, alpha ~ 290: e^{|q| L} overflows past alpha ~ 233
+    sys_ = make_system(0.3, 0.001, 400.0, 0.067)
+    assert sys_.alpha > 233.0
+    assert len(find_axis_poles(sys_)) == 0
 
 
 def test_no_axis_poles_for_reference_barrier(gaas_poles):
