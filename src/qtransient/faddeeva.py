@@ -1,16 +1,26 @@
 """The Faddeeva function w(z) = exp(-z^2) erfc(-iz), vectorized over numpy arrays.
 
-`faddeeva` is scipy.special.wofz (S. G. Johnson's Faddeeva package) behind
-two range checks:
+In the upper half-plane `faddeeva` sums Weideman's rational series (J. A. C.
+Weideman, SIAM J. Numer. Anal. 31, 1497 (1994)) with N = 36 terms:
+
+    w(z) = 2 p(Z) / (L - iz)^2 + 1 / (sqrt(pi) (L - iz)),
+    Z = (L + iz) / (L - iz),   L = 2^(-1/4) sqrt(N),
+
+where p is the polynomial of degree N - 1 whose coefficients are the Fourier
+coefficients of exp(-t^2) (L^2 + t^2), t = L tan(theta/2), taken once at
+import.  |Z| <= 1 there, and p is summed by Horner's rule.  Against 50-digit
+mpmath, over 300 x 181 points with |z| in [1e-3, 1e4] of the upper
+half-plane, the relative error is at most 7.7e-15 (N = 32 reaches 3.1e-13,
+N = 34 5.2e-14; scipy's wofz 1.4e-14).
+
+The lower half-plane uses the reflection w(z) = 2 exp(-z^2) - w(-z).  Its
+relative error there is about 1e-16 times the condition number |z w'(z) /
+w(z)|, large near the zeros of w and ~ 2|z|^2 where exp(-z^2) dominates;
+over |Re z|, |Im z| <= 10 it is at most 3.5e-14.  Two range checks:
 
 * non-finite input raises NonFiniteInput;
-* in the lower half-plane w(z) = 2 exp(-z^2) - w(-z) grows like exp(-z^2);
-  where that factor overflows the double range (Im^2 z - Re^2 z > 705)
-  OverflowRange is raised, because wofz would silently return an infinity.
-
-The algorithms behind the library kernel: G. P. M. Poppe and C. M. J.
-Wijers, ACM Trans. Math. Softw. 16, 38 (1990); J. A. C. Weideman, SIAM J.
-Numer. Anal. 31, 1497 (1994).
+* where exp(-z^2) overflows the double range (Im^2 z - Re^2 z > 705)
+  OverflowRange is raised instead of returning an infinity.
 """
 
 from __future__ import annotations
@@ -18,13 +28,55 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import wofz
 
 from .errors import NonFiniteInput, OverflowRange
 
 _EXP_ARG_MAX = 705.0  # just under log(DBL_MAX)
 
 _TWO_ISQRTPI = 2j / math.sqrt(math.pi)
+_ISQRTPI = 1.0 / math.sqrt(math.pi)
+
+_N = 36
+_L = math.sqrt(_N / math.sqrt(2.0))
+
+
+def _weideman_coefficients():
+    """2 a_N .. 2 a_1, the coefficients of 2p, highest degree first: a
+    cosine sum over the 2N - 1 nodes theta_k = pi k / N, |k| < N (the node
+    at theta = pi adds 0)."""
+    m = 2 * _N
+    k = np.arange(1, m)
+    t = _L * np.tan(0.5 * math.pi * k / m)
+    f = np.exp(-t * t) * (_L * _L + t * t)
+    n = np.arange(_N, 0, -1)
+    a = (_L * _L + 2.0 * np.cos(math.pi * np.outer(n, k) / m) @ f) / m
+    # complex 0-d arrays: numpy adds these to a complex array with the least
+    # dispatch work of any scalar form
+    return [np.array(c) for c in a.astype(complex)]
+
+
+_A = _weideman_coefficients()
+
+
+def _upper(z):
+    """w(z) for Im z >= 0 on a 1-D array of at least two points.
+
+    The products are in place; numpy rounds an in-place complex product on a
+    length-1 array differently from the same product in a longer array, so
+    callers never pass one.
+    """
+    iz = 1j * z
+    inv = 1.0 / (_L - iz)
+    big_z = (_L + iz) * inv
+    p = _A[0] * big_z
+    p += _A[1]
+    for c in _A[2:]:
+        p *= big_z
+        p += c
+    p *= inv
+    p += _ISQRTPI
+    p *= inv
+    return p
 
 
 def faddeeva(z):
@@ -32,15 +84,26 @@ def faddeeva(z):
 
     Accepts a scalar or any numpy array; returns the same shape.  Relative
     accuracy is ~1e-14 over the plane (away from the isolated zeros of w in
-    the lower half-plane, where relative error is meaningless).
+    the lower half-plane, where relative error is meaningless).  A point
+    gives the same bits whatever the array it comes in.
     """
     z_arr = np.asarray(z, dtype=complex)
     if not np.isfinite(z_arr).all():
         raise NonFiniteInput("faddeeva requires finite input")
-    re, im = z_arr.real, z_arr.imag
-    if np.any((im < 0.0) & (im * im - re * re > _EXP_ARG_MAX)):
+    flat = z_arr.reshape(-1)
+    if flat.size < 2:
+        flat = np.resize(flat, 2)
+    lower = flat.imag < 0.0
+    zl = flat[lower]
+    zl2 = zl * zl
+    if np.any(zl2.real < -_EXP_ARG_MAX):
         raise OverflowRange("exp(-z^2) exceeds double range in lower half-plane")
-    w = wofz(z_arr)
+    if zl.size:
+        w = _upper(np.where(lower, -flat, flat))
+        w[lower] = 2.0 * np.exp(-zl2) - w[lower]
+    else:
+        w = _upper(flat)
+    w = w[:z_arr.size].reshape(z_arr.shape)
     return complex(w) if z_arr.ndim == 0 else w
 
 

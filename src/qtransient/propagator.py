@@ -87,6 +87,7 @@ _Z_MIN = 3.0        # least s (Re q - k_c) of an omitted pole
 _AIM = 1e-3
 _RING = 64          # Cauchy nodes of the internal moments
 _ARC = 16           # Cauchy nodes around each external k_c
+_ROWS = 128         # times per block of the external pool moment
 # Most radius x L of the internal ring: a wider ring passes near more exact
 # poles, whose cancelling terms cost digits (3e-12 at 300 / L, alpha = 1).
 _RING_MAX = 20.0
@@ -259,9 +260,15 @@ def _moments(kc, head, tail, f, f_k, sys, J, internal):
         mu = np.exp(-1j * np.outer(m, theta)) @ g / (_RING * (-r) ** m)
         return np.repeat(mu[:, None], len(kc), axis=1)
     d_head = kc[:, None] - hq
-    d_tail = kc[:, None] - tq
-    near = np.minimum(np.min(np.abs(d_head), axis=1, initial=np.inf),
-                      np.min(np.abs(d_tail), axis=1))
+    near = np.min(np.abs(d_head), axis=1, initial=np.inf)
+    mu_last = np.empty(len(kc), dtype=complex)
+    # the pool runs to thousands of poles: take its (time, pole) terms in
+    # blocks of rows of equal size, since a lone row would take numpy's dot
+    # path, which rounds differently from the matrix product of the rest
+    for rows in np.array_split(np.arange(len(kc)), -(-len(kc) // _ROWS) or 1):
+        d_tail = kc[rows, None] - tq
+        near[rows] = np.minimum(near[rows], np.min(np.abs(d_tail), axis=1))
+        mu_last[rows] = (1.0 / d_tail) ** (2 * J + 2) @ tc
     r = near / 8.0
     # the closed form cancels near c = +-k: keep every node r from them
     dk = np.minimum(np.abs(kc - k), kc + k)
@@ -275,7 +282,7 @@ def _moments(kc, head, tail, f, f_k, sys, J, internal):
         power = power * inv_h
         mu.append(np.mean(circle * np.exp(-1j * m * theta), axis=1)
                   / (-r) ** m - power @ hc)
-    mu.append((1.0 / d_tail) ** (2 * J + 2) @ tc)
+    mu.append(mu_last)
     return np.array(mu)
 
 

@@ -26,7 +26,6 @@ commands call these same functions.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +75,8 @@ def _scan_map(values, worker, threads):
     """Deterministic parallel map: output order follows input order."""
     if threads <= 1 or len(values) <= 1:
         return [worker(v) for v in values]
+    # imported here: it loads logging, which a one-thread run never needs
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(worker, values))
 

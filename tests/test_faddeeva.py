@@ -1,10 +1,10 @@
 """Faddeeva function against an arbitrary-precision oracle.
 
 Oracle [DERIVED]: w(z) = exp(-z^2) erfc(-iz) evaluated with mpmath at 50
-digits; the implementation (scipy.special.wofz behind range checks) must
-match to 1e-13 relative everywhere in the |Re z|, |Im z| <= 10 box and at
-large |z| in both half-planes, out to the |z| ~ 5e3 that far-field pole sums
-reach.
+digits; the implementation (Weideman's rational series, reflected into the
+lower half-plane, behind range checks) must match to 1e-13 relative
+everywhere in the |Re z|, |Im z| <= 10 box and at large |z| in both
+half-planes, out to the |z| ~ 5e3 that far-field pole sums reach.
 """
 
 import cmath
@@ -63,6 +63,40 @@ def test_vectorized_matches_scalar():
     vec = faddeeva(zs)
     for z, v in zip(zs, vec):
         assert v == complex(faddeeva(complex(z)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17])
+def test_a_point_gives_the_same_bits_in_any_array(n):
+    # the series runs in place, and numpy rounds an in-place complex product
+    # on a length-1 array differently from one in a longer array
+    rng = np.random.default_rng(n)
+    points = [0.3 + 0.4j, -2.0 + 1.0j, 5.0 - 0.5j, -7.0 - 2.0j, 20.0 + 3.0j,
+              -0.5 - 0.1j, 1e3 + 1e3j, 40.0 - 20.0j, 1e-3j, -3.0 - 4.0j]
+    for z in points:
+        arr = rng.uniform(-10, 10, n) + 1j * rng.uniform(-5, 5, n)
+        arr[-1] = z
+        assert faddeeva(arr)[-1] == complex(faddeeva(z)), (n, z)
+
+
+def test_seeded_sweep_against_mpmath():
+    # |z| log-uniform in [1e-3, 1e4] over both half-planes; lower points past
+    # the OverflowRange guard are left out, and so are those where w is ill
+    # conditioned, |z w'(z) / w(z)| > 100: near its zeros, and where
+    # exp(-z^2) dominates at large |z| (there it is ~ 2 |z|^2, and the
+    # rounding of z alone moves w by more than the tolerance)
+    rng = np.random.default_rng(20261018)
+    r = 10.0 ** rng.uniform(-3.0, 4.0, 500)
+    theta = np.concatenate((rng.uniform(0.0, math.pi, 200),
+                            rng.uniform(-math.pi, 0.0, 300)))
+    z = r * np.exp(1j * theta)
+    z = z[(z.imag >= 0.0) | (z.imag ** 2 - z.real ** 2 <= 705.0)]
+    ref = np.array([w_oracle(complex(v)) for v in z])
+    cond = np.abs(z * (-2.0 * z * ref + 2j / math.sqrt(math.pi))) / np.abs(ref)
+    keep = (z.imag >= 0.0) | (cond <= 100.0)
+    assert np.count_nonzero(keep & (z.imag >= 0.0)) == 200
+    assert np.count_nonzero(keep & (z.imag < 0.0)) >= 150
+    rel = np.abs(faddeeva(z[keep]) - ref[keep]) / np.abs(ref[keep])
+    assert np.all(rel <= REL_TOL), z[keep][np.argmax(rel)]
 
 
 def test_known_values():

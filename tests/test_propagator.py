@@ -153,6 +153,31 @@ def test_determinism(gaas):
     assert np.array_equal(a.dpsi_dt, b.dpsi_dt)
 
 
+@pytest.mark.parametrize("n_times", [129, 257])
+def test_external_moments_in_blocks_are_bitwise_one_block(gaas, gaas_cache,
+                                                          monkeypatch,
+                                                          n_times):
+    # the pool's last moment is summed over blocks of times; no block
+    # boundary may move a bit of any moment against one block over every
+    # time.  These times all take the same exact poles, so they share one
+    # sum, which blocks of 128 rows would end with a lone row
+    ts = np.linspace(10.0, 11.0, n_times)
+    moments, inner = [], propagator._moments
+
+    def spy(*args):
+        moments.append(inner(*args))
+        return moments[-1]
+
+    monkeypatch.setattr(propagator, "_moments", spy)
+    blocked = trace(6.0, ts, gaas, poles=gaas_cache, tol=1e-9)
+    monkeypatch.setattr(propagator, "_ROWS", n_times)
+    whole = trace(6.0, ts, gaas, poles=gaas_cache, tol=1e-9)
+    assert len(moments) == 2 and moments[0].shape[1] == n_times
+    assert np.array_equal(moments[0], moments[1])
+    assert np.array_equal(blocked.psi, whole.psi)
+    assert np.array_equal(blocked.dpsi_dt, whole.dpsi_dt)
+
+
 @pytest.mark.parametrize("x", [2.0, 6.0])
 def test_extended_cache_reuse_is_exact(gaas, x):
     # traces keep no state in the shared table, so neither a table that
