@@ -259,6 +259,58 @@ def test_non_finite_x_or_time_exits_2_naming_it(capsys, recwarn, argv, named):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize costs start-up time and memory that no command needs,
+    # neither at import nor in a peak find
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    probe = ("import io, sys, contextlib, qtransient.cli as cli\n"
+             "print('scipy.optimize' in sys.modules)\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    code = cli.main({GAAS_FLAGS + ['tmax']!r})\n"
+             "print(code, 'scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n")[:2] == ["False", "0 False"]
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # only the grid oracle solves with LAPACK; it imports scipy.linalg on
+    # its first use, so start-up and the analytic commands skip it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    probe = ("import io, sys, contextlib, qtransient.cli as cli\n"
+             "print('scipy.linalg' in sys.modules)\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    code = cli.main({GAAS_FLAGS + ['tmax']!r})\n"
+             "print(code, 'scipy.linalg' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n")[:2] == ["False", "0 False"]
+
+
+def test_cold_pole_search_leaves_scipy_ndimage_unloaded():
+    # the pole search is one Newton pass over its seeds: no grid filter
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    probe = ("import sys, qtransient.cli\n"
+             "from qtransient import find_poles, make_system\n"
+             "find_poles(make_system(0.3, 0.001, 4.0, 0.067), 64)\n"
+             "print('scipy.ndimage' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 def test_analytic_path_loads_no_scipy():
     # the analytic path runs on numpy alone: start-up, a peak find, a cold
     # pole search and a trace load no scipy module; only the grid oracle
