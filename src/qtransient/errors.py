@@ -101,4 +101,4 @@ class NotConverged(NumericalError):
 
 
 class NoCrossing(NumericalError):
-    """Bisection target never brackets inside the scanned interval."""
+    """A window edge has no bracketing sign change in the scanned interval."""

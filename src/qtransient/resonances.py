@@ -63,10 +63,12 @@ def _pole_residual(k, sys):
 
     This is the dimensionless distance from k to the true zero, which is the
     quantity a double-precision root can actually drive to ~eps (the raw
-    |H(k)| has an unavoidable floor ~eps * |k| L at large |k|).  Elementwise.
+    |H(k)| has an unavoidable floor ~eps * |k| L at large |k|).  Elementwise;
+    returned with the branch index m of _log_pole_eq.
     """
-    h, q, _ = _log_pole_eq(k, sys)
-    return np.abs(h * q / (2j * sys.L * k - 4.0)) / np.maximum(1.0, np.abs(k))
+    h, q, m = _log_pole_eq(k, sys)
+    res = np.abs(h * q / (2j * sys.L * k - 4.0)) / np.maximum(1.0, np.abs(k))
+    return res, m
 
 
 def _newton_refine(k0, sys):
@@ -202,11 +204,14 @@ class PoleSet:
         return tuple(map(ResonancePole, *(c.tolist() for c in cols)))
 
 
-def _pole_set(sys, n, k, axis_poles=None):
-    """PoleSet of the converged roots k, numbered n, with their Gamow data."""
+def _pole_set(sys, n, k, residual=None, axis_poles=None):
+    """PoleSet of the converged roots k, numbered n, with their Gamow data;
+    the residuals are evaluated unless given."""
     u0, uL, q, inv_sqrt = gamow_boundary_data(k, sys)
+    if residual is None:
+        residual = _pole_residual(k, sys)[0]
     return PoleSet(system=sys, n=n, k=k, q=q, u0=u0, uL=uL,
-                   inv_sqrt_norm=inv_sqrt, residual=_pole_residual(k, sys),
+                   inv_sqrt_norm=inv_sqrt, residual=residual,
                    axis_poles=axis_poles)
 
 
@@ -233,7 +238,7 @@ def find_axis_poles(sys: BarrierSystem):
     kappa = _newton_refine(-1j * 0.5 * (y[flips] + y[flips + 1]), sys).imag
     k = np.zeros(kappa.shape, dtype=complex)
     k.imag = kappa
-    ok = (_pole_residual(k, sys) <= RESIDUAL_TOL) & (kappa < 0)
+    ok = (_pole_residual(k, sys)[0] <= RESIDUAL_TOL) & (kappa < 0)
     out = []
     for kk in k[ok].tolist():
         if not any(abs(kk - p) < 1e-10 for p in out):
@@ -335,18 +340,22 @@ def find_poles(sys: BarrierSystem, N: int, audit: bool = True) -> PoleSet:
     L = sys.L
     seeds = np.append(_seed(np.arange(1, N + 2), sys), (1 - 2j) / L)
     k = _newton_refine(seeds, sys)
-    k = k[(_pole_residual(k, sys) <= RESIDUAL_TOL) & (k.real > 1e-6 / L)
-          & (k.imag < 0)]
-    k = k[np.argsort(k.real, kind="stable")]
-    near = 1e-8 * np.maximum(1.0, np.abs(k))
-    k = k[np.abs(np.diff(k, prepend=np.inf)) > near][:N]
+    # the pole equation once: its residual and branch index m ride along
+    # with each root through the filter, the sort and the dedupe
+    res, m = _pole_residual(k, sys)
+    keep = np.flatnonzero((res <= RESIDUAL_TOL) & (k.real > 1e-6 / L)
+                          & (k.imag < 0))
+    keep = keep[np.argsort(k.real[keep], kind="stable")]
+    near = 1e-8 * np.maximum(1.0, np.abs(k[keep]))
+    keep = keep[np.abs(np.diff(k[keep], prepend=np.inf)) > near][:N]
+    k, res, m = k[keep], res[keep], m[keep]
     first = 2 if axis else 1
     want = np.arange(first, first + N)
-    gap = np.flatnonzero(_log_pole_eq(k, sys)[2] != want[:len(k)])
+    gap = np.flatnonzero(m != want[:len(k)])
     if gap.size or len(k) < N:
         n = int(gap[0]) + 1 if gap.size else len(k) + 1
         raise PoleNotConverged(n, f"(no root on branch m = {want[n - 1]})")
-    ps = _pole_set(sys, np.arange(1, N + 1), k, axis_poles=axis)
+    ps = _pole_set(sys, np.arange(1, N + 1), k, res, axis_poles=axis)
     if audit:
         audit_pole_count(ps)
     return ps

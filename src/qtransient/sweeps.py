@@ -37,6 +37,10 @@ from .stationary import phase_time_delay
 from .systems import BarrierSystem, length_for_alpha, make_system
 
 ALPHA_TOL = 1e-3   # absolute tolerance of the opacity window edges
+# ITP refinement of alpha_u (Oliveira & Takahashi, ACM TOMS 47, 5 (2020)):
+# truncation kappa1 (b - a)^kappa2 with kappa1 = ITP_K1 / the bracket's
+# width, and ITP_N0 probes of slack over bisection's count
+ITP_K1, ITP_K2, ITP_N0 = 0.01, 2.0, 1
 
 
 @dataclass(frozen=True)
@@ -200,6 +204,38 @@ def _bisect(past, a0, a1):
     return 0.5 * (a0 + a1)
 
 
+def _itp(f, a, b, fa, fb):
+    """ITP search of [a, b] to ALPHA_TOL for the point where f turns past 0.
+
+    f(a) = fa < 0; f(b) = fb is >= 0 or NaN, and any value that is not
+    below 0 counts as past.  Each probe interpolates between the ends,
+    truncates the step toward the midpoint and projects it into the
+    interval that keeps ceil(log2((b - a) / ALPHA_TOL)) + ITP_N0 probes the
+    worst case; a NaN end takes the midpoint.  Returns the midpoint of the
+    final bracket, as _bisect does.
+    """
+    k1 = ITP_K1 / (b - a)
+    n_max = math.ceil(math.log2((b - a) / ALPHA_TOL)) + ITP_N0
+    j = 0
+    while b - a > ALPHA_TOL:
+        mid = 0.5 * (a + b)
+        probe = mid
+        if math.isfinite(fb):
+            regula = (fb * a - fa * b) / (fb - fa)
+            side = math.copysign(1.0, mid - regula)
+            delta = k1 * (b - a) ** ITP_K2
+            t = regula + side * delta if delta <= abs(mid - regula) else mid
+            radius = 0.5 * ALPHA_TOL * 2.0 ** (n_max - j) - 0.5 * (b - a)
+            probe = t if abs(t - mid) <= radius else mid - side * radius
+        fp = f(probe)
+        if fp < 0.0:
+            a, fa = probe, fp
+        else:
+            b, fb = probe, fp
+        j += 1
+    return 0.5 * (a + b)
+
+
 def opacity_window(u, V_ref, mass_ratio=1.0, alpha_span=(1.2, 6.0),
                    tol=DEFAULT_TOL):
     """(alpha_c, alpha_u): the opacity interval of genuine tunneling forerunners.
@@ -208,10 +244,14 @@ def opacity_window(u, V_ref, mass_ratio=1.0, alpha_span=(1.2, 6.0),
     hbar d(arg T)/dE changes sign (bisection on the delay); below it the
     delay is positive and no transient peak forms at the barrier edge, above
     it the delay is negative and time-domain resonances become possible.
-    alpha_u is where omega_av/omega_V at the peak crosses 1 (bisection on
-    the ratio).  Both to absolute tolerance ALPHA_TOL in alpha.  The
-    delays are cheap and checked first: a span without a delay sign change
-    raises NoCrossing before any peak is searched.
+    alpha_u is the last opacity in the span where omega_av/omega_V at the
+    peak crosses 1: 13 coarse opacities are probed from the top of the span
+    down, and stop at the first pair that brackets the crossing; ITP on
+    the ratio, started from the two coarse ratios, refines it.  A missing
+    peak (NaN ratio) counts as past the crossing.  Both edges to absolute
+    tolerance ALPHA_TOL in alpha.  The delays are cheap and checked first:
+    a span without a delay sign change raises NoCrossing before any peak is
+    searched.
     """
     if u <= 1:
         raise NonPositiveParameter(f"u must be > 1, got {u}")
@@ -222,10 +262,10 @@ def opacity_window(u, V_ref, mass_ratio=1.0, alpha_span=(1.2, 6.0),
             f"0 < lo < hi, got ({lo}, {hi})")
     check_tol(tol)
 
-    def past_unit(alpha):
-        # a NaN ratio (no peak) counts as past the unit crossing
-        return not _ratio_at_alpha(alpha, u, V_ref, mass_ratio,
-                                   tol).omega_ratio < 1.0
+    def excess(alpha):
+        # omega_av/omega_V - 1, NaN where no peak forms: past the crossing
+        return _ratio_at_alpha(alpha, u, V_ref, mass_ratio,
+                               tol).omega_ratio - 1.0
 
     def delay(alpha):
         L = length_for_alpha(alpha, V_ref, mass_ratio)
@@ -242,10 +282,13 @@ def opacity_window(u, V_ref, mass_ratio=1.0, alpha_span=(1.2, 6.0),
     alpha_c = _bisect(lambda a: delay(a) <= 0.0,
                       coarse[flips[0]], coarse[flips[0] + 1])
 
-    # unit crossing of the ratio for alpha_u
-    past = [past_unit(a) for a in coarse]
-    cross = [i for i in range(len(coarse) - 1) if past[i + 1] and not past[i]]
-    if not cross:
-        raise NoCrossing(f"no ratio=1 crossing for alpha in {alpha_span} at u={u}")
-    alpha_u = _bisect(past_unit, coarse[cross[-1]], coarse[cross[-1] + 1])
-    return alpha_c, alpha_u
+    # the last unit crossing of the ratio, from the top of the span down,
+    # for alpha_u; a ratio that is not below 1 (NaN included) is past it
+    upper = excess(coarse[-1])
+    for i in range(len(coarse) - 2, -1, -1):
+        lower = excess(coarse[i])
+        if lower < 0.0 and not upper < 0.0:
+            return alpha_c, _itp(excess, coarse[i], coarse[i + 1],
+                                 lower, upper)
+        upper = lower
+    raise NoCrossing(f"no ratio=1 crossing for alpha in {alpha_span} at u={u}")

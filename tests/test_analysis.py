@@ -9,7 +9,10 @@ Oracles:
   refinement;
 * [TRIVIAL] a peak find traces a prefix of the scan grid, each time once,
   up to the chunk that closes the first maximum, then the polish nodes
-  inside the scan bracket, then the reported time;
+  inside the scan bracket, and nothing more;
+* [DERIVED] the values at t_max, read off the polish interpolants, agree
+  with a direct trace at t_max to 1e-10, and an interpolant whose tail
+  exceeds tol |Psi| raises NotConverged;
 * [DERIVED] the chunked scan brackets the same maximum as one trace of the
   whole grid, so t_max is bitwise the same, and a search with no peak
   traces every grid time once;
@@ -21,11 +24,13 @@ Oracles:
   the tolerance asked for, not the scan's.
 """
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import Chebyshev
 
 from qtransient import (analysis, find_time_domain_resonance,
                         local_frequency, make_system, pole_cache,
@@ -124,7 +129,8 @@ def test_peak_polish_traces_each_time_once(gaas, gaas_cache, monkeypatch, x):
     tol = 1e-9
     tdr = find_time_domain_resonance(gaas, x=x, tol=tol, poles=gaas_cache)
     assert tdr.exists
-    *scans, (polish, polish_tol), (last, last_tol) = calls
+    # the scan chunks, then one polish trace, and nothing at t_max
+    *scans, (polish, polish_tol) = calls
     assert {scan_tol for _, scan_tol in scans} == {max(tol, analysis.SCAN_TOL)}
     # the scan traces a prefix of the grid in time order, each time once
     times = np.concatenate([scan.times for scan, _ in scans])
@@ -140,8 +146,59 @@ def test_peak_polish_traces_each_time_once(gaas, gaas_cache, monkeypatch, x):
     assert len(times) - len(scans[-1][0].times) <= i + 3 < len(times)
     assert len(nodes) == analysis.POLISH_NODES and polish_tol == tol
     assert nodes[0] < tdr.t_max < nodes[-1] and tdr.t_max not in nodes
-    assert last.times.tolist() == [tdr.t_max] and last_tol == tol
-    assert tdr.height == abs(last.psi[0]) ** 2
+    # the reported values come from the interpolant through the nodes
+    psi = Chebyshev.fit(nodes, polish.psi.real, analysis.POLISH_NODES - 1)(
+        tdr.t_max) + 1j * Chebyshev.fit(nodes, polish.psi.imag,
+                                        analysis.POLISH_NODES - 1)(tdr.t_max)
+    assert tdr.height == pytest.approx(abs(psi) ** 2, rel=1e-13, abs=0.0)
+
+
+# (alpha, u) corners at V = 0.3 eV, m = 0.067, probed at x = L
+PEAK_VALUE_CORNERS = [(alpha, u)
+                      for alpha in (2.2, 2.6, 3.3, 4.5, 6.0, 9.0, 11.6)
+                      for u in (30.0, 300.0, 3000.0)]
+# GaAs (L = 4 nm) at E = 1 and 10 meV, probed inside and beyond the barrier
+PEAK_VALUE_POSITIONS = [(E, x) for E in (0.001, 0.01)
+                        for x in (0.5, 2.0, 4.0, 8.0, 20.0)]
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-11])
+def test_peak_values_from_the_polish_interpolant(tol):
+    # the values at t_max come from the 16-node interpolants of the polish
+    # trace; they agree with a direct trace at t_max well inside 1e-10
+    V, m = 0.3, 0.067
+    systems = [(make_system(V, V / u, length_for_alpha(alpha, V, m), m), 1.0)
+               for alpha, u in PEAK_VALUE_CORNERS]
+    systems += [(make_system(V, E, 4.0, m), x / 4.0)
+                for E, x in PEAK_VALUE_POSITIONS]
+    for sys_, x_over_L in systems:
+        cache = pole_cache(sys_)
+        x = x_over_L * sys_.L
+        tdr = find_time_domain_resonance(sys_, x=x, tol=tol, poles=cache)
+        assert tdr.exists, (sys_.alpha, x)
+        w = trace(x, np.array([tdr.t_max]), sys_, poles=cache, tol=tol)
+        omega_av, _ = local_frequency(complex(w.psi[0]), complex(w.dpsi_dt[0]))
+        for got, want in ((tdr.height, abs(w.psi[0]) ** 2),
+                          (tdr.omega_av, omega_av),
+                          (tdr.omega_ratio, omega_av / sys_.omegaV)):
+            assert abs(got / want - 1.0) <= 1e-10, (sys_.alpha, x, got, want)
+
+
+def test_noisy_polish_interpolant_raises(gaas, gaas_cache, monkeypatch):
+    # a polish trace whose Psi is off by 1e-7 relative, node to node, leaves
+    # an interpolant tail far above tol |Psi(t_max)|
+    rng = np.random.default_rng(7)
+
+    def noisy(x_, t_grid, *a, tol, **kw):
+        tr = trace(x_, t_grid, *a, tol=tol, **kw)
+        if len(t_grid) != analysis.POLISH_NODES:
+            return tr
+        return dataclasses.replace(
+            tr, psi=tr.psi * (1.0 + 1e-7 * rng.standard_normal(len(t_grid))))
+
+    monkeypatch.setattr(analysis, "trace", noisy)
+    with pytest.raises(NotConverged, match=r"x=4.*\[.*\] fs.*tol=1.0e-09"):
+        find_time_domain_resonance(gaas, tol=1e-9, poles=gaas_cache)
 
 
 @pytest.mark.parametrize("E,L,x_over_L,exists", [

@@ -13,6 +13,9 @@ from qtransient import (analysis, detect_basin, find_time_domain_resonance,
 from qtransient.errors import NoCrossing, NonPositiveParameter
 from qtransient.sweeps import ALPHA_TOL, SweepRow, SweepTable
 
+# alpha_u of GaAs at u = 300 from bisection on the ratio to ALPHA_TOL
+BISECTED_ALPHA_U_300 = 3.3027343749999996
+
 
 def test_grid_permutation_is_a_noop():
     table_sorted = sweep_freq_vs_alpha([2.5, 3.0, 3.5], u=300.0, V_ref=0.3,
@@ -103,6 +106,70 @@ def test_opacity_window_counts_no_peak_as_past_the_unit_crossing(monkeypatch):
     alpha_c, alpha_u = opacity_window(300.0, 0.3, mass_ratio=0.067)
     assert abs(alpha_c - 2.0653) < 0.01
     assert abs(alpha_u - 3.0) <= ALPHA_TOL
+
+
+def test_gaas_window_runs_few_peak_finds(monkeypatch):
+    # from the top of the span the coarse scan stops at the crossing (8 of
+    # its 13 opacities), and ITP refines it in a few probes, not bisection's 9
+    alphas = []
+
+    def spy(sys_, **kw):
+        alphas.append(sys_.alpha)
+        return find_time_domain_resonance(sys_, **kw)
+
+    monkeypatch.setattr(sweeps, "find_time_domain_resonance", spy)
+    alpha_c, alpha_u = opacity_window(300.0, 0.3, mass_ratio=0.067)
+    assert len(alphas) <= 12
+    assert min(alphas) > 3.19      # nothing below the bracket [3.2, 3.6]
+    assert alpha_c == 2.068359375
+    assert abs(alpha_u - BISECTED_ALPHA_U_300) <= ALPHA_TOL
+
+
+def _mocked_ratio(monkeypatch, ratio):
+    """Stand a ratio function of alpha in for the peak find; returns the
+    alphas it is asked for, in order."""
+    asked = []
+
+    def peak(sys_, tol):
+        asked.append(sys_.alpha)
+        return SimpleNamespace(omega_ratio=ratio(sys_.alpha))
+
+    monkeypatch.setattr(sweeps, "find_time_domain_resonance", peak)
+    return asked
+
+
+def test_opacity_window_returns_the_last_unit_crossing(monkeypatch):
+    # the ratio crosses 1 upward at 2.5, back down at 3.0 and up at 4.7
+    def ratio(alpha):
+        return 1.0 + 0.1 * (alpha - 2.5) * (alpha - 3.0) * (alpha - 4.7)
+
+    _mocked_ratio(monkeypatch, ratio)
+    _, alpha_u = opacity_window(300.0, 0.3, mass_ratio=0.067)
+    assert abs(alpha_u - 4.7) <= ALPHA_TOL
+
+
+@pytest.mark.parametrize("ratio", [
+    # finite steps next to either end of the bracket [3.2, 3.6]
+    lambda a: 0.5 if a < 3.2 + 1e-4 else 1.5,
+    lambda a: 0.5 if a < 3.6 - 1e-4 else 1.5,
+    lambda a: 0.999 if a < 3.6 - 1e-4 else 1e3,
+    lambda a: 1e-3 if a < 3.2 + 1e-4 else 1.001,
+    # a cubic that is flat at its crossing
+    lambda a: 1.0 + (a - 3.55) ** 3,
+], ids=["step-low", "step-high", "jump-high", "jump-low", "cubic"])
+def test_window_refinement_is_never_worse_than_bisection_plus_one(
+        monkeypatch, ratio):
+    asked = _mocked_ratio(monkeypatch, ratio)
+    _, alpha_u = opacity_window(300.0, 0.3, mass_ratio=0.067)
+    coarse = np.linspace(1.2, 6.0, 13)
+    # the coarse scan, from the top down to the bracket's lower end
+    assert asked[:8] == pytest.approx(coarse[:4:-1], rel=1e-12)
+    assert len(asked[8:]) <= math.ceil(math.log2(0.4 / ALPHA_TOL)) + 1 == 10
+    # the final bracket; sys_.alpha carries the round trip through L
+    past = [a for a in asked if not ratio(a) < 1.0]
+    below = [a for a in asked if ratio(a) < 1.0]
+    assert min(past) - max(below) <= ALPHA_TOL + 1e-12
+    assert max(below) < alpha_u < min(past)
 
 
 @pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0, math.inf])
