@@ -137,9 +137,9 @@ def find_time_domain_resonance(sys: BarrierSystem, x=None, t_window=None,
     of their interpolant.  Psi and dPsi/dt at t_max, and with them every
     reported value, come from their own interpolants through the same
     nodes, so nothing is traced at t_max; NotConverged is raised if the
-    last two Chebyshev coefficients of Psi exceed tol |Psi(t_max)|.
-    Returns exists=False when the density rises monotonically (no
-    forerunner), as happens below the critical opacity.
+    last two Chebyshev coefficients of Psi or of dPsi/dt exceed tol times
+    its size at t_max.  Returns exists=False when the density rises
+    monotonically (no forerunner), as happens below the critical opacity.
     """
     if x is None:
         x = sys.L
@@ -200,12 +200,13 @@ def find_time_domain_resonance(sys: BarrierSystem, x=None, t_window=None,
                    POLISH_NODES - 1)
     re_psi, im_psi, re_dpsi, im_dpsi = chebval(off + scl * t_max, coef)
     psi, dpsi_dt = complex(re_psi, im_psi), complex(re_dpsi, im_dpsi)
-    tail = float(np.max(np.hypot(coef[-2:, 0], coef[-2:, 1])))
-    if not tail <= tol * abs(psi):
-        raise NotConverged(
-            f"peak polish at x={x:g}: the Psi interpolant on [{lo:.6g}, "
-            f"{hi:.6g}] fs ends in coefficients {tail:.3g}, above "
-            f"tol={tol:.1e} times |Psi(t_max)| = {abs(psi):.3g}")
+    for name, j, size in (("Psi", 0, abs(psi)), ("dPsi/dt", 2, abs(dpsi_dt))):
+        tail = float(np.max(np.hypot(coef[-2:, j], coef[-2:, j + 1])))
+        if not tail <= tol * size:
+            raise NotConverged(
+                f"peak polish at x={x:g}: the {name} interpolant on "
+                f"[{lo:.6g}, {hi:.6g}] fs ends in coefficients {tail:.3g}, "
+                f"above tol={tol:.1e} times |{name}(t_max)| = {size:.3g}")
     omega_av, sigma = local_frequency(psi, dpsi_dt)
     height = abs(psi) ** 2
     return TimeDomainResonance(x=float(x), exists=True, t_max=float(t_max),

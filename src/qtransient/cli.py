@@ -214,24 +214,19 @@ def _sweep_csv(table, independent, cfg, args, extra=()):
                     rows=rows, provenance=_provenance(cfg, args, extra))
 
 
-def _sweep_opts(cfg, args):
-    """The peak-search settings every CLI scan passes to its sweep."""
-    return dict(tol=cfg.tol, threads=args.threads)
-
-
 def cmd_scan_tmax_L(args):
     cfg = _load_config(args)
     grid = parse_grid(args.grid, "--grid")
     table = sweep_tmax_vs_L(grid.values(), cfg.V_eV, cfg.E_eV, cfg.mass_ratio,
-                            **_sweep_opts(cfg, args))
+                            tol=cfg.tol, threads=args.threads)
     return _sweep_csv(table, "L_nm", cfg, args, [("grid", grid)])
 
 
 def cmd_scan_freq_x(args):
     cfg = _load_config(args)
     grid = parse_grid(args.grid, "--grid")
-    table = sweep_freq_vs_x(grid.values(), _system(cfg),
-                            **_sweep_opts(cfg, args))
+    table = sweep_freq_vs_x(grid.values(), _system(cfg), tol=cfg.tol,
+                            threads=args.threads)
     return _sweep_csv(table, "x_nm", cfg, args, [("grid", grid)])
 
 
@@ -240,7 +235,8 @@ def cmd_scan_freq_alpha(args):
     cfg = _load_config(args, u=args.u)
     grid = parse_grid(args.grid, "--grid")
     table = sweep_freq_vs_alpha(grid.values(), args.u, cfg.V_eV,
-                                cfg.mass_ratio, **_sweep_opts(cfg, args))
+                                cfg.mass_ratio, tol=cfg.tol,
+                                threads=args.threads)
     return _sweep_csv(table, "alpha", cfg, args,
                       [("grid", grid), ("u", args.u)])
 

@@ -2,11 +2,11 @@
 
 The poles k_n are the zeros of the transmission denominator, located with
 one array Newton pass from first-order seeds.  The branch index of the
-log-form pole equation numbers the poles, so it certifies every table: no
-pole below the last one can be missing.  With audit=True an
-argument-principle zero count over a rectangle of the complex k-plane
-checks the table as well.  For each pole the resonant eigenfunction u_n is
-known in closed form up to normalization; the normalization integral
+log-form pole equation numbers the poles, so it certifies every table: no pole
+below the last one can be missing; axis poles are counted in closed form.  With
+audit=True an argument-principle zero count over a rectangle of the complex
+k-plane checks the table as well.  For each pole the resonant eigenfunction u_n
+is known in closed form up to normalization; the normalization integral
 
     int_0^L u_n^2 dx + i (u_n(0)^2 + u_n(L)^2) / (2 k_n) = 1
 
@@ -215,37 +215,39 @@ def _pole_set(sys, n, k, residual=None, axis_poles=None):
                    axis_poles=axis_poles)
 
 
-def find_axis_poles(sys: BarrierSystem):
-    """Antibound poles on the negative imaginary axis, k = -i kappa.
+def _axis_function(eta, alpha):
+    """(F, S) of find_axis_poles, elementwise, with F's log as a log1p."""
+    s = np.hypot(eta, alpha)
+    return s - 2.0 * np.log1p((eta + eta * eta / (s + alpha)) / alpha), s
 
-    Below an opacity threshold (alpha ~ 1.33 for this barrier family) the
-    lowest resonance pair sits on the axis as two purely-damped poles; they
-    are self-conjugate under k -> -conj(k), so the expansion includes each
-    exactly once.  G(-i y) is purely imaginary, so sign changes of Im G
-    locate them; each candidate is polished and residual-checked.  With
-    K = sqrt(y^2 + v), Im G has the sign of K L + ln v - 2 ln(K + y): the
-    same sign with the growing exponential e^{K L} scaled out.  The deeper
-    pole sits near y L = 2 ln(2 y L / alpha), so the scan reaches past
-    2.5 ln(1/alpha) as alpha -> 0.
+
+def find_axis_poles(sys: BarrierSystem):
+    """Antibound poles on the negative imaginary axis, k = -i eta / L.
+
+    They are self-conjugate under k -> -conj(k), so the expansion includes
+    each exactly once.  With S = sqrt(eta^2 + alpha^2) and the growing
+    exponential scaled out, Im G = 0 on the axis reads F(eta) = S -
+    2 ln((eta + S)/alpha) = 0.  F(0) = alpha, F' = (eta - 2)/S and F'' > 0,
+    so there are two poles when F(2) < 0, which is alpha < alpha_m =
+    1.3254868..., and none otherwise.  Newton runs monotonically onto them
+    from eta = 0 and from eta = 6 + 4 ln(2.5/alpha), where F > 0.  A root
+    that misses RESIDUAL_TOL, as one may within about 1e-7 of alpha_m,
+    raises PoleNotConverged naming pole 0.
     """
-    L, v = sys.L, sys.v_strength
-    y_hi = max(3.0 * sys.alpha + 12.0, 8.0 + 2.5 * math.log(1.0 / sys.alpha))
-    y = np.geomspace(1e-6 / L, y_hi / L, 6000)
-    big_k = np.sqrt(y * y + v)
-    flips = np.flatnonzero(np.diff(np.sign(
-        big_k * L + math.log(v) - 2.0 * np.log(big_k + y))) != 0)
-    # polish can drift off-axis at roundoff level
-    kappa = _newton_refine(-1j * 0.5 * (y[flips] + y[flips + 1]), sys).imag
-    k = np.zeros(kappa.shape, dtype=complex)
-    k.imag = kappa
-    ok = (_pole_residual(k, sys)[0] <= RESIDUAL_TOL) & (kappa < 0)
-    out = []
-    for kk in k[ok].tolist():
-        if not any(abs(kk - p) < 1e-10 for p in out):
-            out.append(kk)
-    out.sort(key=lambda z: -z.imag)
-    return _pole_set(sys, np.zeros(len(out), dtype=int),
-                     np.array(out, dtype=complex))
+    starts = [0.0, 6.0 + 4.0 * math.log(2.5 / sys.alpha)]
+    eta = np.array(starts if _axis_function(2.0, sys.alpha)[0] < 0.0 else [])
+    for _ in range(_NEWTON_MAX_ITER):
+        # an iterate stops once F is not positive or no longer moves
+        f, s = _axis_function(eta, sys.alpha)
+        step = np.where(f > 0.0, f * s / (eta - 2.0), 0.0)
+        if np.all(eta - step == eta):
+            break
+        eta -= step
+    axis = _pole_set(sys, np.zeros(len(eta), dtype=int), -1j * eta / sys.L)
+    for k, r in zip(axis.k.tolist(), axis.residual.tolist()):
+        if not r <= RESIDUAL_TOL:
+            raise PoleNotConverged(0, f"(k = {k:.17g}, residual {r:.3g})")
+    return axis
 
 
 def _winding_number(sys, corners, samples_per_edge=64, max_depth=14):
@@ -297,8 +299,8 @@ def audit_pole_count(poleset: PoleSet):
 
     Axis poles sit exactly on Im axis; when present the left contour edge is
     moved to Re k = 1/L so the phase stays resolvable, which excludes them
-    from the count (they are certified separately by the 1-D sign-change
-    scan in find_axis_poles).
+    from the count (find_axis_poles counts them in closed form and checks
+    each one's residual).
     """
     sys = poleset.system
     n = len(poleset)

@@ -12,7 +12,7 @@ Oracles:
   inside the scan bracket, and nothing more;
 * [DERIVED] the values at t_max, read off the polish interpolants, agree
   with a direct trace at t_max to 1e-10, and an interpolant whose tail
-  exceeds tol |Psi| raises NotConverged;
+  exceeds tol |Psi|, or tol |dPsi/dt| for dPsi/dt, raises NotConverged;
 * [DERIVED] the chunked scan brackets the same maximum as one trace of the
   whole grid, so t_max is bitwise the same, and a search with no peak
   traces every grid time once;
@@ -198,6 +198,25 @@ def test_noisy_polish_interpolant_raises(gaas, gaas_cache, monkeypatch):
 
     monkeypatch.setattr(analysis, "trace", noisy)
     with pytest.raises(NotConverged, match=r"x=4.*\[.*\] fs.*tol=1.0e-09"):
+        find_time_domain_resonance(gaas, tol=1e-9, poles=gaas_cache)
+
+
+def test_noisy_dpsi_interpolant_raises(gaas, gaas_cache, monkeypatch):
+    # Psi is clean, but dPsi/dt is off by 1e-7 relative, node to node:
+    # omega_av and sigma read its interpolant, whose tail then lies far
+    # above tol |dPsi/dt(t_max)|
+    rng = np.random.default_rng(7)
+
+    def noisy(x_, t_grid, *a, tol, **kw):
+        tr = trace(x_, t_grid, *a, tol=tol, **kw)
+        if len(t_grid) != analysis.POLISH_NODES:
+            return tr
+        return dataclasses.replace(tr, dpsi_dt=tr.dpsi_dt * (
+            1.0 + 1e-7 * rng.standard_normal(len(t_grid))))
+
+    monkeypatch.setattr(analysis, "trace", noisy)
+    with pytest.raises(NotConverged, match=r"x=4: the dPsi/dt interpolant "
+                       r"on \[.*\] fs.*tol=1.0e-09 times \|dPsi/dt\(t_max\)\|"):
         find_time_domain_resonance(gaas, tol=1e-9, poles=gaas_cache)
 
 

@@ -11,6 +11,7 @@ import pytest
 from qtransient import make_system, sweep_freq_vs_x, sweep_tmax_vs_L
 from qtransient.cli import main
 from qtransient.config import parse_csv
+from qtransient.systems import length_for_alpha
 
 GAAS_FLAGS = ["--V", "0.3", "--E", "0.001", "--L", "4.0",
               "--mass-ratio", "0.067"]
@@ -59,6 +60,43 @@ def test_evolve_csv(capsys):
     assert [r[0] for r in rows] == [1.0, 2.0, 3.0, 4.0, 5.0]
     for r in rows:
         assert r[3] == pytest.approx(r[1] ** 2 + r[2] ** 2, rel=1e-12)
+
+
+def test_spectrogram_rows(capsys):
+    probe = ["--x", "2", "--tmin", "1", "--tmax", "5", "--steps", "5"]
+    code, out, err = run(capsys, GAAS_FLAGS + ["spectrogram"] + probe)
+    assert code == 0 and err == ""
+    _, cols, rows = parse_csv(out)
+    assert cols == ("t_fs", "abs2_over_T2", "omega_av", "omega_ratio", "sigma")
+    assert [r[0] for r in rows] == [1.0, 2.0, 3.0, 4.0, 5.0]
+    _, _, evolved = parse_csv(run(capsys, GAAS_FLAGS + ["evolve"] + probe)[1])
+    omega_v = make_system(0.3, 0.001, 4.0, 0.067).omegaV
+    for r, e in zip(rows, evolved):
+        assert r[1] == pytest.approx(e[4], rel=1e-12)
+        assert r[3] == pytest.approx(r[2] / omega_v, rel=1e-15)
+        assert r[4] >= 0.0
+
+
+def test_window_table(capsys):
+    code, out, err = run(capsys, ["--threads", "1", "--V", "0.3",
+                                  "--mass-ratio", "0.067", "window", "--u",
+                                  "300"])
+    assert code == 0 and err == ""
+    prov, cols, rows = parse_csv(out)
+    assert "command=window" in prov and "u=300" in prov
+    assert cols == ("u", "alpha_c", "alpha_u")
+    (u, alpha_c, alpha_u), = rows
+    assert u == 300.0
+    assert abs(alpha_c - 2.0653) <= 0.01 and abs(alpha_u - 3.3) <= 0.1
+
+
+def test_tmax_just_below_the_merge_opacity(capsys):
+    # the antibound pair sits 2.6e-3 / L apart on the imaginary axis
+    L = length_for_alpha(1.325486838698363 - 2e-7, 0.3, 0.067)
+    code, out, err = run(capsys, ["--V", "0.3", "--E", "0.001", "--L",
+                                  repr(L), "--mass-ratio", "0.067", "tmax"])
+    assert code == 0 and err == ""
+    assert parse_csv(out)[2][0][1] is False
 
 
 def test_flags_override_config_file(capsys, tmp_path):

@@ -17,7 +17,10 @@ Oracles:
 * [DERIVED] on an opaque barrier (alpha ~ 30) the density at x = L agrees
   with the grid oracle within 1 %, which takes every pole down to pole 1;
 * [TRIVIAL] one pole table per system is found once and shared, and poles
-  found for another system are refused.
+  found for another system are refused;
+* [DERIVED] times whose |Psi| falls so far below the stationary amplitude
+  that the first pole sum misses tol are summed once more, sized from
+  |Psi|, and then agree with a tol-1e-12 trace to tol.
 """
 
 import numpy as np
@@ -239,6 +242,27 @@ def test_error_estimates_within_tolerance(gaas, gaas_cache):
                poles=gaas_cache, tol=1e-9)
     assert np.all(tr.trunc_error_est <= 1e-9)
     assert tr.n_terms_used >= 2
+
+
+def test_second_pass_sized_from_psi(monkeypatch):
+    # below the merge opacity, 8.25 L out: at the earliest time |Psi| lies
+    # far below the stationary amplitude the first sum is sized against
+    V, m = 0.3, 0.067
+    sys_ = make_system(V, V / 6.61, length_for_alpha(0.894, V, m), m)
+    x, t = 8.25 * sys_.L, np.geomspace(0.1239, 75.62, 60)
+    sizes = []
+    pole_sum = propagator._pole_sum
+
+    def counted(x_, t_, *a, **kw):
+        sizes.append(len(t_))
+        return pole_sum(x_, t_, *a, **kw)
+
+    monkeypatch.setattr(propagator, "_pole_sum", counted)
+    tr = trace(x, t, sys_, tol=1e-8)
+    assert len(sizes) == 2 and sizes[0] == len(t) and 0 < sizes[1] < len(t)
+    monkeypatch.undo()
+    ref = trace(x, t, sys_, tol=1e-12)
+    assert np.all(np.abs(tr.psi - ref.psi) <= 1e-8 * np.abs(ref.psi))
 
 
 def test_not_converged_at_tiny_cap(gaas, gaas_cache):

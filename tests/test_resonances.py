@@ -8,8 +8,10 @@ Oracles:
 * [DERIVED] the argument principle over the scanned rectangle must count
   exactly the poles that were found;
 * [DERIVED] the antibound poles agree with an independent sign scan of
-  Im G on the negative imaginary axis out to 200/L, and the scan stays
-  finite at opacities where e^{|q| L} overflows;
+  Im G on the negative imaginary axis out to 200/L and with 40-digit
+  mpmath roots of the axis equation to 5e-14, they stay finite at
+  opacities where e^{|q| L} overflows, and just below the merge opacity
+  the pair is either found to RESIDUAL_TOL or reported as pole 0;
 * [DERIVED] the branch index of the pole equation numbers the poles: a
   rung whose Newton lands on its neighbour's root leaves a gap, and the
   search names the missing pole;
@@ -30,6 +32,7 @@ Oracles:
 """
 
 import cmath
+import re
 
 import numpy as np
 import pytest
@@ -132,6 +135,65 @@ def test_axis_scan_does_not_overflow_at_high_opacity():
 
 def test_no_axis_poles_for_reference_barrier(gaas_poles):
     assert len(gaas_poles.axis_poles) == 0
+
+
+# the merge opacity: the root of sqrt(4 + a^2) = 2 ln((2 + sqrt(4 + a^2))/a)
+ALPHA_MERGE = 1.325486838698363
+
+
+def _mp_axis_roots(sys_):
+    """Both zeros y of K L + ln v - 2 ln(K + y), K = sqrt(y^2 + v), at 40
+    digits; it is convex in y with its minimum at y = 2/L."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        v, L = mp.mpf(sys_.v_strength), mp.mpf(sys_.L)
+
+        def f(y):
+            big_k = mp.sqrt(y * y + v)
+            return big_k * L + mp.log(v) - 2 * mp.log(big_k + y)
+        return [float(mp.findroot(f, (a / L, b / L), solver="illinois"))
+                for a, b in ((0, 2), (2, 200))]
+
+
+@pytest.mark.parametrize("alpha", [0.005, 0.02, 0.1, 0.5, 1.0, 1.3, 1.3254])
+def test_axis_poles_match_mpmath_roots(alpha):
+    V, m = 0.3, 0.067
+    sys_ = make_system(V, V / 300.0, length_for_alpha(alpha, V, m), m)
+    axis = find_axis_poles(sys_)
+    assert len(axis) == 2
+    for k, ref in zip(axis.k, _mp_axis_roots(sys_)):
+        assert k.real == 0.0
+        assert abs(-k.imag - ref) <= 5e-14 * ref
+
+
+@pytest.mark.parametrize("d", [1e-6, 5e-7, 2e-7])
+def test_axis_pair_just_below_the_merge_opacity(d):
+    # the two axis roots lie about 2 sqrt(8.7 d) / L apart: 5.9e-3 / L at
+    # d = 1e-6 and 2.6e-3 / L at d = 2e-7
+    V, m = 0.3, 0.067
+    sys_ = make_system(V, V / 300.0, length_for_alpha(ALPHA_MERGE - d, V, m),
+                       m)
+    ps = find_poles(sys_, 64)   # audits the count
+    assert len(ps.axis_poles) == 2
+    assert np.all(ps.axis_poles.residual <= RESIDUAL_TOL)
+    assert ps.n.tolist() == list(range(1, 65))
+
+
+def test_merging_axis_pair_is_found_or_reported_as_pole_zero():
+    # nearer alpha_m the residual |H/H'| of the nearly double root is
+    # roundoff over a vanishing H'; a miss must name pole 0 and its residual
+    V, m = 0.3, 0.067
+    for d in np.geomspace(1e-14, 1e-7, 15):
+        sys_ = make_system(V, V / 300.0,
+                           length_for_alpha(ALPHA_MERGE - d, V, m), m)
+        try:
+            ps = find_poles(sys_, 64)
+        except PoleNotConverged as exc:
+            assert re.fullmatch(r"pole n=0 did not converge \(k = 0-[0-9.]+j, "
+                                r"residual [0-9.e+-]+\)", str(exc))
+        else:
+            assert len(ps.axis_poles) == 2
+            assert np.all(ps.axis_poles.residual <= RESIDUAL_TOL)
 
 
 def test_determinism(gaas):
