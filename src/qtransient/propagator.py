@@ -42,11 +42,11 @@ of the stationary amplitude f (T outside, Phi(x, .) inside):
 
 and the higher moments are its Taylor coefficients.  Inside, k_c = 0 for
 every t: a Cauchy integral of this form minus the exact poles, on a ring
-inside the first omitted pole, gives every moment once per call.  Outside,
-a small Cauchy circle around each k_c gives mu_1 .. mu_{2J+1} of all poles,
-from which the exact poles' share is subtracted; mu_{2J+2}, which only
-dPsi/dt needs, converges fast and is summed directly over a pool of the
-next poles, which also carries the exponentials.
+inside the first pole any time omits, gives every moment once per pass.
+Outside, a small Cauchy circle around each k_c gives mu_1 .. mu_{2J+1} of
+all poles, from which the exact poles' share is subtracted; mu_{2J+2},
+which only dPsi/dt needs, converges fast and is summed directly over a
+pool of the next poles, which also carries the exponentials.
 
 Both counts are set before any sum, for an absolute target of tol * _AIM
 times the stationary amplitude |f(k)|; times whose |Psi| turns out far
@@ -55,7 +55,12 @@ the earliest time, where |z| of every omitted pole is smallest: it doubles
 until what lies beyond it is within half the target and it holds twice the
 exact poles that time needs.  Each time then takes the least N whose first
 omitted series term, bounded pole by pole, is within the other half,
-rounded up to a power of two.  The two halves, relative to |Psi|, are each
+rounded up to a power of two.  One pass then sums every time with its own
+N: one Moshinsky call (per _PAIRS terms) over each time's exact poles,
+the incident pair included; one set of Cauchy nodes, less each time's
+own exact-pole share; and only the damped exponentials before a cut past
+which a bound on the rest, never evaluated, is within _CUT times the
+target.  The two halves and that bound, relative to |Psi|, are each
 point's trunc_error_est.
 """
 
@@ -87,11 +92,13 @@ _Z_MIN = 3.0        # least s (Re q - k_c) of an omitted pole
 _AIM = 1e-3
 _RING = 64          # Cauchy nodes of the internal moments
 _ARC = 16           # Cauchy nodes around each external k_c
-_ROWS = 128         # times per block of the external pool moment
+_ROWS = 128         # times per block of the external pool moments
+_PAIRS = 1 << 13    # (time, pole) pairs per Moshinsky call
+_CUT = 1e-3         # the dropped exponentials' share of the target
 # Most radius x L of the internal ring: a wider ring passes near more exact
 # poles, whose cancelling terms cost digits (3e-12 at 300 / L, alpha = 1).
 _RING_MAX = 20.0
-_DFACT = (1, 1, 3, 15, 105)    # (2j - 1)!!
+_DFACT = np.array([1, 1, 3, 15, 105])    # (2j - 1)!!
 _C0 = 0.5j * cmath.exp(-0.25j * math.pi) / math.sqrt(math.pi)
 SMALL_T_GUARD = 1e-4  # fs; below this the released wave has not reached x > 0
 
@@ -128,16 +135,6 @@ class WaveTrace:
     @property
     def abs2(self):
         return np.abs(self.psi) ** 2
-
-
-def _moshinsky_block(x_arg, q, t, c2):
-    """M and dM/dt for every (t_i, q_j): t (T,), q (Q,) -> (T, Q).
-
-    x_arg is the position entering the Moshinsky argument (0 for the
-    internal solution).
-    """
-    return moshinsky_m_dt(x_arg, np.asarray(q, dtype=complex)[None, :],
-                          np.asarray(t, dtype=float)[:, None], c2)
 
 
 def _scales(x_arg, t, c2):
@@ -235,40 +232,104 @@ def _size(x, s0, kc0, sys, table, internal, tol, scale):
         p = min(2 * p, HARD_CAP)
 
 
-def _moments(kc, head, tail, f, f_k, sys, J, internal):
-    """mu_1 .. mu_{2J+2} of the omitted poles at each k_c, shape (2J+2, T).
+def _offsets(n):
+    """Each entry's place within its run, for consecutive runs of n[i]."""
+    return np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
 
-    head and tail are (q, c) arrays of the exact and omitted pool poles,
-    mirrors included.  Inside, one ring of radius half the least omitted
-    |q| carries the closed form minus the exact poles, which leaves a
-    function analytic inside the ring whose Taylor coefficients are the
-    omitted moments.  Outside, a circle of radius one eighth of the
-    distance to the nearest pole, kept clear of the removable points
-    c = +-k, gives mu_1 .. mu_{2J+1} of all poles, and the exact poles'
-    share is subtracted; mu_{2J+2}, which only dPsi/dt uses, is summed
-    directly over the pool.
+
+def _segment_sums(values, n):
+    """Sums of consecutive runs of values, n[i] entries in run i; an empty
+    run sums to 0."""
+    out = np.zeros(len(n), dtype=complex)
+    full = n > 0
+    if np.any(full):
+        out[full] = np.add.reduceat(values, (np.cumsum(n) - n)[full])
+    return out
+
+
+def _heads(x_arg, t, level, pool, axis, f_k, sys):
+    """The incident pair less the exact poles' Moshinsky terms, and its
+    time derivative, per time.
+
+    Time i sums a prefix of one list of (q, c) pairs: +-k, the antibound
+    poles, then the first 2 level[i] entries of the pool.  The (time, pair)
+    terms of consecutive times go to one Moshinsky call, at most _PAIRS of
+    them (a lone time may hold more), and are summed per time.
     """
-    (hq, hc), (tq, tc) = head, tail
+    n = 2 * int(level.max())
+    q = np.concatenate(([sys.k, -sys.k], axis[1], pool[0][:n]))
+    c = np.concatenate(([f_k[0], -f_k[1]], -axis[0], -pool[1][:n]))
+    width = 2 + len(axis[1]) + 2 * level
+    ends = np.cumsum(width)
+    psi = np.empty(len(t), dtype=complex)
+    dpsi = np.empty(len(t), dtype=complex)
+    lo = 0
+    while lo < len(t):
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - width[lo]
+                                             + _PAIRS, side="right")))
+        w = width[lo:hi]
+        pos = _offsets(w)
+        m, dm = moshinsky_m_dt(x_arg, q[pos], np.repeat(t[lo:hi], w), sys.c2)
+        c_pos = c[pos]
+        psi[lo:hi] = _segment_sums(m * c_pos, w)
+        dpsi[lo:hi] = _segment_sums(dm * c_pos, w)
+        lo = hi
+    return psi, dpsi
+
+
+def _moments(kc, level, pool, axis, f, f_k, sys, J, internal):
+    """mu_1 .. mu_{2J+2} of each time's omitted poles, shape (2J+2, T).
+
+    Time i sums the first 2 level[i] entries of the pool and the antibound
+    poles exactly; the rest are omitted.  Inside, one ring of radius half
+    the least |q| any time omits carries the closed form minus each level's
+    exact poles, which leaves a function analytic inside the ring whose
+    Taylor coefficients are the omitted moments.  Outside, a circle around
+    each k_c of radius one eighth of the distance to the nearest pole, kept
+    clear of the removable points c = +-k, gives mu_1 .. mu_{2J+1} of all
+    poles, and the exact poles' share is subtracted; mu_{2J+2}, which only
+    dPsi/dt uses, is summed directly over the rest of the pool.  Each
+    share is a product over the pool with the other part's entries zeroed,
+    so that no exact pole's term cancels into the rest.
+    """
     k = sys.k
+    pool_q, pool_c = pool
+    cols = np.arange(len(pool_q))
+    top, low = 2 * int(level.max()), 2 * int(level.min())
     if internal:
-        r = min(0.5 * np.min(np.abs(tq)), _RING_MAX / sys.L)
+        r = min(0.5 * np.min(np.abs(pool_q[low:])), _RING_MAX / sys.L)
         theta = 2.0 * math.pi * (np.arange(_RING) + 0.5) / _RING
         c = r * np.exp(1j * theta)
-        g = _resolvent(c, f(c), f_k, k) - (1.0 / (c[:, None] - hq)) @ hc
+        levels, which = np.unique(level, return_inverse=True)
+        exact = (1.0 / (c[:, None] - pool_q[:top])) @ np.where(
+            cols[:top, None] < 2 * levels, pool_c[:top, None], 0.0)
+        g = (_resolvent(c, f(c), f_k, k)
+             - (1.0 / (c[:, None] - axis[1])) @ axis[0])[:, None] - exact
         # Taylor coefficient a_m = mean g c^-m; mu_{m+1} = (-1)^m a_m
         m = np.arange(2 * J + 2)
-        mu = np.exp(-1j * np.outer(m, theta)) @ g / (_RING * (-r) ** m)
-        return np.repeat(mu[:, None], len(kc), axis=1)
-    d_head = kc[:, None] - hq
-    near = np.min(np.abs(d_head), axis=1, initial=np.inf)
+        mu = (np.exp(-1j * np.outer(m, theta)) @ g
+              / (_RING * (-r) ** m)[:, None])
+        return mu[:, which]
+    inv_axis = 1.0 / (kc[:, None] - axis[1])
+    near = np.min(np.abs(kc[:, None] - axis[1]), axis=1, initial=np.inf)
+    head = np.empty((2 * J + 1, len(kc)), dtype=complex)
     mu_last = np.empty(len(kc), dtype=complex)
     # the pool runs to thousands of poles: take its (time, pole) terms in
     # blocks of rows of equal size, since a lone row would take numpy's dot
     # path, which rounds differently from the matrix product of the rest
     for rows in np.array_split(np.arange(len(kc)), -(-len(kc) // _ROWS) or 1):
-        d_tail = kc[rows, None] - tq
-        near[rows] = np.minimum(near[rows], np.min(np.abs(d_tail), axis=1))
-        mu_last[rows] = (1.0 / d_tail) ** (2 * J + 2) @ tc
+        inv = kc[rows, None] - pool_q
+        near[rows] = np.minimum(near[rows], np.min(np.abs(inv), axis=1))
+        np.reciprocal(inv, out=inv)
+        exact = cols < 2 * level[rows, None]
+        power = 1.0
+        for m in range(2 * J + 1):
+            power = power * inv
+            head[m, rows] = np.where(exact[:, :top], power[:, :top],
+                                     0.0) @ pool_c[:top]
+        power = power * inv
+        mu_last[rows] = np.where(exact[:, low:], 0.0,
+                                 power[:, low:]) @ pool_c[low:]
     r = near / 8.0
     # the closed form cancels near c = +-k: keep every node r from them
     dk = np.minimum(np.abs(kc - k), kc + k)
@@ -276,87 +337,96 @@ def _moments(kc, head, tail, f, f_k, sys, J, internal):
     theta = 2.0 * math.pi * (np.arange(_ARC) + 0.5) / _ARC
     c = kc[:, None] + r[:, None] * np.exp(1j * theta)
     circle = _resolvent(c, f(c), f_k, k)
-    inv_h = 1.0 / d_head
-    mu, power = [], np.ones_like(inv_h)
+    mu, power = [], np.ones_like(inv_axis)
     for m in range(2 * J + 1):
-        power = power * inv_h
+        power = power * inv_axis
         mu.append(np.mean(circle * np.exp(-1j * m * theta), axis=1)
-                  / (-r) ** m - power @ hc)
+                  / (-r) ** m - head[m] - np.sum(power * axis[0], axis=1))
     mu.append(mu_last)
     return np.array(mu)
 
 
-def _sum_at(n, x, t, coefs, kn, axis, f, f_k, sys, internal):
-    """sum_q c_q M(q) and its time derivative with n exact poles."""
-    J = _ORDER[internal]
-    c2 = sys.c2
-    x_arg = 0.0 if internal else x
-    mirror_c, mirror_k = -coefs.conj(), -kn.conj()
-    # antibound poles are their own mirrors: each enters once, always exact
-    head = (np.concatenate((kn[:n], mirror_k[:n], axis[1])),
-            np.concatenate((coefs[:n], mirror_c[:n], axis[0])))
-    tail = (np.concatenate((kn[n:], mirror_k[n:])),
-            np.concatenate((coefs[n:], mirror_c[n:])))
-    m, dm = _moshinsky_block(x_arg, head[0], t, c2)
-    total, dtotal = m @ head[1], dm @ head[1]
-    del m, dm
+def _exponentials(x_arg, t, s, kc, level, coefs, kn, c2, thr):
+    """The damped resonance exponentials c_q e^{iqx - i c2 q^2 t/hbar} of
+    each time's omitted pool poles with Im z < 0, their time derivative,
+    and a bound on those the cut drops, per time.
 
-    s, kc, a2t = _scales(x_arg, t, c2)
-    phase = np.exp(1j * a2t)
-    mu = _moments(kc, head, tail, f, f_k, sys, J, internal)
-    for j in range(J + 1):
-        al = _alpha(j, s, phase)
-        total += al * mu[2 * j]
-        # d alpha_j/dt = alpha_j (-i a^2/t - j - 1/2)/t and
-        # d mu_m/dt = m mu_{m+1} k_c/t
-        dtotal += al / t * ((-1j * a2t - j - 0.5) * mu[2 * j]
-                            + (2 * j + 1) * kc * mu[2 * j + 1])
-
-    # damped exponentials of the pool's omitted poles with Im z < 0, up to
-    # the last one that does not underflow (exp < -745) at the earliest time
-    kt, ct = kn[n:], coefs[n:]
-    i0 = int(np.argmin(t))
-    live = np.flatnonzero(2.0 * s[i0] ** 2 * (kt.real - kc[i0]) * kt.imag
-                          > -745.0)
-    last = live[-1] + 1 if live.size else 0
-    kt, ct = kt[:last], ct[:last]
+    At time i the term of q has modulus |c_q| e^{-2 s^2 |Im q| (Re q - k_c)}.
+    From pole j of the pool on, |c| <= big[j], |Im q| >= low[j] and
+    Re q >= left[j], so no later term exceeds
+    big[j] e^{-2 s^2 low[j] max(left[j] - k_c, 0)}.  Time i evaluates its
+    omitted poles up to the first j at which that bound times the poles
+    left is within thr; the search holds |Im q| at low[level[i]], which
+    can only move the cut later.  The bound at the cut is what is dropped.
+    """
+    P = len(kn)
+    big = np.maximum.accumulate(np.abs(coefs)[::-1])[::-1]
+    low = np.minimum.accumulate(-kn.imag[::-1])[::-1]
+    left = np.minimum.accumulate(kn.real[::-1])[::-1]
+    two_s2 = 2.0 * s * s
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reach = (np.log((P - level) * big[level] / thr)
+                 / (two_s2 * low[level]))
+    cut = np.maximum(level, np.searchsorted(left, kc + reach))
+    j = np.minimum(cut, P - 1)
+    dropped = (P - cut) * big[j] * np.exp(
+        -two_s2 * low[j] * np.maximum(left[j] - kc, 0.0))
+    n = cut - level
+    row = np.repeat(np.arange(len(t)), n)
+    pole = _offsets(n) + np.repeat(level, n)
+    kt = kn[pole]
     rate = -1j * (c2 / HBAR) * kt * kt
-    e = np.multiply.outer(t, rate)
-    e += 1j * kt * x_arg
-    e[kt.real + kt.imag <= kc[:, None]] = -1e3    # Im z >= 0: no term
+    e = rate * t[row] + 1j * kt * x_arg
+    e[kt.real + kt.imag <= kc[row]] = -1e3    # Im z >= 0: no term
     np.exp(e, out=e)
-    total += e @ ct
-    dtotal += e @ (rate * ct)
-    return total, dtotal
+    e *= coefs[pole]
+    return _segment_sums(e, n), _segment_sums(e * rate, n), dropped
 
 
 def _pole_sum(x, t, sys, table, internal, f, f_k, tol, scale):
-    """sum_q c_q M(q) and its time derivative over every pole, at times t.
+    """Psi and dPsi/dt at times t in one pass: the incident pair less the
+    sum over every pole.
 
     Each time gets the least exact-pole count that meets the absolute
-    target tol * _AIM * scale, rounded up to a power of two so that few
-    distinct sums run; the pool is sized at the earliest time, which needs
-    the most.  Returns (sum, dsum, est, n): est is the absolute error
-    estimate per time and n the largest count.
+    target tol * _AIM * scale, rounded up to a power of two; the pool is
+    sized at the earliest time, which needs the most.  Every time then sums
+    its own exact poles (_heads), takes the omitted poles' series from one
+    set of Cauchy nodes (_moments) and evaluates only the damped
+    exponentials that stay above _CUT times the target (_exponentials).
+    Returns (psi, dpsi, est, n): est is the absolute error estimate per
+    time and n the largest count.
     """
     J = _ORDER[internal]
-    s, kc, _ = _scales(0.0 if internal else x, t, sys.c2)
+    x_arg = 0.0 if internal else x
+    s, kc, a2t = _scales(x_arg, t, sys.c2)
     i0 = [int(np.argmin(t))]
     coefs, kn = _size(x, s[i0], kc[i0], sys, table, internal, tol, scale)
     weight, later = _omitted(s, kc, kn, coefs, J)
-    need = _exact_count(weight, later, s, kc, kn, 0.5 * tol * _AIM * scale)
+    target = tol * _AIM * scale
+    need = _exact_count(weight, later, s, kc, kn, 0.5 * target)
     level = np.minimum(2 ** np.ceil(np.log2(np.maximum(need, 1))).astype(int),
                        min(need.max(), len(kn) // 2))
     axis = expansion_coeffs(x, sys.k, table.axis_poles, sys, internal)
-    total = np.empty(len(t), dtype=complex)
-    dtotal = np.empty(len(t), dtype=complex)
-    for n in np.unique(level):
-        rows = np.flatnonzero(level == n)
-        total[rows], dtotal[rows] = _sum_at(int(n), x, t[rows], coefs, kn,
-                                            axis, f, f_k, sys, internal)
+    # each pool pole followed by its mirror -conj q, whose coefficient is
+    # -conj c: a time's exact poles are the first 2 level entries
+    pool = (np.column_stack((kn, -kn.conj())).ravel(),
+            np.column_stack((coefs, -coefs.conj())).ravel())
+    psi, dpsi = _heads(x_arg, t, level, pool, axis, f_k, sys)
+    mu = _moments(kc, level, pool, axis, f, f_k, sys, J, internal)
+    j = np.arange(J + 1)[:, None]
+    al = _alpha(j, s, np.exp(1j * a2t))
+    psi -= np.sum(al * mu[0::2], axis=0)
+    # d alpha_j/dt = alpha_j (-i a^2/t - j - 1/2)/t and
+    # d mu_m/dt = m mu_{m+1} k_c/t
+    dpsi -= np.sum(al / t * ((-1j * a2t - j - 0.5) * mu[0::2]
+                             + (2 * j + 1) * kc * mu[1::2]), axis=0)
+    e, de, dropped = _exponentials(x_arg, t, s, kc, level, coefs, kn, sys.c2,
+                                   _CUT * target)
+    psi -= e
+    dpsi -= de
     est = (weight * later[np.arange(len(t)) % len(later), level]
-           + _beyond(coefs, kn, s, kc))
-    return total, dtotal, est, int(level.max())
+           + _beyond(coefs, kn, s, kc) + dropped)
+    return psi, dpsi, est, int(level.max())
 
 
 def _assemble(x, t_grid, sys, poles, tol, internal):
@@ -367,17 +437,11 @@ def _assemble(x, t_grid, sys, poles, tol, internal):
     if np.any(t_grid <= 0.0):
         raise NonPositiveTime("times must be > 0")
     table = pole_cache(sys, poles)
-    k = sys.k
-    x_arg = 0.0 if internal else x
 
     def f(c):
         return phi_stationary(x, c, sys) if internal else transmission(c, sys)
 
-    f_k = f(np.array([k, -k]))
-    m_inc, dm_inc = _moshinsky_block(x_arg, np.array([k, -k]), t_grid, sys.c2)
-    head = m_inc @ (f_k * [1.0, -1.0])
-    dhead = dm_inc @ (f_k * [1.0, -1.0])
-
+    f_k = f(np.array([sys.k, -sys.k]))
     psi = np.zeros(t_grid.shape, dtype=complex)
     dpsi = np.zeros(t_grid.shape, dtype=complex)
     err = np.zeros(t_grid.shape)
@@ -388,15 +452,13 @@ def _assemble(x, t_grid, sys, poles, tol, internal):
         # size the sums against the stationary amplitude; points whose |psi|
         # lies so far below it that they miss tol are summed once more,
         # sized from |psi|
-        total, dtotal, est, n_poles = _pole_sum(
+        p, dp, est, n_poles = _pole_sum(
             x, t, sys, table, internal, f, f_k, tol, abs(f_k[0]))
-        p = head[live] - total
         redo = np.flatnonzero(est > tol * np.abs(p))
         if redo.size:
             floor = max(float(np.min(np.abs(p[redo]))), 1e-300)
-            total[redo], dtotal[redo], est[redo], n_redo = _pole_sum(
+            p[redo], dp[redo], est[redo], n_redo = _pole_sum(
                 x, t[redo], sys, table, internal, f, f_k, tol, 0.5 * floor)
-            p[redo] = head[live][redo] - total[redo]
             n_poles = max(n_poles, n_redo)
         rel = est / np.maximum(np.abs(p), 1e-300)
         if np.any(rel > tol):
@@ -406,7 +468,7 @@ def _assemble(x, t_grid, sys, poles, tol, internal):
                 f"{int(np.sum(rel > tol))} of {len(t)} time points; worst "
                 f"t={t[worst]:.6g} fs, error estimate {rel[worst]:.1e} "
                 f"with N={n_poles} exact poles")
-        psi[live], dpsi[live], err[live] = p, dhead[live] - dtotal, rel
+        psi[live], dpsi[live], err[live] = p, dp, rel
     return psi, dpsi, 2 + 2 * n_poles + len(table.axis_poles), err
 
 

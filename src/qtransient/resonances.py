@@ -332,9 +332,10 @@ def find_poles(sys: BarrierSystem, N: int, audit: bool = True) -> PoleSet:
     before are dropped as duplicates.  The branch index m of the pole
     equation numbers the poles: the N kept roots must carry m = 1..N, or
     2..N+1 beside the antibound pair, and a gap raises PoleNotConverged
-    naming the missing pole.  Every root depends only on its own seed, so
-    the first n poles do not depend on N.  audit=True counts the zeros by
-    the argument principle as well.
+    naming the missing pole, with the k and residual of a root on its
+    branch that missed RESIDUAL_TOL if there is one.  Every root depends
+    only on its own seed, so the first n poles do not depend on N.
+    audit=True counts the zeros by the argument principle as well.
     """
     if N < 1:
         raise PoleNotConverged(N, "(need N >= 1)")
@@ -350,14 +351,22 @@ def find_poles(sys: BarrierSystem, N: int, audit: bool = True) -> PoleSet:
     keep = keep[np.argsort(k.real[keep], kind="stable")]
     near = 1e-8 * np.maximum(1.0, np.abs(k[keep]))
     keep = keep[np.abs(np.diff(k[keep], prepend=np.inf)) > near][:N]
-    k, res, m = k[keep], res[keep], m[keep]
     first = 2 if axis else 1
     want = np.arange(first, first + N)
-    gap = np.flatnonzero(m != want[:len(k)])
-    if gap.size or len(k) < N:
-        n = int(gap[0]) + 1 if gap.size else len(k) + 1
+    gap = np.flatnonzero(m[keep] != want[:len(keep)])
+    if gap.size or len(keep) < N:
+        n = int(gap[0]) + 1 if gap.size else len(keep) + 1
+        # a root on the missing branch that missed RESIDUAL_TOL, as pole 1
+        # may within about 1e-7 above alpha_m, is named with its residual
+        missed = np.flatnonzero((m == want[n - 1]) & ~(res <= RESIDUAL_TOL))
+        if missed.size:
+            i = missed[0]
+            raise PoleNotConverged(n, f"(k = {k[i]:.17g}, residual "
+                                      f"{res[i]:.3g} on branch m = "
+                                      f"{want[n - 1]})")
         raise PoleNotConverged(n, f"(no root on branch m = {want[n - 1]})")
-    ps = _pole_set(sys, np.arange(1, N + 1), k, res, axis_poles=axis)
+    ps = _pole_set(sys, np.arange(1, N + 1), k[keep], res[keep],
+                   axis_poles=axis)
     if audit:
         audit_pole_count(ps)
     return ps

@@ -20,7 +20,13 @@ Oracles:
   found for another system are refused;
 * [DERIVED] times whose |Psi| falls so far below the stationary amplitude
   that the first pole sum misses tol are summed once more, sized from
-  |Psi|, and then agree with a tol-1e-12 trace to tol.
+  |Psi|, and then agree with a tol-1e-12 trace to tol;
+* [TRIVIAL] a trace sums all its times in one pass, one Moshinsky call
+  with the incident pair inside and outside the barrier, and the second
+  pass makes the one further call;
+* [DERIVED] the damped exponentials each time drops past its cut stay
+  inside trunc_error_est: tol-1e-8 traces agree with tol-1e-12 ones
+  within it, on opaque barriers, out to 20 nm and next to the shutter.
 """
 
 import numpy as np
@@ -30,6 +36,7 @@ from qtransient import (cn_evolve, default_cn_config, find_poles,
                         find_time_domain_resonance, length_for_alpha,
                         make_system, pole_cache, propagator, psi_external,
                         psi_internal, trace, transmission)
+from qtransient.analysis import PEAK_SCAN, default_window
 from qtransient.errors import (NonPositiveTime, NotConverged, PoleSetMismatch,
                                ValidationError, XOutOfRange)
 from qtransient.systems import HBAR_EV_FS as HBAR
@@ -304,3 +311,80 @@ def test_domain_validation(gaas, gaas_cache):
             trace(2.0, np.array([1.0, bad]), gaas, poles=gaas_cache)
         with pytest.raises(NonPositiveTime):
             psi_internal(2.0, bad, gaas, poles=gaas_cache)
+
+
+@pytest.mark.parametrize("x_of", [lambda s: s.L, lambda s: 6.0],
+                         ids=["inside", "outside"])
+def test_one_moshinsky_call_per_pass(gaas, gaas_cache, monkeypatch, x_of):
+    # every time sums its own exact poles, and the incident pair, in one
+    # call, whatever its exact-pole count: inside at x = L and outside
+    calls = []
+    inner = propagator.moshinsky_m_dt
+
+    def spy(*args):
+        calls.append(np.size(args[1]))
+        return inner(*args)
+
+    monkeypatch.setattr(propagator, "moshinsky_m_dt", spy)
+    x = x_of(gaas)
+    ts = np.geomspace(0.3, 30.0, 40)
+    tr = trace(x, ts, gaas, poles=gaas_cache)
+    assert len(calls) == 1
+    assert calls[0] > 2 * len(ts) and tr.n_terms_used > 2
+
+
+def test_second_pass_makes_a_second_moshinsky_call(monkeypatch):
+    # the system of test_second_pass_sized_from_psi: the second pass over
+    # its few times is the one further call
+    V, m = 0.3, 0.067
+    sys_ = make_system(V, V / 6.61, length_for_alpha(0.894, V, m), m)
+    calls = []
+    inner = propagator.moshinsky_m_dt
+
+    def spy(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(propagator, "moshinsky_m_dt", spy)
+    trace(8.25 * sys_.L, np.geomspace(0.1239, 75.62, 60), sys_, tol=1e-8)
+    assert len(calls) == 2
+
+
+def _scan_chunk(sys_, x):
+    """The first chunk of a peak search's scan grid at x."""
+    return np.linspace(*default_window(sys_, x), PEAK_SCAN)[:PEAK_SCAN // 8]
+
+
+def _probes(gaas):
+    V, m = 0.3, 0.067
+    for alpha in (2.14, 3.0, 6.0):
+        sys_ = make_system(V, V / 300.0, length_for_alpha(alpha, V, m), m)
+        yield sys_, sys_.L, _scan_chunk(sys_, sys_.L)
+    for x in (2.0, 6.0, 20.0):
+        yield gaas, x, _scan_chunk(gaas, x)
+    yield gaas, 0.05, np.array([0.5])
+
+
+def test_exponential_cut_stays_inside_the_error_estimate(gaas, monkeypatch):
+    # the damped exponentials are evaluated only up to a cut past which
+    # they are bounded; that bound is part of trunc_error_est, which must
+    # then cover the gap to a tol-1e-12 trace
+    dropped = []
+    inner = propagator._exponentials
+
+    def spy(*args):
+        out = inner(*args)
+        dropped.append(out[2])
+        return out
+
+    for sys_, x, ts in _probes(gaas):
+        table = pole_cache(sys_)
+        with monkeypatch.context() as patch:
+            patch.setattr(propagator, "_exponentials", spy)
+            tr = trace(x, ts, sys_, poles=table, tol=1e-8)
+        ref = trace(x, ts, sys_, poles=table, tol=1e-12)
+        gap = np.abs(tr.psi - ref.psi)
+        assert np.all(gap <= (tr.trunc_error_est + 1e-15) * np.abs(tr.psi)), \
+            (sys_.alpha, x, np.max(gap / np.abs(tr.psi) / tr.trunc_error_est))
+    # the cut drops pool poles at some time of every probe
+    assert len(dropped) >= 7 and all(np.any(d > 0.0) for d in dropped)

@@ -14,7 +14,8 @@ Oracles:
   the pair is either found to RESIDUAL_TOL or reported as pole 0;
 * [DERIVED] the branch index of the pole equation numbers the poles: a
   rung whose Newton lands on its neighbour's root leaves a gap, and the
-  search names the missing pole;
+  search names the missing pole, or the root on its branch that missed
+  RESIDUAL_TOL with its residual;
 * [DERIVED] the transmission-pole residue identity
   res T(k_n) = i u_n(0) u_n(L) exp(-i k_n L), with the residue computed
   independently from the derivative of the entire denominator function;
@@ -194,6 +195,31 @@ def test_merging_axis_pair_is_found_or_reported_as_pole_zero():
         else:
             assert len(ps.axis_poles) == 2
             assert np.all(ps.axis_poles.residual <= RESIDUAL_TOL)
+
+
+def test_pole_one_just_above_the_merge_opacity_names_its_residual():
+    # just above alpha_m Newton finds pole 1 on branch m = 1, but at some
+    # distances the near-double root's residual misses RESIDUAL_TOL (the
+    # first of 300 log-spaced distances in [1e-12, 1e-6] to do so is the
+    # 14th, 1.82e-12): the error names that root and its residual, not a
+    # missing branch
+    V, m = 0.3, 0.067
+    failed = []
+    for d in np.geomspace(1e-12, 1e-6, 300)[:30]:
+        sys_ = make_system(V, V / 300.0,
+                           length_for_alpha(ALPHA_MERGE + d, V, m), m)
+        try:
+            find_poles(sys_, 64)
+        except PoleNotConverged as exc:
+            failed.append(d)
+            assert exc.n == 1
+            match = re.fullmatch(
+                r"pole n=1 did not converge \(k = ([0-9.e+-]+j), "
+                r"residual ([0-9.e+-]+) on branch m = 1\)", str(exc))
+            assert match, str(exc)
+            assert abs(complex(match[1]) + 2j / sys_.L) <= 1e-3 / sys_.L
+            assert float(match[2]) > RESIDUAL_TOL
+    assert failed and abs(failed[0] - 1.82e-12) <= 0.01e-12
 
 
 def test_determinism(gaas):
