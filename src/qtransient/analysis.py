@@ -31,7 +31,8 @@ import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev, chebfit, chebpts2, chebval
 
 from .errors import AmplitudeUnderflow, NotConverged, WindowTooNarrow
-from .propagator import DEFAULT_TOL, check_tol, check_x, pole_cache, trace
+from .propagator import (DEFAULT_TOL, SMALL_T_GUARD, check_tol, check_x,
+                         pole_cache, trace)
 from .stationary import phi_stationary, transmission
 from .systems import BarrierSystem, HBAR_EV_FS as HBAR
 
@@ -73,8 +74,21 @@ class Spectrogram:
 
 def spectrogram(sys: BarrierSystem, x, t_grid, tol=DEFAULT_TOL,
                 poles=None) -> Spectrogram:
-    """Local-frequency diagnostics of the transient wave on a time grid."""
+    """Local-frequency diagnostics of the transient wave on a time grid.
+
+    Raises AmplitudeUnderflow, naming x and the first such time, where
+    |Psi| is too small to divide by.
+    """
     tr = trace(x, np.asarray(t_grid, dtype=float), sys, poles=poles, tol=tol)
+    low = np.flatnonzero(np.abs(tr.psi) < _AMP_FLOOR)
+    if low.size:
+        t0 = float(tr.times[low[0]])
+        why = (f"; psi is zero there by construction, as at every t below "
+               f"{SMALL_T_GUARD:g} fs, before the released wave reaches x > 0"
+               if t0 < SMALL_T_GUARD else "")
+        raise AmplitudeUnderflow(
+            f"|psi| below {_AMP_FLOOR:g} at x={tr.x:g}, t={t0:.6g} fs "
+            f"(first of {low.size} such grid times){why}")
     omega_av, sigma = local_frequency(tr.psi, tr.dpsi_dt)
     return Spectrogram(x=tr.x, times=tr.times, omega_av=omega_av,
                        sigma=sigma, abs2=tr.abs2, system=sys)

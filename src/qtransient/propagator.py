@@ -54,12 +54,12 @@ below |f(k)| are summed once more, sized from |Psi|.  The pool is sized at
 the earliest time, where |z| of every omitted pole is smallest: it doubles
 until what lies beyond it is within half the target and it holds twice the
 exact poles that time needs.  Each time then takes the least N whose first
-omitted series term, bounded pole by pole, is within the other half,
-rounded up to a power of two.  One pass then sums every time with its own
-N: one Moshinsky call (per _PAIRS terms) over each time's exact poles,
-the incident pair included; one set of Cauchy nodes, less each time's
-own exact-pole share; and only the damped exponentials before a cut past
-which a bound on the rest, never evaluated, is within _CUT times the
+omitted series term, bounded pole by pole, is within the other half, and
+sums exactly those N in one pass: one Moshinsky call (per _PAIRS terms)
+over each time's exact poles, the incident pair included; one set of
+Cauchy nodes, less each time's own exact-pole share, read off a prefix sum
+along the pool at its N; and only the damped exponentials before a cut
+past which a bound on the rest, never evaluated, is within _CUT times the
 target.  The two halves and that bound, relative to |Psi|, are each
 point's trunc_error_est.
 """
@@ -282,54 +282,53 @@ def _moments(kc, level, pool, axis, f, f_k, sys, J, internal):
 
     Time i sums the first 2 level[i] entries of the pool and the antibound
     poles exactly; the rest are omitted.  Inside, one ring of radius half
-    the least |q| any time omits carries the closed form minus each level's
+    the least |q| any time omits carries the closed form minus each time's
     exact poles, which leaves a function analytic inside the ring whose
     Taylor coefficients are the omitted moments.  Outside, a circle around
     each k_c of radius one eighth of the distance to the nearest pole, kept
     clear of the removable points c = +-k, gives mu_1 .. mu_{2J+1} of all
     poles, and the exact poles' share is subtracted; mu_{2J+2}, which only
     dPsi/dt uses, is summed directly over the rest of the pool.  Each
-    share is a product over the pool with the other part's entries zeroed,
-    so that no exact pole's term cancels into the rest.
+    time's exact share is a prefix sum along the pool read at its count,
+    and its rest a sum from the pool's far end back to that count, so that
+    no exact pole's term cancels into the rest.
     """
     k = sys.k
     pool_q, pool_c = pool
-    cols = np.arange(len(pool_q))
     top, low = 2 * int(level.max()), 2 * int(level.min())
     if internal:
         r = min(0.5 * np.min(np.abs(pool_q[low:])), _RING_MAX / sys.L)
         theta = 2.0 * math.pi * (np.arange(_RING) + 0.5) / _RING
         c = r * np.exp(1j * theta)
-        levels, which = np.unique(level, return_inverse=True)
-        exact = (1.0 / (c[:, None] - pool_q[:top])) @ np.where(
-            cols[:top, None] < 2 * levels, pool_c[:top, None], 0.0)
+        exact = np.zeros((_RING, top + 1), dtype=complex)
+        np.cumsum(pool_c[:top] / (c[:, None] - pool_q[:top]), axis=1,
+                  out=exact[:, 1:])
         g = (_resolvent(c, f(c), f_k, k)
-             - (1.0 / (c[:, None] - axis[1])) @ axis[0])[:, None] - exact
+             - (1.0 / (c[:, None] - axis[1])) @ axis[0])[:, None] \
+            - exact[:, 2 * level]
         # Taylor coefficient a_m = mean g c^-m; mu_{m+1} = (-1)^m a_m
         m = np.arange(2 * J + 2)
-        mu = (np.exp(-1j * np.outer(m, theta)) @ g
-              / (_RING * (-r) ** m)[:, None])
-        return mu[:, which]
+        return (np.exp(-1j * np.outer(m, theta)) @ g
+                / (_RING * (-r) ** m)[:, None])
     inv_axis = 1.0 / (kc[:, None] - axis[1])
     near = np.min(np.abs(kc[:, None] - axis[1]), axis=1, initial=np.inf)
     head = np.empty((2 * J + 1, len(kc)), dtype=complex)
     mu_last = np.empty(len(kc), dtype=complex)
-    # the pool runs to thousands of poles: take its (time, pole) terms in
-    # blocks of rows of equal size, since a lone row would take numpy's dot
-    # path, which rounds differently from the matrix product of the rest
-    for rows in np.array_split(np.arange(len(kc)), -(-len(kc) // _ROWS) or 1):
+    # the pool runs to thousands of poles: take _ROWS times per block
+    for lo in range(0, len(kc), _ROWS):
+        rows = slice(lo, lo + _ROWS)
         inv = kc[rows, None] - pool_q
         near[rows] = np.minimum(near[rows], np.min(np.abs(inv), axis=1))
         np.reciprocal(inv, out=inv)
-        exact = cols < 2 * level[rows, None]
-        power = 1.0
+        i, n = np.arange(len(inv)), 2 * level[rows]
+        power, exact = 1.0, np.zeros((len(inv), top + 1), dtype=complex)
         for m in range(2 * J + 1):
             power = power * inv
-            head[m, rows] = np.where(exact[:, :top], power[:, :top],
-                                     0.0) @ pool_c[:top]
+            np.cumsum(power[:, :top] * pool_c[:top], axis=1, out=exact[:, 1:])
+            head[m, rows] = exact[i, n]
         power = power * inv
-        mu_last[rows] = np.where(exact[:, low:], 0.0,
-                                 power[:, low:]) @ pool_c[low:]
+        rest = np.cumsum((power[:, low:] * pool_c[low:])[:, ::-1], axis=1)
+        mu_last[rows] = rest[i, len(pool_q) - 1 - n]
     r = near / 8.0
     # the closed form cancels near c = +-k: keep every node r from them
     dk = np.minimum(np.abs(kc - k), kc + k)
@@ -388,8 +387,8 @@ def _pole_sum(x, t, sys, table, internal, f, f_k, tol, scale):
     sum over every pole.
 
     Each time gets the least exact-pole count that meets the absolute
-    target tol * _AIM * scale, rounded up to a power of two; the pool is
-    sized at the earliest time, which needs the most.  Every time then sums
+    target tol * _AIM * scale, at most half the pool; the pool is sized
+    at the earliest time, which needs the most.  Every time then sums
     its own exact poles (_heads), takes the omitted poles' series from one
     set of Cauchy nodes (_moments) and evaluates only the damped
     exponentials that stay above _CUT times the target (_exponentials).
@@ -404,8 +403,7 @@ def _pole_sum(x, t, sys, table, internal, f, f_k, tol, scale):
     weight, later = _omitted(s, kc, kn, coefs, J)
     target = tol * _AIM * scale
     need = _exact_count(weight, later, s, kc, kn, 0.5 * target)
-    level = np.minimum(2 ** np.ceil(np.log2(np.maximum(need, 1))).astype(int),
-                       min(need.max(), len(kn) // 2))
+    level = np.minimum(need, len(kn) // 2)
     axis = expansion_coeffs(x, sys.k, table.axis_poles, sys, internal)
     # each pool pole followed by its mirror -conj q, whose coefficient is
     # -conj c: a time's exact poles are the first 2 level entries

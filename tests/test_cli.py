@@ -77,6 +77,16 @@ def test_spectrogram_rows(capsys):
         assert r[4] >= 0.0
 
 
+def test_spectrogram_before_arrival_names_x_and_t(capsys):
+    # psi is zero before SMALL_T_GUARD, so omega_av has nothing to divide
+    code, out, err = run(capsys, GAAS_FLAGS + [
+        "spectrogram", "--x", "4", "--tmin", "1e-6", "--tmax", "1e-5",
+        "--steps", "3"])
+    assert code == 2 and out == ""
+    assert "x=4," in err and "t=1e-06 fs" in err
+    assert "first of 3" in err and "zero there by construction" in err
+
+
 def test_window_table(capsys):
     code, out, err = run(capsys, ["--threads", "1", "--V", "0.3",
                                   "--mass-ratio", "0.067", "window", "--u",

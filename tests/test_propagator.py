@@ -26,7 +26,9 @@ Oracles:
   pass makes the one further call;
 * [DERIVED] the damped exponentials each time drops past its cut stay
   inside trunc_error_est: tol-1e-8 traces agree with tol-1e-12 ones
-  within it, on opaque barriers, out to 20 nm and next to the shutter.
+  within it, on opaque barriers, out to 20 nm and next to the shutter;
+* [TRIVIAL] each time sums exactly the exact poles its own bound asks
+  for, capped at half the pool, and times that need none sum none.
 """
 
 import numpy as np
@@ -36,7 +38,7 @@ from qtransient import (cn_evolve, default_cn_config, find_poles,
                         find_time_domain_resonance, length_for_alpha,
                         make_system, pole_cache, propagator, psi_external,
                         psi_internal, trace, transmission)
-from qtransient.analysis import PEAK_SCAN, default_window
+from qtransient.analysis import PEAK_SCAN, SCAN_TOL, default_window
 from qtransient.errors import (NonPositiveTime, NotConverged, PoleSetMismatch,
                                ValidationError, XOutOfRange)
 from qtransient.systems import HBAR_EV_FS as HBAR
@@ -163,26 +165,33 @@ def test_determinism(gaas):
     assert np.array_equal(a.dpsi_dt, b.dpsi_dt)
 
 
-@pytest.mark.parametrize("n_times", [129, 257])
+@pytest.mark.parametrize("ts", [
+    pytest.param(np.linspace(10.0, 11.0, 129), id="129"),
+    pytest.param(np.linspace(10.0, 11.0, 257), id="257"),
+    pytest.param(np.linspace(2.0, 12.0, 257), id="257-counts")])
 def test_external_moments_in_blocks_are_bitwise_one_block(gaas, gaas_cache,
-                                                          monkeypatch,
-                                                          n_times):
-    # the pool's last moment is summed over blocks of times; no block
+                                                          monkeypatch, ts):
+    # the pool's moments are summed over blocks of times; no block
     # boundary may move a bit of any moment against one block over every
-    # time.  These times all take the same exact poles, so they share one
-    # sum, which blocks of 128 rows would end with a lone row
-    ts = np.linspace(10.0, 11.0, n_times)
-    moments, inner = [], propagator._moments
+    # time.  Over 10-11 fs the times all take the same exact poles and
+    # blocks of 128 rows end with a lone row; over 2-12 fs they take many
+    # counts on both sides of the first block boundary
+    moments, levels, inner = [], [], propagator._moments
 
     def spy(*args):
+        levels.append(args[1])
         moments.append(inner(*args))
         return moments[-1]
 
     monkeypatch.setattr(propagator, "_moments", spy)
     blocked = trace(6.0, ts, gaas, poles=gaas_cache, tol=1e-9)
-    monkeypatch.setattr(propagator, "_ROWS", n_times)
+    rows = propagator._ROWS
+    monkeypatch.setattr(propagator, "_ROWS", len(ts))
     whole = trace(6.0, ts, gaas, poles=gaas_cache, tol=1e-9)
-    assert len(moments) == 2 and moments[0].shape[1] == n_times
+    assert len(moments) == 2 and moments[0].shape[1] == len(ts)
+    if ts[0] < 10.0:
+        assert len(set(levels[0][:rows])) > 1
+        assert len(set(levels[0][rows:])) > 1
     assert np.array_equal(moments[0], moments[1])
     assert np.array_equal(blocked.psi, whole.psi)
     assert np.array_equal(blocked.dpsi_dt, whole.dpsi_dt)
@@ -388,3 +397,48 @@ def test_exponential_cut_stays_inside_the_error_estimate(gaas, monkeypatch):
             (sys_.alpha, x, np.max(gap / np.abs(tr.psi) / tr.trunc_error_est))
     # the cut drops pool poles at some time of every probe
     assert len(dropped) >= 7 and all(np.any(d > 0.0) for d in dropped)
+
+
+def test_each_time_sums_its_own_exact_count(monkeypatch):
+    # every time sums the exact poles its own bound asks for, up to P/2 on
+    # a pool of P poles, and no more: on an opaque scan chunk the counts
+    # run over many values, not only powers of two
+    V, m = 0.3, 0.067
+    sys_ = make_system(V, V / 300.0, length_for_alpha(3.0, V, m), m)
+    ts = _scan_chunk(sys_, sys_.L)
+    needs, heads = [], []
+    count, inner = propagator._exact_count, propagator._heads
+
+    def spy_count(*args):
+        needs.append(count(*args))
+        return needs[-1]
+
+    def spy_heads(*args):
+        heads.append((args[2], len(args[3][0]) // 2))
+        return inner(*args)
+
+    monkeypatch.setattr(propagator, "_exact_count", spy_count)
+    monkeypatch.setattr(propagator, "_heads", spy_heads)
+    tr = trace(sys_.L, ts, sys_, tol=SCAN_TOL)
+    assert len(heads) == 1
+    level, pool = heads[0]
+    need = [n for n in needs if len(n) == len(ts)][-1]
+    assert np.array_equal(level, np.minimum(need, pool // 2))
+    counts = np.unique(level)
+    assert len(counts) > 5
+    assert np.any(counts & (counts - 1))     # not a power of two
+    assert tr.n_terms_used == 230
+
+
+def test_times_that_need_no_exact_pole_sum_none():
+    # late in the window of a thin barrier (alpha = 0.83, two antibound
+    # poles) no time needs an exact pole: the trace sums only +-k and the
+    # antibound pair, and the series carries every resonance pole
+    sys_ = make_system(0.3, 0.001, 1.145374328, 0.067)
+    ts = np.linspace(48.0, 55.0, 150)
+    table = pole_cache(sys_)
+    tr = trace(sys_.L, ts, sys_, poles=table, tol=1e-6)
+    ref = trace(sys_.L, ts, sys_, poles=table, tol=1e-12)
+    assert len(table.axis_poles) == 2 and tr.n_terms_used == 4
+    gap = np.abs(tr.psi - ref.psi)
+    assert np.all(gap <= (tr.trunc_error_est + 1e-15) * np.abs(tr.psi))
