@@ -257,8 +257,9 @@ def cmd_window(args):
 
 def cmd_oracle_compare(args):
     cfg, sys_, x, t, provenance = _probe(args)
-    an = trace(x, t, sys_, tol=cfg.tol)
+    # checks the oracle's step bound before the analytic trace runs
     cn_cfg = default_cn_config(sys_, float(t[-1]))
+    an = trace(x, t, sys_, tol=cfg.tol)
     cn = cn_evolve(sys_, cn_cfg, [x], t)
     rows = []
     for tt, a2, c2 in zip(t, an.abs2, cn.abs2[0]):

@@ -307,6 +307,14 @@ def test_non_finite_x_or_time_exits_2_naming_it(capsys, recwarn, argv, named):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+def test_oversized_oracle_run_exits_2_before_any_sum(capsys):
+    # 4e9 oracle steps: refused before the analytic trace or any kernel
+    code, out, err = run(capsys, GAAS_FLAGS + [
+        "oracle-compare", "--tmin", "1", "--tmax", "1e7", "--steps", "2"])
+    assert code == 2 and out == ""
+    assert "t_end=1e+07" in err and "steps" in err and "250000" in err
+
+
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize costs start-up time and memory that no command needs,
     # neither at import nor in a peak find

@@ -13,9 +13,13 @@ Oracles:
   between grid solutions, which share one continuum limit);
 * [TRIVIAL] the operator factored once and solved per step gives bit for
   bit what a fresh scipy.linalg.solve_banded gives on every step;
-* [DERIVED] B = (1 + r) - r A, so the one-solve step
-  A^-1 ((1 + r) psi + load) - r psi equals A^-1 (B psi + load) with B built
-  explicitly;
+* [DERIVED] the blocked boundary history (near terms summed directly, far
+  ones by FFT) and the one-solve step A^-1 ((1 + r) psi + load) - r psi
+  reproduce a plain per-step stepper: B built explicitly, a scipy solve on
+  every step and the whole edge history dotted with the kernel; a run to
+  3t repeats a run to t on their shared times;
+* [TRIVIAL] a run longer than the oracle's step bound fails before it
+  allocates anything;
 * [DERIVED] the default (dt, theta) keeps (2 theta - 1) dt, the damping of
   physical modes, at the older (0.25 dx^2 hbar / c2, 0.55) pairing's value,
   and its traces match that pairing's.
@@ -33,7 +37,7 @@ from qtransient import cn_evolve, default_cn_config, make_system, oracle
 from qtransient.errors import (GridTooCoarse, NonFiniteInput, NonPositiveTime,
                                ValidationError)
 from qtransient.moshinsky import moshinsky_m
-from qtransient.oracle import (cn_step, factor_tridiagonal, solve_banded,
+from qtransient.oracle import (factor_tridiagonal, solve_banded,
                                transparent_kernel)
 from qtransient.systems import HBAR_EV_FS as HBAR
 
@@ -251,41 +255,113 @@ def test_singular_operator_raises():
         factor_tridiagonal(zeros[:-1], zeros, zeros[:-1])
 
 
-def test_cn_evolve_is_bitwise_a_per_step_scipy_solve(free_system, monkeypatch):
-    s = free_system
-    times = np.array([1.0, 2.0])
-    cfg = default_cn_config(s, 2.0)
-    got = cn_evolve(s, cfg, [0.5, 1.5], times)
-    # the reference hands the unfactored band to scipy on every step
-    steps = []
+def _history_stepper(sys_, cfg, probes, times):
+    """cn_evolve as one plain loop: an explicit B, scipy.linalg.solve_banded
+    on every step and the whole edge history dotted with the boundary
+    kernel on every step; the window, sea, source and sampling rule are
+    cn_evolve's."""
+    probes = np.asarray(probes, dtype=float)
+    lo = math.floor(min(0.0, probes.min()) / cfg.dx) - 2
+    hi = math.ceil(max(sys_.L, probes.max()) / cfg.dx) + 2
+    x = cfg.dx * np.arange(lo, hi + 1)
+    steps = math.ceil(times[-1] / cfg.dt) + 1
+    hop = sys_.c2 / (cfg.dx * cfg.dx)
+    w = cfg.dt * hop / HBAR
+    ell = transparent_kernel(w, cfg.theta, steps)
+    a, b = _theta_operators(sys_, cfg, x)
+    # each operator's corners carry its share of chi_out = l_0 chi_edge
+    a[1][[0, -1]] -= 1j * cfg.dt * cfg.theta / HBAR * hop * ell[0]
+    b[1][[0, -1]] += 1j * cfg.dt * (1.0 - cfg.theta) / HBAR * hop * ell[0]
+    ab, b_op = _banded(*a), scipy.sparse.diags(b, [-1, 0, 1])
+    memory = cfg.theta * ell[1:] + (1.0 - cfg.theta) * ell[:-1]
+    memory[0] = cfg.theta * ell[1]
+    memory *= 1j * w
+    history = np.zeros((2, steps + 1), dtype=complex)   # newest first
 
-    def scipy_step(_, ab, rhs):
-        steps.append(1)
-        return scipy.linalg.solve_banded((1, 1), ab, rhs)
+    sea = np.where(x <= 0.0, 2j * np.sin(sys_.k * x), 0.0)
+    lam_s = 2.0 * hop * (1.0 - math.cos(sys_.k * cfg.dx))
+    g = ((1.0 - 1j * (1.0 - cfg.theta) * cfg.dt * lam_s / HBAR)
+         / (1.0 + 1j * cfg.theta * cfg.dt * lam_s / HBAR))
+    r0 = 2j * hop * math.sin(sys_.k * cfg.dx)
+    s0 = -1j * cfg.dt / HBAR * r0 * ((1.0 - cfg.theta) + g * cfg.theta)
+    frac = probes / cfg.dx - lo
+    j_p = np.clip(np.floor(frac).astype(int), 0, len(x) - 2)
+    w_p = frac - j_p
 
-    monkeypatch.setattr(oracle, "factor_tridiagonal",
-                        lambda sub, diag, sup: (None, _banded(sub, diag, sup)))
-    monkeypatch.setattr(oracle, "solve_banded", scipy_step)
-    ref = cn_evolve(s, cfg, [0.5, 1.5], times)
-    assert steps
-    assert np.array_equal(got.psi, ref.psi)
+    def at_probes(chi, m):
+        psi = g ** m * sea + chi
+        return (1.0 - w_p) * psi[j_p] + w_p * psi[j_p + 1]
+
+    chi = np.zeros(len(x), dtype=complex)
+    out = np.zeros((len(probes), len(times)), dtype=complex)
+    t_now, i_t, step = 0.0, 0, 0
+    while i_t < len(times):
+        load = np.zeros(len(x), dtype=complex)
+        load[0], load[-1] = history[:, steps - step:] @ memory[:step + 1]
+        load[-lo] = s0 * g ** step
+        prev, t_prev = chi, t_now
+        chi = scipy.linalg.solve_banded((1, 1), ab, b_op @ chi + load)
+        step += 1
+        t_now += cfg.dt
+        history[:, steps - step] = chi[0], chi[-1]
+        while i_t < len(times) and times[i_t] <= t_now + 1e-12:
+            f = (times[i_t] - t_prev) / cfg.dt
+            out[:, i_t] = ((1.0 - f) * at_probes(prev, step - 1)
+                           + f * at_probes(chi, step))
+            i_t += 1
+    return out
 
 
+@pytest.mark.parametrize("theta", _THETAS)
 @pytest.mark.parametrize("which", ["free", "gaas"])
-def test_one_solve_step_is_a_inverse_b(free_system, gaas, which):
-    sys_, t_end = (free_system, 2.0) if which == "free" else (gaas, 30.0)
-    cfg = default_cn_config(sys_, t_end)
-    a, b = _theta_operators(sys_, cfg, _wide_grid(cfg))
-    rng = np.random.default_rng(11)
-    psi, load = (rng.standard_normal(len(a[1]))
-                 + 1j * rng.standard_normal(len(a[1])) for _ in range(2))
-    b_psi = scipy.sparse.diags(b, [-1, 0, 1]) @ psi
-    want = scipy.linalg.solve_banded((1, 1), _banded(*a), b_psi + load)
-    ipiv, lu = factor_tridiagonal(*a)
-    before = psi.copy(), load.copy()
-    got = cn_step(ipiv, lu, (1.0 - cfg.theta) / cfg.theta, psi, load)
-    assert np.array_equal(psi, before[0]) and np.array_equal(load, before[1])
-    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+def test_cn_evolve_matches_the_per_step_history_stepper(free_system, gaas,
+                                                        which, theta):
+    # dx/2 on the free system keeps its steps as short as GaAs's, so three
+    # blocks fit in under 2 fs
+    sys_, probes, dx = ((free_system, [0.5, 1.5], 0.025) if which == "free"
+                        else (gaas, [2.0, 6.0], None))
+    cfg = replace(default_cn_config(sys_, 2.0, dx=dx), theta=theta)
+    k = oracle._BLOCK
+    # the first step, both sides of the first two block edges, and a time
+    # between steps in the fourth block
+    marks = np.array([1, k - 1, k, k + 1, 2 * k, 2 * k + 1, 3 * k + 5.5])
+    times = marks * cfg.dt
+    assert times[-1] <= 2.0
+    got = cn_evolve(sys_, cfg, probes, times).psi
+    want = _history_stepper(sys_, cfg, probes, times)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+
+
+@pytest.mark.parametrize("theta", _THETAS)
+def test_a_longer_run_repeats_the_shorter_one(gaas, theta):
+    # the kernel's FFT length and the block count change with the run
+    # length; the shared times must not
+    cfg = replace(default_cn_config(gaas, 3.0), theta=theta)
+    short = np.linspace(0.1, 1.0, 10)
+    longer = np.concatenate([short, np.linspace(1.2, 3.0, 10)])
+    ref = cn_evolve(gaas, cfg, [2.0, 6.0], short).psi
+    got = cn_evolve(gaas, cfg, [2.0, 6.0], longer).psi[:, :len(short)]
+    assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-10
+
+
+def test_trace_reports_steps_and_nodes(gaas):
+    cfg = default_cn_config(gaas, 30.0)
+    # validate's oracle run: x from -2 dx to 6 nm + 2 dx, with 6 nm = 87 dx
+    cn = cn_evolve(gaas, cfg, [6.0], np.array([30.0]))
+    assert (cn.steps, cn.nodes) == (12110, 92)
+    cn = cn_evolve(gaas, cfg, [-1.0, 2.0], np.array([0.1, 100.5 * cfg.dt]))
+    lo, hi = math.floor(-1.0 / cfg.dx) - 2, math.ceil(gaas.L / cfg.dx) + 2
+    assert (cn.steps, cn.nodes) == (101, hi - lo + 1)
+
+
+def test_oversized_run_fails_before_allocating(gaas):
+    # 4e9 steps: the boundary kernel alone would be an FFT of 2^34 points
+    cfg = default_cn_config(gaas, 2.0)
+    named = r"t_end=1e\+07 fs at dt=0.00247\d* fs needs 4.0\d*e\+09 steps.* 250000"
+    with pytest.raises(ValidationError, match=named):
+        cn_evolve(gaas, cfg, [gaas.L], np.array([1.0, 1e7]))
+    with pytest.raises(ValidationError, match=named):
+        default_cn_config(gaas, 1e7)
 
 
 def test_default_pairs_dt_with_theta(gaas):
