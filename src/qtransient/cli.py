@@ -29,8 +29,8 @@ from .config import (CsvTable, RunConfig, apply_overrides, emit_csv,
                      parse_config, parse_grid)
 from .errors import (MissingRequired, NumericalError, QTransientError,
                      ValidationError)
-from .oracle import cn_evolve, default_cn_config
-from .propagator import HARD_CAP, trace
+from .oracle import check_run, cn_evolve, default_cn_config
+from .propagator import HARD_CAP, check_x, trace
 from .resonances import find_poles
 from .stationary import transmission
 from .sweeps import (opacity_window, sweep_freq_vs_alpha, sweep_freq_vs_x,
@@ -257,8 +257,11 @@ def cmd_window(args):
 
 def cmd_oracle_compare(args):
     cfg, sys_, x, t, provenance = _probe(args)
-    # checks the oracle's step bound before the analytic trace runs
+    # the probe and the oracle's bounds are checked before the analytic
+    # trace runs
     cn_cfg = default_cn_config(sys_, float(t[-1]))
+    check_x(x)
+    check_run(sys_, cn_cfg, [x], float(t[-1]))
     an = trace(x, t, sys_, tol=cfg.tol)
     cn = cn_evolve(sys_, cn_cfg, [x], t)
     rows = []

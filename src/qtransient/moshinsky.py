@@ -39,22 +39,33 @@ def moshinsky_m_dt(x, q, t, c2):
 
     dM/dt = (1/2) e^{i a^2/t} [ -i (a^2/t^2) w(iy) + w'(iy) i dy/dt ],
     a = x sqrt(hbar/4 c2),  dy/dt = -e^{-i pi/4} (a t^{-3/2} + b t^{-1/2}) / 2.
+
+    A scalar x = 0, where the phase is 1 and every a-term is 0, skips them
+    and gives bitwise what the general form gives.
     """
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr <= 0.0):
         raise NonPositiveTime("Moshinsky function needs t > 0")
     scalar = (np.ndim(x) == 0 and np.ndim(q) == 0 and t_arr.ndim == 0)
-    a = np.asarray(x, dtype=float) * math.sqrt(HBAR / (4.0 * c2))
     b = np.asarray(q, dtype=complex) * math.sqrt(c2 / HBAR)
     sqrt_t = np.sqrt(t_arr)
-    y = _E4 * (a / sqrt_t - b * sqrt_t)
-    w = faddeeva(1j * y)
-    phase = np.exp(1j * a * a / t_arr)
-    m = 0.5 * phase * w
-    dy_dt = _E4 * (-0.5 * a / (sqrt_t * t_arr) - 0.5 * b / sqrt_t)
-    dw = faddeeva_dz(1j * y, np.asarray(w))
-    dm = 0.5 * phase * ((-1j * a * a / (t_arr * t_arr)) * np.asarray(w)
-                        + dw * 1j * dy_dt)
+    if np.ndim(x) == 0 and x == 0.0:
+        # the signed zeros are those the a-terms leave
+        y = _E4 * (0.0 - b * sqrt_t)
+        w = faddeeva(1j * y)
+        dy_dt = _E4 * (-0.0 - 0.5 * b / sqrt_t)
+        dw = faddeeva_dz(1j * y, np.asarray(w))
+        m, dm = 0.5 * w, 0.5 * (dw * 1j * dy_dt)
+    else:
+        a = np.asarray(x, dtype=float) * math.sqrt(HBAR / (4.0 * c2))
+        y = _E4 * (a / sqrt_t - b * sqrt_t)
+        w = faddeeva(1j * y)
+        phase = np.exp(1j * a * a / t_arr)
+        m = 0.5 * phase * w
+        dy_dt = _E4 * (-0.5 * a / (sqrt_t * t_arr) - 0.5 * b / sqrt_t)
+        dw = faddeeva_dz(1j * y, np.asarray(w))
+        dm = 0.5 * phase * ((-1j * a * a / (t_arr * t_arr)) * np.asarray(w)
+                            + dw * 1j * dy_dt)
     if scalar:
         return complex(m), complex(dm)
     return m, dm

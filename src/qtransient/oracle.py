@@ -72,6 +72,10 @@ _BLOCK = 128             # steps per block of the boundary history
 # grid (dt = 2.48 as, 620 fs) it took 9.4 s at 92 nodes and 16 s at 875 on
 # a 2-core x86 host
 _MAX_STEPS = 250_000
+# the most nodes times steps: the longest run on 875 nodes, the widest
+# window the tests use, about 2.2e8.  The window grows with the probes
+# (14,505 nodes at x = 1000 nm on the GaAs grid), and so does a step's cost
+_MAX_NODE_STEPS = _MAX_STEPS * 875
 
 
 @dataclass(frozen=True)
@@ -170,6 +174,28 @@ def _validate(sys, cfg, probes):
         raise GridTooCoarse(f"theta={cfg.theta} outside the stable range [0.5, 1]")
 
 
+def check_run(sys: BarrierSystem, cfg: CnConfig, probes, t_end):
+    """(steps, lo, hi) of a cn_evolve run to t_end: its step count and the
+    first and last node of its window, in units of dx.
+
+    Checks every guard on the grid and the probes, the step bound and the
+    bound on nodes times steps before anything is allocated, raising
+    ValidationError (or a subclass) on the first that fails.
+    """
+    probes = np.asarray(probes, dtype=float)
+    _validate(sys, cfg, probes)
+    steps = _step_count(t_end, cfg.dt)
+    lo = math.floor(min(0.0, probes.min()) / cfg.dx) - _MARGIN
+    hi = math.ceil(max(sys.L, probes.max()) / cfg.dx) + _MARGIN
+    nodes = hi - lo + 1
+    if not t_end / cfg.dt * nodes < _MAX_NODE_STEPS:
+        raise ValidationError(
+            f"oracle run to t_end={t_end:.6g} fs at dt={cfg.dt:.6g} fs needs "
+            f"{steps} steps on {nodes} nodes, {steps * nodes:.3g} "
+            f"node-steps; the bound is {_MAX_NODE_STEPS:.3g} node-steps")
+    return steps, lo, hi
+
+
 def transparent_kernel(w, theta, n):
     """Laurent coefficients l_0 .. l_n of the exterior root rho(z).
 
@@ -259,14 +285,11 @@ def cn_evolve(sys: BarrierSystem, cfg: CnConfig, probes, t_grid) -> CnTrace:
         raise NonPositiveTime(
             "time grid must be positive, finite and strictly increasing")
     probes = np.asarray(probes, dtype=float)
-    _validate(sys, cfg, probes)
-    steps = _step_count(t_grid[-1], cfg.dt)
+    steps, lo, hi = check_run(sys, cfg, probes, t_grid[-1])
     n_blocks = -(-steps // _BLOCK)
 
     # the first node outside either end sits at x < 0 or beyond L + 2 dx, so
     # it carries no potential and the exterior is free
-    lo = math.floor(min(0.0, probes.min()) / cfg.dx) - _MARGIN
-    hi = math.ceil(max(sys.L, probes.max()) / cfg.dx) + _MARGIN
     x = cfg.dx * np.arange(lo, hi + 1)
     n = len(x)
     j0 = -lo                     # the node at x = 0

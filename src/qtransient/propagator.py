@@ -53,7 +53,11 @@ times the stationary amplitude |f(k)|; times whose |Psi| turns out far
 below |f(k)| are summed once more, sized from |Psi|.  The pool is sized at
 the earliest time, where |z| of every omitted pole is smallest: it doubles
 until what lies beyond it is within half the target and it holds twice the
-exact poles that time needs.  Each time then takes the least N whose first
+exact poles that time needs, and each doubling evaluates only the poles it
+adds.  Its rows come from the shared table of HARD_CAP // 4 poles while
+they fit, and from one search of HARD_CAP poles when they do not; the
+first n poles of a search do not depend on its depth, so the sums do not
+either.  Each time then takes the least N whose first
 omitted series term, bounded pole by pole, is within the other half, and
 sums exactly those N in one pass: one Moshinsky call (per _PAIRS terms)
 over each time's exact poles, the incident pair included; one set of
@@ -198,31 +202,50 @@ def _exact_count(weight, later, s, kc, kn, target):
 
 
 def _size(x, s0, kc0, sys, table, internal, tol, scale):
-    """(coefs, kn): the pole pool and its coefficients for times from the
-    one with scale s0 and centre kc0 (1-element arrays) on.
+    """(coefs, kn, table): the pole pool and its coefficients for times from
+    the one with scale s0 and centre kc0 (1-element arrays) on, and the
+    table that holds the pool.
 
     The pool starts at _POOL poles and doubles until it holds twice the
     exact poles that time needs and its remainder is within half the
     absolute target tol * _AIM * scale; the omitted series term takes the
     other half.  At the cap the target relaxes to tol * scale before
-    NotConverged is raised.
+    NotConverged is raised.  A pool that outgrows the table takes a fresh
+    search of HARD_CAP poles, whose first rows are the table's.
+
+    The omitted term's bound is a suffix sum along the pool, so a pool of
+    p poles asks for at most p/2 exact poles exactly when that sum over
+    its last p/2 poles is within the target and pole p/2 lies past
+    k_c + _Z_MIN / s.  Each round therefore evaluates coefficients only
+    for the poles it adds and bounds only for the last p/2, summed in
+    _omitted's order, so it picks bitwise the pool that the exact count
+    over the whole pool picks.
     """
     J = _ORDER[internal]
+    weight = np.abs(_alpha(J + 1, s0, 1.0))[0]
+    edge = (kc0 + _Z_MIN / s0)[0]
     coefs = kn = np.zeros(0, dtype=complex)
     p = _POOL
     while True:
+        if len(table) < p:
+            table = find_poles(sys, HARD_CAP, audit=False)
         c_new, k_new = expansion_coeffs(x, sys.k, table[len(kn):p], sys,
                                         internal)
         coefs, kn = np.concatenate((coefs, c_new)), np.concatenate((kn, k_new))
-        weight, later = _omitted(s0, kc0, kn, coefs, J)
-        rem = _beyond(coefs, kn, s0, kc0)[0]
+        half = p // 2
+        later = np.cumsum(_bound(kc0, kn[half:], coefs[half:],
+                                 2 * J + 3)[0, ::-1])[-1]
         for target in ((tol * _AIM * scale, tol * scale) if p >= HARD_CAP
                        else (tol * _AIM * scale,)):
-            n = int(_exact_count(weight, later, s0, kc0, kn, 0.5 * target)[0])
-            if 2 * n <= p and rem <= 0.5 * target:
-                return coefs, kn
+            # the remainder past the pool last: it is the dearest check
+            if (not later > 0.5 * target / weight and kn[half].real >= edge
+                    and _beyond(coefs, kn, s0, kc0)[0] <= 0.5 * target):
+                return coefs, kn, table
         if p >= HARD_CAP:
-            n = min(n, p // 2)
+            rem = _beyond(coefs, kn, s0, kc0)[0]
+            weight, later = _omitted(s0, kc0, kn, coefs, J)
+            n = min(int(_exact_count(weight, later, s0, kc0, kn,
+                                     0.5 * target)[0]), half)
             est = (weight[0] * later[0, n] + rem) / scale
             t0 = HBAR * s0[0] ** 2 / sys.c2
             raise NotConverged(
@@ -392,14 +415,16 @@ def _pole_sum(x, t, sys, table, internal, f, f_k, tol, scale):
     its own exact poles (_heads), takes the omitted poles' series from one
     set of Cauchy nodes (_moments) and evaluates only the damped
     exponentials that stay above _CUT times the target (_exponentials).
-    Returns (psi, dpsi, est, n): est is the absolute error estimate per
-    time and n the largest count.
+    Returns (psi, dpsi, est, n, table): est is the absolute error
+    estimate per time, n the largest count and table the one that held
+    the pool, which a later pass may reuse.
     """
     J = _ORDER[internal]
     x_arg = 0.0 if internal else x
     s, kc, a2t = _scales(x_arg, t, sys.c2)
     i0 = [int(np.argmin(t))]
-    coefs, kn = _size(x, s[i0], kc[i0], sys, table, internal, tol, scale)
+    coefs, kn, table = _size(x, s[i0], kc[i0], sys, table, internal, tol,
+                             scale)
     weight, later = _omitted(s, kc, kn, coefs, J)
     target = tol * _AIM * scale
     need = _exact_count(weight, later, s, kc, kn, 0.5 * target)
@@ -424,7 +449,7 @@ def _pole_sum(x, t, sys, table, internal, f, f_k, tol, scale):
     dpsi -= de
     est = (weight * later[np.arange(len(t)) % len(later), level]
            + _beyond(coefs, kn, s, kc) + dropped)
-    return psi, dpsi, est, int(level.max())
+    return psi, dpsi, est, int(level.max()), table
 
 
 def _assemble(x, t_grid, sys, poles, tol, internal):
@@ -450,12 +475,12 @@ def _assemble(x, t_grid, sys, poles, tol, internal):
         # size the sums against the stationary amplitude; points whose |psi|
         # lies so far below it that they miss tol are summed once more,
         # sized from |psi|
-        p, dp, est, n_poles = _pole_sum(
+        p, dp, est, n_poles, table = _pole_sum(
             x, t, sys, table, internal, f, f_k, tol, abs(f_k[0]))
         redo = np.flatnonzero(est > tol * np.abs(p))
         if redo.size:
             floor = max(float(np.min(np.abs(p[redo]))), 1e-300)
-            p[redo], dp[redo], est[redo], n_redo = _pole_sum(
+            p[redo], dp[redo], est[redo], n_redo, _ = _pole_sum(
                 x, t[redo], sys, table, internal, f, f_k, tol, 0.5 * floor)
             n_poles = max(n_poles, n_redo)
         rel = est / np.maximum(np.abs(p), 1e-300)
@@ -489,9 +514,10 @@ def trace(x, t_grid, sys: BarrierSystem, poles=None,
 
     Uses the internal expansion for x <= L, the external one for x >= L
     (identical at x = L up to truncation).  `poles` may be a PoleSet of
-    this system, as pole_cache returns it, to share between traces; a
-    shorter one is replaced by a full table.  Only the poles are shared:
-    each trace computes the expansion coefficients of its pole pool.
+    this system, as pole_cache returns it, to share between traces; one
+    shorter than pole_cache's is replaced by a fresh table.  Only the poles
+    are shared: each trace computes the expansion coefficients of its pole
+    pool.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) == 0 or not np.isfinite(t_grid).all() \
@@ -529,15 +555,20 @@ def psi_external(x, t, sys: BarrierSystem, poles=None,
 
 
 def pole_cache(sys: BarrierSystem, base: PoleSet | None = None) -> PoleSet:
-    """The pole table of sys that traces share: HARD_CAP poles, found once.
+    """The pole table of sys that traces share: its first HARD_CAP // 4
+    poles, found once.
 
-    A `base` of this system that holds HARD_CAP poles is returned as it is;
-    a shorter one is replaced by a fresh search, whose first rows are the
-    same.  Poles found for another system raise PoleSetMismatch.
+    Most pools fit in that depth; a trace whose pool outgrows it searches
+    HARD_CAP poles for itself, and the shared table stays as it is.  A
+    `base` of this system that holds at least HARD_CAP // 4 poles is
+    returned as it is; a shorter one is replaced by a fresh search, whose
+    first rows are the same.  Poles found for another system raise
+    PoleSetMismatch.
     """
     if base is not None and base.system != sys:
         raise PoleSetMismatch(
             f"poles found for {base.system} cannot serve {sys}")
-    if base is not None and len(base) >= HARD_CAP:
+    depth = HARD_CAP // 4
+    if base is not None and len(base) >= depth:
         return base
-    return find_poles(sys, HARD_CAP, audit=False)
+    return find_poles(sys, depth, audit=False)

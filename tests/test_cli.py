@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qtransient import make_system, sweep_freq_vs_x, sweep_tmax_vs_L
+from qtransient import cli, make_system, sweep_freq_vs_x, sweep_tmax_vs_L
 from qtransient.cli import main
 from qtransient.config import parse_csv
 from qtransient.systems import length_for_alpha
@@ -313,6 +313,23 @@ def test_oversized_oracle_run_exits_2_before_any_sum(capsys):
         "oracle-compare", "--tmin", "1", "--tmax", "1e7", "--steps", "2"])
     assert code == 2 and out == ""
     assert "t_end=1e+07" in err and "steps" in err and "250000" in err
+
+
+def test_far_probe_oracle_run_exits_2_before_the_analytic_trace(
+        capsys, monkeypatch):
+    # x = 1000 nm to 300 fs is within the step bound, but its window of
+    # 14,505 nodes makes 1.8e9 node-steps: refused before any pole sum
+    def summed(*args, **kwargs):
+        raise AssertionError("the analytic trace ran")
+
+    monkeypatch.setattr(cli, "trace", summed)
+    code, out, err = run(capsys, GAAS_FLAGS + [
+        "oracle-compare", "--x", "1000", "--tmin", "1", "--tmax", "300",
+        "--steps", "2"])
+    assert code == 2 and out == ""
+    for part in ("121097 steps", "14505 nodes", "node-steps",
+                 "bound is 2.19e+08"):
+        assert part in err
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

@@ -7,7 +7,9 @@ Oracles:
   i hbar dM/dt = -c2 d^2M/dx^2 (finite-difference Laplacian);
 * [PAPER-level asymptotics, rederivable] for real q > 0 the long-time limit
   is the plane wave (|M| -> 1, the classically allowed front has passed),
-  while M(x, -q, t) -> 0 (no left-moving wave survives at the probe).
+  while M(x, -q, t) -> 0 (no left-moving wave survives at the probe);
+* [TRIVIAL] at a scalar x = 0 the shortcut that skips the unit phase and
+  the vanishing a-terms gives bitwise what the general form gives.
 """
 
 import numpy as np
@@ -83,3 +85,22 @@ def test_nonpositive_time_rejected(t):
         moshinsky_m(1.0, 1.0, t, C2)
     with pytest.raises(NonPositiveTime):
         moshinsky_m_dt(1.0, 1.0, t, C2)
+
+
+def test_scalar_zero_x_is_bitwise_the_general_form():
+    # the pole sums call with the scalar x = 0, which skips the phase and
+    # the a-terms; an array of zeros takes the general form.  The poles
+    # run over both signs of Re q, real ones included, at times across
+    # the scan windows
+    rng = np.random.default_rng(7)
+    n = 8192
+    q = rng.uniform(-10.0, 40.0, n) - 1j * rng.uniform(0.0, 3.0, n)
+    q[:64] = q[:64].real
+    t = np.repeat(rng.uniform(0.01, 50.0, 64), n // 64)
+    fast = moshinsky_m_dt(0.0, q, t, C2)
+    general = moshinsky_m_dt(np.zeros(n), q, t, C2)
+    for got, want in zip(fast, general):
+        assert got.tobytes() == want.tobytes()
+    one = moshinsky_m_dt(0.0, -0.7 - 0.2j, 3.0, C2)
+    assert one == tuple(complex(v[0]) for v in moshinsky_m_dt(
+        np.zeros(1), np.array([-0.7 - 0.2j]), 3.0, C2))

@@ -18,8 +18,10 @@ Oracles:
   reproduce a plain per-step stepper: B built explicitly, a scipy solve on
   every step and the whole edge history dotted with the kernel; a run to
   3t repeats a run to t on their shared times;
-* [TRIVIAL] a run longer than the oracle's step bound fails before it
-  allocates anything;
+* [TRIVIAL] a run longer than the oracle's step bound, or one whose window
+  times its steps exceeds the node-step bound, fails before it allocates
+  anything, and the widest window the tests step stays within that bound
+  up to the step bound;
 * [DERIVED] the default (dt, theta) keeps (2 theta - 1) dt, the damping of
   physical modes, at the older (0.25 dx^2 hbar / c2, 0.55) pairing's value,
   and its traces match that pairing's.
@@ -362,6 +364,29 @@ def test_oversized_run_fails_before_allocating(gaas):
         cn_evolve(gaas, cfg, [gaas.L], np.array([1.0, 1e7]))
     with pytest.raises(ValidationError, match=named):
         default_cn_config(gaas, 1e7)
+
+
+def test_far_probe_run_fails_on_node_steps_before_allocating(gaas,
+                                                             monkeypatch):
+    # at x = 1000 nm the window holds 14,505 nodes: 300 fs is within the
+    # step bound, but 1.8e9 node-steps would step for many minutes
+    cfg = default_cn_config(gaas, 300.0)
+
+    def allocated(*args):
+        raise AssertionError("the boundary kernel was built")
+
+    monkeypatch.setattr(oracle, "transparent_kernel", allocated)
+    named = (r"t_end=300 fs at dt=0.00247\d* fs needs 121097 steps on 14505 "
+             r"nodes, 1.76e\+09 node-steps; the bound is 2.19e\+08 node-steps")
+    with pytest.raises(ValidationError, match=named):
+        cn_evolve(gaas, cfg, [gaas.L, 1000.0], np.array([1.0, 300.0]))
+    with pytest.raises(ValidationError, match=named):
+        oracle.check_run(gaas, cfg, [1000.0], 300.0)
+    # the widest window of test_window_independence, 875 nodes, stays
+    # within the node-step bound up to the step bound
+    t_end = 0.999999 * oracle._MAX_STEPS * cfg.dt
+    steps, lo, hi = oracle.check_run(gaas, cfg, [2.0, 4.0, 8.0, 60.0], t_end)
+    assert hi - lo + 1 == 875 and steps == oracle._MAX_STEPS + 1
 
 
 def test_default_pairs_dt_with_theta(gaas):

@@ -16,8 +16,13 @@ Oracles:
   stationary value |T_k|^2 at long times;
 * [DERIVED] on an opaque barrier (alpha ~ 30) the density at x = L agrees
   with the grid oracle within 1 %, which takes every pole down to pole 1;
-* [TRIVIAL] one pole table per system is found once and shared, and poles
-  found for another system are refused;
+* [TRIVIAL] one pole table per system, a quarter of the cap deep, is found
+  once and shared, and poles found for another system are refused; a pool
+  that outgrows it searches the cap once and sums bitwise what it sums on
+  the full table;
+* [DERIVED] the pool sizing that evaluates only the poles each doubling
+  adds picks bitwise the pool of the whole-pool doubling it replaced, kept
+  here as the reference, from pools of 32 to the cap;
 * [DERIVED] times whose |Psi| falls so far below the stationary amplitude
   that the first pole sum misses tol are summed once more, sized from
   |Psi|, and then agree with a tol-1e-12 trace to tol;
@@ -36,8 +41,8 @@ import pytest
 
 from qtransient import (cn_evolve, default_cn_config, find_poles,
                         find_time_domain_resonance, length_for_alpha,
-                        make_system, pole_cache, propagator, psi_external,
-                        psi_internal, trace, transmission)
+                        make_system, phi_stationary, pole_cache, propagator,
+                        psi_external, psi_internal, trace, transmission)
 from qtransient.analysis import PEAK_SCAN, SCAN_TOL, default_window
 from qtransient.errors import (NonPositiveTime, NotConverged, PoleSetMismatch,
                                ValidationError, XOutOfRange)
@@ -217,8 +222,10 @@ def test_extended_cache_reuse_is_exact(gaas, x):
 
 
 def test_pole_table_is_found_once_and_shared(gaas, gaas_poles, monkeypatch):
-    # a full table of the same system is used as it is; a shorter one is
-    # replaced by a full search, whose first rows are the shorter one's
+    # the shared table holds HARD_CAP // 4 poles: a table of the same system
+    # that deep is used as it is, and a shorter one is replaced by a search
+    # whose first rows are the shorter one's; traces whose pools fit in the
+    # table search no further
     calls = []
 
     def spy(*args, **kwargs):
@@ -227,12 +234,117 @@ def test_pole_table_is_found_once_and_shared(gaas, gaas_poles, monkeypatch):
 
     monkeypatch.setattr(propagator, "find_poles", spy)
     table = pole_cache(gaas, gaas_poles)
-    assert calls == [(gaas, propagator.HARD_CAP)] and len(table) == 2048
+    depth = propagator.HARD_CAP // 4
+    assert calls == [(gaas, depth)] and len(table) == depth == 512
     assert table.k[:len(gaas_poles)].tolist() == gaas_poles.k.tolist()
     assert pole_cache(make_system(0.3, 0.001, 4.0, 0.067), table) is table
     trace(2.0, np.linspace(1.0, 9.0, 5), gaas, poles=table)
     psi_external(6.0, 3.0, gaas, poles=table)
     assert len(calls) == 1
+
+
+def test_pool_that_outgrows_the_table_searches_the_cap_once(gaas, gaas_cache,
+                                                            monkeypatch):
+    # at the edge, 0.1 fs after release and tol 1e-10, the pool takes 1024
+    # poles: the trace searches HARD_CAP poles once, leaves the shared
+    # table as it is, and sums bitwise what it sums on the full table
+    table = pole_cache(gaas)
+    calls, sizes = [], []
+    size = propagator._size
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return find_poles(*args, **kwargs)
+
+    def sized(*args):
+        out = size(*args)
+        sizes.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(propagator, "find_poles", spy)
+    monkeypatch.setattr(propagator, "_size", sized)
+    ts = np.array([0.1, 1.0, 5.0])
+    tr = trace(gaas.L, ts, gaas, poles=table, tol=1e-10)
+    assert calls == [(gaas, propagator.HARD_CAP)] and len(table) == 512
+    assert sizes[0] == 1024
+    ref = trace(gaas.L, ts, gaas, poles=gaas_cache, tol=1e-10)
+    assert len(calls) == 1
+    for got, want in ((tr.psi, ref.psi), (tr.dpsi_dt, ref.dpsi_dt),
+                      (tr.trunc_error_est, ref.trunc_error_est)):
+        assert got.tobytes() == want.tobytes()
+    assert tr.n_terms_used == ref.n_terms_used
+
+
+def _doubling_size(x, s0, kc0, sys, table, internal, tol, scale):
+    """The pool sizing that re-ran the omitted-term bound, the exponential
+    remainder and the exact count over the whole pool at every doubling,
+    kept as the reference for _size."""
+    J = propagator._ORDER[internal]
+    cap, aim = propagator.HARD_CAP, propagator._AIM
+    coefs = kn = np.zeros(0, dtype=complex)
+    p = propagator._POOL
+    while True:
+        c_new, k_new = propagator.expansion_coeffs(
+            x, sys.k, table[len(kn):p], sys, internal)
+        coefs, kn = np.concatenate((coefs, c_new)), np.concatenate((kn, k_new))
+        weight, later = propagator._omitted(s0, kc0, kn, coefs, J)
+        rem = propagator._beyond(coefs, kn, s0, kc0)[0]
+        for target in ((tol * aim * scale, tol * scale) if p >= cap
+                       else (tol * aim * scale,)):
+            n = int(propagator._exact_count(weight, later, s0, kc0, kn,
+                                            0.5 * target)[0])
+            if 2 * n <= p and rem <= 0.5 * target:
+                return coefs, kn
+        if p >= cap:
+            n = min(n, p // 2)
+            est = (weight[0] * later[0, n] + rem) / scale
+            t0 = HBAR * s0[0] ** 2 / sys.c2
+            raise NotConverged(
+                f"pole sum at x={float(x)} cannot reach tol={tol:.1e} within "
+                f"{cap} poles (cap {cap}): worst t={t0:.6g} fs, "
+                f"error estimate {est:.1e} with N={n} exact poles")
+        p = min(2 * p, cap)
+
+
+@pytest.mark.parametrize("alpha", [0.83, 1.33, 3.0, 8.0, 20.0])
+def test_pool_sizing_matches_the_whole_pool_doubling(alpha):
+    # at the earliest scan time, inside, at the edge and beyond it, _size
+    # picks the pool the whole-pool doubling picks, with bitwise the same
+    # coefficients, from a full table and from the shared one, and raises
+    # the same NotConverged where that did; pools run from 32 to the cap
+    V, m = 0.3, 0.067
+    sys_ = make_system(V, V / 300.0, length_for_alpha(alpha, V, m), m)
+    full = find_poles(sys_, propagator.HARD_CAP, audit=False)
+    tables = (full, pole_cache(sys_))
+    k2 = np.array([sys_.k, -sys_.k])
+    pools = []
+    for x in (0.5 * sys_.L, sys_.L, 2.0 * sys_.L, 6.0 * sys_.L):
+        internal = x <= sys_.L
+        s0, kc0, _ = propagator._scales(0.0 if internal else x,
+                                        np.array(default_window(sys_, x)[:1]),
+                                        sys_.c2)
+        f_k = phi_stationary(x, k2, sys_) if internal else transmission(k2,
+                                                                        sys_)
+        for tol in (1e-6, 1e-10):
+            args = (s0, kc0, sys_)
+            rest = (internal, tol, abs(f_k[0]))
+            try:
+                ref = _doubling_size(x, *args, full, *rest)
+            except NotConverged as exc:
+                for table in tables:
+                    with pytest.raises(NotConverged) as info:
+                        propagator._size(x, *args, table, *rest)
+                    assert str(info.value) == str(exc)
+                pools.append(None)
+                continue
+            for table in tables:
+                coefs, kn, _ = propagator._size(x, *args, table, *rest)
+                assert coefs.tobytes() == ref[0].tobytes()
+                assert kn.tobytes() == ref[1].tobytes()
+            pools.append(len(kn))
+    expect = {0.83: 32, 20.0: propagator.HARD_CAP}
+    if alpha in expect:
+        assert expect[alpha] in pools, pools
 
 
 def test_poles_of_another_system_are_rejected(gaas, gaas_poles, gaas_cache):
