@@ -16,7 +16,7 @@ from .propagator import (WaveSample, WaveTrace, pole_cache, psi_external,
                          psi_internal, trace)
 from .resonances import PoleSet, ResonancePole, audit_pole_count, find_poles
 from .stationary import (phase_time_delay, phi_stationary, reflection,
-                         scattering_state, transmission)
+                         transmission)
 from .sweeps import (SweepTable, detect_basin, linear_suffix, opacity_window,
                      sweep_freq_vs_alpha, sweep_freq_vs_x, sweep_tmax_vs_L)
 from .systems import BarrierSystem, length_for_alpha, make_system
@@ -32,6 +32,6 @@ __all__ = [
     "linear_suffix", "local_frequency", "make_system", "moshinsky_m",
     "moshinsky_m_dt", "opacity_window", "phase_time_delay", "phi_stationary",
     "pole_cache", "psi_external", "psi_internal", "reflection",
-    "scattering_state", "spectrogram", "sweep_freq_vs_alpha",
-    "sweep_freq_vs_x", "sweep_tmax_vs_L", "trace", "transmission",
+    "spectrogram", "sweep_freq_vs_alpha", "sweep_freq_vs_x",
+    "sweep_tmax_vs_L", "trace", "transmission",
 ]

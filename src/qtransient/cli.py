@@ -25,8 +25,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .analysis import find_time_domain_resonance, spectrogram
-from .config import (CsvTable, RunConfig, apply_overrides, emit_csv,
-                     parse_config, parse_grid)
+from .config import CsvTable, RunConfig, emit_csv, parse_config, parse_grid
 from .errors import (MissingRequired, NumericalError, QTransientError,
                      ValidationError)
 from .oracle import check_run, cn_evolve, default_cn_config
@@ -113,7 +112,7 @@ def _load_config(args, u=None) -> RunConfig:
     values = {k: v for k, v in flags.items() if v is not None}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            values = asdict(apply_overrides(parse_config(fh.read()), **flags))
+            values = {**asdict(parse_config(fh.read())), **values}
     if u is not None and "V_eV" in values:
         values.update(E_eV=values["V_eV"] / u, L_nm=None)
     for key in ("V_eV", "E_eV", "L_nm"):

@@ -31,7 +31,7 @@ from __future__ import annotations
 import io
 import math
 import sys as _sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -167,12 +167,6 @@ def parse_config(text) -> RunConfig:
     )
 
 
-def apply_overrides(cfg: RunConfig, **overrides) -> RunConfig:
-    """CLI flags override file values; None means 'not given'."""
-    effective = {k: v for k, v in overrides.items() if v is not None}
-    return replace(cfg, **effective) if effective else cfg
-
-
 @dataclass(frozen=True)
 class CsvTable:
     """Column-named rows plus the provenance that produced them."""
@@ -185,10 +179,8 @@ class CsvTable:
 def _fmt(value):
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
+    if isinstance(value, float):
+        return f"{value:.17g}"
     return str(value)
 
 

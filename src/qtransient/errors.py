@@ -100,5 +100,10 @@ class NotConverged(NumericalError):
     """Resonance sum that cannot meet its tolerance within the pole cap."""
 
 
+class MergingPolePair(NotConverged):
+    """Resonance sum that cannot meet its tolerance because the two poles
+    that merge at alpha_m lie too close."""
+
+
 class NoCrossing(NumericalError):
     """A window edge has no bracketing sign change in the scanned interval."""

@@ -107,8 +107,6 @@ def faddeeva(z):
     return complex(w) if z_arr.ndim == 0 else w
 
 
-def faddeeva_dz(z, w=None):
-    """dw/dz = -2 z w(z) + 2i/sqrt(pi); pass w to reuse an evaluation."""
-    if w is None:
-        w = faddeeva(z)
+def faddeeva_dz(z, w):
+    """dw/dz = -2 z w(z) + 2i/sqrt(pi), from w = w(z) already evaluated."""
     return -2.0 * np.asarray(z, dtype=complex) * w + _TWO_ISQRTPI

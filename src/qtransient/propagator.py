@@ -76,8 +76,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (NonPositiveParameter, NonPositiveTime, NotConverged,
-                     PoleSetMismatch, XOutOfRange)
+from .errors import (MergingPolePair, NonPositiveParameter, NonPositiveTime,
+                     NotConverged, PoleSetMismatch, XOutOfRange)
 from .moshinsky import moshinsky_m_dt
 from .resonances import PoleSet, expansion_coeffs, find_poles
 from .stationary import phi_stationary, transmission
@@ -105,6 +105,13 @@ _RING_MAX = 20.0
 _DFACT = np.array([1, 1, 3, 15, 105])    # (2j - 1)!!
 _C0 = 0.5j * cmath.exp(-0.25j * math.pi) / math.sqrt(math.pi)
 SMALL_T_GUARD = 1e-4  # fs; below this the released wave has not reached x > 0
+# Relative error of a pole sum near alpha_m, from the two poles that merge
+# there: _MERGE_C (sep L)^-_MERGE_P.  The power is a least-squares fit in
+# log-log to 38 errors over sep L = 1.9e-4 .. 5.9e-2 at u = 3, 30 and 300,
+# each the worst over x = L/2, L, 3L/2 and t = 0.5-30 fs of a tol-1e-10 sum
+# against the same sum with 40-digit roots and, at u = 30 and 300, against
+# a pole-free quadrature; C is raised 0.61 decades, to the worst point.
+_MERGE_C, _MERGE_P = 2.8e-13, 3.1
 
 
 @dataclass(frozen=True)
@@ -229,8 +236,7 @@ def _size(x, s0, kc0, sys, table, internal, tol, scale):
     while True:
         if len(table) < p:
             table = find_poles(sys, HARD_CAP, audit=False)
-        c_new, k_new = expansion_coeffs(x, sys.k, table[len(kn):p], sys,
-                                        internal)
+        c_new, k_new = expansion_coeffs(x, table[len(kn):p], internal)
         coefs, kn = np.concatenate((coefs, c_new)), np.concatenate((kn, k_new))
         half = p // 2
         later = np.cumsum(_bound(kc0, kn[half:], coefs[half:],
@@ -429,7 +435,7 @@ def _pole_sum(x, t, sys, table, internal, f, f_k, tol, scale):
     target = tol * _AIM * scale
     need = _exact_count(weight, later, s, kc, kn, 0.5 * target)
     level = np.minimum(need, len(kn) // 2)
-    axis = expansion_coeffs(x, sys.k, table.axis_poles, sys, internal)
+    axis = expansion_coeffs(x, table.axis_poles, internal)
     # each pool pole followed by its mirror -conj q, whose coefficient is
     # -conj c: a time's exact poles are the first 2 level entries
     pool = (np.column_stack((kn, -kn.conj())).ravel(),
@@ -452,6 +458,27 @@ def _pole_sum(x, t, sys, table, internal, f, f_k, tol, scale):
     return psi, dpsi, est, int(level.max()), table
 
 
+def _check_merging_pair(table, tol):
+    """Raise MergingPolePair where the two poles that merge at alpha_m lie
+    so close that their roundoff alone costs more than tol.
+
+    Below alpha_m they are the antibound poles; above it, pole 1 and its
+    mirror -conj k_1, 2 |Re k_1| apart.  Their Gamow norms vanish with
+    their separation sep, so their terms grow and cancel, and a sum loses
+    about _MERGE_C (sep L)^-_MERGE_P of |Psi|.
+    """
+    axis = table.axis_poles.k
+    below = len(axis) == 2
+    sep = abs(axis[0] - axis[1]) if below else 2.0 * abs(table.k[0].real)
+    sep_l = sep * table.system.L
+    loss = _MERGE_C * sep_l ** -_MERGE_P if sep_l > 0.0 else math.inf
+    if loss > tol:
+        raise MergingPolePair(
+            f"the poles that merge at alpha_m lie {sep_l:.3g}/L apart, with "
+            f"alpha - alpha_m {'<' if below else '>'} 0: expected loss "
+            f"{loss:.1e} of |Psi| exceeds tol={tol:.1e}")
+
+
 def _assemble(x, t_grid, sys, poles, tol, internal):
     """Shared evaluator for both regions; returns psi, dpsi, n_used, err."""
     check_x(x)
@@ -460,6 +487,7 @@ def _assemble(x, t_grid, sys, poles, tol, internal):
     if np.any(t_grid <= 0.0):
         raise NonPositiveTime("times must be > 0")
     table = pole_cache(sys, poles)
+    _check_merging_pair(table, tol)
 
     def f(c):
         return phi_stationary(x, c, sys) if internal else transmission(c, sys)

@@ -372,18 +372,19 @@ def find_poles(sys: BarrierSystem, N: int, audit: bool = True) -> PoleSet:
     return ps
 
 
-def expansion_coeffs(x, k: float, poles: PoleSet, sys: BarrierSystem,
-                     internal: bool):
+def expansion_coeffs(x, poles: PoleSet, internal: bool):
     """One region's expansion coefficients over the rows of a pole table.
 
     internal: Phi_n(x) = 2ik u_n(0) u_n(x) / (k^2 - k_n^2)
     external: T_n      = 2ik u_n(0) u_n(L) exp(-i k_n L) / (k^2 - k_n^2)
 
-    Returns (coefs, kn), complex arrays with one entry per pole, u_n(x)
-    evaluated as in ResonancePole.u_at.  For real k the mirror pole
-    k_{-n} = -conj k_n has coefficient -conj of its partner's, so the
-    mirrors need no entries of their own.
+    k is the incident wavenumber of the table's own system.  Returns
+    (coefs, kn), complex arrays with one entry per pole, u_n(x) evaluated
+    as in ResonancePole.u_at.  For real k the mirror pole k_{-n} =
+    -conj k_n has coefficient -conj of its partner's, so the mirrors need
+    no entries of their own.
     """
+    k = poles.system.k
     kn, q, inv_sqrt = poles.k, poles.q, poles.inv_sqrt_norm
     denom = k * k - kn * kn
     hit = np.flatnonzero(np.abs(denom) < 1e-14)
@@ -394,4 +395,4 @@ def expansion_coeffs(x, k: float, poles: PoleSet, sys: BarrierSystem,
         u_x = ((q - kn) * np.exp(1j * q * x)
                + (q + kn) * np.exp(-1j * q * x)) * inv_sqrt
         return pref * u_x, kn
-    return pref * poles.uL * np.exp(-1j * kn * sys.L), kn
+    return pref * poles.uL * np.exp(-1j * kn * poles.system.L), kn

@@ -14,7 +14,6 @@ the transmission denominator).
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,16 +55,6 @@ def pole_function(k, sys: BarrierSystem):
     return g
 
 
-@dataclass(frozen=True)
-class StationaryState:
-    k: float
-    T: complex
-    R: complex
-    A: complex  # coefficient of exp(+iqx) inside
-    B: complex  # coefficient of exp(-iqx) inside
-    q: complex  # internal wavenumber
-
-
 def transmission(k, sys: BarrierSystem):
     """Transmission amplitude T(k); accepts complex k (and arrays)."""
     k_arr = np.asarray(k, dtype=complex)
@@ -85,19 +74,6 @@ def reflection(k, sys: BarrierSystem):
     # sin(qL)/q is even in q; pair it with G = D/q
     r = -2j * v * np.sinc(q * sys.L / np.pi) * sys.L / pole_function(k_arr, sys)
     return r if r.shape else complex(r)
-
-
-def scattering_state(k: float, sys: BarrierSystem) -> StationaryState:
-    """Full matched state at real incidence wavenumber k."""
-    if k == 0:
-        raise ZeroWavenumber("k = 0")
-    q = complex(_q_of_k(k, sys.v_strength))
-    t = transmission(k, sys)
-    r = reflection(k, sys)
-    phase = t * cmath.exp(1j * k * sys.L) / (2 * q)
-    a = phase * (q + k) * cmath.exp(-1j * q * sys.L)
-    b = phase * (q - k) * cmath.exp(1j * q * sys.L)
-    return StationaryState(k=k, T=t, R=r, A=a, B=b, q=q)
 
 
 def phi_stationary(x, k, sys: BarrierSystem):

@@ -37,7 +37,7 @@ from .stationary import phase_time_delay
 from .systems import BarrierSystem, length_for_alpha, make_system
 
 ALPHA_TOL = 1e-3   # absolute tolerance of the opacity window edges
-# ITP refinement of alpha_u (Oliveira & Takahashi, ACM TOMS 47, 5 (2020)):
+# ITP refinement of both edges (Oliveira & Takahashi, ACM TOMS 47, 5 (2020)):
 # truncation kappa1 (b - a)^kappa2 with kappa1 = ITP_K1 / the bracket's
 # width, and ITP_N0 probes of slack over bisection's count
 ITP_K1, ITP_K2, ITP_N0 = 0.01, 2.0, 1
@@ -53,8 +53,6 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepTable:
-    kind: str                     # TmaxVsL | FreqVsX | FreqVsAlpha
-    fixed_params: dict
     rows: tuple
 
     def column(self, name):
@@ -85,15 +83,14 @@ def _scan_map(values, worker, threads):
         return list(pool.map(worker, values))
 
 
-def _sweep(kind, fixed_params, values, peak, threads):
+def _sweep(values, peak, threads):
     """SweepTable of peak(v) at each grid value, one row per value."""
     def row(v):
         tdr = peak(v)
         return SweepRow(independent=v, t_max=tdr.t_max,
                         omega_ratio=tdr.omega_ratio, exists=tdr.exists)
 
-    return SweepTable(kind=kind, fixed_params=fixed_params,
-                      rows=tuple(_scan_map(values, row, threads)))
+    return SweepTable(rows=tuple(_scan_map(values, row, threads)))
 
 
 def sweep_tmax_vs_L(L_grid, V, E, mass_ratio=1.0, tol=DEFAULT_TOL,
@@ -106,8 +103,7 @@ def sweep_tmax_vs_L(L_grid, V, E, mass_ratio=1.0, tol=DEFAULT_TOL,
         sys = make_system(V, E, L, mass_ratio)
         return find_time_domain_resonance(sys, tol=tol)
 
-    return _sweep("TmaxVsL", dict(V=V, E=E, mass_ratio=mass_ratio),
-                  _sorted_grid(L_grid, "L"), peak, threads)
+    return _sweep(_sorted_grid(L_grid, "L"), peak, threads)
 
 
 def sweep_freq_vs_x(x_grid, sys: BarrierSystem, tol=DEFAULT_TOL,
@@ -125,9 +121,7 @@ def sweep_freq_vs_x(x_grid, sys: BarrierSystem, tol=DEFAULT_TOL,
     def peak(x):
         return find_time_domain_resonance(sys, x=x, tol=tol, poles=cache)
 
-    return _sweep("FreqVsX", dict(V=sys.V, E=sys.E, L=sys.L,
-                                  mass_ratio=sys.mass_ratio),
-                  values, peak, threads)
+    return _sweep(values, peak, threads)
 
 
 def _ratio_at_alpha(alpha, u, V_ref, mass_ratio, tol):
@@ -147,8 +141,7 @@ def sweep_freq_vs_alpha(alpha_grid, u, V_ref, mass_ratio=1.0, tol=DEFAULT_TOL,
     def peak(alpha):
         return _ratio_at_alpha(alpha, u, V_ref, mass_ratio, tol)
 
-    return _sweep("FreqVsAlpha", dict(u=u, V_ref=V_ref, mass_ratio=mass_ratio),
-                  _sorted_grid(alpha_grid, "alpha"), peak, threads)
+    return _sweep(_sorted_grid(alpha_grid, "alpha"), peak, threads)
 
 
 def detect_basin(table: SweepTable):
@@ -193,17 +186,6 @@ def linear_suffix(table: SweepTable, r2_min=0.999):
     return None
 
 
-def _bisect(past, a0, a1):
-    """Bisect [a0, a1] to ALPHA_TOL onto the point where past() turns true."""
-    while a1 - a0 > ALPHA_TOL:
-        mid = 0.5 * (a0 + a1)
-        if past(mid):
-            a1 = mid
-        else:
-            a0 = mid
-    return 0.5 * (a0 + a1)
-
-
 def _itp(f, a, b, fa, fb):
     """ITP search of [a, b] to ALPHA_TOL for the point where f turns past 0.
 
@@ -212,7 +194,7 @@ def _itp(f, a, b, fa, fb):
     truncates the step toward the midpoint and projects it into the
     interval that keeps ceil(log2((b - a) / ALPHA_TOL)) + ITP_N0 probes the
     worst case; a NaN end takes the midpoint.  Returns the midpoint of the
-    final bracket, as _bisect does.
+    final bracket.
     """
     k1 = ITP_K1 / (b - a)
     n_max = math.ceil(math.log2((b - a) / ALPHA_TOL)) + ITP_N0
@@ -241,15 +223,17 @@ def opacity_window(u, V_ref, mass_ratio=1.0, alpha_span=(1.2, 6.0),
     """(alpha_c, alpha_u): the opacity interval of genuine tunneling forerunners.
 
     alpha_c is the critical opacity at which the transmission phase delay
-    hbar d(arg T)/dE changes sign (bisection on the delay); below it the
-    delay is positive and no transient peak forms at the barrier edge, above
-    it the delay is negative and time-domain resonances become possible.
-    alpha_u is the last opacity in the span where omega_av/omega_V at the
-    peak crosses 1: 13 coarse opacities are probed from the top of the span
-    down, and stop at the first pair that brackets the crossing; ITP on
-    the ratio, started from the two coarse ratios, refines it.  A missing
-    peak (NaN ratio) counts as past the crossing.  Both edges to absolute
-    tolerance ALPHA_TOL in alpha.  The delays are cheap and checked first:
+    hbar d(arg T)/dE changes sign; below it the delay is positive and no
+    transient peak forms at the barrier edge, above it the delay is
+    negative and time-domain resonances become possible.  The delays at 13
+    coarse opacities bracket the first sign change, and ITP on the delay,
+    started from the two coarse delays, refines it.  alpha_u is the last
+    opacity in the span where omega_av/omega_V at the peak crosses 1: the
+    coarse opacities are probed from the top of the span down, and stop at
+    the first pair that brackets the crossing; ITP on the ratio, started
+    from the two coarse ratios, refines it.  A missing peak (NaN ratio)
+    counts as past the crossing.  Both edges to absolute tolerance
+    ALPHA_TOL in alpha.  The delays are cheap and checked first:
     a span without a delay sign change raises NoCrossing before any peak is
     searched.
     """
@@ -279,8 +263,9 @@ def opacity_window(u, V_ref, mass_ratio=1.0, alpha_span=(1.2, 6.0),
              if delays[i] > 0.0 >= delays[i + 1]]
     if not flips:
         raise NoCrossing(f"no delay sign change for alpha in {alpha_span} at u={u}")
-    alpha_c = _bisect(lambda a: delay(a) <= 0.0,
-                      coarse[flips[0]], coarse[flips[0] + 1])
+    i = flips[0]
+    alpha_c = _itp(lambda a: -delay(a), coarse[i], coarse[i + 1],
+                   -delays[i], -delays[i + 1])
 
     # the last unit crossing of the ratio, from the top of the span down,
     # for alpha_u; a ratio that is not below 1 (NaN included) is past it

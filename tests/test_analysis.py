@@ -350,6 +350,18 @@ def test_peak_converges_beyond_the_barrier(gaas, x_over_L, alpha, u, tol):
         assert tdr.omega_ratio < 1.0
 
 
+def test_bracketing_scan_miss_names_the_scan(gaas, gaas_cache, monkeypatch):
+    def missed(*args, **kwargs):
+        raise NotConverged("pole sum above tol")
+
+    monkeypatch.setattr(analysis, "trace", missed)
+    with pytest.raises(NotConverged) as info:
+        find_time_domain_resonance(gaas, poles=gaas_cache)
+    assert str(info.value) == ("bracketing scan of the peak search: "
+                               "pole sum above tol")
+    assert str(info.value.__cause__) == "pole sum above tol"
+
+
 def test_scan_tolerance_does_not_leak_into_reported_values(gaas, gaas_cache):
     # 1e-30 is out of reach at 8 nm within the pole cap; the scan brackets
     # at SCAN_TOL, so the miss surfaces in the polish at the caller's tol

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qtransient import cli, make_system, sweep_freq_vs_x, sweep_tmax_vs_L
+from qtransient import (cli, make_system, propagator, sweep_freq_vs_x,
+                        sweep_tmax_vs_L)
 from qtransient.cli import main
 from qtransient.config import parse_csv
 from qtransient.systems import length_for_alpha
@@ -101,12 +102,47 @@ def test_window_table(capsys):
 
 
 def test_tmax_just_below_the_merge_opacity(capsys):
-    # the antibound pair sits 2.6e-3 / L apart on the imaginary axis
+    # the antibound pair sits 2.6e-3 / L apart on the imaginary axis, where
+    # its roundoff costs about 8e-6 of |Psi|, more than the scan's 1e-6
     L = length_for_alpha(1.325486838698363 - 2e-7, 0.3, 0.067)
     code, out, err = run(capsys, ["--V", "0.3", "--E", "0.001", "--L",
                                   repr(L), "--mass-ratio", "0.067", "tmax"])
-    assert code == 0 and err == ""
-    assert parse_csv(out)[2][0][1] is False
+    assert code == 3 and out == ""
+    assert err == ("error: bracketing scan of the peak search: the poles "
+                   "that merge at alpha_m lie 0.00264/L apart, with alpha - "
+                   "alpha_m < 0: expected loss 2.8e-05 of |Psi| exceeds "
+                   "tol=1.0e-06\n")
+
+
+def test_evolve_at_the_merge_opacity_exits_3(capsys):
+    # the antibound poles coincide at -2i/L to 1.1e-7 / L; the sum gave
+    # |Psi|^2 ~ 1e11 with exit 0 before the guard
+    code, out, err = run(capsys, ["--V", "0.3", "--E", "0.001",
+                                  "--mass-ratio", "0.067",
+                                  "--L", "1.8248986043701056", "--tol", "1e-10",
+                                  "evolve", "--x", "1", "--tmin", "1",
+                                  "--tmax", "3", "--steps", "3"])
+    assert code == 3 and out == ""
+    assert "lie 1.1e-07/L apart, with alpha - alpha_m < 0" in err
+
+
+def test_sum_above_tol_after_its_second_pass_exits_3(capsys, monkeypatch):
+    # both passes report an estimate of 1e-7 / t of |Psi|, above tol 1e-8
+    # at every time, so the last check of _assemble raises
+    pole_sum, counts = propagator._pole_sum, []
+
+    def inflated(x, t, *args):
+        psi, dpsi, _, n, table = pole_sum(x, t, *args)
+        counts.append(n)
+        return psi, dpsi, 1e-7 * np.abs(psi) / t, n, table
+
+    monkeypatch.setattr(propagator, "_pole_sum", inflated)
+    code, out, err = run(capsys, GAAS_FLAGS + [
+        "evolve", "--tmin", "1", "--tmax", "3", "--steps", "3"])
+    assert code == 3 and out == "" and len(counts) == 2
+    assert err == ("error: pole sum at x=4.0 above tol=1.0e-08 at 3 of 3 "
+                   "time points; worst t=1 fs, error estimate 1.0e-07 with "
+                   f"N={max(counts)} exact poles\n")
 
 
 def test_flags_override_config_file(capsys, tmp_path):

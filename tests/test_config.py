@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from qtransient.config import (CsvTable, Grid, RunConfig, apply_overrides,
-                               parse_config, parse_csv, parse_grid,
-                               render_csv)
+from qtransient.config import (CsvTable, Grid, RunConfig, parse_config,
+                               parse_csv, parse_grid, render_csv)
 from qtransient.errors import ConfigError, MissingRequired, UnknownKey
 
 FULL = """
@@ -82,15 +81,6 @@ def test_runconfig_validation():
         RunConfig(V_eV=-0.3, E_eV=0.001, L_nm=4.0)
     with pytest.raises(MissingRequired, match="tol"):
         RunConfig(V_eV=0.3, E_eV=0.001, L_nm=4.0, tol=0.0)
-
-
-def test_apply_overrides():
-    cfg = parse_config(FULL)
-    same = apply_overrides(cfg, V_eV=None, tol=None)
-    assert same == cfg
-    bumped = apply_overrides(cfg, E_eV=0.01, tol=1e-6)
-    assert bumped.E_eV == 0.01 and bumped.tol == 1e-6
-    assert bumped.V_eV == cfg.V_eV
 
 
 def test_provenance_items_cover_all_parameters():

@@ -44,7 +44,8 @@ from qtransient import (cn_evolve, default_cn_config, find_poles,
                         make_system, phi_stationary, pole_cache, propagator,
                         psi_external, psi_internal, trace, transmission)
 from qtransient.analysis import PEAK_SCAN, SCAN_TOL, default_window
-from qtransient.errors import (NonPositiveTime, NotConverged, PoleSetMismatch,
+from qtransient.errors import (MergingPolePair, NonPositiveTime, NotConverged,
+                               PoleNotConverged, PoleSetMismatch,
                                ValidationError, XOutOfRange)
 from qtransient.systems import HBAR_EV_FS as HBAR
 
@@ -285,7 +286,7 @@ def _doubling_size(x, s0, kc0, sys, table, internal, tol, scale):
     p = propagator._POOL
     while True:
         c_new, k_new = propagator.expansion_coeffs(
-            x, sys.k, table[len(kn):p], sys, internal)
+            x, table[len(kn):p], internal)
         coefs, kn = np.concatenate((coefs, c_new)), np.concatenate((kn, k_new))
         weight, later = propagator._omitted(s0, kc0, kn, coefs, J)
         rem = propagator._beyond(coefs, kn, s0, kc0)[0]
@@ -412,6 +413,32 @@ def test_not_converged_says_where_and_by_how_much(gaas, gaas_cache):
         assert part in msg
 
 
+def test_merging_pole_pair_fails_fast():
+    # within about 3e-5 of alpha_m the roundoff of the two merging poles
+    # costs more than tol 1e-8; the guard raises before any pole sum, unless
+    # the pole search has already named the pair's root
+    V, m, alpha_m = 0.3, 0.067, 1.325486838698363
+    t = np.linspace(0.5, 30.0, 20)
+
+    def system(d):
+        return make_system(V, V / 300.0, length_for_alpha(alpha_m + d, V, m),
+                           m)
+
+    for d in (-2e-7, -1e-7, 0.0, 1e-9, 1e-8, 1e-7):
+        sys_ = system(d)
+        with pytest.raises((MergingPolePair, PoleNotConverged)) as info:
+            trace(sys_.L, t, sys_, tol=1e-8)
+        if d in (-1e-7, 1e-7):
+            side = "<" if d < 0 else ">"
+            assert str(info.value).startswith(
+                "the poles that merge at alpha_m lie 0.00186/L apart, with "
+                f"alpha - alpha_m {side} 0: expected loss ")
+    for d in (-1e-3, 1e-3):
+        sys_ = system(d)
+        assert np.all(trace(sys_.L, t, sys_, tol=1e-8).trunc_error_est
+                      <= 1e-8)
+
+
 def test_domain_validation(gaas, gaas_cache):
     with pytest.raises(XOutOfRange):
         trace(-1.0, np.array([1.0]), gaas)
@@ -421,6 +448,9 @@ def test_domain_validation(gaas, gaas_cache):
         psi_external(gaas.L - 1.0, 1.0, gaas, poles=gaas_cache)
     with pytest.raises(NonPositiveTime):
         trace(2.0, np.array([2.0, 1.0]), gaas, poles=gaas_cache)
+    for first in (0.0, -1.0):
+        with pytest.raises(NonPositiveTime, match="times must be > 0"):
+            trace(2.0, np.array([first, 1.0]), gaas, poles=gaas_cache)
     with pytest.raises(NonPositiveTime):
         psi_internal(2.0, 0.0, gaas, poles=gaas_cache)
     for bad in (np.inf, np.nan):

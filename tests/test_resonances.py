@@ -395,8 +395,8 @@ def test_expansion_coeffs_match_per_pole_definitions(coeff_cases, frac):
         x = frac * sys_.L
         for internal, want in zip((True, False), _coeffs_one_by_one(x, poles, sys_)):
             got, kn = (np.concatenate(c) for c in zip(
-                expansion_coeffs(x, sys_.k, axis, sys_, internal),
-                expansion_coeffs(x, sys_.k, ladder, sys_, internal)))
+                expansion_coeffs(x, axis, internal),
+                expansion_coeffs(x, ladder, internal)))
             assert got.shape == want.shape == (len(poles),)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
             assert kn.tolist() == [p.k for p in poles]
@@ -409,7 +409,7 @@ def test_mirror_coefficients_are_minus_conjugate(coeff_cases, frac):
         x = frac * sys_.L
         for internal, want in zip((True, False),
                                   _coeffs_one_by_one(x, mirrors.poles, sys_)):
-            got, _ = expansion_coeffs(x, sys_.k, ladder, sys_, internal)
+            got, _ = expansion_coeffs(x, ladder, internal)
             assert np.max(np.abs(-got.conj() - want)) <= 1e-14 * np.max(np.abs(want))
 
 

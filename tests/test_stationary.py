@@ -22,7 +22,7 @@ from qtransient import make_system
 from qtransient.errors import XOutOfRange, ZeroWavenumber
 from qtransient.stationary import (_q_of_k, phase_time_delay,
                                    phi_stationary, pole_function, reflection,
-                                   scattering_state, transmission)
+                                   transmission)
 from qtransient.systems import length_for_alpha
 
 SYSTEMS = [
@@ -62,14 +62,6 @@ def test_internal_solution_matches_boundaries(sys_):
     assert abs(left - (1.0 + r)) <= 1e-12 * abs(1.0 + r)
     exact = t * cmath.exp(1j * sys_.k * sys_.L)
     assert abs(right - exact) <= 1e-12 * abs(exact)
-
-
-def test_scattering_state_consistent_with_phi(gaas):
-    st_ = scattering_state(gaas.k, gaas)
-    x = np.linspace(0.0, gaas.L, 7)
-    phi = phi_stationary(x, gaas.k, gaas)
-    rebuilt = st_.A * np.exp(1j * st_.q * x) + st_.B * np.exp(-1j * st_.q * x)
-    assert np.max(np.abs(phi - rebuilt)) <= 1e-12 * np.max(np.abs(phi))
 
 
 def test_phase_delay_sign_flips_with_opacity():

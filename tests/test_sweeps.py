@@ -29,7 +29,6 @@ def test_freq_vs_x_rows_sorted(gaas):
     table = sweep_freq_vs_x([6.0, 2.0, 4.0], gaas)
     assert [r.independent for r in table.rows] == [2.0, 4.0, 6.0]
     assert all(r.exists for r in table.rows)
-    assert table.kind == "FreqVsX"
     assert np.array_equal(table.column("independent"), [2.0, 4.0, 6.0])
 
 
@@ -37,7 +36,7 @@ def _table(ts):
     rows = tuple(SweepRow(independent=float(i), t_max=float(t),
                           omega_ratio=0.5, exists=np.isfinite(t))
                  for i, t in enumerate(ts))
-    return SweepTable(kind="TmaxVsL", fixed_params={}, rows=rows)
+    return SweepTable(rows=rows)
 
 
 def test_detect_basin_on_synthetic_data():
@@ -96,7 +95,7 @@ def test_opacity_window_needs_a_bracket(monkeypatch):
 
 
 def test_opacity_window_counts_no_peak_as_past_the_unit_crossing(monkeypatch):
-    # the coarse scan and the bisection share one predicate: a ratio that
+    # the coarse scan and the ITP refinement share one predicate: a ratio that
     # is not below 1, NaN (no peak) included, is past the crossing
     def peak(sys_, tol):
         ratio = 0.5 if sys_.alpha < 3.0 else math.nan
@@ -121,7 +120,7 @@ def test_gaas_window_runs_few_peak_finds(monkeypatch):
     alpha_c, alpha_u = opacity_window(300.0, 0.3, mass_ratio=0.067)
     assert len(alphas) <= 12
     assert min(alphas) > 3.19      # nothing below the bracket [3.2, 3.6]
-    assert alpha_c == 2.068359375
+    assert alpha_c == 2.067937474356985
     assert abs(alpha_u - BISECTED_ALPHA_U_300) <= ALPHA_TOL
 
 
@@ -136,6 +135,15 @@ def _mocked_ratio(monkeypatch, ratio):
 
     monkeypatch.setattr(sweeps, "find_time_domain_resonance", peak)
     return asked
+
+
+def test_opacity_window_needs_a_unit_crossing(monkeypatch):
+    # a ratio below 1 over the whole span: every coarse opacity is probed
+    asked = _mocked_ratio(monkeypatch, lambda alpha: 0.5)
+    with pytest.raises(NoCrossing, match=r"^no ratio=1 crossing for alpha "
+                                         r"in \(1\.2, 6\.0\) at u=300\.0$"):
+        opacity_window(300.0, 0.3, mass_ratio=0.067)
+    assert len(asked) == 13
 
 
 def test_opacity_window_returns_the_last_unit_crossing(monkeypatch):
