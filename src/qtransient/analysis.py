@@ -18,8 +18,11 @@ interpolant of it through a few times around a coarse maximum puts its
 zero, the transient maximum ("time-domain resonance"), at the pole-sum
 tolerance, and interpolants of Psi and dPsi/dt through the same times give
 every value reported there.  The coarse scan that brackets it stops at the
-first maximum it closes.  A forerunner is classified as under the barrier when
-omega_av < omega_V = V/hbar at its peak.
+first maximum it closes.  Where its first chunk closes none, a Chebyshev
+interpolant of the same rate over the rest of the window decides whether
+any maximum can follow: a rate that stays positive, by more than the
+interpolant's own tail, means the density only rises.  A forerunner is
+classified as under the barrier when omega_av < omega_V = V/hbar at its peak.
 """
 
 from __future__ import annotations
@@ -38,9 +41,11 @@ from .systems import BarrierSystem, HBAR_EV_FS as HBAR
 
 _AMP_FLOOR = 1e-150
 PEAK_SCAN = 1200      # coarse time points of a peak search
-SCAN_TOL = 1e-6       # the scan only brackets the peak; polish keeps tol
+SCAN_TOL = 1e-3       # the scan only orders grid times; polish keeps tol
 HEIGHT_FLOOR = 1e-6   # least peak density, relative to the long-time plateau
 POLISH_NODES = 16     # Chebyshev-Lobatto times of the polish trace
+RISE_NODES = 65       # Chebyshev-Lobatto times of the no-peak check
+RISE_MARGIN = 10.0    # least rate, in units of the check's interpolant tail
 
 
 def local_frequency(psi, dpsi_dt):
@@ -136,16 +141,44 @@ def default_window(sys: BarrierSystem, x=None):
     return lo, hi
 
 
+def _rises_throughout(x, times, sys, cache, tol):
+    """True if the envelope rate is certified positive at every one of times.
+
+    Traces the rate Re[(dPsi/dt)/Psi] at tol on RISE_NODES Chebyshev-Lobatto
+    times spanning `times` and asks its interpolant to stay above
+    RISE_MARGIN times the larger of its last two coefficients plus tol
+    times the largest |rate| traced; where it does, |Psi| rises strictly
+    from each of `times` to the next.
+    """
+    lo, hi = times[0], times[-1]
+    nodes = lo + (hi - lo) * 0.5 * (1.0 + chebpts2(RISE_NODES))
+    try:
+        w = trace(x, nodes, sys, poles=cache, tol=tol)
+    except NotConverged as exc:
+        raise NotConverged(f"no-peak check of the peak search: {exc}") from exc
+    rate = np.real(w.dpsi_dt / w.psi)
+    fit = Chebyshev.fit(nodes, rate, RISE_NODES - 1, domain=(lo, hi))
+    margin = (RISE_MARGIN * np.max(np.abs(fit.coef[-2:]))
+              + tol * np.max(np.abs(rate)))
+    return bool(np.min(fit(times)) > margin)
+
+
 def find_time_domain_resonance(sys: BarrierSystem, x=None, t_window=None,
                                tol=DEFAULT_TOL, poles=None):
     """Locate the transient peak of |Psi(x, t)|^2.
 
     Scans a grid of PEAK_SCAN times for the first interior local maximum
     whose density exceeds HEIGHT_FLOOR times the long-time plateau, summing
-    poles only to max(tol, SCAN_TOL) since the scan just brackets.  The grid
-    is traced in time order in chunks that double from PEAK_SCAN // 8, and
-    the scan stops at the chunk that closes the first such maximum; a search
-    with no peak traces every grid time once.  The polish traces the signed
+    poles only to max(tol, SCAN_TOL) since the scan just orders neighbouring
+    grid times.  The grid is traced in time order in chunks that double from
+    PEAK_SCAN // 8, and the scan stops at the chunk that closes the first
+    such maximum.  If the first chunk closes none, one trace at tol on
+    RISE_NODES Chebyshev-Lobatto times from its last time to the end of the
+    grid checks the envelope rate: where its interpolant stays positive at
+    every later grid time, by the margin of _rises_throughout, no maximum
+    can follow and the search returns exists=False without tracing the rest
+    of the grid; otherwise the scan goes on.  A miss of that trace raises
+    NotConverged naming the no-peak check.  The polish traces the signed
     envelope rate Re[(dPsi/dt)/Psi] at tol on POLISH_NODES Chebyshev-Lobatto
     times two scan steps either side of it; t_max is the first falling zero
     of their interpolant.  Psi and dPsi/dt at t_max, and with them every
@@ -178,6 +211,11 @@ def find_time_domain_resonance(sys: BarrierSystem, x=None, t_window=None,
     rho, start, size, idx = np.empty(0), 0, PEAK_SCAN // 8, ()
     while len(idx) == 0:
         if start == PEAK_SCAN:
+            return absent
+        # the first chunk closed no maximum: none follows where the density
+        # rises from its last time to the end of the grid
+        if start == PEAK_SCAN // 8 and _rises_throughout(
+                x, grid[start - 1:], sys, cache, tol):
             return absent
         stop = min(start + size, PEAK_SCAN)
         try:

@@ -15,7 +15,10 @@ Oracles:
   exceeds tol |Psi|, or tol |dPsi/dt| for dPsi/dt, raises NotConverged;
 * [DERIVED] the chunked scan brackets the same maximum as one trace of the
   whole grid, so t_max is bitwise the same, and a search with no peak
-  traces every grid time once;
+  traces one chunk and then one no-peak check over the rest of the grid;
+* [DERIVED] the scan at SCAN_TOL and the no-peak check report bitwise what
+  a scan at 1e-6 of every chunk reports, and wherever the check says no
+  peak follows, a scan at 1e-6 of the whole grid finds none;
 * [DERIVED] on opaque barriers the polished t_max agrees to 1e-11 with
   pinned references from Brent's method;
 * [DERIVED] beyond the barrier and next to the shutter the peak find
@@ -240,7 +243,7 @@ def test_chunked_scan_brackets_like_the_full_scan(monkeypatch, E, L,
     idx = np.flatnonzero((rho[1:-1] > rho[:-2]) & (rho[1:-1] >= rho[2:])
                          & (rho[1:-1] > floor))
 
-    scanned = []
+    traced = []
 
     def from_full_scan(x_, t_grid, *a, tol, **kw):
         # the scan reads the full-grid densities: the one-trace search
@@ -250,8 +253,7 @@ def test_chunked_scan_brackets_like_the_full_scan(monkeypatch, E, L,
         return SimpleNamespace(abs2=rho[start:start + len(t_grid)])
 
     def spy(x_, t_grid, *a, tol, **kw):
-        if tol == scan_tol:
-            scanned.append(t_grid)
+        traced.append((t_grid, tol))
         return trace(x_, t_grid, *a, tol=tol, **kw)
 
     monkeypatch.setattr(analysis, "trace", from_full_scan)
@@ -262,7 +264,15 @@ def test_chunked_scan_brackets_like_the_full_scan(monkeypatch, E, L,
     if exists:
         assert tdr.t_max == ref.t_max
     else:
-        assert np.concatenate(scanned).tolist() == grid.tolist()
+        # one chunk at the scan's tolerance, then one no-peak check at tol
+        # from the chunk's last time to the end of the grid
+        (chunk, chunk_tol), (check, check_tol) = traced
+        chunk_size = analysis.PEAK_SCAN // 8
+        assert chunk.tolist() == grid[:chunk_size].tolist()
+        assert chunk_tol == scan_tol and check_tol == DEFAULT_TOL
+        assert len(check) == analysis.RISE_NODES
+        assert check[0] == grid[chunk_size - 1]
+        assert check[-1] == pytest.approx(grid[-1], rel=1e-15, abs=0.0)
 
 
 # t_max (fs) at x = L, V = 0.3 eV, m = 0.067, tol 1e-11, from Brent's method
@@ -368,3 +378,112 @@ def test_scan_tolerance_does_not_leak_into_reported_values(gaas, gaas_cache):
     with pytest.raises(NotConverged, match="tol=1.0e-30") as info:
         find_time_domain_resonance(gaas, x=8.0, tol=1e-30, poles=gaas_cache)
     assert "bracketing scan" not in str(info.value)
+
+
+def _search_as_before(monkeypatch, sys_, x, cache):
+    # the search with the scan at 1e-6 and no no-peak check: every chunk is
+    # traced until one closes a maximum or the grid ends
+    with monkeypatch.context() as m:
+        m.setattr(analysis, "SCAN_TOL", 1e-6)
+        m.setattr(analysis, "_rises_throughout", lambda *a: False)
+        return find_time_domain_resonance(sys_, x=x, poles=cache)
+
+
+def _same_result(a, b):
+    # an absent result holds NaNs, which == on the dataclass calls unequal
+    return all(u == v or (math.isnan(u) and math.isnan(v))
+               for u, v in zip(dataclasses.astuple(a), dataclasses.astuple(b)))
+
+
+@pytest.mark.parametrize("L,x,exists", [
+    *[(4.0, x, True) for x in (0.1, 4.0, 8.0, 30.0)],
+    (1.145374328, None, False),
+    *[(length_for_alpha(alpha, 0.3, 0.067), None, alpha > 2.1)
+      for alpha in (1.8, 2.15, 6.0)],
+])
+def test_search_matches_the_fine_full_scan(monkeypatch, L, x, exists):
+    # E = 1 meV: GaAs, the 1.145 nm width (alpha 0.83), then alpha = 1.8,
+    # 2.15 and 6 at u = 300, probed at x = L (x None).  The scan at
+    # SCAN_TOL and the no-peak check report bitwise what a scan at 1e-6
+    # over every chunk reports
+    sys_ = make_system(0.3, 0.001, L, 0.067)
+    cache = pole_cache(sys_)
+    ref = _search_as_before(monkeypatch, sys_, x, cache)
+    tdr = find_time_domain_resonance(sys_, x=x, poles=cache)
+    assert _same_result(tdr, ref), (tdr, ref)
+    assert tdr.exists is exists
+
+
+def test_no_peak_check_declines_before_a_late_peak(monkeypatch, gaas,
+                                                   gaas_cache):
+    # 30 nm from the shutter the first maximum lies past the first chunk:
+    # the check traces once and declines, and the scan goes on
+    ref = _search_as_before(monkeypatch, gaas, 30.0, gaas_cache)
+    checks, chunks = [], []
+    check = analysis._rises_throughout
+
+    def spy_check(*args):
+        checks.append(check(*args))
+        return checks[-1]
+
+    def spy_trace(x_, t_grid, *a, tol, **kw):
+        if tol == analysis.SCAN_TOL:
+            chunks.append(t_grid)
+        return trace(x_, t_grid, *a, tol=tol, **kw)
+
+    monkeypatch.setattr(analysis, "_rises_throughout", spy_check)
+    monkeypatch.setattr(analysis, "trace", spy_trace)
+    tdr = find_time_domain_resonance(gaas, x=30.0, poles=gaas_cache)
+    assert checks == [False]
+    grid = np.linspace(*default_window(gaas, 30.0), analysis.PEAK_SCAN)
+    chunk_size = analysis.PEAK_SCAN // 8
+    assert [len(c) for c in chunks] == [chunk_size, 2 * chunk_size]
+    assert chunks[1][0] == grid[chunk_size]
+    assert tdr.exists and tdr.t_max == ref.t_max
+
+
+def test_no_peak_check_is_sound_near_the_critical_opacity(monkeypatch):
+    # seeded barriers around alpha_c: wherever the check says the density
+    # only rises, a scan of the whole grid at 1e-6 finds no maximum either
+    V, m = 0.3, 0.067
+    rng = np.random.default_rng(27)
+    verdicts, check = [], analysis._rises_throughout
+
+    def spy(*args):
+        verdicts.append(check(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(analysis, "_rises_throughout", spy)
+    certified = declined = 0
+    for _ in range(40):
+        alpha, u = rng.uniform(1.9, 2.5), 10 ** rng.uniform(1.5, 3.5)
+        sys_ = make_system(V, V / u, length_for_alpha(alpha, V, m), m)
+        x = 10 ** rng.uniform(-0.5, 1.1) * sys_.L
+        cache = pole_cache(sys_)
+        verdicts.clear()
+        tdr = find_time_domain_resonance(sys_, x=x, poles=cache)
+        if verdicts == [False]:
+            declined += 1
+            continue
+        if verdicts != [True]:
+            continue
+        assert not tdr.exists
+        grid = np.linspace(*default_window(sys_, x), analysis.PEAK_SCAN)
+        rho = trace(x, grid, sys_, poles=cache, tol=1e-6).abs2
+        floor = analysis.HEIGHT_FLOOR * analysis._plateau_density(sys_, x)
+        assert not np.any((rho[1:-1] > rho[:-2]) & (rho[1:-1] >= rho[2:])
+                          & (rho[1:-1] > floor)), (alpha, u, x / sys_.L)
+        certified += 1
+    # both outcomes of the check are exercised
+    assert certified >= 10 and declined >= 3
+
+
+def test_no_peak_check_miss_names_the_check(monkeypatch):
+    # alpha = 1.8 at u = 300 has no peak; at tol 1e-30 the check's trace
+    # misses, and the miss names the check, not the scan
+    V, m = 0.3, 0.067
+    sys_ = make_system(V, V / 300.0, length_for_alpha(1.8, V, m), m)
+    with pytest.raises(NotConverged, match="tol=1.0e-30") as info:
+        find_time_domain_resonance(sys_, tol=1e-30)
+    assert str(info.value).startswith("no-peak check of the peak search: ")
+    assert isinstance(info.value.__cause__, NotConverged)

@@ -103,15 +103,16 @@ def test_window_table(capsys):
 
 def test_tmax_just_below_the_merge_opacity(capsys):
     # the antibound pair sits 2.6e-3 / L apart on the imaginary axis, where
-    # its roundoff costs about 8e-6 of |Psi|, more than the scan's 1e-6
+    # its roundoff costs about 8e-6 of |Psi|: within the scan's 1e-3, but
+    # above the tol 1e-8 of the check that no peak follows the first chunk
     L = length_for_alpha(1.325486838698363 - 2e-7, 0.3, 0.067)
     code, out, err = run(capsys, ["--V", "0.3", "--E", "0.001", "--L",
                                   repr(L), "--mass-ratio", "0.067", "tmax"])
     assert code == 3 and out == ""
-    assert err == ("error: bracketing scan of the peak search: the poles "
+    assert err == ("error: no-peak check of the peak search: the poles "
                    "that merge at alpha_m lie 0.00264/L apart, with alpha - "
                    "alpha_m < 0: expected loss 2.8e-05 of |Psi| exceeds "
-                   "tol=1.0e-06\n")
+                   "tol=1.0e-08\n")
 
 
 def test_evolve_at_the_merge_opacity_exits_3(capsys):

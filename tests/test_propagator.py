@@ -43,7 +43,7 @@ from qtransient import (cn_evolve, default_cn_config, find_poles,
                         find_time_domain_resonance, length_for_alpha,
                         make_system, phi_stationary, pole_cache, propagator,
                         psi_external, psi_internal, trace, transmission)
-from qtransient.analysis import PEAK_SCAN, SCAN_TOL, default_window
+from qtransient.analysis import PEAK_SCAN, default_window
 from qtransient.errors import (MergingPolePair, NonPositiveTime, NotConverged,
                                PoleNotConverged, PoleSetMismatch,
                                ValidationError, XOutOfRange)
@@ -561,7 +561,7 @@ def test_each_time_sums_its_own_exact_count(monkeypatch):
 
     monkeypatch.setattr(propagator, "_exact_count", spy_count)
     monkeypatch.setattr(propagator, "_heads", spy_heads)
-    tr = trace(sys_.L, ts, sys_, tol=SCAN_TOL)
+    tr = trace(sys_.L, ts, sys_, tol=1e-6)
     assert len(heads) == 1
     level, pool = heads[0]
     need = [n for n in needs if len(n) == len(ts)][-1]
