@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev, chebfit, chebpts2, chebval
 
-from .errors import AmplitudeUnderflow, NotConverged, WindowTooNarrow
+from .errors import AmplitudeUnderflow, NotConverged
 from .propagator import (DEFAULT_TOL, SMALL_T_GUARD, check_tol, check_x,
                          pole_cache, trace)
 from .stationary import phi_stationary, transmission
@@ -163,14 +163,14 @@ def _rises_throughout(x, times, sys, cache, tol):
     return bool(np.min(fit(times)) > margin)
 
 
-def find_time_domain_resonance(sys: BarrierSystem, x=None, t_window=None,
-                               tol=DEFAULT_TOL, poles=None):
+def find_time_domain_resonance(sys: BarrierSystem, x=None, tol=DEFAULT_TOL,
+                               poles=None):
     """Locate the transient peak of |Psi(x, t)|^2.
 
-    Scans a grid of PEAK_SCAN times for the first interior local maximum
-    whose density exceeds HEIGHT_FLOOR times the long-time plateau, summing
-    poles only to max(tol, SCAN_TOL) since the scan just orders neighbouring
-    grid times.  The grid is traced in time order in chunks that double from
+    Scans PEAK_SCAN times spread evenly over default_window(sys, x) for the
+    first interior local maximum whose density exceeds HEIGHT_FLOOR times
+    the long-time plateau, summing poles only to max(tol, SCAN_TOL) since
+    the scan just orders neighbouring grid times.  The grid is traced in time order in chunks that double from
     PEAK_SCAN // 8, and the scan stops at the chunk that closes the first
     such maximum.  If the first chunk closes none, one trace at tol on
     RISE_NODES Chebyshev-Lobatto times from its last time to the end of the
@@ -192,14 +192,8 @@ def find_time_domain_resonance(sys: BarrierSystem, x=None, t_window=None,
         x = sys.L
     check_x(x)
     check_tol(tol)
-    if t_window is None:
-        t_window = default_window(sys, x)
-    t_lo, t_hi = float(t_window[0]), float(t_window[1])
-    if not 0 < t_lo < t_hi < math.inf:
-        raise WindowTooNarrow(f"t_window must be finite with 0 < lo < hi, "
-                              f"got ({t_lo}, {t_hi})")
     cache = pole_cache(sys, poles)
-    grid = np.linspace(t_lo, t_hi, PEAK_SCAN)
+    grid = np.linspace(*default_window(sys, x), PEAK_SCAN)
     plateau = _plateau_density(sys, x)
     floor = HEIGHT_FLOOR * plateau
     absent = TimeDomainResonance(x=float(x), exists=False, t_max=math.nan,

@@ -60,43 +60,47 @@ def _build_parser():
 
     sp = sub.add_parser("poles", help="resonance pole table")
     sp.add_argument("--n", type=int, default=32, help="number of ladder poles")
+    sp.set_defaults(run=cmd_poles)
 
-    for name, doc in (("evolve", "|Psi(x,t)|^2 trace at fixed x"),
-                      ("spectrogram", "omega_av(t), sigma(t) at fixed x")):
+    for name, doc, steps, run in (
+            ("evolve", "|Psi(x,t)|^2 trace at fixed x", 400, cmd_evolve),
+            ("spectrogram", "omega_av(t), sigma(t) at fixed x", 400,
+             cmd_spectrogram),
+            ("oracle-compare", "analytic trace versus Crank-Nicolson oracle",
+             60, cmd_oracle_compare)):
         sp = sub.add_parser(name, help=doc)
         sp.add_argument("--x", type=float, help="probe position in nm (default L)")
         sp.add_argument("--tmin", type=float, required=True)
         sp.add_argument("--tmax", type=float, required=True)
-        sp.add_argument("--steps", type=int, default=400)
+        sp.add_argument("--steps", type=int, default=steps)
+        sp.set_defaults(run=run)
 
     sp = sub.add_parser("tmax", help="time-domain-resonance peak at fixed x")
     sp.add_argument("--x", type=float, help="probe position in nm (default L)")
+    sp.set_defaults(run=cmd_tmax)
 
     sp = sub.add_parser("scan-tmax-L", help="t_max versus barrier width")
     sp.add_argument("--grid", required=True,
                     help="L grid start:stop:count[:lin|log]")
+    sp.set_defaults(run=cmd_scan_tmax_L)
 
     sp = sub.add_parser("scan-freq-x", help="peak frequency ratio versus x")
     sp.add_argument("--grid", required=True,
                     help="x grid start:stop:count[:lin|log]")
+    sp.set_defaults(run=cmd_scan_freq_x)
 
     sp = sub.add_parser("scan-freq-alpha",
                         help="peak frequency ratio versus opacity at fixed u")
     sp.add_argument("--grid", required=True,
                     help="alpha grid start:stop:count[:lin|log]")
     sp.add_argument("--u", type=float, required=True, help="V/E ratio (> 1)")
+    sp.set_defaults(run=cmd_scan_freq_alpha)
 
     sp = sub.add_parser("window", help="opacity window [alpha_c, alpha_u]")
     sp.add_argument("--u", type=float, required=True, help="V/E ratio (> 1)")
     sp.add_argument("--alpha-min", type=float, default=1.2)
     sp.add_argument("--alpha-max", type=float, default=6.0)
-
-    sp = sub.add_parser("oracle-compare",
-                        help="analytic trace versus Crank-Nicolson oracle")
-    sp.add_argument("--x", type=float, help="probe position in nm (default L)")
-    sp.add_argument("--tmin", type=float, required=True)
-    sp.add_argument("--tmax", type=float, required=True)
-    sp.add_argument("--steps", type=int, default=60)
+    sp.set_defaults(run=cmd_window)
     return p
 
 
@@ -271,25 +275,12 @@ def cmd_oracle_compare(args):
                     rows=tuple(rows), provenance=provenance)
 
 
-_COMMANDS = {
-    "poles": cmd_poles,
-    "evolve": cmd_evolve,
-    "spectrogram": cmd_spectrogram,
-    "tmax": cmd_tmax,
-    "scan-tmax-L": cmd_scan_tmax_L,
-    "scan-freq-x": cmd_scan_freq_x,
-    "scan-freq-alpha": cmd_scan_freq_alpha,
-    "window": cmd_window,
-    "oracle-compare": cmd_oracle_compare,
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.threads < 1:
             raise ValidationError(f"--threads must be >= 1, got {args.threads}")
-        table = _COMMANDS[args.command](args)
+        table = args.run(args)
         emit_csv(table, args.out)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,7 +28,6 @@ them bitwise.
 
 from __future__ import annotations
 
-import io
 import math
 import sys as _sys
 from dataclasses import dataclass, field, fields
@@ -189,12 +188,9 @@ def render_csv(table: CsvTable) -> str:
     if not table.rows:
         raise ConfigError("refusing to emit an empty table")
     prov = " ".join(f"{k}={_fmt(v)}" for k, v in table.provenance)
-    buf = io.StringIO()
-    buf.write(f"# qtransient {TOOL_VERSION} {prov}\n")
-    buf.write(",".join(table.columns) + "\n")
-    for row in table.rows:
-        buf.write(",".join(_fmt(v) for v in row) + "\n")
-    return buf.getvalue()
+    lines = [f"# qtransient {TOOL_VERSION} {prov}", ",".join(table.columns)]
+    lines += [",".join(map(_fmt, row)) for row in table.rows]
+    return "\n".join(lines) + "\n"
 
 
 def emit_csv(table: CsvTable, path=None):

@@ -52,10 +52,6 @@ class PoleSetMismatch(ValidationError):
     """Poles passed in were found for another barrier system."""
 
 
-class WindowTooNarrow(ValidationError):
-    """A peak-search scan window that is not finite with 0 < lo < hi."""
-
-
 class GridTooCoarse(ValidationError):
     pass
 

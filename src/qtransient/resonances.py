@@ -21,11 +21,12 @@ import cmath
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
-from .errors import (CountMismatch, NormalizationSingular, PoleCollision,
-                     PoleNotConverged)
+from .errors import (CountMismatch, NonPositiveParameter,
+                     NormalizationSingular, PoleCollision, PoleNotConverged)
 from .stationary import _q_of_k, pole_function
 from .systems import BarrierSystem
 
@@ -189,8 +190,6 @@ class PoleSet:
     def __len__(self):
         return len(self.k)
 
-    N_max = property(__len__, doc="The number of poles in the table.")
-
     def __getitem__(self, rows):
         """The table of the poles at `rows`, with the same antibound poles."""
         return replace(self, **{c: getattr(self, c)[rows] for c in _COLUMNS})
@@ -335,10 +334,11 @@ def find_poles(sys: BarrierSystem, N: int, audit: bool = True) -> PoleSet:
     naming the missing pole, with the k and residual of a root on its
     branch that missed RESIDUAL_TOL if there is one.  Every root depends
     only on its own seed, so the first n poles do not depend on N.
-    audit=True counts the zeros by the argument principle as well.
+    audit=True counts the zeros by the argument principle as well.  An N
+    that is not an integer >= 1 raises NonPositiveParameter.
     """
-    if N < 1:
-        raise PoleNotConverged(N, "(need N >= 1)")
+    if not (isinstance(N, Integral) and N >= 1):
+        raise NonPositiveParameter(f"N must be an integer >= 1, got {N!r}")
     axis = find_axis_poles(sys)
     L = sys.L
     seeds = np.append(_seed(np.arange(1, N + 2), sys), (1 - 2j) / L)

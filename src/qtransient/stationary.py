@@ -18,7 +18,7 @@ import cmath
 import numpy as np
 
 from .errors import XOutOfRange, ZeroWavenumber
-from .systems import BarrierSystem
+from .systems import HBAR_EV_FS, BarrierSystem, make_system
 
 DELAY_REL_STEP = 1e-6   # energy step of phase_time_delay, relative to E
 
@@ -104,7 +104,6 @@ def phase_time_delay(sys: BarrierSystem):
     the opacity regime in which a transient density maximum can form at the
     barrier edge before the monotone filling sets in.
     """
-    from .systems import HBAR_EV_FS, make_system
     dE = DELAY_REL_STEP * sys.E
     lo = make_system(sys.V, sys.E - dE, sys.L, sys.mass_ratio)
     hi = make_system(sys.V, sys.E + dE, sys.L, sys.mass_ratio)

@@ -124,22 +124,27 @@ def sweep_freq_vs_x(x_grid, sys: BarrierSystem, tol=DEFAULT_TOL,
     return _sweep(values, peak, threads)
 
 
-def _ratio_at_alpha(alpha, u, V_ref, mass_ratio, tol):
+def _check_u(u):
+    if not u > 1:
+        raise NonPositiveParameter(f"u must be > 1 (tunneling), got {u}")
+
+
+def _system_at(alpha, u, V_ref, mass_ratio):
+    """The barrier of opacity alpha at height V_ref and E = V_ref / u."""
     L = length_for_alpha(alpha, V_ref, mass_ratio)
-    sys = make_system(V_ref, V_ref / u, L, mass_ratio)
-    return find_time_domain_resonance(sys, tol=tol)
+    return make_system(V_ref, V_ref / u, L, mass_ratio)
 
 
 def sweep_freq_vs_alpha(alpha_grid, u, V_ref, mass_ratio=1.0, tol=DEFAULT_TOL,
                         threads=1) -> SweepTable:
     """Frequency ratio at the barrier edge versus opacity, at fixed u = V/E."""
     _check_threads(threads)
-    if u <= 1:
-        raise NonPositiveParameter(f"u must be > 1 (tunneling), got {u}")
+    _check_u(u)
     check_tol(tol)
 
     def peak(alpha):
-        return _ratio_at_alpha(alpha, u, V_ref, mass_ratio, tol)
+        return find_time_domain_resonance(
+            _system_at(alpha, u, V_ref, mass_ratio), tol=tol)
 
     return _sweep(_sorted_grid(alpha_grid, "alpha"), peak, threads)
 
@@ -237,8 +242,7 @@ def opacity_window(u, V_ref, mass_ratio=1.0, alpha_span=(1.2, 6.0),
     a span without a delay sign change raises NoCrossing before any peak is
     searched.
     """
-    if u <= 1:
-        raise NonPositiveParameter(f"u must be > 1, got {u}")
+    _check_u(u)
     lo, hi = map(float, alpha_span)
     if not 0 < lo < hi < math.inf:
         raise NonPositiveParameter(
@@ -248,12 +252,11 @@ def opacity_window(u, V_ref, mass_ratio=1.0, alpha_span=(1.2, 6.0),
 
     def excess(alpha):
         # omega_av/omega_V - 1, NaN where no peak forms: past the crossing
-        return _ratio_at_alpha(alpha, u, V_ref, mass_ratio,
-                               tol).omega_ratio - 1.0
+        return find_time_domain_resonance(
+            _system_at(alpha, u, V_ref, mass_ratio), tol=tol).omega_ratio - 1.0
 
     def delay(alpha):
-        L = length_for_alpha(alpha, V_ref, mass_ratio)
-        return phase_time_delay(make_system(V_ref, V_ref / u, L, mass_ratio))
+        return phase_time_delay(_system_at(alpha, u, V_ref, mass_ratio))
 
     coarse = np.linspace(lo, hi, 13)
 

@@ -39,7 +39,8 @@ import numpy as np
 import pytest
 
 from qtransient import find_poles, make_system, resonances
-from qtransient.errors import CountMismatch, PoleNotConverged
+from qtransient.errors import (CountMismatch, NonPositiveParameter,
+                               PoleNotConverged)
 from qtransient.propagator import HARD_CAP
 from qtransient.resonances import (RESIDUAL_TOL, _pole_set, audit_pole_count,
                                    expansion_coeffs, find_axis_poles,
@@ -245,7 +246,7 @@ def test_shorter_search_is_a_prefix_of_the_full_table(gaas):
              make_system(V, V / 3000, length_for_alpha(9.0, V, m), m))
     for sys_ in cases:
         full = find_poles(sys_, HARD_CAP, audit=False)
-        assert len(full) == full.N_max == HARD_CAP
+        assert len(full) == HARD_CAP
         for n in (8, 24, 256):
             short = find_poles(sys_, n, audit=False)
             assert _columns(short) == _columns(full[:n])
@@ -414,5 +415,8 @@ def test_mirror_coefficients_are_minus_conjugate(coeff_cases, frac):
 
 
 def test_bad_request_rejected(gaas):
-    with pytest.raises(PoleNotConverged):
-        find_poles(gaas, 0)
+    # a pole count that is not an integer >= 1 is bad input, not a miss
+    for N in (0, -3, 2.5):
+        with pytest.raises(NonPositiveParameter, match=r"^N must be .*"
+                           + re.escape(repr(N))):
+            find_poles(gaas, N)

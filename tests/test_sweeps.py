@@ -86,6 +86,19 @@ def _no_probe(*args, **kwargs):
     raise AssertionError("a peak search or pole sum ran")
 
 
+@pytest.mark.parametrize("bad", [math.nan, 1.0])
+def test_u_checked_before_any_probe(monkeypatch, bad):
+    # one check for both opacity commands; NaN is named as u, not as a bad E
+    for name in ("make_system", "find_time_domain_resonance",
+                 "phase_time_delay"):
+        monkeypatch.setattr(sweeps, name, _no_probe)
+    for call in (lambda: opacity_window(bad, 0.3, 0.067),
+                 lambda: sweep_freq_vs_alpha([2.5], bad, 0.3, 0.067)):
+        with pytest.raises(NonPositiveParameter,
+                           match=rf"^u must be > 1 \(tunneling\), got {bad}$"):
+            call()
+
+
 def test_opacity_window_needs_a_bracket(monkeypatch):
     # below alpha ~ 2 the phase delay never changes sign; the delays are
     # checked before any peak search runs
