@@ -184,9 +184,11 @@ def find_time_domain_resonance(sys: BarrierSystem, x=None, tol=DEFAULT_TOL,
     of their interpolant.  Psi and dPsi/dt at t_max, and with them every
     reported value, come from their own interpolants through the same
     nodes, so nothing is traced at t_max; NotConverged is raised if the
-    last two Chebyshev coefficients of Psi or of dPsi/dt exceed tol times
-    its size at t_max.  Returns exists=False when the density rises
-    monotonically (no forerunner), as happens below the critical opacity.
+    rate does not fall from > 0 to < 0 across the bracket, where the scan
+    and the polish disagree, or if the last two Chebyshev coefficients of
+    Psi or of dPsi/dt exceed tol times its size at t_max.  Returns
+    exists=False when the density rises monotonically (no forerunner), as
+    happens below the critical opacity.
     """
     if x is None:
         x = sys.L
@@ -228,9 +230,11 @@ def find_time_domain_resonance(sys: BarrierSystem, x=None, tol=DEFAULT_TOL,
     w = trace(x, nodes, sys, poles=cache, tol=tol)
     rate = np.real(w.dpsi_dt / w.psi)
     if not rate[0] > 0.0 > rate[-1]:
-        # the envelope rate does not fall through zero across the bracket:
-        # no genuine peak at this resolution
-        return absent
+        # the scan closed a maximum that the polish, at tol, does not see
+        raise NotConverged(
+            f"peak polish at x={x:g}: the envelope rate on [{lo:.6g}, "
+            f"{hi:.6g}] fs goes from {rate[0]:.3g} to {rate[-1]:.3g} 1/fs, "
+            "not from > 0 to < 0 across the maximum the scan bracketed")
     # the interpolant takes the end signs, so it has a falling zero in [lo, hi]
     fit = Chebyshev.fit(nodes, rate, POLISH_NODES - 1, domain=(lo, hi))
     slope = fit.deriv()

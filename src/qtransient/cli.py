@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from .errors import (MissingRequired, NumericalError, QTransientError,
                      ValidationError)
 from .oracle import check_run, cn_evolve, default_cn_config
 from .propagator import HARD_CAP, check_x, trace
-from .resonances import find_poles
+from .resonances import audit_pole_count, find_poles
 from .stationary import transmission
 from .sweeps import (opacity_window, sweep_freq_vs_alpha, sweep_freq_vs_x,
                      sweep_tmax_vs_L)
@@ -105,18 +104,20 @@ def _build_parser():
 
 
 def _load_config(args, u=None) -> RunConfig:
-    """File config (if given) with CLI flags layered on top.
+    """File config (if given) with CLI flags layered on top; only the
+    merged values must hold V_eV, E_eV and L_nm.
 
     A command at fixed u = V/E (u given) runs at E = V/u and takes its
     widths from an opacity grid, so it needs only V_eV: its config holds
     E = V/u and no L_nm, whatever the file or the flags say.
     """
-    flags = dict(V_eV=args.V, E_eV=args.E, L_nm=args.L,
-                 mass_ratio=args.mass_ratio, tol=args.tol)
-    values = {k: v for k, v in flags.items() if v is not None}
+    values = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            values = {**asdict(parse_config(fh.read())), **values}
+            values = parse_config(fh.read())
+    flags = dict(V_eV=args.V, E_eV=args.E, L_nm=args.L,
+                 mass_ratio=args.mass_ratio, tol=args.tol)
+    values.update((k, v) for k, v in flags.items() if v is not None)
     if u is not None and "V_eV" in values:
         values.update(E_eV=values["V_eV"] / u, L_nm=None)
     for key in ("V_eV", "E_eV", "L_nm"):
@@ -169,6 +170,7 @@ def cmd_poles(args):
     cfg = _load_config(args)
     sys_ = _system(cfg)
     ps = find_poles(sys_, args.n)
+    audit_pole_count(ps)
     rows = [(p.n, p.k.real, p.k.imag, p.E.real, p.E.imag, p.residual)
             for p in ps.poles]
     return CsvTable(columns=("n", "Re_k", "Im_k", "Re_E", "Im_E", "residual"),

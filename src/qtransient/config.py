@@ -15,7 +15,7 @@ is a short list of scalars and grids -- so a two-section INI file covers it:
 Unknown keys are rejected (fail-closed) and every config error names the
 offending key and line, retired keys such as `max_poles` included (the
 pole budget is the constant propagator.HARD_CAP).  Command-line flags
-override file values.
+override file values, and a file may leave out any key a flag supplies.
 
 Grids are `start:stop:count` triplets with an optional trailing `:lin` or
 `:log` spacing flag.
@@ -131,39 +131,24 @@ def _parse_ini(text):
     return entries
 
 
-def parse_config(text) -> RunConfig:
-    """Parse and validate an INI config into a RunConfig.
+def parse_config(text) -> dict:
+    """The keys an INI config sets, as {key: float}.
 
-    Unknown keys are rejected with the offending key and line; missing
-    required [system] keys are reported by name; [numerics] keys fall back
-    to documented defaults.
+    Unknown keys and sections, duplicate keys and unparseable values are
+    rejected with the offending key and line.  Which keys a run needs, and
+    the defaults of the rest, are for the caller and RunConfig to decide.
     """
-    entries = _parse_ini(text)
     known = {("system", k) for k in _SYSTEM_KEYS} | {("numerics", "tol")}
-    for (section, key), (_, lineno) in entries.items():
+    values = {}
+    for (section, key), (value, lineno) in _parse_ini(text).items():
         if (section, key) not in known:
             raise UnknownKey(f"unknown key {key!r} in [{section}] at line {lineno}")
-
-    def pull(section, key, cast, default=None):
-        if (section, key) not in entries:
-            if default is None:
-                raise MissingRequired(f"missing required key {key!r} in [{section}]")
-            return default
-        value, lineno = entries[(section, key)]
         try:
-            return cast(value)
+            values[key] = float(value)
         except ValueError:
             raise ConfigError(
                 f"key {key!r} at line {lineno}: cannot parse {value!r}") from None
-
-    default = {f.name: f.default for f in fields(RunConfig)}
-    return RunConfig(
-        V_eV=pull("system", "V_eV", float),
-        E_eV=pull("system", "E_eV", float),
-        L_nm=pull("system", "L_nm", float),
-        mass_ratio=pull("system", "mass_ratio", float, default["mass_ratio"]),
-        tol=pull("numerics", "tol", float, default["tol"]),
-    )
+    return values
 
 
 @dataclass(frozen=True)

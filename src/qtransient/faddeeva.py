@@ -98,11 +98,8 @@ def faddeeva(z):
     zl2 = zl * zl
     if np.any(zl2.real < -_EXP_ARG_MAX):
         raise OverflowRange("exp(-z^2) exceeds double range in lower half-plane")
-    if zl.size:
-        w = _upper(np.where(lower, -flat, flat))
-        w[lower] = 2.0 * np.exp(-zl2) - w[lower]
-    else:
-        w = _upper(flat)
+    w = _upper(np.where(lower, -flat, flat))
+    w[lower] = 2.0 * np.exp(-zl2) - w[lower]
     w = w[:z_arr.size].reshape(z_arr.shape)
     return complex(w) if z_arr.ndim == 0 else w
 

@@ -62,7 +62,8 @@ from functools import cache
 import numpy as np
 
 from .errors import (GridTooCoarse, NonFiniteInput, NonPositiveParameter,
-                     NonPositiveTime, ValidationError)
+                     ValidationError)
+from .propagator import check_times
 from .systems import BarrierSystem, HBAR_EV_FS as HBAR
 
 _DX_LIMIT = 0.1          # max k*dx and kappa0*dx: ~60 points per wavelength
@@ -279,11 +280,7 @@ def cn_evolve(sys: BarrierSystem, cfg: CnConfig, probes, t_grid) -> CnTrace:
     steps bracketing each requested time (consistent with the O(dt^2)
     accuracy of the stepping itself).
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or len(t_grid) == 0 or not np.isfinite(t_grid).all() \
-            or np.any(t_grid <= 0) or np.any(np.diff(t_grid) <= 0):
-        raise NonPositiveTime(
-            "time grid must be positive, finite and strictly increasing")
+    t_grid = check_times(t_grid)
     probes = np.asarray(probes, dtype=float)
     steps, lo, hi = check_run(sys, cfg, probes, t_grid[-1])
     n_blocks = -(-steps // _BLOCK)

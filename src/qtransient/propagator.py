@@ -235,7 +235,7 @@ def _size(x, s0, kc0, sys, table, internal, tol, scale):
     p = _POOL
     while True:
         if len(table) < p:
-            table = find_poles(sys, HARD_CAP, audit=False)
+            table = find_poles(sys, HARD_CAP)
         c_new, k_new = expansion_coeffs(x, table[len(kn):p], internal)
         coefs, kn = np.concatenate((coefs, c_new)), np.concatenate((kn, k_new))
         half = p // 2
@@ -483,9 +483,6 @@ def _assemble(x, t_grid, sys, poles, tol, internal):
     """Shared evaluator for both regions; returns psi, dpsi, n_used, err."""
     check_x(x)
     check_tol(tol)
-    t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(t_grid <= 0.0):
-        raise NonPositiveTime("times must be > 0")
     table = pole_cache(sys, poles)
     _check_merging_pair(table, tol)
 
@@ -530,6 +527,17 @@ def check_x(x):
             f"x must be finite and >= 0 (reflection region not modeled), got x={x}")
 
 
+def check_times(t):
+    """The time grid t as a float array; NonPositiveTime unless it is 1-D,
+    nonempty, finite, > 0 and strictly increasing."""
+    t = np.asarray(t, dtype=float)
+    if t.ndim != 1 or len(t) == 0 or not np.isfinite(t).all() \
+            or np.any(t <= 0) or np.any(np.diff(t) <= 0):
+        raise NonPositiveTime("times must be > 0, finite and strictly "
+                              "increasing in a nonempty 1-D grid")
+    return t
+
+
 def check_tol(tol):
     """Reject a pole-sum tolerance no sum can meet or that means nothing."""
     if not 0 < tol < np.inf:
@@ -547,20 +555,14 @@ def trace(x, t_grid, sys: BarrierSystem, poles=None,
     are shared: each trace computes the expansion coefficients of its pole
     pool.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or len(t_grid) == 0 or not np.isfinite(t_grid).all() \
-            or np.any(np.diff(t_grid) <= 0):
-        raise NonPositiveTime(
-            "time grid must be nonempty, finite and strictly increasing")
+    t_grid = check_times(t_grid)
     psi, dpsi, n_used, err = _assemble(x, t_grid, sys, poles, tol, x <= sys.L)
     return WaveTrace(x=float(x), times=t_grid, psi=psi, dpsi_dt=dpsi,
                      n_terms_used=n_used, trunc_error_est=err, system=sys)
 
 
 def _sample(x, t, sys, poles, tol, internal) -> WaveSample:
-    if not 0 < t < np.inf:
-        raise NonPositiveTime(f"t must be finite and > 0, got t={t}")
-    psi, dpsi, n_used, err = _assemble(x, np.array([t]), sys, poles, tol,
+    psi, dpsi, n_used, err = _assemble(x, check_times([t]), sys, poles, tol,
                                        internal)
     return WaveSample(float(x), float(t), complex(psi[0]), complex(dpsi[0]),
                       n_used, float(err[0]))
@@ -599,4 +601,4 @@ def pole_cache(sys: BarrierSystem, base: PoleSet | None = None) -> PoleSet:
     depth = HARD_CAP // 4
     if base is not None and len(base) >= depth:
         return base
-    return find_poles(sys, depth, audit=False)
+    return find_poles(sys, depth)

@@ -3,9 +3,10 @@
 The poles k_n are the zeros of the transmission denominator, located with
 one array Newton pass from first-order seeds.  The branch index of the
 log-form pole equation numbers the poles, so it certifies every table: no pole
-below the last one can be missing; axis poles are counted in closed form.  With
-audit=True an argument-principle zero count over a rectangle of the complex
-k-plane checks the table as well.  For each pole the resonant eigenfunction u_n
+below the last one can be missing; axis poles are counted in closed form.
+audit_pole_count checks a table independently, by an argument-principle zero
+count over a rectangle of the complex k-plane; the `poles` command runs it on
+every table it prints.  For each pole the resonant eigenfunction u_n
 is known in closed form up to normalization; the normalization integral
 
     int_0^L u_n^2 dx + i (u_n(0)^2 + u_n(L)^2) / (2 k_n) = 1
@@ -118,6 +119,11 @@ def _seed(n, sys):
     return a - 1j * (q / a) * np.log((a + q) ** 2 / v) / sys.L
 
 
+def _gamow_u(x, k, q):
+    """Unnormalized Gamow eigenfunction (q - k) e^{iqx} + (q + k) e^{-iqx}."""
+    return (q - k) * np.exp(1j * q * x) + (q + k) * np.exp(-1j * q * x)
+
+
 @dataclass(frozen=True)
 class ResonancePole:
     """One pole k_n = a_n - i b_n with its Gamow boundary data."""
@@ -133,10 +139,8 @@ class ResonancePole:
 
     def u_at(self, x):
         """Normalized Gamow eigenfunction on 0 <= x <= L (vectorized)."""
-        x_arr = np.asarray(x, dtype=float)
-        k, q = self.k, self.q
-        val = ((q - k) * np.exp(1j * q * x_arr)
-               + (q + k) * np.exp(-1j * q * x_arr)) * self.inv_sqrt_norm
+        val = _gamow_u(np.asarray(x, dtype=float), self.k,
+                       self.q) * self.inv_sqrt_norm
         return val if val.shape else complex(val)
 
 
@@ -156,8 +160,7 @@ def gamow_boundary_data(k_n, sys: BarrierSystem):
     q = _q_of_k(k, v)
     L = sys.L
     u0 = 2.0 * q
-    u_l = (q - k) * np.exp(1j * q * L) + (q + k) * np.exp(-1j * q * L)
-    uL = np.where((u_l * u0.conj()).real < 0.0, -u0, u0)
+    uL = np.where((_gamow_u(L, k, q) * u0.conj()).real < 0.0, -u0, u0)
     norm = -2.0 * v * (L + 2j / k)
     bad = np.flatnonzero(np.abs(norm) < 1e-12 * 2.0 * v * (L + 2.0 / np.abs(k)))
     if bad.size:
@@ -320,7 +323,7 @@ def audit_pole_count(poleset: PoleSet):
     return count
 
 
-def find_poles(sys: BarrierSystem, N: int, audit: bool = True) -> PoleSet:
+def find_poles(sys: BarrierSystem, N: int) -> PoleSet:
     """Locate the N poles of smallest positive Re k_n.
 
     Deterministic: one array Newton refines N + 2 seeds, the first-order
@@ -333,8 +336,7 @@ def find_poles(sys: BarrierSystem, N: int, audit: bool = True) -> PoleSet:
     2..N+1 beside the antibound pair, and a gap raises PoleNotConverged
     naming the missing pole, with the k and residual of a root on its
     branch that missed RESIDUAL_TOL if there is one.  Every root depends
-    only on its own seed, so the first n poles do not depend on N.
-    audit=True counts the zeros by the argument principle as well.  An N
+    only on its own seed, so the first n poles do not depend on N.  An N
     that is not an integer >= 1 raises NonPositiveParameter.
     """
     if not (isinstance(N, Integral) and N >= 1):
@@ -365,11 +367,8 @@ def find_poles(sys: BarrierSystem, N: int, audit: bool = True) -> PoleSet:
                                       f"{res[i]:.3g} on branch m = "
                                       f"{want[n - 1]})")
         raise PoleNotConverged(n, f"(no root on branch m = {want[n - 1]})")
-    ps = _pole_set(sys, np.arange(1, N + 1), k[keep], res[keep],
-                   axis_poles=axis)
-    if audit:
-        audit_pole_count(ps)
-    return ps
+    return _pole_set(sys, np.arange(1, N + 1), k[keep], res[keep],
+                     axis_poles=axis)
 
 
 def expansion_coeffs(x, poles: PoleSet, internal: bool):
@@ -385,14 +384,12 @@ def expansion_coeffs(x, poles: PoleSet, internal: bool):
     no entries of their own.
     """
     k = poles.system.k
-    kn, q, inv_sqrt = poles.k, poles.q, poles.inv_sqrt_norm
+    kn = poles.k
     denom = k * k - kn * kn
     hit = np.flatnonzero(np.abs(denom) < 1e-14)
     if len(hit):
         raise PoleCollision(f"k^2 - k_n^2 ~ 0 at n = {poles.n[hit[0]]}")
     pref = 2j * k * poles.u0 / denom
     if internal:
-        u_x = ((q - kn) * np.exp(1j * q * x)
-               + (q + kn) * np.exp(-1j * q * x)) * inv_sqrt
-        return pref * u_x, kn
+        return pref * (_gamow_u(x, kn, poles.q) * poles.inv_sqrt_norm), kn
     return pref * poles.uL * np.exp(-1j * kn * poles.system.L), kn

@@ -14,11 +14,12 @@ the transmission denominator).
 from __future__ import annotations
 
 import cmath
+import math
 
 import numpy as np
 
 from .errors import XOutOfRange, ZeroWavenumber
-from .systems import HBAR_EV_FS, BarrierSystem, make_system
+from .systems import HBAR_EV_FS, BarrierSystem
 
 DELAY_REL_STEP = 1e-6   # energy step of phase_time_delay, relative to E
 
@@ -102,10 +103,10 @@ def phase_time_delay(sys: BarrierSystem):
     The difference is taken on the angle of the ratio T(E+dE)/T(E-dE), which
     is immune to 2 pi wraps of the individual phases.  Negative values mark
     the opacity regime in which a transient density maximum can form at the
-    barrier edge before the monotone filling sets in.
+    barrier edge before the monotone filling sets in.  The step moves
+    k = sqrt(E/c2): T depends on the system only through L and V/c2.
     """
     dE = DELAY_REL_STEP * sys.E
-    lo = make_system(sys.V, sys.E - dE, sys.L, sys.mass_ratio)
-    hi = make_system(sys.V, sys.E + dE, sys.L, sys.mass_ratio)
-    ratio = transmission(hi.k, hi) / transmission(lo.k, lo)
+    ratio = (transmission(math.sqrt((sys.E + dE) / sys.c2), sys)
+             / transmission(math.sqrt((sys.E - dE) / sys.c2), sys))
     return HBAR_EV_FS * cmath.phase(ratio) / (2.0 * dE)

@@ -27,4 +27,4 @@ def gaas_poles(gaas):
 
 @pytest.fixture(scope="session")
 def gaas_cache(gaas):
-    return find_poles(gaas, HARD_CAP, audit=False)
+    return find_poles(gaas, HARD_CAP)

@@ -12,7 +12,8 @@ Oracles:
   inside the scan bracket, and nothing more;
 * [DERIVED] the values at t_max, read off the polish interpolants, agree
   with a direct trace at t_max to 1e-10, and an interpolant whose tail
-  exceeds tol |Psi|, or tol |dPsi/dt| for dPsi/dt, raises NotConverged;
+  exceeds tol |Psi|, or tol |dPsi/dt| for dPsi/dt, raises NotConverged,
+  as does a polish whose rate does not fall through zero;
 * [DERIVED] the chunked scan brackets the same maximum as one trace of the
   whole grid, so t_max is bitwise the same, and a search with no peak
   traces one chunk and then one no-peak check over the rest of the grid;
@@ -221,6 +222,23 @@ def test_noisy_dpsi_interpolant_raises(gaas, gaas_cache, monkeypatch):
     monkeypatch.setattr(analysis, "trace", noisy)
     with pytest.raises(NotConverged, match=r"x=4: the dPsi/dt interpolant "
                        r"on \[.*\] fs.*tol=1.0e-09 times \|dPsi/dt\(t_max\)\|"):
+        find_time_domain_resonance(gaas, tol=1e-9, poles=gaas_cache)
+
+
+def test_polish_that_misses_the_scanned_maximum_raises(gaas, gaas_cache,
+                                                      monkeypatch):
+    # dPsi/dt flipped on the polish trace: the envelope rate rises through
+    # zero across the bracket, so the scan and the polish disagree and the
+    # search names both end rates instead of reporting no peak
+    def flipped(x_, t_grid, *a, tol, **kw):
+        tr = trace(x_, t_grid, *a, tol=tol, **kw)
+        if len(t_grid) != analysis.POLISH_NODES:
+            return tr
+        return dataclasses.replace(tr, dpsi_dt=-tr.dpsi_dt)
+
+    monkeypatch.setattr(analysis, "trace", flipped)
+    with pytest.raises(NotConverged, match=r"peak polish at x=4: the envelope "
+                       r"rate on \[.*\] fs goes from -\S+ to \S+ 1/fs"):
         find_time_domain_resonance(gaas, tol=1e-9, poles=gaas_cache)
 
 

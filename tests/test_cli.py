@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qtransient import (cli, make_system, propagator, sweep_freq_vs_x,
-                        sweep_tmax_vs_L)
+from qtransient import (cli, make_system, propagator, resonances,
+                        sweep_freq_vs_x, sweep_tmax_vs_L)
 from qtransient.cli import main
 from qtransient.config import parse_csv
 from qtransient.systems import length_for_alpha
@@ -158,6 +158,18 @@ def test_flags_override_config_file(capsys, tmp_path):
     assert "V_eV=0.29999999999999999" in prov
 
 
+def test_flag_supplies_a_key_the_config_file_leaves_out(capsys, tmp_path):
+    # flags win over file values, so a file may leave out what a flag gives
+    ini = tmp_path / "run.ini"
+    ini.write_text("[system]\nV_eV=0.3\nL_nm=4.0\nmass_ratio=0.067\n")
+    code, out, err = run(capsys, ["--config", str(ini), "--E", "0.001",
+                                  "tmax"])
+    assert code == 0 and err == ""
+    prov, _, rows = parse_csv(out)
+    assert " E_eV=0.001 " in prov
+    assert rows[0][1] is True
+
+
 @pytest.mark.parametrize("grid", ["3:5:3", "5:3:3"])
 def test_scan_with_threads_is_ordered(capsys, grid):
     # rows come out in ascending order, whatever the grid direction
@@ -240,10 +252,21 @@ def test_invalid_u_exits_2(capsys, command, u):
 
 @pytest.mark.parametrize("n", ["0", "-3", "3000"])
 def test_poles_bad_count_exits_2(capsys, n):
-    # above the pole cap the table would silently stop at 2048 rows
+    # find_poles takes any N >= 1; the CLI's own guard keeps --n within
+    # 1 .. HARD_CAP = 2048
     code, out, err = run(capsys, GAAS_FLAGS + ["poles", "--n", n])
     assert code == 2 and out == ""
     assert "--n" in err and "2048" in err
+
+
+def test_poles_command_audits_the_count(capsys, monkeypatch):
+    # find_poles certifies its table by branch index alone; the poles
+    # command also counts the zeros by the argument principle
+    monkeypatch.setattr(resonances, "_winding_number",
+                        lambda *a, **k: 7)
+    code, out, err = run(capsys, GAAS_FLAGS + ["poles", "--n", "8"])
+    assert code == 3 and out == ""
+    assert "argument principle counts 7 zeros, found 8 poles" in err
 
 
 def test_scan_grid_checked_before_any_pole_sum(capsys):
@@ -307,17 +330,22 @@ def test_window_command_without_L(capsys):
     assert all(r[2] < 1.0 for r in rows)
 
 
-@pytest.mark.parametrize("source", ["flags", "stray flags", "config"])
+@pytest.mark.parametrize("source", ["flags", "stray flags", "config",
+                                    "height-only config"])
 def test_fixed_u_provenance_shows_the_energy_used(capsys, tmp_path, source):
     # scan-freq-alpha runs at E = V/u and takes its widths from the opacity
     # grid, so the provenance shows that E and no L_nm, whatever the flags
-    # or the config file say about E and L
+    # or the config file say about E and L; from a file as from flags it
+    # needs V_eV alone
     head = {"flags": ["--V", "0.3", "--mass-ratio", "0.067"],
             "stray flags": ["--V", "0.3", "--E", "0.05", "--L", "2",
                             "--mass-ratio", "0.067"],
-            "config": ["--config", str(tmp_path / "run.ini")]}[source]
+            "config": ["--config", str(tmp_path / "run.ini")],
+            "height-only config": ["--config",
+                                   str(tmp_path / "bare.ini")]}[source]
     (tmp_path / "run.ini").write_text(
         "[system]\nV_eV=0.3\nE_eV=0.05\nL_nm=4.0\nmass_ratio=0.067\n")
+    (tmp_path / "bare.ini").write_text("[system]\nV_eV=0.3\nmass_ratio=0.067\n")
     code, out, _ = run(capsys, head + ["scan-freq-alpha", "--grid", "2.5:3:2",
                                        "--u", "300"])
     assert code == 0

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qtransient.cli import main
 from qtransient.config import (CsvTable, Grid, RunConfig, parse_config,
                                parse_csv, parse_grid, render_csv)
 from qtransient.errors import ConfigError, MissingRequired, UnknownKey
@@ -22,20 +23,30 @@ tol = 1e-9
 
 
 def test_parse_full_config():
-    cfg = parse_config(FULL)
-    assert cfg == RunConfig(V_eV=0.3, E_eV=0.001, L_nm=4.0, mass_ratio=0.067,
-                            tol=1e-9)
+    assert parse_config(FULL) == dict(V_eV=0.3, E_eV=0.001, L_nm=4.0,
+                                      mass_ratio=0.067, tol=1e-9)
 
 
 def test_numerics_defaults():
-    cfg = parse_config("[system]\nV_eV=0.3\nE_eV=0.001\nL_nm=4.0\n")
+    # the file holds only the keys it sets; RunConfig owns the defaults
+    values = parse_config("[system]\nV_eV=0.3\nE_eV=0.001\nL_nm=4.0\n")
+    assert values == dict(V_eV=0.3, E_eV=0.001, L_nm=4.0)
+    cfg = RunConfig(**values)
     assert cfg.mass_ratio == 1.0
     assert cfg.tol == 1e-8
 
 
-def test_missing_required_names_the_key():
-    with pytest.raises(MissingRequired, match="E_eV"):
-        parse_config("[system]\nV_eV=0.3\nL_nm=4.0\n")
+def test_missing_required_names_the_key(capsys, tmp_path):
+    # the CLI checks the required keys once the file and the flags are
+    # merged; a file without E_eV and no --E fails there, naming the key
+    assert parse_config("[system]\nV_eV=0.3\nL_nm=4.0\n") == dict(
+        V_eV=0.3, L_nm=4.0)
+    ini = tmp_path / "run.ini"
+    ini.write_text("[system]\nV_eV=0.3\nL_nm=4.0\nmass_ratio=0.067\n")
+    assert main(["--config", str(ini), "tmax"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "missing required key 'E_eV'" in captured.err
 
 
 def test_unknown_key_names_key_and_line():
@@ -84,7 +95,7 @@ def test_runconfig_validation():
 
 
 def test_provenance_items_cover_all_parameters():
-    cfg = parse_config(FULL)
+    cfg = RunConfig(**parse_config(FULL))
     keys = [k for k, _ in cfg.provenance_items()]
     assert keys == ["V_eV", "E_eV", "L_nm", "mass_ratio", "tol"]
 

@@ -100,7 +100,7 @@ def test_tail_agrees_with_deep_pole_sums(gaas, monkeypatch):
               (merged, 2.0 * merged.L, np.array([0.5, 2.0, 8.0]))]
     # tables deep enough for the reference sums; the traces at the cap
     # read their first HARD_CAP rows
-    tables = {s: find_poles(s, 2 * DEEP, audit=False) for s in (gaas, merged)}
+    tables = {s: find_poles(s, 2 * DEEP) for s in (gaas, merged)}
     assert tables[merged].axis_poles
     for sys_, x, ts in cases:
         ref = _deep_trace(x, ts, sys_, tables[sys_], monkeypatch)
@@ -315,7 +315,7 @@ def test_pool_sizing_matches_the_whole_pool_doubling(alpha):
     # the same NotConverged where that did; pools run from 32 to the cap
     V, m = 0.3, 0.067
     sys_ = make_system(V, V / 300.0, length_for_alpha(alpha, V, m), m)
-    full = find_poles(sys_, propagator.HARD_CAP, audit=False)
+    full = find_poles(sys_, propagator.HARD_CAP)
     tables = (full, pole_cache(sys_))
     k2 = np.array([sys_.k, -sys_.k])
     pools = []

@@ -175,7 +175,8 @@ def test_axis_pair_just_below_the_merge_opacity(d):
     V, m = 0.3, 0.067
     sys_ = make_system(V, V / 300.0, length_for_alpha(ALPHA_MERGE - d, V, m),
                        m)
-    ps = find_poles(sys_, 64)   # audits the count
+    ps = find_poles(sys_, 64)
+    assert audit_pole_count(ps) == 64
     assert len(ps.axis_poles) == 2
     assert np.all(ps.axis_poles.residual <= RESIDUAL_TOL)
     assert ps.n.tolist() == list(range(1, 65))
@@ -224,8 +225,8 @@ def test_pole_one_just_above_the_merge_opacity_names_its_residual():
 
 
 def test_determinism(gaas):
-    a = find_poles(gaas, 10, audit=False)
-    b = find_poles(gaas, 10, audit=False)
+    a = find_poles(gaas, 10)
+    b = find_poles(gaas, 10)
     assert [p.k for p in a.poles] == [p.k for p in b.poles]
     assert [p.inv_sqrt_norm for p in a.poles] == [p.inv_sqrt_norm for p in b.poles]
 
@@ -245,10 +246,10 @@ def test_shorter_search_is_a_prefix_of_the_full_table(gaas):
              make_system(V, 0.001, length_for_alpha(1.0, V, m), m),
              make_system(V, V / 3000, length_for_alpha(9.0, V, m), m))
     for sys_ in cases:
-        full = find_poles(sys_, HARD_CAP, audit=False)
+        full = find_poles(sys_, HARD_CAP)
         assert len(full) == HARD_CAP
         for n in (8, 24, 256):
-            short = find_poles(sys_, n, audit=False)
+            short = find_poles(sys_, n)
             assert _columns(short) == _columns(full[:n])
             assert _columns(short.axis_poles) == _columns(full.axis_poles)
         # the records are the columns, row by row
@@ -282,13 +283,14 @@ def test_ladder_across_opacity_and_energy(alpha):
     L = length_for_alpha(alpha, V, m)
     for u in (1.2, 30.0, 3000.0):
         sys_ = make_system(V, V / u, L, m)
-        ps = find_poles(sys_, 256)   # audits the count
+        ps = find_poles(sys_, 256)
+        assert audit_pole_count(ps) == 256
         k = ps.k
         assert max(p.residual for p in ps.poles + ps.axis_poles.poles) \
             <= RESIDUAL_TOL
         assert np.all(np.diff(k.real) > 0)
         # every cold system searches this deep
-        deep = find_poles(sys_, HARD_CAP, audit=False)
+        deep = find_poles(sys_, HARD_CAP)
         assert np.max(deep.residual) <= RESIDUAL_TOL
         assert np.all(np.diff(deep.k.real) > 0)
         for n in (1, 2, 17, 256):
@@ -301,7 +303,9 @@ def test_lowest_pole_of_an_opaque_barrier():
     # poles crowd far closer than pi/L; the audit counts it only with its
     # samples spaced evenly in Re q
     sys_ = make_system(0.3, 0.001, 41.3, 0.067)
-    k1 = find_poles(sys_, 64).k[0]   # audits the count
+    ps = find_poles(sys_, 64)
+    assert audit_pole_count(ps) == 64
+    k1 = ps.k[0]
     assert abs(k1 * sys_.L - (30.1595 - 0.0216j)) <= 1e-3
     ref = _mp_root(k1, sys_)
     assert abs(k1 - ref) <= 1e-14 * abs(ref)
@@ -315,7 +319,7 @@ def test_branch_index_names_a_missing_pole(gaas, monkeypatch):
     below_merge = make_system(V, 0.001, length_for_alpha(1.0, V, m), m)
     newton = resonances._newton_refine
     for sys_ in (gaas, below_merge):
-        k = find_poles(sys_, 8, audit=False).k
+        k = find_poles(sys_, 8).k
 
         def stray(k0, sys_, lost=k[4], kept=k[3]):
             roots = newton(k0, sys_)
@@ -323,7 +327,7 @@ def test_branch_index_names_a_missing_pole(gaas, monkeypatch):
 
         monkeypatch.setattr(resonances, "_newton_refine", stray)
         with pytest.raises(PoleNotConverged, match="n=5 ") as err:
-            find_poles(sys_, 8, audit=False)
+            find_poles(sys_, 8)
         assert err.value.n == 5
         monkeypatch.undo()
 
@@ -383,7 +387,7 @@ def coeff_cases(gaas, gaas_cache):
     axis."""
     V, m = 0.3, 0.067
     below_merge = make_system(V, 0.001, length_for_alpha(1.0, V, m), m)
-    axis_set = find_poles(below_merge, 8, audit=False)
+    axis_set = find_poles(below_merge, 8)
     assert axis_set.axis_poles
     return [(gaas, gaas_cache.axis_poles, gaas_cache[:1024]),
             (below_merge, axis_set.axis_poles, axis_set)]
