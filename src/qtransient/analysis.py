@@ -141,23 +141,26 @@ def default_window(sys: BarrierSystem, x=None):
     return lo, hi
 
 
-def _rises_throughout(x, times, sys, cache, tol):
-    """True if the envelope rate is certified positive at every one of times.
-
-    Traces the rate Re[(dPsi/dt)/Psi] at tol on RISE_NODES Chebyshev-Lobatto
-    times spanning `times` and asks its interpolant to stay above
-    RISE_MARGIN times the larger of its last two coefficients plus tol
-    times the largest |rate| traced; where it does, |Psi| rises strictly
-    from each of `times` to the next.
-    """
-    lo, hi = times[0], times[-1]
-    nodes = lo + (hi - lo) * 0.5 * (1.0 + chebpts2(RISE_NODES))
+def _rate_fit(x, lo, hi, n, sys, cache, tol, step):
+    """(trace, rate, interpolant) of the envelope rate Re[(dPsi/dt)/Psi] at
+    tol on n Chebyshev-Lobatto times over [lo, hi]; a miss names `step`."""
+    nodes = lo + (hi - lo) * 0.5 * (1.0 + chebpts2(n))
     try:
         w = trace(x, nodes, sys, poles=cache, tol=tol)
     except NotConverged as exc:
-        raise NotConverged(f"no-peak check of the peak search: {exc}") from exc
+        raise NotConverged(f"{step} of the peak search: {exc}") from exc
     rate = np.real(w.dpsi_dt / w.psi)
-    fit = Chebyshev.fit(nodes, rate, RISE_NODES - 1, domain=(lo, hi))
+    return w, rate, Chebyshev.fit(nodes, rate, n - 1, domain=(lo, hi))
+
+
+def _rises_throughout(x, times, sys, cache, tol):
+    """True if the envelope rate is certified positive at every one of times:
+    its interpolant through RISE_NODES times spanning them stays above
+    RISE_MARGIN times the larger of its last two coefficients plus tol
+    times the largest |rate| traced, so |Psi| rises strictly from each of
+    `times` to the next."""
+    _, rate, fit = _rate_fit(x, times[0], times[-1], RISE_NODES, sys, cache,
+                             tol, "no-peak check")
     margin = (RISE_MARGIN * np.max(np.abs(fit.coef[-2:]))
               + tol * np.max(np.abs(rate)))
     return bool(np.min(fit(times)) > margin)
@@ -170,25 +173,26 @@ def find_time_domain_resonance(sys: BarrierSystem, x=None, tol=DEFAULT_TOL,
     Scans PEAK_SCAN times spread evenly over default_window(sys, x) for the
     first interior local maximum whose density exceeds HEIGHT_FLOOR times
     the long-time plateau, summing poles only to max(tol, SCAN_TOL) since
-    the scan just orders neighbouring grid times.  The grid is traced in time order in chunks that double from
-    PEAK_SCAN // 8, and the scan stops at the chunk that closes the first
-    such maximum.  If the first chunk closes none, one trace at tol on
-    RISE_NODES Chebyshev-Lobatto times from its last time to the end of the
-    grid checks the envelope rate: where its interpolant stays positive at
-    every later grid time, by the margin of _rises_throughout, no maximum
-    can follow and the search returns exists=False without tracing the rest
-    of the grid; otherwise the scan goes on.  A miss of that trace raises
-    NotConverged naming the no-peak check.  The polish traces the signed
-    envelope rate Re[(dPsi/dt)/Psi] at tol on POLISH_NODES Chebyshev-Lobatto
-    times two scan steps either side of it; t_max is the first falling zero
-    of their interpolant.  Psi and dPsi/dt at t_max, and with them every
-    reported value, come from their own interpolants through the same
-    nodes, so nothing is traced at t_max; NotConverged is raised if the
-    rate does not fall from > 0 to < 0 across the bracket, where the scan
-    and the polish disagree, or if the last two Chebyshev coefficients of
-    Psi or of dPsi/dt exceed tol times its size at t_max.  Returns
-    exists=False when the density rises monotonically (no forerunner), as
-    happens below the critical opacity.
+    the scan just orders neighbouring grid times.  The grid is traced in
+    time order in chunks that double from PEAK_SCAN // 8, and the scan
+    stops at the chunk that closes the first such maximum.  If the first
+    chunk closes none, one trace at tol on RISE_NODES Chebyshev-Lobatto
+    times from its last time to the end of the grid checks the envelope
+    rate: where its interpolant stays positive at every later grid time, by
+    the margin of _rises_throughout, no maximum can follow and the search
+    returns exists=False without tracing the rest of the grid; otherwise
+    the scan goes on.  The polish traces the signed envelope rate
+    Re[(dPsi/dt)/Psi] at tol on POLISH_NODES Chebyshev-Lobatto times two
+    scan steps either side of it; t_max is the first falling zero of their
+    interpolant.  A miss of any of these traces raises NotConverged naming
+    the scan, the no-peak check or the polish.  Psi and dPsi/dt at t_max,
+    and with them every reported value, come from their own interpolants
+    through the same nodes, so nothing is traced at t_max; NotConverged is
+    raised if the rate does not fall from > 0 to < 0 across the bracket,
+    where the scan and the polish disagree, or if the last two Chebyshev
+    coefficients of Psi or of dPsi/dt exceed tol times its size at t_max.
+    Returns exists=False when the density rises monotonically (no
+    forerunner), as happens below the critical opacity.
     """
     if x is None:
         x = sys.L
@@ -226,9 +230,8 @@ def find_time_domain_resonance(sys: BarrierSystem, x=None, tol=DEFAULT_TOL,
     i = int(idx[0]) + 1
 
     lo, hi = grid[max(i - 2, 0)], grid[min(i + 2, len(grid) - 1)]
-    nodes = lo + (hi - lo) * 0.5 * (1.0 + chebpts2(POLISH_NODES))
-    w = trace(x, nodes, sys, poles=cache, tol=tol)
-    rate = np.real(w.dpsi_dt / w.psi)
+    w, rate, fit = _rate_fit(x, lo, hi, POLISH_NODES, sys, cache, tol,
+                             "peak polish")
     if not rate[0] > 0.0 > rate[-1]:
         # the scan closed a maximum that the polish, at tol, does not see
         raise NotConverged(
@@ -236,7 +239,6 @@ def find_time_domain_resonance(sys: BarrierSystem, x=None, tol=DEFAULT_TOL,
             f"{hi:.6g}] fs goes from {rate[0]:.3g} to {rate[-1]:.3g} 1/fs, "
             "not from > 0 to < 0 across the maximum the scan bracketed")
     # the interpolant takes the end signs, so it has a falling zero in [lo, hi]
-    fit = Chebyshev.fit(nodes, rate, POLISH_NODES - 1, domain=(lo, hi))
     slope = fit.deriv()
     t_max = min(r.real for r in fit.roots()
                 if r.imag == 0 and lo <= r.real <= hi and slope(r.real) < 0)
@@ -244,7 +246,7 @@ def find_time_domain_resonance(sys: BarrierSystem, x=None, tol=DEFAULT_TOL,
     # nodes: one real fit, a column per real and imaginary part (a complex
     # fit raised peak RSS by 0.5 MB, through numpy's complex LAPACK paths)
     off, scl = fit.mapparms()
-    coef = chebfit(off + scl * nodes,
+    coef = chebfit(off + scl * w.times,
                    np.column_stack([w.psi.real, w.psi.imag,
                                     w.dpsi_dt.real, w.dpsi_dt.imag]),
                    POLISH_NODES - 1)

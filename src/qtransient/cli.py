@@ -25,8 +25,7 @@ import numpy as np
 
 from .analysis import find_time_domain_resonance, spectrogram
 from .config import CsvTable, RunConfig, emit_csv, parse_config, parse_grid
-from .errors import (MissingRequired, NumericalError, QTransientError,
-                     ValidationError)
+from .errors import MissingRequired, NumericalError, ValidationError
 from .oracle import check_run, cn_evolve, default_cn_config
 from .propagator import HARD_CAP, check_x, trace
 from .resonances import audit_pole_count, find_poles
@@ -103,13 +102,13 @@ def _build_parser():
     return p
 
 
-def _load_config(args, u=None) -> RunConfig:
+def _load_config(args, u=None, width=True) -> RunConfig:
     """File config (if given) with CLI flags layered on top; only the
     merged values must hold V_eV, E_eV and L_nm.
 
-    A command at fixed u = V/E (u given) runs at E = V/u and takes its
-    widths from an opacity grid, so it needs only V_eV: its config holds
-    E = V/u and no L_nm, whatever the file or the flags say.
+    A command that takes its widths from a grid (width False) needs no
+    L_nm and holds none, whatever the file or the flags say.  One at fixed
+    u = V/E (u given) also runs at E = V/u, so it needs only V_eV.
     """
     values = {}
     if args.config:
@@ -119,7 +118,9 @@ def _load_config(args, u=None) -> RunConfig:
                  mass_ratio=args.mass_ratio, tol=args.tol)
     values.update((k, v) for k, v in flags.items() if v is not None)
     if u is not None and "V_eV" in values:
-        values.update(E_eV=values["V_eV"] / u, L_nm=None)
+        values["E_eV"] = values["V_eV"] / u
+    if not width:
+        values["L_nm"] = None
     for key in ("V_eV", "E_eV", "L_nm"):
         if key not in values:
             raise MissingRequired(
@@ -220,7 +221,7 @@ def _sweep_csv(table, independent, cfg, args, extra=()):
 
 
 def cmd_scan_tmax_L(args):
-    cfg = _load_config(args)
+    cfg = _load_config(args, width=False)
     grid = parse_grid(args.grid, "--grid")
     table = sweep_tmax_vs_L(grid.values(), cfg.V_eV, cfg.E_eV, cfg.mass_ratio,
                             tol=cfg.tol, threads=args.threads)
@@ -237,7 +238,7 @@ def cmd_scan_freq_x(args):
 
 def cmd_scan_freq_alpha(args):
     _check_u(args)
-    cfg = _load_config(args, u=args.u)
+    cfg = _load_config(args, u=args.u, width=False)
     grid = parse_grid(args.grid, "--grid")
     table = sweep_freq_vs_alpha(grid.values(), args.u, cfg.V_eV,
                                 cfg.mass_ratio, tol=cfg.tol,
@@ -248,7 +249,7 @@ def cmd_scan_freq_alpha(args):
 
 def cmd_window(args):
     _check_u(args)
-    cfg = _load_config(args, u=args.u)
+    cfg = _load_config(args, u=args.u, width=False)
     alpha_c, alpha_u = opacity_window(
         args.u, cfg.V_eV, cfg.mass_ratio, tol=cfg.tol,
         alpha_span=(args.alpha_min, args.alpha_max))
@@ -293,9 +294,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except QTransientError as exc:   # pragma: no cover - safety net
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     return EXIT_OK
 
 

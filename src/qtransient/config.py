@@ -39,7 +39,8 @@ from .propagator import DEFAULT_TOL
 
 TOOL_VERSION = "0.1.0"
 
-_SYSTEM_KEYS = ("V_eV", "E_eV", "L_nm", "mass_ratio")
+# the keys each section may set; no key is in two sections
+_KEYS = {"system": ("V_eV", "E_eV", "L_nm", "mass_ratio"), "numerics": ("tol",)}
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,7 @@ class RunConfig:
 
     V_eV: float
     E_eV: float
-    L_nm: float | None   # None: the command takes widths from an opacity grid
+    L_nm: float | None   # None: the command takes widths from its grid
     mass_ratio: float = 1.0
     tol: float = DEFAULT_TOL
 
@@ -107,9 +108,14 @@ class RunConfig:
                 if getattr(self, f.name) is not None]
 
 
-def _parse_ini(text):
-    """Minimal INI reader keeping line numbers: {(section, key): (value, line)}."""
-    entries = {}
+def parse_config(text) -> dict:
+    """The keys an INI config sets, as {key: float}.
+
+    The first bad line in file order raises, naming its key or section and
+    its line.  Which keys a run needs, and the defaults of the rest, are
+    for the caller and RunConfig to decide.
+    """
+    values = {}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].split(";", 1)[0].strip()
@@ -117,7 +123,7 @@ def _parse_ini(text):
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in ("system", "numerics"):
+            if section not in _KEYS:
                 raise UnknownKey(f"unknown section [{section}] at line {lineno}")
             continue
         if "=" not in line:
@@ -125,24 +131,10 @@ def _parse_ini(text):
         if section is None:
             raise ConfigError(f"key outside any [section] at line {lineno}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if (section, key) in entries:
-            raise ConfigError(f"duplicate key {key!r} at line {lineno}")
-        entries[(section, key)] = (value, lineno)
-    return entries
-
-
-def parse_config(text) -> dict:
-    """The keys an INI config sets, as {key: float}.
-
-    Unknown keys and sections, duplicate keys and unparseable values are
-    rejected with the offending key and line.  Which keys a run needs, and
-    the defaults of the rest, are for the caller and RunConfig to decide.
-    """
-    known = {("system", k) for k in _SYSTEM_KEYS} | {("numerics", "tol")}
-    values = {}
-    for (section, key), (value, lineno) in _parse_ini(text).items():
-        if (section, key) not in known:
+        if key not in _KEYS[section]:
             raise UnknownKey(f"unknown key {key!r} in [{section}] at line {lineno}")
+        if key in values:
+            raise ConfigError(f"duplicate key {key!r} at line {lineno}")
         try:
             values[key] = float(value)
         except ValueError:

@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the package.
 
-Every error raised on purpose derives from QTransientError so that the CLI
-can map failures onto its exit-code contract (2 = validation, 3 = numerical
-non-convergence, 4 = I/O).
+Every error raised on purpose is a ValidationError or a NumericalError, so
+that the CLI can map failures onto its exit-code contract (2 = validation,
+3 = numerical non-convergence, 4 = I/O).
 """
 
 

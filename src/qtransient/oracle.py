@@ -66,7 +66,7 @@ from .errors import (GridTooCoarse, NonFiniteInput, NonPositiveParameter,
 from .propagator import check_times
 from .systems import BarrierSystem, HBAR_EV_FS as HBAR
 
-_DX_LIMIT = 0.1          # max k*dx and kappa0*dx: ~60 points per wavelength
+_DX_LIMIT = 0.1          # max _scale*dx: ~60 points per wavelength
 _MARGIN = 2              # window nodes beyond x = 0 or the barrier and probes
 _BLOCK = 128             # steps per block of the boundary history
 # the longest run: its kernel FFT has 2^20 points, and at the default GaAs
@@ -95,6 +95,11 @@ class CnConfig:
                             # damping (2 theta - 1) dt is 0.025 dx^2 hbar/c2
 
 
+def _scale(sys):
+    """The largest wavenumber a grid resolves; |kappa0| never exceeds it."""
+    return max(sys.k, math.sqrt(sys.v_strength))
+
+
 def default_cn_config(sys: BarrierSystem, t_end: float, dx=None) -> CnConfig:
     """A config that satisfies every validity guard for a window [0, t_end].
 
@@ -107,9 +112,8 @@ def default_cn_config(sys: BarrierSystem, t_end: float, dx=None) -> CnConfig:
     window.  t_end only sets the step count, which must stay within the
     oracle's bound (ValidationError otherwise).
     """
-    scale = max(sys.k, math.sqrt(sys.v_strength), abs(sys.kappa0))
     if dx is None:
-        dx = 0.5 * _DX_LIMIT / scale
+        dx = 0.5 * _DX_LIMIT / _scale(sys)
     # snap dx so the barrier edges (and half-width multiples, the usual
     # probe positions) fall exactly on grid nodes; a sub-cell edge offset
     # shifts the effective width, which the transmission amplifies
@@ -139,7 +143,6 @@ class CnTrace:
     times: np.ndarray       # (T,)
     probes: np.ndarray      # (P,)
     psi: np.ndarray         # (P, T) complex
-    config: CnConfig
     steps: int              # theta-steps taken
     nodes: int              # window size
 
@@ -164,7 +167,7 @@ def _validate(sys, cfg, probes):
             f"probes must be a non-empty list of positions, got {probes!r}")
     if not np.isfinite(probes).all():
         raise NonFiniteInput(f"probes={probes.tolist()} must be finite")
-    scale = max(sys.k, math.sqrt(sys.v_strength), abs(sys.kappa0))
+    scale = _scale(sys)
     if scale * cfg.dx >= _DX_LIMIT:
         raise GridTooCoarse(
             f"dx={cfg.dx} resolves neither wave: need dx < {_DX_LIMIT / scale:.4g}")
@@ -392,5 +395,4 @@ def cn_evolve(sys: BarrierSystem, cfg: CnConfig, probes, t_grid) -> CnTrace:
             f = (t_grid[i_t] - t_prev) / cfg.dt
             out[:, i_t] = (1.0 - f) * prev_probe + f * at_probe
             i_t += 1
-    return CnTrace(times=t_grid, probes=probes, psi=out, config=cfg,
-                   steps=step, nodes=n)
+    return CnTrace(times=t_grid, probes=probes, psi=out, steps=step, nodes=n)

@@ -306,7 +306,7 @@ def _heads(x_arg, t, level, pool, axis, f_k, sys):
     return psi, dpsi
 
 
-def _moments(kc, level, pool, axis, f, f_k, sys, J, internal):
+def _moments(kc, level, pool, axis, f, f_k, sys, internal):
     """mu_1 .. mu_{2J+2} of each time's omitted poles, shape (2J+2, T).
 
     Time i sums the first 2 level[i] entries of the pool and the antibound
@@ -322,6 +322,7 @@ def _moments(kc, level, pool, axis, f, f_k, sys, J, internal):
     and its rest a sum from the pool's far end back to that count, so that
     no exact pole's term cancels into the rest.
     """
+    J = _ORDER[internal]
     k = sys.k
     pool_q, pool_c = pool
     top, low = 2 * int(level.max()), 2 * int(level.min())
@@ -441,7 +442,7 @@ def _pole_sum(x, t, sys, table, internal, f, f_k, tol, scale):
     pool = (np.column_stack((kn, -kn.conj())).ravel(),
             np.column_stack((coefs, -coefs.conj())).ravel())
     psi, dpsi = _heads(x_arg, t, level, pool, axis, f_k, sys)
-    mu = _moments(kc, level, pool, axis, f, f_k, sys, J, internal)
+    mu = _moments(kc, level, pool, axis, f, f_k, sys, internal)
     j = np.arange(J + 1)[:, None]
     al = _alpha(j, s, np.exp(1j * a2t))
     psi -= np.sum(al * mu[0::2], axis=0)

@@ -33,6 +33,7 @@ from .systems import BarrierSystem
 
 RESIDUAL_TOL = 1e-12
 _NEWTON_MAX_ITER = 60
+_WINDING_DEPTH = 14     # bisections of a contour segment before CountMismatch
 
 
 def _log_pole_eq(k, sys):
@@ -252,7 +253,7 @@ def find_axis_poles(sys: BarrierSystem):
     return axis
 
 
-def _winding_number(sys, corners, samples_per_edge=64, max_depth=14):
+def _winding_number(sys, corners, samples_per_edge):
     """Winding of arg G(k) around a rectangular contour, adaptively refined."""
     x0, x1, y0, y1 = corners
     cs = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
@@ -264,7 +265,7 @@ def _winding_number(sys, corners, samples_per_edge=64, max_depth=14):
     for i in range(npts):
         a, b = pts[i], pts[(i + 1) % npts]
         va, vb = vals[i], vals[(i + 1) % npts]
-        total += _phase_increment(sys, a, b, va, vb, max_depth)
+        total += _phase_increment(sys, a, b, va, vb, _WINDING_DEPTH)
     return round(total / (2 * math.pi))
 
 

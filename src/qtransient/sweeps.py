@@ -59,18 +59,17 @@ class SweepTable:
         return np.array([getattr(r, name) for r in self.rows])
 
 
-def _sorted_grid(grid, name):
-    """The grid as ascending floats, rejected whole if any value is not > 0."""
-    values = sorted(float(v) for v in np.asarray(grid, dtype=float))
-    for v in values:
-        if not v > 0:
-            raise NonPositiveParameter(f"{name} must be > 0, got {v}")
-    return values
-
-
-def _check_threads(threads):
+def _checked_grid(grid, name, threads, tol):
+    """The grid as ascending floats: a sweep's one check before any work, of
+    threads >= 1, tol and every grid value finite and > 0."""
     if not threads >= 1:
         raise NonPositiveParameter(f"threads must be >= 1, got {threads}")
+    check_tol(tol)
+    values = sorted(float(v) for v in np.asarray(grid, dtype=float))
+    for v in values:
+        if not 0 < v < math.inf:
+            raise NonPositiveParameter(f"{name} must be > 0 and finite, got {v}")
+    return values
 
 
 def _scan_map(values, worker, threads):
@@ -96,14 +95,13 @@ def _sweep(values, peak, threads):
 def sweep_tmax_vs_L(L_grid, V, E, mass_ratio=1.0, tol=DEFAULT_TOL,
                     threads=1) -> SweepTable:
     """t_max at x = L for each barrier width; rows sorted by L."""
-    _check_threads(threads)
-    check_tol(tol)
+    values = _checked_grid(L_grid, "L", threads, tol)
 
     def peak(L):
         sys = make_system(V, E, L, mass_ratio)
         return find_time_domain_resonance(sys, tol=tol)
 
-    return _sweep(_sorted_grid(L_grid, "L"), peak, threads)
+    return _sweep(values, peak, threads)
 
 
 def sweep_freq_vs_x(x_grid, sys: BarrierSystem, tol=DEFAULT_TOL,
@@ -113,9 +111,7 @@ def sweep_freq_vs_x(x_grid, sys: BarrierSystem, tol=DEFAULT_TOL,
     Every probe shares one immutable pole table, found once, so sharing it
     across threads leaves every row unchanged.
     """
-    _check_threads(threads)
-    values = _sorted_grid(x_grid, "x")
-    check_tol(tol)
+    values = _checked_grid(x_grid, "x", threads, tol)
     cache = pole_cache(sys)
 
     def peak(x):
@@ -138,15 +134,14 @@ def _system_at(alpha, u, V_ref, mass_ratio):
 def sweep_freq_vs_alpha(alpha_grid, u, V_ref, mass_ratio=1.0, tol=DEFAULT_TOL,
                         threads=1) -> SweepTable:
     """Frequency ratio at the barrier edge versus opacity, at fixed u = V/E."""
-    _check_threads(threads)
     _check_u(u)
-    check_tol(tol)
+    values = _checked_grid(alpha_grid, "alpha", threads, tol)
 
     def peak(alpha):
         return find_time_domain_resonance(
             _system_at(alpha, u, V_ref, mass_ratio), tol=tol)
 
-    return _sweep(_sorted_grid(alpha_grid, "alpha"), peak, threads)
+    return _sweep(values, peak, threads)
 
 
 def detect_basin(table: SweepTable):

@@ -385,6 +385,21 @@ def test_bracketing_scan_miss_names_the_scan(gaas, gaas_cache, monkeypatch):
     assert str(info.value.__cause__) == "pole sum above tol"
 
 
+def test_polish_miss_names_the_polish(gaas, gaas_cache, monkeypatch):
+    # the scan and any no-peak check pass; the 16-node polish trace misses
+    def polish_missed(x_, t_grid, *args, **kwargs):
+        if len(t_grid) == analysis.POLISH_NODES:
+            raise NotConverged("pole sum above tol")
+        return trace(x_, t_grid, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "trace", polish_missed)
+    with pytest.raises(NotConverged) as info:
+        find_time_domain_resonance(gaas, poles=gaas_cache)
+    assert str(info.value) == ("peak polish of the peak search: "
+                               "pole sum above tol")
+    assert str(info.value.__cause__) == "pole sum above tol"
+
+
 def test_scan_tolerance_does_not_leak_into_reported_values(gaas, gaas_cache):
     # 1e-30 is out of reach at 8 nm within the pole cap; the scan brackets
     # at SCAN_TOL, so the miss surfaces in the polish at the caller's tol

@@ -182,6 +182,22 @@ def test_scan_with_threads_is_ordered(capsys, grid):
     assert all(r[3] is True for r in rows)
 
 
+def test_width_scan_needs_no_width(capsys):
+    # scan-tmax-L takes its widths from the grid: it runs without --L, and a
+    # stray --L changes no row and is not echoed in the provenance
+    head = ["--V", "0.3", "--E", "0.001", "--mass-ratio", "0.067"]
+    scan = ["scan-tmax-L", "--grid", "3:4:2"]
+    code, bare, err = run(capsys, head + scan)
+    assert code == 0 and err == ""
+    code, stray, err = run(capsys, head + ["--L", "2"] + scan)
+    assert code == 0 and err == ""
+    assert stray.splitlines()[1:] == bare.splitlines()[1:]
+    for out in (bare, stray):
+        prov, _, rows = parse_csv(out)
+        assert "L_nm" not in prov
+        assert [r[0] for r in rows] == [3.0, 4.0]
+
+
 def test_scan_freq_x_shared_cache_is_thread_independent(capsys):
     # the probes (internal at 2 nm and x = L, external at 6 nm) share one
     # pole table; two threads reading it must emit the same rows, byte for

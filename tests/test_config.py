@@ -75,6 +75,14 @@ def test_duplicate_key_rejected():
         parse_config("[system]\nV_eV=0.3\nV_eV=0.4\n")
 
 
+def test_errors_are_raised_in_line_order():
+    # one pass over the lines: the unknown key on line 2 is named before
+    # the duplicate on line 4
+    with pytest.raises(UnknownKey, match=r"^unknown key 'bogus' in \[system\] "
+                       r"at line 2$"):
+        parse_config("[system]\nbogus=1\nV_eV=0.3\nV_eV=0.4\n")
+
+
 def test_malformed_line_rejected():
     with pytest.raises(ConfigError, match="line 2"):
         parse_config("[system]\nV_eV\n")

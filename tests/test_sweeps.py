@@ -86,6 +86,21 @@ def _no_probe(*args, **kwargs):
     raise AssertionError("a peak search or pole sum ran")
 
 
+def test_infinite_grid_value_rejected_before_any_probe(gaas, monkeypatch):
+    # the whole grid is checked before the first peak search (and before
+    # the position scan's pole table), so the finite values are not probed
+    monkeypatch.setattr(sweeps, "find_time_domain_resonance", _no_probe)
+    monkeypatch.setattr(sweeps, "pole_cache", _no_probe)
+    for name, sweep in (
+            ("L", lambda g: sweep_tmax_vs_L(g, 0.3, 0.001, 0.067)),
+            ("x", lambda g: sweep_freq_vs_x(g, gaas)),
+            ("alpha", lambda g: sweep_freq_vs_alpha(g, 300.0, 0.3, 0.067))):
+        for grid in ([3.0, 4.0, math.inf], [-math.inf, 3.0]):
+            with pytest.raises(NonPositiveParameter,
+                               match=rf"^{name} must be > 0 and finite"):
+                sweep(grid)
+
+
 @pytest.mark.parametrize("bad", [math.nan, 1.0])
 def test_u_checked_before_any_probe(monkeypatch, bad):
     # one check for both opacity commands; NaN is named as u, not as a bad E
