@@ -18,6 +18,7 @@ Exit codes: 0 success, 2 validation error, 3 numerical non-convergence,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -40,7 +41,11 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 
+@functools.cache
 def _build_parser():
+    """The parser of every command, built on the first main() call and
+    reused by later calls in the process; each parse returns a fresh
+    Namespace."""
     p = argparse.ArgumentParser(
         prog="qtransient",
         description="Transient quantum-shutter dynamics of a rectangular barrier")

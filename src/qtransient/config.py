@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import sys as _sys
 from dataclasses import dataclass, field, fields
+from operator import itemgetter
 
 import numpy as np
 
@@ -152,6 +153,10 @@ class CsvTable:
     provenance: tuple = field(default_factory=tuple)  # ((key, value), ...)
 
 
+# the cell types that `%.17g` prints as _fmt does
+_FLOATS = {float, np.float64}
+
+
 def _fmt(value):
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -161,12 +166,34 @@ def _fmt(value):
 
 
 def render_csv(table: CsvTable) -> str:
-    """Provenance comment + header + rows, 17 significant digits."""
+    """Provenance comment + header + rows, 17 significant digits.
+
+    The rows go through one %-template, each cell as _fmt prints it: `%.17g`
+    for a column of floats (np.float64 included) and `%s`, which prints
+    str(), for a column holding no float and no bool.  Any other column,
+    bools or cells whose type changes between rows, is turned into text by
+    _fmt cell by cell and then printed by `%s`.
+    """
     if not table.rows:
         raise ConfigError("refusing to emit an empty table")
+    width = len(table.columns)
+    if set(map(len, table.rows)) != {width}:
+        raise ConfigError(f"refusing to emit rows that are not {width} cells "
+                          f"wide, the width of the header")
     prov = " ".join(f"{k}={_fmt(v)}" for k, v in table.provenance)
+    specs, cells = [], []
+    for j in range(width):
+        kinds = set(map(type, map(itemgetter(j), table.rows)))
+        column = map(itemgetter(j), table.rows)
+        if kinds <= _FLOATS:
+            specs.append("%.17g")
+        else:
+            if any(issubclass(kind, (bool, float)) for kind in kinds):
+                column = map(_fmt, column)
+            specs.append("%s")
+        cells.append(column)
     lines = [f"# qtransient {TOOL_VERSION} {prov}", ",".join(table.columns)]
-    lines += [",".join(map(_fmt, row)) for row in table.rows]
+    lines += map(",".join(specs).__mod__, zip(*cells))
     return "\n".join(lines) + "\n"
 
 

@@ -112,6 +112,9 @@ SMALL_T_GUARD = 1e-4  # fs; below this the released wave has not reached x > 0
 # against the same sum with 40-digit roots and, at u = 30 and 300, against
 # a pole-free quadrature; C is raised 0.61 decades, to the worst point.
 _MERGE_C, _MERGE_P = 2.8e-13, 3.1
+# A loss below this is at the rounding of any sum in double precision, so
+# it does not limit the sum, whatever tol asks.
+_MERGE_FLOOR = 1e-15
 
 
 @dataclass(frozen=True)
@@ -461,7 +464,8 @@ def _pole_sum(x, t, sys, table, internal, f, f_k, tol, scale):
 
 def _check_merging_pair(table, tol):
     """Raise MergingPolePair where the two poles that merge at alpha_m lie
-    so close that their roundoff alone costs more than tol.
+    so close that their roundoff alone costs more than tol and more than
+    _MERGE_FLOOR.
 
     Below alpha_m they are the antibound poles; above it, pole 1 and its
     mirror -conj k_1, 2 |Re k_1| apart.  Their Gamow norms vanish with
@@ -473,7 +477,7 @@ def _check_merging_pair(table, tol):
     sep = abs(axis[0] - axis[1]) if below else 2.0 * abs(table.k[0].real)
     sep_l = sep * table.system.L
     loss = _MERGE_C * sep_l ** -_MERGE_P if sep_l > 0.0 else math.inf
-    if loss > tol:
+    if loss > max(tol, _MERGE_FLOOR):
         raise MergingPolePair(
             f"the poles that merge at alpha_m lie {sep_l:.3g}/L apart, with "
             f"alpha - alpha_m {'<' if below else '>'} 0: expected loss "

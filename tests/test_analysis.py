@@ -40,7 +40,8 @@ from qtransient import (analysis, find_time_domain_resonance,
                         local_frequency, make_system, pole_cache,
                         spectrogram, trace)
 from qtransient.analysis import default_window
-from qtransient.errors import AmplitudeUnderflow, NotConverged
+from qtransient.errors import (AmplitudeUnderflow, MergingPolePair,
+                               NotConverged)
 from qtransient.propagator import DEFAULT_TOL
 from qtransient.systems import length_for_alpha
 
@@ -406,6 +407,16 @@ def test_scan_tolerance_does_not_leak_into_reported_values(gaas, gaas_cache):
     with pytest.raises(NotConverged, match="tol=1.0e-30") as info:
         find_time_domain_resonance(gaas, x=8.0, tol=1e-30, poles=gaas_cache)
     assert "bracketing scan" not in str(info.value)
+
+
+def test_tolerance_below_the_rounding_floor_names_the_cap(gaas, gaas_cache):
+    # at 4 nm the poles that merge at alpha_m lie 7.0/L apart, and their
+    # modelled loss 6.7e-16 is below the double-precision floor: the pair
+    # does not limit this sum, the 2048-pole cap does
+    with pytest.raises(NotConverged) as info:
+        find_time_domain_resonance(gaas, x=8.0, tol=1e-30, poles=gaas_cache)
+    assert "(cap 2048)" in str(info.value)
+    assert not isinstance(info.value, MergingPolePair)
 
 
 def _search_as_before(monkeypatch, sys_, x, cache):

@@ -413,6 +413,38 @@ def test_far_probe_oracle_run_exits_2_before_the_analytic_trace(
         assert part in err
 
 
+def test_reused_parser_leaks_nothing_between_calls(capsys, tmp_path):
+    # main() builds its parser once per process; a call after others that
+    # set --config, --tol, --out and --threads, or failed to parse, must
+    # print what the same argv prints in a fresh interpreter
+    ini = tmp_path / "run.ini"
+    ini.write_text("[system]\nV_eV=0.3\nE_eV=0.01\nL_nm=3.0\n"
+                   "mass_ratio=0.067\n[numerics]\ntol=1e-6\n")
+    csv = tmp_path / "evolve.csv"
+    code, out, err = run(capsys, [
+        "--config", str(ini), "--tol", "1e-9", "--out", str(csv), "evolve",
+        "--x", "2", "--tmin", "1", "--tmax", "5", "--steps", "5"])
+    assert (code, out, err) == (0, "", "")
+    assert "tol=1.0000000000000001e-09" in csv.read_text(encoding="utf-8")
+    with pytest.raises(SystemExit) as info:
+        main(GAAS_FLAGS + ["--no-such-flag", "tmax"])
+    assert info.value.code == 2
+    assert "--no-such-flag" in capsys.readouterr().err
+    code, out, err = run(capsys, ["--threads", "0"] + GAAS_FLAGS + ["tmax"])
+    assert code == 2 and out == "" and "--threads" in err
+    argv = GAAS_FLAGS + ["tmax"]
+    in_process = run(capsys, argv)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    fresh = subprocess.run([sys.executable, "-m", "qtransient.cli"] + argv,
+                           env=env, capture_output=True, text=True,
+                           timeout=120)
+    assert in_process == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert in_process[0] == 0 and "tol=1e-08 " in in_process[1]
+
+
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize costs start-up time and memory that no command needs,
     # neither at import nor in a peak find

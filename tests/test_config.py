@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qtransient.cli import main
-from qtransient.config import (CsvTable, Grid, RunConfig, parse_config,
+from qtransient.config import (CsvTable, Grid, RunConfig, _fmt, parse_config,
                                parse_csv, parse_grid, render_csv)
 from qtransient.errors import ConfigError, MissingRequired, UnknownKey
 
@@ -149,6 +149,40 @@ def test_csv_round_trip_is_bitwise():
     assert parsed[0][2] is True
     assert parsed[1][1] == -2.5e17
     assert parsed[1][2] is False
+
+
+def test_render_csv_prints_each_cell_as_fmt():
+    # every cell type a table may hold, one column of each, plus columns
+    # whose cell type changes between rows; each row must read as the
+    # per-cell _fmt join and parse back bitwise
+    floats = (0.1, np.float64(math.pi), math.nan, math.inf, -math.inf, -0.0,
+              5e-324, 1e-300, 1.7976931348623157e308, np.float64(-0.0))
+    rows = tuple((f, i % 2 == 0, i - 4, f"s{i}", np.float64(f),
+                  (True, 3, 0.1, "x", np.float64(2.5))[i % 5],
+                  (7, 10 ** 20, 2.5, -1, np.float64(1e-300))[i % 5],
+                  (0.5, False)[i % 2])
+                 for i, f in enumerate(floats))
+    columns = ("f", "flag", "n", "s", "f64", "mixed", "int_float",
+               "float_bool")
+    text = render_csv(CsvTable(columns=columns, rows=rows))
+    assert text.splitlines()[2:] == [",".join(map(_fmt, r)) for r in rows]
+    assert "nan" in text and "-inf" in text and "-0," in text
+    _, cols, parsed = parse_csv(text)
+    assert cols == columns
+    assert len(parsed) == len(rows)
+    for got, row in zip(parsed, rows):
+        for g, v in zip(got, row):
+            if isinstance(v, bool):
+                assert g is v
+            elif isinstance(v, str):
+                assert g == v
+            else:
+                assert np.float64(g).tobytes() == np.float64(v).tobytes()
+
+
+def test_ragged_rows_refused():
+    with pytest.raises(ConfigError, match="2 cells wide"):
+        render_csv(CsvTable(columns=("a", "b"), rows=((1.0, 2.0), (3.0,))))
 
 
 def test_empty_table_refused():
