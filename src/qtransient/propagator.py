@@ -42,30 +42,35 @@ of the stationary amplitude f (T outside, Phi(x, .) inside):
 
 and the higher moments are its Taylor coefficients.  Inside, k_c = 0 for
 every t: a Cauchy integral of this form minus the exact poles, on a ring
-inside the first pole any time omits, gives every moment once per pass.
-Outside, a small Cauchy circle around each k_c gives mu_1 .. mu_{2J+1} of
-all poles, from which the exact poles' share is subtracted; mu_{2J+2},
-which only dPsi/dt needs, converges fast and is summed directly over a
-pool of the next poles, which also carries the exponentials.
+inside the first pole any time of a run omits, gives every moment once
+per run.  Outside, a small Cauchy circle around each k_c gives
+mu_1 .. mu_{2J+1} of all poles, from which the exact poles' share is
+subtracted; mu_{2J+2}, which only dPsi/dt needs, converges fast and is
+summed directly over a pool of the next poles, which also carries the
+exponentials.
 
-Both counts are set before any sum, for an absolute target of tol * _AIM
-times the stationary amplitude |f(k)|; times whose |Psi| turns out far
-below |f(k)| are summed once more, sized from |Psi|.  The pool is sized at
-the earliest time, where |z| of every omitted pole is smallest: it doubles
+A trace is summed in runs of times, each with its own pool and ring: a
+run ends where t has doubled from its first time but holds at least _RUN
+times, and a last run shorter than _RUN joins the one before, so a trace
+of fewer than 2 _RUN times is one run.  Both counts are set before any
+sum, for an absolute target of tol * _AIM times the stationary amplitude
+|f(k)|; times whose |Psi| turns out far below |f(k)| are summed once
+more, in runs of their own, sized from |Psi|.  A run's pool is sized at
+its earliest time, where |z| of every omitted pole is smallest: it doubles
 until what lies beyond it is within half the target and it holds twice the
 exact poles that time needs, and each doubling evaluates only the poles it
 adds.  Its rows come from the shared table of HARD_CAP // 4 poles while
-they fit, and from one search of HARD_CAP poles when they do not; the
-first n poles of a search do not depend on its depth, so the sums do not
-either.  Each time then takes the least N whose first
-omitted series term, bounded pole by pole, is within the other half, and
-sums exactly those N in one pass: one Moshinsky call (per _PAIRS terms)
-over each time's exact poles, the incident pair included; one set of
-Cauchy nodes, less each time's own exact-pole share, read off a prefix sum
-along the pool at its N; and only the damped exponentials before a cut
-past which a bound on the rest, never evaluated, is within _CUT times the
-target.  The two halves and that bound, relative to |Psi|, are each
-point's trunc_error_est.
+they fit, and from one search of HARD_CAP poles, made at most once per
+trace, when they do not; the first n poles of a search do not depend on
+its depth, so the sums do not either.  Each time then takes the least N
+whose first omitted series term, bounded pole by pole, is within the
+other half, and each run sums exactly those N in one pass: one
+Moshinsky call (per _PAIRS terms) over each time's exact poles, the
+incident pair included; one set of Cauchy nodes, less each time's own
+exact-pole share, read off a prefix sum along the pool at its N; and
+only the damped exponentials before a cut past which a bound on the
+rest, never evaluated, is within _CUT times the target.  The two halves
+and that bound, relative to |Psi|, are each point's trunc_error_est.
 """
 
 from __future__ import annotations
@@ -97,6 +102,7 @@ _AIM = 1e-3
 _RING = 64          # Cauchy nodes of the internal moments
 _ARC = 16           # Cauchy nodes around each external k_c
 _ROWS = 128         # times per block of the external pool moments
+_RUN = 256          # fewest times of a trace summed with one pool and ring
 _PAIRS = 1 << 13    # (time, pole) pairs per Moshinsky call
 _CUT = 1e-3         # the dropped exponentials' share of the target
 # Most radius x L of the internal ring: a wider ring passes near more exact
@@ -313,9 +319,10 @@ def _moments(kc, level, pool, axis, f, f_k, sys, internal):
     """mu_1 .. mu_{2J+2} of each time's omitted poles, shape (2J+2, T).
 
     Time i sums the first 2 level[i] entries of the pool and the antibound
-    poles exactly; the rest are omitted.  Inside, one ring of radius half
-    the least |q| any time omits carries the closed form minus each time's
-    exact poles, which leaves a function analytic inside the ring whose
+    poles exactly; the rest are omitted.  The times are one run of a trace.
+    Inside, one ring of radius half the least |q| any of them omits, at
+    most _RING_MAX / L, carries the closed form minus each time's exact
+    poles, which leaves a function analytic inside the ring whose
     Taylor coefficients are the omitted moments.  Outside, a circle around
     each k_c of radius one eighth of the distance to the nearest pole, kept
     clear of the removable points c = +-k, gives mu_1 .. mu_{2J+1} of all
@@ -419,15 +426,15 @@ def _pole_sum(x, t, sys, table, internal, f, f_k, tol, scale):
     """Psi and dPsi/dt at times t in one pass: the incident pair less the
     sum over every pole.
 
-    Each time gets the least exact-pole count that meets the absolute
-    target tol * _AIM * scale, at most half the pool; the pool is sized
-    at the earliest time, which needs the most.  Every time then sums
-    its own exact poles (_heads), takes the omitted poles' series from one
-    set of Cauchy nodes (_moments) and evaluates only the damped
-    exponentials that stay above _CUT times the target (_exponentials).
-    Returns (psi, dpsi, est, n, table): est is the absolute error
-    estimate per time, n the largest count and table the one that held
-    the pool, which a later pass may reuse.
+    t is one run of a trace (_runs).  Each time gets the least exact-pole
+    count that meets the absolute target tol * _AIM * scale, at most half
+    the pool; the pool is sized at the run's earliest time, which needs
+    the most.  Every time then sums its own exact poles (_heads), takes
+    the omitted poles' series from one set of Cauchy nodes (_moments) and
+    evaluates only the damped exponentials that stay above _CUT times the
+    target (_exponentials).  Returns (psi, dpsi, est, n, table): est is
+    the absolute error estimate per time, n the largest count and table
+    the one that held the pool, which later runs and passes reuse.
     """
     J = _ORDER[internal]
     x_arg = 0.0 if internal else x
@@ -460,6 +467,20 @@ def _pole_sum(x, t, sys, table, internal, f, f_k, tol, scale):
     est = (weight * later[np.arange(len(t)) % len(later), level]
            + _beyond(coefs, kn, s, kc) + dropped)
     return psi, dpsi, est, int(level.max()), table
+
+
+def _runs(t):
+    """Slices of the increasing times t that are summed apart: a run ends
+    where t has doubled from its first time but holds at least _RUN times,
+    and a last run shorter than _RUN joins the one before."""
+    runs, lo = [], 0
+    while lo < len(t):
+        hi = max(lo + _RUN, int(np.searchsorted(t, 2.0 * t[lo])))
+        if len(t) - hi < _RUN:
+            hi = len(t)
+        runs.append(slice(lo, hi))
+        lo = hi
+    return runs
 
 
 def _check_merging_pair(table, tol):
@@ -499,20 +520,30 @@ def _assemble(x, t_grid, sys, poles, tol, internal):
     dpsi = np.zeros(t_grid.shape, dtype=complex)
     err = np.zeros(t_grid.shape)
     n_poles = 0
+
+    def summed(t, scale):
+        # one pole sum per run, each sized at its own earliest time; the
+        # table a run returns serves the next, so the cap is searched once
+        nonlocal table, n_poles
+        parts = []
+        for run in _runs(t):
+            *part, n, table = _pole_sum(x, t[run], sys, table, internal, f,
+                                        f_k, tol, scale)
+            parts.append(part)
+            n_poles = max(n_poles, n)
+        return [np.concatenate(runs) for runs in zip(*parts)]
+
     live = np.flatnonzero(t_grid >= SMALL_T_GUARD)
     if live.size:
         t = t_grid[live]
         # size the sums against the stationary amplitude; points whose |psi|
         # lies so far below it that they miss tol are summed once more,
         # sized from |psi|
-        p, dp, est, n_poles, table = _pole_sum(
-            x, t, sys, table, internal, f, f_k, tol, abs(f_k[0]))
+        p, dp, est = summed(t, abs(f_k[0]))
         redo = np.flatnonzero(est > tol * np.abs(p))
         if redo.size:
             floor = max(float(np.min(np.abs(p[redo]))), 1e-300)
-            p[redo], dp[redo], est[redo], n_redo, _ = _pole_sum(
-                x, t[redo], sys, table, internal, f, f_k, tol, 0.5 * floor)
-            n_poles = max(n_poles, n_redo)
+            p[redo], dp[redo], est[redo] = summed(t[redo], 0.5 * floor)
         rel = est / np.maximum(np.abs(p), 1e-300)
         if np.any(rel > tol):
             worst = int(np.argmax(rel))
@@ -557,8 +588,8 @@ def trace(x, t_grid, sys: BarrierSystem, poles=None,
     (identical at x = L up to truncation).  `poles` may be a PoleSet of
     this system, as pole_cache returns it, to share between traces; one
     shorter than pole_cache's is replaced by a fresh table.  Only the poles
-    are shared: each trace computes the expansion coefficients of its pole
-    pool.
+    are shared: each trace computes the expansion coefficients of the pole
+    pool of each of its runs.
     """
     t_grid = check_times(t_grid)
     psi, dpsi, n_used, err = _assemble(x, t_grid, sys, poles, tol, x <= sys.L)

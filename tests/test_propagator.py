@@ -26,15 +26,26 @@ Oracles:
 * [DERIVED] times whose |Psi| falls so far below the stationary amplitude
   that the first pole sum misses tol are summed once more, sized from
   |Psi|, and then agree with a tol-1e-12 trace to tol;
-* [TRIVIAL] a trace sums all its times in one pass, one Moshinsky call
-  with the incident pair inside and outside the barrier, and the second
-  pass makes the one further call;
+* [TRIVIAL] a trace of fewer than 2 _RUN times sums all its times in one
+  pass, one Moshinsky call with the incident pair inside and outside the
+  barrier, and the second pass makes the one further call;
+* [DERIVED] a longer trace is split into runs only where t has doubled,
+  each at least _RUN times, and is bitwise its runs traced one by one; so
+  GaAs at 8 nm over 2000 times holds under 8 MiB, not one pool's 15.8;
+* [DERIVED] whole-window traces, whose first times subtract many exact
+  terms on the internal ring, read within tol what each of their first
+  times reads traced alone at tol 1e-3, at the edge of the two barriers
+  that missed it and on seeded (alpha, u) draws inside the barrier;
 * [DERIVED] the damped exponentials each time drops past its cut stay
   inside trunc_error_est: tol-1e-8 traces agree with tol-1e-12 ones
   within it, on opaque barriers, out to 20 nm and next to the shutter;
 * [TRIVIAL] each time sums exactly the exact poles its own bound asks
   for, capped at half the pool, and times that need none sum none.
 """
+
+import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -584,3 +595,75 @@ def test_times_that_need_no_exact_pole_sum_none():
     assert len(table.axis_poles) == 2 and tr.n_terms_used == 4
     gap = np.abs(tr.psi - ref.psi)
     assert np.all(gap <= (tr.trunc_error_est + 1e-15) * np.abs(tr.psi))
+
+
+def _window_cases():
+    """The two edge barriers whose whole-window traces missed tol, then
+    seeded (alpha, u) barriers, alpha in [1.5, 9] and u log-uniform in
+    [3, 3000], probed inside, mid-barrier and at the edge."""
+    V, m, rng = 0.3, 0.067, random.Random(8)
+    for u, L, tol in ((39.0, 3.72, 1e-8), (137.0, 3.21, 1e-10)):
+        yield pytest.param(make_system(V, V / u, L, m), 1.0, tol,
+                           id=f"u{u:g}-edge")
+    for d in range(3):
+        alpha = rng.uniform(1.5, 9.0)
+        u = math.exp(rng.uniform(math.log(3.0), math.log(3000.0)))
+        sys_ = make_system(V, V / u, length_for_alpha(alpha, V, m), m)
+        for share in (0.25, 0.5, 1.0):
+            for tol in (1e-8, 1e-10):
+                yield pytest.param(sys_, share, tol,
+                                   id=f"draw{d}-{share:g}L-{tol:g}")
+
+
+@pytest.mark.parametrize("sys_,share,tol", _window_cases())
+def test_whole_window_meets_tol_at_its_first_times(sys_, share, tol):
+    # a trace over a whole default window keeps few exact poles at its
+    # latest times; its first times, which subtract many exact terms on
+    # the ring, must still read what they read traced alone.  One ring
+    # for the whole window missed by 2.6 and 7.5 tol on the two edge
+    # barriers, and by up to 3.1 tol on the draws
+    x, table = share * sys_.L, pole_cache(sys_)
+    ts = np.linspace(*default_window(sys_, sys_.L), PEAK_SCAN)
+    tr = trace(x, ts, sys_, poles=table, tol=tol)
+    for i in range(8):
+        ref = trace(x, ts[i:i + 1], sys_, poles=table, tol=1e-3 * tol)
+        err = abs(tr.psi[i] - ref.psi[0]) / abs(ref.psi[0])
+        assert err <= tol, (i, err)
+
+
+def test_runs_split_long_traces_where_t_has_doubled():
+    run = propagator._RUN
+    # a trace under two runs' length is one run, however fast t grows
+    for n in range(1, 2 * run):
+        assert propagator._runs(np.geomspace(0.1, 1e3, n)) == [slice(0, n)]
+    t = np.linspace(0.5, 30.0, 2000)
+    runs = propagator._runs(t)
+    assert len(runs) > 1
+    assert runs[0].start == 0 and runs[-1].stop == len(t)
+    for a, b in zip(runs, runs[1:]):
+        assert a.stop == b.start
+        # each run ends where t has doubled, or at its least length
+        assert t[a.stop] >= 2.0 * t[a.start]
+        assert a.stop - a.start == run or t[a.stop - 1] < 2.0 * t[a.start]
+    assert all(r.stop - r.start >= run for r in runs)
+
+
+def test_long_trace_sums_each_run_on_its_own(gaas, gaas_cache):
+    # every run sizes its pool, and inside its ring, at its own first time,
+    # so a long trace is bitwise its runs traced one by one; and the pool
+    # of the earliest run no longer spans the whole trace: GaAs at 8 nm
+    # over 2000 times held 15.8 MiB with one pool
+    t = np.linspace(0.5, 30.0, 2000)
+    for x in (8.0, 2.0):
+        tracemalloc.start()
+        tr = trace(x, t, gaas, poles=gaas_cache)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        if x == 8.0:
+            assert peak <= 8 * 2 ** 20
+        for run in propagator._runs(t):
+            part = trace(x, t[run], gaas, poles=gaas_cache)
+            assert np.array_equal(part.psi, tr.psi[run])
+            assert np.array_equal(part.dpsi_dt, tr.dpsi_dt[run])
+            assert np.array_equal(part.trunc_error_est,
+                                  tr.trunc_error_est[run])
