@@ -11,8 +11,8 @@ The three scan commands are the library sweeps of qtransient.sweeps, run
 with the config's tol and --threads workers; their rows come out in
 ascending grid order.
 
-Exit codes: 0 success, 2 validation error, 3 numerical non-convergence,
-4 I/O error.
+Exit codes: 0 success, 2 validation error or an array too large to
+allocate, 3 numerical non-convergence, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ import numpy as np
 
 from .analysis import find_time_domain_resonance, spectrogram
 from .config import CsvTable, RunConfig, emit_csv, parse_config, parse_grid
-from .errors import MissingRequired, NumericalError, ValidationError
+from .errors import (ConfigError, MissingRequired, NumericalError,
+                     ValidationError)
 from .oracle import check_run, cn_evolve, default_cn_config
 from .propagator import HARD_CAP, check_x, trace
 from .resonances import audit_pole_count, find_poles
@@ -118,7 +119,12 @@ def _load_config(args, u=None, width=True) -> RunConfig:
     values = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            values = parse_config(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{args.config}: not UTF-8 at byte "
+                                  f"{exc.start}") from None
+        values = parse_config(text)
     flags = dict(V_eV=args.V, E_eV=args.E, L_nm=args.L,
                  mass_ratio=args.mass_ratio, tol=args.tol)
     values.update((k, v) for k, v in flags.items() if v is not None)
@@ -290,7 +296,7 @@ def main(argv=None) -> int:
             raise ValidationError(f"--threads must be >= 1, got {args.threads}")
         table = args.run(args)
         emit_csv(table, args.out)
-    except ValidationError as exc:
+    except (ValidationError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except NumericalError as exc:

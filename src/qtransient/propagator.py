@@ -40,10 +40,14 @@ of the stationary amplitude f (T outside, Phi(x, .) inside):
 
     sum_q c_q/(c - q) = f(k)/(c - k) - f(-k)/(c + k) + 2k f(c)/(k^2 - c^2),
 
-and the higher moments are its Taylor coefficients.  Inside, k_c = 0 for
-every t: a Cauchy integral of this form minus the exact poles, on a ring
-inside the first pole any time of a run omits, gives every moment once
-per run.  Outside, a small Cauchy circle around each k_c gives
+and the higher moments are its Taylor coefficients.  Both regions take
+them one way: this form less the antibound poles' terms, on the midpoint
+nodes of a Cauchy circle, gives by one FFT the trapezoid sums of the
+Cauchy integrals for its Taylor coefficients (Bornemann, Found. Comput.
+Math. 11, 1 (2011); Trefethen & Weideman, SIAM Rev. 56, 385 (2014)).
+Inside, k_c = 0 for every t: on a ring inside the first pole any time of
+a run omits, the form less each time's exact poles gives every moment
+once per run.  Outside, a small circle around each k_c gives
 mu_1 .. mu_{2J+1} of all poles, from which the exact poles' share is
 subtracted; mu_{2J+2}, which only dPsi/dt needs, converges fast and is
 summed directly over a pool of the next poles, which also carries the
@@ -168,16 +172,29 @@ def _alpha(j, s, phase):
     return _C0 * _DFACT[j] * (-0.5j) ** j * phase / s ** (2 * j + 1)
 
 
-def _resolvent(c, f_c, f_k, k):
-    """sum_q c_q/(c - q) over every pole, mirrors and antibound included."""
-    return (f_k[0] / (c - k) - f_k[1] / (c + k)
-            + 2.0 * k * f_c / (k * k - c * c))
+def _nodes(centre, r, n, f, f_k, k, axis):
+    """(c, g): n midpoint nodes c = centre + r e^{i pi (2j + 1)/n} along
+    axis 0, a column per centre and r, and g there: the Mittag-Leffler
+    closed form less the antibound poles' terms."""
+    theta = 2.0 * math.pi * (np.arange(n) + 0.5) / n
+    c = centre + r * np.exp(1j * theta)[:, None]
+    g = f_k[0] / (c - k) - f_k[1] / (c + k) + 2.0 * k * f(c) / (k * k - c * c)
+    for coef, q in zip(*axis):      # at most two antibound poles
+        g -= coef / (c - q)
+    return c, g
 
 
-def _bound(kc, q, c, m):
-    """sum_n |c_n| (|kc - q_n|^-m + |kc + conj q_n|^-m) per pole n, (T, n)."""
-    return np.abs(c) * (np.abs(kc[:, None] - q) ** -m
-                        + np.abs(kc[:, None] + q.conj()) ** -m)
+def _taylor(g, r, count):
+    """mu_1 .. mu_count, (count, columns), of the poles outside the circle
+    on whose _nodes g holds sum_q c_q/(c - q): the trapezoid sums of the
+    Cauchy integrals for g's Taylor coefficients a_m about the centre, one
+    FFT along the nodes turned by the half-node phase e^{-i pi m/n}, with
+    mu_{m+1} = (-1)^m a_m and r^m, r one or one per column, taken off."""
+    n = len(g)
+    # (e^{-i pi/n} / -r)^m by products; pow per element outcosts the FFT
+    turn = np.vander(np.exp(-1j * math.pi / n) / -np.atleast_1d(r), count,
+                     increasing=True)
+    return np.fft.fft(g, axis=0)[:count] * turn.T / n
 
 
 def _beyond(coefs, kn, s, kc):
@@ -199,12 +216,15 @@ def _beyond(coefs, kn, s, kc):
 def _omitted(s, kc, kn, coefs, J):
     """(weight, later): the first omitted series term, bounded pole by pole
     over the pool, is weight[i] * later[i, n] at time i when the poles from
-    n on are left to the series; later has P + 1 columns.
+    n on are left to the series; later has P + 1 columns.  Pole q and its
+    mirror add |c_q| (|k_c - q|^-m + |k_c + conj q|^-m), m = 2J + 3.
 
     Inside, k_c = 0 at every time, so later has one row for all times.
     """
-    rows = kc[:1] if not np.any(kc) else kc
-    bound = _bound(rows, kn, coefs, 2 * J + 3)
+    rows = (kc[:1] if not np.any(kc) else kc)[:, None]
+    m = 2 * J + 3
+    bound = np.abs(coefs) * (np.abs(rows - kn) ** -m
+                             + np.abs(rows + kn.conj()) ** -m)
     later = np.zeros((len(rows), len(kn) + 1))
     later[:, :-1] = np.cumsum(bound[:, ::-1], axis=1)[:, ::-1]
     return np.abs(_alpha(J + 1, s, 1.0)), later
@@ -227,19 +247,11 @@ def _size(x, s0, kc0, sys, table, internal, tol, scale):
     absolute target tol * _AIM * scale; the omitted series term takes the
     other half.  At the cap the target relaxes to tol * scale before
     NotConverged is raised.  A pool that outgrows the table takes a fresh
-    search of HARD_CAP poles, whose first rows are the table's.
-
-    The omitted term's bound is a suffix sum along the pool, so a pool of
-    p poles asks for at most p/2 exact poles exactly when that sum over
-    its last p/2 poles is within the target and pole p/2 lies past
-    k_c + _Z_MIN / s.  Each round therefore evaluates coefficients only
-    for the poles it adds and bounds only for the last p/2, summed in
-    _omitted's order, so it picks bitwise the pool that the exact count
-    over the whole pool picks.
+    search of HARD_CAP poles, whose first rows are the table's.  Each
+    round evaluates coefficients only for the poles it adds, and takes the
+    exact count over the whole pool as _pole_sum does.
     """
     J = _ORDER[internal]
-    weight = np.abs(_alpha(J + 1, s0, 1.0))[0]
-    edge = (kc0 + _Z_MIN / s0)[0]
     coefs = kn = np.zeros(0, dtype=complex)
     p = _POOL
     while True:
@@ -247,20 +259,16 @@ def _size(x, s0, kc0, sys, table, internal, tol, scale):
             table = find_poles(sys, HARD_CAP)
         c_new, k_new = expansion_coeffs(x, table[len(kn):p], internal)
         coefs, kn = np.concatenate((coefs, c_new)), np.concatenate((kn, k_new))
-        half = p // 2
-        later = np.cumsum(_bound(kc0, kn[half:], coefs[half:],
-                                 2 * J + 3)[0, ::-1])[-1]
+        weight, later = _omitted(s0, kc0, kn, coefs, J)
         for target in ((tol * _AIM * scale, tol * scale) if p >= HARD_CAP
                        else (tol * _AIM * scale,)):
+            n = int(_exact_count(weight, later, s0, kc0, kn, 0.5 * target)[0])
             # the remainder past the pool last: it is the dearest check
-            if (not later > 0.5 * target / weight and kn[half].real >= edge
-                    and _beyond(coefs, kn, s0, kc0)[0] <= 0.5 * target):
+            if 2 * n <= p and _beyond(coefs, kn, s0, kc0)[0] <= 0.5 * target:
                 return coefs, kn, table
         if p >= HARD_CAP:
+            n = min(n, p // 2)
             rem = _beyond(coefs, kn, s0, kc0)[0]
-            weight, later = _omitted(s0, kc0, kn, coefs, J)
-            n = min(int(_exact_count(weight, later, s0, kc0, kn,
-                                     0.5 * target)[0]), half)
             est = (weight[0] * later[0, n] + rem) / scale
             t0 = HBAR * s0[0] ** 2 / sys.c2
             raise NotConverged(
@@ -320,17 +328,19 @@ def _moments(kc, level, pool, axis, f, f_k, sys, internal):
 
     Time i sums the first 2 level[i] entries of the pool and the antibound
     poles exactly; the rest are omitted.  The times are one run of a trace.
-    Inside, one ring of radius half the least |q| any of them omits, at
-    most _RING_MAX / L, carries the closed form minus each time's exact
-    poles, which leaves a function analytic inside the ring whose
-    Taylor coefficients are the omitted moments.  Outside, a circle around
-    each k_c of radius one eighth of the distance to the nearest pole, kept
-    clear of the removable points c = +-k, gives mu_1 .. mu_{2J+1} of all
-    poles, and the exact poles' share is subtracted; mu_{2J+2}, which only
-    dPsi/dt uses, is summed directly over the rest of the pool.  Each
-    time's exact share is a prefix sum along the pool read at its count,
-    and its rest a sum from the pool's far end back to that count, so that
-    no exact pole's term cancels into the rest.
+    Both regions take the Taylor coefficients (_taylor) of the closed form
+    less the antibound terms on midpoint nodes (_nodes).  Inside, the nodes
+    lie on one ring about 0 of radius half the least |q| any time omits, at
+    most _RING_MAX / L, and each time's exact poles are taken off there
+    too, which leaves a function analytic inside the ring whose
+    coefficients are the omitted moments.  Outside, a circle around each
+    k_c of radius one eighth of the distance to the nearest pole, kept
+    clear of the removable points c = +-k, gives mu_1 .. mu_{2J+1} of every
+    pool pole, less each time's exact share; mu_{2J+2}, which only dPsi/dt
+    uses, is summed directly over the rest of the pool.  Each time's exact
+    share is a prefix sum along the pool read at its count, and its rest a
+    sum from the pool's far end back to that count, so that no exact pole's
+    term cancels into the rest.
     """
     J = _ORDER[internal]
     k = sys.k
@@ -338,19 +348,10 @@ def _moments(kc, level, pool, axis, f, f_k, sys, internal):
     top, low = 2 * int(level.max()), 2 * int(level.min())
     if internal:
         r = min(0.5 * np.min(np.abs(pool_q[low:])), _RING_MAX / sys.L)
-        theta = 2.0 * math.pi * (np.arange(_RING) + 0.5) / _RING
-        c = r * np.exp(1j * theta)
+        c, g = _nodes(0.0, r, _RING, f, f_k, k, axis)
         exact = np.zeros((_RING, top + 1), dtype=complex)
-        np.cumsum(pool_c[:top] / (c[:, None] - pool_q[:top]), axis=1,
-                  out=exact[:, 1:])
-        g = (_resolvent(c, f(c), f_k, k)
-             - (1.0 / (c[:, None] - axis[1])) @ axis[0])[:, None] \
-            - exact[:, 2 * level]
-        # Taylor coefficient a_m = mean g c^-m; mu_{m+1} = (-1)^m a_m
-        m = np.arange(2 * J + 2)
-        return (np.exp(-1j * np.outer(m, theta)) @ g
-                / (_RING * (-r) ** m)[:, None])
-    inv_axis = 1.0 / (kc[:, None] - axis[1])
+        np.cumsum(pool_c[:top] / (c - pool_q[:top]), axis=1, out=exact[:, 1:])
+        return _taylor(g - exact[:, 2 * level], r, 2 * J + 2)
     near = np.min(np.abs(kc[:, None] - axis[1]), axis=1, initial=np.inf)
     head = np.empty((2 * J + 1, len(kc)), dtype=complex)
     mu_last = np.empty(len(kc), dtype=complex)
@@ -373,16 +374,8 @@ def _moments(kc, level, pool, axis, f, f_k, sys, internal):
     # the closed form cancels near c = +-k: keep every node r from them
     dk = np.minimum(np.abs(kc - k), kc + k)
     r = np.where((dk >= 0.5 * r) & (dk <= 2.0 * r), 0.5 * dk, r)
-    theta = 2.0 * math.pi * (np.arange(_ARC) + 0.5) / _ARC
-    c = kc[:, None] + r[:, None] * np.exp(1j * theta)
-    circle = _resolvent(c, f(c), f_k, k)
-    mu, power = [], np.ones_like(inv_axis)
-    for m in range(2 * J + 1):
-        power = power * inv_axis
-        mu.append(np.mean(circle * np.exp(-1j * m * theta), axis=1)
-                  / (-r) ** m - head[m] - np.sum(power * axis[0], axis=1))
-    mu.append(mu_last)
-    return np.array(mu)
+    _, g = _nodes(kc, r, _ARC, f, f_k, k, axis)
+    return np.vstack((_taylor(g, r, 2 * J + 1) - head, mu_last))
 
 
 def _exponentials(x_arg, t, s, kc, level, coefs, kn, c2, thr):

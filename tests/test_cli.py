@@ -249,6 +249,28 @@ def test_bad_config_exits_2(capsys, tmp_path):
     assert "bogus" in err and "line 5" in err
 
 
+def test_config_file_not_utf8_exits_2(capsys, tmp_path):
+    # a byte that is not UTF-8 is a config error naming the file and the
+    # byte's offset, not a UnicodeDecodeError traceback
+    ini = tmp_path / "latin.ini"
+    ini.write_bytes(b"[system]\nV_eV = 0.3\xff\n")
+    code, out, err = run(capsys, ["--config", str(ini), "poles"])
+    assert code == 2 and out == ""
+    assert err == f"error: {ini}: not UTF-8 at byte 19\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["evolve", "--tmin", "1", "--tmax", "2", "--steps", str(10 ** 15)],
+    ["scan-freq-x", "--grid", f"1:4:{10 ** 15}"]])
+def test_grid_too_large_to_allocate_exits_2(capsys, command):
+    # 10**15 float64 values (7.1 PiB) exceed any x86-64 address space, so
+    # numpy refuses the array before mapping anything; its message is the
+    # error
+    code, out, err = run(capsys, GAAS_FLAGS + command)
+    assert code == 2 and out == ""
+    assert err.startswith("error: Unable to allocate 7.11 PiB")
+
+
 def test_missing_parameters_exit_2(capsys):
     code, _, err = run(capsys, ["--V", "0.3", "--E", "0.001", "tmax"])
     assert code == 2

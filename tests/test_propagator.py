@@ -23,6 +23,12 @@ Oracles:
 * [DERIVED] the pool sizing that evaluates only the poles each doubling
   adds picks bitwise the pool of the whole-pool doubling it replaced, kept
   here as the reference, from pools of 32 to the cap;
+* [DERIVED] the FFT of a sum of simple poles on midpoint nodes gives its
+  moments about the centre in closed form, on one ring and on a circle
+  per column;
+* [DERIVED] the external moments that take the antibound poles off on the
+  circle nodes agree, to the rounding of what they cancel, with the
+  power-sum subtraction they replaced, kept here as the reference;
 * [DERIVED] times whose |Psi| falls so far below the stationary amplitude
   that the first pole sum misses tol are summed once more, sized from
   |Psi|, and then agree with a tol-1e-12 trace to tol;
@@ -357,6 +363,95 @@ def test_pool_sizing_matches_the_whole_pool_doubling(alpha):
     expect = {0.83: 32, 20.0: propagator.HARD_CAP}
     if alpha in expect:
         assert expect[alpha] in pools, pools
+
+
+@pytest.mark.parametrize("n,spacing,per_column", [
+    pytest.param(propagator._RING, 4.0, False, id="ring"),
+    pytest.param(propagator._ARC, 8.0, True, id="circles")])
+def test_fft_coefficients_are_the_closed_form_moments(n, spacing,
+                                                      per_column):
+    # g(c) = sum_p a_p/(c - q_p), every q_p at least spacing r from the
+    # centre c0, on the midpoint nodes c0 + r e^{i pi (2j + 1)/n}: its
+    # Taylor coefficients about c0 are (-1)^m mu_{m+1}, with the moments
+    # mu_{m+1} = sum_p a_p/(c0 - q_p)^{m+1} in closed form.  A node phase
+    # off by half a node turns mu_{m+1} by pi m/n, far beyond rounding
+    rng = np.random.default_rng(33)
+    c0 = np.array([0.0, 1.5 - 0.2j, -4.0 + 0.7j])
+    r = np.array([0.3, 0.7, 1.1]) if per_column else 0.7
+    rc = np.broadcast_to(r, c0.shape)
+    q = c0 + rc * rng.uniform(spacing, 3.0 * spacing, (5, 3)) * np.exp(
+        2j * math.pi * rng.uniform(size=(5, 3)))
+    a = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
+    c = c0 + rc * np.exp(1j * math.pi * (2 * np.arange(n) + 1) / n)[:, None]
+    g = np.sum(a / (c[:, None, :] - q), axis=1)
+    mu = propagator._taylor(g, r, 4)
+    for m in range(4):
+        terms = a / (c0 - q) ** (m + 1)
+        assert np.all(np.abs(mu[m] - terms.sum(axis=0))
+                      <= 1e-13 * np.abs(terms).sum(axis=0)), m
+
+
+def _power_sum_moments(kc, level, pool, axis, f, f_k, sys_):
+    """The external moments with the antibound poles taken off as power
+    sums: one circle per k_c holds the whole closed form, and the exact
+    pool poles' and the antibound poles' shares are subtracted power by
+    power; kept as the reference for _moments, which takes the antibound
+    share off on the nodes.  Also returns max |closed form| / r^m on each
+    circle, what each of the first 2J + 1 moments cancels, and 0 for the
+    last one, which sums the pool directly."""
+    J, k, arc = propagator._ORDER[False], sys_.k, propagator._ARC
+    pool_q, pool_c = pool
+    n, top = 2 * level, 2 * int(level.max())
+    i = np.arange(len(kc))
+    inv = kc[:, None] - pool_q
+    near = np.minimum(np.min(np.abs(kc[:, None] - axis[1]), axis=1,
+                             initial=np.inf), np.min(np.abs(inv), axis=1))
+    inv, inv_axis = 1.0 / inv, 1.0 / (kc[:, None] - axis[1])
+    r = near / 8.0
+    dk = np.minimum(np.abs(kc - k), kc + k)
+    r = np.where((dk >= 0.5 * r) & (dk <= 2.0 * r), 0.5 * dk, r)
+    theta = 2.0 * math.pi * (np.arange(arc) + 0.5) / arc
+    c = kc[:, None] + r[:, None] * np.exp(1j * theta)
+    circle = (f_k[0] / (c - k) - f_k[1] / (c + k)
+              + 2.0 * k * f(c) / (k * k - c * c))
+    mu, power, power_axis = [], 1.0, 1.0
+    exact = np.zeros((len(kc), top + 1), dtype=complex)
+    for m in range(2 * J + 1):
+        power, power_axis = power * inv, power_axis * inv_axis
+        np.cumsum(power[:, :top] * pool_c[:top], axis=1, out=exact[:, 1:])
+        mu.append(np.mean(circle * np.exp(-1j * m * theta), axis=1)
+                  / (-r) ** m - exact[i, n]
+                  - np.sum(power_axis * axis[0], axis=1))
+    rest = np.cumsum((power * inv * pool_c)[:, ::-1], axis=1)
+    mu.append(rest[i, len(pool_q) - 1 - n])
+    cancel = np.zeros((2 * J + 2, len(kc)))
+    cancel[:-1] = (np.max(np.abs(circle), axis=1)
+                   / r ** np.arange(2 * J + 1)[:, None])
+    return np.array(mu), cancel
+
+
+@pytest.mark.parametrize("share", [1.5, 6.0])
+def test_antibound_share_on_the_nodes_matches_the_power_sums(monkeypatch,
+                                                             share):
+    # below the merge opacity (alpha = 0.83, two antibound poles) the
+    # external moments that take the antibound terms off on the circle
+    # nodes agree with the power-sum subtraction they replaced.  Both
+    # cancel the circle's closed form, up to 1700 times the moments here,
+    # so they can only agree to rounding of it: the gap measured 15 eps
+    # max |closed form| / r^m at worst
+    V, m = 0.3, 0.067
+    sys_ = make_system(V, V / 300.0, length_for_alpha(0.83, V, m), m)
+    x = share * sys_.L
+    calls, inner = [], propagator._moments
+    monkeypatch.setattr(propagator, "_moments",
+                        lambda *args: calls.append(args) or inner(*args))
+    trace(x, np.linspace(*default_window(sys_, x), 40), sys_, tol=1e-10)
+    assert calls and len(calls[0][3][1]) == 2
+    eps = np.finfo(float).eps
+    for args in calls:
+        got, (ref, cancel) = inner(*args), _power_sum_moments(*args[:7])
+        scale = np.max(np.abs(ref), axis=1, keepdims=True)
+        assert np.all(np.abs(got - ref) <= 1e-12 * scale + 64 * eps * cancel)
 
 
 def test_poles_of_another_system_are_rejected(gaas, gaas_poles, gaas_cache):
