@@ -210,16 +210,37 @@ def transparent_kernel(w, theta, n):
     chi_out^m = sum_p l_p chi_edge^{m-p}.  rho is analytic for |z| > 1, so
     one FFT on |z| = R with R^N = 1e12 gives l_p to about 1e-12, aliasing
     included, for p up to N / 4.
+
+    The N points are worked in place in two buffers, in the operation order
+    of kappa = 1 + (z - 1) / ((2 i w) ((theta z + 1) - theta)), so that no
+    step holds more than three arrays of N complex numbers.
     """
     size = 1 << math.ceil(math.log2(4 * (n + 1)))
     radius = 1e12 ** (1.0 / size)
-    z = radius * np.exp(2j * np.pi * np.arange(size) / size)
-    kappa = 1.0 + (z - 1.0) / (2j * w * (theta * z + 1.0 - theta))
-    root = np.sqrt(kappa * kappa - 1.0)
+    z = 2j * np.pi * np.arange(size)
+    np.divide(z, size, out=z)
+    np.exp(z, out=z)
+    np.multiply(radius, z, out=z)
+    den = np.multiply(theta, z)
+    np.add(den, 1.0, out=den)
+    np.subtract(den, theta, out=den)
+    np.multiply(2j * w, den, out=den)
+    kappa = np.subtract(z, 1.0, out=z)
+    np.divide(kappa, den, out=kappa)
+    np.add(1.0, kappa, out=kappa)
+    root = np.multiply(kappa, kappa, out=den)
+    np.subtract(root, 1.0, out=root)
+    np.sqrt(root, out=root)
     # the growing root without cancellation, then its reciprocal
-    grow = np.where((kappa.conjugate() * root).real >= 0.0,
-                    kappa + root, kappa - root)
-    return np.fft.ifft(1.0 / grow)[:n + 1] * radius ** np.arange(n + 1)
+    turn = np.conjugate(kappa)
+    np.multiply(turn, root, out=turn)
+    plus = turn.real >= 0.0
+    del turn
+    grow = np.add(kappa, root, out=kappa, where=plus)
+    np.subtract(grow, root, out=grow, where=~plus)
+    del den, root
+    np.divide(1.0, grow, out=grow)
+    return np.fft.ifft(grow)[:n + 1] * radius ** np.arange(n + 1)
 
 
 @cache

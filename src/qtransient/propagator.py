@@ -75,6 +75,10 @@ exact-pole share, read off a prefix sum along the pool at its N; and
 only the damped exponentials before a cut past which a bound on the
 rest, never evaluated, is within _CUT times the target.  The two halves
 and that bound, relative to |Psi|, are each point's trunc_error_est.
+Every table with a row per time (the omitted-term bounds, the Cauchy
+nodes less each time's share, the exponentials) is formed in blocks of
+times under one element budget, so a run's working memory does not grow
+with its times, and each time's numbers do not depend on the blocks.
 """
 
 from __future__ import annotations
@@ -105,7 +109,7 @@ _Z_MIN = 3.0        # least s (Re q - k_c) of an omitted pole
 _AIM = 1e-3
 _RING = 64          # Cauchy nodes of the internal moments
 _ARC = 16           # Cauchy nodes around each external k_c
-_ROWS = 128         # times per block of the external pool moments
+_ROWS = 1 << 15     # elements of a per-time table formed at once (_blocks)
 _RUN = 256          # fewest times of a trace summed with one pool and ring
 _PAIRS = 1 << 13    # (time, pole) pairs per Moshinsky call
 _CUT = 1e-3         # the dropped exponentials' share of the target
@@ -213,10 +217,10 @@ def _beyond(coefs, kn, s, kc):
                      where=(ratio < 1.0) & (ahead[:, 0] > 0.0))
 
 
-def _omitted(s, kc, kn, coefs, J):
-    """(weight, later): the first omitted series term, bounded pole by pole
-    over the pool, is weight[i] * later[i, n] at time i when the poles from
-    n on are left to the series; later has P + 1 columns.  Pole q and its
+def _omitted(kc, kn, coefs, J):
+    """later: the first omitted series term, bounded pole by pole over the
+    pool, is |alpha_{J+1}(t_i)| later[i, n] at time i when the poles from n
+    on are left to the series; later has P + 1 columns.  Pole q and its
     mirror add |c_q| (|k_c - q|^-m + |k_c + conj q|^-m), m = 2J + 3.
 
     Inside, k_c = 0 at every time, so later has one row for all times.
@@ -227,14 +231,14 @@ def _omitted(s, kc, kn, coefs, J):
                              + np.abs(rows + kn.conj()) ** -m)
     later = np.zeros((len(rows), len(kn) + 1))
     later[:, :-1] = np.cumsum(bound[:, ::-1], axis=1)[:, ::-1]
-    return np.abs(_alpha(J + 1, s, 1.0)), later
+    return later
 
 
-def _exact_count(weight, later, s, kc, kn, target):
+def _exact_count(weight, later, edge, kn, target):
     """Least exact-pole count per time whose omitted term is within target,
-    and never short of a pole with Re q below k_c + _Z_MIN / s."""
+    and never short of a pole with Re q below edge = k_c + _Z_MIN / s."""
     return np.maximum(np.sum(later > (target / weight)[:, None], axis=1),
-                      np.searchsorted(kn.real, kc + _Z_MIN / s))
+                      np.searchsorted(kn.real, edge))
 
 
 def _size(x, s0, kc0, sys, table, internal, tol, scale):
@@ -252,6 +256,7 @@ def _size(x, s0, kc0, sys, table, internal, tol, scale):
     exact count over the whole pool as _pole_sum does.
     """
     J = _ORDER[internal]
+    weight, edge = np.abs(_alpha(J + 1, s0, 1.0)), kc0 + _Z_MIN / s0
     coefs = kn = np.zeros(0, dtype=complex)
     p = _POOL
     while True:
@@ -259,10 +264,10 @@ def _size(x, s0, kc0, sys, table, internal, tol, scale):
             table = find_poles(sys, HARD_CAP)
         c_new, k_new = expansion_coeffs(x, table[len(kn):p], internal)
         coefs, kn = np.concatenate((coefs, c_new)), np.concatenate((kn, k_new))
-        weight, later = _omitted(s0, kc0, kn, coefs, J)
+        later = _omitted(kc0, kn, coefs, J)
         for target in ((tol * _AIM * scale, tol * scale) if p >= HARD_CAP
                        else (tol * _AIM * scale,)):
-            n = int(_exact_count(weight, later, s0, kc0, kn, 0.5 * target)[0])
+            n = int(_exact_count(weight, later, edge, kn, 0.5 * target)[0])
             # the remainder past the pool last: it is the dearest check
             if 2 * n <= p and _beyond(coefs, kn, s0, kc0)[0] <= 0.5 * target:
                 return coefs, kn, table
@@ -276,6 +281,28 @@ def _size(x, s0, kc0, sys, table, internal, tol, scale):
                 f"{HARD_CAP} poles (cap {HARD_CAP}): worst t={t0:.6g} fs, "
                 f"error estimate {est:.1e} with N={n} exact poles")
         p = min(2 * p, HARD_CAP)
+
+
+def _blocks(n, width):
+    """Slices of n times in blocks of _ROWS // width, at least two, for a
+    table width elements wide; a lone last time joins the block before.
+    numpy sums the series terms of two or more times as it sums them over
+    the whole run, but not of one."""
+    step = max(2, _ROWS // width)
+    edges = [0, *range(step, n - 1, step), n]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
+def _chunks(width, limit):
+    """Slices of consecutive times whose widths sum to at most limit; a
+    time wider than limit takes a slice of its own."""
+    ends = np.cumsum(width)
+    lo = 0
+    while lo < len(width):
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - width[lo]
+                                             + limit, side="right")))
+        yield slice(lo, hi)
+        lo = hi
 
 
 def _offsets(n):
@@ -306,70 +333,71 @@ def _heads(x_arg, t, level, pool, axis, f_k, sys):
     q = np.concatenate(([sys.k, -sys.k], axis[1], pool[0][:n]))
     c = np.concatenate(([f_k[0], -f_k[1]], -axis[0], -pool[1][:n]))
     width = 2 + len(axis[1]) + 2 * level
-    ends = np.cumsum(width)
     psi = np.empty(len(t), dtype=complex)
     dpsi = np.empty(len(t), dtype=complex)
-    lo = 0
-    while lo < len(t):
-        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - width[lo]
-                                             + _PAIRS, side="right")))
-        w = width[lo:hi]
+    for rows in _chunks(width, _PAIRS):
+        w = width[rows]
         pos = _offsets(w)
-        m, dm = moshinsky_m_dt(x_arg, q[pos], np.repeat(t[lo:hi], w), sys.c2)
+        m, dm = moshinsky_m_dt(x_arg, q[pos], np.repeat(t[rows], w), sys.c2)
         c_pos = c[pos]
-        psi[lo:hi] = _segment_sums(m * c_pos, w)
-        dpsi[lo:hi] = _segment_sums(dm * c_pos, w)
-        lo = hi
+        psi[rows] = _segment_sums(m * c_pos, w)
+        dpsi[rows] = _segment_sums(dm * c_pos, w)
     return psi, dpsi
 
 
-def _moments(kc, level, pool, axis, f, f_k, sys, internal):
+def _ring(level, pool, axis, f, f_k, sys):
+    """(r, g, exact): the internal run's Cauchy ring about 0 of radius half
+    the least |q| any time omits, at most _RING_MAX / L, the closed form
+    less the antibound terms on its nodes, and exact[:, n], the first n
+    pool entries' terms there, for every n a time of the run sums."""
+    pool_q, pool_c = pool
+    top, low = 2 * int(level.max()), 2 * int(level.min())
+    r = min(0.5 * np.min(np.abs(pool_q[low:])), _RING_MAX / sys.L)
+    c, g = _nodes(0.0, r, _RING, f, f_k, sys.k, axis)
+    exact = np.zeros((_RING, top + 1), dtype=complex)
+    np.cumsum(pool_c[:top] / (c - pool_q[:top]), axis=1, out=exact[:, 1:])
+    return r, g, exact
+
+
+def _moments(kc, level, pool, axis, f, f_k, sys, ring):
     """mu_1 .. mu_{2J+2} of each time's omitted poles, shape (2J+2, T).
 
     Time i sums the first 2 level[i] entries of the pool and the antibound
-    poles exactly; the rest are omitted.  The times are one run of a trace.
-    Both regions take the Taylor coefficients (_taylor) of the closed form
-    less the antibound terms on midpoint nodes (_nodes).  Inside, the nodes
-    lie on one ring about 0 of radius half the least |q| any time omits, at
-    most _RING_MAX / L, and each time's exact poles are taken off there
-    too, which leaves a function analytic inside the ring whose
-    coefficients are the omitted moments.  Outside, a circle around each
-    k_c of radius one eighth of the distance to the nearest pole, kept
-    clear of the removable points c = +-k, gives mu_1 .. mu_{2J+1} of every
-    pool pole, less each time's exact share; mu_{2J+2}, which only dPsi/dt
-    uses, is summed directly over the rest of the pool.  Each time's exact
-    share is a prefix sum along the pool read at its count, and its rest a
-    sum from the pool's far end back to that count, so that no exact pole's
-    term cancels into the rest.
+    poles exactly; the rest are omitted.  The times are one block of a
+    run.  Both regions take the Taylor coefficients (_taylor) of the closed
+    form less the antibound terms on midpoint nodes (_nodes).  Inside, the
+    nodes are the run's ring (_ring), and each time's exact poles are taken
+    off there too, which leaves a function analytic inside the ring whose
+    coefficients are the omitted moments.  Outside, ring is None, and a
+    circle around each k_c of radius one eighth of the distance to the
+    nearest pole, kept clear of the removable points c = +-k, gives
+    mu_1 .. mu_{2J+1} of every pool pole, less each time's exact share;
+    mu_{2J+2}, which only dPsi/dt uses, is summed directly over the rest of
+    the pool.  Each time's exact share is a prefix sum along the pool read
+    at its count, and its rest a sum from the pool's far end back to that
+    count, so that no exact pole's term cancels into the rest.
     """
-    J = _ORDER[internal]
+    if ring is not None:
+        r, g, exact = ring
+        return _taylor(g - exact[:, 2 * level], r, 2 * _ORDER[True] + 2)
+    J = _ORDER[False]
     k = sys.k
     pool_q, pool_c = pool
     top, low = 2 * int(level.max()), 2 * int(level.min())
-    if internal:
-        r = min(0.5 * np.min(np.abs(pool_q[low:])), _RING_MAX / sys.L)
-        c, g = _nodes(0.0, r, _RING, f, f_k, k, axis)
-        exact = np.zeros((_RING, top + 1), dtype=complex)
-        np.cumsum(pool_c[:top] / (c - pool_q[:top]), axis=1, out=exact[:, 1:])
-        return _taylor(g - exact[:, 2 * level], r, 2 * J + 2)
     near = np.min(np.abs(kc[:, None] - axis[1]), axis=1, initial=np.inf)
+    inv = kc[:, None] - pool_q
+    near = np.minimum(near, np.min(np.abs(inv), axis=1))
+    np.reciprocal(inv, out=inv)
+    i, n = np.arange(len(inv)), 2 * level
     head = np.empty((2 * J + 1, len(kc)), dtype=complex)
-    mu_last = np.empty(len(kc), dtype=complex)
-    # the pool runs to thousands of poles: take _ROWS times per block
-    for lo in range(0, len(kc), _ROWS):
-        rows = slice(lo, lo + _ROWS)
-        inv = kc[rows, None] - pool_q
-        near[rows] = np.minimum(near[rows], np.min(np.abs(inv), axis=1))
-        np.reciprocal(inv, out=inv)
-        i, n = np.arange(len(inv)), 2 * level[rows]
-        power, exact = 1.0, np.zeros((len(inv), top + 1), dtype=complex)
-        for m in range(2 * J + 1):
-            power = power * inv
-            np.cumsum(power[:, :top] * pool_c[:top], axis=1, out=exact[:, 1:])
-            head[m, rows] = exact[i, n]
+    power, exact = 1.0, np.zeros((len(inv), top + 1), dtype=complex)
+    for m in range(2 * J + 1):
         power = power * inv
-        rest = np.cumsum((power[:, low:] * pool_c[low:])[:, ::-1], axis=1)
-        mu_last[rows] = rest[i, len(pool_q) - 1 - n]
+        np.cumsum(power[:, :top] * pool_c[:top], axis=1, out=exact[:, 1:])
+        head[m] = exact[i, n]
+    power = power * inv
+    rest = np.cumsum((power[:, low:] * pool_c[low:])[:, ::-1], axis=1)
+    mu_last = rest[i, len(pool_q) - 1 - n]
     r = near / 8.0
     # the closed form cancels near c = +-k: keep every node r from them
     dk = np.minimum(np.abs(kc - k), kc + k)
@@ -392,6 +420,8 @@ def _exponentials(x_arg, t, s, kc, level, coefs, kn, c2, thr):
     can only move the cut later.  The bound at the cut is what is dropped.
     """
     P = len(kn)
+    # the bounds hold for the run; the terms are taken in chunks of at
+    # most _ROWS (time, pole) pairs
     big = np.maximum.accumulate(np.abs(coefs)[::-1])[::-1]
     low = np.minimum.accumulate(-kn.imag[::-1])[::-1]
     left = np.minimum.accumulate(kn.real[::-1])[::-1]
@@ -403,16 +433,22 @@ def _exponentials(x_arg, t, s, kc, level, coefs, kn, c2, thr):
     j = np.minimum(cut, P - 1)
     dropped = (P - cut) * big[j] * np.exp(
         -two_s2 * low[j] * np.maximum(left[j] - kc, 0.0))
-    n = cut - level
-    row = np.repeat(np.arange(len(t)), n)
-    pole = _offsets(n) + np.repeat(level, n)
-    kt = kn[pole]
-    rate = -1j * (c2 / HBAR) * kt * kt
-    e = rate * t[row] + 1j * kt * x_arg
-    e[kt.real + kt.imag <= kc[row]] = -1e3    # Im z >= 0: no term
-    np.exp(e, out=e)
-    e *= coefs[pole]
-    return _segment_sums(e, n), _segment_sums(e * rate, n), dropped
+    count = cut - level
+    terms = np.empty(len(t), dtype=complex)
+    slope = np.empty(len(t), dtype=complex)
+    for rows in _chunks(count, _ROWS):
+        n = count[rows]
+        row = np.repeat(np.arange(len(n)), n)
+        pole = _offsets(n) + np.repeat(level[rows], n)
+        kt = kn[pole]
+        rate = -1j * (c2 / HBAR) * kt * kt
+        e = rate * t[rows][row] + 1j * kt * x_arg
+        e[kt.real + kt.imag <= kc[rows][row]] = -1e3    # Im z >= 0: no term
+        np.exp(e, out=e)
+        e *= coefs[pole]
+        terms[rows] = _segment_sums(e, n)
+        slope[rows] = _segment_sums(e * rate, n)
+    return terms, slope, dropped
 
 
 def _pole_sum(x, t, sys, table, internal, f, f_k, tol, scale):
@@ -428,6 +464,10 @@ def _pole_sum(x, t, sys, table, internal, f, f_k, tol, scale):
     target (_exponentials).  Returns (psi, dpsi, est, n, table): est is
     the absolute error estimate per time, n the largest count and table
     the one that held the pool, which later runs and passes reuse.
+
+    The pool, its bounds and the internal ring belong to the run; each
+    table with a row per time is formed in blocks of times (_blocks), bit
+    for bit as in one block, so memory does not grow with the run's times.
     """
     J = _ORDER[internal]
     x_arg = 0.0 if internal else x
@@ -435,30 +475,39 @@ def _pole_sum(x, t, sys, table, internal, f, f_k, tol, scale):
     i0 = [int(np.argmin(t))]
     coefs, kn, table = _size(x, s[i0], kc[i0], sys, table, internal, tol,
                              scale)
-    weight, later = _omitted(s, kc, kn, coefs, J)
     target = tol * _AIM * scale
-    need = _exact_count(weight, later, s, kc, kn, 0.5 * target)
-    level = np.minimum(need, len(kn) // 2)
+    weight, edge = np.abs(_alpha(J + 1, s, 1.0)), kc + _Z_MIN / s
+    level = np.empty(len(t), dtype=int)
+    est = np.empty(len(t))
+    for rows in _blocks(len(t), len(kn) + 1):
+        later = _omitted(kc[rows], kn, coefs, J)
+        need = _exact_count(weight[rows], later, edge[rows], kn, 0.5 * target)
+        level[rows] = n = np.minimum(need, len(kn) // 2)
+        est[rows] = weight[rows] * later[np.arange(len(n)) % len(later), n]
     axis = expansion_coeffs(x, table.axis_poles, internal)
     # each pool pole followed by its mirror -conj q, whose coefficient is
     # -conj c: a time's exact poles are the first 2 level entries
     pool = (np.column_stack((kn, -kn.conj())).ravel(),
             np.column_stack((coefs, -coefs.conj())).ravel())
     psi, dpsi = _heads(x_arg, t, level, pool, axis, f_k, sys)
-    mu = _moments(kc, level, pool, axis, f, f_k, sys, internal)
+    ring = _ring(level, pool, axis, f, f_k, sys) if internal else None
     j = np.arange(J + 1)[:, None]
-    al = _alpha(j, s, np.exp(1j * a2t))
-    psi -= np.sum(al * mu[0::2], axis=0)
-    # d alpha_j/dt = alpha_j (-i a^2/t - j - 1/2)/t and
-    # d mu_m/dt = m mu_{m+1} k_c/t
-    dpsi -= np.sum(al / t * ((-1j * a2t - j - 0.5) * mu[0::2]
-                             + (2 * j + 1) * kc * mu[1::2]), axis=0)
+    for rows in _blocks(len(t), _RING if internal else len(pool[0])):
+        mu = _moments(kc[rows], level[rows], pool, axis, f, f_k, sys, ring)
+        a2tr = a2t[rows]
+        al = _alpha(j, s[rows], np.exp(1j * a2tr))
+        psi[rows] -= np.sum(al * mu[0::2], axis=0)
+        # d alpha_j/dt = alpha_j (-i a^2/t - j - 1/2)/t and
+        # d mu_m/dt = m mu_{m+1} k_c/t
+        dpsi[rows] -= np.sum(al / t[rows] * (
+            (-1j * a2tr - j - 0.5) * mu[0::2]
+            + (2 * j + 1) * kc[rows] * mu[1::2]), axis=0)
     e, de, dropped = _exponentials(x_arg, t, s, kc, level, coefs, kn, sys.c2,
                                    _CUT * target)
     psi -= e
     dpsi -= de
-    est = (weight * later[np.arange(len(t)) % len(later), level]
-           + _beyond(coefs, kn, s, kc) + dropped)
+    est += _beyond(coefs, kn, s, kc)
+    est += dropped
     return psi, dpsi, est, int(level.max()), table
 
 
@@ -538,6 +587,9 @@ def _assemble(x, t_grid, sys, poles, tol, internal):
             floor = max(float(np.min(np.abs(p[redo]))), 1e-300)
             p[redo], dp[redo], est[redo] = summed(t[redo], 0.5 * floor)
         rel = est / np.maximum(np.abs(p), 1e-300)
+        # a sum or estimate that is not finite misses, though no comparison
+        # with NaN says so
+        rel[~(np.isfinite(p) & np.isfinite(dp) & np.isfinite(rel))] = np.inf
         if np.any(rel > tol):
             worst = int(np.argmax(rel))
             raise NotConverged(

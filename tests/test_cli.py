@@ -552,3 +552,20 @@ def test_analytic_path_loads_no_scipy():
     assert out.stdout.splitlines() == [
         "import []", "tmax 0 []", "find_poles []", "evolve 0 []",
         "oracle 0 True"]
+
+
+def test_non_finite_pole_sum_exits_3():
+    # at x = 1e200 the Moshinsky phase a^2/t overflows and every sum is
+    # NaN, which passes no comparison with tol: the check must count it as
+    # a miss.  numpy warns on the way there, and the suite makes warnings
+    # errors, so the command runs in a fresh process
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run(
+        [sys.executable, "-m", "qtransient.cli"] + GAAS_FLAGS
+        + ["tmax", "--x", "1e200"], env=env, capture_output=True, text=True,
+        timeout=120)
+    assert out.returncode == 3 and out.stdout == ""
+    assert "error: " in out.stderr and "error estimate inf" in out.stderr

@@ -37,7 +37,10 @@ Oracles:
   barrier, and the second pass makes the one further call;
 * [DERIVED] a longer trace is split into runs only where t has doubled,
   each at least _RUN times, and is bitwise its runs traced one by one; so
-  GaAs at 8 nm over 2000 times holds under 8 MiB, not one pool's 15.8;
+  GaAs at 8 nm over 2000 times holds under 3 MiB, not one pool's 15.8;
+* [TRIVIAL] each per-time table of a pole sum is formed in blocks of times
+  under one element budget: a budget of a few rows per block sums bit for
+  bit what one block per run sums, so 20,000 times hold under 8 MiB;
 * [DERIVED] whole-window traces, whose first times subtract many exact
   terms on the internal ring, read within tol what each of their first
   times reads traced alone at tol 1e-3, at the edge of the two barriers
@@ -194,28 +197,33 @@ def test_determinism(gaas):
     pytest.param(np.linspace(2.0, 12.0, 257), id="257-counts")])
 def test_external_moments_in_blocks_are_bitwise_one_block(gaas, gaas_cache,
                                                           monkeypatch, ts):
-    # the pool's moments are summed over blocks of times; no block
-    # boundary may move a bit of any moment against one block over every
-    # time.  Over 10-11 fs the times all take the same exact poles and
-    # blocks of 128 rows end with a lone row; over 2-12 fs they take many
-    # counts on both sides of the first block boundary
-    moments, levels, inner = [], [], propagator._moments
+    # the pool's moments are taken over blocks of _ROWS // (pool entries)
+    # times; no block boundary may move a bit of any moment against one
+    # block over every time.  In blocks of 64 rows, over 10-11 fs the times
+    # all take the same exact poles and 129 times end with a lone row,
+    # which joins the block before; over 2-12 fs they take many counts on
+    # both sides of the first block boundary
+    calls, inner = [], propagator._moments
 
     def spy(*args):
-        levels.append(args[1])
-        moments.append(inner(*args))
-        return moments[-1]
+        calls.append((args[1], inner(*args), len(args[2][0])))
+        return calls[-1][1]
 
     monkeypatch.setattr(propagator, "_moments", spy)
-    blocked = trace(6.0, ts, gaas, poles=gaas_cache, tol=1e-9)
-    rows = propagator._ROWS
-    monkeypatch.setattr(propagator, "_ROWS", len(ts))
+    monkeypatch.setattr(propagator, "_ROWS", 1 << 40)
     whole = trace(6.0, ts, gaas, poles=gaas_cache, tol=1e-9)
-    assert len(moments) == 2 and moments[0].shape[1] == len(ts)
+    [(level, one, width)] = calls
+    rows = 64
+    monkeypatch.setattr(propagator, "_ROWS", rows * width)
+    calls.clear()
+    blocked = trace(6.0, ts, gaas, poles=gaas_cache, tol=1e-9)
+    sizes = [len(c[0]) for c in calls]
+    assert sizes[:-1] == [rows] * (len(sizes) - 1) and sum(sizes) == len(ts)
+    assert rows < sizes[-1] < 2 * rows if len(ts) == 129 else len(sizes) > 2
     if ts[0] < 10.0:
-        assert len(set(levels[0][:rows])) > 1
-        assert len(set(levels[0][rows:])) > 1
-    assert np.array_equal(moments[0], moments[1])
+        assert len(set(level[:rows])) > 1
+        assert len(set(level[rows:])) > 1
+    assert np.array_equal(np.hstack([c[1] for c in calls]), one)
     assert np.array_equal(blocked.psi, whole.psi)
     assert np.array_equal(blocked.dpsi_dt, whole.dpsi_dt)
 
@@ -305,12 +313,14 @@ def _doubling_size(x, s0, kc0, sys, table, internal, tol, scale):
         c_new, k_new = propagator.expansion_coeffs(
             x, table[len(kn):p], internal)
         coefs, kn = np.concatenate((coefs, c_new)), np.concatenate((kn, k_new))
-        weight, later = propagator._omitted(s0, kc0, kn, coefs, J)
+        weight = np.abs(propagator._alpha(J + 1, s0, 1.0))
+        later = propagator._omitted(kc0, kn, coefs, J)
         rem = propagator._beyond(coefs, kn, s0, kc0)[0]
         for target in ((tol * aim * scale, tol * scale) if p >= cap
                        else (tol * aim * scale,)):
-            n = int(propagator._exact_count(weight, later, s0, kc0, kn,
-                                            0.5 * target)[0])
+            n = int(propagator._exact_count(
+                weight, later, kc0 + propagator._Z_MIN / s0, kn,
+                0.5 * target)[0])
             if 2 * n <= p and rem <= 0.5 * target:
                 return coefs, kn
         if p >= cap:
@@ -670,7 +680,8 @@ def test_each_time_sums_its_own_exact_count(monkeypatch):
     tr = trace(sys_.L, ts, sys_, tol=1e-6)
     assert len(heads) == 1
     level, pool = heads[0]
-    need = [n for n in needs if len(n) == len(ts)][-1]
+    # _size counts one time, the pole sum its blocks of two or more
+    need = np.concatenate([n for n in needs if len(n) > 1])
     assert np.array_equal(level, np.minimum(need, pool // 2))
     counts = np.unique(level)
     assert len(counts) > 5
@@ -747,7 +758,8 @@ def test_long_trace_sums_each_run_on_its_own(gaas, gaas_cache):
     # every run sizes its pool, and inside its ring, at its own first time,
     # so a long trace is bitwise its runs traced one by one; and the pool
     # of the earliest run no longer spans the whole trace: GaAs at 8 nm
-    # over 2000 times held 15.8 MiB with one pool
+    # over 2000 times held 15.8 MiB with one pool, and 5.6 MiB with one
+    # block of times per run
     t = np.linspace(0.5, 30.0, 2000)
     for x in (8.0, 2.0):
         tracemalloc.start()
@@ -755,10 +767,62 @@ def test_long_trace_sums_each_run_on_its_own(gaas, gaas_cache):
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         if x == 8.0:
-            assert peak <= 8 * 2 ** 20
+            assert peak <= 3 * 2 ** 20
         for run in propagator._runs(t):
             part = trace(x, t[run], gaas, poles=gaas_cache)
             assert np.array_equal(part.psi, tr.psi[run])
             assert np.array_equal(part.dpsi_dt, tr.dpsi_dt[run])
             assert np.array_equal(part.trunc_error_est,
                                   tr.trunc_error_est[run])
+
+
+@pytest.mark.parametrize("x", [2.0, 6.0])
+def test_whole_pass_in_blocks_is_bitwise_one_block(gaas, gaas_cache,
+                                                   monkeypatch, x):
+    # the omitted-term bounds, the ring or circle moments with their series
+    # and the exponentials are formed in blocks of times under one element
+    # budget; a budget of a few rows per block sums, inside the barrier and
+    # beyond it, bit for bit what one block per run sums.  Inside, the
+    # earliest times also evaluate damped exponentials (384 terms at 2 nm),
+    # which that budget splits; beyond it, no time here evaluates one
+    t = np.linspace(0.05, 30.0, 3000)
+    assert len(propagator._runs(t)) >= 2
+    names = ("_omitted", "_moments", "_segment_sums")
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name):
+        inner = getattr(propagator, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return inner(*args)
+        return spy
+
+    for name in names:
+        monkeypatch.setattr(propagator, name, counted(name))
+    monkeypatch.setattr(propagator, "_ROWS", 1 << 40)
+    whole = trace(x, t, gaas, poles=gaas_cache)
+    once = dict(calls)
+    calls.update(dict.fromkeys(names, 0))
+    monkeypatch.setattr(propagator, "_ROWS", 3 * propagator._RING)
+    blocked = trace(x, t, gaas, poles=gaas_cache)
+    assert calls["_omitted"] > 10 * once["_omitted"]
+    assert calls["_moments"] > 10 * once["_moments"]
+    assert (calls["_segment_sums"] > once["_segment_sums"]) == (x < gaas.L)
+    for got, want in ((blocked.psi, whole.psi),
+                      (blocked.dpsi_dt, whole.dpsi_dt),
+                      (blocked.trunc_error_est, whole.trunc_error_est)):
+        assert got.tobytes() == want.tobytes()
+    assert blocked.n_terms_used == whole.n_terms_used
+
+
+@pytest.mark.parametrize("x", [2.0, 8.0])
+def test_long_trace_memory_does_not_grow_with_its_times(gaas, gaas_cache, x):
+    # 20,000 times over 0.5-30 fs held 22.3 MiB at 2 nm and 26.5 MiB at
+    # 8 nm while a run's times formed each table in one block
+    t = np.linspace(0.5, 30.0, 20000)
+    tracemalloc.start()
+    trace(x, t, gaas, poles=gaas_cache)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 8 * 2 ** 20
