@@ -23,6 +23,12 @@ interpolant of the same rate over the rest of the window decides whether
 any maximum can follow: a rate that stays positive, by more than the
 interpolant's own tail, means the density only rises.  A forerunner is
 classified as under the barrier when omega_av < omega_V = V/hbar at its peak.
+
+Every interpolant runs through Chebyshev-Lobatto times, so its coefficients
+are one real FFT of the values there (a DCT-I) and it is evaluated by
+Clenshaw's recurrence; the zero is the first fall of the rate interpolant
+from > 0 to <= 0 on a Lobatto grid four times finer than the nodes,
+bisected to a few ulps.  Nothing here calls LAPACK or numpy.polynomial.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.chebyshev import Chebyshev, chebfit, chebpts2, chebval
 
 from .errors import AmplitudeUnderflow, NotConverged
 from .propagator import (DEFAULT_TOL, SMALL_T_GUARD, check_tol, check_x,
@@ -141,16 +146,76 @@ def default_window(sys: BarrierSystem, x=None):
     return lo, hi
 
 
+def _lobatto(n):
+    """The n Chebyshev-Lobatto points cos(pi j/(n - 1)) of [-1, 1], in
+    ascending order."""
+    return np.cos(np.linspace(-np.pi, 0.0, n))
+
+
+def _cheb_coef(values):
+    """Chebyshev coefficients of the interpolant through values at
+    _lobatto(len(values)), a column per series: one real FFT of the values'
+    even extension (a DCT-I)."""
+    n = len(values) - 1
+    f = values[::-1]                    # at cos(pi j/n), j = 0..n
+    coef = np.fft.rfft(np.concatenate((f, f[-2:0:-1])), axis=0).real / n
+    coef[0] /= 2.0
+    coef[n] /= 2.0
+    return coef
+
+
+def _clenshaw(coef, u):
+    """The Chebyshev series coef (a column per series) at u in [-1, 1], by
+    Clenshaw's recurrence."""
+    u2 = 2.0 * u
+    c0, c1 = coef[-2], coef[-1]
+    for c in coef[-3::-1]:
+        c0, c1 = c - c1, c0 + c1 * u2
+    return c0 + c1 * u
+
+
+def _falling_zero(coef, values):
+    """The least u in [-1, 1] where the interpolant coef through values at
+    the Lobatto points falls from > 0 to <= 0, to a few ulps; some value
+    > 0 must come before one < 0.
+
+    The interpolant is sampled on the Lobatto grid four times finer, which
+    holds the points, where it takes the values themselves.  Its first
+    sample > 0 followed, past any samples = 0, by one < 0 brackets the
+    zero: the first sample = 0 between them, if any, else the bisected
+    sign change."""
+    u = _lobatto(4 * (len(values) - 1) + 1)
+    v = _clenshaw(coef, u)
+    v[::4] = values
+    nz = np.flatnonzero(v)
+    k = int(np.flatnonzero((v[nz[:-1]] > 0.0) & (v[nz[1:]] < 0.0))[0])
+    if nz[k + 1] > nz[k] + 1:
+        return float(u[nz[k] + 1])
+    a, b = float(u[nz[k]]), float(u[nz[k + 1]])
+    c, width = coef.tolist(), 4.0 * np.finfo(float).eps
+    while b - a > width:                # Python floats: microseconds a step
+        mid = 0.5 * (a + b)
+        f = _clenshaw(c, mid)
+        if f > 0.0:
+            a = mid
+        elif f < 0.0:
+            b = mid
+        else:
+            return mid
+    return 0.5 * (a + b)
+
+
 def _rate_fit(x, lo, hi, n, sys, cache, tol, step):
-    """(trace, rate, interpolant) of the envelope rate Re[(dPsi/dt)/Psi] at
-    tol on n Chebyshev-Lobatto times over [lo, hi]; a miss names `step`."""
-    nodes = lo + (hi - lo) * 0.5 * (1.0 + chebpts2(n))
+    """The trace at tol on n Chebyshev-Lobatto times over [lo, hi], the
+    envelope rate Re[(dPsi/dt)/Psi] there and the Chebyshev coefficients
+    of its interpolant; a miss names `step`."""
+    nodes = lo + (hi - lo) * 0.5 * (1.0 + _lobatto(n))
     try:
         w = trace(x, nodes, sys, poles=cache, tol=tol)
     except NotConverged as exc:
         raise NotConverged(f"{step} of the peak search: {exc}") from exc
     rate = np.real(w.dpsi_dt / w.psi)
-    return w, rate, Chebyshev.fit(nodes, rate, n - 1, domain=(lo, hi))
+    return w, rate, _cheb_coef(rate)
 
 
 def _rises_throughout(x, times, sys, cache, tol):
@@ -159,11 +224,13 @@ def _rises_throughout(x, times, sys, cache, tol):
     RISE_MARGIN times the larger of its last two coefficients plus tol
     times the largest |rate| traced, so |Psi| rises strictly from each of
     `times` to the next."""
-    _, rate, fit = _rate_fit(x, times[0], times[-1], RISE_NODES, sys, cache,
-                             tol, "no-peak check")
-    margin = (RISE_MARGIN * np.max(np.abs(fit.coef[-2:]))
+    lo, hi = times[0], times[-1]
+    _, rate, coef = _rate_fit(x, lo, hi, RISE_NODES, sys, cache, tol,
+                              "no-peak check")
+    margin = (RISE_MARGIN * np.max(np.abs(coef[-2:]))
               + tol * np.max(np.abs(rate)))
-    return bool(np.min(fit(times)) > margin)
+    u = (2.0 * times - (lo + hi)) / (hi - lo)
+    return bool(np.min(_clenshaw(coef, u)) > margin)
 
 
 def find_time_domain_resonance(sys: BarrierSystem, x=None, tol=DEFAULT_TOL,
@@ -184,7 +251,8 @@ def find_time_domain_resonance(sys: BarrierSystem, x=None, tol=DEFAULT_TOL,
     the scan goes on.  The polish traces the signed envelope rate
     Re[(dPsi/dt)/Psi] at tol on POLISH_NODES Chebyshev-Lobatto times two
     scan steps either side of it; t_max is the first falling zero of their
-    interpolant.  A miss of any of these traces raises NotConverged naming
+    interpolant, bracketed on a finer Lobatto grid and bisected
+    (_falling_zero).  A miss of any of these traces raises NotConverged naming
     the scan, the no-peak check or the polish.  Psi and dPsi/dt at t_max,
     and with them every reported value, come from their own interpolants
     through the same nodes, so nothing is traced at t_max; NotConverged is
@@ -230,8 +298,8 @@ def find_time_domain_resonance(sys: BarrierSystem, x=None, tol=DEFAULT_TOL,
     i = int(idx[0]) + 1
 
     lo, hi = grid[max(i - 2, 0)], grid[min(i + 2, len(grid) - 1)]
-    w, rate, fit = _rate_fit(x, lo, hi, POLISH_NODES, sys, cache, tol,
-                             "peak polish")
+    w, rate, coef = _rate_fit(x, lo, hi, POLISH_NODES, sys, cache, tol,
+                              "peak polish")
     if not rate[0] > 0.0 > rate[-1]:
         # the scan closed a maximum that the polish, at tol, does not see
         raise NotConverged(
@@ -239,18 +307,13 @@ def find_time_domain_resonance(sys: BarrierSystem, x=None, tol=DEFAULT_TOL,
             f"{hi:.6g}] fs goes from {rate[0]:.3g} to {rate[-1]:.3g} 1/fs, "
             "not from > 0 to < 0 across the maximum the scan bracketed")
     # the interpolant takes the end signs, so it has a falling zero in [lo, hi]
-    slope = fit.deriv()
-    t_max = min(r.real for r in fit.roots()
-                if r.imag == 0 and lo <= r.real <= hi and slope(r.real) < 0)
+    u_max = _falling_zero(coef, rate)
+    t_max = 0.5 * (lo + hi) + 0.5 * (hi - lo) * u_max
     # Psi and dPsi/dt at t_max from their interpolants through the same
-    # nodes: one real fit, a column per real and imaginary part (a complex
-    # fit raised peak RSS by 0.5 MB, through numpy's complex LAPACK paths)
-    off, scl = fit.mapparms()
-    coef = chebfit(off + scl * w.times,
-                   np.column_stack([w.psi.real, w.psi.imag,
-                                    w.dpsi_dt.real, w.dpsi_dt.imag]),
-                   POLISH_NODES - 1)
-    re_psi, im_psi, re_dpsi, im_dpsi = chebval(off + scl * t_max, coef)
+    # nodes, a real column per real and imaginary part
+    coef = _cheb_coef(np.column_stack([w.psi.real, w.psi.imag,
+                                       w.dpsi_dt.real, w.dpsi_dt.imag]))
+    re_psi, im_psi, re_dpsi, im_dpsi = _clenshaw(coef, u_max)
     psi, dpsi_dt = complex(re_psi, im_psi), complex(re_dpsi, im_dpsi)
     for name, j, size in (("Psi", 0, abs(psi)), ("dPsi/dt", 2, abs(dpsi_dt))):
         tail = float(np.max(np.hypot(coef[-2:, j], coef[-2:, j + 1])))

@@ -434,6 +434,10 @@ def _exponentials(x_arg, t, s, kc, level, coefs, kn, c2, thr):
     dropped = (P - cut) * big[j] * np.exp(
         -two_s2 * low[j] * np.maximum(left[j] - kc, 0.0))
     count = cut - level
+    if not count.any():
+        # most pole sums evaluate no term: skip the chunk loop
+        none = np.zeros(len(t), dtype=complex)
+        return none, none, dropped
     terms = np.empty(len(t), dtype=complex)
     slope = np.empty(len(t), dtype=complex)
     for rows in _chunks(count, _ROWS):

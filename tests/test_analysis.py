@@ -10,6 +10,10 @@ Oracles:
 * [TRIVIAL] a peak find traces a prefix of the scan grid, each time once,
   up to the chunk that closes the first maximum, then the polish nodes
   inside the scan bracket, and nothing more;
+* [DERIVED] the interpolation helpers against numpy.polynomial.chebyshev:
+  the FFT coefficients and their Clenshaw values agree with chebfit and
+  chebval to 1e-14 of their largest, and the bracketed zero is the least
+  falling real root of the companion matrix;
 * [DERIVED] the values at t_max, read off the polish interpolants, agree
   with a direct trace at t_max to 1e-10, and an interpolant whose tail
   exceeds tol |Psi|, or tol |dPsi/dt| for dPsi/dt, raises NotConverged,
@@ -34,7 +38,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from numpy.polynomial.chebyshev import Chebyshev
+from numpy.polynomial.chebyshev import Chebyshev, chebfit, chebpts2, chebval
 
 from qtransient import (analysis, find_time_domain_resonance,
                         local_frequency, make_system, pole_cache,
@@ -188,6 +192,49 @@ def test_peak_values_from_the_polish_interpolant(tol):
                           (tdr.omega_av, omega_av),
                           (tdr.omega_ratio, omega_av / sys_.omegaV)):
             assert abs(got / want - 1.0) <= 1e-10, (sys_.alpha, x, got, want)
+
+
+@pytest.mark.parametrize("n", [analysis.POLISH_NODES, analysis.RISE_NODES])
+@pytest.mark.parametrize("columns", [(), (4,)])
+def test_fft_coefficients_match_the_least_squares_fit(n, columns):
+    # interpolation at the Chebyshev-Lobatto points by one FFT is the fit
+    # numpy.polynomial solves by least squares; one column as the rate,
+    # four as Psi and dPsi/dt
+    u = analysis._lobatto(n)
+    assert np.array_equal(u, chebpts2(n))
+    values = np.random.default_rng(n).standard_normal((n, *columns))
+    want = chebfit(u, values, n - 1)
+    coef = analysis._cheb_coef(values)
+    assert np.max(np.abs(coef - want)) <= 1e-14 * np.max(np.abs(want))
+    at = np.linspace(-1.0, 1.0, 101)
+    want = chebval(at, want).T
+    got = (analysis._clenshaw(coef, at) if not columns
+           else np.array([analysis._clenshaw(coef, a) for a in at]))
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [analysis.POLISH_NODES, analysis.RISE_NODES])
+@pytest.mark.parametrize("roots,falling", [
+    ([0.3], 0),               # + to -
+    ([-0.4, 0.5], 1),         # - to + to -: the rising root comes first
+    ([-0.6, 0.1, 0.7], 0),    # + to - to + to -
+    ("node", 0),              # + to - on a node, where the value is 0
+])
+def test_bracketed_zero_is_the_least_falling_root(n, roots, falling):
+    u = analysis._lobatto(n)
+    if roots == "node":
+        roots = [u[n // 3]]
+    values = -np.prod([u - r for r in roots], axis=0) * (2.0 + u)
+    fit = Chebyshev(chebfit(u, values, n - 1))
+    slope = fit.deriv()
+    want = min(r.real for r in fit.roots()
+               if r.imag == 0 and abs(r.real) <= 1 and slope(r.real) < 0)
+    got = analysis._falling_zero(analysis._cheb_coef(values), values)
+    assert got == pytest.approx(want, rel=0.0, abs=1e-13)
+    # bisection lands closer to the true root than the companion matrix
+    assert got == pytest.approx(roots[falling], rel=0.0, abs=1e-15)
+    if roots[0] in u:
+        assert got == roots[0]
 
 
 def test_noisy_polish_interpolant_raises(gaas, gaas_cache, monkeypatch):

@@ -522,7 +522,10 @@ def test_cold_pole_search_leaves_scipy_ndimage_unloaded():
 def test_analytic_path_loads_no_scipy():
     # the analytic path runs on numpy alone: start-up, a peak find, a cold
     # pole search and a trace load no scipy module; only the grid oracle
-    # imports scipy.linalg, on its first solve
+    # imports scipy.linalg, on its first solve.  The peak search calls no
+    # LAPACK routine and loads no numpy.polynomial: a peak at x = L, a
+    # search that ends in the no-peak check (L = 2 nm, below alpha_c) and a
+    # position scan run while numpy.linalg's solvers raise
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(__file__).resolve().parents[1] / "src")]
@@ -530,7 +533,10 @@ def test_analytic_path_loads_no_scipy():
     evolve = ["evolve", "--x", "6", "--tmin", "1", "--tmax", "5",
               "--steps", "5"]
     oracle = ["oracle-compare", "--tmin", "2", "--tmax", "3", "--steps", "2"]
+    thin = ["--V", "0.3", "--E", "0.001", "--L", "2", "--mass-ratio", "0.067"]
+    scan = ["scan-freq-x", "--grid", "2:6:3"]
     probe = ("import io, sys, contextlib\n"
+             "import numpy.linalg\n"
              "def scipy():\n"
              "    return sorted(m for m in sys.modules\n"
              "                  if m == 'scipy' or m.startswith('scipy.'))\n"
@@ -538,9 +544,22 @@ def test_analytic_path_loads_no_scipy():
              "from qtransient import find_poles, make_system\n"
              "print('import', scipy())\n"
              "def run(argv):\n"
-             "    with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    global out\n"
+             "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
              "        return cli.main(argv)\n"
+             "def refuse(*args, **kwargs):\n"
+             "    raise AssertionError('numpy.linalg called')\n"
+             "solvers = ('lstsq', 'eigvals', 'eig', 'solve', 'svd')\n"
+             "saved = {f: getattr(numpy.linalg, f) for f in solvers}\n"
+             "for f in solvers:\n"
+             "    setattr(numpy.linalg, f, refuse)\n"
              f"print('tmax', run({GAAS_FLAGS + ['tmax']!r}), scipy())\n"
+             f"print('no peak', run({thin + ['tmax']!r}),\n"
+             "      out.getvalue().splitlines()[-1].split(',')[1])\n"
+             f"print('scan', run({GAAS_FLAGS + scan!r}))\n"
+             "print('numpy.polynomial', 'numpy.polynomial' in sys.modules)\n"
+             "for f in solvers:\n"
+             "    setattr(numpy.linalg, f, saved[f])\n"
              "find_poles(make_system(0.3, 0.001, 4.0, 0.067), 64)\n"
              "print('find_poles', scipy())\n"
              f"print('evolve', run({GAAS_FLAGS + evolve!r}), scipy())\n"
@@ -550,7 +569,8 @@ def test_analytic_path_loads_no_scipy():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == [
-        "import []", "tmax 0 []", "find_poles []", "evolve 0 []",
+        "import []", "tmax 0 []", "no peak 0 false", "scan 0",
+        "numpy.polynomial False", "find_poles []", "evolve 0 []",
         "oracle 0 True"]
 
 
