@@ -76,9 +76,12 @@ only the damped exponentials before a cut past which a bound on the
 rest, never evaluated, is within _CUT times the target.  The two halves
 and that bound, relative to |Psi|, are each point's trunc_error_est.
 Every table with a row per time (the omitted-term bounds, the Cauchy
-nodes less each time's share, the exponentials) is formed in blocks of
-times under one element budget, so a run's working memory does not grow
-with its times, and each time's numbers do not depend on the blocks.
+nodes less each time's share) is formed in blocks of times under one
+element budget, and every ragged (time, term) table (the exact poles'
+Moshinsky terms, the exponentials) in chunks of times under another, so
+a run's working memory does not grow with its times, and each time's
+numbers do not depend on the cuts.  One splitter (_slices) cuts the runs,
+blocks and chunks, and one loop (_ragged_sums) sums every ragged table.
 """
 
 from __future__ import annotations
@@ -109,7 +112,7 @@ _Z_MIN = 3.0        # least s (Re q - k_c) of an omitted pole
 _AIM = 1e-3
 _RING = 64          # Cauchy nodes of the internal moments
 _ARC = 16           # Cauchy nodes around each external k_c
-_ROWS = 1 << 15     # elements of a per-time table formed at once (_blocks)
+_ROWS = 1 << 15     # elements of a per-time table formed at once
 _RUN = 256          # fewest times of a trace summed with one pool and ring
 _PAIRS = 1 << 13    # (time, pole) pairs per Moshinsky call
 _CUT = 1e-3         # the dropped exponentials' share of the target
@@ -283,40 +286,39 @@ def _size(x, s0, kc0, sys, table, internal, tol, scale):
         p = min(2 * p, HARD_CAP)
 
 
-def _blocks(n, width):
-    """Slices of n times in blocks of _ROWS // width, at least two, for a
-    table width elements wide; a lone last time joins the block before.
-    numpy sums the series terms of two or more times as it sums them over
-    the whole run, but not of one."""
-    step = max(2, _ROWS // width)
-    edges = [0, *range(step, n - 1, step), n]
-    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
-
-
-def _chunks(width, limit):
-    """Slices of consecutive times whose widths sum to at most limit; a
-    time wider than limit takes a slice of its own."""
-    ends = np.cumsum(width)
-    lo = 0
-    while lo < len(width):
-        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - width[lo]
-                                             + limit, side="right")))
-        yield slice(lo, hi)
+def _slices(n, least, end):
+    """Consecutive slices of n times: each runs from lo to end(lo), but
+    over no fewer than least times, and a tail shorter than least joins the
+    slice before.  Runs, blocks and ragged chunks are all cut by this rule."""
+    out, lo = [], 0
+    while lo < n:
+        hi = max(lo + least, int(end(lo)))
+        if n - hi < least:
+            hi = n
+        out.append(slice(lo, hi))
         lo = hi
+    return out
 
 
-def _offsets(n):
-    """Each entry's place within its run, for consecutive runs of n[i]."""
-    return np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-
-
-def _segment_sums(values, n):
-    """Sums of consecutive runs of values, n[i] entries in run i; an empty
-    run sums to 0."""
-    out = np.zeros(len(n), dtype=complex)
-    full = n > 0
-    if np.any(full):
-        out[full] = np.add.reduceat(values, (np.cumsum(n) - n)[full])
+def _ragged_sums(count, limit, terms):
+    """Per-time sums of a ragged table, count[i] entries at time i, formed
+    in chunks of consecutive times of at most limit entries (a lone time
+    may hold more): terms(rows, n, pos) gives two arrays over the entries
+    of the times rows, n = count[rows] per time and pos each one's place in
+    its time.  An empty time sums to 0; a table with no entries forms none.
+    """
+    out = np.zeros((2, len(count)), dtype=complex)
+    if not count.any():
+        return out
+    ends = np.cumsum(count)
+    for rows in _slices(len(count), 1, lambda lo: np.searchsorted(
+            ends, ends[lo] - count[lo] + limit, side="right")):
+        n = count[rows]
+        lo = np.cumsum(n) - n
+        full = n > 0
+        values = terms(rows, n, np.arange(n.sum()) - np.repeat(lo, n))
+        for sums, v in zip(out, values):
+            sums[rows][full] = np.add.reduceat(v, lo[full])
     return out
 
 
@@ -325,24 +327,21 @@ def _heads(x_arg, t, level, pool, axis, f_k, sys):
     time derivative, per time.
 
     Time i sums a prefix of one list of (q, c) pairs: +-k, the antibound
-    poles, then the first 2 level[i] entries of the pool.  The (time, pair)
-    terms of consecutive times go to one Moshinsky call, at most _PAIRS of
-    them (a lone time may hold more), and are summed per time.
+    poles, then the first 2 level[i] entries of the pool.  Each chunk of
+    _ragged_sums, at most _PAIRS (time, pair) terms, is one Moshinsky call.
     """
-    n = 2 * int(level.max())
-    q = np.concatenate(([sys.k, -sys.k], axis[1], pool[0][:n]))
-    c = np.concatenate(([f_k[0], -f_k[1]], -axis[0], -pool[1][:n]))
-    width = 2 + len(axis[1]) + 2 * level
-    psi = np.empty(len(t), dtype=complex)
-    dpsi = np.empty(len(t), dtype=complex)
-    for rows in _chunks(width, _PAIRS):
-        w = width[rows]
-        pos = _offsets(w)
-        m, dm = moshinsky_m_dt(x_arg, q[pos], np.repeat(t[rows], w), sys.c2)
+    top = 2 * int(level.max())
+    q = np.concatenate(([sys.k, -sys.k], axis[1], pool[0][:top]))
+    c = np.concatenate(([f_k[0], -f_k[1]], -axis[0], -pool[1][:top]))
+
+    def terms(rows, n, pos):
+        m, dm = moshinsky_m_dt(x_arg, q[pos], np.repeat(t[rows], n), sys.c2)
         c_pos = c[pos]
-        psi[rows] = _segment_sums(m * c_pos, w)
-        dpsi[rows] = _segment_sums(dm * c_pos, w)
-    return psi, dpsi
+        m *= c_pos
+        dm *= c_pos
+        return m, dm
+
+    return _ragged_sums(2 + len(axis[1]) + 2 * level, _PAIRS, terms)
 
 
 def _ring(level, pool, axis, f, f_k, sys):
@@ -433,26 +432,18 @@ def _exponentials(x_arg, t, s, kc, level, coefs, kn, c2, thr):
     j = np.minimum(cut, P - 1)
     dropped = (P - cut) * big[j] * np.exp(
         -two_s2 * low[j] * np.maximum(left[j] - kc, 0.0))
-    count = cut - level
-    if not count.any():
-        # most pole sums evaluate no term: skip the chunk loop
-        none = np.zeros(len(t), dtype=complex)
-        return none, none, dropped
-    terms = np.empty(len(t), dtype=complex)
-    slope = np.empty(len(t), dtype=complex)
-    for rows in _chunks(count, _ROWS):
-        n = count[rows]
-        row = np.repeat(np.arange(len(n)), n)
-        pole = _offsets(n) + np.repeat(level[rows], n)
+
+    def terms(rows, n, pos):
+        pole = pos + np.repeat(level[rows], n)
         kt = kn[pole]
         rate = -1j * (c2 / HBAR) * kt * kt
-        e = rate * t[rows][row] + 1j * kt * x_arg
-        e[kt.real + kt.imag <= kc[rows][row]] = -1e3    # Im z >= 0: no term
+        e = rate * np.repeat(t[rows], n) + 1j * kt * x_arg
+        e[kt.real + kt.imag <= np.repeat(kc[rows], n)] = -1e3  # Im z >= 0
         np.exp(e, out=e)
         e *= coefs[pole]
-        terms[rows] = _segment_sums(e, n)
-        slope[rows] = _segment_sums(e * rate, n)
-    return terms, slope, dropped
+        return e, e * rate
+
+    return (*_ragged_sums(cut - level, _ROWS, terms), dropped)
 
 
 def _pole_sum(x, t, sys, table, internal, f, f_k, tol, scale):
@@ -470,8 +461,11 @@ def _pole_sum(x, t, sys, table, internal, f, f_k, tol, scale):
     the one that held the pool, which later runs and passes reuse.
 
     The pool, its bounds and the internal ring belong to the run; each
-    table with a row per time is formed in blocks of times (_blocks), bit
-    for bit as in one block, so memory does not grow with the run's times.
+    table with a row per time is formed in blocks of times (_slices), and
+    each ragged table in chunks (_ragged_sums), bit for bit as in one, so
+    memory does not grow with the run's times.  A block holds at least two
+    times: numpy sums the series terms of two or more times as it sums
+    them over the whole run, but not of one.
     """
     J = _ORDER[internal]
     x_arg = 0.0 if internal else x
@@ -483,7 +477,7 @@ def _pole_sum(x, t, sys, table, internal, f, f_k, tol, scale):
     weight, edge = np.abs(_alpha(J + 1, s, 1.0)), kc + _Z_MIN / s
     level = np.empty(len(t), dtype=int)
     est = np.empty(len(t))
-    for rows in _blocks(len(t), len(kn) + 1):
+    for rows in _slices(len(t), 2, lambda lo: lo + _ROWS // (len(kn) + 1)):
         later = _omitted(kc[rows], kn, coefs, J)
         need = _exact_count(weight[rows], later, edge[rows], kn, 0.5 * target)
         level[rows] = n = np.minimum(need, len(kn) // 2)
@@ -496,7 +490,8 @@ def _pole_sum(x, t, sys, table, internal, f, f_k, tol, scale):
     psi, dpsi = _heads(x_arg, t, level, pool, axis, f_k, sys)
     ring = _ring(level, pool, axis, f, f_k, sys) if internal else None
     j = np.arange(J + 1)[:, None]
-    for rows in _blocks(len(t), _RING if internal else len(pool[0])):
+    width = _RING if internal else len(pool[0])
+    for rows in _slices(len(t), 2, lambda lo: lo + _ROWS // width):
         mu = _moments(kc[rows], level[rows], pool, axis, f, f_k, sys, ring)
         a2tr = a2t[rows]
         al = _alpha(j, s[rows], np.exp(1j * a2tr))
@@ -517,16 +512,8 @@ def _pole_sum(x, t, sys, table, internal, f, f_k, tol, scale):
 
 def _runs(t):
     """Slices of the increasing times t that are summed apart: a run ends
-    where t has doubled from its first time but holds at least _RUN times,
-    and a last run shorter than _RUN joins the one before."""
-    runs, lo = [], 0
-    while lo < len(t):
-        hi = max(lo + _RUN, int(np.searchsorted(t, 2.0 * t[lo])))
-        if len(t) - hi < _RUN:
-            hi = len(t)
-        runs.append(slice(lo, hi))
-        lo = hi
-    return runs
+    where t has doubled from its first time but holds at least _RUN times."""
+    return _slices(len(t), _RUN, lambda lo: np.searchsorted(t, 2.0 * t[lo]))
 
 
 def _check_merging_pair(table, tol):
@@ -625,8 +612,9 @@ def check_times(t):
 
 def check_tol(tol):
     """Reject a pole-sum tolerance no sum can meet or that means nothing."""
-    if not 0 < tol < np.inf:
-        raise NonPositiveParameter(f"tol must be finite and > 0, got tol={tol}")
+    if not 0 < tol < 1:
+        raise NonPositiveParameter(
+            f"tol must be finite, > 0 and < 1, got tol={tol}")
 
 
 def trace(x, t_grid, sys: BarrierSystem, poles=None,

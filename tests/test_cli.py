@@ -410,6 +410,17 @@ def test_non_finite_x_or_time_exits_2_naming_it(capsys, recwarn, argv, named):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("tol", ["0", "nan", "1", "1e300"])
+@pytest.mark.parametrize("command", [
+    ["tmax"], ["evolve", "--tmin", "1", "--tmax", "5", "--steps", "5"]])
+def test_tol_outside_zero_to_one_exits_2_naming_it(capsys, command, tol):
+    # a relative tolerance of 1 or more is input error, not a scan or
+    # polish that missed: the command exits 2 before any pole sum
+    code, out, err = run(capsys, GAAS_FLAGS + ["--tol", tol] + command)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "tol" in err
+
+
 def test_oversized_oracle_run_exits_2_before_any_sum(capsys):
     # 4e9 oracle steps: refused before the analytic trace or any kernel
     code, out, err = run(capsys, GAAS_FLAGS + [

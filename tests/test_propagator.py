@@ -16,6 +16,9 @@ Oracles:
   stationary value |T_k|^2 at long times;
 * [DERIVED] on an opaque barrier (alpha ~ 30) the density at x = L agrees
   with the grid oracle within 1 %, which takes every pole down to pole 1;
+* [DERIVED] the grid oracle's two-level Richardson extrapolation in dx
+  agrees with tol-1e-11 traces within 2e-6 at 5-30 fs, in the barrier, at
+  its edge and beyond it, and its own estimate |R - v_{h/2}| bounds the gap;
 * [TRIVIAL] one pole table per system, a quarter of the cap deep, is found
   once and shared, and poles found for another system are refused; a pool
   that outgrows it searches the cap once and sums bitwise what it sums on
@@ -41,6 +44,8 @@ Oracles:
 * [TRIVIAL] each per-time table of a pole sum is formed in blocks of times
   under one element budget: a budget of a few rows per block sums bit for
   bit what one block per run sums, so 20,000 times hold under 8 MiB;
+* [TRIVIAL] one splitter cuts the runs, the blocks and the ragged chunks
+  exactly as the three rules it replaced, kept here as the references;
 * [DERIVED] whole-window traces, whose first times subtract many exact
   terms on the internal ring, read within tol what each of their first
   times reads traced alone at tol 1e-3, at the edge of the two barriers
@@ -58,6 +63,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtransient import (cn_evolve, default_cn_config, find_poles,
                         find_time_domain_resonance, length_for_alpha,
@@ -173,6 +180,31 @@ def test_opaque_barrier_matches_the_grid_oracle():
                            ts).psi[0]) ** 2
     got = np.abs(trace(sys_.L, ts, sys_).psi) ** 2
     assert np.all(np.abs(got - ref) <= 0.01 * ref), got / ref - 1.0
+
+
+@pytest.mark.parametrize("alpha", [None, 2.5], ids=["gaas", "alpha-2.5"])
+def test_pole_sum_matches_the_richardson_extrapolated_oracle(gaas, alpha):
+    # default_cn_config ties dt and the theta damping to dx^2, so the
+    # oracle's leading error is c dx^2 and R = (4 v_{h/2} - v_h)/3 cancels
+    # it.  At t >= 5 fs the largest gap measured was 4.1e-7 (GaAs, 6 nm)
+    # and 2.3e-7 (alpha = 2.5, u = 300, 1.5 L), and |R - v_{h/2}| at least
+    # 340 times the gap; alpha = 5 reached 4.4e-6 at 1.5 L
+    sys_ = gaas if alpha is None else make_system(
+        0.3, 0.001, length_for_alpha(alpha, 0.3, 0.067), 0.067)
+    t = np.linspace(5.0, 30.0, 26)
+    probes = [0.5 * sys_.L, sys_.L, 1.5 * sys_.L]    # nodes of both grids
+    cfg = default_cn_config(sys_, t[-1])
+    half = default_cn_config(sys_, t[-1], dx=cfg.dx / 2)
+    assert half.dx == cfg.dx / 2
+    v_h = cn_evolve(sys_, cfg, probes, t).psi
+    v_h2 = cn_evolve(sys_, half, probes, t).psi
+    richardson = (4.0 * v_h2 - v_h) / 3.0
+    table = pole_cache(sys_)
+    for x, r, fine in zip(probes, richardson, v_h2):
+        psi = trace(x, t, sys_, poles=table, tol=1e-11).psi
+        gap = np.abs(r - psi)
+        assert np.all(gap <= 2e-6 * np.abs(psi)), (x, gap / np.abs(psi))
+        assert np.all(gap <= np.abs(r - fine)), (x, np.abs(r - fine) / gap)
 
 
 def test_trace_matches_pointwise_evaluation(gaas, gaas_cache):
@@ -754,6 +786,68 @@ def test_runs_split_long_traces_where_t_has_doubled():
     assert all(r.stop - r.start >= run for r in runs)
 
 
+def _old_runs(t, run):
+    runs, lo = [], 0
+    while lo < len(t):
+        hi = max(lo + run, int(np.searchsorted(t, 2.0 * t[lo])))
+        if len(t) - hi < run:
+            hi = len(t)
+        runs.append(slice(lo, hi))
+        lo = hi
+    return runs
+
+
+def _old_blocks(n, width, rows):
+    step = max(2, rows // width)
+    edges = [0, *range(step, n - 1, step), n]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
+def _old_chunks(width, limit):
+    ends = np.cumsum(width)
+    lo = 0
+    while lo < len(width):
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - width[lo]
+                                             + limit, side="right")))
+        yield slice(lo, hi)
+        lo = hi
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3000), st.integers(1, 300), st.integers(1, 2000),
+       st.integers(1, 1 << 16), st.floats(0.0, 20.0), st.integers(0, 300),
+       st.integers(0, 2 ** 32 - 1))
+def test_one_splitter_cuts_as_the_runs_blocks_and_chunks_did(
+        n, least, width, budget, spread, most, seed):
+    # the run, block and chunk rules that _slices replaced, kept above as
+    # the references: each of its calls cuts exactly their slices.  The
+    # times rise linearly, times a factor of up to e^spread
+    rng = np.random.default_rng(seed)
+    t = (np.cumsum(1e-3 + rng.random(n))
+         * np.exp(np.cumsum(rng.random(n)) * (spread / n)))
+    assert propagator._runs(t) == _old_runs(t, propagator._RUN)
+    assert propagator._slices(
+        n, least, lambda lo: np.searchsorted(t, 2.0 * t[lo])) == \
+        _old_runs(t, least)
+    for rows in (propagator._ROWS, budget):
+        assert propagator._slices(n, 2, lambda lo: lo + rows // width) == \
+            _old_blocks(n, width, rows)
+    # the chunks _ragged_sums forms, some times empty, some wider than the
+    # limit; integer terms make every sum exact
+    count = rng.integers(0, most + 1, n) * (rng.random(n) < 0.8)
+    limit = budget % (100 * most + 1) + 1
+    chunks = []
+
+    def terms(rows, n, pos):
+        chunks.append(rows)
+        return pos.astype(complex), 1j * np.repeat(np.arange(n.size), n) \
+            + 1j * rows.start
+
+    sums = propagator._ragged_sums(count, limit, terms)
+    assert chunks == (list(_old_chunks(count, limit)) if count.any() else [])
+    assert np.array_equal(sums[0], count * (count - 1) / 2.0)
+    assert np.array_equal(sums[1], 1j * np.arange(n) * count)
+
 def test_long_trace_sums_each_run_on_its_own(gaas, gaas_cache):
     # every run sizes its pool, and inside its ring, at its own first time,
     # so a long trace is bitwise its runs traced one by one; and the pool
@@ -787,19 +881,24 @@ def test_whole_pass_in_blocks_is_bitwise_one_block(gaas, gaas_cache,
     # which that budget splits; beyond it, no time here evaluates one
     t = np.linspace(0.05, 30.0, 3000)
     assert len(propagator._runs(t)) >= 2
-    names = ("_omitted", "_moments", "_segment_sums")
+    names = ("_omitted", "_moments", "chunks")
     calls = dict.fromkeys(names, 0)
 
-    def counted(name):
-        inner = getattr(propagator, name)
-
+    def counted(name, inner):
         def spy(*args):
             calls[name] += 1
             return inner(*args)
         return spy
 
-    for name in names:
-        monkeypatch.setattr(propagator, name, counted(name))
+    def ragged(count, limit, terms):
+        # each chunk a ragged sum forms is one call of its terms
+        return ragged_sums(count, limit, counted("chunks", terms))
+
+    ragged_sums = propagator._ragged_sums
+    for name in names[:2]:
+        monkeypatch.setattr(propagator, name,
+                            counted(name, getattr(propagator, name)))
+    monkeypatch.setattr(propagator, "_ragged_sums", ragged)
     monkeypatch.setattr(propagator, "_ROWS", 1 << 40)
     whole = trace(x, t, gaas, poles=gaas_cache)
     once = dict(calls)
@@ -808,7 +907,7 @@ def test_whole_pass_in_blocks_is_bitwise_one_block(gaas, gaas_cache,
     blocked = trace(x, t, gaas, poles=gaas_cache)
     assert calls["_omitted"] > 10 * once["_omitted"]
     assert calls["_moments"] > 10 * once["_moments"]
-    assert (calls["_segment_sums"] > once["_segment_sums"]) == (x < gaas.L)
+    assert (calls["chunks"] > once["chunks"]) == (x < gaas.L)
     for got, want in ((blocked.psi, whole.psi),
                       (blocked.dpsi_dt, whole.dpsi_dt),
                       (blocked.trunc_error_est, whole.trunc_error_est)):

@@ -208,9 +208,10 @@ def test_window_refinement_is_never_worse_than_bisection_plus_one(
     assert max(below) < alpha_u < min(past)
 
 
-@pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0, math.inf])
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0, math.inf, 1.0, 1e300])
 def test_tol_checked_where_it_enters(gaas, gaas_cache, monkeypatch, bad):
-    # rejected as bad input before any pole sum, peak search or delay runs
+    # rejected as bad input before any pole sum, peak search or delay runs;
+    # a relative tolerance of 1 or more asks nothing of trunc_error_est
     for module, name in ((sweeps, "find_time_domain_resonance"),
                          (sweeps, "pole_cache"), (sweeps, "phase_time_delay"),
                          (analysis, "pole_cache"), (analysis, "trace")):
