@@ -36,7 +36,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import ConfigError, MissingRequired, UnknownKey
-from .propagator import DEFAULT_TOL
+from .propagator import DEFAULT_TOL, check_tol
 
 TOOL_VERSION = "0.1.0"
 
@@ -103,6 +103,7 @@ class RunConfig:
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
                 raise MissingRequired(f"{name} must be a positive finite number, "
                                       f"got {v!r}")
+        check_tol(self.tol)
 
     def provenance_items(self):
         return [(f.name, getattr(self, f.name)) for f in fields(self)

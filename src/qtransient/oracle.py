@@ -37,17 +37,22 @@ The result is the solution on the unbounded lattice: it does not depend on
 where the window ends, and no signal returns from a wall.
 
 The instantaneous term of the convolution joins A's corner diagonals, so
-the left-hand operator never changes during a run and is LU-factored once
-(LAPACK zgttrf) before the first step.  The right-hand operator is
-B = (1 + r) - r A with r = (1 - theta) / theta, so a step is
-chi <- A^{-1} ((1 + r) chi + b) - r chi, with b the boundary history and
-the source: one solve with the stored factors (zgttrs) and one axpy.  The
-history is summed in blocks of K steps.  Within a block each step dots the
-block's own edge values with at most K kernel terms; when a block closes,
-the FFT of its edge values times the FFT of each later block's kernel
-segment is added to that block's spectrum, and one inverse FFT at a
-block's start gives its earlier-block history for all K steps.  That is
-O(steps K + steps^2 / K) in all, and exact up to rounding.
+the left-hand operator never changes during a run and is factored once.
+A is strictly diagonally dominant by rows, so its LU factors need no
+pivots, and each triangular sweep is a prefix scan: with pivots c_i the
+forward one is y_i = P_i sum_{j<=i} b_j / P_j, P the running product of
+-l_{i-1} / c_{i-1}, and the backward one the same with suffix products of
+-u_i / c_i.  The products restart on segments cut to keep them within
+1e+-280 (about 400 nodes on the GaAs grid), one carry crossing each cut.
+The right-hand operator is B = (1 + r) - r A with r = (1 - theta) /
+theta, so a step is chi <- A^{-1} ((1 + r) chi + b) - r chi, with b the
+boundary history and the source.  The history is summed in blocks of K
+steps.  Within a block each step dots the block's own edge values with at
+most K kernel terms; when a block closes, the FFT of its edge values times
+the FFT of each later block's kernel segment is added to that block's
+spectrum, and one inverse FFT at a block's start gives its earlier-block
+history for all K steps.  That is O(steps K + steps^2 / K) in all, and
+exact up to rounding.
 
 This module is test / CLI infrastructure only; nothing in the analytic
 evaluation path imports it.
@@ -57,7 +62,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -69,9 +73,10 @@ from .systems import BarrierSystem, HBAR_EV_FS as HBAR
 _DX_LIMIT = 0.1          # max _scale*dx: ~60 points per wavelength
 _MARGIN = 2              # window nodes beyond x = 0 or the barrier and probes
 _BLOCK = 128             # steps per block of the boundary history
+_DECADES = 280.0         # the range of a scan's running products, in decades
 # the longest run: its kernel FFT has 2^20 points, and at the default GaAs
-# grid (dt = 2.48 as, 620 fs) it took 9.4 s at 92 nodes and 16 s at 875 on
-# a 2-core x86 host
+# grid (dt = 2.48 as, 620 fs) it took 8.0 s at 92 nodes and 10.4 s at 875
+# on a 2-core x86 host
 _MAX_STEPS = 250_000
 # the most nodes times steps: the longest run on 875 nodes, the widest
 # window the tests use, about 2.2e8.  The window grows with the probes
@@ -153,7 +158,7 @@ class CnTrace:
 
 def _validate(sys, cfg, probes):
     # a non-positive dt never reaches t_end, and a non-finite grid would
-    # only fail later inside numpy or LAPACK
+    # only fail later inside numpy
     for name in ("dx", "dt"):
         if not math.isfinite(getattr(cfg, name)):
             raise NonFiniteInput(f"{name}={getattr(cfg, name)} must be finite")
@@ -243,56 +248,66 @@ def transparent_kernel(w, theta, n):
     return np.fft.ifft(grow)[:n + 1] * radius ** np.arange(n + 1)
 
 
-@cache
-def _lapack():
-    """scipy's LAPACK wrappers, imported on first use.
-
-    Only the oracle needs scipy.linalg, so the analytic path never loads
-    it; a cached lookup costs less per step than an import statement.
-    """
-    from scipy.linalg import lapack
-    return lapack
-
-
 def factor_tridiagonal(sub, diag, sup):
-    """LU factors of the complex tridiagonal matrix (sub, diag, sup).
+    """Prefix-scan LU factors, unpivoted (see the module docstring), of the
+    tridiagonal matrix (sub, diag, sup); sub and sup have length n - 1.
 
-    sub and sup have length n - 1.  Returns (ipiv, lu) for solve_banded:
-    lu stacks the zgttrf factor rows dl, d, du, du2 into one (4, n) array,
-    each row zero-padded at its end.  Raises ValueError on a non-finite
-    entry and LinAlgError on a singular matrix.
-    """
+    Returns (segments, lu) for solve_banded: each segment's (start, stop,
+    forward carry, backward carry) and one (4, n) array of the rows 1/P,
+    P / (c Q), Q and the pivots c.  Raises ValueError on a non-finite entry
+    and LinAlgError on a zero pivot."""
     if not (np.isfinite(sub).all() and np.isfinite(diag).all()
             and np.isfinite(sup).all()):
         raise ValueError("tridiagonal operator must not contain infs or NaNs")
-    dl, d, du, du2, ipiv, info = _lapack().zgttrf(sub, diag, sup)
-    if info > 0:
-        from scipy.linalg import LinAlgError
-        raise LinAlgError("singular matrix")
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of zgttrf")
-    n = len(d)
-    lu = np.zeros((4, n), dtype=complex)
-    lu[0, :n - 1], lu[1], lu[2, :n - 1], lu[3, :n - 2] = dl, d, du, du2
-    return ipiv, lu
+    pivots = [complex(diag[0])]
+    for lo, d, up in zip(sub.tolist(), diag[1:].tolist(), sup.tolist()):
+        pivots.append(d - lo * up / pivots[-1] if pivots[-1] else 0j)
+    if 0 in pivots:
+        raise np.linalg.LinAlgError("zero pivot: singular or needs pivoting")
+    n, c = len(diag), np.array(pivots)
+    fwd, bwd = -sub / c[:-1], -sup / c[:-1]     # link k joins nodes k, k + 1
+    decades = np.abs(np.log10(np.abs([fwd, bwd]).clip(1e-300, 1e300)))
+    cuts = np.cumsum(decades.max(axis=0).clip(max=_DECADES)) // _DECADES
+    cuts = (np.flatnonzero(np.diff(cuts, prepend=0.0)) + 1).tolist()
+    p, q = np.ones((2, n), dtype=complex)
+    segments = []
+    for s, e in zip([0] + cuts, cuts + [n]):
+        np.multiply.accumulate(fwd[s:e - 1], out=p[s + 1:e])
+        np.multiply.accumulate(bwd[s:e - 1][::-1], out=q[s:e - 1][::-1])
+        segments.append((s, e, complex(fwd[e - 1] * p[e - 1]) if e < n else 0,
+                         complex(bwd[s - 1] * q[s]) if s else 0))
+    return segments, np.array([1.0 / p, p / (c * q), q, c])
 
 
-def solve_banded(ipiv, lu, rhs):
+def _views(segments, y):
+    """Each segment's (view of y, carry, head) for either scan, in order."""
+    return ([(y[s:e], fc, e) for s, e, fc, _ in segments],
+            [(y[s:e][::-1], bc, s - 1) for s, e, _, bc in segments[::-1]])
+
+
+def _scan(views, y):
+    """Each view's running sum; its last, times its carry, joins y[head]."""
+    for view, carry, head in views:
+        np.add.accumulate(view, out=view)
+        if carry:
+            y[head] += carry * view[-1]
+
+
+def solve_banded(segments, lu, rhs):
     """Solve with the factors from factor_tridiagonal; rhs is overwritten.
 
     cn_evolve calls this on the first step of each block of the boundary
-    history and zgttrs directly on the others, so perfbench's tracer,
-    which counts oracle steps and nodes (lu.shape[1]) by these calls, sees
-    one call per block.
-    """
+    history and runs its scans inline on the others: perfbench's tracer
+    counts oracle steps and nodes (lu.shape[1]) by one call per block."""
     if not np.isfinite(rhs).all():
         raise ValueError("right-hand side must not contain infs or NaNs")
-    n = lu.shape[1]
-    x, info = _lapack().zgttrs(lu[0, :n - 1], lu[1], lu[2, :n - 1],
-                               lu[3, :n - 2], ipiv, rhs, overwrite_b=1)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of zgttrs")
-    return x
+    forward, backward = _views(segments, rhs)
+    rhs *= lu[0]
+    _scan(forward, rhs)
+    rhs *= lu[1]
+    _scan(backward, rhs)
+    rhs *= lu[2]
+    return rhs
 
 
 def cn_evolve(sys: BarrierSystem, cfg: CnConfig, probes, t_grid) -> CnTrace:
@@ -340,7 +355,7 @@ def cn_evolve(sys: BarrierSystem, cfg: CnConfig, probes, t_grid) -> CnTrace:
     off = np.full(n - 1, lam * (-hop), dtype=complex)
     diag = 1.0 + lam * (2.0 * hop + pot)
     diag[[0, -1]] -= lam * hop * ell[0]
-    ipiv, lu = factor_tridiagonal(off, diag, off)
+    spans, lu = factor_tridiagonal(off, diag, off)
     r = (1.0 - cfg.theta) / cfg.theta
 
     # the boundary history chi_out^{n+1} (A side) and chi_out^n (B side)
@@ -372,19 +387,25 @@ def cn_evolve(sys: BarrierSystem, cfg: CnConfig, probes, t_grid) -> CnTrace:
          / (1.0 + 1j * cfg.theta * cfg.dt * lam_s / HBAR))
     r0 = 2j * hop * math.sin(sys.k * cfg.dx)
     source = (-1j * cfg.dt / HBAR * r0 * ((1.0 - cfg.theta) + g * cfg.theta)
-              * g ** np.arange(steps))
+              * g ** np.arange(steps)) * lu[0, j0]
     sea_probe = (1.0 - w_probe) * sea[j_probe] + w_probe * sea[j_probe + 1]
 
-    def at_probes(chi, m):
-        return (g ** m * sea_probe + (1.0 - w_probe) * chi[j_probe]
-                + w_probe * chi[j_probe + 1])
+    # two buffers take turns to hold u = chi / Q, the scans' output before
+    # their last multiply, and the load is built divided by P: edge values
+    # are kept as chi / P, and the source and (1 + r) Q / P are so scaled.
+    # A block's first step solves through solve_banded, which checks the
+    # load, with lu's scales of the load and of u set to one
+    w_lo, w_hi = (1.0 - w_probe) * lu[2, j_probe], w_probe * lu[2, j_probe + 1]
 
-    # a step is chi <- A^{-1} ((1 + r) chi + load) - r chi with the stored
-    # factors; the first step of a block solves through solve_banded, which
-    # checks the right-hand side
-    zgttrs = _lapack().zgttrs
-    factors = lu[0, :n - 1], lu[1], lu[2, :n - 1], lu[3, :n - 2], ipiv
-    chi = np.zeros(n, dtype=complex)
+    def at_probes(u, m):
+        return g ** m * sea_probe + w_lo * u[j_probe] + w_hi * u[j_probe + 1]
+
+    buffers = [(u, u[::n - 1], _views(spans, u))
+               for u in np.zeros((2, n), dtype=complex)]
+    u = buffers[1][0]
+    into = lu[0] * lu[2]
+    scale, into, mid = (1.0 + r) * into, into[::n - 1], lu[1]
+    lu[[0, 2]] = 1.0
     out = np.zeros((len(probes), len(t_grid)), dtype=complex)
     t_now = 0.0
     i_t = 0
@@ -393,25 +414,27 @@ def cn_evolve(sys: BarrierSystem, cfg: CnConfig, probes, t_grid) -> CnTrace:
         block, j = divmod(step, _BLOCK)
         if j == 0:
             far = np.fft.ifft(far_spectra[:, block])[:, _BLOCK - 1:-1]
-        # chi is rebound below, never written in place
-        prev, t_prev = chi, t_now
-        rhs = (1.0 + r) * prev
-        rhs[::n - 1] += far[:, j] + edge[:, :j] @ near[_BLOCK - j:]
-        rhs[j0] += source[step]
+        prev, t_prev = u, t_now
+        u, ends, (forward, backward) = buffers[step & 1]
+        np.multiply(prev, scale, out=u)
+        ends += far[:, j] + edge[:, :j] @ near[_BLOCK - j:]
+        u[j0] += source[step]
         if j == 0:
-            chi = solve_banded(ipiv, lu, rhs)
+            solve_banded(spans, lu, u)
         else:
-            chi = zgttrs(*factors, rhs, overwrite_b=1)[0]
-        chi -= r * prev
+            _scan(forward, u)
+            u *= mid
+            _scan(backward, u)
+        u -= r * prev
         step += 1
         t_now += cfg.dt
-        edge[:, j] = chi[::n - 1]
+        np.multiply(ends, into, out=edge[:, j])
         if j == _BLOCK - 1:
             far_spectra[:, block + 1:] += (np.fft.fft(edge, 2 * _BLOCK)[:, None]
                                            * segments[:n_blocks - block - 1])
         if t_grid[i_t] > t_now + 1e-12:
             continue     # no requested time in this step
-        at_probe, prev_probe = at_probes(chi, step), at_probes(prev, step - 1)
+        at_probe, prev_probe = at_probes(u, step), at_probes(prev, step - 1)
         while i_t < len(t_grid) and t_grid[i_t] <= t_now + 1e-12:
             f = (t_grid[i_t] - t_prev) / cfg.dt
             out[:, i_t] = (1.0 - f) * prev_probe + f * at_probe

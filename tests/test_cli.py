@@ -412,13 +412,24 @@ def test_non_finite_x_or_time_exits_2_naming_it(capsys, recwarn, argv, named):
 
 @pytest.mark.parametrize("tol", ["0", "nan", "1", "1e300"])
 @pytest.mark.parametrize("command", [
-    ["tmax"], ["evolve", "--tmin", "1", "--tmax", "5", "--steps", "5"]])
+    ["tmax"], ["evolve", "--tmin", "1", "--tmax", "5", "--steps", "5"],
+    ["poles", "--n", "3"]])
 def test_tol_outside_zero_to_one_exits_2_naming_it(capsys, command, tol):
     # a relative tolerance of 1 or more is input error, not a scan or
-    # polish that missed: the command exits 2 before any pole sum
+    # polish that missed: the command exits 2 before any pole sum, and so
+    # does one that sums no poles, which would echo tol in its provenance
     code, out, err = run(capsys, GAAS_FLAGS + ["--tol", tol] + command)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "tol" in err
+
+
+def test_config_file_tol_outside_zero_to_one_exits_2(capsys, tmp_path):
+    ini = tmp_path / "loose.ini"
+    ini.write_text("[system]\nV_eV=0.3\nE_eV=0.001\nL_nm=4.0\n"
+                   "[numerics]\ntol = 5\n")
+    code, out, err = run(capsys, ["--config", str(ini), "poles", "--n", "3"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "tol=5" in err
 
 
 def test_oversized_oracle_run_exits_2_before_any_sum(capsys):
@@ -497,8 +508,8 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
 
 
 def test_cli_import_leaves_scipy_linalg_unloaded():
-    # only the grid oracle solves with LAPACK; it imports scipy.linalg on
-    # its first use, so start-up and the analytic commands skip it
+    # no command solves with LAPACK, so start-up and the analytic commands
+    # never load scipy.linalg
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(__file__).resolve().parents[1] / "src")]
@@ -531,9 +542,9 @@ def test_cold_pole_search_leaves_scipy_ndimage_unloaded():
 
 
 def test_analytic_path_loads_no_scipy():
-    # the analytic path runs on numpy alone: start-up, a peak find, a cold
-    # pole search and a trace load no scipy module; only the grid oracle
-    # imports scipy.linalg, on its first solve.  The peak search calls no
+    # every command runs on numpy alone: start-up, a peak find, a cold
+    # pole search, a trace and the grid oracle, whose tridiagonal solve is
+    # two numpy prefix scans, load no scipy module.  The peak search calls no
     # LAPACK routine and loads no numpy.polynomial: a peak at x = L, a
     # search that ends in the no-peak check (L = 2 nm, below alpha_c) and a
     # position scan run while numpy.linalg's solvers raise
@@ -582,7 +593,30 @@ def test_analytic_path_loads_no_scipy():
     assert out.stdout.splitlines() == [
         "import []", "tmax 0 []", "no peak 0 false", "scan 0",
         "numpy.polynomial False", "find_poles []", "evolve 0 []",
-        "oracle 0 True"]
+        "oracle 0 False"]
+
+
+def test_oracle_compare_runs_with_scipy_unimportable():
+    # the README oracle-compare example in a process where importing scipy
+    # fails: it exits 0 and still agrees with the grid to 1 % from 2.5 fs,
+    # where the CLI's lattice resolves the transient
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    argv = GAAS_FLAGS + ["oracle-compare", "--tmin", "1", "--tmax", "30",
+                         "--steps", "30"]
+    probe = ("import sys\n"
+             "sys.modules['scipy'] = None\n"
+             "import qtransient.cli as cli\n"
+             f"sys.exit(cli.main({argv!r}))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    _, columns, rows = parse_csv(out.stdout)
+    assert columns == ("t_fs", "abs2_analytic", "abs2_cn", "rel_err")
+    late = [row[3] for row in rows if row[0] >= 2.5]
+    assert len(late) == 28 and max(late) <= 0.01
 
 
 def test_non_finite_pole_sum_exits_3():

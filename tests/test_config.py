@@ -8,7 +8,8 @@ import pytest
 from qtransient.cli import main
 from qtransient.config import (CsvTable, Grid, RunConfig, _fmt, parse_config,
                                parse_csv, parse_grid, render_csv)
-from qtransient.errors import ConfigError, MissingRequired, UnknownKey
+from qtransient.errors import (ConfigError, MissingRequired,
+                               NonPositiveParameter, UnknownKey)
 
 FULL = """
 [system]
@@ -100,6 +101,10 @@ def test_runconfig_validation():
         RunConfig(V_eV=-0.3, E_eV=0.001, L_nm=4.0)
     with pytest.raises(MissingRequired, match="tol"):
         RunConfig(V_eV=0.3, E_eV=0.001, L_nm=4.0, tol=0.0)
+    # the pole sum's own rule bounds tol from above: one owner for its range
+    for tol in (1, 5.0):
+        with pytest.raises(NonPositiveParameter, match="tol"):
+            RunConfig(V_eV=0.3, E_eV=0.001, L_nm=4.0, tol=tol)
 
 
 def test_provenance_items_cover_all_parameters():

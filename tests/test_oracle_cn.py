@@ -13,8 +13,11 @@ Oracles:
   arrays, kept here as the reference, and holds half its memory;
 * [DERIVED] successive dx halvings must converge at second order (measured
   between grid solutions, which share one continuum limit);
-* [TRIVIAL] the operator factored once and solved per step gives bit for
-  bit what a fresh scipy.linalg.solve_banded gives on every step;
+* [DERIVED] the operator factored once into prefix scans and solved per
+  step agrees with scipy.linalg.solve_banded within 1e-14 of the largest
+  entry, on one segment and on windows cut into several or very short
+  segments; the scans do not pivot, and every operator cn_evolve builds is
+  strictly diagonally dominant by rows, which makes that safe;
 * [DERIVED] the blocked boundary history (near terms summed directly, far
   ones by FFT) and the one-solve step A^-1 ((1 + r) psi + load) - r psi
   reproduce a plain per-step stepper: B built explicitly, a scipy solve on
@@ -44,7 +47,7 @@ from qtransient.errors import (GridTooCoarse, NonFiniteInput, NonPositiveTime,
 from qtransient.moshinsky import moshinsky_m
 from qtransient.oracle import (factor_tridiagonal, solve_banded,
                                transparent_kernel)
-from qtransient.systems import HBAR_EV_FS as HBAR
+from qtransient.systems import HBAR_EV_FS as HBAR, length_for_alpha
 
 
 @pytest.fixture(scope="module")
@@ -249,23 +252,66 @@ def _wide_grid(cfg):
     return cfg.dx * np.arange(round(-100.0 / cfg.dx), round(108.0 / cfg.dx) + 1)
 
 
-def _gaas_operator(sys_):
-    """The interior left-hand operator of the default GaAs grid."""
-    cfg = default_cn_config(sys_, 30.0)
-    return _theta_operators(sys_, cfg, _wide_grid(cfg))[0]
+def _window_operator(sys_, cfg, probes, t_end, monkeypatch):
+    """The left-hand operator cn_evolve factors for this run, corners
+    included, as (sub, diag, sup)."""
+    seen = []
+
+    def factor(sub, diag, sup):
+        seen.append((sub, diag, sup))
+        raise ValidationError("factored")
+
+    monkeypatch.setattr(oracle, "factor_tridiagonal", factor)
+    with pytest.raises(ValidationError, match="factored"):
+        cn_evolve(sys_, cfg, probes, np.array([t_end]))
+    return seen[0]
 
 
-@pytest.mark.parametrize("which", ["random", "gaas"])
-def test_factored_step_is_bitwise_scipy_solve_banded(gaas, which):
+@pytest.mark.parametrize("which", ["random", "gaas", "window", "w=1e-6"])
+def test_factored_step_matches_scipy_solve_banded(gaas, monkeypatch, which):
+    # random: 500 nodes; gaas: the -100 to 108 nm grid, 3017 nodes; window:
+    # the 92 nodes of a run with its probe at 6 nm, corners included;
+    # w=1e-6: the wide grid at w = dt c2 / (hbar dx^2) = 1e-6, whose
+    # multipliers are so small that segments hold about 45 nodes
     rng = np.random.default_rng(7)
-    sub, diag, sup = (_random_operator(rng, 500) if which == "random"
-                      else _gaas_operator(gaas))
+    cfg = default_cn_config(gaas, 30.0)
+    if which == "random":
+        sub, diag, sup = _random_operator(rng, 500)
+    elif which == "window":
+        sub, diag, sup = _window_operator(gaas, cfg, [6.0], 30.0, monkeypatch)
+    else:
+        if which == "w=1e-6":
+            cfg = replace(cfg, dt=1e-6 * cfg.dx * cfg.dx * HBAR / gaas.c2)
+        sub, diag, sup = _theta_operators(gaas, cfg, _wide_grid(cfg))[0]
     rhs = rng.standard_normal(len(diag)) + 1j * rng.standard_normal(len(diag))
     want = scipy.linalg.solve_banded((1, 1), _banded(sub, diag, sup), rhs)
-    ipiv, lu = factor_tridiagonal(sub, diag, sup)
+    segments, lu = factor_tridiagonal(sub, diag, sup)
     assert lu.shape == (4, len(diag))
+    assert (len(segments) > 1) == (which != "window")
     for _ in range(2):   # the factors survive a solve
-        assert np.array_equal(solve_banded(ipiv, lu, rhs.copy()), want)
+        got = solve_banded(segments, lu, rhs.copy())
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("theta", [0.5, 0.5 + 1.0 / 36.0, 1.0])
+@pytest.mark.parametrize("alpha", [None, 8.0])
+def test_operator_is_strictly_diagonally_dominant_by_rows(gaas, monkeypatch,
+                                                          alpha, theta):
+    # the prefix-scan factors do not pivot; row dominance is what makes
+    # that safe: every pivot then exceeds its row's super-diagonal.  On the
+    # interior rows the margin is at least sqrt(1 + 4 theta^2 w^2) -
+    # 2 theta w, above 0.41 under the dt guard w < 1/2
+    sys_ = gaas if alpha is None else make_system(
+        0.3, 0.001, length_for_alpha(alpha, 0.3, 0.067), 0.067)
+    cfg = replace(default_cn_config(sys_, 30.0), theta=theta)
+    sub, diag, sup = _window_operator(sys_, cfg, [1.5 * sys_.L], 30.0,
+                                      monkeypatch)
+    off = np.zeros(len(diag))
+    off[1:] += np.abs(sub)
+    off[:-1] += np.abs(sup)
+    assert (np.abs(diag) - off).min() > 0.41
+    pivots = factor_tridiagonal(sub, diag, sup)[1][3]
+    assert (np.abs(pivots[:-1]) > np.abs(sup)).all()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
