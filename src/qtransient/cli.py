@@ -97,11 +97,13 @@ def _build_parser():
                         help="peak frequency ratio versus opacity at fixed u")
     sp.add_argument("--grid", required=True,
                     help="alpha grid start:stop:count[:lin|log]")
-    sp.add_argument("--u", type=float, required=True, help="V/E ratio (> 1)")
+    sp.add_argument("--u", type=float, required=True,
+                    help="V/E ratio (finite, > 1)")
     sp.set_defaults(run=cmd_scan_freq_alpha)
 
     sp = sub.add_parser("window", help="opacity window [alpha_c, alpha_u]")
-    sp.add_argument("--u", type=float, required=True, help="V/E ratio (> 1)")
+    sp.add_argument("--u", type=float, required=True,
+                    help="V/E ratio (finite, > 1)")
     sp.add_argument("--alpha-min", type=float, default=1.2)
     sp.add_argument("--alpha-max", type=float, default=6.0)
     sp.set_defaults(run=cmd_window)
@@ -120,7 +122,9 @@ def _load_config(args, u=None, width=True) -> RunConfig:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             try:
-                text = fh.read()
+                # a leading byte-order mark is dropped, as utf-8-sig would,
+                # but a bad byte's offset still counts it
+                text = fh.read().removeprefix("\ufeff")
             except UnicodeDecodeError as exc:
                 raise ConfigError(f"{args.config}: not UTF-8 at byte "
                                   f"{exc.start}") from None
@@ -171,8 +175,9 @@ def _probe(args):
 
 
 def _check_u(args):
-    if not args.u > 1:
-        raise ValidationError(f"--u must be > 1 (tunneling), got {args.u}")
+    if not 1 < args.u < np.inf:
+        raise ValidationError(
+            f"--u must be finite and > 1 (tunneling), got {args.u}")
 
 
 def cmd_poles(args):

@@ -74,6 +74,7 @@ _DX_LIMIT = 0.1          # max _scale*dx: ~60 points per wavelength
 _MARGIN = 2              # window nodes beyond x = 0 or the barrier and probes
 _BLOCK = 128             # steps per block of the boundary history
 _DECADES = 280.0         # the range of a scan's running products, in decades
+_CHUNK = 4096            # points of the circle per pass of the kernel formula
 # the longest run: its kernel FFT has 2^20 points, and at the default GaAs
 # grid (dt = 2.48 as, 620 fs) it took 8.0 s at 92 nodes and 10.4 s at 875
 # on a 2-core x86 host
@@ -216,36 +217,22 @@ def transparent_kernel(w, theta, n):
     one FFT on |z| = R with R^N = 1e12 gives l_p to about 1e-12, aliasing
     included, for p up to N / 4.
 
-    The N points are worked in place in two buffers, in the operation order
-    of kappa = 1 + (z - 1) / ((2 i w) ((theta z + 1) - theta)), so that no
-    step holds more than three arrays of N complex numbers.
+    The N points are taken _CHUNK at a time, so that the working arrays of
+    the formula stay small beside the one array of N values the FFT reads.
     """
     size = 1 << math.ceil(math.log2(4 * (n + 1)))
     radius = 1e12 ** (1.0 / size)
-    z = 2j * np.pi * np.arange(size)
-    np.divide(z, size, out=z)
-    np.exp(z, out=z)
-    np.multiply(radius, z, out=z)
-    den = np.multiply(theta, z)
-    np.add(den, 1.0, out=den)
-    np.subtract(den, theta, out=den)
-    np.multiply(2j * w, den, out=den)
-    kappa = np.subtract(z, 1.0, out=z)
-    np.divide(kappa, den, out=kappa)
-    np.add(1.0, kappa, out=kappa)
-    root = np.multiply(kappa, kappa, out=den)
-    np.subtract(root, 1.0, out=root)
-    np.sqrt(root, out=root)
-    # the growing root without cancellation, then its reciprocal
-    turn = np.conjugate(kappa)
-    np.multiply(turn, root, out=turn)
-    plus = turn.real >= 0.0
-    del turn
-    grow = np.add(kappa, root, out=kappa, where=plus)
-    np.subtract(grow, root, out=grow, where=~plus)
-    del den, root
-    np.divide(1.0, grow, out=grow)
-    return np.fft.ifft(grow)[:n + 1] * radius ** np.arange(n + 1)
+    inverse = np.empty(size, dtype=complex)
+    for start in range(0, size, _CHUNK):
+        j = np.arange(start, min(start + _CHUNK, size))
+        z = radius * np.exp(2j * np.pi * j / size)
+        kappa = 1.0 + (z - 1.0) / (2j * w * (theta * z + 1.0 - theta))
+        root = np.sqrt(kappa * kappa - 1.0)
+        # the growing root without cancellation, then its reciprocal
+        grow = np.where((kappa.conjugate() * root).real >= 0.0,
+                        kappa + root, kappa - root)
+        inverse[start:start + _CHUNK] = 1.0 / grow
+    return np.fft.ifft(inverse)[:n + 1] * radius ** np.arange(n + 1)
 
 
 def factor_tridiagonal(sub, diag, sup):

@@ -121,8 +121,9 @@ def sweep_freq_vs_x(x_grid, sys: BarrierSystem, tol=DEFAULT_TOL,
 
 
 def _check_u(u):
-    if not u > 1:
-        raise NonPositiveParameter(f"u must be > 1 (tunneling), got {u}")
+    if not 1 < u < math.inf:
+        raise NonPositiveParameter(
+            f"u must be finite and > 1 (tunneling), got {u}")
 
 
 def _system_at(alpha, u, V_ref, mass_ratio):

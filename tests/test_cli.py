@@ -279,9 +279,12 @@ def test_missing_parameters_exit_2(capsys):
 
 @pytest.mark.parametrize("command,u", [("scan-freq-alpha", "0.5"),
                                        ("window", "0"),
-                                       ("scan-freq-alpha", "-2")])
+                                       ("scan-freq-alpha", "-2"),
+                                       ("scan-freq-alpha", "inf"),
+                                       ("window", "inf")])
 def test_invalid_u_exits_2(capsys, command, u):
-    # --u is checked before the energy V/u is derived from it
+    # --u is checked before the energy V/u is derived from it; an infinite
+    # u would make that energy 0
     extra = ["--grid", "2:3:2"] if command == "scan-freq-alpha" else []
     code, _, err = run(capsys, ["--V", "0.3", command, "--u", u] + extra)
     assert code == 2

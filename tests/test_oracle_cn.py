@@ -9,8 +9,10 @@ Oracles:
   returns it equals a plain theta scheme on a wide hard-walled domain;
 * [DERIVED] the boundary kernel's Laurent series solves the exterior
   equation rho + 1/rho = 2 kappa(z) with the decaying root;
-* [TRIVIAL] the kernel built in place is bit for bit the formula on fresh
-  arrays, kept here as the reference, and holds half its memory;
+* [TRIVIAL] the kernel taken a chunk of the circle at a time is bit for
+  bit the formula over the whole circle, kept here as the reference, up to
+  the oracle's step bound and at random (w, theta, n), and holds less than
+  half its memory;
 * [DERIVED] successive dx halvings must converge at second order (measured
   between grid solutions, which share one continuum limit);
 * [DERIVED] the operator factored once into prefix scans and solved per
@@ -40,6 +42,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtransient import cn_evolve, default_cn_config, make_system, oracle
 from qtransient.errors import (GridTooCoarse, NonFiniteInput, NonPositiveTime,
@@ -139,8 +143,8 @@ def test_transparent_kernel_solves_the_exterior_equation(gaas, theta):
 
 
 def _kernel_on_fresh_arrays(w, theta, n):
-    """transparent_kernel as one expression per array, each result a new
-    array; kept as the reference for the kernel built in place."""
+    """transparent_kernel as one expression per array over the whole
+    circle; kept as the reference for the kernel taken chunk by chunk."""
     size = 1 << math.ceil(math.log2(4 * (n + 1)))
     radius = 1e12 ** (1.0 / size)
     z = radius * np.exp(2j * np.pi * np.arange(size) / size)
@@ -151,18 +155,29 @@ def _kernel_on_fresh_arrays(w, theta, n):
     return np.fft.ifft(1.0 / grow)[:n + 1] * radius ** np.arange(n + 1)
 
 
-@pytest.mark.parametrize("n", [101, 5000, 12110])
+@pytest.mark.parametrize("n", [101, 5000, 12110, oracle._MAX_STEPS])
 @pytest.mark.parametrize("theta", [0.5, 0.5 + 1.0 / 36.0, 1.0])
-def test_transparent_kernel_in_place_is_bitwise_the_formula(theta, n):
-    # the default GaAs run to 30 fs takes n = 12110 steps at w = 0.45; the
-    # formula on fresh arrays held 6.06 MiB there, in place it is 3.06
+def test_transparent_kernel_is_bitwise_the_formula(theta, n):
+    # the default GaAs run to 30 fs takes n = 12110 steps at w = 0.45, 2^16
+    # points: the formula over the whole circle holds 6.06 MiB there, chunk
+    # by chunk 2.69.  The longest run the oracle allows takes 2^20 points,
+    # 256 chunks, and holds 38.1 MiB
     tracemalloc.start()
     got = transparent_kernel(0.45, theta, n)
-    peak = tracemalloc.get_traced_memory()[1]
+    peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
     tracemalloc.stop()
     assert got.tobytes() == _kernel_on_fresh_arrays(0.45, theta, n).tobytes()
-    if n == 12110:
-        assert peak <= 3.5 * 2 ** 20
+    assert peak <= {12110: 2.9, oracle._MAX_STEPS: 42.0}.get(n, math.inf)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(1e-150, 0.5, exclude_max=True), st.floats(0.5, 1.0),
+       st.integers(1, 20_000))
+def test_transparent_kernel_is_bitwise_the_formula_anywhere(w, theta, n):
+    # one chunk or several: each point of the circle is the formula's, bit
+    # for bit.  Below w ~ 1e-154, kappa^2 ~ w^-2 overflows in both
+    assert transparent_kernel(w, theta, n).tobytes() == \
+        _kernel_on_fresh_arrays(w, theta, n).tobytes()
 
 
 def test_default_config_passes_own_validation(gaas):

@@ -50,6 +50,9 @@ Oracles:
   terms on the internal ring, read within tol what each of their first
   times reads traced alone at tol 1e-3, at the edge of the two barriers
   that missed it and on seeded (alpha, u) draws inside the barrier;
+* [DERIVED] a short trace over a wide window reads within tol, and within
+  its own estimate, what each of its times reads traced alone at tol
+  1e-13 (expected to fail until ROADMAP item 8 lands);
 * [DERIVED] the damped exponentials each time drops past its cut stay
   inside trunc_error_est: tol-1e-8 traces agree with tol-1e-12 ones
   within it, on opaque barriers, out to 20 nm and next to the shutter;
@@ -767,6 +770,27 @@ def test_whole_window_meets_tol_at_its_first_times(sys_, share, tol):
         ref = trace(x, ts[i:i + 1], sys_, poles=table, tol=1e-3 * tol)
         err = abs(tr.psi[i] - ref.psi[0]) / abs(ref.psi[0])
         assert err <= tol, (i, err)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 8: a trace of fewer "
+                   "than 2 _RUN times takes its earliest time's omitted "
+                   "moments from the one ring of its latest times")
+def test_short_trace_over_a_wide_window_meets_tol_within_its_estimate():
+    # qtransient --V 0.3 --E 0.19957178310361054 --L 1.6767299556191608
+    #   --mass-ratio 0.067 --tol 1e-10 evolve --x 0.8583241720991515
+    #   --tmin 0.04618246056507653 --tmax 57.72807570634566 --steps 300
+    # (alpha 1.218, u 1.503, x/L 0.512): one run, one ring.  Row 0 is off
+    # by 3.9e-10 of |psi| while its estimate reads 3.4e-12
+    sys_ = make_system(0.3, 0.19957178310361054, 1.6767299556191608, 0.067)
+    x, table = 0.8583241720991515, pole_cache(sys_)
+    ts = np.linspace(0.04618246056507653, 57.72807570634566, 300)
+    tr = trace(x, ts, sys_, poles=table, tol=1e-10)
+    ref = np.array([trace(x, [t], sys_, poles=table, tol=1e-13).psi[0]
+                    for t in ts])
+    err = np.abs(tr.psi - ref) / np.abs(ref)
+    assert np.all(err <= 1e-10), (np.argmax(err), err.max())
+    assert np.all(tr.trunc_error_est >= err), \
+        np.flatnonzero(tr.trunc_error_est < err)
 
 
 def test_runs_split_long_traces_where_t_has_doubled():

@@ -2,7 +2,8 @@
 
 Each `qtransient` line of the sh block under "Command line" (continuations
 joined) runs through cli.main with its CSV sent into a temporary directory,
-and the "Library" Python block is executed.
+the "Library" Python block is executed, and the INI block prints the same
+CSV with and without a leading byte-order mark.
 """
 
 import re
@@ -45,3 +46,18 @@ def test_readme_commands_run(tmp_path, capsys):
 def test_readme_library_example_runs(capsys):
     exec(_block("Library", "python"), {})
     assert capsys.readouterr().out
+
+
+def test_readme_config_reads_the_same_with_a_byte_order_mark(tmp_path,
+                                                             capsys):
+    # some editors save UTF-8 with a leading byte-order mark; the file must
+    # not then fail on its first line
+    ini = _block("Command line", "ini")
+    printed = []
+    for text in (ini, "\ufeff" + ini):
+        path = tmp_path / "run.ini"
+        path.write_text(text, encoding="utf-8")
+        code = cli.main(["--config", str(path), "tmax"])
+        printed.append((code, *capsys.readouterr()))
+    assert printed[0][0] == 0 and printed[0][2] == ""
+    assert printed[1] == printed[0]

@@ -101,16 +101,18 @@ def test_infinite_grid_value_rejected_before_any_probe(gaas, monkeypatch):
                 sweep(grid)
 
 
-@pytest.mark.parametrize("bad", [math.nan, 1.0])
+@pytest.mark.parametrize("bad", [math.nan, 1.0, math.inf])
 def test_u_checked_before_any_probe(monkeypatch, bad):
-    # one check for both opacity commands; NaN is named as u, not as a bad E
+    # one check for both opacity commands; NaN and inf (E = V / u = 0) are
+    # named as u, not as a bad E
     for name in ("make_system", "find_time_domain_resonance",
                  "phase_time_delay"):
         monkeypatch.setattr(sweeps, name, _no_probe)
     for call in (lambda: opacity_window(bad, 0.3, 0.067),
                  lambda: sweep_freq_vs_alpha([2.5], bad, 0.3, 0.067)):
         with pytest.raises(NonPositiveParameter,
-                           match=rf"^u must be > 1 \(tunneling\), got {bad}$"):
+                           match=rf"^u must be finite and > 1 \(tunneling\), "
+                                 rf"got {bad}$"):
             call()
 
 
