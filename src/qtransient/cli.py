@@ -32,8 +32,8 @@ from .oracle import check_run, cn_evolve, default_cn_config
 from .propagator import HARD_CAP, check_x, trace
 from .resonances import audit_pole_count, find_poles
 from .stationary import transmission
-from .sweeps import (opacity_window, sweep_freq_vs_alpha, sweep_freq_vs_x,
-                     sweep_tmax_vs_L)
+from .sweeps import (check_u, opacity_window, sweep_freq_vs_alpha,
+                     sweep_freq_vs_x, sweep_tmax_vs_L)
 from .systems import make_system
 
 EXIT_OK = 0
@@ -174,12 +174,6 @@ def _probe(args):
     return cfg, sys_, x, t, _provenance(cfg, args, extra)
 
 
-def _check_u(args):
-    if not 1 < args.u < np.inf:
-        raise ValidationError(
-            f"--u must be finite and > 1 (tunneling), got {args.u}")
-
-
 def cmd_poles(args):
     if not 1 <= args.n <= HARD_CAP:
         raise ValidationError(
@@ -253,7 +247,7 @@ def cmd_scan_freq_x(args):
 
 
 def cmd_scan_freq_alpha(args):
-    _check_u(args)
+    check_u(args.u, "--u")
     cfg = _load_config(args, u=args.u, width=False)
     grid = parse_grid(args.grid, "--grid")
     table = sweep_freq_vs_alpha(grid.values(), args.u, cfg.V_eV,
@@ -264,7 +258,7 @@ def cmd_scan_freq_alpha(args):
 
 
 def cmd_window(args):
-    _check_u(args)
+    check_u(args.u, "--u")
     cfg = _load_config(args, u=args.u, width=False)
     alpha_c, alpha_u = opacity_window(
         args.u, cfg.V_eV, cfg.mass_ratio, tol=cfg.tol,

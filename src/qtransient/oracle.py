@@ -182,6 +182,13 @@ def _validate(sys, cfg, probes):
         raise GridTooCoarse(f"dt={cfg.dt} above accuracy heuristic {dt_max:.4g}")
     if not 0.5 <= cfg.theta <= 1.0:
         raise GridTooCoarse(f"theta={cfg.theta} outside the stable range [0.5, 1]")
+    # the boundary kernel squares kappa(z), and on |z| = R, R least on the
+    # longest run, |kappa| <= 1 + (R + 1) / (2 w (theta (R + 1) - 1))
+    w = cfg.dt * (sys.c2 / (cfg.dx * cfg.dx)) / HBAR
+    r = _circle(_MAX_STEPS)[1] + 1.0
+    if not 2.0 * w * (cfg.theta * r - 1.0) * math.sqrt(np.finfo(float).max) > r:
+        raise ValidationError(f"dt={cfg.dt} fs gives w = dt c2/(hbar dx^2) = "
+                              f"{w:.3g}, so small the boundary kernel overflows")
 
 
 def check_run(sys: BarrierSystem, cfg: CnConfig, probes, t_end):
@@ -206,6 +213,12 @@ def check_run(sys: BarrierSystem, cfg: CnConfig, probes, t_end):
     return steps, lo, hi
 
 
+def _circle(n):
+    """(size, radius): the FFT points and circle of transparent_kernel's l_n."""
+    size = 1 << math.ceil(math.log2(4 * (n + 1)))
+    return size, 1e12 ** (1.0 / size)
+
+
 def transparent_kernel(w, theta, n):
     """Laurent coefficients l_0 .. l_n of the exterior root rho(z).
 
@@ -220,8 +233,7 @@ def transparent_kernel(w, theta, n):
     The N points are taken _CHUNK at a time, so that the working arrays of
     the formula stay small beside the one array of N values the FFT reads.
     """
-    size = 1 << math.ceil(math.log2(4 * (n + 1)))
-    radius = 1e12 ** (1.0 / size)
+    size, radius = _circle(n)
     inverse = np.empty(size, dtype=complex)
     for start in range(0, size, _CHUNK):
         j = np.arange(start, min(start + _CHUNK, size))

@@ -75,6 +75,8 @@ exact-pole share, read off a prefix sum along the pool at its N; and
 only the damped exponentials before a cut past which a bound on the
 rest, never evaluated, is within _CUT times the target.  The two halves
 and that bound, relative to |Psi|, are each point's trunc_error_est.
+Every time t > 0 takes this one path: one the cap cannot serve, or whose
+sum overflows and so is not finite, raises NotConverged naming x and t.
 Every table with a row per time (the omitted-term bounds, the Cauchy
 nodes less each time's share) is formed in blocks of times under one
 element budget, and every ragged (time, term) table (the exact poles'
@@ -121,7 +123,6 @@ _CUT = 1e-3         # the dropped exponentials' share of the target
 _RING_MAX = 20.0
 _DFACT = np.array([1, 1, 3, 15, 105])    # (2j - 1)!!
 _C0 = 0.5j * cmath.exp(-0.25j * math.pi) / math.sqrt(math.pi)
-SMALL_T_GUARD = 1e-4  # fs; below this the released wave has not reached x > 0
 # Relative error of a pole sum near alpha_m, from the two poles that merge
 # there: _MERGE_C (sep L)^-_MERGE_P.  The power is a least-squares fit in
 # log-log to 38 errors over sep L = 1.9e-4 .. 5.9e-2 at u = 3, 30 and 300,
@@ -470,8 +471,7 @@ def _pole_sum(x, t, sys, table, internal, f, f_k, tol, scale):
     J = _ORDER[internal]
     x_arg = 0.0 if internal else x
     s, kc, a2t = _scales(x_arg, t, sys.c2)
-    i0 = [int(np.argmin(t))]
-    coefs, kn, table = _size(x, s[i0], kc[i0], sys, table, internal, tol,
+    coefs, kn, table = _size(x, s[:1], kc[:1], sys, table, internal, tol,
                              scale)
     target = tol * _AIM * scale
     weight, edge = np.abs(_alpha(J + 1, s, 1.0)), kc + _Z_MIN / s
@@ -549,9 +549,6 @@ def _assemble(x, t_grid, sys, poles, tol, internal):
         return phi_stationary(x, c, sys) if internal else transmission(c, sys)
 
     f_k = f(np.array([sys.k, -sys.k]))
-    psi = np.zeros(t_grid.shape, dtype=complex)
-    dpsi = np.zeros(t_grid.shape, dtype=complex)
-    err = np.zeros(t_grid.shape)
     n_poles = 0
 
     def summed(t, scale):
@@ -560,36 +557,35 @@ def _assemble(x, t_grid, sys, poles, tol, internal):
         nonlocal table, n_poles
         parts = []
         for run in _runs(t):
-            *part, n, table = _pole_sum(x, t[run], sys, table, internal, f,
-                                        f_k, tol, scale)
+            # a sum that overflows (s^(2j+1) as t -> 0, a^2/t at a huge x)
+            # is not finite, which the check below refuses: numpy need not warn
+            with np.errstate(all="ignore"):
+                *part, n, table = _pole_sum(x, t[run], sys, table, internal,
+                                            f, f_k, tol, scale)
             parts.append(part)
             n_poles = max(n_poles, n)
         return [np.concatenate(runs) for runs in zip(*parts)]
 
-    live = np.flatnonzero(t_grid >= SMALL_T_GUARD)
-    if live.size:
-        t = t_grid[live]
-        # size the sums against the stationary amplitude; points whose |psi|
-        # lies so far below it that they miss tol are summed once more,
-        # sized from |psi|
-        p, dp, est = summed(t, abs(f_k[0]))
-        redo = np.flatnonzero(est > tol * np.abs(p))
-        if redo.size:
-            floor = max(float(np.min(np.abs(p[redo]))), 1e-300)
-            p[redo], dp[redo], est[redo] = summed(t[redo], 0.5 * floor)
-        rel = est / np.maximum(np.abs(p), 1e-300)
-        # a sum or estimate that is not finite misses, though no comparison
-        # with NaN says so
-        rel[~(np.isfinite(p) & np.isfinite(dp) & np.isfinite(rel))] = np.inf
-        if np.any(rel > tol):
-            worst = int(np.argmax(rel))
-            raise NotConverged(
-                f"pole sum at x={float(x)} above tol={tol:.1e} at "
-                f"{int(np.sum(rel > tol))} of {len(t)} time points; worst "
-                f"t={t[worst]:.6g} fs, error estimate {rel[worst]:.1e} "
-                f"with N={n_poles} exact poles")
-        psi[live], dpsi[live], err[live] = p, dp, rel
-    return psi, dpsi, 2 + 2 * n_poles + len(table.axis_poles), err
+    # size the sums against the stationary amplitude; points whose |psi|
+    # lies so far below it that they miss tol are summed once more, sized
+    # from |psi|
+    psi, dpsi, est = summed(t_grid, abs(f_k[0]))
+    redo = np.flatnonzero(est > tol * np.abs(psi))
+    if redo.size:
+        floor = max(float(np.min(np.abs(psi[redo]))), 1e-300)
+        psi[redo], dpsi[redo], est[redo] = summed(t_grid[redo], 0.5 * floor)
+    rel = est / np.maximum(np.abs(psi), 1e-300)
+    # a sum or estimate that is not finite misses, though no comparison with
+    # NaN says so
+    rel[~(np.isfinite(psi) & np.isfinite(dpsi) & np.isfinite(rel))] = np.inf
+    if np.any(rel > tol):
+        worst = int(np.argmax(rel))
+        raise NotConverged(
+            f"pole sum at x={float(x)} above tol={tol:.1e} at "
+            f"{int(np.sum(rel > tol))} of {len(t_grid)} time points; worst "
+            f"t={t_grid[worst]:.6g} fs, error estimate {rel[worst]:.1e} "
+            f"with N={n_poles} exact poles")
+    return psi, dpsi, 2 + 2 * n_poles + len(table.axis_poles), rel
 
 
 def check_x(x):

@@ -120,10 +120,11 @@ def sweep_freq_vs_x(x_grid, sys: BarrierSystem, tol=DEFAULT_TOL,
     return _sweep(values, peak, threads)
 
 
-def _check_u(u):
+def check_u(u, name="u"):
+    """Reject a V/E ratio u that is not finite and > 1, calling it `name`."""
     if not 1 < u < math.inf:
         raise NonPositiveParameter(
-            f"u must be finite and > 1 (tunneling), got {u}")
+            f"{name} must be finite and > 1 (tunneling), got {u}")
 
 
 def _system_at(alpha, u, V_ref, mass_ratio):
@@ -135,7 +136,7 @@ def _system_at(alpha, u, V_ref, mass_ratio):
 def sweep_freq_vs_alpha(alpha_grid, u, V_ref, mass_ratio=1.0, tol=DEFAULT_TOL,
                         threads=1) -> SweepTable:
     """Frequency ratio at the barrier edge versus opacity, at fixed u = V/E."""
-    _check_u(u)
+    check_u(u)
     values = _checked_grid(alpha_grid, "alpha", threads, tol)
 
     def peak(alpha):
@@ -238,7 +239,7 @@ def opacity_window(u, V_ref, mass_ratio=1.0, alpha_span=(1.2, 6.0),
     a span without a delay sign change raises NoCrossing before any peak is
     searched.
     """
-    _check_u(u)
+    check_u(u)
     lo, hi = map(float, alpha_span)
     if not 0 < lo < hi < math.inf:
         raise NonPositiveParameter(

@@ -78,14 +78,17 @@ def test_spectrogram_rows(capsys):
         assert r[4] >= 0.0
 
 
-def test_spectrogram_before_arrival_names_x_and_t(capsys):
-    # psi is zero before SMALL_T_GUARD, so omega_av has nothing to divide
-    code, out, err = run(capsys, GAAS_FLAGS + [
-        "spectrogram", "--x", "4", "--tmin", "1e-6", "--tmax", "1e-5",
-        "--steps", "3"])
-    assert code == 2 and out == ""
-    assert "x=4," in err and "t=1e-06 fs" in err
-    assert "first of 3" in err and "zero there by construction" in err
+def test_times_next_to_release_exit_3_naming_x_and_t(capsys):
+    # psi is analytic for every t > 0, so no time reads zero: the pole sum
+    # refuses the times it cannot serve, 1e-4 fs and below included
+    for command, x, tmin, tmax in (("spectrogram", "4", "1e-6", "1e-5"),
+                                   ("evolve", "0.001", "1e-5", "9e-5")):
+        code, out, err = run(capsys, GAAS_FLAGS + [
+            command, "--x", x, "--tmin", tmin, "--tmax", tmax,
+            "--steps", "3"])
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"x={float(x)}" in err and f"t={float(tmin):g} fs" in err
 
 
 def test_window_table(capsys):
@@ -622,18 +625,15 @@ def test_oracle_compare_runs_with_scipy_unimportable():
     assert len(late) == 28 and max(late) <= 0.01
 
 
-def test_non_finite_pole_sum_exits_3():
+def test_non_finite_pole_sum_exits_3(capsys):
     # at x = 1e200 the Moshinsky phase a^2/t overflows and every sum is
-    # NaN, which passes no comparison with tol: the check must count it as
-    # a miss.  numpy warns on the way there, and the suite makes warnings
-    # errors, so the command runs in a fresh process
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(__file__).resolve().parents[1] / "src")]
-        + [p for p in [env.get("PYTHONPATH")] if p])
-    out = subprocess.run(
-        [sys.executable, "-m", "qtransient.cli"] + GAAS_FLAGS
-        + ["tmax", "--x", "1e200"], env=env, capture_output=True, text=True,
-        timeout=120)
-    assert out.returncode == 3 and out.stdout == ""
-    assert "error: " in out.stderr and "error estimate inf" in out.stderr
+    # NaN, which passes no comparison with tol: the check counts it as a
+    # miss, and numpy does not warn on the way (the suite makes
+    # RuntimeWarning an error)
+    for argv in (["tmax", "--x", "1e200"],
+                 ["evolve", "--x", "1e200", "--tmin", "1", "--tmax", "2",
+                  "--steps", "2"]):
+        code, out, err = run(capsys, GAAS_FLAGS + argv)
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "x=1e+200" in err and "error estimate inf" in err

@@ -29,6 +29,8 @@ Oracles:
   times its steps exceeds the node-step bound, fails before it allocates
   anything, and the widest window the tests step stays within that bound
   up to the step bound;
+* [TRIVIAL] a dt so small that the boundary kernel would overflow is
+  refused, naming dt and w, before the kernel is built;
 * [DERIVED] the default (dt, theta) keeps (2 theta - 1) dt, the damping of
   physical modes, at the older (0.25 dx^2 hbar / c2, 0.55) pairing's value,
   and its traces match that pairing's.
@@ -478,6 +480,31 @@ def test_far_probe_run_fails_on_node_steps_before_allocating(gaas,
     t_end = 0.999999 * oracle._MAX_STEPS * cfg.dt
     steps, lo, hi = oracle.check_run(gaas, cfg, [2.0, 4.0, 8.0, 60.0], t_end)
     assert hi - lo + 1 == 875 and steps == oracle._MAX_STEPS + 1
+
+
+@pytest.mark.parametrize("scale", [1e-154, 1e-160])
+def test_tiny_dt_is_refused_naming_dt_and_w(gaas, monkeypatch, scale):
+    # w = dt c2/(hbar dx^2) of 4.5e-155 or less squares kappa ~ 1/w past
+    # the largest float: refused before the kernel is built, with no
+    # RuntimeWarning (the suite makes it an error) and no bare ValueError
+    good = default_cn_config(gaas, 2.0)
+    bad = replace(good, dt=good.dt * scale)
+
+    def allocated(*args):
+        raise AssertionError("the boundary kernel was built")
+
+    monkeypatch.setattr(oracle, "transparent_kernel", allocated)
+    named = rf"dt={bad.dt} fs gives w = dt c2/\(hbar dx\^2\) = 4.5e-"
+    for call in (lambda: oracle._validate(gaas, bad, np.array([gaas.L])),
+                 lambda: oracle.check_run(gaas, bad, [gaas.L], 200 * bad.dt),
+                 lambda: cn_evolve(gaas, bad, [gaas.L],
+                                   np.array([200 * bad.dt]))):
+        with pytest.raises(ValidationError, match=named):
+            call()
+    # at w = 4.5e-151 a 200-step run passes, and its kernel is finite
+    fine = replace(good, dt=good.dt * 1e-150)
+    assert oracle.check_run(gaas, fine, [gaas.L], 200 * fine.dt)[0] == 201
+    assert np.isfinite(transparent_kernel(0.45e-150, fine.theta, 201)).all()
 
 
 def test_default_pairs_dt_with_theta(gaas):

@@ -14,6 +14,8 @@ Oracles:
   i hbar dPsi/dt = -c2 Psi'' + V Psi (finite-difference Laplacian);
 * [DERIVED] the transmitted density at the barrier edge settles to the
   stationary value |T_k|^2 at long times;
+* [TRIVIAL] no time reads zero: times next to the release that the pole
+  sum cannot serve, down to 1e-300 fs, raise NotConverged naming x and t;
 * [DERIVED] on an opaque barrier (alpha ~ 30) the density at x = L agrees
   with the grid oracle within 1 %, which takes every pole down to pole 1;
 * [DERIVED] the grid oracle's two-level Richardson extrapolation in dx
@@ -161,10 +163,19 @@ def test_schroedinger_equation(gaas, gaas_cache, x, internal):
     assert abs(resid) <= budget * scale
 
 
-def test_wave_vanishes_before_release(gaas, gaas_cache):
-    tr = trace(2.0, np.array([5e-5, 1.0]), gaas, poles=gaas_cache)
-    assert tr.psi[0] == 0.0 and tr.dpsi_dt[0] == 0.0
-    assert abs(tr.psi[1]) > 0.0
+@pytest.mark.parametrize("x", [0.0, 0.001, 0.05, 2.0, 4.0, 20.0])
+@pytest.mark.parametrize("grid", [[1e-300], [1e-30], [5e-5], [9e-5],
+                                  [1e-6, 1.0]])
+def test_times_next_to_release_are_refused_naming_x_and_t(gaas, gaas_cache,
+                                                          x, grid):
+    # psi is analytic for every t > 0 and reads no zero: the times the pole
+    # sum cannot serve, down to 1e-300 fs where s^(2j+1) underflows, raise
+    # NotConverged naming x and the first time, and numpy warns nowhere on
+    # the way (the suite makes RuntimeWarning an error)
+    with pytest.raises(NotConverged) as info:
+        trace(x, np.array(grid), gaas, poles=gaas_cache)
+    msg = str(info.value)
+    assert f"x={x}" in msg and f"t={grid[0]:.6g} fs" in msg
 
 
 def test_long_time_density_reaches_stationary(gaas, gaas_cache):
