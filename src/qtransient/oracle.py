@@ -406,6 +406,9 @@ def cn_evolve(sys: BarrierSystem, cfg: CnConfig, probes, t_grid) -> CnTrace:
     scale, into, mid = (1.0 + r) * into, into[::n - 1], lu[1]
     lu[[0, 2]] = 1.0
     out = np.zeros((len(probes), len(t_grid)), dtype=complex)
+    # t_now gathers one rounding per step: a time up to a billionth of dt
+    # past it is reached, a slack relative to dt so a tiny dt skips no step
+    slack = 1e-9 * cfg.dt
     t_now = 0.0
     i_t = 0
     step = 0
@@ -431,10 +434,10 @@ def cn_evolve(sys: BarrierSystem, cfg: CnConfig, probes, t_grid) -> CnTrace:
         if j == _BLOCK - 1:
             far_spectra[:, block + 1:] += (np.fft.fft(edge, 2 * _BLOCK)[:, None]
                                            * segments[:n_blocks - block - 1])
-        if t_grid[i_t] > t_now + 1e-12:
+        if t_grid[i_t] > t_now + slack:
             continue     # no requested time in this step
         at_probe, prev_probe = at_probes(u, step), at_probes(prev, step - 1)
-        while i_t < len(t_grid) and t_grid[i_t] <= t_now + 1e-12:
+        while i_t < len(t_grid) and t_grid[i_t] <= t_now + slack:
             f = (t_grid[i_t] - t_prev) / cfg.dt
             out[:, i_t] = (1.0 - f) * prev_probe + f * at_probe
             i_t += 1

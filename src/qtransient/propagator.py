@@ -62,21 +62,24 @@ sum, for an absolute target of tol * _AIM times the stationary amplitude
 more, in runs of their own, sized from |Psi|.  A run's pool is sized at
 its earliest time, where |z| of every omitted pole is smallest: it doubles
 until what lies beyond it is within half the target and it holds twice the
-exact poles that time needs, and each doubling evaluates only the poles it
-adds.  Its rows come from the shared table of HARD_CAP // 4 poles while
-they fit, and from one search of HARD_CAP poles, made at most once per
-trace, when they do not; the first n poles of a search do not depend on
-its depth, so the sums do not either.  Each time then takes the least N
-whose first omitted series term, bounded pole by pole, is within the
-other half, and each run sums exactly those N in one pass: one
-Moshinsky call (per _PAIRS terms) over each time's exact poles, the
-incident pair included; one set of Cauchy nodes, less each time's own
+exact poles that time needs, or until it holds HARD_CAP poles, and each
+doubling evaluates only the poles it adds.  Its rows come from the shared
+table of HARD_CAP // 4 poles while they fit, and from one search of
+HARD_CAP poles, made at most once per trace, when they do not; the first
+n poles of a search do not depend on its depth, so the sums do not
+either.  Each time then takes the least N whose first omitted series
+term, bounded pole by pole, is within the other half, at most half the
+pool, and each run sums exactly those N in one pass: one Moshinsky call
+(per _PAIRS terms) over each time's exact poles, the incident pair
+included; one set of Cauchy nodes, less each time's own
 exact-pole share, read off a prefix sum along the pool at its N; and
 only the damped exponentials before a cut past which a bound on the
 rest, never evaluated, is within _CUT times the target.  The two halves
 and that bound, relative to |Psi|, are each point's trunc_error_est.
-Every time t > 0 takes this one path: one the cap cannot serve, or whose
-sum overflows and so is not finite, raises NotConverged naming x and t.
+Every time t > 0 takes this one path, and one check refuses every miss:
+times whose estimate exceeds tol, as where the cap leaves the sum short
+or the sum overflows and so is not finite, raise one NotConverged naming
+x, the first of them and the worst estimate.
 Every table with a row per time (the omitted-term bounds, the Cauchy
 nodes less each time's share) is formed in blocks of times under one
 element budget, and every ragged (time, term) table (the exact poles'
@@ -245,19 +248,19 @@ def _exact_count(weight, later, edge, kn, target):
                       np.searchsorted(kn.real, edge))
 
 
-def _size(x, s0, kc0, sys, table, internal, tol, scale):
+def _size(x, s0, kc0, sys, table, internal, target):
     """(coefs, kn, table): the pole pool and its coefficients for times from
     the one with scale s0 and centre kc0 (1-element arrays) on, and the
     table that holds the pool.
 
     The pool starts at _POOL poles and doubles until it holds twice the
     exact poles that time needs and its remainder is within half the
-    absolute target tol * _AIM * scale; the omitted series term takes the
-    other half.  At the cap the target relaxes to tol * scale before
-    NotConverged is raised.  A pool that outgrows the table takes a fresh
-    search of HARD_CAP poles, whose first rows are the table's.  Each
-    round evaluates coefficients only for the poles it adds, and takes the
-    exact count over the whole pool as _pole_sum does.
+    absolute target; the omitted series term takes the other half.  It
+    stops at HARD_CAP poles, met or not: _assemble's check of each time
+    refuses a sum the cap leaves short.  A pool that outgrows the table
+    takes a fresh search of HARD_CAP poles, whose first rows are the
+    table's.  Each round evaluates coefficients only for the poles it adds,
+    and takes the exact count over the whole pool as _pole_sum does.
     """
     J = _ORDER[internal]
     weight, edge = np.abs(_alpha(J + 1, s0, 1.0)), kc0 + _Z_MIN / s0
@@ -268,22 +271,13 @@ def _size(x, s0, kc0, sys, table, internal, tol, scale):
             table = find_poles(sys, HARD_CAP)
         c_new, k_new = expansion_coeffs(x, table[len(kn):p], internal)
         coefs, kn = np.concatenate((coefs, c_new)), np.concatenate((kn, k_new))
-        later = _omitted(kc0, kn, coefs, J)
-        for target in ((tol * _AIM * scale, tol * scale) if p >= HARD_CAP
-                       else (tol * _AIM * scale,)):
-            n = int(_exact_count(weight, later, edge, kn, 0.5 * target)[0])
-            # the remainder past the pool last: it is the dearest check
-            if 2 * n <= p and _beyond(coefs, kn, s0, kc0)[0] <= 0.5 * target:
-                return coefs, kn, table
         if p >= HARD_CAP:
-            n = min(n, p // 2)
-            rem = _beyond(coefs, kn, s0, kc0)[0]
-            est = (weight[0] * later[0, n] + rem) / scale
-            t0 = HBAR * s0[0] ** 2 / sys.c2
-            raise NotConverged(
-                f"pole sum at x={float(x)} cannot reach tol={tol:.1e} within "
-                f"{HARD_CAP} poles (cap {HARD_CAP}): worst t={t0:.6g} fs, "
-                f"error estimate {est:.1e} with N={n} exact poles")
+            return coefs, kn, table
+        later = _omitted(kc0, kn, coefs, J)
+        n = int(_exact_count(weight, later, edge, kn, 0.5 * target)[0])
+        # the remainder past the pool last: it is the dearest check
+        if 2 * n <= p and _beyond(coefs, kn, s0, kc0)[0] <= 0.5 * target:
+            return coefs, kn, table
         p = min(2 * p, HARD_CAP)
 
 
@@ -447,19 +441,19 @@ def _exponentials(x_arg, t, s, kc, level, coefs, kn, c2, thr):
     return (*_ragged_sums(cut - level, _ROWS, terms), dropped)
 
 
-def _pole_sum(x, t, sys, table, internal, f, f_k, tol, scale):
+def _pole_sum(x, t, sys, table, internal, f, f_k, target):
     """Psi and dPsi/dt at times t in one pass: the incident pair less the
     sum over every pole.
 
     t is one run of a trace (_runs).  Each time gets the least exact-pole
-    count that meets the absolute target tol * _AIM * scale, at most half
-    the pool; the pool is sized at the run's earliest time, which needs
-    the most.  Every time then sums its own exact poles (_heads), takes
-    the omitted poles' series from one set of Cauchy nodes (_moments) and
-    evaluates only the damped exponentials that stay above _CUT times the
-    target (_exponentials).  Returns (psi, dpsi, est, n, table): est is
-    the absolute error estimate per time, n the largest count and table
-    the one that held the pool, which later runs and passes reuse.
+    count that meets the absolute target, at most half the pool; the pool
+    is sized at the run's earliest time, which needs the most.  Every time
+    then sums its own exact poles (_heads), takes the omitted poles' series
+    from one set of Cauchy nodes (_moments) and evaluates only the damped
+    exponentials that stay above _CUT times the target (_exponentials).
+    Returns (psi, dpsi, est, n, table): est is the absolute error estimate
+    per time, n the largest count and table the one that held the pool,
+    which later runs and passes reuse.
 
     The pool, its bounds and the internal ring belong to the run; each
     table with a row per time is formed in blocks of times (_slices), and
@@ -471,9 +465,7 @@ def _pole_sum(x, t, sys, table, internal, f, f_k, tol, scale):
     J = _ORDER[internal]
     x_arg = 0.0 if internal else x
     s, kc, a2t = _scales(x_arg, t, sys.c2)
-    coefs, kn, table = _size(x, s[:1], kc[:1], sys, table, internal, tol,
-                             scale)
-    target = tol * _AIM * scale
+    coefs, kn, table = _size(x, s[:1], kc[:1], sys, table, internal, target)
     weight, edge = np.abs(_alpha(J + 1, s, 1.0)), kc + _Z_MIN / s
     level = np.empty(len(t), dtype=int)
     est = np.empty(len(t))
@@ -561,7 +553,7 @@ def _assemble(x, t_grid, sys, poles, tol, internal):
             # is not finite, which the check below refuses: numpy need not warn
             with np.errstate(all="ignore"):
                 *part, n, table = _pole_sum(x, t[run], sys, table, internal,
-                                            f, f_k, tol, scale)
+                                            f, f_k, tol * _AIM * scale)
             parts.append(part)
             n_poles = max(n_poles, n)
         return [np.concatenate(runs) for runs in zip(*parts)]
@@ -574,17 +566,19 @@ def _assemble(x, t_grid, sys, poles, tol, internal):
     if redo.size:
         floor = max(float(np.min(np.abs(psi[redo]))), 1e-300)
         psi[redo], dpsi[redo], est[redo] = summed(t_grid[redo], 0.5 * floor)
-    rel = est / np.maximum(np.abs(psi), 1e-300)
     # a sum or estimate that is not finite misses, though no comparison with
-    # NaN says so
+    # NaN says so, and inf / inf need not warn to be refused
+    with np.errstate(all="ignore"):
+        rel = est / np.maximum(np.abs(psi), 1e-300)
     rel[~(np.isfinite(psi) & np.isfinite(dpsi) & np.isfinite(rel))] = np.inf
-    if np.any(rel > tol):
-        worst = int(np.argmax(rel))
+    miss = rel > tol
+    if miss.any():
+        cap = f" (cap {HARD_CAP})" if n_poles == HARD_CAP // 2 else ""
         raise NotConverged(
             f"pole sum at x={float(x)} above tol={tol:.1e} at "
-            f"{int(np.sum(rel > tol))} of {len(t_grid)} time points; worst "
-            f"t={t_grid[worst]:.6g} fs, error estimate {rel[worst]:.1e} "
-            f"with N={n_poles} exact poles")
+            f"{int(miss.sum())} of {len(t_grid)} time points from "
+            f"t={t_grid[miss.argmax()]:.6g} fs; worst error estimate "
+            f"{rel.max():.1e} with N={n_poles} exact poles{cap}")
     return psi, dpsi, 2 + 2 * n_poles + len(table.axis_poles), rel
 
 

@@ -145,8 +145,8 @@ def test_sum_above_tol_after_its_second_pass_exits_3(capsys, monkeypatch):
         "evolve", "--tmin", "1", "--tmax", "3", "--steps", "3"])
     assert code == 3 and out == "" and len(counts) == 2
     assert err == ("error: pole sum at x=4.0 above tol=1.0e-08 at 3 of 3 "
-                   "time points; worst t=1 fs, error estimate 1.0e-07 with "
-                   f"N={max(counts)} exact poles\n")
+                   "time points from t=1 fs; worst error estimate 1.0e-07 "
+                   f"with N={max(counts)} exact poles\n")
 
 
 def test_flags_override_config_file(capsys, tmp_path):

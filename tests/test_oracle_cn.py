@@ -447,6 +447,11 @@ def test_trace_reports_steps_and_nodes(gaas):
     cn = cn_evolve(gaas, cfg, [-1.0, 2.0], np.array([0.1, 100.5 * cfg.dt]))
     lo, hi = math.floor(-1.0 / cfg.dx) - 2, math.ceil(gaas.L / cfg.dx) + 2
     assert (cn.steps, cn.nodes) == (101, hi - lo + 1)
+    # a time is reached within a slack relative to dt: at a tiny dt each
+    # of 200 times on the steps takes its own step
+    tiny = replace(cfg, dt=cfg.dt * 1e-150)
+    cn = cn_evolve(gaas, tiny, [6.0], np.arange(1, 201) * tiny.dt)
+    assert (cn.steps, cn.nodes) == (200, 92)
 
 
 def test_oversized_run_fails_before_allocating(gaas):
