@@ -116,9 +116,11 @@ class TimeDomainResonance:
 
 def _plateau_density(sys, x):
     """Long-time density the transient settles to at position x."""
+    # np.abs, as abs() of a NaN complex can raise OverflowError from the
+    # errno that a numpy overflow left behind
     if x >= sys.L:
-        return abs(transmission(sys.k, sys)) ** 2
-    return abs(phi_stationary(x, sys.k, sys)) ** 2
+        return float(np.abs(transmission(sys.k, sys))) ** 2
+    return float(np.abs(phi_stationary(x, sys.k, sys))) ** 2
 
 
 def default_window(sys: BarrierSystem, x=None):
@@ -264,7 +266,10 @@ def find_time_domain_resonance(sys: BarrierSystem, x=None, tol=DEFAULT_TOL,
     check_tol(tol)
     cache = pole_cache(sys, poles)
     grid = np.linspace(*default_window(sys, x), PEAK_SCAN)
-    plateau = _plateau_density(sys, x)
+    # a plateau that overflows comes with a stationary amplitude that every
+    # trace at x refuses as not finite: numpy need not warn
+    with np.errstate(all="ignore"):
+        plateau = _plateau_density(sys, x)
     floor = HEIGHT_FLOOR * plateau
     absent = TimeDomainResonance(x=float(x), exists=False, t_max=math.nan,
                                  height=math.nan, height_ratio=math.nan,

@@ -52,7 +52,9 @@ most K kernel terms; when a block closes, the FFT of its edge values times
 the FFT of each later block's kernel segment is added to that block's
 spectrum, and one inverse FFT at a block's start gives its earlier-block
 history for all K steps.  That is O(steps K + steps^2 / K) in all, and
-exact up to rounding.
+exact up to rounding.  The kernel, one trapezoid sum taken as four quarter
+circles, is freed before the first step: the steps hold only the K near
+terms, the segments' spectra and each block's spectrum.
 
 This module is test / CLI infrastructure only; nothing in the analytic
 evaluation path imports it.
@@ -227,24 +229,35 @@ def transparent_kernel(w, theta, n):
     (hbar dx^2): the Z transform of the free theta scheme with zero initial
     data.  Outside the window the disturbance then obeys
     chi_out^m = sum_p l_p chi_edge^{m-p}.  rho is analytic for |z| > 1, so
-    one FFT on |z| = R with R^N = 1e12 gives l_p to about 1e-12, aliasing
-    included, for p up to N / 4.
+    the trapezoid sum on N points of |z| = R with R^N = 1e12 gives l_p to
+    about 1e-12, aliasing included, for p up to N / 4.
 
-    The N points are taken _CHUNK at a time, so that the working arrays of
-    the formula stay small beside the one array of N values the FFT reads.
+    The sum is taken as four interleaved quarter circles, the points
+    j = b mod 4: the inverse FFT F_b of quarter b, N / 4 points long, is
+    its share of the sum at p < N / 4 but for the factor e^{2 pi i b p / N},
+    so l_p = (F_0 + e (F_1 + e (F_2 + e F_3))) R^p / 4 with
+    e = e^{2 pi i p / N}, and no array of N points is built.  Each quarter
+    is evaluated _CHUNK points at a time, so the working arrays of the
+    formula stay small beside the quarter's N / 4 values.
     """
     size, radius = _circle(n)
-    inverse = np.empty(size, dtype=complex)
-    for start in range(0, size, _CHUNK):
-        j = np.arange(start, min(start + _CHUNK, size))
-        z = radius * np.exp(2j * np.pi * j / size)
-        kappa = 1.0 + (z - 1.0) / (2j * w * (theta * z + 1.0 - theta))
-        root = np.sqrt(kappa * kappa - 1.0)
-        # the growing root without cancellation, then its reciprocal
-        grow = np.where((kappa.conjugate() * root).real >= 0.0,
-                        kappa + root, kappa - root)
-        inverse[start:start + _CHUNK] = 1.0 / grow
-    return np.fft.ifft(inverse)[:n + 1] * radius ** np.arange(n + 1)
+    turn = np.exp(2j * np.pi / size * np.arange(n + 1))
+    quarter = np.empty(size // 4, dtype=complex)
+    ell = np.zeros(n + 1, dtype=complex)
+    for b in (3, 2, 1, 0):
+        for start in range(0, size // 4, _CHUNK):
+            j = 4 * np.arange(start, min(start + _CHUNK, size // 4)) + b
+            z = radius * np.exp(2j * np.pi * j / size)
+            kappa = 1.0 + (z - 1.0) / (2j * w * (theta * z + 1.0 - theta))
+            root = np.sqrt(kappa * kappa - 1.0)
+            # the growing root without cancellation, then its reciprocal
+            grow = np.where((kappa.conjugate() * root).real >= 0.0,
+                            kappa + root, kappa - root)
+            quarter[start:start + _CHUNK] = 1.0 / grow
+        ell *= turn
+        ell += np.fft.ifft(quarter)[:n + 1]
+    ell *= 0.25 * radius ** np.arange(n + 1)
+    return ell
 
 
 def factor_tridiagonal(sub, diag, sup):
@@ -309,6 +322,33 @@ def solve_banded(segments, lu, rhs):
     return rhs
 
 
+def _history(w, theta, steps, n_blocks):
+    """(l_0, near, segments) of the blocked history (module docstring);
+    the kernel and the memory cut into near and segments die on return.
+
+    memory is the history chi_out^{n+1} (A side) and chi_out^n (B side)
+    less the l_0 terms that A's corners and B = (1 + r) - r A carry: at step
+    m each edge row of the load is sum_q memory_q chi_edge^{m-q}.  It is
+    zero-padded to whole blocks; entries past steps are never reached.
+    """
+    ell = transparent_kernel(w, theta, steps)
+    memory = np.zeros(n_blocks * _BLOCK, dtype=complex)
+    memory[:steps] = theta * ell[1:] + (1.0 - theta) * ell[:-1]
+    memory[0] = theta * ell[1]
+    memory *= 1j * w
+    # the near part, step m = b K + j: edge values chi^{bK+1} .. chi^m of
+    # block b times memory[j-1] .. memory[0]
+    near = memory[_BLOCK - 1::-1].copy()
+    # the far part: block c's edge values enter block c + d through the
+    # lags dK - 1 + l, l in (-K, K), kernel segment d - 1 (d = 1 ..);
+    # a circular length 2K holds every lag without wrap
+    blocks = memory.reshape(n_blocks, _BLOCK)
+    segments = np.zeros((n_blocks - 1, 2 * _BLOCK), dtype=complex)
+    segments[:, :_BLOCK] = blocks[:-1]
+    segments[:, _BLOCK:-1] = blocks[1:, :-1]
+    return ell[0], near, np.fft.fft(segments)
+
+
 def cn_evolve(sys: BarrierSystem, cfg: CnConfig, probes, t_grid) -> CnTrace:
     """Evolve the shutter initial state and sample psi at probe positions.
 
@@ -344,7 +384,7 @@ def cn_evolve(sys: BarrierSystem, cfg: CnConfig, probes, t_grid) -> CnTrace:
 
     hop = sys.c2 / (cfg.dx * cfg.dx)
     w = cfg.dt * hop / HBAR
-    ell = transparent_kernel(w, cfg.theta, steps)
+    l0, near, segments = _history(w, cfg.theta, steps, n_blocks)
 
     # tridiagonal H: diag 2 c2/dx^2 + V_j, off-diagonal -c2/dx^2.  Only the
     # left-hand operator A = 1 + i theta H dt / hbar is built, its corners
@@ -353,29 +393,9 @@ def cn_evolve(sys: BarrierSystem, cfg: CnConfig, probes, t_grid) -> CnTrace:
     lam = 1j * cfg.dt * cfg.theta / HBAR
     off = np.full(n - 1, lam * (-hop), dtype=complex)
     diag = 1.0 + lam * (2.0 * hop + pot)
-    diag[[0, -1]] -= lam * hop * ell[0]
+    diag[[0, -1]] -= lam * hop * l0
     spans, lu = factor_tridiagonal(off, diag, off)
     r = (1.0 - cfg.theta) / cfg.theta
-
-    # the boundary history chi_out^{n+1} (A side) and chi_out^n (B side)
-    # less the l_0 terms that A's corners and B = (1 + r) - r A carry:
-    # at step m each edge row of the load is sum_q memory_q chi_edge^{m-q}.
-    # Zero-padded to whole blocks; entries past steps are never reached
-    memory = np.zeros(n_blocks * _BLOCK, dtype=complex)
-    memory[:steps] = cfg.theta * ell[1:] + (1.0 - cfg.theta) * ell[:-1]
-    memory[0] = cfg.theta * ell[1]
-    memory *= 1j * w
-    # the near part, step m = b K + j: edge values chi^{bK+1} .. chi^m of
-    # block b times memory[j-1] .. memory[0]
-    near = memory[_BLOCK - 1::-1].copy()
-    # the far part: block c's edge values enter block c + d through the
-    # lags dK - 1 + l, l in (-K, K), kernel segment d - 1 (d = 1 ..);
-    # a circular length 2K holds every lag without wrap
-    blocks = memory.reshape(n_blocks, _BLOCK)
-    segments = np.zeros((n_blocks - 1, 2 * _BLOCK), dtype=complex)
-    segments[:, :_BLOCK] = blocks[:-1]
-    segments[:, _BLOCK:-1] = blocks[1:, :-1]
-    segments = np.fft.fft(segments)
     far_spectra = np.zeros((2, n_blocks, 2 * _BLOCK), dtype=complex)
     edge = np.zeros((2, _BLOCK), dtype=complex)
 
@@ -384,9 +404,11 @@ def cn_evolve(sys: BarrierSystem, cfg: CnConfig, probes, t_grid) -> CnTrace:
     lam_s = 2.0 * hop * (1.0 - math.cos(sys.k * cfg.dx))
     g = ((1.0 - 1j * (1.0 - cfg.theta) * cfg.dt * lam_s / HBAR)
          / (1.0 + 1j * cfg.theta * cfg.dt * lam_s / HBAR))
+    # the source at step m is s0 g^m, divided like the load by P at x = 0,
+    # and formed a block of steps at a time
     r0 = 2j * hop * math.sin(sys.k * cfg.dx)
-    source = (-1j * cfg.dt / HBAR * r0 * ((1.0 - cfg.theta) + g * cfg.theta)
-              * g ** np.arange(steps)) * lu[0, j0]
+    s0 = -1j * cfg.dt / HBAR * r0 * ((1.0 - cfg.theta) + g * cfg.theta)
+    source_scale = lu[0, j0]
     sea_probe = (1.0 - w_probe) * sea[j_probe] + w_probe * sea[j_probe + 1]
 
     # two buffers take turns to hold u = chi / Q, the scans' output before
@@ -416,11 +438,12 @@ def cn_evolve(sys: BarrierSystem, cfg: CnConfig, probes, t_grid) -> CnTrace:
         block, j = divmod(step, _BLOCK)
         if j == 0:
             far = np.fft.ifft(far_spectra[:, block])[:, _BLOCK - 1:-1]
+            source = s0 * g ** np.arange(step, step + _BLOCK) * source_scale
         prev, t_prev = u, t_now
         u, ends, (forward, backward) = buffers[step & 1]
         np.multiply(prev, scale, out=u)
         ends += far[:, j] + edge[:, :j] @ near[_BLOCK - j:]
-        u[j0] += source[step]
+        u[j0] += source[j]
         if j == 0:
             solve_banded(spans, lu, u)
         else:
@@ -432,8 +455,10 @@ def cn_evolve(sys: BarrierSystem, cfg: CnConfig, probes, t_grid) -> CnTrace:
         t_now += cfg.dt
         np.multiply(ends, into, out=edge[:, j])
         if j == _BLOCK - 1:
-            far_spectra[:, block + 1:] += (np.fft.fft(edge, 2 * _BLOCK)[:, None]
-                                           * segments[:n_blocks - block - 1])
+            # one edge at a time: the product spans one edge's later spectra
+            for later, closed in zip(far_spectra[:, block + 1:],
+                                     np.fft.fft(edge, 2 * _BLOCK)):
+                later += closed * segments[:n_blocks - block - 1]
         if t_grid[i_t] > t_now + slack:
             continue     # no requested time in this step
         at_probe, prev_probe = at_probes(u, step), at_probes(prev, step - 1)

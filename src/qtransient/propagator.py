@@ -441,7 +441,7 @@ def _exponentials(x_arg, t, s, kc, level, coefs, kn, c2, thr):
     return (*_ragged_sums(cut - level, _ROWS, terms), dropped)
 
 
-def _pole_sum(x, t, sys, table, internal, f, f_k, target):
+def _pole_sum(x, t, sys, table, internal, f, f_k, target, level):
     """Psi and dPsi/dt at times t in one pass: the incident pair less the
     sum over every pole.
 
@@ -453,7 +453,8 @@ def _pole_sum(x, t, sys, table, internal, f, f_k, target):
     exponentials that stay above _CUT times the target (_exponentials).
     Returns (psi, dpsi, est, n, table): est is the absolute error estimate
     per time, n the largest count and table the one that held the pool,
-    which later runs and passes reuse.
+    which later runs and passes reuse; each time's count is written into
+    level, an int array of len(t).
 
     The pool, its bounds and the internal ring belong to the run; each
     table with a row per time is formed in blocks of times (_slices), and
@@ -467,7 +468,6 @@ def _pole_sum(x, t, sys, table, internal, f, f_k, target):
     s, kc, a2t = _scales(x_arg, t, sys.c2)
     coefs, kn, table = _size(x, s[:1], kc[:1], sys, table, internal, target)
     weight, edge = np.abs(_alpha(J + 1, s, 1.0)), kc + _Z_MIN / s
-    level = np.empty(len(t), dtype=int)
     est = np.empty(len(t))
     for rows in _slices(len(t), 2, lambda lo: lo + _ROWS // (len(kn) + 1)):
         later = _omitted(kc[rows], kn, coefs, J)
@@ -540,32 +540,37 @@ def _assemble(x, t_grid, sys, poles, tol, internal):
     def f(c):
         return phi_stationary(x, c, sys) if internal else transmission(c, sys)
 
-    f_k = f(np.array([sys.k, -sys.k]))
+    # an amplitude that overflows (a huge opacity) leaves every sum not
+    # finite, which the check below refuses: numpy need not warn
+    with np.errstate(all="ignore"):
+        f_k = f(np.array([sys.k, -sys.k]))
     n_poles = 0
 
     def summed(t, scale):
         # one pole sum per run, each sized at its own earliest time; the
         # table a run returns serves the next, so the cap is searched once
         nonlocal table, n_poles
-        parts = []
+        parts, level = [], np.empty(len(t), dtype=int)
         for run in _runs(t):
             # a sum that overflows (s^(2j+1) as t -> 0, a^2/t at a huge x)
             # is not finite, which the check below refuses: numpy need not warn
             with np.errstate(all="ignore"):
                 *part, n, table = _pole_sum(x, t[run], sys, table, internal,
-                                            f, f_k, tol * _AIM * scale)
+                                            f, f_k, tol * _AIM * scale,
+                                            level[run])
             parts.append(part)
             n_poles = max(n_poles, n)
-        return [np.concatenate(runs) for runs in zip(*parts)]
+        return [np.concatenate(runs) for runs in zip(*parts)] + [level]
 
     # size the sums against the stationary amplitude; points whose |psi|
     # lies so far below it that they miss tol are summed once more, sized
-    # from |psi|
-    psi, dpsi, est = summed(t_grid, abs(f_k[0]))
-    redo = np.flatnonzero(est > tol * np.abs(psi))
+    # from |psi|, but not those that took all the cap's exact poles: a
+    # second pass sums them at the same N
+    psi, dpsi, est, level = summed(t_grid, abs(f_k[0]))
+    redo = np.flatnonzero((est > tol * np.abs(psi)) & (level < HARD_CAP // 2))
     if redo.size:
         floor = max(float(np.min(np.abs(psi[redo]))), 1e-300)
-        psi[redo], dpsi[redo], est[redo] = summed(t_grid[redo], 0.5 * floor)
+        psi[redo], dpsi[redo], est[redo], _ = summed(t_grid[redo], 0.5 * floor)
     # a sum or estimate that is not finite misses, though no comparison with
     # NaN says so, and inf / inf need not warn to be refused
     with np.errstate(all="ignore"):

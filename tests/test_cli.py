@@ -637,3 +637,16 @@ def test_non_finite_pole_sum_exits_3(capsys):
         assert code == 3 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "x=1e+200" in err and "error estimate inf" in err
+
+
+def test_overflowing_stationary_amplitude_exits_3(capsys):
+    # alpha ~ 5300: e^{kappa0 L} overflows, so the plateau and the
+    # stationary amplitudes at +-k are NaN.  The first trace at x refuses
+    # its sum as not finite, with one error line naming x; numpy does not
+    # warn on the way (the suite makes RuntimeWarning an error), and the
+    # NaN plateau raises no OverflowError
+    code, out, err = run(capsys, ["--V", "1e6", "--E", "1", "--L", "4",
+                                  "--mass-ratio", "0.067", "tmax"])
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "x=4.0" in err

@@ -9,10 +9,11 @@ Oracles:
   returns it equals a plain theta scheme on a wide hard-walled domain;
 * [DERIVED] the boundary kernel's Laurent series solves the exterior
   equation rho + 1/rho = 2 kappa(z) with the decaying root;
-* [TRIVIAL] the kernel taken a chunk of the circle at a time is bit for
-  bit the formula over the whole circle, kept here as the reference, up to
-  the oracle's step bound and at random (w, theta, n), and holds less than
-  half its memory;
+* [TRIVIAL] the kernel taken as four quarter circles, each a chunk at a
+  time, is bit for bit the formula over each whole quarter, kept here as a
+  reference, and within 1e-14 of the one FFT over the whole circle, up to
+  the oracle's step bound and at random (w, theta, n); it holds less than
+  a fifth of the whole circle's memory;
 * [DERIVED] successive dx halvings must converge at second order (measured
   between grid solutions, which share one continuum limit);
 * [DERIVED] the operator factored once into prefix scans and solved per
@@ -25,6 +26,8 @@ Oracles:
   reproduce a plain per-step stepper: B built explicitly, a scipy solve on
   every step and the whole edge history dotted with the kernel; a run to
   3t repeats a run to t on their shared times;
+* [TRIVIAL] validate's oracle run (GaAs, x = 6 nm to 30 fs) peaks under
+  2 MiB traced: no temporary spans the whole run's history;
 * [TRIVIAL] a run longer than the oracle's step bound, or one whose window
   times its steps exceeds the node-step bound, fails before it allocates
   anything, and the widest window the tests step stays within that bound
@@ -144,42 +147,67 @@ def test_transparent_kernel_solves_the_exterior_equation(gaas, theta):
     assert np.max(np.abs(rho + 1.0 / rho - two_kappa)) <= 1e-12
 
 
+def _growing_root(w, theta, z):
+    kappa = 1.0 + (z - 1.0) / (2j * w * (theta * z + 1.0 - theta))
+    root = np.sqrt(kappa * kappa - 1.0)
+    return np.where((kappa.conjugate() * root).real >= 0.0,
+                    kappa + root, kappa - root)
+
+
 def _kernel_on_fresh_arrays(w, theta, n):
-    """transparent_kernel as one expression per array over the whole
-    circle; kept as the reference for the kernel taken chunk by chunk."""
+    """The kernel as one FFT of the formula over the whole circle; kept as
+    the accuracy reference for the kernel taken by quarter circles."""
     size = 1 << math.ceil(math.log2(4 * (n + 1)))
     radius = 1e12 ** (1.0 / size)
     z = radius * np.exp(2j * np.pi * np.arange(size) / size)
-    kappa = 1.0 + (z - 1.0) / (2j * w * (theta * z + 1.0 - theta))
-    root = np.sqrt(kappa * kappa - 1.0)
-    grow = np.where((kappa.conjugate() * root).real >= 0.0,
-                    kappa + root, kappa - root)
+    grow = _growing_root(w, theta, z)
     return np.fft.ifft(1.0 / grow)[:n + 1] * radius ** np.arange(n + 1)
+
+
+def _kernel_by_quarters_on_fresh_arrays(w, theta, n):
+    """transparent_kernel as one expression per array over each whole
+    quarter circle; kept as the reference for the kernel taken chunk by
+    chunk."""
+    size = 1 << math.ceil(math.log2(4 * (n + 1)))
+    radius = 1e12 ** (1.0 / size)
+    turn = np.exp(2j * np.pi / size * np.arange(n + 1))
+    ell = np.zeros(n + 1, dtype=complex)
+    for b in (3, 2, 1, 0):
+        z = radius * np.exp(2j * np.pi * (4 * np.arange(size // 4) + b) / size)
+        ell *= turn
+        ell += np.fft.ifft(1.0 / _growing_root(w, theta, z))[:n + 1]
+    return ell * (0.25 * radius ** np.arange(n + 1))
+
+
+def _check_kernel(w, theta, n):
+    got = transparent_kernel(w, theta, n)
+    assert got.tobytes() == \
+        _kernel_by_quarters_on_fresh_arrays(w, theta, n).tobytes()
+    assert np.max(np.abs(got - _kernel_on_fresh_arrays(w, theta, n))) <= 1e-14
 
 
 @pytest.mark.parametrize("n", [101, 5000, 12110, oracle._MAX_STEPS])
 @pytest.mark.parametrize("theta", [0.5, 0.5 + 1.0 / 36.0, 1.0])
 def test_transparent_kernel_is_bitwise_the_formula(theta, n):
     # the default GaAs run to 30 fs takes n = 12110 steps at w = 0.45, 2^16
-    # points: the formula over the whole circle holds 6.06 MiB there, chunk
-    # by chunk 2.69.  The longest run the oracle allows takes 2^20 points,
-    # 256 chunks, and holds 38.1 MiB
+    # points: the formula over the whole circle holds 6.06 MiB there, by
+    # quarter circles 1.15.  The longest run the oracle allows takes 2^20
+    # points, four quarters of 64 chunks, and holds 15.9 MiB
     tracemalloc.start()
-    got = transparent_kernel(0.45, theta, n)
+    transparent_kernel(0.45, theta, n)
     peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
     tracemalloc.stop()
-    assert got.tobytes() == _kernel_on_fresh_arrays(0.45, theta, n).tobytes()
-    assert peak <= {12110: 2.9, oracle._MAX_STEPS: 42.0}.get(n, math.inf)
+    _check_kernel(0.45, theta, n)
+    assert peak <= {12110: 1.3, oracle._MAX_STEPS: 17.5}.get(n, math.inf)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.floats(1e-150, 0.5, exclude_max=True), st.floats(0.5, 1.0),
        st.integers(1, 20_000))
 def test_transparent_kernel_is_bitwise_the_formula_anywhere(w, theta, n):
-    # one chunk or several: each point of the circle is the formula's, bit
-    # for bit.  Below w ~ 1e-154, kappa^2 ~ w^-2 overflows in both
-    assert transparent_kernel(w, theta, n).tobytes() == \
-        _kernel_on_fresh_arrays(w, theta, n).tobytes()
+    # one chunk or several per quarter: each point of the circle is the
+    # formula's, bit for bit.  Below w ~ 1e-154, kappa^2 ~ w^-2 overflows
+    _check_kernel(w, theta, n)
 
 
 def test_default_config_passes_own_validation(gaas):
@@ -452,6 +480,22 @@ def test_trace_reports_steps_and_nodes(gaas):
     tiny = replace(cfg, dt=cfg.dt * 1e-150)
     cn = cn_evolve(gaas, tiny, [6.0], np.arange(1, 201) * tiny.dt)
     assert (cn.steps, cn.nodes) == (200, 92)
+
+
+def test_validate_oracle_run_holds_no_whole_run_temporaries(gaas):
+    # validate's oracle-compare run: 12,110 steps.  The kernel, the padded
+    # memory and its blocks are freed once the history's spectra exist, the
+    # source is formed a block at a time and a closed block joins the later
+    # spectra one edge at a time; with all three held it peaks at 2.69 MiB
+    cfg = default_cn_config(gaas, 30.0)
+    times = np.linspace(1.0, 30.0, 59)
+    cn_evolve(gaas, default_cn_config(gaas, 1.0), [6.0], [1.0])
+    tracemalloc.start()
+    cn = cn_evolve(gaas, cfg, [6.0], times)
+    peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    tracemalloc.stop()
+    assert cn.steps == 12110
+    assert peak < 2.0
 
 
 def test_oversized_run_fails_before_allocating(gaas):

@@ -546,6 +546,25 @@ def test_not_converged_at_tiny_cap(gaas, gaas_cache):
     assert trace(0.05, np.array([0.5]), gaas, poles=gaas_cache).n_terms_used
 
 
+def test_time_summed_at_the_cap_is_not_summed_again(gaas, gaas_cache,
+                                                   monkeypatch):
+    # 1e-3 fs by the shutter takes all 1024 exact poles of the cap's pool
+    # and misses: a second pass sized from |Psi| would sum it at the same N
+    # and refuse it the same way, so it is refused after one pole sum
+    counts = []
+    pole_sum = propagator._pole_sum
+
+    def counted(x_, t_, *a, **kw):
+        out = pole_sum(x_, t_, *a, **kw)
+        counts.append(out[3])
+        return out
+
+    monkeypatch.setattr(propagator, "_pole_sum", counted)
+    with pytest.raises(NotConverged, match=r"N=1024 exact poles \(cap 2048\)"):
+        trace(0.05, np.array([1e-3]), gaas, poles=gaas_cache)
+    assert counts == [propagator.HARD_CAP // 2]
+
+
 @pytest.mark.parametrize("x,times,first", [
     # 1e-3 fs after release the exponentials next to the shutter are
     # damped only past the cap's pool
