@@ -88,10 +88,6 @@ class NormalizationSingular(NumericalError):
     pass
 
 
-class PoleCollision(NumericalError):
-    """Incident k**2 came within guard distance of a pole k_n**2."""
-
-
 class NotConverged(NumericalError):
     """Resonance sum that cannot meet its tolerance within the pole cap."""
 

@@ -79,7 +79,9 @@ and that bound, relative to |Psi|, are each point's trunc_error_est.
 Every time t > 0 takes this one path, and one check refuses every miss:
 times whose estimate exceeds tol, as where the cap leaves the sum short
 or the sum overflows and so is not finite, raise one NotConverged naming
-x, the first of them and the worst estimate.
+x, the first of them and the worst estimate.  So numpy need not warn on
+the way: one np.errstate in _assemble covers the amplitudes f(+-k), the
+antibound coefficients, every sum and the check.
 Every table with a row per time (the omitted-term bounds, the Cauchy
 nodes less each time's share) is formed in blocks of times under one
 element budget, and every ragged (time, term) table (the exact poles'
@@ -256,11 +258,12 @@ def _size(x, s0, kc0, sys, table, internal, target):
     The pool starts at _POOL poles and doubles until it holds twice the
     exact poles that time needs and its remainder is within half the
     absolute target; the omitted series term takes the other half.  It
-    stops at HARD_CAP poles, met or not: _assemble's check of each time
-    refuses a sum the cap leaves short.  A pool that outgrows the table
-    takes a fresh search of HARD_CAP poles, whose first rows are the
-    table's.  Each round evaluates coefficients only for the poles it adds,
-    and takes the exact count over the whole pool as _pole_sum does.
+    stops at HARD_CAP poles, met or not, or at once for a target that is
+    not finite: _assemble's check of each time refuses either sum.  A pool
+    that outgrows the table takes a fresh search of HARD_CAP poles, whose
+    first rows are the table's.  Each round evaluates coefficients only for
+    the poles it adds, and takes the exact count over the whole pool as
+    _pole_sum does.
     """
     J = _ORDER[internal]
     weight, edge = np.abs(_alpha(J + 1, s0, 1.0)), kc0 + _Z_MIN / s0
@@ -271,7 +274,7 @@ def _size(x, s0, kc0, sys, table, internal, target):
             table = find_poles(sys, HARD_CAP)
         c_new, k_new = expansion_coeffs(x, table[len(kn):p], internal)
         coefs, kn = np.concatenate((coefs, c_new)), np.concatenate((kn, k_new))
-        if p >= HARD_CAP:
+        if p >= HARD_CAP or not np.isfinite(target):
             return coefs, kn, table
         later = _omitted(kc0, kn, coefs, J)
         n = int(_exact_count(weight, later, edge, kn, 0.5 * target)[0])
@@ -420,9 +423,7 @@ def _exponentials(x_arg, t, s, kc, level, coefs, kn, c2, thr):
     low = np.minimum.accumulate(-kn.imag[::-1])[::-1]
     left = np.minimum.accumulate(kn.real[::-1])[::-1]
     two_s2 = 2.0 * s * s
-    with np.errstate(divide="ignore", invalid="ignore"):
-        reach = (np.log((P - level) * big[level] / thr)
-                 / (two_s2 * low[level]))
+    reach = np.log((P - level) * big[level] / thr) / (two_s2 * low[level])
     cut = np.maximum(level, np.searchsorted(left, kc + reach))
     j = np.minimum(cut, P - 1)
     dropped = (P - cut) * big[j] * np.exp(
@@ -441,7 +442,7 @@ def _exponentials(x_arg, t, s, kc, level, coefs, kn, c2, thr):
     return (*_ragged_sums(cut - level, _ROWS, terms), dropped)
 
 
-def _pole_sum(x, t, sys, table, internal, f, f_k, target, level):
+def _pole_sum(x, t, sys, table, internal, f, f_k, axis, target, level):
     """Psi and dPsi/dt at times t in one pass: the incident pair less the
     sum over every pole.
 
@@ -451,10 +452,10 @@ def _pole_sum(x, t, sys, table, internal, f, f_k, target, level):
     then sums its own exact poles (_heads), takes the omitted poles' series
     from one set of Cauchy nodes (_moments) and evaluates only the damped
     exponentials that stay above _CUT times the target (_exponentials).
-    Returns (psi, dpsi, est, n, table): est is the absolute error estimate
-    per time, n the largest count and table the one that held the pool,
-    which later runs and passes reuse; each time's count is written into
-    level, an int array of len(t).
+    axis holds the antibound poles' (coefs, kn).  Returns (psi, dpsi, est,
+    table): est is the absolute error estimate per time and table the one
+    that held the pool, which later runs and passes reuse; each time's
+    count is written into level, an int array of len(t).
 
     The pool, its bounds and the internal ring belong to the run; each
     table with a row per time is formed in blocks of times (_slices), and
@@ -474,7 +475,6 @@ def _pole_sum(x, t, sys, table, internal, f, f_k, target, level):
         need = _exact_count(weight[rows], later, edge[rows], kn, 0.5 * target)
         level[rows] = n = np.minimum(need, len(kn) // 2)
         est[rows] = weight[rows] * later[np.arange(len(n)) % len(later), n]
-    axis = expansion_coeffs(x, table.axis_poles, internal)
     # each pool pole followed by its mirror -conj q, whose coefficient is
     # -conj c: a time's exact poles are the first 2 level entries
     pool = (np.column_stack((kn, -kn.conj())).ravel(),
@@ -499,7 +499,7 @@ def _pole_sum(x, t, sys, table, internal, f, f_k, target, level):
     dpsi -= de
     est += _beyond(coefs, kn, s, kc)
     est += dropped
-    return psi, dpsi, est, int(level.max()), table
+    return psi, dpsi, est, table
 
 
 def _runs(t):
@@ -540,40 +540,37 @@ def _assemble(x, t_grid, sys, poles, tol, internal):
     def f(c):
         return phi_stationary(x, c, sys) if internal else transmission(c, sys)
 
-    # an amplitude that overflows (a huge opacity) leaves every sum not
-    # finite, which the check below refuses: numpy need not warn
-    with np.errstate(all="ignore"):
-        f_k = f(np.array([sys.k, -sys.k]))
-    n_poles = 0
-
     def summed(t, scale):
         # one pole sum per run, each sized at its own earliest time; the
         # table a run returns serves the next, so the cap is searched once
-        nonlocal table, n_poles
+        nonlocal table
         parts, level = [], np.empty(len(t), dtype=int)
         for run in _runs(t):
-            # a sum that overflows (s^(2j+1) as t -> 0, a^2/t at a huge x)
-            # is not finite, which the check below refuses: numpy need not warn
-            with np.errstate(all="ignore"):
-                *part, n, table = _pole_sum(x, t[run], sys, table, internal,
-                                            f, f_k, tol * _AIM * scale,
-                                            level[run])
+            *part, table = _pole_sum(x, t[run], sys, table, internal, f, f_k,
+                                     axis, tol * _AIM * scale, level[run])
             parts.append(part)
-            n_poles = max(n_poles, n)
         return [np.concatenate(runs) for runs in zip(*parts)] + [level]
 
-    # size the sums against the stationary amplitude; points whose |psi|
-    # lies so far below it that they miss tol are summed once more, sized
-    # from |psi|, but not those that took all the cap's exact poles: a
-    # second pass sums them at the same N
-    psi, dpsi, est, level = summed(t_grid, abs(f_k[0]))
-    redo = np.flatnonzero((est > tol * np.abs(psi)) & (level < HARD_CAP // 2))
-    if redo.size:
-        floor = max(float(np.min(np.abs(psi[redo]))), 1e-300)
-        psi[redo], dpsi[redo], est[redo], _ = summed(t_grid[redo], 0.5 * floor)
-    # a sum or estimate that is not finite misses, though no comparison with
-    # NaN says so, and inf / inf need not warn to be refused
+    # an amplitude that overflows (a huge opacity) or a sum that does
+    # (s^(2j+1) as t -> 0, a^2/t at a huge x) is not finite, and a sum or
+    # estimate that is not finite misses, though no comparison with NaN
+    # says so: the check below refuses it, and numpy need not warn
     with np.errstate(all="ignore"):
+        f_k = f(np.array([sys.k, -sys.k]))
+        axis = expansion_coeffs(x, table.axis_poles, internal)
+        # size the sums against the stationary amplitude; points whose
+        # |psi| lies so far below it that they miss tol are summed once
+        # more, sized from |psi|, but not those that took all the cap's
+        # exact poles: a second pass sums them at the same N
+        psi, dpsi, est, level = summed(t_grid, abs(f_k[0]))
+        n_poles = int(level.max())
+        redo = np.flatnonzero((est > tol * np.abs(psi))
+                              & (level < HARD_CAP // 2))
+        if redo.size:
+            floor = max(float(np.min(np.abs(psi[redo]))), 1e-300)
+            psi[redo], dpsi[redo], est[redo], level = summed(t_grid[redo],
+                                                             0.5 * floor)
+            n_poles = max(n_poles, int(level.max()))
         rel = est / np.maximum(np.abs(psi), 1e-300)
     rel[~(np.isfinite(psi) & np.isfinite(dpsi) & np.isfinite(rel))] = np.inf
     miss = rel > tol

@@ -27,7 +27,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import (CountMismatch, NonPositiveParameter,
-                     NormalizationSingular, PoleCollision, PoleNotConverged)
+                     NormalizationSingular, PoleNotConverged)
 from .stationary import _q_of_k, pole_function
 from .systems import BarrierSystem
 
@@ -382,15 +382,12 @@ def expansion_coeffs(x, poles: PoleSet, internal: bool):
     (coefs, kn), complex arrays with one entry per pole, u_n(x) evaluated
     as in ResonancePole.u_at.  For real k the mirror pole k_{-n} =
     -conj k_n has coefficient -conj of its partner's, so the mirrors need
-    no entries of their own.
+    no entries of their own.  k^2 - k_n^2 does not vanish (Im k_n^2 < 0 on
+    the ladder, k_n^2 < 0 on the axis); if it underflows, the sum refuses.
     """
     k = poles.system.k
     kn = poles.k
-    denom = k * k - kn * kn
-    hit = np.flatnonzero(np.abs(denom) < 1e-14)
-    if len(hit):
-        raise PoleCollision(f"k^2 - k_n^2 ~ 0 at n = {poles.n[hit[0]]}")
-    pref = 2j * k * poles.u0 / denom
+    pref = 2j * k * poles.u0 / (k * k - kn * kn)
     if internal:
         return pref * (_gamow_u(x, kn, poles.q) * poles.inv_sqrt_norm), kn
     return pref * poles.uL * np.exp(-1j * kn * poles.system.L), kn

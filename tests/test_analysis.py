@@ -97,6 +97,22 @@ def test_spectrogram_consistent_with_trace(gaas, gaas_cache):
     assert np.allclose(sg.abs2, tr.abs2, rtol=1e-12, atol=0.0)
 
 
+def test_spectrogram_names_x_and_the_first_faint_time(gaas, gaas_cache,
+                                                     monkeypatch):
+    # |Psi| below the 1e-150 floor at 5 and 7 fs: dPsi/dt / Psi means
+    # nothing there, and the error names x and the first of those times
+    def faint(x_, t_grid, *a, **kw):
+        tr = trace(x_, t_grid, *a, **kw)
+        psi = tr.psi.copy()
+        psi[[2, 4]] *= 1e-160
+        return dataclasses.replace(tr, psi=psi)
+
+    monkeypatch.setattr(analysis, "trace", faint)
+    with pytest.raises(AmplitudeUnderflow) as info:
+        spectrogram(gaas, gaas.L, np.linspace(3.0, 8.0, 6), poles=gaas_cache)
+    assert "x=4, t=5 fs (first of 2 such grid times)" in str(info.value)
+
+
 def test_reference_peak_values(gaas, gaas_cache):
     tdr = find_time_domain_resonance(gaas, poles=gaas_cache)
     assert tdr.exists

@@ -136,9 +136,9 @@ def test_sum_above_tol_after_its_second_pass_exits_3(capsys, monkeypatch):
     pole_sum, counts = propagator._pole_sum, []
 
     def inflated(x, t, *args):
-        psi, dpsi, _, n, table = pole_sum(x, t, *args)
-        counts.append(n)
-        return psi, dpsi, 1e-7 * np.abs(psi) / t, n, table
+        psi, dpsi, _, table = pole_sum(x, t, *args)
+        counts.append(int(args[-1].max()))     # the counts written to level
+        return psi, dpsi, 1e-7 * np.abs(psi) / t, table
 
     monkeypatch.setattr(propagator, "_pole_sum", inflated)
     code, out, err = run(capsys, GAAS_FLAGS + [
@@ -650,3 +650,44 @@ def test_overflowing_stationary_amplitude_exits_3(capsys):
     assert code == 3 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "x=4.0" in err
+
+
+def test_overflowing_amplitude_is_refused_without_a_deeper_search(
+        capsys, monkeypatch):
+    # f(+-k) is NaN at alpha ~ 5300, so the sizing target is not finite and
+    # no pool can meet it: the sizer stops at its first pool, and the shared
+    # table of HARD_CAP // 4 poles is the only search before the refusal
+    depths, search = [], propagator.find_poles
+
+    def counted(sys_, n):
+        depths.append(n)
+        return search(sys_, n)
+
+    monkeypatch.setattr(propagator, "find_poles", counted)
+    code, out, err = run(capsys, ["--V", "1e6", "--E", "1", "--L", "4",
+                                  "--mass-ratio", "0.067", "tmax"])
+    assert code == 3 and out == "" and "x=4.0" in err
+    assert depths == [propagator.HARD_CAP // 4]
+
+
+@pytest.mark.parametrize("flags,code", [
+    # alpha ~ 1e-14, far below alpha_c: no peak forms
+    (["--V", "0.3", "--E", "0.001", "--mass-ratio", "1e-30"], 0),
+    # t ~ 1e298 fs at the peak search's first time: every sum overflows
+    (["--V", "1e-300", "--E", "1e-301", "--mass-ratio", "0.067"], 3)])
+def test_barrier_with_tiny_squares_is_summed_like_any_other(capsys, flags,
+                                                            code):
+    # k^2 and k_n^2 lie far below 1 nm^-2, yet k^2 - k_n^2 never vanishes:
+    # the sum is taken, and it is refused only by its own check, naming x
+    # (numpy does not warn on the way: the suite makes RuntimeWarning an
+    # error)
+    got, out, err = run(capsys, flags + ["--L", "4", "tmax"])
+    assert got == code
+    if code == 0:
+        _, cols, rows = parse_csv(out)
+        assert len(rows) == 1 and dict(zip(cols, rows[0]))["exists"] is False
+        assert err == ""
+    else:
+        assert out == "" and err.startswith("error: ")
+        assert err.count("\n") == 1 and "x=" in err
+        assert "k^2 - k_n^2" not in err
