@@ -1,10 +1,10 @@
-"""Brute-force grid oracle: Crank-Nicolson integration of the shutter problem.
+"""Brute-force grid oracle: the theta scheme on the unbounded lattice, in closed form.
 
 An independent verifier for the analytic propagator.  The cutoff initial
-wave Theta(-x)(e^{ikx} - e^{-ikx}) is discretized on a uniform grid, the
-barrier potential is cell-averaged onto the lattice (point sampling would
+wave Theta(-x)(e^{ikx} - e^{-ikx}) is discretized on a uniform lattice, the
+barrier potential is cell-averaged onto the nodes (point sampling would
 snap the edges and change the effective width by O(dx), which the
-transmission amplifies exponentially), and the field is stepped with the
+transmission amplifies exponentially), and the field follows the
 unconditionally stable implicit theta scheme
 
     (1 + i theta H dt / hbar) psi_next = (1 - i (1 - theta) H dt / hbar) psi
@@ -19,42 +19,53 @@ the shutter (E ~ 4 c2 / dx^2) decay like e^{-20} per fs on the GaAs grid.
 That junk would otherwise contaminate the exponentially small transmitted
 signal and does not vanish under grid refinement.
 
-There are no walls.  The untapered sea S_j = 2i sin(k x_j) for x_j <= 0
-(0 beyond) is an eigenvector of the discrete H with eigenvalue
-lam_s = 2 (c2/dx^2)(1 - cos k dx) at every node but x = 0, so the scheme
-advances it in closed form, g^n S with
-g = (1 - i (1 - theta) lam_s dt/hbar) / (1 + i theta lam_s dt/hbar).  Only
-the disturbance chi = psi - g^n S is stepped: it starts at zero and is
-driven by a source at x = 0 alone, A chi^{n+1} = B chi^n + s g^n e_0.  On
-either side of a window that just covers the barrier and the probes, chi
-obeys the free homogeneous scheme with zero initial data, which the exact
-discrete transparent boundary condition closes (Antoine, Arnold, Besse,
-Ehrhardt & Schaedle, Commun. Comput. Phys. 4, 729 (2008)):
-the first node outside each end is the convolution of the edge node's
-history with the Laurent coefficients of the decaying root rho(z) of
-rho + 1/rho = 2 + (z - 1) / (i (dt/hbar)(c2/dx^2)(theta z + 1 - theta)).
-The result is the solution on the unbounded lattice: it does not depend on
-where the window ends, and no signal returns from a wall.
+The untapered sea S_j = 2i sin(k x_j) for x_j <= 0 (0 beyond) is an
+eigenvector of the discrete H with eigenvalue lam_s = 2 (c2/dx^2)(1 - cos k
+dx) at every node but x = 0, so the scheme advances it in closed form,
+g^n S with g = (1 - i (1 - theta) lam_s dt/hbar) / (1 + i theta lam_s
+dt/hbar).  The disturbance chi = psi - g^n S starts at zero and is driven
+by a source at x = 0 alone, A chi^{n+1} = B chi^n + s0 g^n e_0, on the
+whole unbounded lattice: no window, no walls and no time loop.  Its Z
+transform X(z) = sum_n chi^n z^-n is, with lambda = i theta dt/hbar and
+mu = i (1 - theta) dt/hbar,
 
-The instantaneous term of the convolution joins A's corner diagonals, so
-the left-hand operator never changes during a run and is factored once.
-A is strictly diagonally dominant by rows, so its LU factors need no
-pivots, and each triangular sweep is a prefix scan: with pivots c_i the
-forward one is y_i = P_i sum_{j<=i} b_j / P_j, P the running product of
--l_{i-1} / c_{i-1}, and the backward one the same with suffix products of
--u_i / c_i.  The products restart on segments cut to keep them within
-1e+-280 (about 400 nodes on the GaAs grid), one carry crossing each cut.
-The right-hand operator is B = (1 + r) - r A with r = (1 - theta) /
-theta, so a step is chi <- A^{-1} ((1 + r) chi + b) - r chi, with b the
-boundary history and the source.  The history is summed in blocks of K
-steps.  Within a block each step dots the block's own edge values with at
-most K kernel terms; when a block closes, the FFT of its edge values times
-the FFT of each later block's kernel segment is added to that block's
-spectrum, and one inverse FFT at a block's start gives its earlier-block
-history for all K steps.  That is O(steps K + steps^2 / K) in all, and
-exact up to rounding.  The kernel, one trapezoid sum taken as four quarter
-circles, is freed before the first step: the steps hold only the K near
-terms, the segments' spectra and each block's spectrum.
+    X_j(z) = s0 / ((1 - g/z)(z lambda + mu)) G(j, 0; E(z)),
+    E(z) = (1 - z) / (z lambda + mu),
+
+G = (H - E)^-1 the lattice resolvent (Antoine, Arnold, Besse, Ehrhardt &
+Schaedle, Commun. Comput. Phys. 4, 729 (2008), give the same transform as
+the exact discrete transparent boundary condition).  X is analytic for
+|z| > 1, so chi^n = R^n ifft(X(R e^{2 pi i j/N}))[n] up to the alias
+chi^{n+N} / R^N: N is a power of two of at least 4 (steps + 1) and
+R^N = 1e13.  The sum is taken as four interleaved quarter circles, each
+one inverse FFT of values formed 1024 points at a time, and only the steps
+that bracket a requested time are kept.
+
+G is needed only on the key nodes: x = 0, the nodes floor(L/dx) and
+floor(L/dx) + 1 that hold any partial edge cell (so dx need not put the
+edges on nodes), and each probe's two bracketing nodes.  Between two keys
+lies a run of m nodes at one potential v, 0 or V, eliminated in closed
+form with its decaying root beta, beta + 1/beta = 2 - E/hop + v/hop
+(hop = c2/dx^2): in units of hop, each end's diagonal loses
+beta (1 - beta^2m) / (1 - beta^(2m+2)), the two ends couple through
+-beta^m (1 - beta^2) / (1 - beta^(2m+2)), and the semi-infinite runs
+beyond the outer keys take rho, the root at v = 0, off their diagonal.
+The key-node systems of 1024 z at a time are one batched tridiagonal
+solve (solve_banded), so the cost grows with the steps, like N log N, and
+not with the distance of the probes.
+
+The sum's error at step n is estimated as 10 (|chi^{N-1}| / 1e13 +
+eps R^n max|X|): the alias, with the sum's own value at N - 1 standing in
+for chi^{n+N}, and the rounding, which follows the largest |X| on the
+circle.  A (probe, step) whose value is not 1e9 times above its estimate,
+as before the signal arrives or far beyond the barrier, is retaken on
+circles of radius 1.25^k, k = 1, 2, ..., with N a power of two of at least
+max(256, 4 (n + 1)), until two successive circles agree within 1e-9, or
+R^n would pass 1e250.  Of the two successive circles that agree best, the
+value with the smaller rounding estimate eps r^n max|X| is kept.  At
+alpha = 20, from 0.05 to 3 fs, every value down to 1e-200 then lies within
+1.5e-10 of a plain stepper; below that the values are not resolved (0.14
+off between 1e-250 and 1e-200).
 
 This module is test / CLI infrastructure only; nothing in the analytic
 evaluation path imports it.
@@ -73,26 +84,24 @@ from .propagator import check_times
 from .systems import BarrierSystem, HBAR_EV_FS as HBAR
 
 _DX_LIMIT = 0.1          # max _scale*dx: ~60 points per wavelength
-_MARGIN = 2              # window nodes beyond x = 0 or the barrier and probes
-_BLOCK = 128             # steps per block of the boundary history
-_DECADES = 280.0         # the range of a scan's running products, in decades
-_CHUNK = 4096            # points of the circle per pass of the kernel formula
-# the longest run: its kernel FFT has 2^20 points, and at the default GaAs
-# grid (dt = 2.48 as, 620 fs) it took 8.0 s at 92 nodes and 10.4 s at 875
-# on a 2-core x86 host
+_MARGIN = 2              # nodes beyond x = 0 or the barrier and probes in
+                         # the stepper's window CnTrace.nodes reports
+_CHUNK = 1024            # z points per batched lattice solve
+_ALIAS = 1e13            # R^N of the main circle: the alias is chi^{n+N}/1e13
+_AGREE = 1e-9            # a value's relative trust, and retakes' agreement
+_RETAKE = 1.25           # retake circles have radii _RETAKE^k
+_RETAKE_MAX = 1e250      # the largest R^n of a retake
+_EPS = np.finfo(float).eps
+# the longest run: its circle has 2^20 points, and at the default GaAs grid
+# (dt = 2.48 as) it reaches 620 fs
 _MAX_STEPS = 250_000
-# the most nodes times steps: the longest run on 875 nodes, the widest
-# window the tests use, about 2.2e8.  The window grows with the probes
-# (14,505 nodes at x = 1000 nm on the GaAs grid), and so does a step's cost
-_MAX_NODE_STEPS = _MAX_STEPS * 875
 
 
 @dataclass(frozen=True)
 class CnConfig:
     """Grid and stepping parameters for the Crank-Nicolson oracle.
 
-    The window is not configured: cn_evolve derives it from the barrier and
-    the probes, and its transparent ends make the result independent of it.
+    There is no window: cn_evolve solves on the unbounded lattice.
     """
 
     dx: float               # nm
@@ -115,10 +124,10 @@ def default_cn_config(sys: BarrierSystem, t_end: float, dx=None) -> CnConfig:
     so the barrier edges land on grid nodes); dt = 0.45 dx^2 hbar / c2 sits
     below the accuracy heuristic dt < dx^2 hbar / (2 c2) that _validate
     enforces, and with the default theta its damping (2 theta - 1) dt is
-    0.025 dx^2 hbar / c2.  Neither depends on t_end: the boundaries are
-    transparent, so the spatial window no longer grows with the time
-    window.  t_end only sets the step count, which must stay within the
-    oracle's bound (ValidationError otherwise).
+    0.025 dx^2 hbar / c2.  Neither depends on t_end: the lattice is
+    unbounded, so nothing grows with the time window.  t_end only sets the
+    step count, which must stay within the oracle's bound (ValidationError
+    otherwise).
     """
     if dx is None:
         dx = 0.5 * _DX_LIMIT / _scale(sys)
@@ -132,8 +141,8 @@ def default_cn_config(sys: BarrierSystem, t_end: float, dx=None) -> CnConfig:
 
 
 def _step_count(t_end, dt):
-    """The most steps a run to t_end can take (t_now accumulates
-    rounding); raises ValidationError above _MAX_STEPS."""
+    """The most steps a run to t_end can take; raises ValidationError above
+    _MAX_STEPS."""
     if not t_end / dt < _MAX_STEPS:
         raise ValidationError(
             f"oracle run to t_end={t_end:.6g} fs at dt={dt:.6g} fs needs "
@@ -145,14 +154,15 @@ def _step_count(t_end, dt):
 class CnTrace:
     """Probe traces from one Crank-Nicolson evolution.
 
-    There is no norm: the incident sea is infinite, and the window is open.
+    There is no norm: the incident sea is infinite, and the lattice is open.
     """
 
     times: np.ndarray       # (T,)
     probes: np.ndarray      # (P,)
     psi: np.ndarray         # (P, T) complex
-    steps: int              # theta-steps taken
-    nodes: int              # window size
+    steps: int              # theta-steps to the last time
+    nodes: int              # nodes from min(0, probes) to max(L, probes),
+                            # two of margin beyond each: a stepper's window
 
     @property
     def abs2(self):
@@ -168,8 +178,8 @@ def _validate(sys, cfg, probes):
         if getattr(cfg, name) <= 0.0:
             raise NonPositiveParameter(
                 f"{name}={getattr(cfg, name)} must be positive")
-    # the window is built from the probes: an empty list has no extent, and
-    # a non-finite probe would make it infinite
+    # the key nodes come from the probes: an empty list has no probe, and a
+    # non-finite one no node
     if probes.ndim != 1 or len(probes) == 0:
         raise ValidationError(
             f"probes must be a non-empty list of positions, got {probes!r}")
@@ -184,286 +194,232 @@ def _validate(sys, cfg, probes):
         raise GridTooCoarse(f"dt={cfg.dt} above accuracy heuristic {dt_max:.4g}")
     if not 0.5 <= cfg.theta <= 1.0:
         raise GridTooCoarse(f"theta={cfg.theta} outside the stable range [0.5, 1]")
-    # the boundary kernel squares kappa(z), and on |z| = R, R least on the
-    # longest run, |kappa| <= 1 + (R + 1) / (2 w (theta (R + 1) - 1))
+    # the roots square kappa(z), and on |z| = R, R least on the longest run,
+    # |kappa| <= 1 + (R + 1) / (2 w (theta (R + 1) - 1))
     w = cfg.dt * (sys.c2 / (cfg.dx * cfg.dx)) / HBAR
     r = _circle(_MAX_STEPS)[1] + 1.0
     if not 2.0 * w * (cfg.theta * r - 1.0) * math.sqrt(np.finfo(float).max) > r:
         raise ValidationError(f"dt={cfg.dt} fs gives w = dt c2/(hbar dx^2) = "
-                              f"{w:.3g}, so small the boundary kernel overflows")
+                              f"{w:.3g}, so small the lattice roots overflow")
 
 
 def check_run(sys: BarrierSystem, cfg: CnConfig, probes, t_end):
-    """(steps, lo, hi) of a cn_evolve run to t_end: its step count and the
-    first and last node of its window, in units of dx.
+    """The most steps a cn_evolve run to t_end takes.
 
-    Checks every guard on the grid and the probes, the step bound and the
-    bound on nodes times steps before anything is allocated, raising
-    ValidationError (or a subclass) on the first that fails.
+    Checks every guard on the grid and the probes and the step bound
+    before anything is computed, raising ValidationError (or a subclass)
+    on the first that fails.
     """
-    probes = np.asarray(probes, dtype=float)
-    _validate(sys, cfg, probes)
-    steps = _step_count(t_end, cfg.dt)
-    lo = math.floor(min(0.0, probes.min()) / cfg.dx) - _MARGIN
-    hi = math.ceil(max(sys.L, probes.max()) / cfg.dx) + _MARGIN
-    nodes = hi - lo + 1
-    if not t_end / cfg.dt * nodes < _MAX_NODE_STEPS:
-        raise ValidationError(
-            f"oracle run to t_end={t_end:.6g} fs at dt={cfg.dt:.6g} fs needs "
-            f"{steps} steps on {nodes} nodes, {steps * nodes:.3g} "
-            f"node-steps; the bound is {_MAX_NODE_STEPS:.3g} node-steps")
-    return steps, lo, hi
+    _validate(sys, cfg, np.asarray(probes, dtype=float))
+    return _step_count(t_end, cfg.dt)
+
+
+def _points(n):
+    """The points of a circle whose sum resolves coefficients up to n (an
+    int or an int array): the least power of two of at least 4 (n + 1)."""
+    return 2 ** np.ceil(np.log2(4.0 * (np.asarray(n) + 1))).astype(int)
 
 
 def _circle(n):
-    """(size, radius): the FFT points and circle of transparent_kernel's l_n."""
-    size = 1 << math.ceil(math.log2(4 * (n + 1)))
-    return size, 1e12 ** (1.0 / size)
+    """(size, radius): the points and circle of the sum for steps up to n."""
+    size = int(_points(n))
+    return size, _ALIAS ** (1.0 / size)
 
 
-def transparent_kernel(w, theta, n):
-    """Laurent coefficients l_0 .. l_n of the exterior root rho(z).
-
-    rho is the root with |rho| < 1 of rho + 1/rho = 2 kappa(z),
-    kappa = 1 + (z - 1) / (2 i w (theta z + 1 - theta)), w = dt c2 /
-    (hbar dx^2): the Z transform of the free theta scheme with zero initial
-    data.  Outside the window the disturbance then obeys
-    chi_out^m = sum_p l_p chi_edge^{m-p}.  rho is analytic for |z| > 1, so
-    the trapezoid sum on N points of |z| = R with R^N = 1e12 gives l_p to
-    about 1e-12, aliasing included, for p up to N / 4.
+def _coefficients(f, size, radius, wanted):
+    """(c, top): the Laurent coefficients c_p, p in wanted (each below
+    size), of f(z) = sum_p c_p z^-p, by the trapezoid sum on size points of
+    |z| = radius, and the largest |f| there.  f maps z of shape (m,) to
+    values of shape (..., m); c has shape (..., len(wanted)).
 
     The sum is taken as four interleaved quarter circles, the points
-    j = b mod 4: the inverse FFT F_b of quarter b, N / 4 points long, is
-    its share of the sum at p < N / 4 but for the factor e^{2 pi i b p / N},
-    so l_p = (F_0 + e (F_1 + e (F_2 + e F_3))) R^p / 4 with
-    e = e^{2 pi i p / N}, and no array of N points is built.  Each quarter
-    is evaluated _CHUNK points at a time, so the working arrays of the
-    formula stay small beside the quarter's N / 4 values.
+    j = b mod 4: the inverse FFT F_b of quarter b, size / 4 points long,
+    read at p mod size / 4, is its share of the sum but for the factor
+    e^{2 pi i b p / size}, so c_p = (F_0 + e (F_1 + e (F_2 + e F_3))) R^p / 4
+    with e = e^{2 pi i p / size}, and no array of size points is built.
+    Each quarter is evaluated _CHUNK points at a time and freed before its
+    FFT is read.
     """
-    size, radius = _circle(n)
-    turn = np.exp(2j * np.pi / size * np.arange(n + 1))
-    quarter = np.empty(size // 4, dtype=complex)
-    ell = np.zeros(n + 1, dtype=complex)
+    # read at p mod size / 4; a second index array only when it differs
+    index = wanted if wanted.max() < size // 4 else wanted % (size // 4)
+    out, top = None, 0.0
     for b in (3, 2, 1, 0):
+        quarter = None
         for start in range(0, size // 4, _CHUNK):
             j = 4 * np.arange(start, min(start + _CHUNK, size // 4)) + b
-            z = radius * np.exp(2j * np.pi * j / size)
-            kappa = 1.0 + (z - 1.0) / (2j * w * (theta * z + 1.0 - theta))
-            root = np.sqrt(kappa * kappa - 1.0)
-            # the growing root without cancellation, then its reciprocal
-            grow = np.where((kappa.conjugate() * root).real >= 0.0,
-                            kappa + root, kappa - root)
-            quarter[start:start + _CHUNK] = 1.0 / grow
-        ell *= turn
-        ell += np.fft.ifft(quarter)[:n + 1]
-    ell *= 0.25 * radius ** np.arange(n + 1)
-    return ell
+            values = f(radius * np.exp(2j * np.pi * j / size))
+            if quarter is None:
+                quarter = np.empty(values.shape[:-1] + (size // 4,), complex)
+            quarter[..., start:start + _CHUNK] = values
+            top = np.maximum(top, abs(values).max(axis=-1))
+        spectrum = np.fft.ifft(quarter)
+        del quarter
+        if out is None:
+            out = np.zeros(spectrum.shape[:-1] + wanted.shape, complex)
+        out *= np.exp(2j * np.pi / size * wanted)
+        out += spectrum[..., index]
+        del spectrum
+    out *= 0.25 * radius ** wanted
+    return out, top
 
 
-def factor_tridiagonal(sub, diag, sup):
-    """Prefix-scan LU factors, unpivoted (see the module docstring), of the
-    tridiagonal matrix (sub, diag, sup); sub and sup have length n - 1.
-
-    Returns (segments, lu) for solve_banded: each segment's (start, stop,
-    forward carry, backward carry) and one (4, n) array of the rows 1/P,
-    P / (c Q), Q and the pivots c.  Raises ValueError on a non-finite entry
-    and LinAlgError on a zero pivot."""
-    if not (np.isfinite(sub).all() and np.isfinite(diag).all()
-            and np.isfinite(sup).all()):
-        raise ValueError("tridiagonal operator must not contain infs or NaNs")
-    pivots = [complex(diag[0])]
-    for lo, d, up in zip(sub.tolist(), diag[1:].tolist(), sup.tolist()):
-        pivots.append(d - lo * up / pivots[-1] if pivots[-1] else 0j)
-    if 0 in pivots:
-        raise np.linalg.LinAlgError("zero pivot: singular or needs pivoting")
-    n, c = len(diag), np.array(pivots)
-    fwd, bwd = -sub / c[:-1], -sup / c[:-1]     # link k joins nodes k, k + 1
-    decades = np.abs(np.log10(np.abs([fwd, bwd]).clip(1e-300, 1e300)))
-    cuts = np.cumsum(decades.max(axis=0).clip(max=_DECADES)) // _DECADES
-    cuts = (np.flatnonzero(np.diff(cuts, prepend=0.0)) + 1).tolist()
-    p, q = np.ones((2, n), dtype=complex)
-    segments = []
-    for s, e in zip([0] + cuts, cuts + [n]):
-        np.multiply.accumulate(fwd[s:e - 1], out=p[s + 1:e])
-        np.multiply.accumulate(bwd[s:e - 1][::-1], out=q[s:e - 1][::-1])
-        segments.append((s, e, complex(fwd[e - 1] * p[e - 1]) if e < n else 0,
-                         complex(bwd[s - 1] * q[s]) if s else 0))
-    return segments, np.array([1.0 / p, p / (c * q), q, c])
+def _decaying_root(d):
+    """The root r, |r| < 1, of r + 1/r = d: the reciprocal of the growing
+    root, taken without cancellation."""
+    half = 0.5 * d
+    root = np.sqrt(half * half - 1.0)
+    return 1.0 / np.where((half.conjugate() * root).real >= 0.0,
+                          half + root, half - root)
 
 
-def _views(segments, y):
-    """Each segment's (view of y, carry, head) for either scan, in order."""
-    return ([(y[s:e], fc, e) for s, e, fc, _ in segments],
-            [(y[s:e][::-1], bc, s - 1) for s, e, _, bc in segments[::-1]])
+def solve_banded(l_and_u, ab, rhs):
+    """x with A x = rhs for the tridiagonal A in scipy.linalg.solve_banded's
+    (1, 1) layout: ab[0, 1:] the super-diagonal, ab[1] the diagonal,
+    ab[2, :-1] the sub-diagonal.  Trailing axes of ab and rhs hold
+    independent systems, solved together by one unpivoted elimination.
 
-
-def _scan(views, y):
-    """Each view's running sum; its last, times its carry, joins y[head]."""
-    for view, carry, head in views:
-        np.add.accumulate(view, out=view)
-        if carry:
-            y[head] += carry * view[-1]
-
-
-def solve_banded(segments, lu, rhs):
-    """Solve with the factors from factor_tridiagonal; rhs is overwritten.
-
-    cn_evolve calls this on the first step of each block of the boundary
-    history and runs its scans inline on the others: perfbench's tracer
-    counts oracle steps and nodes (lu.shape[1]) by one call per block."""
-    if not np.isfinite(rhs).all():
-        raise ValueError("right-hand side must not contain infs or NaNs")
-    forward, backward = _views(segments, rhs)
-    rhs *= lu[0]
-    _scan(forward, rhs)
-    rhs *= lu[1]
-    _scan(backward, rhs)
-    rhs *= lu[2]
-    return rhs
-
-
-def _history(w, theta, steps, n_blocks):
-    """(l_0, near, segments) of the blocked history (module docstring);
-    the kernel and the memory cut into near and segments die on return.
-
-    memory is the history chi_out^{n+1} (A side) and chi_out^n (B side)
-    less the l_0 terms that A's corners and B = (1 + r) - r A carry: at step
-    m each edge row of the load is sum_q memory_q chi_edge^{m-q}.  It is
-    zero-padded to whole blocks; entries past steps are never reached.
+    Raises ValueError on a non-finite entry and LinAlgError on a zero
+    pivot.  cn_evolve's key-node systems need no pivots: eliminating from
+    the left, each pivot is the reciprocal of a diagonal entry of a
+    half-lattice resolvent at a non-real E, which is not zero.
     """
-    ell = transparent_kernel(w, theta, steps)
-    memory = np.zeros(n_blocks * _BLOCK, dtype=complex)
-    memory[:steps] = theta * ell[1:] + (1.0 - theta) * ell[:-1]
-    memory[0] = theta * ell[1]
-    memory *= 1j * w
-    # the near part, step m = b K + j: edge values chi^{bK+1} .. chi^m of
-    # block b times memory[j-1] .. memory[0]
-    near = memory[_BLOCK - 1::-1].copy()
-    # the far part: block c's edge values enter block c + d through the
-    # lags dK - 1 + l, l in (-K, K), kernel segment d - 1 (d = 1 ..);
-    # a circular length 2K holds every lag without wrap
-    blocks = memory.reshape(n_blocks, _BLOCK)
-    segments = np.zeros((n_blocks - 1, 2 * _BLOCK), dtype=complex)
-    segments[:, :_BLOCK] = blocks[:-1]
-    segments[:, _BLOCK:-1] = blocks[1:, :-1]
-    return ell[0], near, np.fft.fft(segments)
+    if tuple(l_and_u) != (1, 1):
+        raise ValueError(f"only (l, u) = (1, 1) is solved, got {l_and_u}")
+    if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    sup, diag, sub = ab
+    x = np.array(rhs, dtype=complex)
+    pivots = [diag[0]]
+    for i in range(1, len(diag)):
+        if not np.all(pivots[-1]):
+            raise np.linalg.LinAlgError(f"zero pivot in row {i - 1}")
+        f = sub[i - 1] / pivots[-1]
+        pivots.append(diag[i] - f * sup[i])
+        x[i] -= f * x[i - 1]
+    if not np.all(pivots[-1]):
+        raise np.linalg.LinAlgError(f"zero pivot in row {len(diag) - 1}")
+    x[-1] /= pivots[-1]
+    for i in range(len(diag) - 2, -1, -1):
+        x[i] = (x[i] - sup[i + 1] * x[i + 1]) / pivots[i]
+    return x
+
+
+def _retake(f, wanted, chi, error):
+    """Retake in place each chi[:, i], the coefficient wanted[i] of f, that
+    is not 1e9 times above its error estimate, on circles of radius
+    _RETAKE^k, k = 1, 2, ..., of 2^8 points or the least power of two of at
+    least 4 (n + 1), until two successive circles agree within _AGREE or
+    R^n passes _RETAKE_MAX.  Of the two successive circles that agree best
+    (the first circle and its estimate, error, included), the value whose
+    rounding estimate is smaller is kept."""
+    pending = (error > _AGREE * abs(chi)) & (wanted > 0)
+    prev, gap = chi.copy(), np.full(chi.shape, np.inf)
+    sizes = np.maximum(256, _points(wanted))
+    k = 0
+    while pending.any():
+        k += 1
+        pending &= k * math.log(_RETAKE) * wanted <= math.log(_RETAKE_MAX)
+        live = pending.any(axis=0)
+        for size in sorted(set(sizes[live].tolist())):
+            cols = np.flatnonzero(live & (sizes == size))
+            again, top = _coefficients(f, size, _RETAKE ** k, wanted[cols])
+            rounding = 10.0 * _EPS * top[:, None] * _RETAKE ** (k * wanted[cols])
+            miss = abs(again - prev[:, cols])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rel = miss / abs(again)
+            take = pending[:, cols]
+            best = take & (rel < gap[:, cols])
+            pick = np.where(rounding < error[:, cols], again, prev[:, cols])
+            chi[:, cols] = np.where(best, pick, chi[:, cols])
+            gap[:, cols] = np.where(best, rel, gap[:, cols])
+            prev[:, cols] = np.where(take, again, prev[:, cols])
+            error[:, cols] = np.where(take, rounding, error[:, cols])
+            pending[:, cols] = take & ~(miss <= _AGREE * abs(again))
 
 
 def cn_evolve(sys: BarrierSystem, cfg: CnConfig, probes, t_grid) -> CnTrace:
     """Evolve the shutter initial state and sample psi at probe positions.
 
-    The window runs from min(0, probes) to max(L, probes), two nodes of
-    margin beyond each, with transparent ends (see the module docstring).
-    Probe values are linearly interpolated between the two Crank-Nicolson
-    steps bracketing each requested time (consistent with the O(dt^2)
-    accuracy of the stepping itself).
+    The scheme is solved on the unbounded lattice in closed form (see the
+    module docstring).  Probe values are linearly interpolated between the
+    two bracketing nodes, and between the two steps bracketing each
+    requested time (consistent with the O(dt^2) accuracy of the scheme).
     """
     t_grid = check_times(t_grid)
     probes = np.asarray(probes, dtype=float)
-    steps, lo, hi = check_run(sys, cfg, probes, t_grid[-1])
-    n_blocks = -(-steps // _BLOCK)
+    check_run(sys, cfg, probes, t_grid[-1])
+    dx, theta = cfg.dx, cfg.theta
+    # a time is reached by the first step s with t <= s dt + slack, a slack
+    # relative to dt so a time on a step is not pushed to the next
+    after = np.ceil((t_grid - 1e-9 * cfg.dt) / cfg.dt).clip(min=1.0)
+    frac = t_grid / cfg.dt - (after - 1.0)
+    steps = int(after[-1])
+    wanted = np.array(sorted(set(after.tolist()) | set((after - 1).tolist())),
+                      dtype=int)
+    slot = np.searchsorted(wanted, after)
 
-    # the first node outside either end sits at x < 0 or beyond L + 2 dx, so
-    # it carries no potential and the exterior is free
-    x = cfg.dx * np.arange(lo, hi + 1)
-    n = len(x)
-    j0 = -lo                     # the node at x = 0
-    # probes rarely fall on grid points; sample by linear interpolation
-    # between the bracketing cells (the density gradient inside the barrier
-    # is ~2 kappa, so nearest-cell snapping would cost several percent)
-    frac = probes / cfg.dx - lo
-    j_probe = np.clip(np.floor(frac).astype(int), 0, n - 2)
-    w_probe = frac - j_probe
-
-    # cell-averaged potential: the barrier edges rarely fall on grid points,
-    # and point-sampling would change the effective width by O(dx), which
-    # the transmission amplifies by e^{2 kappa dx}
-    overlap = (np.minimum(x + 0.5 * cfg.dx, sys.L)
-               - np.maximum(x - 0.5 * cfg.dx, 0.0)).clip(min=0.0)
-    pot = (sys.V / cfg.dx) * overlap.astype(complex)
-
-    hop = sys.c2 / (cfg.dx * cfg.dx)
+    # the key nodes, and the runs of nodes between them: the barrier's
+    # inside (0, floor(L/dx)) is at V, the rest at 0
+    edge = math.floor(sys.L / dx)
+    below = [math.floor(p / dx) for p in probes.tolist()]
+    keys = sorted({0, edge, edge + 1}.union(below, [j + 1 for j in below]))
+    place = {j: i for i, j in enumerate(keys)}
+    x = dx * np.array(keys, dtype=float)
+    overlap = (np.minimum(x + 0.5 * dx, sys.L)
+               - np.maximum(x - 0.5 * dx, 0.0)).clip(min=0.0)
+    hop = sys.c2 / (dx * dx)
     w = cfg.dt * hop / HBAR
-    l0, near, segments = _history(w, cfg.theta, steps, n_blocks)
+    on_key = (sys.V / (dx * hop)) * overlap
+    runs = [(i, b - a - 1, 0 <= a and b <= edge)
+            for i, (a, b) in enumerate(zip(keys, keys[1:])) if b - a > 1]
+    k0 = place[0]
+    lo = [place[j] for j in below]
+    hi = [place[j + 1] for j in below]
+    weight = (probes / dx - np.array(below, dtype=float))[:, None]
 
-    # tridiagonal H: diag 2 c2/dx^2 + V_j, off-diagonal -c2/dx^2.  Only the
-    # left-hand operator A = 1 + i theta H dt / hbar is built, its corners
-    # closed by the instantaneous boundary term chi_out = l_0 chi_edge; the
-    # right-hand one is B = (1 + r) - r A
-    lam = 1j * cfg.dt * cfg.theta / HBAR
-    off = np.full(n - 1, lam * (-hop), dtype=complex)
-    diag = 1.0 + lam * (2.0 * hop + pot)
-    diag[[0, -1]] -= lam * hop * l0
-    spans, lu = factor_tridiagonal(off, diag, off)
-    r = (1.0 - cfg.theta) / cfg.theta
-    far_spectra = np.zeros((2, n_blocks, 2 * _BLOCK), dtype=complex)
-    edge = np.zeros((2, _BLOCK), dtype=complex)
-
-    # the sea g^n S and the source its residual at x = 0 drives
+    # the sea g^n S at the probes and the source s0 g^n at x = 0 it drives
     sea = np.where(x <= 0.0, 2j * np.sin(sys.k * x), 0.0)
-    lam_s = 2.0 * hop * (1.0 - math.cos(sys.k * cfg.dx))
-    g = ((1.0 - 1j * (1.0 - cfg.theta) * cfg.dt * lam_s / HBAR)
-         / (1.0 + 1j * cfg.theta * cfg.dt * lam_s / HBAR))
-    # the source at step m is s0 g^m, divided like the load by P at x = 0,
-    # and formed a block of steps at a time
-    r0 = 2j * hop * math.sin(sys.k * cfg.dx)
-    s0 = -1j * cfg.dt / HBAR * r0 * ((1.0 - cfg.theta) + g * cfg.theta)
-    source_scale = lu[0, j0]
-    sea_probe = (1.0 - w_probe) * sea[j_probe] + w_probe * sea[j_probe + 1]
+    sea = (1.0 - weight[:, 0]) * sea[lo] + weight[:, 0] * sea[hi]
+    lam_s = 2.0 * hop * (1.0 - math.cos(sys.k * dx))
+    g = ((1.0 - 1j * (1.0 - theta) * cfg.dt * lam_s / HBAR)
+         / (1.0 + 1j * theta * cfg.dt * lam_s / HBAR))
+    r0 = 2j * hop * math.sin(sys.k * dx)
+    s0 = -1j * cfg.dt / HBAR * r0 * ((1.0 - theta) + g * theta)
 
-    # two buffers take turns to hold u = chi / Q, the scans' output before
-    # their last multiply, and the load is built divided by P: edge values
-    # are kept as chi / P, and the source and (1 + r) Q / P are so scaled.
-    # A block's first step solves through solve_banded, which checks the
-    # load, with lu's scales of the load and of u set to one
-    w_lo, w_hi = (1.0 - w_probe) * lu[2, j_probe], w_probe * lu[2, j_probe + 1]
+    def transform(z):
+        """X(z) at the probes: G(j, 0) hop from the key-node solve."""
+        scaled = 1j * w * (theta * z + 1.0 - theta)
+        two_kappa = 2.0 + (z - 1.0) / scaled
+        rho = _decaying_root(two_kappa)
+        beta = _decaying_root(two_kappa + sys.V / hop)
+        ab = np.zeros((3, len(keys), len(z)), dtype=complex)
+        ab[0, 1:] = ab[2, :-1] = -1.0
+        ab[1] = two_kappa + on_key[:, None]
+        ab[1, [0, -1]] -= rho
+        for i, m, inside in runs:
+            r = beta if inside else rho
+            power = r ** m
+            share = 1.0 / (1.0 - power * power * r * r)
+            ab[1, i:i + 2] -= r * (1.0 - power * power) * share
+            ab[0, i + 1] = ab[2, i] = -power * (1.0 - r * r) * share
+        rhs = np.zeros((len(keys), len(z)), dtype=complex)
+        rhs[k0] = 1.0
+        y = solve_banded((1, 1), ab, rhs)
+        at = (1.0 - weight) * y[lo] + weight * y[hi]
+        return at * (s0 / ((1.0 - g / z) * scaled))
 
-    def at_probes(u, m):
-        return g ** m * sea_probe + w_lo * u[j_probe] + w_hi * u[j_probe + 1]
+    size, radius = _circle(steps)
+    chi, top = _coefficients(transform, size, radius,
+                             np.append(wanted, size - 1))
+    # chi^{size-1} sizes the alias chi^{n+size} / _ALIAS of every step
+    chi, late = chi[:, :-1], abs(chi[:, -1:])
+    chi[:, wanted == 0] = 0.0        # chi^0 = 0: the sum there is alias
+    error = 10.0 * (late / _ALIAS + _EPS * top[:, None] * radius ** wanted)
+    _retake(transform, wanted, chi, error)
 
-    buffers = [(u, u[::n - 1], _views(spans, u))
-               for u in np.zeros((2, n), dtype=complex)]
-    u = buffers[1][0]
-    into = lu[0] * lu[2]
-    scale, into, mid = (1.0 + r) * into, into[::n - 1], lu[1]
-    lu[[0, 2]] = 1.0
-    out = np.zeros((len(probes), len(t_grid)), dtype=complex)
-    # t_now gathers one rounding per step: a time up to a billionth of dt
-    # past it is reached, a slack relative to dt so a tiny dt skips no step
-    slack = 1e-9 * cfg.dt
-    t_now = 0.0
-    i_t = 0
-    step = 0
-    while i_t < len(t_grid):
-        block, j = divmod(step, _BLOCK)
-        if j == 0:
-            far = np.fft.ifft(far_spectra[:, block])[:, _BLOCK - 1:-1]
-            source = s0 * g ** np.arange(step, step + _BLOCK) * source_scale
-        prev, t_prev = u, t_now
-        u, ends, (forward, backward) = buffers[step & 1]
-        np.multiply(prev, scale, out=u)
-        ends += far[:, j] + edge[:, :j] @ near[_BLOCK - j:]
-        u[j0] += source[j]
-        if j == 0:
-            solve_banded(spans, lu, u)
-        else:
-            _scan(forward, u)
-            u *= mid
-            _scan(backward, u)
-        u -= r * prev
-        step += 1
-        t_now += cfg.dt
-        np.multiply(ends, into, out=edge[:, j])
-        if j == _BLOCK - 1:
-            # one edge at a time: the product spans one edge's later spectra
-            for later, closed in zip(far_spectra[:, block + 1:],
-                                     np.fft.fft(edge, 2 * _BLOCK)):
-                later += closed * segments[:n_blocks - block - 1]
-        if t_grid[i_t] > t_now + slack:
-            continue     # no requested time in this step
-        at_probe, prev_probe = at_probes(u, step), at_probes(prev, step - 1)
-        while i_t < len(t_grid) and t_grid[i_t] <= t_now + slack:
-            f = (t_grid[i_t] - t_prev) / cfg.dt
-            out[:, i_t] = (1.0 - f) * prev_probe + f * at_probe
-            i_t += 1
-    return CnTrace(times=t_grid, probes=probes, psi=out, steps=step, nodes=n)
+    psi = g ** wanted * sea[:, None] + chi
+    out = (1.0 - frac) * psi[:, slot - 1] + frac * psi[:, slot]
+    nodes = (math.ceil(max(sys.L, probes.max()) / dx)
+             - math.floor(min(0.0, probes.min()) / dx) + 2 * _MARGIN + 1)
+    return CnTrace(times=t_grid, probes=probes, psi=out, steps=steps,
+                   nodes=nodes)

@@ -265,7 +265,13 @@ def _winding_number(sys, corners, samples_per_edge):
     for i in range(npts):
         a, b = pts[i], pts[(i + 1) % npts]
         va, vb = vals[i], vals[(i + 1) % npts]
-        total += _phase_increment(sys, a, b, va, vb, _WINDING_DEPTH)
+        d = _phase_increment(sys, a, b, va, vb, _WINDING_DEPTH)
+        if d is None:
+            raise CountMismatch(
+                f"argument-principle contour Re k in [{x0:.6g}, {x1:.6g}], "
+                f"Im k in [{y0:.6g}, {y1:.6g}] 1/nm could not be resolved "
+                f"at alpha={sys.alpha:.6g}")
+        total += d
     return round(total / (2 * math.pi))
 
 
@@ -286,15 +292,20 @@ def _edge_points(a, b, n, v):
 
 
 def _phase_increment(sys, a, b, va, vb, depth):
+    """The turn of arg G from a to b, bisected until each step is below
+    pi/2; None if depth bisections do not get there."""
     d = cmath.phase(vb / va)
     if abs(d) < 0.5 * math.pi:
         return d
     if depth == 0:
-        raise CountMismatch("argument-principle contour could not be resolved")
+        return None
     mid = 0.5 * (a + b)
     vm = complex(pole_function(mid, sys))
-    return (_phase_increment(sys, a, mid, va, vm, depth - 1)
-            + _phase_increment(sys, mid, b, vm, vb, depth - 1))
+    first = _phase_increment(sys, a, mid, va, vm, depth - 1)
+    if first is None:
+        return None
+    second = _phase_increment(sys, mid, b, vm, vb, depth - 1)
+    return None if second is None else first + second
 
 
 def audit_pole_count(poleset: PoleSet):
@@ -316,8 +327,10 @@ def audit_pole_count(poleset: PoleSet):
     a_next = _seed(n + 1 + bool(poleset.axis_poles), sys).real
     corners = (x0, 0.5 * (a_max + a_next), -(1.5 * b_max + 1.0 / sys.L), -1e-9)
     # phase advances ~2 pi per enclosed zero along the contour; sample densely
-    # enough that no segment can alias a full turn into a small increment
-    count = _winding_number(sys, corners, samples_per_edge=max(64, 4 * n))
+    # enough that no segment can alias a full turn into a small increment.
+    # G that overflows or vanishes leaves a phase unresolved, which is named
+    with np.errstate(all="ignore"):
+        count = _winding_number(sys, corners, samples_per_edge=max(64, 4 * n))
     if count != n:
         raise CountMismatch(
             f"argument principle counts {count} zeros, found {n} poles")
@@ -367,7 +380,8 @@ def find_poles(sys: BarrierSystem, N: int) -> PoleSet:
             raise PoleNotConverged(n, f"(k = {k[i]:.17g}, residual "
                                       f"{res[i]:.3g} on branch m = "
                                       f"{want[n - 1]})")
-        raise PoleNotConverged(n, f"(no root on branch m = {want[n - 1]})")
+        raise PoleNotConverged(n, f"(no root on branch m = {want[n - 1]} at "
+                                  f"L={L:.6g} nm, alpha={sys.alpha:.6g})")
     return _pole_set(sys, np.arange(1, N + 1), k[keep], res[keep],
                      axis_poles=axis)
 
