@@ -211,7 +211,7 @@ def _rate_fit(x, lo, hi, n, sys, cache, tol, step):
     try:
         w = trace(x, nodes, sys, poles=cache, tol=tol)
     except NotConverged as exc:
-        raise NotConverged(f"{step} of the peak search: {exc}") from exc
+        raise type(exc)(f"{step} of the peak search: {exc}") from exc
     rate = np.real(w.dpsi_dt / w.psi)
     return w, rate, _cheb_coef(rate)
 
@@ -250,8 +250,8 @@ def find_time_domain_resonance(sys: BarrierSystem, x=None, tol=DEFAULT_TOL,
     Re[(dPsi/dt)/Psi] at tol on POLISH_NODES Chebyshev-Lobatto times two
     scan steps either side of it; t_max is the first falling zero of their
     interpolant, bracketed on a finer Lobatto grid and bisected
-    (_falling_zero).  A miss of any of these traces raises NotConverged naming
-    the scan, the no-peak check or the polish.  Psi and dPsi/dt at t_max,
+    (_falling_zero).  A miss of any of these traces keeps its class and
+    names the scan, the no-peak check or the polish.  Psi and dPsi/dt at t_max,
     and with them every reported value, come from their own interpolants
     through the same nodes, so nothing is traced at t_max; NotConverged is
     raised if the rate does not fall from > 0 to < 0 across the bracket,
@@ -266,6 +266,7 @@ def find_time_domain_resonance(sys: BarrierSystem, x=None, tol=DEFAULT_TOL,
     check_tol(tol)
     cache = pole_cache(sys, poles)
     grid = np.linspace(*default_window(sys, x), PEAK_SCAN)
+    scan_tol = max(tol, SCAN_TOL)
     # a plateau that overflows comes with a stationary amplitude that every
     # trace at x refuses as not finite: numpy need not warn
     with np.errstate(all="ignore"):
@@ -288,10 +289,10 @@ def find_time_domain_resonance(sys: BarrierSystem, x=None, tol=DEFAULT_TOL,
             return absent
         stop = min(start + size, PEAK_SCAN)
         try:
-            tr = trace(x, grid[start:stop], sys, poles=cache,
-                       tol=max(tol, SCAN_TOL))
+            tr = trace(x, grid[start:stop], sys, poles=cache, tol=scan_tol)
         except NotConverged as exc:
-            raise NotConverged(f"bracketing scan of the peak search: {exc}") from exc
+            raise type(exc)(f"bracketing scan of the peak search, summed at "
+                            f"tol={scan_tol:.1e} for tol={tol:.1e}: {exc}") from exc
         rho = np.concatenate([rho, tr.abs2])
         start, size = stop, 2 * size
         idx = np.flatnonzero((rho[1:-1] > rho[:-2]) & (rho[1:-1] >= rho[2:])

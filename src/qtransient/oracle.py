@@ -84,8 +84,6 @@ from .propagator import check_times
 from .systems import BarrierSystem, HBAR_EV_FS as HBAR
 
 _DX_LIMIT = 0.1          # max _scale*dx: ~60 points per wavelength
-_MARGIN = 2              # nodes beyond x = 0 or the barrier and probes in
-                         # the stepper's window CnTrace.nodes reports
 _CHUNK = 1024            # z points per batched lattice solve
 _ALIAS = 1e13            # R^N of the main circle: the alias is chi^{n+N}/1e13
 _AGREE = 1e-9            # a value's relative trust, and retakes' agreement
@@ -161,8 +159,6 @@ class CnTrace:
     probes: np.ndarray      # (P,)
     psi: np.ndarray         # (P, T) complex
     steps: int              # theta-steps to the last time
-    nodes: int              # nodes from min(0, probes) to max(L, probes),
-                            # two of margin beyond each: a stepper's window
 
     @property
     def abs2(self):
@@ -419,7 +415,4 @@ def cn_evolve(sys: BarrierSystem, cfg: CnConfig, probes, t_grid) -> CnTrace:
 
     psi = g ** wanted * sea[:, None] + chi
     out = (1.0 - frac) * psi[:, slot - 1] + frac * psi[:, slot]
-    nodes = (math.ceil(max(sys.L, probes.max()) / dx)
-             - math.floor(min(0.0, probes.min()) / dx) + 2 * _MARGIN + 1)
-    return CnTrace(times=t_grid, probes=probes, psi=out, steps=steps,
-                   nodes=nodes)
+    return CnTrace(times=t_grid, probes=probes, psi=out, steps=steps)

@@ -53,25 +53,22 @@ subtracted; mu_{2J+2}, which only dPsi/dt needs, converges fast and is
 summed directly over a pool of the next poles, which also carries the
 exponentials.
 
-A trace is summed in runs of times, each with its own pool and ring: a
-run ends where t has doubled from its first time but holds at least _RUN
-times, and a last run shorter than _RUN joins the one before, so a trace
-of fewer than 2 _RUN times is one run.  Both counts are set before any
-sum, for an absolute target of tol * _AIM times the stationary amplitude
-|f(k)|; times whose |Psi| turns out far below |f(k)| are summed once
-more, in runs of their own, sized from |Psi|.  A run's pool is sized at
-its earliest time, where |z| of every omitted pole is smallest: it doubles
-until what lies beyond it is within half the target and it holds twice the
-exact poles that time needs, or until it holds HARD_CAP poles, and each
-doubling evaluates only the poles it adds.  Its rows come from the shared
-table of HARD_CAP // 4 poles while they fit, and from one search of
-HARD_CAP poles, made at most once per trace, when they do not; the first
-n poles of a search do not depend on its depth, so the sums do not
-either.  Each time then takes the least N whose first omitted series
-term, bounded pole by pole, is within the other half, at most half the
-pool, and each run sums exactly those N in one pass: one Moshinsky call
-(per _PAIRS terms) over each time's exact poles, the incident pair
-included; one set of Cauchy nodes, less each time's own
+A trace is summed in runs of times: a run ends where t has doubled from
+its first time but holds at least _RUN times, and a last run shorter than
+_RUN joins the one before, so a trace of fewer than 2 _RUN times is one
+run.  Every decision of a run is made before any sum and held in one
+frozen plan (_Plan) that every summing helper reads.  One planner (_plan)
+makes them, for an absolute target of tol * _AIM times the stationary
+amplitude |f(k)|: it sizes the pool at the run's earliest time, where |z|
+of every omitted pole is smallest, until what lies beyond the pool is
+within half the target, and gives each time the least N whose first
+omitted series term, bounded pole by pole, is within the other half, at
+most half the pool.  One count function (_count) gives N to both.  Times
+whose |Psi| turns out far below |f(k)| are planned and summed once more,
+in runs of their own, sized from |Psi|, and _assemble reads N off the
+plans of both passes.  Each run sums its plan in one pass (_pole_sum):
+one Moshinsky call (per _PAIRS terms) over each time's exact poles, the
+incident pair included; one set of Cauchy nodes, less each time's own
 exact-pole share, read off a prefix sum along the pool at its N; and
 only the damped exponentials before a cut past which a bound on the
 rest, never evaluated, is within _CUT times the target.  The two halves
@@ -81,7 +78,7 @@ times whose estimate exceeds tol, as where the cap leaves the sum short
 or the sum overflows and so is not finite, raise one NotConverged naming
 x, the first of them and the worst estimate.  So numpy need not warn on
 the way: one np.errstate in _assemble covers the amplitudes f(+-k), the
-antibound coefficients, every sum and the check.
+antibound coefficients, every plan, every sum and the check.
 Every table with a row per time (the omitted-term bounds, the Cauchy
 nodes less each time's share) is formed in blocks of times under one
 element budget, and every ragged (time, term) table (the exact poles'
@@ -174,10 +171,33 @@ class WaveTrace:
         return np.abs(self.psi) ** 2
 
 
-def _scales(x_arg, t, c2):
-    """(s, k_c, a^2/t) of the Moshinsky argument at times t."""
-    return (np.sqrt(c2 * t / HBAR), HBAR * x_arg / (2.0 * c2 * t),
-            HBAR * x_arg * x_arg / (4.0 * c2 * t))
+@dataclass(frozen=True)
+class _Plan:
+    """One run's decisions, made by _plan before any sum and read by every
+    summing helper."""
+
+    x: float
+    internal: bool              # the region: inside the barrier or beyond
+    x_arg: float                # x of the Moshinsky arguments, 0 inside
+    sys: BarrierSystem
+    f: object                   # the stationary amplitude f(c) of the region
+    f_k: np.ndarray             # and f(+-k)
+    axis: tuple                 # the antibound poles' (coefs, kn)
+    t: np.ndarray               # the run's times, and at each the scales
+    s: np.ndarray               # s, k_c and a^2/t of the Moshinsky argument
+    kc: np.ndarray
+    a2t: np.ndarray
+    target: float               # the absolute error the run is sized for
+    table: PoleSet              # the table that holds the pool
+    coefs: np.ndarray           # the pool
+    kn: np.ndarray
+    pool_q: np.ndarray          # each pool pole followed by its mirror
+    pool_c: np.ndarray          # -conj q, whose coefficient is -conj c
+    top: int                    # twice the most and the fewest exact poles
+    low: int                    # a time of the run sums
+    level: np.ndarray           # each time's exact-pole count N: time i sums
+                                # the first 2 level[i] entries of the pool
+    est: np.ndarray             # each time's bound on its first omitted term
 
 
 def _alpha(j, s, phase):
@@ -185,14 +205,15 @@ def _alpha(j, s, phase):
     return _C0 * _DFACT[j] * (-0.5j) ** j * phase / s ** (2 * j + 1)
 
 
-def _nodes(centre, r, n, f, f_k, k, axis):
+def _nodes(plan, centre, r, n):
     """(c, g): n midpoint nodes c = centre + r e^{i pi (2j + 1)/n} along
     axis 0, a column per centre and r, and g there: the Mittag-Leffler
     closed form less the antibound poles' terms."""
     theta = 2.0 * math.pi * (np.arange(n) + 0.5) / n
     c = centre + r * np.exp(1j * theta)[:, None]
+    k, f, f_k = plan.sys.k, plan.f, plan.f_k
     g = f_k[0] / (c - k) - f_k[1] / (c + k) + 2.0 * k * f(c) / (k * k - c * c)
-    for coef, q in zip(*axis):      # at most two antibound poles
+    for coef, q in zip(*plan.axis):     # at most two antibound poles
         g -= coef / (c - q)
     return c, g
 
@@ -226,47 +247,48 @@ def _beyond(coefs, kn, s, kc):
                      where=(ratio < 1.0) & (ahead[:, 0] > 0.0))
 
 
-def _omitted(kc, kn, coefs, J):
-    """later: the first omitted series term, bounded pole by pole over the
-    pool, is |alpha_{J+1}(t_i)| later[i, n] at time i when the poles from n
-    on are left to the series; later has P + 1 columns.  Pole q and its
-    mirror add |c_q| (|k_c - q|^-m + |k_c + conj q|^-m), m = 2J + 3.
+def _count(pool, J, kc, bar, edge):
+    """(n, later): per time, the least exact-pole count over pool = (coefs,
+    kn) whose first omitted series term is within the target, and never
+    short of a pole with Re q below edge = k_c + _Z_MIN / s.
 
+    That term, bounded pole by pole, is |alpha_{J+1}(t_i)| later[i, n]
+    when the poles from n on are left to the series, and bar holds the
+    target over |alpha_{J+1}(t_i)|; later has P + 1 columns.  Pole q and
+    its mirror add |c_q| (|k_c - q|^-m + |k_c + conj q|^-m), m = 2J + 3.
     Inside, k_c = 0 at every time, so later has one row for all times.
     """
+    coefs, kn = pool
     rows = (kc[:1] if not np.any(kc) else kc)[:, None]
     m = 2 * J + 3
     bound = np.abs(coefs) * (np.abs(rows - kn) ** -m
                              + np.abs(rows + kn.conj()) ** -m)
     later = np.zeros((len(rows), len(kn) + 1))
     later[:, :-1] = np.cumsum(bound[:, ::-1], axis=1)[:, ::-1]
-    return later
+    return np.maximum(np.sum(later > bar[:, None], axis=1),
+                      np.searchsorted(kn.real, edge)), later
 
 
-def _exact_count(weight, later, edge, kn, target):
-    """Least exact-pole count per time whose omitted term is within target,
-    and never short of a pole with Re q below edge = k_c + _Z_MIN / s."""
-    return np.maximum(np.sum(later > (target / weight)[:, None], axis=1),
-                      np.searchsorted(kn.real, edge))
+def _plan(x, t, sys, table, internal, f, f_k, axis, target):
+    """The plan of one run of times t (_runs) for the absolute target.
 
-
-def _size(x, s0, kc0, sys, table, internal, target):
-    """(coefs, kn, table): the pole pool and its coefficients for times from
-    the one with scale s0 and centre kc0 (1-element arrays) on, and the
-    table that holds the pool.
-
-    The pool starts at _POOL poles and doubles until it holds twice the
-    exact poles that time needs and its remainder is within half the
-    absolute target; the omitted series term takes the other half.  It
-    stops at HARD_CAP poles, met or not, or at once for a target that is
-    not finite: _assemble's check of each time refuses either sum.  A pool
-    that outgrows the table takes a fresh search of HARD_CAP poles, whose
-    first rows are the table's.  Each round evaluates coefficients only for
-    the poles it adds, and takes the exact count over the whole pool as
-    _pole_sum does.
+    The pool starts at _POOL poles and doubles until, at the run's earliest
+    time, it holds twice the exact poles that time needs and its remainder
+    is within half the target, or until it holds HARD_CAP poles, met or
+    not; a target that is not finite stops it at once, and _assemble's
+    check refuses either sum.  Each doubling evaluates coefficients only
+    for the poles it adds.  Its rows come from the table while they fit,
+    and from a fresh search of HARD_CAP poles when they do not; the first
+    n poles of a search do not depend on its depth, so the sums do not
+    either.  Each time's count is then taken in blocks of at least two
+    times: numpy sums the bounds of two or more times as it sums them over
+    the whole run, but not of one.
     """
-    J = _ORDER[internal]
-    weight, edge = np.abs(_alpha(J + 1, s0, 1.0)), kc0 + _Z_MIN / s0
+    J, x_arg = _ORDER[internal], 0.0 if internal else x
+    s = np.sqrt(sys.c2 * t / HBAR)
+    kc = HBAR * x_arg / (2.0 * sys.c2 * t)
+    weight, edge = np.abs(_alpha(J + 1, s, 1.0)), kc + _Z_MIN / s
+    bar = 0.5 * target / weight
     coefs = kn = np.zeros(0, dtype=complex)
     p = _POOL
     while True:
@@ -275,13 +297,22 @@ def _size(x, s0, kc0, sys, table, internal, target):
         c_new, k_new = expansion_coeffs(x, table[len(kn):p], internal)
         coefs, kn = np.concatenate((coefs, c_new)), np.concatenate((kn, k_new))
         if p >= HARD_CAP or not np.isfinite(target):
-            return coefs, kn, table
-        later = _omitted(kc0, kn, coefs, J)
-        n = int(_exact_count(weight, later, edge, kn, 0.5 * target)[0])
+            break
+        n = int(_count((coefs, kn), J, kc[:1], bar[:1], edge[:1])[0][0])
         # the remainder past the pool last: it is the dearest check
-        if 2 * n <= p and _beyond(coefs, kn, s0, kc0)[0] <= 0.5 * target:
-            return coefs, kn, table
+        if 2 * n <= p and _beyond(coefs, kn, s[:1], kc[:1])[0] <= 0.5 * target:
+            break
         p = min(2 * p, HARD_CAP)
+    level, est = np.empty(len(t), dtype=int), np.empty(len(t))
+    for rows in _slices(len(t), 2, lambda lo: lo + _ROWS // (len(kn) + 1)):
+        need, later = _count((coefs, kn), J, kc[rows], bar[rows], edge[rows])
+        level[rows] = n = np.minimum(need, len(kn) // 2)
+        est[rows] = weight[rows] * later[np.arange(len(n)) % len(later), n]
+    return _Plan(x, internal, x_arg, sys, f, f_k, axis, t, s, kc,
+                 HBAR * x_arg * x_arg / (4.0 * sys.c2 * t), target, table,
+                 coefs, kn, np.column_stack((kn, -kn.conj())).ravel(),
+                 np.column_stack((coefs, -coefs.conj())).ravel(),
+                 2 * int(level.max()), 2 * int(level.min()), level, est)
 
 
 def _slices(n, least, end):
@@ -320,7 +351,7 @@ def _ragged_sums(count, limit, terms):
     return out
 
 
-def _heads(x_arg, t, level, pool, axis, f_k, sys):
+def _heads(plan):
     """The incident pair less the exact poles' Moshinsky terms, and its
     time derivative, per time.
 
@@ -328,35 +359,35 @@ def _heads(x_arg, t, level, pool, axis, f_k, sys):
     poles, then the first 2 level[i] entries of the pool.  Each chunk of
     _ragged_sums, at most _PAIRS (time, pair) terms, is one Moshinsky call.
     """
-    top = 2 * int(level.max())
-    q = np.concatenate(([sys.k, -sys.k], axis[1], pool[0][:top]))
-    c = np.concatenate(([f_k[0], -f_k[1]], -axis[0], -pool[1][:top]))
+    sys, f_k, axis, top = plan.sys, plan.f_k, plan.axis, plan.top
+    q = np.concatenate(([sys.k, -sys.k], axis[1], plan.pool_q[:top]))
+    c = np.concatenate(([f_k[0], -f_k[1]], -axis[0], -plan.pool_c[:top]))
 
     def terms(rows, n, pos):
-        m, dm = moshinsky_m_dt(x_arg, q[pos], np.repeat(t[rows], n), sys.c2)
+        m, dm = moshinsky_m_dt(plan.x_arg, q[pos], np.repeat(plan.t[rows], n),
+                               sys.c2)
         c_pos = c[pos]
         m *= c_pos
         dm *= c_pos
         return m, dm
 
-    return _ragged_sums(2 + len(axis[1]) + 2 * level, _PAIRS, terms)
+    return _ragged_sums(2 + len(axis[1]) + 2 * plan.level, _PAIRS, terms)
 
 
-def _ring(level, pool, axis, f, f_k, sys):
+def _ring(plan):
     """(r, g, exact): the internal run's Cauchy ring about 0 of radius half
     the least |q| any time omits, at most _RING_MAX / L, the closed form
     less the antibound terms on its nodes, and exact[:, n], the first n
     pool entries' terms there, for every n a time of the run sums."""
-    pool_q, pool_c = pool
-    top, low = 2 * int(level.max()), 2 * int(level.min())
-    r = min(0.5 * np.min(np.abs(pool_q[low:])), _RING_MAX / sys.L)
-    c, g = _nodes(0.0, r, _RING, f, f_k, sys.k, axis)
+    pool_q, pool_c, top = plan.pool_q, plan.pool_c, plan.top
+    r = min(0.5 * np.min(np.abs(pool_q[plan.low:])), _RING_MAX / plan.sys.L)
+    c, g = _nodes(plan, 0.0, r, _RING)
     exact = np.zeros((_RING, top + 1), dtype=complex)
     np.cumsum(pool_c[:top] / (c - pool_q[:top]), axis=1, out=exact[:, 1:])
     return r, g, exact
 
 
-def _moments(kc, level, pool, axis, f, f_k, sys, ring):
+def _moments(plan, rows, ring):
     """mu_1 .. mu_{2J+2} of each time's omitted poles, shape (2J+2, T).
 
     Time i sums the first 2 level[i] entries of the pool and the antibound
@@ -374,14 +405,13 @@ def _moments(kc, level, pool, axis, f, f_k, sys, ring):
     at its count, and its rest a sum from the pool's far end back to that
     count, so that no exact pole's term cancels into the rest.
     """
+    level = plan.level[rows]
     if ring is not None:
         r, g, exact = ring
         return _taylor(g - exact[:, 2 * level], r, 2 * _ORDER[True] + 2)
-    J = _ORDER[False]
-    k = sys.k
-    pool_q, pool_c = pool
-    top, low = 2 * int(level.max()), 2 * int(level.min())
-    near = np.min(np.abs(kc[:, None] - axis[1]), axis=1, initial=np.inf)
+    J, k, kc = _ORDER[False], plan.sys.k, plan.kc[rows]
+    pool_q, pool_c, top, low = plan.pool_q, plan.pool_c, plan.top, plan.low
+    near = np.min(np.abs(kc[:, None] - plan.axis[1]), axis=1, initial=np.inf)
     inv = kc[:, None] - pool_q
     near = np.minimum(near, np.min(np.abs(inv), axis=1))
     np.reciprocal(inv, out=inv)
@@ -399,11 +429,11 @@ def _moments(kc, level, pool, axis, f, f_k, sys, ring):
     # the closed form cancels near c = +-k: keep every node r from them
     dk = np.minimum(np.abs(kc - k), kc + k)
     r = np.where((dk >= 0.5 * r) & (dk <= 2.0 * r), 0.5 * dk, r)
-    _, g = _nodes(kc, r, _ARC, f, f_k, k, axis)
+    _, g = _nodes(plan, kc, r, _ARC)
     return np.vstack((_taylor(g, r, 2 * J + 1) - head, mu_last))
 
 
-def _exponentials(x_arg, t, s, kc, level, coefs, kn, c2, thr):
+def _exponentials(plan):
     """The damped resonance exponentials c_q e^{iqx - i c2 q^2 t/hbar} of
     each time's omitted pool poles with Im z < 0, their time derivative,
     and a bound on those the cut drops, per time.
@@ -416,6 +446,8 @@ def _exponentials(x_arg, t, s, kc, level, coefs, kn, c2, thr):
     left is within thr; the search holds |Im q| at low[level[i]], which
     can only move the cut later.  The bound at the cut is what is dropped.
     """
+    t, s, kc, level = plan.t, plan.s, plan.kc, plan.level
+    coefs, kn, thr = plan.coefs, plan.kn, _CUT * plan.target
     P = len(kn)
     # the bounds hold for the run; the terms are taken in chunks of at
     # most _ROWS (time, pole) pairs
@@ -432,8 +464,8 @@ def _exponentials(x_arg, t, s, kc, level, coefs, kn, c2, thr):
     def terms(rows, n, pos):
         pole = pos + np.repeat(level[rows], n)
         kt = kn[pole]
-        rate = -1j * (c2 / HBAR) * kt * kt
-        e = rate * np.repeat(t[rows], n) + 1j * kt * x_arg
+        rate = -1j * (plan.sys.c2 / HBAR) * kt * kt
+        e = rate * np.repeat(t[rows], n) + 1j * kt * plan.x_arg
         e[kt.real + kt.imag <= np.repeat(kc[rows], n)] = -1e3  # Im z >= 0
         np.exp(e, out=e)
         e *= coefs[pole]
@@ -442,49 +474,25 @@ def _exponentials(x_arg, t, s, kc, level, coefs, kn, c2, thr):
     return (*_ragged_sums(cut - level, _ROWS, terms), dropped)
 
 
-def _pole_sum(x, t, sys, table, internal, f, f_k, axis, target, level):
-    """Psi and dPsi/dt at times t in one pass: the incident pair less the
-    sum over every pole.
+def _pole_sum(plan):
+    """(psi, dpsi, est): Psi and dPsi/dt at the plan's times in one pass,
+    the incident pair less the sum over every pole, and the absolute error
+    estimate per time.
 
-    t is one run of a trace (_runs).  Each time gets the least exact-pole
-    count that meets the absolute target, at most half the pool; the pool
-    is sized at the run's earliest time, which needs the most.  Every time
-    then sums its own exact poles (_heads), takes the omitted poles' series
-    from one set of Cauchy nodes (_moments) and evaluates only the damped
-    exponentials that stay above _CUT times the target (_exponentials).
-    axis holds the antibound poles' (coefs, kn).  Returns (psi, dpsi, est,
-    table): est is the absolute error estimate per time and table the one
-    that held the pool, which later runs and passes reuse; each time's
-    count is written into level, an int array of len(t).
-
-    The pool, its bounds and the internal ring belong to the run; each
-    table with a row per time is formed in blocks of times (_slices), and
-    each ragged table in chunks (_ragged_sums), bit for bit as in one, so
-    memory does not grow with the run's times.  A block holds at least two
-    times: numpy sums the series terms of two or more times as it sums
-    them over the whole run, but not of one.
+    Every time sums its own exact poles (_heads), takes the omitted poles'
+    series from one set of Cauchy nodes (_moments), inside on the run's
+    ring (_ring), and evaluates only the damped exponentials that stay
+    above _CUT times the target (_exponentials).  A block of times holds
+    at least two: numpy sums the series terms of two or more times as it
+    sums them over the whole run, but not of one.
     """
-    J = _ORDER[internal]
-    x_arg = 0.0 if internal else x
-    s, kc, a2t = _scales(x_arg, t, sys.c2)
-    coefs, kn, table = _size(x, s[:1], kc[:1], sys, table, internal, target)
-    weight, edge = np.abs(_alpha(J + 1, s, 1.0)), kc + _Z_MIN / s
-    est = np.empty(len(t))
-    for rows in _slices(len(t), 2, lambda lo: lo + _ROWS // (len(kn) + 1)):
-        later = _omitted(kc[rows], kn, coefs, J)
-        need = _exact_count(weight[rows], later, edge[rows], kn, 0.5 * target)
-        level[rows] = n = np.minimum(need, len(kn) // 2)
-        est[rows] = weight[rows] * later[np.arange(len(n)) % len(later), n]
-    # each pool pole followed by its mirror -conj q, whose coefficient is
-    # -conj c: a time's exact poles are the first 2 level entries
-    pool = (np.column_stack((kn, -kn.conj())).ravel(),
-            np.column_stack((coefs, -coefs.conj())).ravel())
-    psi, dpsi = _heads(x_arg, t, level, pool, axis, f_k, sys)
-    ring = _ring(level, pool, axis, f, f_k, sys) if internal else None
-    j = np.arange(J + 1)[:, None]
-    width = _RING if internal else len(pool[0])
+    t, s, kc, a2t = plan.t, plan.s, plan.kc, plan.a2t
+    psi, dpsi = _heads(plan)
+    ring = _ring(plan) if plan.internal else None
+    j = np.arange(_ORDER[plan.internal] + 1)[:, None]
+    width = _RING if plan.internal else len(plan.pool_q)
     for rows in _slices(len(t), 2, lambda lo: lo + _ROWS // width):
-        mu = _moments(kc[rows], level[rows], pool, axis, f, f_k, sys, ring)
+        mu = _moments(plan, rows, ring)
         a2tr = a2t[rows]
         al = _alpha(j, s[rows], np.exp(1j * a2tr))
         psi[rows] -= np.sum(al * mu[0::2], axis=0)
@@ -493,13 +501,10 @@ def _pole_sum(x, t, sys, table, internal, f, f_k, axis, target, level):
         dpsi[rows] -= np.sum(al / t[rows] * (
             (-1j * a2tr - j - 0.5) * mu[0::2]
             + (2 * j + 1) * kc[rows] * mu[1::2]), axis=0)
-    e, de, dropped = _exponentials(x_arg, t, s, kc, level, coefs, kn, sys.c2,
-                                   _CUT * target)
+    e, de, dropped = _exponentials(plan)
     psi -= e
     dpsi -= de
-    est += _beyond(coefs, kn, s, kc)
-    est += dropped
-    return psi, dpsi, est, table
+    return psi, dpsi, plan.est + _beyond(plan.coefs, plan.kn, s, kc) + dropped
 
 
 def _runs(t):
@@ -541,15 +546,16 @@ def _assemble(x, t_grid, sys, poles, tol, internal):
         return phi_stationary(x, c, sys) if internal else transmission(c, sys)
 
     def summed(t, scale):
-        # one pole sum per run, each sized at its own earliest time; the
-        # table a run returns serves the next, so the cap is searched once
+        # one plan and one pole sum per run, each sized at its own earliest
+        # time; a run's table serves the next, so the cap is searched once
         nonlocal table
-        parts, level = [], np.empty(len(t), dtype=int)
+        parts = []
         for run in _runs(t):
-            *part, table = _pole_sum(x, t[run], sys, table, internal, f, f_k,
-                                     axis, tol * _AIM * scale, level[run])
-            parts.append(part)
-        return [np.concatenate(runs) for runs in zip(*parts)] + [level]
+            plan = _plan(x, t[run], sys, table, internal, f, f_k, axis,
+                         tol * _AIM * scale)
+            table = plan.table
+            parts.append((*_pole_sum(plan), plan.level))
+        return [np.concatenate(runs) for runs in zip(*parts)]
 
     # an amplitude that overflows (a huge opacity) or a sum that does
     # (s^(2j+1) as t -> 0, a^2/t at a huge x) is not finite, and a sum or

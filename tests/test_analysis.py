@@ -444,9 +444,22 @@ def test_bracketing_scan_miss_names_the_scan(gaas, gaas_cache, monkeypatch):
     monkeypatch.setattr(analysis, "trace", missed)
     with pytest.raises(NotConverged) as info:
         find_time_domain_resonance(gaas, poles=gaas_cache)
-    assert str(info.value) == ("bracketing scan of the peak search: "
+    assert str(info.value) == ("bracketing scan of the peak search, summed "
+                               "at tol=1.0e-03 for tol=1.0e-08: "
                                "pole sum above tol")
     assert str(info.value.__cause__) == "pole sum above tol"
+
+
+def test_scan_miss_keeps_its_class_and_names_the_tol_asked():
+    # the antibound poles 1.1e-7 / L apart: the scan, summed at SCAN_TOL,
+    # refuses the pair, and the peak search passes the refusal on as a
+    # MergingPolePair that names both that tol and the one asked for
+    sys_ = make_system(0.3, 0.001, 1.8248986043701056, 0.067)
+    with pytest.raises(MergingPolePair) as info:
+        find_time_domain_resonance(sys_, tol=1e-10)
+    assert str(info.value).startswith(
+        "bracketing scan of the peak search, summed at tol=1.0e-03 for "
+        "tol=1.0e-10: the poles that merge at alpha_m lie 1.1e-07/L apart")
 
 
 def test_polish_miss_names_the_polish(gaas, gaas_cache, monkeypatch):

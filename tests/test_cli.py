@@ -136,10 +136,10 @@ def test_sum_above_tol_after_its_second_pass_exits_3(capsys, monkeypatch):
     # at every time, so the last check of _assemble raises
     pole_sum, counts = propagator._pole_sum, []
 
-    def inflated(x, t, *args):
-        psi, dpsi, _, table = pole_sum(x, t, *args)
-        counts.append(int(args[-1].max()))     # the counts written to level
-        return psi, dpsi, 1e-7 * np.abs(psi) / t, table
+    def inflated(plan):
+        psi, dpsi, _ = pole_sum(plan)
+        counts.append(int(plan.level.max()))   # the counts the plan holds
+        return psi, dpsi, 1e-7 * np.abs(psi) / plan.t
 
     monkeypatch.setattr(propagator, "_pole_sum", inflated)
     code, out, err = run(capsys, GAAS_FLAGS + [

@@ -497,19 +497,18 @@ def test_a_longer_run_repeats_the_shorter_one(gaas, theta):
     assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-10
 
 
-def test_trace_reports_steps_and_nodes(gaas):
+def test_trace_reports_its_steps(gaas):
     cfg = default_cn_config(gaas, 30.0)
-    # validate's oracle run: x from -2 dx to 6 nm + 2 dx, with 6 nm = 87 dx
+    # validate's oracle run
     cn = cn_evolve(gaas, cfg, [6.0], np.array([30.0]))
-    assert (cn.steps, cn.nodes) == (12110, 92)
+    assert cn.steps == 12110
     cn = cn_evolve(gaas, cfg, [-1.0, 2.0], np.array([0.1, 100.5 * cfg.dt]))
-    lo, hi = math.floor(-1.0 / cfg.dx) - 2, math.ceil(gaas.L / cfg.dx) + 2
-    assert (cn.steps, cn.nodes) == (101, hi - lo + 1)
+    assert cn.steps == 101
     # a time is reached within a slack relative to dt: at a tiny dt each
     # of 200 times on the steps takes its own step
     tiny = replace(cfg, dt=cfg.dt * 1e-150)
     cn = cn_evolve(gaas, tiny, [6.0], np.arange(1, 201) * tiny.dt)
-    assert (cn.steps, cn.nodes) == (200, 92)
+    assert cn.steps == 200
 
 
 def test_validate_oracle_run_holds_no_whole_run_temporaries(gaas):
@@ -545,7 +544,7 @@ def test_far_probe_run_completes_and_leaves_the_near_rows_unchanged(gaas):
     times = np.array([1.0, 150.5, 300.0])
     near = cn_evolve(gaas, cfg, [gaas.L], times)
     both = cn_evolve(gaas, cfg, [gaas.L, 1000.0], times)
-    assert (both.steps, both.nodes) == (121096, 14505)
+    assert both.steps == 121096
     assert np.isfinite(both.psi).all()
     assert np.max(np.abs(both.psi[0] - near.psi[0]) / np.abs(near.psi[0])) \
         <= 1e-10

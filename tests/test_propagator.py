@@ -251,8 +251,9 @@ def test_external_moments_in_blocks_are_bitwise_one_block(gaas, gaas_cache,
     # both sides of the first block boundary
     calls, inner = [], propagator._moments
 
-    def spy(*args):
-        calls.append((args[1], inner(*args), len(args[2][0])))
+    def spy(plan, rows, ring):
+        calls.append((plan.level[rows], inner(plan, rows, ring),
+                      len(plan.pool_q)))
         return calls[-1][1]
 
     monkeypatch.setattr(propagator, "_moments", spy)
@@ -322,19 +323,19 @@ def test_pool_that_outgrows_the_table_searches_the_cap_once(gaas, gaas_cache,
     # table as it is, and sums bitwise what it sums on the full table
     table = pole_cache(gaas)
     calls, sizes = [], []
-    size = propagator._size
+    plan = propagator._plan
 
     def spy(*args, **kwargs):
         calls.append(args)
         return find_poles(*args, **kwargs)
 
     def sized(*args):
-        out = size(*args)
-        sizes.append(len(out[0]))
+        out = plan(*args)
+        sizes.append(len(out.kn))
         return out
 
     monkeypatch.setattr(propagator, "find_poles", spy)
-    monkeypatch.setattr(propagator, "_size", sized)
+    monkeypatch.setattr(propagator, "_plan", sized)
     ts = np.array([0.1, 1.0, 5.0])
     tr = trace(gaas.L, ts, gaas, poles=table, tol=1e-10)
     assert calls == [(gaas, propagator.HARD_CAP)] and len(table) == 512
@@ -347,23 +348,32 @@ def test_pool_that_outgrows_the_table_searches_the_cap_once(gaas, gaas_cache,
     assert tr.n_terms_used == ref.n_terms_used
 
 
-def _doubling_size(x, s0, kc0, sys, table, internal, target):
+def _doubling_size(plan, table):
     """The pool sizing that re-ran the omitted-term bound, the exponential
     remainder and the exact count over the whole pool at every doubling,
-    kept as the reference for _size."""
+    at the plan's earliest time and for its target; kept as the reference
+    for _plan's.  The bound and the count are written out here: the first
+    omitted term at count n is |alpha_{J+1}| times the sum, over the pool
+    poles q from n on, of |c_q| (|k_c - q|^-m + |k_c + conj q|^-m), and n
+    never leaves out a pole with Re q below k_c + _Z_MIN / s."""
+    x, internal, target = plan.x, plan.internal, plan.target
+    s0, kc0 = plan.s[:1], plan.kc[:1]
     J = propagator._ORDER[internal]
-    cap = propagator.HARD_CAP
+    m, cap = 2 * J + 3, propagator.HARD_CAP
     coefs = kn = np.zeros(0, dtype=complex)
     p = propagator._POOL
     while True:
         c_new, k_new = propagator.expansion_coeffs(
             x, table[len(kn):p], internal)
         coefs, kn = np.concatenate((coefs, c_new)), np.concatenate((kn, k_new))
-        weight = np.abs(propagator._alpha(J + 1, s0, 1.0))
-        later = propagator._omitted(kc0, kn, coefs, J)
+        weight = np.abs(propagator._alpha(J + 1, s0, 1.0))[0]
+        bound = np.abs(coefs) * (np.abs(kc0 - kn) ** -m
+                                 + np.abs(kc0 + kn.conj()) ** -m)
+        later = np.cumsum(bound[::-1])[::-1]
         rem = propagator._beyond(coefs, kn, s0, kc0)[0]
-        n = int(propagator._exact_count(
-            weight, later, kc0 + propagator._Z_MIN / s0, kn, 0.5 * target)[0])
+        n = max(int(np.sum(later > 0.5 * target / weight)),
+                int(np.searchsorted(kn.real,
+                                    kc0[0] + propagator._Z_MIN / s0[0])))
         if p >= cap or (2 * n <= p and rem <= 0.5 * target):
             return coefs, kn
         p = min(2 * p, cap)
@@ -371,7 +381,7 @@ def _doubling_size(x, s0, kc0, sys, table, internal, target):
 
 @pytest.mark.parametrize("alpha", [0.83, 1.33, 3.0, 8.0, 20.0])
 def test_pool_sizing_matches_the_whole_pool_doubling(alpha):
-    # at the earliest scan time, inside, at the edge and beyond it, _size
+    # at the earliest scan time, inside, at the edge and beyond it, _plan
     # picks the pool the whole-pool doubling picks, with bitwise the same
     # coefficients, from a full table and from the shared one, and stops at
     # the cap where that does; pools run from 32 to the cap
@@ -383,21 +393,23 @@ def test_pool_sizing_matches_the_whole_pool_doubling(alpha):
     pools = []
     for x in (0.5 * sys_.L, sys_.L, 2.0 * sys_.L, 6.0 * sys_.L):
         internal = x <= sys_.L
-        s0, kc0, _ = propagator._scales(0.0 if internal else x,
-                                        np.array(default_window(sys_, x)[:1]),
-                                        sys_.c2)
-        f_k = phi_stationary(x, k2, sys_) if internal else transmission(k2,
-                                                                        sys_)
+        t0 = np.array(default_window(sys_, x)[:1])
+
+        def f(c):
+            return (phi_stationary(x, c, sys_) if internal
+                    else transmission(c, sys_))
+
+        f_k = f(k2)
+        axis = propagator.expansion_coeffs(x, full.axis_poles, internal)
         for tol in (1e-6, 1e-10):
-            args = (s0, kc0, sys_)
             target = tol * propagator._AIM * abs(f_k[0])
-            ref = _doubling_size(x, *args, full, internal, target)
             for table in tables:
-                coefs, kn, _ = propagator._size(x, *args, table, internal,
-                                                target)
-                assert coefs.tobytes() == ref[0].tobytes()
-                assert kn.tobytes() == ref[1].tobytes()
-            pools.append(len(kn))
+                plan = propagator._plan(x, t0, sys_, table, internal, f,
+                                        f_k, axis, target)
+                ref = _doubling_size(plan, full)
+                assert plan.coefs.tobytes() == ref[0].tobytes()
+                assert plan.kn.tobytes() == ref[1].tobytes()
+            pools.append(len(plan.kn))
     expect = {0.83: 32, 20.0: propagator.HARD_CAP}
     if alpha in expect:
         assert expect[alpha] in pools, pools
@@ -429,16 +441,18 @@ def test_fft_coefficients_are_the_closed_form_moments(n, spacing,
                       <= 1e-13 * np.abs(terms).sum(axis=0)), m
 
 
-def _power_sum_moments(kc, level, pool, axis, f, f_k, sys_):
-    """The external moments with the antibound poles taken off as power
-    sums: one circle per k_c holds the whole closed form, and the exact
-    pool poles' and the antibound poles' shares are subtracted power by
-    power; kept as the reference for _moments, which takes the antibound
-    share off on the nodes.  Also returns max |closed form| / r^m on each
-    circle, what each of the first 2J + 1 moments cancels, and 0 for the
-    last one, which sums the pool directly."""
-    J, k, arc = propagator._ORDER[False], sys_.k, propagator._ARC
-    pool_q, pool_c = pool
+def _power_sum_moments(plan, rows):
+    """The external moments of the plan's times rows with the antibound
+    poles taken off as power sums: one circle per k_c holds the whole
+    closed form, and the exact pool poles' and the antibound poles' shares
+    are subtracted power by power; kept as the reference for _moments,
+    which takes the antibound share off on the nodes.  Also returns
+    max |closed form| / r^m on each circle, what each of the first 2J + 1
+    moments cancels, and 0 for the last one, which sums the pool
+    directly."""
+    kc, level, axis, f_k = plan.kc[rows], plan.level[rows], plan.axis, plan.f_k
+    J, k, arc = propagator._ORDER[False], plan.sys.k, propagator._ARC
+    pool_q, pool_c = plan.pool_q, plan.pool_c
     n, top = 2 * level, 2 * int(level.max())
     i = np.arange(len(kc))
     inv = kc[:, None] - pool_q
@@ -451,7 +465,7 @@ def _power_sum_moments(kc, level, pool, axis, f, f_k, sys_):
     theta = 2.0 * math.pi * (np.arange(arc) + 0.5) / arc
     c = kc[:, None] + r[:, None] * np.exp(1j * theta)
     circle = (f_k[0] / (c - k) - f_k[1] / (c + k)
-              + 2.0 * k * f(c) / (k * k - c * c))
+              + 2.0 * k * transmission(c, plan.sys) / (k * k - c * c))
     mu, power, power_axis = [], 1.0, 1.0
     exact = np.zeros((len(kc), top + 1), dtype=complex)
     for m in range(2 * J + 1):
@@ -484,10 +498,10 @@ def test_antibound_share_on_the_nodes_matches_the_power_sums(monkeypatch,
     monkeypatch.setattr(propagator, "_moments",
                         lambda *args: calls.append(args) or inner(*args))
     trace(x, np.linspace(*default_window(sys_, x), 40), sys_, tol=1e-10)
-    assert calls and len(calls[0][3][1]) == 2
+    assert calls and len(calls[0][0].axis[1]) == 2
     eps = np.finfo(float).eps
     for args in calls:
-        got, (ref, cancel) = inner(*args), _power_sum_moments(*args[:7])
+        got, (ref, cancel) = inner(*args), _power_sum_moments(*args[:2])
         scale = np.max(np.abs(ref), axis=1, keepdims=True)
         assert np.all(np.abs(got - ref) <= 1e-12 * scale + 64 * eps * cancel)
 
@@ -523,16 +537,20 @@ def test_second_pass_sized_from_psi(monkeypatch):
     V, m = 0.3, 0.067
     sys_ = make_system(V, V / 6.61, length_for_alpha(0.894, V, m), m)
     x, t = 8.25 * sys_.L, np.geomspace(0.1239, 75.62, 60)
-    sizes = []
+    sizes, levels = [], []
     pole_sum = propagator._pole_sum
 
-    def counted(x_, t_, *a, **kw):
-        sizes.append(len(t_))
-        return pole_sum(x_, t_, *a, **kw)
+    def counted(plan):
+        sizes.append(len(plan.t))
+        levels.append(int(plan.level.max()))
+        return pole_sum(plan)
 
     monkeypatch.setattr(propagator, "_pole_sum", counted)
     tr = trace(x, t, sys_, tol=1e-8)
     assert len(sizes) == 2 and sizes[0] == len(t) and 0 < sizes[1] < len(t)
+    # n_terms_used counts the N of the pass that sums the most: the second,
+    # with the incident pair and the two antibound poles
+    assert levels == [45, 153] and tr.n_terms_used == 2 + 2 * 153 + 2
     monkeypatch.undo()
     ref = trace(x, t, sys_, tol=1e-12)
     assert np.all(np.abs(tr.psi - ref.psi) <= 1e-8 * np.abs(ref.psi))
@@ -554,9 +572,9 @@ def test_time_summed_at_the_cap_is_not_summed_again(gaas, gaas_cache,
     counts = []
     pole_sum = propagator._pole_sum
 
-    def counted(x_, t_, *a, **kw):
-        out = pole_sum(x_, t_, *a, **kw)
-        counts.append(int(a[-1].max()))      # the counts written to level
+    def counted(plan):
+        out = pole_sum(plan)
+        counts.append(int(plan.level.max()))   # the counts the plan holds
         return out
 
     monkeypatch.setattr(propagator, "_pole_sum", counted)
@@ -724,22 +742,24 @@ def test_each_time_sums_its_own_exact_count(monkeypatch):
     sys_ = make_system(V, V / 300.0, length_for_alpha(3.0, V, m), m)
     ts = _scan_chunk(sys_, sys_.L)
     needs, heads = [], []
-    count, inner = propagator._exact_count, propagator._heads
+    count, inner = propagator._count, propagator._heads
 
     def spy_count(*args):
-        needs.append(count(*args))
-        return needs[-1]
+        out = count(*args)
+        needs.append(out[0])
+        return out
 
-    def spy_heads(*args):
-        heads.append((args[2], len(args[3][0]) // 2))
-        return inner(*args)
+    def spy_heads(plan):
+        heads.append((plan.level, len(plan.pool_q) // 2))
+        return inner(plan)
 
-    monkeypatch.setattr(propagator, "_exact_count", spy_count)
+    monkeypatch.setattr(propagator, "_count", spy_count)
     monkeypatch.setattr(propagator, "_heads", spy_heads)
     tr = trace(sys_.L, ts, sys_, tol=1e-6)
     assert len(heads) == 1
     level, pool = heads[0]
-    # _size counts one time, the pole sum its blocks of two or more
+    # the planner counts one time as it sizes the pool, then every time in
+    # blocks of two or more
     need = np.concatenate([n for n in needs if len(n) > 1])
     assert np.array_equal(level, np.minimum(need, pool // 2))
     counts = np.unique(level)
@@ -929,7 +949,7 @@ def test_whole_pass_in_blocks_is_bitwise_one_block(gaas, gaas_cache,
     # which that budget splits; beyond it, no time here evaluates one
     t = np.linspace(0.05, 30.0, 3000)
     assert len(propagator._runs(t)) >= 2
-    names = ("_omitted", "_moments", "chunks")
+    names = ("_count", "_moments", "chunks")
     calls = dict.fromkeys(names, 0)
 
     def counted(name, inner):
@@ -953,7 +973,7 @@ def test_whole_pass_in_blocks_is_bitwise_one_block(gaas, gaas_cache,
     calls.update(dict.fromkeys(names, 0))
     monkeypatch.setattr(propagator, "_ROWS", 3 * propagator._RING)
     blocked = trace(x, t, gaas, poles=gaas_cache)
-    assert calls["_omitted"] > 10 * once["_omitted"]
+    assert calls["_count"] > 10 * once["_count"]
     assert calls["_moments"] > 10 * once["_moments"]
     assert (calls["chunks"] > once["chunks"]) == (x < gaas.L)
     for got, want in ((blocked.psi, whole.psi),
