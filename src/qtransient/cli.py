@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from .analysis import find_time_domain_resonance, spectrogram
+from .analysis import find_time_domain_resonance, panel_trace, spectrogram
 from .config import CsvTable, RunConfig, emit_csv, parse_config, parse_grid
 from .errors import (ConfigError, MissingRequired, NumericalError,
                      ValidationError)
@@ -191,13 +191,14 @@ def cmd_poles(args):
 
 def cmd_evolve(args):
     cfg, sys_, x, t, provenance = _probe(args)
-    tr = trace(x, t, sys_, tol=cfg.tol)
+    tr = panel_trace(x, t, sys_, tol=cfg.tol)
     T2 = abs(transmission(sys_.k, sys_)) ** 2
     rows = [(float(tt), p.real, p.imag, abs(p) ** 2, abs(p) ** 2 / T2,
-             tr.n_terms_used)
-            for tt, p in zip(t, tr.psi)]
+             tr.n_terms_used, float(e))
+            for tt, p, e in zip(t, tr.psi, tr.trunc_error_est)]
     return CsvTable(
-        columns=("t_fs", "re_psi", "im_psi", "abs2", "abs2_over_T2", "n_terms"),
+        columns=("t_fs", "re_psi", "im_psi", "abs2", "abs2_over_T2", "n_terms",
+                 "err"),
         rows=tuple(rows), provenance=provenance)
 
 
@@ -205,10 +206,13 @@ def cmd_spectrogram(args):
     cfg, sys_, x, t, provenance = _probe(args)
     sg = spectrogram(sys_, x, t, tol=cfg.tol)
     T2 = abs(transmission(sys_.k, sys_)) ** 2
-    rows = [(float(tt), a2 / T2, om, om / sys_.omegaV, sg_)
-            for tt, a2, om, sg_ in zip(t, sg.abs2, sg.omega_av, sg.sigma)]
+    # the density by evolve's expression, so the two print the same bits
+    rows = [(float(tt), abs(p) ** 2 / T2, om, om / sys_.omegaV, sg_, float(e))
+            for tt, p, om, sg_, e in zip(t, sg.psi, sg.omega_av, sg.sigma,
+                                         sg.trunc_error_est)]
     return CsvTable(
-        columns=("t_fs", "abs2_over_T2", "omega_av", "omega_ratio", "sigma"),
+        columns=("t_fs", "abs2_over_T2", "omega_av", "omega_ratio", "sigma",
+                 "err"),
         rows=tuple(rows), provenance=provenance)
 
 

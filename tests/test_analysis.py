@@ -618,3 +618,117 @@ def test_no_peak_check_miss_names_the_check(monkeypatch):
         find_time_domain_resonance(sys_, tol=1e-30)
     assert str(info.value).startswith("no-peak check of the peak search: ")
     assert isinstance(info.value.__cause__, NotConverged)
+
+
+# -- Chebyshev panels for long fixed-x outputs --------------------------------
+
+LONG_GRID = np.linspace(0.5, 30.0, 2000)
+
+
+def test_octaves_cover_every_row_once():
+    t = np.linspace(1.0, 5.5, 200)
+    # 5.5 lies under half an octave past 4: that piece joins [2, 4]
+    panels = analysis._octaves(t)
+    assert [(a, b) for a, b, _ in panels] == [(1.0, 2.0), (2.0, 5.5)]
+    t = np.linspace(1.0, 6.0, 200)
+    panels = analysis._octaves(t)
+    assert [(a, b) for a, b, _ in panels] == [(1.0, 2.0), (2.0, 4.0),
+                                              (4.0, 6.0)]
+    rows = np.concatenate([r for _, _, r in panels])
+    assert np.array_equal(rows, np.arange(len(t)))
+    for a, b, r in panels:
+        assert np.all((t[r] >= a) & (t[r] <= b))
+        assert r[-1] == len(t) - 1 or t[r[-1] + 1] >= b
+    # a panel with no rows is left out
+    t = np.array([1.0, 1.5, 7.0, 7.5])
+    assert [(a, b) for a, b, _ in analysis._octaves(t)] == [(1.0, 2.0),
+                                                           (4.0, 7.5)]
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+@pytest.mark.parametrize("x", [0.05, 2.0, 4.0, 8.0, 20.0])
+def test_panel_rows_meet_tol_within_their_estimates(gaas, gaas_cache,
+                                                    monkeypatch, x, tol):
+    traced = []
+
+    def counted(x_, t_grid, *a, **kw):
+        traced.append(len(t_grid))
+        return trace(x_, t_grid, *a, **kw)
+
+    monkeypatch.setattr(analysis, "trace", counted)
+    panel = analysis.panel_trace(x, LONG_GRID, gaas, poles=gaas_cache,
+                                 tol=tol)
+    # the panels, not the rows, were traced
+    assert sum(traced) < len(LONG_GRID) / 4
+    direct = trace(x, LONG_GRID, gaas, poles=gaas_cache, tol=tol)
+    ref = trace(x, LONG_GRID, gaas, poles=gaas_cache, tol=1e-3 * tol)
+    assert np.all(np.abs(panel.psi - direct.psi) <= tol * np.abs(direct.psi))
+    assert np.all(np.abs(panel.dpsi_dt - direct.dpsi_dt)
+                  <= tol * np.abs(direct.dpsi_dt))
+    error = np.abs(panel.psi - ref.psi) / np.abs(ref.psi)
+    assert np.all(panel.trunc_error_est >= error)
+    assert np.all(panel.trunc_error_est <= tol)
+    assert panel.n_terms_used == direct.n_terms_used
+
+
+def test_spectrogram_reads_the_panels_bitwise(gaas, gaas_cache):
+    panel = analysis.panel_trace(2.0, LONG_GRID, gaas, poles=gaas_cache)
+    sg = spectrogram(gaas, 2.0, LONG_GRID, poles=gaas_cache)
+    assert np.array_equal(sg.psi, panel.psi)
+    assert np.array_equal(sg.trunc_error_est, panel.trunc_error_est)
+    omega, sigma = local_frequency(panel.psi, panel.dpsi_dt)
+    assert np.array_equal(sg.omega_av, omega)
+    assert np.array_equal(sg.sigma, sigma)
+
+
+def test_grid_below_the_switch_over_is_the_direct_sum(gaas, gaas_cache):
+    t = np.linspace(0.5, 30.0, analysis.PANEL_MIN - 1)
+    panel = analysis.panel_trace(8.0, t, gaas, poles=gaas_cache)
+    direct = trace(8.0, t, gaas, poles=gaas_cache)
+    for name in ("psi", "dpsi_dt", "trunc_error_est"):
+        assert np.array_equal(getattr(panel, name), getattr(direct, name))
+    assert panel.n_terms_used == direct.n_terms_used
+
+
+def test_noisy_nodes_fail_the_tail_test(gaas, gaas_cache, monkeypatch):
+    # node values 3 tol off at random, as a Cauchy ring sized for far
+    # later times leaves them (ROADMAP item 8): no panel may accept them,
+    # so the rows of every panel, one stretch, are the direct sum's
+    tol, rng = 1e-8, np.random.default_rng(7)
+
+    def noisy(x_, t_grid, *a, **kw):
+        tr = trace(x_, t_grid, *a, **kw)
+        at = np.searchsorted(LONG_GRID, tr.times)
+        if np.array_equal(LONG_GRID[np.minimum(at, len(LONG_GRID) - 1)],
+                          tr.times):
+            return tr
+        off = rng.standard_normal((2, len(tr.times)))
+        return dataclasses.replace(
+            tr, psi=tr.psi * (1.0 + 3.0 * tol * (off[0] + 1j * off[1])))
+
+    monkeypatch.setattr(analysis, "trace", noisy)
+    panel = analysis.panel_trace(2.0, LONG_GRID, gaas, poles=gaas_cache,
+                                 tol=tol)
+    direct = trace(2.0, LONG_GRID, gaas, poles=gaas_cache, tol=tol)
+    assert np.array_equal(panel.psi, direct.psi)
+    assert np.array_equal(panel.trunc_error_est, direct.trunc_error_est)
+
+
+def test_a_refused_round_leaves_the_grid_to_the_direct_sum(gaas, gaas_cache,
+                                                           monkeypatch):
+    # nothing is refused that the direct sum serves: a miss in any panel
+    # trace hands the whole grid to trace
+    calls = []
+
+    def refusing(x_, t_grid, *a, **kw):
+        calls.append(len(t_grid))
+        if len(calls) == 1:
+            raise NotConverged("a round's miss")
+        return trace(x_, t_grid, *a, **kw)
+
+    monkeypatch.setattr(analysis, "trace", refusing)
+    panel = analysis.panel_trace(2.0, LONG_GRID, gaas, poles=gaas_cache)
+    direct = trace(2.0, LONG_GRID, gaas, poles=gaas_cache)
+    assert calls[-1] == len(LONG_GRID)
+    assert np.array_equal(panel.psi, direct.psi)
+    assert np.array_equal(panel.trunc_error_est, direct.trunc_error_est)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qtransient import (make_system, propagator, resonances,
+from qtransient import (analysis, make_system, propagator, resonances,
                         sweep_freq_vs_x, sweep_tmax_vs_L)
 from qtransient.cli import main
 from qtransient.config import parse_csv
@@ -58,10 +58,11 @@ def test_evolve_csv(capsys):
     assert code == 0
     _, cols, rows = parse_csv(out)
     assert cols == ("t_fs", "re_psi", "im_psi", "abs2", "abs2_over_T2",
-                    "n_terms")
+                    "n_terms", "err")
     assert [r[0] for r in rows] == [1.0, 2.0, 3.0, 4.0, 5.0]
     for r in rows:
         assert r[3] == pytest.approx(r[1] ** 2 + r[2] ** 2, rel=1e-12)
+        assert 0.0 < r[6] <= 1e-8
 
 
 def test_spectrogram_rows(capsys):
@@ -69,14 +70,66 @@ def test_spectrogram_rows(capsys):
     code, out, err = run(capsys, GAAS_FLAGS + ["spectrogram"] + probe)
     assert code == 0 and err == ""
     _, cols, rows = parse_csv(out)
-    assert cols == ("t_fs", "abs2_over_T2", "omega_av", "omega_ratio", "sigma")
+    assert cols == ("t_fs", "abs2_over_T2", "omega_av", "omega_ratio", "sigma",
+                    "err")
     assert [r[0] for r in rows] == [1.0, 2.0, 3.0, 4.0, 5.0]
     _, _, evolved = parse_csv(run(capsys, GAAS_FLAGS + ["evolve"] + probe)[1])
     omega_v = make_system(0.3, 0.001, 4.0, 0.067).omegaV
     for r, e in zip(rows, evolved):
-        assert r[1] == pytest.approx(e[4], rel=1e-12)
+        assert r[1] == e[4]
         assert r[3] == pytest.approx(r[2] / omega_v, rel=1e-15)
         assert r[4] >= 0.0
+        assert r[5] == e[6]
+
+
+def test_long_evolve_and_spectrogram_print_the_same_panels(capsys):
+    # 2000 times read off Chebyshev panels: both commands print the same
+    # density and the same per-row estimate, each within tol
+    probe = ["--x", "8", "--tmin", "0.5", "--tmax", "30", "--steps", "2000"]
+    _, cols, evolved = parse_csv(run(capsys, GAAS_FLAGS + ["evolve"]
+                                     + probe)[1])
+    _, scols, spectral = parse_csv(run(capsys, GAAS_FLAGS + ["spectrogram"]
+                                       + probe)[1])
+    assert len(evolved) == len(spectral) == 2000
+    e = [dict(zip(cols, r)) for r in evolved]
+    s = [dict(zip(scols, r)) for r in spectral]
+    assert [r["abs2_over_T2"] for r in e] == [r["abs2_over_T2"] for r in s]
+    assert [r["err"] for r in e] == [r["err"] for r in s]
+    assert all(0.0 < r["err"] <= 1e-8 for r in e)
+
+
+# ROADMAP item 8's two reproducers at 2000 steps: each round of panel
+# nodes is under 512 times, so one run with one Cauchy ring
+WIDE_WINDOWS = [
+    (0.19957178310361054, 1.6767299556191608, 0.8583241720991515,
+     0.04618246056507653, 57.72807570634566),
+    (0.01, 4.130328309020786, 3.923811893569747, 0.05, 60.0),
+]
+
+
+@pytest.mark.parametrize("E,L,x,tmin,tmax", WIDE_WINDOWS)
+def test_long_evolve_over_a_wide_window_meets_tol(capsys, monkeypatch, E, L,
+                                                  x, tmin, tmax):
+    traced = []
+
+    def counted(x_, t_grid, *a, **kw):
+        traced.append(len(t_grid))
+        return propagator.trace(x_, t_grid, *a, **kw)
+
+    monkeypatch.setattr(analysis, "trace", counted)
+    code, out, err = run(capsys, [
+        "--V", "0.3", "--E", repr(E), "--L", repr(L), "--mass-ratio", "0.067",
+        "--tol", "1e-10", "evolve", "--x", repr(x), "--tmin", repr(tmin),
+        "--tmax", repr(tmax), "--steps", "2000"])
+    assert code == 0 and err == ""
+    assert sum(traced) < 2000 / 4
+    _, cols, rows = parse_csv(out)
+    rows = [dict(zip(cols, r)) for r in rows]
+    psi = np.array([r["re_psi"] + 1j * r["im_psi"] for r in rows])
+    ref = propagator.trace(x, np.linspace(tmin, tmax, 2000),
+                           make_system(0.3, E, L, 0.067), tol=1e-13)
+    assert np.all(np.abs(psi - ref.psi) <= 1e-10 * np.abs(ref.psi))
+    assert all(r["err"] <= 1e-10 for r in rows)
 
 
 def test_times_next_to_release_exit_3_naming_x_and_t(capsys):
@@ -408,6 +461,8 @@ def test_fixed_u_provenance_shows_the_energy_used(capsys, tmp_path, source):
     (["oracle-compare", "--x", "nan", "--tmin", "1", "--tmax", "3"], "x=nan"),
     (["oracle-compare", "--tmin", "1", "--tmax", "inf"], "tmax=inf"),
     (["evolve", "--tmin", "1", "--tmax", "nan"], "tmax=nan"),
+    (["spectrogram", "--x", "nan", "--tmin", "1", "--tmax", "5",
+      "--steps", "2000"], "x=nan"),
 ])
 def test_non_finite_x_or_time_exits_2_naming_it(capsys, recwarn, argv, named):
     # rejected where it enters, before any kernel sees it
