@@ -23,9 +23,6 @@ interpolant of the same rate over the rest of the window decides whether
 any maximum can follow: a rate that stays positive, by more than the
 interpolant's own tail, means the density only rises.  A forerunner is
 classified as under the barrier when omega_av < omega_V = V/hbar at its peak.
-A long fixed-x grid, as evolve and spectrogram print it, is read off
-Chebyshev interpolants of Psi and dPsi/dt on octave panels of t
-(panel_trace), which trace a few hundred times in place of every row.
 
 Every interpolant runs through Chebyshev-Lobatto times, so its coefficients
 are one real FFT of the values there (a DCT-I) and it is evaluated by
@@ -42,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmplitudeUnderflow, NotConverged
-from .propagator import (DEFAULT_TOL, WaveTrace, check_times, check_tol,
-                         check_x, pole_cache, trace)
+from .propagator import (DEFAULT_TOL, _cheb_coef, _clenshaw, _lobatto,
+                         check_tol, check_x, pole_cache, trace)
 from .stationary import phi_stationary, transmission
 from .systems import BarrierSystem, HBAR_EV_FS as HBAR
 
@@ -54,9 +51,6 @@ HEIGHT_FLOOR = 1e-6   # least peak density, relative to the long-time plateau
 POLISH_NODES = 16     # Chebyshev-Lobatto times of the polish trace
 RISE_NODES = 65       # Chebyshev-Lobatto times of the no-peak check
 RISE_MARGIN = 10.0    # least rate, in units of the check's interpolant tail
-PANEL_MIN = 1000      # fewest times a fixed-x output reads off panels
-PANEL_NODES = (17, 33, 65, 129, 257)   # nested Lobatto sizes of a panel
-PANEL_TAIL = 0.1      # a panel's largest tail, in units of tol
 
 
 def local_frequency(psi, dpsi_dt):
@@ -98,13 +92,13 @@ def spectrogram(sys: BarrierSystem, x, t_grid, tol=DEFAULT_TOL,
                 poles=None) -> Spectrogram:
     """Local-frequency diagnostics of the transient wave on a time grid.
 
-    Psi and dPsi/dt come from panel_trace: the direct pole sum on a grid
-    of fewer than PANEL_MIN times, Chebyshev panels on a longer one, so
-    the density is bitwise what panel_trace gives with the same arguments.
-    Raises AmplitudeUnderflow, naming x and the first such time, where
-    |Psi| is too small to divide by.
+    Psi and dPsi/dt come from trace, so the density is bitwise what trace
+    gives with the same arguments: the direct pole sum on a grid of fewer
+    than PANEL_MIN times, Chebyshev panels on a longer one.  Raises
+    AmplitudeUnderflow, naming x and the first such time, where |Psi| is
+    too small to divide by.
     """
-    tr = panel_trace(x, t_grid, sys, poles=poles, tol=tol)
+    tr = trace(x, t_grid, sys, poles=poles, tol=tol)
     low = np.flatnonzero(np.abs(tr.psi) < _AMP_FLOOR)
     if low.size:
         raise AmplitudeUnderflow(
@@ -140,7 +134,7 @@ def _plateau_density(sys, x):
     return float(np.abs(phi_stationary(x, sys.k, sys))) ** 2
 
 
-def default_window(sys: BarrierSystem, x=None):
+def default_window(sys: BarrierSystem, x):
     """Scan window bracketing the expected forerunner arrival at position x.
 
     The forerunner peaks on the scale of max(hbar/V, the under-barrier
@@ -153,40 +147,12 @@ def default_window(sys: BarrierSystem, x=None):
     kappa = abs(sys.kappa0)
     t_ref = max(1.0 / sys.omegaV, HBAR * sys.L / (2.0 * sys.c2 * max(kappa, 1e-30)))
     lo, hi = 0.02 * t_ref, 25.0 * t_ref
-    if x is not None and x > sys.L:
+    if x > sys.L:
         v_top = 2.0 * sys.c2 * math.sqrt(sys.v_strength) / HBAR
         t_flight = (x - sys.L) / v_top
         lo = 0.3 * t_ref + 0.25 * t_flight
         hi = hi + 3.0 * t_flight
     return lo, hi
-
-
-def _lobatto(n):
-    """The n Chebyshev-Lobatto points cos(pi j/(n - 1)) of [-1, 1], in
-    ascending order."""
-    return np.cos(np.linspace(-np.pi, 0.0, n))
-
-
-def _cheb_coef(values):
-    """Chebyshev coefficients of the interpolant through values at
-    _lobatto(len(values)), a column per series: one real FFT of the values'
-    even extension (a DCT-I)."""
-    n = len(values) - 1
-    f = values[::-1]                    # at cos(pi j/n), j = 0..n
-    coef = np.fft.rfft(np.concatenate((f, f[-2:0:-1])), axis=0).real / n
-    coef[0] /= 2.0
-    coef[n] /= 2.0
-    return coef
-
-
-def _clenshaw(coef, u):
-    """The Chebyshev series coef (a column per series) at u in [-1, 1], by
-    Clenshaw's recurrence."""
-    u2 = 2.0 * u
-    c0, c1 = coef[-2], coef[-1]
-    for c in coef[-3::-1]:
-        c0, c1 = c - c1, c0 + c1 * u2
-    return c0 + c1 * u
 
 
 def _falling_zero(coef, values):
@@ -218,135 +184,6 @@ def _falling_zero(coef, values):
         else:
             return mid
     return 0.5 * (a + b)
-
-
-def _octaves(t):
-    """The (a, b) ends and row indices of the octave panels of the
-    increasing times t: [t0, 2 t0], [2 t0, 4 t0], ... from t0 = t[0] to
-    t[-1], a last piece under half an octave joined to the one before.  A
-    row on an inner end belongs to the later panel; a panel with no rows
-    is left out."""
-    ends = [t[0]]
-    while 2.0 * ends[-1] < t[-1]:
-        ends.append(2.0 * ends[-1])
-    if len(ends) > 1 and t[-1] < math.sqrt(2.0) * ends[-1]:
-        ends.pop()
-    ends.append(t[-1])
-    rows = np.split(np.arange(len(t)), np.searchsorted(t, ends[1:-1]))
-    return [(a, b, r) for a, b, r in zip(ends, ends[1:], rows) if len(r)]
-
-
-def panel_trace(x, t_grid, sys: BarrierSystem, poles=None,
-                tol=DEFAULT_TOL) -> WaveTrace:
-    """Psi(x, t) and dPsi/dt on a long fixed-x time grid, read off
-    Chebyshev interpolants on octave panels; a grid of fewer than
-    PANEL_MIN times is the direct pole sum, trace, bit for bit.
-
-    Psi(x, .) is analytic for t > 0, so on an octave [t0, 2 t0] its
-    Chebyshev interpolant converges like (3 + sqrt 8)^-n.  Each panel
-    (_octaves) starts at the PANEL_NODES[0] Chebyshev-Lobatto times and
-    doubles through the nested sizes of PANEL_NODES, and each round is one
-    trace at tol over the new nodes of every panel still refining.  Inside
-    the barrier Psi and dPsi/dt are interpolated; beyond it both times
-    e^{-i a^2/t}, a^2 = hbar x^2/(4 c2), the Moshinsky phase that every
-    external term shares.  A panel is accepted when the last three
-    Chebyshev coefficients of both interpolants are within PANEL_TAIL tol
-    times their least modulus at its nodes, and every row's estimate is
-    within tol.  That estimate, trunc_error_est relative to |Psi(t)|, is
-    the Lebesgue constant of the nodes times the largest error estimate
-    of a node plus the Psi interpolant's tail read as noise: node values
-    off by d at random end in coefficients of about d sqrt(2/(n - 1)).  A
-    panel that is still refused at the last size, or whose next size would
-    trace more nodes than it has rows, takes its rows from a trace of its
-    own times, one per stretch of such neighbours.  n_terms_used is the
-    most any trace took.  Where any of these traces misses tol, the grid is
-    summed directly, so what trace refuses is refused with its own error,
-    and nothing else is.
-    """
-    t = check_times(t_grid)
-    if len(t) < PANEL_MIN:
-        return trace(x, t, sys, poles=poles, tol=tol)
-    check_x(x)
-    check_tol(tol)
-    cache = pole_cache(sys, poles)
-    try:
-        psi, dpsi, n_used, err = _panels(x, t, sys, cache, tol)
-    except NotConverged:
-        return trace(x, t, sys, poles=cache, tol=tol)
-    return WaveTrace(x=float(x), times=t, psi=psi, dpsi_dt=dpsi,
-                     n_terms_used=n_used, trunc_error_est=err, system=sys)
-
-
-def _panels(x, t, sys, cache, tol):
-    """panel_trace's rounds: (psi, dpsi, n_terms_used, trunc_error_est)."""
-    a2 = 0.0 if x <= sys.L else HBAR * x * x / (4.0 * sys.c2)
-    psi, dpsi = (np.empty(len(t), dtype=complex) for _ in range(2))
-    err = np.empty(len(t))
-    n_used, direct = 0, []
-    # a refining panel: its ends, its rows and, a row per node, the columns
-    # Re g, Im g, Re h, Im h of the interpolated g, h and the node's
-    # absolute error estimate
-    todo = [(a, b, rows, None) for a, b, rows in _octaves(t)]
-    for size in PANEL_NODES:
-        first = size == PANEL_NODES[0]
-        fresh = size if first else size // 2   # the nodes a panel adds
-        direct += [pan[2] for pan in todo if fresh > len(pan[2])]
-        todo = [pan for pan in todo if fresh <= len(pan[2])]
-        if not todo:
-            break
-        new = []
-        for a, b, _, _ in todo:
-            tn = a + (b - a) * 0.5 * (1.0 + _lobatto(size))
-            tn[0], tn[-1] = a, b
-            new.append(tn if first else tn[1::2])
-        # neighbouring panels share an end in the first round
-        every = np.concatenate(new)
-        tr = trace(x, every[np.concatenate(([True], np.diff(every) > 0.0))],
-                   sys, poles=cache, tol=tol)
-        n_used = max(n_used, tr.n_terms_used)
-        at = np.searchsorted(tr.times, every)
-        phase = np.exp(-1j * a2 / tr.times[at])
-        g, h = tr.psi[at] * phase, tr.dpsi_dt[at] * phase
-        cols = np.column_stack([g.real, g.imag, h.real, h.imag,
-                                tr.trunc_error_est[at] * np.abs(g)])
-        parts = np.split(cols, np.cumsum([len(tn) for tn in new])[:-1])
-        # the Lebesgue constant of the Lobatto points (Trefethen, ATAP,
-        # Thm 15.2), and the noise a tail stands for, over the tail
-        spread = 2.0 / math.pi * math.log(size) + 1.0
-        noise = math.sqrt(0.5 * (size - 1))
-        still = []
-        for (a, b, rows, old), part in zip(todo, parts):
-            vals = part
-            if not first:           # the new nodes fall between the old
-                vals = np.empty((size, 5))
-                vals[0::2], vals[1::2] = old, part
-            coef = _cheb_coef(vals[:, :4])
-            tail = np.max(np.hypot(coef[-3:, 0:4:2], coef[-3:, 1:4:2]), axis=0)
-            least = np.min(np.hypot(vals[:, 0:4:2], vals[:, 1:4:2]), axis=0)
-            if np.all(tail <= PANEL_TAIL * tol * least):
-                u = np.clip((2.0 * t[rows] - (a + b)) / (b - a), -1.0, 1.0)
-                v = _clenshaw(coef, u[:, None])
-                back = np.exp(1j * a2 / t[rows])
-                p_rows = (v[:, 0] + 1j * v[:, 1]) * back
-                e_rows = spread * (np.max(vals[:, 4]) + noise * tail[0]) \
-                    / np.abs(p_rows)
-                if np.all(e_rows <= tol):
-                    psi[rows], err[rows] = p_rows, e_rows
-                    dpsi[rows] = (v[:, 2] + 1j * v[:, 3]) * back
-                    continue
-            still.append((a, b, rows, vals))
-        todo = still
-    # the rest in one trace per stretch of neighbouring panels: the runs
-    # of a trace of a stretch are those of a direct trace from its start
-    rest = sorted(direct + [pan[2] for pan in todo], key=lambda r: r[0])
-    if rest:
-        rest = np.concatenate(rest)
-        for rows in np.split(rest, np.flatnonzero(np.diff(rest) > 1) + 1):
-            tr = trace(x, t[rows], sys, poles=cache, tol=tol)
-            psi[rows], dpsi[rows], err[rows] = tr.psi, tr.dpsi_dt, \
-                tr.trunc_error_est
-            n_used = max(n_used, tr.n_terms_used)
-    return psi, dpsi, n_used, err
 
 
 def _rate_fit(x, lo, hi, n, sys, cache, tol, step):

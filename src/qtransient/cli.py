@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from .analysis import find_time_domain_resonance, panel_trace, spectrogram
+from .analysis import find_time_domain_resonance, spectrogram
 from .config import CsvTable, RunConfig, emit_csv, parse_config, parse_grid
 from .errors import (ConfigError, MissingRequired, NumericalError,
                      ValidationError)
@@ -191,7 +191,7 @@ def cmd_poles(args):
 
 def cmd_evolve(args):
     cfg, sys_, x, t, provenance = _probe(args)
-    tr = panel_trace(x, t, sys_, tol=cfg.tol)
+    tr = trace(x, t, sys_, tol=cfg.tol)
     T2 = abs(transmission(sys_.k, sys_)) ** 2
     rows = [(float(tt), p.real, p.imag, abs(p) ** 2, abs(p) ** 2 / T2,
              tr.n_terms_used, float(e))

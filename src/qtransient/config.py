@@ -35,10 +35,9 @@ from operator import itemgetter
 
 import numpy as np
 
+from . import __version__
 from .errors import ConfigError, MissingRequired, UnknownKey
 from .propagator import DEFAULT_TOL, check_tol
-
-TOOL_VERSION = "0.1.0"
 
 # the keys each section may set; no key is in two sections
 _KEYS = {"system": ("V_eV", "E_eV", "L_nm", "mass_ratio"), "numerics": ("tol",)}
@@ -193,7 +192,7 @@ def render_csv(table: CsvTable) -> str:
                 column = map(_fmt, column)
             specs.append("%s")
         cells.append(column)
-    lines = [f"# qtransient {TOOL_VERSION} {prov}", ",".join(table.columns)]
+    lines = [f"# qtransient {__version__} {prov}", ",".join(table.columns)]
     lines += map(",".join(specs).__mod__, zip(*cells))
     return "\n".join(lines) + "\n"
 

@@ -86,6 +86,11 @@ Moshinsky terms, the exponentials) in chunks of times under another, so
 a run's working memory does not grow with its times, and each time's
 numbers do not depend on the cuts.  One splitter (_slices) cuts the runs,
 blocks and chunks, and one loop (_ragged_sums) sums every ragged table.
+
+trace is the one fixed-x evaluator: a grid of fewer than PANEL_MIN times
+is summed as above (_direct), and a longer one is read off Chebyshev
+interpolants of Psi and dPsi/dt on octave panels of t (_panels), whose
+few hundred nodes are summed as above.
 """
 
 from __future__ import annotations
@@ -135,6 +140,9 @@ _MERGE_C, _MERGE_P = 2.8e-13, 3.1
 # A loss below this is at the rounding of any sum in double precision, so
 # it does not limit the sum, whatever tol asks.
 _MERGE_FLOOR = 1e-15
+PANEL_MIN = 1000      # fewest times a trace reads off panels
+PANEL_NODES = (17, 33, 65, 129, 257)   # nested Lobatto sizes of a panel
+PANEL_TAIL = 0.1      # a panel's largest tail, in units of tol
 
 
 @dataclass(frozen=True)
@@ -154,8 +162,8 @@ class WaveTrace:
     n_terms_used counts the Moshinsky terms summed exactly at the time
     that needs the most, as a rule the earliest: the two incident ones, the
     N exact poles with their mirrors, and any antibound poles.
-    trunc_error_est is each point's estimated error of the closed-form
-    tail, relative to |Psi|.
+    trunc_error_est is each point's estimated error relative to |Psi|, the
+    interpolant's included on a grid read off panels.
     """
 
     x: float
@@ -615,6 +623,151 @@ def check_tol(tol):
             f"tol must be finite, > 0 and < 1, got tol={tol}")
 
 
+def _lobatto(n):
+    """The n Chebyshev-Lobatto points cos(pi j/(n - 1)) of [-1, 1], in
+    ascending order."""
+    return np.cos(np.linspace(-np.pi, 0.0, n))
+
+
+def _cheb_coef(values):
+    """Chebyshev coefficients of the interpolant through values at
+    _lobatto(len(values)), a column per series: one real FFT of the values'
+    even extension (a DCT-I)."""
+    n = len(values) - 1
+    f = values[::-1]                    # at cos(pi j/n), j = 0..n
+    coef = np.fft.rfft(np.concatenate((f, f[-2:0:-1])), axis=0).real / n
+    coef[0] /= 2.0
+    coef[n] /= 2.0
+    return coef
+
+
+def _clenshaw(coef, u):
+    """The Chebyshev series coef (a column per series) at u in [-1, 1], by
+    Clenshaw's recurrence."""
+    u2 = 2.0 * u
+    c0, c1 = coef[-2], coef[-1]
+    for c in coef[-3::-1]:
+        c0, c1 = c - c1, c0 + c1 * u2
+    return c0 + c1 * u
+
+
+def _octaves(t):
+    """The (a, b) ends and row indices of the octave panels of the
+    increasing times t: [t0, 2 t0], [2 t0, 4 t0], ... from t0 = t[0] to
+    t[-1], a last piece under half an octave joined to the one before.  A
+    row on an inner end belongs to the later panel; a panel with no rows
+    is left out."""
+    ends = [t[0]]
+    while 2.0 * ends[-1] < t[-1]:
+        ends.append(2.0 * ends[-1])
+    if len(ends) > 1 and t[-1] < math.sqrt(2.0) * ends[-1]:
+        ends.pop()
+    ends.append(t[-1])
+    rows = np.split(np.arange(len(t)), np.searchsorted(t, ends[1:-1]))
+    return [(a, b, r) for a, b, r in zip(ends, ends[1:], rows) if len(r)]
+
+
+def _panels(x, t, sys, cache, tol) -> WaveTrace:
+    """Psi(x, t) and dPsi/dt on PANEL_MIN or more checked times t, read off
+    Chebyshev interpolants on octave panels of t (_octaves).
+
+    Psi(x, .) is analytic for t > 0, so on an octave its Chebyshev
+    interpolant converges like (3 + sqrt 8)^-n.  Each panel starts at the
+    PANEL_NODES[0] Chebyshev-Lobatto times and doubles through the nested
+    sizes of PANEL_NODES; each round is one direct sum (_direct) at tol
+    over the new nodes of every panel still refining.  Inside the barrier
+    Psi and dPsi/dt are interpolated; beyond it both times e^{-i a^2/t},
+    a^2 = hbar x^2/(4 c2), the Moshinsky phase every external term shares.
+    A panel is accepted when the last three coefficients of both
+    interpolants are within PANEL_TAIL tol times their least modulus at
+    its nodes and every row's estimate is within tol.  That estimate,
+    relative to |Psi(t)|, is the Lebesgue constant of the nodes times the
+    largest node estimate plus the Psi interpolant's tail read as noise:
+    node values off by d at random end in coefficients of about
+    d sqrt(2/(n - 1)).  A panel refused at the last size, or whose next
+    size would sum more nodes than it has rows, takes its rows from a
+    direct sum of its own times, one per stretch of such neighbours.
+    n_terms_used is the most any sum took; a miss of any raises
+    NotConverged.
+    """
+    a2 = 0.0 if x <= sys.L else HBAR * x * x / (4.0 * sys.c2)
+    psi, dpsi = (np.empty(len(t), dtype=complex) for _ in range(2))
+    err = np.empty(len(t))
+    n_used, direct = 0, []
+    # a refining panel: its ends, its rows and, a row per node, the columns
+    # Re g, Im g, Re h, Im h of the interpolated g, h and the node's
+    # absolute error estimate
+    todo = [(a, b, rows, None) for a, b, rows in _octaves(t)]
+    for size in PANEL_NODES:
+        first = size == PANEL_NODES[0]
+        fresh = size if first else size // 2   # the nodes a panel adds
+        direct += [pan[2] for pan in todo if fresh > len(pan[2])]
+        todo = [pan for pan in todo if fresh <= len(pan[2])]
+        if not todo:
+            break
+        new = []
+        for a, b, _, _ in todo:
+            tn = a + (b - a) * 0.5 * (1.0 + _lobatto(size))
+            tn[0], tn[-1] = a, b
+            new.append(tn if first else tn[1::2])
+        # neighbouring panels share an end in the first round
+        every = np.concatenate(new)
+        tr = _direct(x, every[np.concatenate(([True], np.diff(every) > 0.0))],
+                     sys, cache, tol)
+        n_used = max(n_used, tr.n_terms_used)
+        at = np.searchsorted(tr.times, every)
+        phase = np.exp(-1j * a2 / tr.times[at])
+        g, h = tr.psi[at] * phase, tr.dpsi_dt[at] * phase
+        cols = np.column_stack([g.real, g.imag, h.real, h.imag,
+                                tr.trunc_error_est[at] * np.abs(g)])
+        parts = np.split(cols, np.cumsum([len(tn) for tn in new])[:-1])
+        # the Lebesgue constant of the Lobatto points (Trefethen, ATAP,
+        # Thm 15.2), and the noise a tail stands for, over the tail
+        spread = 2.0 / math.pi * math.log(size) + 1.0
+        noise = math.sqrt(0.5 * (size - 1))
+        still = []
+        for (a, b, rows, old), part in zip(todo, parts):
+            vals = part
+            if not first:           # the new nodes fall between the old
+                vals = np.empty((size, 5))
+                vals[0::2], vals[1::2] = old, part
+            coef = _cheb_coef(vals[:, :4])
+            tail = np.max(np.hypot(coef[-3:, 0:4:2], coef[-3:, 1:4:2]), axis=0)
+            least = np.min(np.hypot(vals[:, 0:4:2], vals[:, 1:4:2]), axis=0)
+            if np.all(tail <= PANEL_TAIL * tol * least):
+                u = np.clip((2.0 * t[rows] - (a + b)) / (b - a), -1.0, 1.0)
+                v = _clenshaw(coef, u[:, None])
+                back = np.exp(1j * a2 / t[rows])
+                p_rows = (v[:, 0] + 1j * v[:, 1]) * back
+                e_rows = spread * (np.max(vals[:, 4]) + noise * tail[0]) \
+                    / np.abs(p_rows)
+                if np.all(e_rows <= tol):
+                    psi[rows], err[rows] = p_rows, e_rows
+                    dpsi[rows] = (v[:, 2] + 1j * v[:, 3]) * back
+                    continue
+            still.append((a, b, rows, vals))
+        todo = still
+    # the rest in one sum per stretch of neighbouring panels: the runs of
+    # a sum of a stretch are those of a sum of the grid from its start
+    rest = sorted(direct + [pan[2] for pan in todo], key=lambda r: r[0])
+    if rest:
+        rest = np.concatenate(rest)
+        for rows in np.split(rest, np.flatnonzero(np.diff(rest) > 1) + 1):
+            tr = _direct(x, t[rows], sys, cache, tol)
+            psi[rows], dpsi[rows], err[rows] = tr.psi, tr.dpsi_dt, \
+                tr.trunc_error_est
+            n_used = max(n_used, tr.n_terms_used)
+    return WaveTrace(x=float(x), times=t, psi=psi, dpsi_dt=dpsi,
+                     n_terms_used=n_used, trunc_error_est=err, system=sys)
+
+
+def _direct(x, t, sys, poles=None, tol=DEFAULT_TOL) -> WaveTrace:
+    """trace's pole sum at every one of the checked times t."""
+    psi, dpsi, n_used, err = _assemble(x, t, sys, poles, tol, x <= sys.L)
+    return WaveTrace(x=float(x), times=t, psi=psi, dpsi_dt=dpsi,
+                     n_terms_used=n_used, trunc_error_est=err, system=sys)
+
+
 def trace(x, t_grid, sys: BarrierSystem, poles=None,
           tol=DEFAULT_TOL) -> WaveTrace:
     """Transient wavefunction at fixed x over a time grid.
@@ -624,12 +777,22 @@ def trace(x, t_grid, sys: BarrierSystem, poles=None,
     this system, as pole_cache returns it, to share between traces; one
     shorter than pole_cache's is replaced by a fresh table.  Only the poles
     are shared: each trace computes the expansion coefficients of the pole
-    pool of each of its runs.
+    pool of each of its runs.  A grid of fewer than PANEL_MIN times is
+    summed at every time (_direct), a longer one read off Chebyshev panels
+    (_panels); where any panel sum misses tol, the whole grid is summed
+    directly, so the panels refuse nothing that the direct sum serves.
     """
-    t_grid = check_times(t_grid)
-    psi, dpsi, n_used, err = _assemble(x, t_grid, sys, poles, tol, x <= sys.L)
-    return WaveTrace(x=float(x), times=t_grid, psi=psi, dpsi_dt=dpsi,
-                     n_terms_used=n_used, trunc_error_est=err, system=sys)
+    t = check_times(t_grid)
+    if len(t) < PANEL_MIN:
+        return _direct(x, t, sys, poles, tol)
+    # refused before the pole search, as in the direct sum
+    check_x(x)
+    check_tol(tol)
+    cache = pole_cache(sys, poles)
+    try:
+        return _panels(x, t, sys, cache, tol)
+    except NotConverged:
+        return _direct(x, t, sys, cache, tol)
 
 
 def _sample(x, t, sys, poles, tol, internal) -> WaveSample:

@@ -29,7 +29,12 @@ Oracles:
 * [DERIVED] beyond the barrier and next to the shutter the peak find
   reaches the tolerance asked for, t_max 0.1 nm from the shutter agrees
   with a 1024-pole reference to that tolerance, and a miss is reported at
-  the tolerance asked for, not the scan's.
+  the tolerance asked for, not the scan's;
+* [DERIVED] trace reads a grid of PANEL_MIN or more times off octave
+  panels within tol of the direct sum (_direct) and within its own
+  estimate, summing under a quarter of the rows; noisy or refused node
+  sums leave the rows to the direct sum, bit for bit, and spectrogram
+  reads the same values.
 """
 
 import dataclasses
@@ -41,7 +46,7 @@ import pytest
 from numpy.polynomial.chebyshev import Chebyshev, chebfit, chebpts2, chebval
 
 from qtransient import (analysis, find_time_domain_resonance,
-                        local_frequency, make_system, pole_cache,
+                        local_frequency, make_system, pole_cache, propagator,
                         spectrogram, trace)
 from qtransient.analysis import default_window
 from qtransient.errors import (AmplitudeUnderflow, MergingPolePair,
@@ -319,7 +324,7 @@ def test_chunked_scan_brackets_like_the_full_scan(monkeypatch, E, L,
     cache = pole_cache(sys_)
     scan_tol = max(DEFAULT_TOL, analysis.SCAN_TOL)
     grid = np.linspace(*default_window(sys_, x), analysis.PEAK_SCAN)
-    full = trace(x, grid, sys_, poles=cache, tol=scan_tol)
+    full = propagator._direct(x, grid, sys_, poles=cache, tol=scan_tol)
     # the first interior maximum above the height floor, on the whole grid
     rho = full.abs2
     floor = analysis.HEIGHT_FLOOR * analysis._plateau_density(sys_, x)
@@ -600,7 +605,8 @@ def test_no_peak_check_is_sound_near_the_critical_opacity(monkeypatch):
             continue
         assert not tdr.exists
         grid = np.linspace(*default_window(sys_, x), analysis.PEAK_SCAN)
-        rho = trace(x, grid, sys_, poles=cache, tol=1e-6).abs2
+        rho = propagator._direct(x, grid, sys_, poles=cache,
+                                 tol=1e-6).abs2
         floor = analysis.HEIGHT_FLOOR * analysis._plateau_density(sys_, x)
         assert not np.any((rho[1:-1] > rho[:-2]) & (rho[1:-1] >= rho[2:])
                           & (rho[1:-1] > floor)), (alpha, u, x / sys_.L)
@@ -620,7 +626,7 @@ def test_no_peak_check_miss_names_the_check(monkeypatch):
     assert isinstance(info.value.__cause__, NotConverged)
 
 
-# -- Chebyshev panels for long fixed-x outputs --------------------------------
+# -- Chebyshev panels for long fixed-x traces ---------------------------------
 
 LONG_GRID = np.linspace(0.5, 30.0, 2000)
 
@@ -628,10 +634,10 @@ LONG_GRID = np.linspace(0.5, 30.0, 2000)
 def test_octaves_cover_every_row_once():
     t = np.linspace(1.0, 5.5, 200)
     # 5.5 lies under half an octave past 4: that piece joins [2, 4]
-    panels = analysis._octaves(t)
+    panels = propagator._octaves(t)
     assert [(a, b) for a, b, _ in panels] == [(1.0, 2.0), (2.0, 5.5)]
     t = np.linspace(1.0, 6.0, 200)
-    panels = analysis._octaves(t)
+    panels = propagator._octaves(t)
     assert [(a, b) for a, b, _ in panels] == [(1.0, 2.0), (2.0, 4.0),
                                               (4.0, 6.0)]
     rows = np.concatenate([r for _, _, r in panels])
@@ -641,27 +647,26 @@ def test_octaves_cover_every_row_once():
         assert r[-1] == len(t) - 1 or t[r[-1] + 1] >= b
     # a panel with no rows is left out
     t = np.array([1.0, 1.5, 7.0, 7.5])
-    assert [(a, b) for a, b, _ in analysis._octaves(t)] == [(1.0, 2.0),
-                                                           (4.0, 7.5)]
+    assert [(a, b) for a, b, _ in propagator._octaves(t)] == [(1.0, 2.0),
+                                                             (4.0, 7.5)]
 
 
 @pytest.mark.parametrize("tol", [1e-8, 1e-10])
 @pytest.mark.parametrize("x", [0.05, 2.0, 4.0, 8.0, 20.0])
 def test_panel_rows_meet_tol_within_their_estimates(gaas, gaas_cache,
                                                     monkeypatch, x, tol):
-    traced = []
+    traced, direct_sum = [], propagator._direct
 
     def counted(x_, t_grid, *a, **kw):
         traced.append(len(t_grid))
-        return trace(x_, t_grid, *a, **kw)
+        return direct_sum(x_, t_grid, *a, **kw)
 
-    monkeypatch.setattr(analysis, "trace", counted)
-    panel = analysis.panel_trace(x, LONG_GRID, gaas, poles=gaas_cache,
-                                 tol=tol)
-    # the panels, not the rows, were traced
-    assert sum(traced) < len(LONG_GRID) / 4
-    direct = trace(x, LONG_GRID, gaas, poles=gaas_cache, tol=tol)
-    ref = trace(x, LONG_GRID, gaas, poles=gaas_cache, tol=1e-3 * tol)
+    monkeypatch.setattr(propagator, "_direct", counted)
+    panel = trace(x, LONG_GRID, gaas, poles=gaas_cache, tol=tol)
+    # the panels, not the rows, were summed
+    assert traced and sum(traced) < len(LONG_GRID) / 4
+    direct = direct_sum(x, LONG_GRID, gaas, poles=gaas_cache, tol=tol)
+    ref = direct_sum(x, LONG_GRID, gaas, poles=gaas_cache, tol=1e-3 * tol)
     assert np.all(np.abs(panel.psi - direct.psi) <= tol * np.abs(direct.psi))
     assert np.all(np.abs(panel.dpsi_dt - direct.dpsi_dt)
                   <= tol * np.abs(direct.dpsi_dt))
@@ -672,7 +677,7 @@ def test_panel_rows_meet_tol_within_their_estimates(gaas, gaas_cache,
 
 
 def test_spectrogram_reads_the_panels_bitwise(gaas, gaas_cache):
-    panel = analysis.panel_trace(2.0, LONG_GRID, gaas, poles=gaas_cache)
+    panel = trace(2.0, LONG_GRID, gaas, poles=gaas_cache)
     sg = spectrogram(gaas, 2.0, LONG_GRID, poles=gaas_cache)
     assert np.array_equal(sg.psi, panel.psi)
     assert np.array_equal(sg.trunc_error_est, panel.trunc_error_est)
@@ -682,9 +687,9 @@ def test_spectrogram_reads_the_panels_bitwise(gaas, gaas_cache):
 
 
 def test_grid_below_the_switch_over_is_the_direct_sum(gaas, gaas_cache):
-    t = np.linspace(0.5, 30.0, analysis.PANEL_MIN - 1)
-    panel = analysis.panel_trace(8.0, t, gaas, poles=gaas_cache)
-    direct = trace(8.0, t, gaas, poles=gaas_cache)
+    t = np.linspace(0.5, 30.0, propagator.PANEL_MIN - 1)
+    panel = trace(8.0, t, gaas, poles=gaas_cache)
+    direct = propagator._direct(8.0, t, gaas, poles=gaas_cache)
     for name in ("psi", "dpsi_dt", "trunc_error_est"):
         assert np.array_equal(getattr(panel, name), getattr(direct, name))
     assert panel.n_terms_used == direct.n_terms_used
@@ -695,21 +700,23 @@ def test_noisy_nodes_fail_the_tail_test(gaas, gaas_cache, monkeypatch):
     # later times leaves them (ROADMAP item 8): no panel may accept them,
     # so the rows of every panel, one stretch, are the direct sum's
     tol, rng = 1e-8, np.random.default_rng(7)
+    perturbed, direct_sum = [], propagator._direct
 
     def noisy(x_, t_grid, *a, **kw):
-        tr = trace(x_, t_grid, *a, **kw)
+        tr = direct_sum(x_, t_grid, *a, **kw)
         at = np.searchsorted(LONG_GRID, tr.times)
         if np.array_equal(LONG_GRID[np.minimum(at, len(LONG_GRID) - 1)],
                           tr.times):
             return tr
+        perturbed.append(len(tr.times))
         off = rng.standard_normal((2, len(tr.times)))
         return dataclasses.replace(
             tr, psi=tr.psi * (1.0 + 3.0 * tol * (off[0] + 1j * off[1])))
 
-    monkeypatch.setattr(analysis, "trace", noisy)
-    panel = analysis.panel_trace(2.0, LONG_GRID, gaas, poles=gaas_cache,
-                                 tol=tol)
-    direct = trace(2.0, LONG_GRID, gaas, poles=gaas_cache, tol=tol)
+    monkeypatch.setattr(propagator, "_direct", noisy)
+    panel = trace(2.0, LONG_GRID, gaas, poles=gaas_cache, tol=tol)
+    direct = direct_sum(2.0, LONG_GRID, gaas, poles=gaas_cache, tol=tol)
+    assert perturbed
     assert np.array_equal(panel.psi, direct.psi)
     assert np.array_equal(panel.trunc_error_est, direct.trunc_error_est)
 
@@ -717,18 +724,18 @@ def test_noisy_nodes_fail_the_tail_test(gaas, gaas_cache, monkeypatch):
 def test_a_refused_round_leaves_the_grid_to_the_direct_sum(gaas, gaas_cache,
                                                            monkeypatch):
     # nothing is refused that the direct sum serves: a miss in any panel
-    # trace hands the whole grid to trace
-    calls = []
+    # sum hands the whole grid to the direct sum
+    calls, direct_sum = [], propagator._direct
 
     def refusing(x_, t_grid, *a, **kw):
         calls.append(len(t_grid))
         if len(calls) == 1:
             raise NotConverged("a round's miss")
-        return trace(x_, t_grid, *a, **kw)
+        return direct_sum(x_, t_grid, *a, **kw)
 
-    monkeypatch.setattr(analysis, "trace", refusing)
-    panel = analysis.panel_trace(2.0, LONG_GRID, gaas, poles=gaas_cache)
-    direct = trace(2.0, LONG_GRID, gaas, poles=gaas_cache)
-    assert calls[-1] == len(LONG_GRID)
+    monkeypatch.setattr(propagator, "_direct", refusing)
+    panel = trace(2.0, LONG_GRID, gaas, poles=gaas_cache)
+    direct = direct_sum(2.0, LONG_GRID, gaas, poles=gaas_cache)
+    assert len(calls) == 2 and calls[-1] == len(LONG_GRID)
     assert np.array_equal(panel.psi, direct.psi)
     assert np.array_equal(panel.trunc_error_est, direct.trunc_error_est)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qtransient import (analysis, make_system, propagator, resonances,
+from qtransient import (make_system, propagator, resonances,
                         sweep_freq_vs_x, sweep_tmax_vs_L)
 from qtransient.cli import main
 from qtransient.config import parse_csv
@@ -98,6 +98,34 @@ def test_long_evolve_and_spectrogram_print_the_same_panels(capsys):
     assert all(0.0 < r["err"] <= 1e-8 for r in e)
 
 
+@pytest.mark.parametrize("x", [2.0, 8.0])
+def test_library_trace_is_what_evolve_prints(capsys, monkeypatch, x):
+    # one fixed-x evaluator: the library's trace of a long grid is, bit for
+    # bit, what evolve prints for it, and it reads the grid off panels
+    # whose node sums cover a fraction of the rows
+    t = np.linspace(0.5, 30.0, 2000)
+    code, out, err = run(capsys, GAAS_FLAGS + [
+        "evolve", "--x", repr(x), "--tmin", "0.5", "--tmax", "30",
+        "--steps", "2000"])
+    assert code == 0 and err == ""
+    _, cols, rows = parse_csv(out)
+    printed = {c: [r[cols.index(c)] for r in rows]
+               for c in ("t_fs", "re_psi", "im_psi", "err")}
+    summed, direct_sum = [], propagator._direct
+
+    def counted(x_, t_grid, *a, **kw):
+        summed.append(len(t_grid))
+        return direct_sum(x_, t_grid, *a, **kw)
+
+    monkeypatch.setattr(propagator, "_direct", counted)
+    tr = propagator.trace(x, t, make_system(0.3, 0.001, 4.0, 0.067))
+    assert printed["t_fs"] == t.tolist()
+    assert printed["re_psi"] == tr.psi.real.tolist()
+    assert printed["im_psi"] == tr.psi.imag.tolist()
+    assert printed["err"] == tr.trunc_error_est.tolist()
+    assert summed and sum(summed) < len(t) / 4
+
+
 # ROADMAP item 8's two reproducers at 2000 steps: each round of panel
 # nodes is under 512 times, so one run with one Cauchy ring
 WIDE_WINDOWS = [
@@ -110,24 +138,24 @@ WIDE_WINDOWS = [
 @pytest.mark.parametrize("E,L,x,tmin,tmax", WIDE_WINDOWS)
 def test_long_evolve_over_a_wide_window_meets_tol(capsys, monkeypatch, E, L,
                                                   x, tmin, tmax):
-    traced = []
+    traced, direct_sum = [], propagator._direct
 
     def counted(x_, t_grid, *a, **kw):
         traced.append(len(t_grid))
-        return propagator.trace(x_, t_grid, *a, **kw)
+        return direct_sum(x_, t_grid, *a, **kw)
 
-    monkeypatch.setattr(analysis, "trace", counted)
+    monkeypatch.setattr(propagator, "_direct", counted)
     code, out, err = run(capsys, [
         "--V", "0.3", "--E", repr(E), "--L", repr(L), "--mass-ratio", "0.067",
         "--tol", "1e-10", "evolve", "--x", repr(x), "--tmin", repr(tmin),
         "--tmax", repr(tmax), "--steps", "2000"])
     assert code == 0 and err == ""
-    assert sum(traced) < 2000 / 4
+    assert traced and sum(traced) < 2000 / 4
     _, cols, rows = parse_csv(out)
     rows = [dict(zip(cols, r)) for r in rows]
     psi = np.array([r["re_psi"] + 1j * r["im_psi"] for r in rows])
-    ref = propagator.trace(x, np.linspace(tmin, tmax, 2000),
-                           make_system(0.3, E, L, 0.067), tol=1e-13)
+    ref = direct_sum(x, np.linspace(tmin, tmax, 2000),
+                     make_system(0.3, E, L, 0.067), tol=1e-13)
     assert np.all(np.abs(psi - ref.psi) <= 1e-10 * np.abs(ref.psi))
     assert all(r["err"] <= 1e-10 for r in rows)
 

@@ -13,7 +13,8 @@ Oracles:
   equation rho + 1/rho = 2 kappa(z);
 * [TRIVIAL] that sum, four quarter circles each a chunk at a time, is bit
   for bit the formula over each whole quarter, kept here as a reference,
-  and within 1e-14 of the one FFT over the whole circle, up to the
+  and each coefficient c_p within 4 eps R^p max|rho|, rho's largest
+  modulus on the circle, of the one FFT over the whole circle, up to the
   oracle's step bound and at random (w, theta, n); it holds less than a
   fifth of the whole circle's memory;
 * [DERIVED] successive dx halvings must converge at second order (measured
@@ -49,7 +50,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qtransient import cn_evolve, default_cn_config, make_system, oracle
@@ -140,7 +141,7 @@ def test_matches_closed_domain_reference(gaas, theta):
 def test_transparent_kernel_solves_the_exterior_equation(gaas, theta):
     cfg = default_cn_config(gaas, 1.0)
     w = cfg.dt * gaas.c2 / (HBAR * cfg.dx * cfg.dx)
-    ell = _transparent_kernel(w, theta, 200)
+    ell, _ = _transparent_kernel(w, theta, 200)
     z = 1.5 * np.exp(2j * np.pi * np.arange(16) / 16)
     rho = np.polyval(ell[::-1], 1.0 / z)
     assert np.all(np.abs(rho) < 1.0)
@@ -148,12 +149,13 @@ def test_transparent_kernel_solves_the_exterior_equation(gaas, theta):
 
 
 def _transparent_kernel(w, theta, n):
-    """Laurent coefficients l_0 .. l_n of the decaying exterior root rho(z),
-    the exact discrete transparent boundary kernel, taken by the oracle's
-    coefficient sum from the oracle's root."""
+    """(l, top): the Laurent coefficients l_0 .. l_n of the decaying
+    exterior root rho(z), the exact discrete transparent boundary kernel,
+    taken by the oracle's coefficient sum from the oracle's root, and the
+    largest |rho| on its circle."""
     return oracle._coefficients(
         lambda z: oracle._decaying_root(_two_kappa(w, theta, z)),
-        *oracle._circle(n), np.arange(n + 1))[0]
+        *oracle._circle(n), np.arange(n + 1))
 
 
 def _two_kappa(w, theta, z):
@@ -182,11 +184,21 @@ def _kernel_by_quarters_on_fresh_arrays(w, theta, n):
     return ell * (0.25 * radius ** np.arange(n + 1))
 
 
+# The rounding of coefficient p grows with R^p, as the oracle's own
+# estimate 10 eps R^p max|rho| has it.  Over 20,400 draws of (w, theta, n)
+# from the ranges below the gap to one FFT was at most 1.33 of
+# eps R^p max|rho|, at n = 1; 0.56 at w = 0.4999999999999999, n = 1986.
+_KERNEL_ROUNDING = 4.0
+
+
 def _check_kernel(w, theta, n):
-    got = _transparent_kernel(w, theta, n)
+    got, top = _transparent_kernel(w, theta, n)
     assert got.tobytes() == \
         _kernel_by_quarters_on_fresh_arrays(w, theta, n).tobytes()
-    assert np.max(np.abs(got - _kernel_on_fresh_arrays(w, theta, n))) <= 1e-14
+    _, radius = oracle._circle(n)
+    gap = np.abs(got - _kernel_on_fresh_arrays(w, theta, n))
+    assert np.all(gap <= _KERNEL_ROUNDING * np.finfo(float).eps * top
+                  * radius ** np.arange(n + 1))
 
 
 @pytest.mark.parametrize("n", [101, 5000, 12110, oracle._MAX_STEPS])
@@ -207,6 +219,7 @@ def test_transparent_kernel_is_bitwise_the_formula(theta, n):
 @settings(max_examples=25, deadline=None)
 @given(st.floats(1e-150, 0.5, exclude_max=True), st.floats(0.5, 1.0),
        st.integers(1, 20_000))
+@example(w=0.4999999999999999, theta=0.5, n=1986)
 def test_transparent_kernel_is_bitwise_the_formula_anywhere(w, theta, n):
     # one chunk or several per quarter: each point of the circle is the
     # formula's, bit for bit.  Below w ~ 1e-154, kappa^2 ~ w^-2 overflows

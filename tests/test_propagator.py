@@ -40,15 +40,17 @@ Oracles:
 * [TRIVIAL] a trace of fewer than 2 _RUN times sums all its times in one
   pass, one Moshinsky call with the incident pair inside and outside the
   barrier, and the second pass makes the one further call;
-* [DERIVED] a longer trace is split into runs only where t has doubled,
-  each at least _RUN times, and is bitwise its runs traced one by one; so
+* [DERIVED] a longer direct sum (_direct, which trace reads off panels
+  from PANEL_MIN times on) is split into runs only where t has doubled,
+  each at least _RUN times, and is bitwise its runs summed one by one; so
   GaAs at 8 nm over 2000 times holds under 3 MiB, not one pool's 15.8;
 * [TRIVIAL] each per-time table of a pole sum is formed in blocks of times
   under one element budget: a budget of a few rows per block sums bit for
-  bit what one block per run sums, so 20,000 times hold under 8 MiB;
+  bit what one block per run sums, so 20,000 times summed directly hold
+  under 8 MiB;
 * [TRIVIAL] one splitter cuts the runs, the blocks and the ragged chunks
   exactly as the three rules it replaced, kept here as the references;
-* [DERIVED] whole-window traces, whose first times subtract many exact
+* [DERIVED] whole-window direct sums, whose first times subtract many exact
   terms on the internal ring, read within tol what each of their first
   times reads traced alone at tol 1e-3, at the edge of the two barriers
   that missed it and on seeded (alpha, u) draws inside the barrier;
@@ -809,7 +811,7 @@ def test_whole_window_meets_tol_at_its_first_times(sys_, share, tol):
     # barriers, and by up to 3.1 tol on the draws
     x, table = share * sys_.L, pole_cache(sys_)
     ts = np.linspace(*default_window(sys_, sys_.L), PEAK_SCAN)
-    tr = trace(x, ts, sys_, poles=table, tol=tol)
+    tr = propagator._direct(x, ts, sys_, poles=table, tol=tol)
     for i in range(8):
         ref = trace(x, ts[i:i + 1], sys_, poles=table, tol=1e-3 * tol)
         err = abs(tr.psi[i] - ref.psi[0]) / abs(ref.psi[0])
@@ -925,13 +927,13 @@ def test_long_trace_sums_each_run_on_its_own(gaas, gaas_cache):
     t = np.linspace(0.5, 30.0, 2000)
     for x in (8.0, 2.0):
         tracemalloc.start()
-        tr = trace(x, t, gaas, poles=gaas_cache)
+        tr = propagator._direct(x, t, gaas, poles=gaas_cache)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         if x == 8.0:
             assert peak <= 3 * 2 ** 20
         for run in propagator._runs(t):
-            part = trace(x, t[run], gaas, poles=gaas_cache)
+            part = propagator._direct(x, t[run], gaas, poles=gaas_cache)
             assert np.array_equal(part.psi, tr.psi[run])
             assert np.array_equal(part.dpsi_dt, tr.dpsi_dt[run])
             assert np.array_equal(part.trunc_error_est,
@@ -968,11 +970,11 @@ def test_whole_pass_in_blocks_is_bitwise_one_block(gaas, gaas_cache,
                             counted(name, getattr(propagator, name)))
     monkeypatch.setattr(propagator, "_ragged_sums", ragged)
     monkeypatch.setattr(propagator, "_ROWS", 1 << 40)
-    whole = trace(x, t, gaas, poles=gaas_cache)
+    whole = propagator._direct(x, t, gaas, poles=gaas_cache)
     once = dict(calls)
     calls.update(dict.fromkeys(names, 0))
     monkeypatch.setattr(propagator, "_ROWS", 3 * propagator._RING)
-    blocked = trace(x, t, gaas, poles=gaas_cache)
+    blocked = propagator._direct(x, t, gaas, poles=gaas_cache)
     assert calls["_count"] > 10 * once["_count"]
     assert calls["_moments"] > 10 * once["_moments"]
     assert (calls["chunks"] > once["chunks"]) == (x < gaas.L)
@@ -989,7 +991,7 @@ def test_long_trace_memory_does_not_grow_with_its_times(gaas, gaas_cache, x):
     # 8 nm while a run's times formed each table in one block
     t = np.linspace(0.5, 30.0, 20000)
     tracemalloc.start()
-    trace(x, t, gaas, poles=gaas_cache)
+    propagator._direct(x, t, gaas, poles=gaas_cache)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak <= 8 * 2 ** 20
