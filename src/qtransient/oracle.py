@@ -10,14 +10,17 @@ unconditionally stable implicit theta scheme
     (1 + i theta H dt / hbar) psi_next = (1 - i (1 - theta) H dt / hbar) psi
 
 with tridiagonal H; theta = 0.5 is the norm-preserving Crank-Nicolson
-scheme.  The default is slightly over-implicit, theta = 1/2 + 1/36, paired
-with dt = 0.45 dx^2 hbar / c2: a mode of energy E is damped by about
-(2 theta - 1) (E / hbar)^2 dt / 2 per fs, and (2 theta - 1) dt is kept at
-0.025 dx^2 hbar / c2, so physical frequencies are barely touched while the
-zero-group-velocity band-edge lattice modes radiated by the initial kink at
-the shutter (E ~ 4 c2 / dx^2) decay like e^{-20} per fs on the GaAs grid.
-That junk would otherwise contaminate the exponentially small transmitted
-signal and does not vanish under grid refinement.
+scheme.  The oracle runs one scheme, so a grid is set by dx alone: it is
+slightly over-implicit, theta = 1/2 + 1/36, with dt = 0.45 dx^2 hbar / c2
+(_THETA, _DT).  A mode of energy E is damped by about (2 theta - 1)
+(E / hbar)^2 dt / 2 per fs, and (2 theta - 1) dt is 0.025 dx^2 hbar / c2,
+so physical frequencies are barely touched while the zero-group-velocity
+band-edge lattice modes radiated by the initial kink at the shutter
+(E ~ 4 c2 / dx^2) decay like e^{-20} per fs on the GaAs grid.  That junk
+would otherwise contaminate the exponentially small transmitted signal and
+does not vanish under grid refinement.  dt also sits below the accuracy
+heuristic dx^2 hbar / (2 c2), and w = dt c2 / (hbar dx^2) is 0.45 on every
+grid, so the lattice roots never overflow.
 
 The untapered sea S_j = 2i sin(k x_j) for x_j <= 0 (0 beyond) is an
 eigenvector of the discrete H with eigenvalue lam_s = 2 (c2/dx^2)(1 - cos k
@@ -84,6 +87,8 @@ from .propagator import check_times
 from .systems import BarrierSystem, HBAR_EV_FS as HBAR
 
 _DX_LIMIT = 0.1          # max _scale*dx: ~60 points per wavelength
+_THETA = 0.5 + 1.0 / 36.0   # implicitness; 0.5 is unitary Crank-Nicolson
+_DT = 0.45               # dt in units of dx^2 hbar / c2
 _CHUNK = 1024            # z points per batched lattice solve
 _ALIAS = 1e13            # R^N of the main circle: the alias is chi^{n+N}/1e13
 _AGREE = 1e-9            # a value's relative trust, and retakes' agreement
@@ -97,17 +102,13 @@ _MAX_STEPS = 250_000
 
 @dataclass(frozen=True)
 class CnConfig:
-    """Grid and stepping parameters for the Crank-Nicolson oracle.
+    """The grid of the Crank-Nicolson oracle: its node spacing alone.
 
-    There is no window: cn_evolve solves on the unbounded lattice.
+    There is no window: cn_evolve solves on the unbounded lattice, and its
+    step is _dt(sys, dx).
     """
 
     dx: float               # nm
-    dt: float               # fs
-    theta: float = 0.5 + 1.0 / 36.0
-                            # implicitness; 0.5 is unitary Crank-Nicolson.
-                            # With default_cn_config's dt = 0.45 dx^2 hbar/c2
-                            # damping (2 theta - 1) dt is 0.025 dx^2 hbar/c2
 
 
 def _scale(sys):
@@ -115,37 +116,52 @@ def _scale(sys):
     return max(sys.k, math.sqrt(sys.v_strength))
 
 
+def _dt(sys, dx):
+    """The oracle's step on a grid of spacing dx, in fs."""
+    return _DT * dx * dx * HBAR / sys.c2
+
+
+def _check_dx(dx):
+    """Refuse a dx that is not finite or not positive, naming it: a
+    non-finite grid would only fail later inside numpy."""
+    if not math.isfinite(dx):
+        raise NonFiniteInput(f"dx={dx} must be finite")
+    if dx <= 0.0:
+        raise NonPositiveParameter(f"dx={dx} must be positive")
+
+
 def default_cn_config(sys: BarrierSystem, t_end: float, dx=None) -> CnConfig:
     """A config that satisfies every validity guard for a window [0, t_end].
 
-    dx resolves both the incident wavelength and the barrier scale (snapped
-    so the barrier edges land on grid nodes); dt = 0.45 dx^2 hbar / c2 sits
-    below the accuracy heuristic dt < dx^2 hbar / (2 c2) that _validate
-    enforces, and with the default theta its damping (2 theta - 1) dt is
-    0.025 dx^2 hbar / c2.  Neither depends on t_end: the lattice is
-    unbounded, so nothing grows with the time window.  t_end only sets the
-    step count, which must stay within the oracle's bound (ValidationError
-    otherwise).
+    dx, by default, resolves both the incident wavelength and the barrier
+    scale; a given dx must be finite and positive.  It is snapped so the
+    barrier edges land on grid nodes.  Nothing depends on t_end: the
+    lattice is unbounded, so nothing grows with the time window.  t_end
+    only sets the step count, which must stay within the oracle's bound
+    (ValidationError otherwise, also where dt underflows to 0).
     """
     if dx is None:
         dx = 0.5 * _DX_LIMIT / _scale(sys)
+    _check_dx(dx)
     # snap dx so the barrier edges (and half-width multiples, the usual
     # probe positions) fall exactly on grid nodes; a sub-cell edge offset
-    # shifts the effective width, which the transmission amplifies
-    dx = 0.5 * sys.L / max(1, round(0.5 * sys.L / dx))
-    dt = 0.45 * dx * dx * HBAR / sys.c2
-    _step_count(t_end, dt)
-    return CnConfig(dx=dx, dt=dt)
+    # shifts the effective width, which the transmission amplifies.  A dx
+    # too small to count the cells is left to the step bound
+    cells = 0.5 * sys.L / dx
+    if cells < math.inf:
+        dx = 0.5 * sys.L / max(1, round(cells))
+    _check_steps(t_end, _dt(sys, dx))
+    return CnConfig(dx=dx)
 
 
-def _step_count(t_end, dt):
-    """The most steps a run to t_end can take; raises ValidationError above
-    _MAX_STEPS."""
-    if not t_end / dt < _MAX_STEPS:
+def _check_steps(t_end, dt):
+    """Refuse, with a ValidationError, a run to t_end that needs _MAX_STEPS
+    or more steps of dt; a dt that underflowed to 0 needs infinitely many."""
+    steps = t_end / dt if dt > 0.0 else math.inf
+    if not steps < _MAX_STEPS:
         raise ValidationError(
             f"oracle run to t_end={t_end:.6g} fs at dt={dt:.6g} fs needs "
-            f"{t_end / dt:.6g} steps; the bound is {_MAX_STEPS}")
-    return math.ceil(t_end / dt) + 1
+            f"{steps:.6g} steps; the bound is {_MAX_STEPS}")
 
 
 @dataclass(frozen=True)
@@ -166,14 +182,7 @@ class CnTrace:
 
 
 def _validate(sys, cfg, probes):
-    # a non-positive dt never reaches t_end, and a non-finite grid would
-    # only fail later inside numpy
-    for name in ("dx", "dt"):
-        if not math.isfinite(getattr(cfg, name)):
-            raise NonFiniteInput(f"{name}={getattr(cfg, name)} must be finite")
-        if getattr(cfg, name) <= 0.0:
-            raise NonPositiveParameter(
-                f"{name}={getattr(cfg, name)} must be positive")
+    _check_dx(cfg.dx)
     # the key nodes come from the probes: an empty list has no probe, and a
     # non-finite one no node
     if probes.ndim != 1 or len(probes) == 0:
@@ -185,29 +194,6 @@ def _validate(sys, cfg, probes):
     if scale * cfg.dx >= _DX_LIMIT:
         raise GridTooCoarse(
             f"dx={cfg.dx} resolves neither wave: need dx < {_DX_LIMIT / scale:.4g}")
-    dt_max = 0.5 * cfg.dx * cfg.dx * HBAR / sys.c2
-    if cfg.dt >= dt_max:
-        raise GridTooCoarse(f"dt={cfg.dt} above accuracy heuristic {dt_max:.4g}")
-    if not 0.5 <= cfg.theta <= 1.0:
-        raise GridTooCoarse(f"theta={cfg.theta} outside the stable range [0.5, 1]")
-    # the roots square kappa(z), and on |z| = R, R least on the longest run,
-    # |kappa| <= 1 + (R + 1) / (2 w (theta (R + 1) - 1))
-    w = cfg.dt * (sys.c2 / (cfg.dx * cfg.dx)) / HBAR
-    r = _circle(_MAX_STEPS)[1] + 1.0
-    if not 2.0 * w * (cfg.theta * r - 1.0) * math.sqrt(np.finfo(float).max) > r:
-        raise ValidationError(f"dt={cfg.dt} fs gives w = dt c2/(hbar dx^2) = "
-                              f"{w:.3g}, so small the lattice roots overflow")
-
-
-def check_run(sys: BarrierSystem, cfg: CnConfig, probes, t_end):
-    """The most steps a cn_evolve run to t_end takes.
-
-    Checks every guard on the grid and the probes and the step bound
-    before anything is computed, raising ValidationError (or a subclass)
-    on the first that fails.
-    """
-    _validate(sys, cfg, np.asarray(probes, dtype=float))
-    return _step_count(t_end, cfg.dt)
 
 
 def _points(n):
@@ -336,19 +322,23 @@ def _retake(f, wanted, chi, error):
 def cn_evolve(sys: BarrierSystem, cfg: CnConfig, probes, t_grid) -> CnTrace:
     """Evolve the shutter initial state and sample psi at probe positions.
 
-    The scheme is solved on the unbounded lattice in closed form (see the
-    module docstring).  Probe values are linearly interpolated between the
-    two bracketing nodes, and between the two steps bracketing each
-    requested time (consistent with the O(dt^2) accuracy of the scheme).
+    The times, the grid, the probes and the step bound are checked first,
+    before anything is computed, raising ValidationError (or a subclass) on
+    the first that fails.  The scheme is solved on the unbounded lattice in
+    closed form (see the module docstring).  Probe values are linearly
+    interpolated between the two bracketing nodes, and between the two
+    steps bracketing each requested time (consistent with the O(dt^2)
+    accuracy of the scheme).
     """
     t_grid = check_times(t_grid)
     probes = np.asarray(probes, dtype=float)
-    check_run(sys, cfg, probes, t_grid[-1])
-    dx, theta = cfg.dx, cfg.theta
+    _validate(sys, cfg, probes)
+    dx, dt, theta = cfg.dx, _dt(sys, cfg.dx), _THETA
+    _check_steps(t_grid[-1], dt)
     # a time is reached by the first step s with t <= s dt + slack, a slack
     # relative to dt so a time on a step is not pushed to the next
-    after = np.ceil((t_grid - 1e-9 * cfg.dt) / cfg.dt).clip(min=1.0)
-    frac = t_grid / cfg.dt - (after - 1.0)
+    after = np.ceil((t_grid - 1e-9 * dt) / dt).clip(min=1.0)
+    frac = t_grid / dt - (after - 1.0)
     steps = int(after[-1])
     wanted = np.array(sorted(set(after.tolist()) | set((after - 1).tolist())),
                       dtype=int)
@@ -364,7 +354,7 @@ def cn_evolve(sys: BarrierSystem, cfg: CnConfig, probes, t_grid) -> CnTrace:
     overlap = (np.minimum(x + 0.5 * dx, sys.L)
                - np.maximum(x - 0.5 * dx, 0.0)).clip(min=0.0)
     hop = sys.c2 / (dx * dx)
-    w = cfg.dt * hop / HBAR
+    w = dt * hop / HBAR
     on_key = (sys.V / (dx * hop)) * overlap
     runs = [(i, b - a - 1, 0 <= a and b <= edge)
             for i, (a, b) in enumerate(zip(keys, keys[1:])) if b - a > 1]
@@ -377,10 +367,10 @@ def cn_evolve(sys: BarrierSystem, cfg: CnConfig, probes, t_grid) -> CnTrace:
     sea = np.where(x <= 0.0, 2j * np.sin(sys.k * x), 0.0)
     sea = (1.0 - weight[:, 0]) * sea[lo] + weight[:, 0] * sea[hi]
     lam_s = 2.0 * hop * (1.0 - math.cos(sys.k * dx))
-    g = ((1.0 - 1j * (1.0 - theta) * cfg.dt * lam_s / HBAR)
-         / (1.0 + 1j * theta * cfg.dt * lam_s / HBAR))
+    g = ((1.0 - 1j * (1.0 - theta) * dt * lam_s / HBAR)
+         / (1.0 + 1j * theta * dt * lam_s / HBAR))
     r0 = 2j * hop * math.sin(sys.k * dx)
-    s0 = -1j * cfg.dt / HBAR * r0 * ((1.0 - theta) + g * theta)
+    s0 = -1j * dt / HBAR * r0 * ((1.0 - theta) + g * theta)
 
     def transform(z):
         """X(z) at the probes: G(j, 0) hop from the key-node solve."""

@@ -37,6 +37,7 @@ from .stationary import phase_time_delay
 from .systems import BarrierSystem, length_for_alpha, make_system
 
 ALPHA_TOL = 1e-3   # absolute tolerance of the opacity window edges
+ALPHA_SPAN = (1.2, 6.0)   # the opacities opacity_window searches by default
 # ITP refinement of both edges (Oliveira & Takahashi, ACM TOMS 47, 5 (2020)):
 # truncation kappa1 (b - a)^kappa2 with kappa1 = ITP_K1 / the bracket's
 # width, and ITP_N0 probes of slack over bisection's count
@@ -220,7 +221,7 @@ def _itp(f, a, b, fa, fb):
     return 0.5 * (a + b)
 
 
-def opacity_window(u, V_ref, mass_ratio=1.0, alpha_span=(1.2, 6.0),
+def opacity_window(u, V_ref, mass_ratio=1.0, alpha_span=ALPHA_SPAN,
                    tol=DEFAULT_TOL):
     """(alpha_c, alpha_u): the opacity interval of genuine tunneling forerunners.
 

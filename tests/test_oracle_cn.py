@@ -35,11 +35,15 @@ Oracles:
 * [TRIVIAL] a run longer than the oracle's step bound fails before it
   computes anything, and a probe at 1000 nm runs to 300 fs and leaves the
   other probe's values as they were;
-* [TRIVIAL] a dt so small that the lattice roots would overflow is
-  refused, naming dt and w, before any lattice solve;
-* [DERIVED] the default (dt, theta) keeps (2 theta - 1) dt, the damping of
-  physical modes, at the older (0.25 dx^2 hbar / c2, 0.55) pairing's value,
-  and its traces match that pairing's.
+* [TRIVIAL] a dx that is not finite or not positive is refused, naming dx,
+  before default_cn_config snaps it, and one whose dt underflows to 0 is
+  refused by the step bound, there and in cn_evolve;
+* [DERIVED] the oracle's one (dt, theta) keeps (2 theta - 1) dt, the
+  damping of physical modes, at the older (0.25 dx^2 hbar / c2, 0.55)
+  pairing's value, and its traces match that pairing's.
+
+The scheme's theta and dt are oracle constants; the tests that run it at
+another theta or dt patch them.
 """
 
 import math
@@ -54,10 +58,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qtransient import cn_evolve, default_cn_config, make_system, oracle
-from qtransient.errors import (GridTooCoarse, NonFiniteInput, NonPositiveTime,
+from qtransient.errors import (GridTooCoarse, NonFiniteInput,
+                               NonPositiveParameter, NonPositiveTime,
                                ValidationError)
 from qtransient.moshinsky import moshinsky_m
-from qtransient.oracle import solve_banded
+from qtransient.oracle import CnConfig, solve_banded
 from qtransient.systems import HBAR_EV_FS as HBAR, length_for_alpha
 
 
@@ -95,12 +100,13 @@ def test_second_order_convergence(free_system):
     assert 1.7 <= order <= 2.3
 
 
-_THETAS = [0.5, oracle.CnConfig.theta]   # unitary and the default
+_THETAS = [0.5, oracle._THETA]   # unitary and the oracle's own
 
 
 @pytest.mark.parametrize("theta", _THETAS)
-def test_window_independence(gaas, theta):
-    cfg = replace(default_cn_config(gaas, 30.0), theta=theta)
+def test_window_independence(gaas, monkeypatch, theta):
+    monkeypatch.setattr(oracle, "_THETA", theta)
+    cfg = default_cn_config(gaas, 30.0)
     times = np.linspace(1.0, 30.0, 59)
     probes = [2.0, 4.0, 8.0]
     ref = cn_evolve(gaas, cfg, probes, times).psi
@@ -126,13 +132,15 @@ def _hard_wall_reference(sys_, cfg, x, probes, n_steps):
 
 
 @pytest.mark.parametrize("theta", _THETAS)
-def test_matches_closed_domain_reference(gaas, theta):
-    cfg = replace(default_cn_config(gaas, 1.0), theta=theta)
+def test_matches_closed_domain_reference(gaas, monkeypatch, theta):
+    monkeypatch.setattr(oracle, "_THETA", theta)
+    cfg = default_cn_config(gaas, 1.0)
     probes = [2.0, 4.0, 8.0]     # grid nodes, so no interpolation in x
-    n_steps = math.floor(1.0 / cfg.dt)
+    dt = oracle._dt(gaas, cfg.dx)
+    n_steps = math.floor(1.0 / dt)
     ref = _hard_wall_reference(gaas, cfg, _wide_grid(cfg), probes, n_steps)
     marks = np.array([n_steps // 4, n_steps // 2, n_steps])
-    got = cn_evolve(gaas, cfg, probes, marks * cfg.dt).psi
+    got = cn_evolve(gaas, cfg, probes, marks * dt).psi
     want = ref[:, marks - 1]
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-11
 
@@ -140,7 +148,7 @@ def test_matches_closed_domain_reference(gaas, theta):
 @pytest.mark.parametrize("theta", _THETAS)
 def test_transparent_kernel_solves_the_exterior_equation(gaas, theta):
     cfg = default_cn_config(gaas, 1.0)
-    w = cfg.dt * gaas.c2 / (HBAR * cfg.dx * cfg.dx)
+    w = oracle._dt(gaas, cfg.dx) * gaas.c2 / (HBAR * cfg.dx * cfg.dx)
     ell, _ = _transparent_kernel(w, theta, 200)
     z = 1.5 * np.exp(2j * np.pi * np.arange(16) / 16)
     rho = np.polyval(ell[::-1], 1.0 / z)
@@ -245,16 +253,8 @@ def test_trace_shape_and_probe_order(gaas):
 
 
 def test_grid_guards(gaas):
-    good = default_cn_config(gaas, 2.0)
-    t = np.array([2.0])
     with pytest.raises(GridTooCoarse):
-        cn_evolve(gaas, replace(good, dx=1.0), [gaas.L], t)
-    with pytest.raises(GridTooCoarse):
-        cn_evolve(gaas, replace(good, dt=10.0 * good.dt), [gaas.L], t)
-    with pytest.raises(GridTooCoarse):
-        cn_evolve(gaas, replace(good, theta=0.3), [gaas.L], t)
-    with pytest.raises(GridTooCoarse):
-        cn_evolve(gaas, replace(good, theta=1.2), [gaas.L], t)
+        cn_evolve(gaas, CnConfig(dx=1.0), [gaas.L], np.array([2.0]))
 
 
 @pytest.mark.parametrize("probes, error", [
@@ -296,15 +296,17 @@ def _random_operator(rng, n):
 
 def _theta_operators(sys_, cfg, x):
     """A = 1 + i theta H dt / hbar and B = 1 - i (1 - theta) H dt / hbar,
-    each as (sub, diag, sup), on the grid x closed by hard walls."""
+    each as (sub, diag, sup), on the grid x closed by hard walls, at the
+    oracle's theta and dt."""
     overlap = (np.minimum(x + 0.5 * cfg.dx, sys_.L)
                - np.maximum(x - 0.5 * cfg.dx, 0.0)).clip(min=0.0)
     hop = sys_.c2 / (cfg.dx * cfg.dx)
     h_diag = 2.0 * hop + (sys_.V / cfg.dx) * overlap
     h_off = np.full(len(x) - 1, -hop, dtype=complex)
+    dt, theta = oracle._dt(sys_, cfg.dx), oracle._THETA
     return [(lam * h_off, 1.0 + lam * h_diag, lam * h_off)
-            for lam in (1j * cfg.dt * cfg.theta / HBAR,
-                        -1j * cfg.dt * (1.0 - cfg.theta) / HBAR)]
+            for lam in (1j * dt * theta / HBAR,
+                        -1j * dt * (1.0 - theta) / HBAR)]
 
 
 def _wide_grid(cfg):
@@ -326,7 +328,8 @@ def _key_node_systems(sys_, cfg, probes, t_end, monkeypatch):
 
     monkeypatch.setattr(oracle, "solve_banded", solve)
     cn_evolve(sys_, cfg, probes, np.array([t_end]))
-    return seen[:oracle._circle(math.ceil(t_end / cfg.dt))[0] // 1024]
+    steps = math.ceil(t_end / oracle._dt(sys_, cfg.dx))
+    return seen[:oracle._circle(steps)[0] // 1024]
 
 
 @pytest.mark.parametrize("which", ["random", "gaas", "window", "w=1e-6"])
@@ -345,7 +348,7 @@ def test_factored_step_matches_scipy_solve_banded(gaas, monkeypatch, which):
             sub, diag, sup = _random_operator(rng, 500)
         else:
             if which == "w=1e-6":
-                cfg = replace(cfg, dt=1e-6 * cfg.dx * cfg.dx * HBAR / gaas.c2)
+                monkeypatch.setattr(oracle, "_DT", 1e-6)
             sub, diag, sup = _theta_operators(gaas, cfg, _wide_grid(cfg))[0]
         ab = _banded(sub, diag, sup)
         rhs = rng.standard_normal(len(diag)) + 1j * rng.standard_normal(len(diag))
@@ -371,7 +374,8 @@ def test_unpivoted_solve_matches_scipy_on_the_key_node_systems(
     # matches scipy's pivoted solve, column by column, at every 16th z
     sys_ = gaas if alpha is None else make_system(
         0.3, 0.001, length_for_alpha(alpha, 0.3, 0.067), 0.067)
-    cfg = replace(default_cn_config(sys_, 30.0), theta=theta)
+    monkeypatch.setattr(oracle, "_THETA", theta)
+    cfg = default_cn_config(sys_, 30.0)
     systems = _key_node_systems(sys_, cfg, [1.5 * sys_.L], 30.0, monkeypatch)
     assert len(systems) == 64
     for ab, rhs, got in systems:
@@ -395,9 +399,19 @@ def test_non_finite_step_input_raises(bad):
 
 def test_singular_operator_raises():
     zeros = np.zeros(50, dtype=complex)
-    with pytest.raises(scipy.linalg.LinAlgError):
+    with pytest.raises(scipy.linalg.LinAlgError, match="row 0"):
         solve_banded((1, 1), _banded(zeros[:-1], zeros, zeros[:-1]),
                      np.ones(50))
+    # the 2x2 all-ones system: the first pivot is 1, the last 1 - 1 = 0
+    ones = np.ones(2, dtype=complex)
+    with pytest.raises(scipy.linalg.LinAlgError, match="row 1"):
+        solve_banded((1, 1), _banded(ones[:1], ones, ones[:1]), ones)
+
+
+def test_only_the_tridiagonal_layout_is_solved():
+    sub, diag, sup = _random_operator(np.random.default_rng(5), 4)
+    with pytest.raises(ValueError, match=r"\(2, 1\)"):
+        solve_banded((2, 1), _banded(sub, diag, sup), np.ones(4))
 
 
 def _history_stepper(sys_, cfg, probes, times):
@@ -405,31 +419,32 @@ def _history_stepper(sys_, cfg, probes, times):
     closed form: an explicit B, scipy.linalg.solve_banded on every step and
     the whole edge history dotted with the transparent kernel on every
     step, on a window two nodes wider than x = 0, the barrier and the
-    probes; the sea, source and sampling rule are cn_evolve's."""
+    probes; the sea, source, sampling rule, theta and dt are cn_evolve's."""
     probes = np.asarray(probes, dtype=float)
+    dt, theta = oracle._dt(sys_, cfg.dx), oracle._THETA
     lo = math.floor(min(0.0, probes.min()) / cfg.dx) - 2
     hi = math.ceil(max(sys_.L, probes.max()) / cfg.dx) + 2
     x = cfg.dx * np.arange(lo, hi + 1)
-    steps = math.ceil(times[-1] / cfg.dt) + 1
+    steps = math.ceil(times[-1] / dt) + 1
     hop = sys_.c2 / (cfg.dx * cfg.dx)
-    w = cfg.dt * hop / HBAR
-    ell = _kernel_on_fresh_arrays(w, cfg.theta, steps)
+    w = dt * hop / HBAR
+    ell = _kernel_on_fresh_arrays(w, theta, steps)
     a, b = _theta_operators(sys_, cfg, x)
     # each operator's corners carry its share of chi_out = l_0 chi_edge
-    a[1][[0, -1]] -= 1j * cfg.dt * cfg.theta / HBAR * hop * ell[0]
-    b[1][[0, -1]] += 1j * cfg.dt * (1.0 - cfg.theta) / HBAR * hop * ell[0]
+    a[1][[0, -1]] -= 1j * dt * theta / HBAR * hop * ell[0]
+    b[1][[0, -1]] += 1j * dt * (1.0 - theta) / HBAR * hop * ell[0]
     ab, b_op = _banded(*a), scipy.sparse.diags(b, [-1, 0, 1])
-    memory = cfg.theta * ell[1:] + (1.0 - cfg.theta) * ell[:-1]
-    memory[0] = cfg.theta * ell[1]
+    memory = theta * ell[1:] + (1.0 - theta) * ell[:-1]
+    memory[0] = theta * ell[1]
     memory *= 1j * w
     history = np.zeros((2, steps + 1), dtype=complex)   # newest first
 
     sea = np.where(x <= 0.0, 2j * np.sin(sys_.k * x), 0.0)
     lam_s = 2.0 * hop * (1.0 - math.cos(sys_.k * cfg.dx))
-    g = ((1.0 - 1j * (1.0 - cfg.theta) * cfg.dt * lam_s / HBAR)
-         / (1.0 + 1j * cfg.theta * cfg.dt * lam_s / HBAR))
+    g = ((1.0 - 1j * (1.0 - theta) * dt * lam_s / HBAR)
+         / (1.0 + 1j * theta * dt * lam_s / HBAR))
     r0 = 2j * hop * math.sin(sys_.k * cfg.dx)
-    s0 = -1j * cfg.dt / HBAR * r0 * ((1.0 - cfg.theta) + g * cfg.theta)
+    s0 = -1j * dt / HBAR * r0 * ((1.0 - theta) + g * theta)
     frac = probes / cfg.dx - lo
     j_p = np.clip(np.floor(frac).astype(int), 0, len(x) - 2)
     w_p = frac - j_p
@@ -448,10 +463,10 @@ def _history_stepper(sys_, cfg, probes, times):
         prev, t_prev = chi, t_now
         chi = scipy.linalg.solve_banded((1, 1), ab, b_op @ chi + load)
         step += 1
-        t_now += cfg.dt
+        t_now += dt
         history[:, steps - step] = chi[0], chi[-1]
         while i_t < len(times) and times[i_t] <= t_now + 1e-12:
-            f = (times[i_t] - t_prev) / cfg.dt
+            f = (times[i_t] - t_prev) / dt
             out[:, i_t] = ((1.0 - f) * at_probes(prev, step - 1)
                            + f * at_probes(chi, step))
             i_t += 1
@@ -461,21 +476,22 @@ def _history_stepper(sys_, cfg, probes, times):
 @pytest.mark.parametrize("theta", _THETAS)
 @pytest.mark.parametrize("which", ["free", "gaas", "unsnapped"])
 def test_cn_evolve_matches_the_per_step_history_stepper(free_system, gaas,
-                                                        which, theta):
+                                                        monkeypatch, which,
+                                                        theta):
     # dx/2 on the free system keeps its steps as short as GaAs's, so the
     # 390 steps fit in under 2 fs; unsnapped: a dx that puts both barrier
     # edges inside cells, whose partial potential the key nodes around L
     # and x = 0 carry
     sys_, probes, dx = ((free_system, [0.5, 1.5], 0.025) if which == "free"
                         else (gaas, [2.0, 6.0], None))
-    cfg = replace(default_cn_config(sys_, 2.0, dx=dx), theta=theta)
+    monkeypatch.setattr(oracle, "_THETA", theta)
+    cfg = default_cn_config(sys_, 2.0, dx=dx)
     if which == "unsnapped":
-        dx = 0.97 * cfg.dx
-        cfg = replace(cfg, dx=dx, dt=0.45 * dx * dx * HBAR / gaas.c2)
-        assert gaas.L / dx % 1.0 > 0.1
+        cfg = CnConfig(dx=0.97 * cfg.dx)
+        assert gaas.L / cfg.dx % 1.0 > 0.1
     # the first step, neighbouring steps and a time between steps
     marks = np.array([1, 127, 128, 129, 256, 257, 389.5])
-    times = marks * cfg.dt
+    times = marks * oracle._dt(sys_, cfg.dx)
     assert times[-1] <= 2.0
     got = cn_evolve(sys_, cfg, probes, times).psi
     want = _history_stepper(sys_, cfg, probes, times)
@@ -499,10 +515,11 @@ def test_cn_evolve_matches_the_stepper_across_opacities(alpha):
 
 
 @pytest.mark.parametrize("theta", _THETAS)
-def test_a_longer_run_repeats_the_shorter_one(gaas, theta):
+def test_a_longer_run_repeats_the_shorter_one(gaas, monkeypatch, theta):
     # the kernel's FFT length and the block count change with the run
     # length; the shared times must not
-    cfg = replace(default_cn_config(gaas, 3.0), theta=theta)
+    monkeypatch.setattr(oracle, "_THETA", theta)
+    cfg = default_cn_config(gaas, 3.0)
     short = np.linspace(0.1, 1.0, 10)
     longer = np.concatenate([short, np.linspace(1.2, 3.0, 10)])
     ref = cn_evolve(gaas, cfg, [2.0, 6.0], short).psi
@@ -510,17 +527,19 @@ def test_a_longer_run_repeats_the_shorter_one(gaas, theta):
     assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-10
 
 
-def test_trace_reports_its_steps(gaas):
+def test_trace_reports_its_steps(gaas, monkeypatch):
     cfg = default_cn_config(gaas, 30.0)
     # validate's oracle run
     cn = cn_evolve(gaas, cfg, [6.0], np.array([30.0]))
     assert cn.steps == 12110
-    cn = cn_evolve(gaas, cfg, [-1.0, 2.0], np.array([0.1, 100.5 * cfg.dt]))
+    cn = cn_evolve(gaas, cfg, [-1.0, 2.0],
+                   np.array([0.1, 100.5 * oracle._dt(gaas, cfg.dx)]))
     assert cn.steps == 101
     # a time is reached within a slack relative to dt: at a tiny dt each
     # of 200 times on the steps takes its own step
-    tiny = replace(cfg, dt=cfg.dt * 1e-150)
-    cn = cn_evolve(gaas, tiny, [6.0], np.arange(1, 201) * tiny.dt)
+    monkeypatch.setattr(oracle, "_DT", oracle._DT * 1e-150)
+    tiny = oracle._dt(gaas, cfg.dx)
+    cn = cn_evolve(gaas, cfg, [6.0], np.arange(1, 201) * tiny)
     assert cn.steps == 200
 
 
@@ -563,44 +582,20 @@ def test_far_probe_run_completes_and_leaves_the_near_rows_unchanged(gaas):
         <= 1e-10
 
 
-@pytest.mark.parametrize("scale", [1e-154, 1e-160])
-def test_tiny_dt_is_refused_naming_dt_and_w(gaas, monkeypatch, scale):
-    # w = dt c2/(hbar dx^2) of 4.5e-155 or less squares kappa ~ 1/w past
-    # the largest float: refused before any lattice solve, with no
-    # RuntimeWarning (the suite makes it an error) and no bare ValueError
-    good = default_cn_config(gaas, 2.0)
-    bad = replace(good, dt=good.dt * scale)
-
-    def solved(*args):
-        raise AssertionError("a lattice system was solved")
-
-    monkeypatch.setattr(oracle, "solve_banded", solved)
-    named = rf"dt={bad.dt} fs gives w = dt c2/\(hbar dx\^2\) = 4.5e-"
-    for call in (lambda: oracle._validate(gaas, bad, np.array([gaas.L])),
-                 lambda: oracle.check_run(gaas, bad, [gaas.L], 200 * bad.dt),
-                 lambda: cn_evolve(gaas, bad, [gaas.L],
-                                   np.array([200 * bad.dt]))):
-        with pytest.raises(ValidationError, match=named):
-            call()
-    # at w = 4.5e-151 a 200-step run passes, and its values are finite
-    monkeypatch.undo()
-    fine = replace(good, dt=good.dt * 1e-150)
-    assert oracle.check_run(gaas, fine, [gaas.L], 200 * fine.dt) == 201
-    cn = cn_evolve(gaas, fine, [gaas.L], np.array([200 * fine.dt]))
-    assert np.isfinite(cn.psi).all()
-
-
-def test_default_pairs_dt_with_theta(gaas):
+def test_default_pairs_dt_with_theta(gaas, monkeypatch):
     cfg = default_cn_config(gaas, 6.0)
     unit = cfg.dx * cfg.dx * HBAR / gaas.c2
-    # the physical damping (2 theta - 1) dt of the older (0.25, 0.55) pairing
-    assert (2.0 * cfg.theta - 1.0) * cfg.dt / unit == pytest.approx(0.025,
+    dt = oracle._dt(gaas, cfg.dx)
+    # the physical damping (2 theta - 1) dt of the older (0.25, 0.55)
+    # pairing, at a dt below the accuracy heuristic dx^2 hbar / (2 c2)
+    assert (2.0 * oracle._THETA - 1.0) * dt / unit == pytest.approx(0.025,
                                                                     rel=1e-12)
-    assert cfg.dt < 0.5 * unit
+    assert dt < 0.5 * unit
     probes, times = [2.0, 4.0, 8.0], np.linspace(2.5, 6.0, 8)
     new = cn_evolve(gaas, cfg, probes, times).abs2
-    old = cn_evolve(gaas, replace(cfg, theta=0.55, dt=0.25 * unit),
-                    probes, times).abs2
+    monkeypatch.setattr(oracle, "_THETA", 0.55)
+    monkeypatch.setattr(oracle, "_DT", 0.25)
+    old = cn_evolve(gaas, cfg, probes, times).abs2
     assert np.max(np.abs(new - old) / old) <= 2e-4
 
 
@@ -608,7 +603,6 @@ _NAN, _INF = float("nan"), float("inf")
 
 
 @pytest.mark.parametrize("field, value", [
-    ("dt", 0.0), ("dt", -1e-3), ("dt", _NAN), ("dt", _INF),
     ("dx", "negated"), ("dx", 0.0), ("dx", _NAN),
 ])
 def test_invalid_grid_is_rejected_by_field(gaas, field, value):
@@ -617,8 +611,33 @@ def test_invalid_grid_is_rejected_by_field(gaas, field, value):
         value = -good.dx
     bad = replace(good, **{field: value})
     t = np.array([2.0])
-    # through _validate first: a step loop with dt <= 0 never ends
     with pytest.raises(ValidationError, match=field):
         oracle._validate(gaas, bad, np.array([gaas.L]))
     with pytest.raises(ValidationError, match=field):
         cn_evolve(gaas, bad, [gaas.L], t)
+
+
+@pytest.mark.parametrize("dx, error", [
+    (_NAN, NonFiniteInput), (0.0, NonPositiveParameter),
+    (1e-300, None), (-1.0, NonPositiveParameter), (_INF, NonFiniteInput),
+    (1e-320, None),
+])
+def test_default_config_refuses_a_bad_dx(gaas, monkeypatch, dx, error):
+    # refused naming dx before the snap, which divides by dx and rounds
+    # L/(2 dx), so a negative or infinite dx would come out as L/2.  At
+    # 1e-300 (and 1e-320, whose cell count overflows) dt underflows to 0,
+    # and the step bound refuses the run there and in cn_evolve, before
+    # any lattice solve
+    def solved(*args):
+        raise AssertionError("a lattice system was solved")
+
+    monkeypatch.setattr(oracle, "solve_banded", solved)
+    if error is not None:
+        with pytest.raises(error, match=f"dx={dx}"):
+            default_cn_config(gaas, 2.0, dx=dx)
+        return
+    bound = r"at dt=0 fs needs inf steps; the bound is 250000"
+    with pytest.raises(ValidationError, match=bound):
+        default_cn_config(gaas, 2.0, dx=dx)
+    with pytest.raises(ValidationError, match=bound):
+        cn_evolve(gaas, CnConfig(dx=dx), [gaas.L], np.array([2.0]))

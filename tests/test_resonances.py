@@ -22,7 +22,7 @@ Oracles:
 * [DERIVED] the analytic Gamow normalization must agree with direct
   Gauss-Legendre quadrature of u_n^2 plus the boundary term, and, up to
   n = 2047, with the normalization integral evaluated at 40 digits on an
-  mpmath-polished root;
+  mpmath-polished root; where it vanishes, at k = -2i/L, it is refused;
 * [TRIVIAL] the vectorised expansion coefficients equal their per-pole
   closed forms;
 * [TRIVIAL] a shorter pole search gives bitwise the first rows of the
@@ -40,7 +40,7 @@ import pytest
 
 from qtransient import find_poles, make_system, resonances
 from qtransient.errors import (CountMismatch, NonPositiveParameter,
-                               PoleNotConverged)
+                               NormalizationSingular, PoleNotConverged)
 from qtransient.propagator import HARD_CAP
 from qtransient.resonances import (RESIDUAL_TOL, _pole_set, audit_pole_count,
                                    expansion_coeffs, find_axis_poles,
@@ -369,6 +369,14 @@ def test_gamow_normalization_is_stable_under_one_ulp(gaas, gaas_cache):
             got = gamow_boundary_data(moved, gaas)[3]
             change = np.minimum(np.abs(got - base), np.abs(got + base))
             assert np.all(change <= 1e-13 * np.abs(base))
+
+
+def test_gamow_norm_vanishing_at_the_double_root_is_refused(gaas):
+    # the norm -2v (L + 2i/k) is zero at k = -2i/L, alone or in a batch
+    k = -2j / gaas.L
+    for poles in (k, [0.5 - 0.1j, k]):
+        with pytest.raises(NormalizationSingular, match="vanishing Gamow norm"):
+            gamow_boundary_data(poles, gaas)
 
 
 def _coeffs_one_by_one(x, poles, sys_):

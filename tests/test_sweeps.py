@@ -56,6 +56,9 @@ def test_linear_suffix_on_synthetic_data():
     assert r2 > 0.999999
     ragged = _table([0.0, 10.0, 0.0, 10.0, 0.0, 10.0])
     assert linear_suffix(ragged) is None
+    # no peak in the last two rows: once fewer than three finite rows
+    # remain the search stops, with no line
+    assert linear_suffix(_table([1.0, 5.0, 2.0, np.nan, np.nan])) is None
 
 
 def test_sweep_validation(gaas, monkeypatch):
