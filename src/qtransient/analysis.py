@@ -24,6 +24,12 @@ any maximum can follow: a rate that stays positive, by more than the
 interpolant's own tail, means the density only rises.  A forerunner is
 classified as under the barrier when omega_av < omega_V = V/hbar at its peak.
 
+Many searches run in lockstep (find_time_domain_resonances): each search
+is a generator that yields the traces it needs, and each round traces the
+next request of every search still open as one batch (traces), so the
+pole sums of a stage serve every probe at once while each probe gets
+bitwise what it gets searched alone.
+
 Every interpolant runs through Chebyshev-Lobatto times, so its coefficients
 are one real FFT of the values there (a DCT-I) and it is evaluated by
 Clenshaw's recurrence; the zero is the first fall of the rate interpolant
@@ -38,9 +44,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmplitudeUnderflow, NotConverged
+from .errors import AmplitudeUnderflow, NotConverged, QTransientError, single
 from .propagator import (DEFAULT_TOL, _cheb_coef, _clenshaw, _lobatto,
-                         check_tol, check_x, pole_cache, trace)
+                         batches, check_tol, check_x, pole_caches, trace,
+                         traces)
 from .stationary import phi_stationary, transmission
 from .systems import BarrierSystem, HBAR_EV_FS as HBAR
 
@@ -187,27 +194,26 @@ def _falling_zero(coef, values):
 
 
 def _rate_fit(x, lo, hi, n, sys, cache, tol, step):
-    """The trace at tol on n Chebyshev-Lobatto times over [lo, hi], the
-    envelope rate Re[(dPsi/dt)/Psi] there and the Chebyshev coefficients
-    of its interpolant; a miss names `step`."""
+    """Yields the trace at tol on n Chebyshev-Lobatto times over [lo, hi]
+    as a request of a search (_search), and returns it with the envelope
+    rate Re[(dPsi/dt)/Psi] there and the Chebyshev coefficients of its
+    interpolant; a miss names `step`."""
     nodes = lo + (hi - lo) * 0.5 * (1.0 + _lobatto(n))
     try:
-        w = trace(x, nodes, sys, poles=cache, tol=tol)
+        w = yield x, nodes, sys, cache, tol
     except NotConverged as exc:
         raise type(exc)(f"{step} of the peak search: {exc}") from exc
     rate = np.real(w.dpsi_dt / w.psi)
     return w, rate, _cheb_coef(rate)
 
 
-def _rises_throughout(x, times, sys, cache, tol):
+def _rises_throughout(times, rate, coef, tol):
     """True if the envelope rate is certified positive at every one of times:
-    its interpolant through RISE_NODES times spanning them stays above
-    RISE_MARGIN times the larger of its last two coefficients plus tol
-    times the largest |rate| traced, so |Psi| rises strictly from each of
-    `times` to the next."""
+    its interpolant through RISE_NODES times spanning them (rate there,
+    coef its Chebyshev coefficients) stays above RISE_MARGIN times the
+    larger of its last two coefficients plus tol times the largest |rate|
+    traced, so |Psi| rises strictly from each of `times` to the next."""
     lo, hi = times[0], times[-1]
-    _, rate, coef = _rate_fit(x, lo, hi, RISE_NODES, sys, cache, tol,
-                              "no-peak check")
     margin = (RISE_MARGIN * np.max(np.abs(coef[-2:]))
               + tol * np.max(np.abs(rate)))
     u = (2.0 * times - (lo + hi)) / (hi - lo)
@@ -241,13 +247,74 @@ def find_time_domain_resonance(sys: BarrierSystem, x=None, tol=DEFAULT_TOL,
     where the scan and the polish disagree, or if the last two Chebyshev
     coefficients of Psi or of dPsi/dt exceed tol times its size at t_max.
     Returns exists=False when the density rises monotonically (no
-    forerunner), as happens below the critical opacity.
+    forerunner), as happens below the critical opacity.  This is
+    find_time_domain_resonances of one probe.
     """
-    if x is None:
-        x = sys.L
-    check_x(x)
-    check_tol(tol)
-    cache = pole_cache(sys, poles)
+    return single(find_time_domain_resonances([(sys, x, poles)], tol))
+
+
+def find_time_domain_resonances(probes, tol=DEFAULT_TOL) -> list:
+    """find_time_domain_resonance for many probes in lockstep, each a tuple
+    (sys, x, poles), x None for the barrier edge: a list with each probe's
+    TimeDomainResonance, or the error its search raises.
+
+    The probes run in lockstep batches of at most BATCH (batches).  In a
+    batch, the systems without a table are searched first, in one Newton
+    (pole_caches).  Then every search still open asks for its next trace
+    -- its first scan chunk, no-peak check, later chunk or polish -- and
+    all of them are traced as one batch (traces), so each stage's pole
+    sums serve every probe at once.  A search's numbers do not depend on
+    the others in its batch.
+    """
+    probes = list(probes)
+    return [r for part in batches(len(probes))
+            for r in _lockstep(probes[part], tol)]
+
+
+def _lockstep(probes, tol):
+    """find_time_domain_resonances of one batch."""
+    out, live = [None] * len(probes), []
+    for i, (sys, x, poles) in enumerate(probes):
+        x = sys.L if x is None else x
+        try:
+            check_x(x)
+            check_tol(tol)
+        except QTransientError as exc:
+            out[i] = exc
+        else:
+            live.append((i, sys, x, poles))
+    searches = {}
+    caches = pole_caches([p[1] for p in live], [p[3] for p in live]) \
+        if live else []
+    for (i, sys, x, _), cache in zip(live, caches):
+        if isinstance(cache, Exception):
+            out[i] = cache
+        else:
+            searches[i] = _search(sys, x, tol, cache)
+    given = dict.fromkeys(searches)
+    while searches:
+        asked = {}
+        for i, search in list(searches.items()):
+            try:
+                if isinstance(given[i], Exception):
+                    asked[i] = search.throw(given[i])
+                else:
+                    asked[i] = search.send(given[i])
+            except StopIteration as stop:
+                out[i] = stop.value
+                del searches[i]
+            except QTransientError as exc:
+                out[i] = exc
+                del searches[i]
+        if asked:
+            given = dict(zip(asked, traces(list(asked.values()))))
+    return out
+
+
+def _search(sys, x, tol, cache):
+    """One probe's peak search (find_time_domain_resonance) as a generator:
+    it yields each trace it needs as (x, times, sys, poles, tol), is sent
+    the WaveTrace or thrown its error, and returns the result."""
     grid = np.linspace(*default_window(sys, x), PEAK_SCAN)
     scan_tol = max(tol, SCAN_TOL)
     # a plateau that overflows comes with a stationary amplitude that every
@@ -267,12 +334,16 @@ def find_time_domain_resonance(sys: BarrierSystem, x=None, tol=DEFAULT_TOL,
             return absent
         # the first chunk closed no maximum: none follows where the density
         # rises from its last time to the end of the grid
-        if start == PEAK_SCAN // 8 and _rises_throughout(
-                x, grid[start - 1:], sys, cache, tol):
-            return absent
+        if start == PEAK_SCAN // 8:
+            times = grid[start - 1:]
+            _, rate, coef = yield from _rate_fit(
+                x, times[0], times[-1], RISE_NODES, sys, cache, tol,
+                "no-peak check")
+            if _rises_throughout(times, rate, coef, tol):
+                return absent
         stop = min(start + size, PEAK_SCAN)
         try:
-            tr = trace(x, grid[start:stop], sys, poles=cache, tol=scan_tol)
+            tr = yield x, grid[start:stop], sys, cache, scan_tol
         except NotConverged as exc:
             raise type(exc)(f"bracketing scan of the peak search, summed at "
                             f"tol={scan_tol:.1e} for tol={tol:.1e}: {exc}") from exc
@@ -283,8 +354,8 @@ def find_time_domain_resonance(sys: BarrierSystem, x=None, tol=DEFAULT_TOL,
     i = int(idx[0]) + 1
 
     lo, hi = grid[max(i - 2, 0)], grid[min(i + 2, len(grid) - 1)]
-    w, rate, coef = _rate_fit(x, lo, hi, POLISH_NODES, sys, cache, tol,
-                              "peak polish")
+    w, rate, coef = yield from _rate_fit(x, lo, hi, POLISH_NODES, sys, cache,
+                                         tol, "peak polish")
     if not rate[0] > 0.0 > rate[-1]:
         # the scan closed a maximum that the polish, at tol, does not see
         raise NotConverged(

@@ -99,3 +99,13 @@ class MergingPolePair(NotConverged):
 
 class NoCrossing(NumericalError):
     """A window edge has no bracketing sign change in the scanned interval."""
+
+
+def single(results):
+    """The one entry of a batch of one: its value, or its error raised.
+    Batched evaluators give each item its value or the error it raised;
+    the functions that evaluate one item are such a batch of one."""
+    (result,) = results
+    if isinstance(result, Exception):
+        raise result
+    return result

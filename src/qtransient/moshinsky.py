@@ -35,7 +35,8 @@ def moshinsky_m(x, q, t, c2):
 
 
 def moshinsky_m_dt(x, q, t, c2):
-    """(M, dM/dt) with the derivative evaluated analytically.
+    """(M, dM/dt) with the derivative evaluated analytically; c2 may be an
+    array that broadcasts with x, q and t.
 
     dM/dt = (1/2) e^{i a^2/t} [ -i (a^2/t^2) w(iy) + w'(iy) i dy/dt ],
     a = x sqrt(hbar/4 c2),  dy/dt = -e^{-i pi/4} (a t^{-3/2} + b t^{-1/2}) / 2.
@@ -47,7 +48,7 @@ def moshinsky_m_dt(x, q, t, c2):
     if np.any(t_arr <= 0.0):
         raise NonPositiveTime("Moshinsky function needs t > 0")
     scalar = (np.ndim(x) == 0 and np.ndim(q) == 0 and t_arr.ndim == 0)
-    b = np.asarray(q, dtype=complex) * math.sqrt(c2 / HBAR)
+    b = np.asarray(q, dtype=complex) * np.sqrt(c2 / HBAR)
     sqrt_t = np.sqrt(t_arr)
     if np.ndim(x) == 0 and x == 0.0:
         # the signed zeros are those the a-terms leave
@@ -57,7 +58,7 @@ def moshinsky_m_dt(x, q, t, c2):
         dw = faddeeva_dz(1j * y, np.asarray(w))
         m, dm = 0.5 * w, 0.5 * (dw * 1j * dy_dt)
     else:
-        a = np.asarray(x, dtype=float) * math.sqrt(HBAR / (4.0 * c2))
+        a = np.asarray(x, dtype=float) * np.sqrt(HBAR / (4.0 * c2))
         y = _E4 * (a / sqrt_t - b * sqrt_t)
         w = faddeeva(1j * y)
         phase = np.exp(1j * a * a / t_arr)

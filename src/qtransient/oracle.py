@@ -194,6 +194,12 @@ def _validate(sys, cfg, probes):
     if scale * cfg.dx >= _DX_LIMIT:
         raise GridTooCoarse(
             f"dx={cfg.dx} resolves neither wave: need dx < {_DX_LIMIT / scale:.4g}")
+    # the lattice hop c2/dx^2, as the stepper forms it: a dx whose square
+    # underflows or whose hop overflows leaves no lattice to solve
+    square = cfg.dx * cfg.dx
+    if not (square > 0.0 and math.isfinite(sys.c2 / square)):
+        raise NonFiniteInput(
+            f"dx={cfg.dx} makes the lattice hop c2/dx^2 not finite")
 
 
 def _points(n):

@@ -76,9 +76,9 @@ and that bound, relative to |Psi|, are each point's trunc_error_est.
 Every time t > 0 takes this one path, and one check refuses every miss:
 times whose estimate exceeds tol, as where the cap leaves the sum short
 or the sum overflows and so is not finite, raise one NotConverged naming
-x, the first of them and the worst estimate.  So numpy need not warn on
-the way: one np.errstate in _assemble covers the amplitudes f(+-k), the
-antibound coefficients, every plan, every sum and the check.
+x, the first and the last of them and the worst estimate.  So numpy need
+not warn on the way: one np.errstate in _assemble covers the amplitudes
+f(+-k), the antibound coefficients, every plan, every sum and the check.
 Every table with a row per time (the omitted-term bounds, the Cauchy
 nodes less each time's share) is formed in blocks of times under one
 element budget, and every ragged (time, term) table (the exact poles'
@@ -86,6 +86,23 @@ Moshinsky terms, the exponentials) in chunks of times under another, so
 a run's working memory does not grow with its times, and each time's
 numbers do not depend on the cuts.  One splitter (_slices) cuts the runs,
 blocks and chunks, and one loop (_ragged_sums) sums every ragged table.
+
+Many probes are summed as one batch (traces): probes of one region, each
+with its own x, times, system, table and tol, whose r-th runs share one
+plan and one pole sum.  A batch holds at most BATCH probes (batches), so
+that each per-run table of a plan, a pool of up to HARD_CAP poles and
+their mirrors, stays within _ROWS elements, and a block of several runs'
+times (_blocks) takes a third of the block budget, since it copies each
+time's pool row.  A plan holds a row per run, its pools padded to
+the longest with terms that add nothing, and its times one after another;
+the planner grows every pool still short at once, and each step of the
+sum -- the Moshinsky call, the Cauchy nodes and their FFT, the series,
+the exponentials -- runs once over every (run, time) row.  Each row's
+numbers are those of its probe summed alone, bit for bit: numpy gives an
+element the same bits in any array of two or more, and a block of times
+(_blocks) holds runs of one pool size, a run of one time alone.  The
+functions that evaluate one probe (trace, psi_internal, psi_external)
+are batches of one.
 
 trace is the one fixed-x evaluator: a grid of fewer than PANEL_MIN times
 is summed as above (_direct), and a longer one is read off Chebyshev
@@ -102,10 +119,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (MergingPolePair, NonPositiveParameter, NonPositiveTime,
-                     NotConverged, PoleSetMismatch, XOutOfRange)
+                     NotConverged, PoleSetMismatch, QTransientError,
+                     XOutOfRange, single)
 from .moshinsky import moshinsky_m_dt
-from .resonances import PoleSet, expansion_coeffs, find_poles
-from .stationary import phi_stationary, transmission
+from .resonances import (PoleSet, expansion_coeffs, find_pole_tables,
+                         find_poles)
+from .stationary import _phi, _transmission
 from .systems import HBAR_EV_FS as HBAR
 from .systems import BarrierSystem
 
@@ -124,6 +143,9 @@ _ARC = 16           # Cauchy nodes around each external k_c
 _ROWS = 1 << 15     # elements of a per-time table formed at once
 _RUN = 256          # fewest times of a trace summed with one pool and ring
 _PAIRS = 1 << 13    # (time, pole) pairs per Moshinsky call
+# most probes summed in lockstep: a batch's per-run tables (a pool and its
+# mirrors) hold up to 2 HARD_CAP columns, so BATCH rows stay within _ROWS
+BATCH = _ROWS // (2 * HARD_CAP)
 _CUT = 1e-3         # the dropped exponentials' share of the target
 # Most radius x L of the internal ring: a wider ring passes near more exact
 # poles, whose cancelling terms cost digits (3e-12 at 300 / L, alpha = 1).
@@ -181,31 +203,50 @@ class WaveTrace:
 
 @dataclass(frozen=True)
 class _Plan:
-    """One run's decisions, made by _plan before any sum and read by every
-    summing helper."""
+    """The decisions of a batch of runs, made by _plan before any sum and
+    read by every summing helper.
 
-    x: float
+    A run is one probe's times summed with one pool (_runs); every run of
+    a batch lies in one region.  Per-run fields have a row per run; pools
+    are padded to the longest, kn with inf - inf i and coefs with 0, so
+    that a pad adds nothing to a bound and stops no accumulation.
+    Per-time fields have an entry per time, the runs' times one after
+    another, and run[i] is the run of time i.
+    """
+
     internal: bool              # the region: inside the barrier or beyond
-    x_arg: float                # x of the Moshinsky arguments, 0 inside
-    sys: BarrierSystem
-    f: object                   # the stationary amplitude f(c) of the region
-    f_k: np.ndarray             # and f(+-k)
-    axis: tuple                 # the antibound poles' (coefs, kn)
-    t: np.ndarray               # the run's times, and at each the scales
-    s: np.ndarray               # s, k_c and a^2/t of the Moshinsky argument
-    kc: np.ndarray
-    a2t: np.ndarray
-    target: float               # the absolute error the run is sized for
-    table: PoleSet              # the table that holds the pool
-    coefs: np.ndarray           # the pool
+    x: np.ndarray               # per run: the probe position,
+    x_arg: np.ndarray           # x of the Moshinsky arguments (0 inside),
+    k: np.ndarray               # the system's incident wavenumber, c2,
+    c2: np.ndarray              # strength V/c2 and width,
+    v: np.ndarray
+    L: np.ndarray
+    f_k: np.ndarray             # the stationary amplitude at +-k,
+    axis_c: np.ndarray          # the antibound poles' coefs and kn, padded
+    axis_k: np.ndarray          # to two, the first n_axis of each row,
+    n_axis: np.ndarray
+    target: np.ndarray          # the absolute error the run is sized for,
+    tables: list                # the table that holds its pool,
+    size: np.ndarray            # the pool size P,
+    coefs: np.ndarray           # the pool,
     kn: np.ndarray
     pool_q: np.ndarray          # each pool pole followed by its mirror
-    pool_c: np.ndarray          # -conj q, whose coefficient is -conj c
-    top: int                    # twice the most and the fewest exact poles
-    low: int                    # a time of the run sums
-    level: np.ndarray           # each time's exact-pole count N: time i sums
-                                # the first 2 level[i] entries of the pool
-    est: np.ndarray             # each time's bound on its first omitted term
+    pool_c: np.ndarray          # -conj q, whose coefficient is -conj c,
+    top: np.ndarray             # and twice the most and the fewest exact
+    low: np.ndarray             # poles a time of the run sums
+    first: np.ndarray           # the run's first time and its count of
+    lens: np.ndarray            # times
+    run: np.ndarray             # per time: the run, the time and the
+    t: np.ndarray               # scales s, k_c and a^2/t of the Moshinsky
+    s: np.ndarray               # argument,
+    kc: np.ndarray
+    a2t: np.ndarray
+    level: np.ndarray           # the exact-pole count N: time i sums the
+                                # first 2 level[i] entries of its pool,
+    est: np.ndarray             # and the bound on its first omitted term
+
+
+_PAD = complex(math.inf, -math.inf)     # kn of a pool's padding
 
 
 def _alpha(j, s, phase):
@@ -213,16 +254,23 @@ def _alpha(j, s, phase):
     return _C0 * _DFACT[j] * (-0.5j) ** j * phase / s ** (2 * j + 1)
 
 
-def _nodes(plan, centre, r, n):
+def _nodes(plan, runs, centre, r, n):
     """(c, g): n midpoint nodes c = centre + r e^{i pi (2j + 1)/n} along
-    axis 0, a column per centre and r, and g there: the Mittag-Leffler
-    closed form less the antibound poles' terms."""
+    axis 0, a column per entry of runs, centre and r, and g there: the
+    Mittag-Leffler closed form of the column's run less the antibound
+    poles' terms."""
     theta = 2.0 * math.pi * (np.arange(n) + 0.5) / n
     c = centre + r * np.exp(1j * theta)[:, None]
-    k, f, f_k = plan.sys.k, plan.f, plan.f_k
-    g = f_k[0] / (c - k) - f_k[1] / (c + k) + 2.0 * k * f(c) / (k * k - c * c)
-    for coef, q in zip(*plan.axis):     # at most two antibound poles
-        g -= coef / (c - q)
+    k, f_k, v, L = plan.k[runs], plan.f_k[runs], plan.v[runs], plan.L[runs]
+    f = (_phi(plan.x[runs], c, v, L) if plan.internal
+         else _transmission(c, v, L))
+    g = f_k[:, 0] / (c - k) - f_k[:, 1] / (c + k) + 2.0 * k * f / (k * k - c * c)
+    axis_c, axis_k, n_axis = (a[runs] for a in (plan.axis_c, plan.axis_k,
+                                                plan.n_axis))
+    for j in range(axis_k.shape[1]):     # at most two antibound poles
+        on = j < n_axis
+        if on.any():
+            g[:, on] -= axis_c[on, j] / (c[:, on] - axis_k[on, j])
     return c, g
 
 
@@ -240,87 +288,172 @@ def _taylor(g, r, count):
 
 
 def _beyond(coefs, kn, s, kc):
-    """Estimated sum of the damped exponentials past the pool, per time.
+    """Estimated sum of the damped exponentials past the pool, per time,
+    from coefs and kn of the last two poles of each time's pool.
 
     |c| e^{-2 s^2 (Re q - k_c) |Im q|} falls off faster than geometrically
     once Re q > k_c; the remainder is taken geometric from the last two
     pool poles, and infinite while they do not yet fall.
     """
-    ahead = kn[-2:].real - kc[:, None]
-    damp = np.abs(coefs[-2:]) * np.exp(
-        2.0 * s[:, None] ** 2 * np.maximum(ahead, 0.0) * kn[-2:].imag)
+    ahead = kn.real - kc[:, None]
+    damp = np.abs(coefs) * np.exp(
+        2.0 * s[:, None] ** 2 * np.maximum(ahead, 0.0) * kn.imag)
     ratio = damp[:, 1] / np.maximum(damp[:, 0], 1e-300)
     return np.divide(damp[:, 1] * ratio, 1.0 - ratio,
                      out=np.full(len(s), np.inf),
                      where=(ratio < 1.0) & (ahead[:, 0] > 0.0))
 
 
-def _count(pool, J, kc, bar, edge):
-    """(n, later): per time, the least exact-pole count over pool = (coefs,
-    kn) whose first omitted series term is within the target, and never
-    short of a pole with Re q below edge = k_c + _Z_MIN / s.
+def _later(coefs, kn, J, kc):
+    """later[i, n]: the first omitted series term of row i's pool (coefs,
+    kn), bounded pole by pole, over |alpha_{J+1}|, when its poles from n
+    on are left to the series; P + 1 columns.
 
-    That term, bounded pole by pole, is |alpha_{J+1}(t_i)| later[i, n]
-    when the poles from n on are left to the series, and bar holds the
-    target over |alpha_{J+1}(t_i)|; later has P + 1 columns.  Pole q and
-    its mirror add |c_q| (|k_c - q|^-m + |k_c + conj q|^-m), m = 2J + 3.
-    Inside, k_c = 0 at every time, so later has one row for all times.
+    Pole q and its mirror add |c_q| (|k_c - q|^-m + |k_c + conj q|^-m),
+    m = 2J + 3; a pad adds 0, and the reverse sums run from the pads, so
+    every row's sums are those of its own pool.
     """
-    coefs, kn = pool
-    rows = (kc[:1] if not np.any(kc) else kc)[:, None]
     m = 2 * J + 3
-    bound = np.abs(coefs) * (np.abs(rows - kn) ** -m
-                             + np.abs(rows + kn.conj()) ** -m)
-    later = np.zeros((len(rows), len(kn) + 1))
+    kc = kc[:, None]
+    bound = np.abs(coefs) * (np.abs(kc - kn) ** -m
+                             + np.abs(kc + kn.conj()) ** -m)
+    later = np.zeros((len(bound), bound.shape[1] + 1))
     later[:, :-1] = np.cumsum(bound[:, ::-1], axis=1)[:, ::-1]
+    return later
+
+
+def _count(later, real, bar, edge):
+    """Per time, the least exact-pole count whose first omitted term,
+    later[i] (_later), is within the target, where bar holds the target
+    over |alpha_{J+1}(t_i)|, and never short of a pole with Re q below
+    edge = k_c + _Z_MIN / s; real holds Re q of each time's pool, sorted,
+    pads at inf."""
     return np.maximum(np.sum(later > bar[:, None], axis=1),
-                      np.searchsorted(kn.real, edge)), later
+                      np.sum(real < edge[:, None], axis=1))
 
 
-def _plan(x, t, sys, table, internal, f, f_k, axis, target):
-    """The plan of one run of times t (_runs) for the absolute target.
+def _plan(internal, x, t, sys, f_k, axis, target, tables):
+    """The plan of a batch of runs of times t (_runs) for their absolute
+    targets; x, t, sys, f_k (f(+-k)), axis (the antibound poles' (coefs,
+    kn)), target and the pole table hold an entry per run.
 
-    The pool starts at _POOL poles and doubles until, at the run's earliest
+    A run's pool starts at _POOL poles and doubles until, at its earliest
     time, it holds twice the exact poles that time needs and its remainder
     is within half the target, or until it holds HARD_CAP poles, met or
     not; a target that is not finite stops it at once, and _assemble's
-    check refuses either sum.  Each doubling evaluates coefficients only
-    for the poles it adds.  Its rows come from the table while they fit,
-    and from a fresh search of HARD_CAP poles when they do not; the first
-    n poles of a search do not depend on its depth, so the sums do not
-    either.  Each time's count is then taken in blocks of at least two
-    times: numpy sums the bounds of two or more times as it sums them over
-    the whole run, but not of one.
+    check refuses either sum.  The runs still growing grow together: each
+    doubling evaluates coefficients only for the poles it adds, and sizes
+    every such run at once.  Its rows come from the table while they fit,
+    and from a fresh search of HARD_CAP poles when they do not, one per
+    system; the first n poles of a search do not depend on its depth, so
+    the sums do not either.  Each time's count is then taken in blocks of
+    at least two times under _ROWS elements.
     """
-    J, x_arg = _ORDER[internal], 0.0 if internal else x
-    s = np.sqrt(sys.c2 * t / HBAR)
-    kc = HBAR * x_arg / (2.0 * sys.c2 * t)
+    G, J = len(t), _ORDER[internal]
+    lens = np.array([len(tt) for tt in t])
+    first = np.cumsum(lens) - lens
+    run = np.repeat(np.arange(G), lens)
+    t = np.concatenate(t)
+    x = np.array(x, dtype=float)
+    x_arg = np.zeros(G) if internal else x
+    k, c2, v, L = np.array([(s.k, s.c2, s.v_strength, s.L) for s in sys]).T
+    target = np.array(target, dtype=float)
+    c2t = c2[run]
+    s = np.sqrt(c2t * t / HBAR)
+    kc = HBAR * x_arg[run] / (2.0 * c2t * t)
     weight, edge = np.abs(_alpha(J + 1, s, 1.0)), kc + _Z_MIN / s
-    bar = 0.5 * target / weight
-    coefs = kn = np.zeros(0, dtype=complex)
-    p = _POOL
+    bar = 0.5 * target[run] / weight
+    tables, deep, pools = list(tables), {}, [None] * G
+    # the runs still growing, their pools so far, and the scales of their
+    # earliest times
+    grow, lo, p = np.arange(G), 0, _POOL
+    coefs = kn = np.zeros((G, 0), dtype=complex)
+    scales = [kc[first], bar[first], edge[first], s[first], target,
+              np.isfinite(target)]
     while True:
-        if len(table) < p:
-            table = find_poles(sys, HARD_CAP)
-        c_new, k_new = expansion_coeffs(x, table[len(kn):p], internal)
-        coefs, kn = np.concatenate((coefs, c_new)), np.concatenate((kn, k_new))
-        if p >= HARD_CAP or not np.isfinite(target):
-            break
-        n = int(_count((coefs, kn), J, kc[:1], bar[:1], edge[:1])[0][0])
-        # the remainder past the pool last: it is the dearest check
-        if 2 * n <= p and _beyond(coefs, kn, s[:1], kc[:1])[0] <= 0.5 * target:
-            break
-        p = min(2 * p, HARD_CAP)
+        for g in grow:
+            if len(tables[g]) < p:
+                if sys[g] not in deep:
+                    deep[sys[g]] = find_poles(sys[g], HARD_CAP)
+                tables[g] = deep[sys[g]]
+        c_new, k_new = expansion_coeffs(
+            x[grow], [tables[g][lo:p] for g in grow], internal)
+        coefs = np.concatenate((coefs, c_new.reshape(len(grow), -1)), 1)
+        kn = np.concatenate((kn, k_new.reshape(len(grow), -1)), 1)
+        kc0, bar0, edge0, s0, aim, finite = scales
+        # a target that is not finite stops at once, whatever its count
+        done = ~finite
+        if p >= HARD_CAP:
+            done[:] = True
+        else:
+            fits = finite & (2 * _count(_later(coefs, kn, J, kc0), kn.real,
+                                        bar0, edge0) <= p)
+            # the remainder past the pool last: it is the dearest check
+            some = fits.tolist()
+            if all(some):
+                done = _beyond(coefs[:, -2:], kn[:, -2:], s0,
+                               kc0) <= 0.5 * aim
+            elif any(some):
+                done[fits] = _beyond(coefs[fits, -2:], kn[fits, -2:], s0[fits],
+                                     kc0[fits]) <= 0.5 * aim[fits]
+        some = done.tolist()
+        if any(some):
+            for i in np.flatnonzero(done).tolist():
+                pools[grow[i]] = coefs[i], kn[i]
+            if all(some):
+                break
+            keep = ~done
+            grow, coefs, kn = grow[keep], coefs[keep], kn[keep]
+            scales = [a[keep] for a in scales]
+        lo, p = p, min(2 * p, HARD_CAP)
+    sizes = [len(c) for c, _ in pools]
+    size = np.array(sizes)
+    if len(set(sizes)) == 1:
+        coefs = np.array([c for c, _ in pools])
+        kn = np.array([q for _, q in pools])
+    else:
+        coefs = np.zeros((G, max(sizes)), dtype=complex)
+        kn = np.full((G, max(sizes)), _PAD)
+        for g, (c, q) in enumerate(pools):
+            coefs[g, :len(c)], kn[g, :len(q)] = c, q
     level, est = np.empty(len(t), dtype=int), np.empty(len(t))
-    for rows in _slices(len(t), 2, lambda lo: lo + _ROWS // (len(kn) + 1)):
-        need, later = _count((coefs, kn), J, kc[rows], bar[rows], edge[rows])
-        level[rows] = n = np.minimum(need, len(kn) // 2)
-        est[rows] = weight[rows] * later[np.arange(len(n)) % len(later), n]
-    return _Plan(x, internal, x_arg, sys, f, f_k, axis, t, s, kc,
-                 HBAR * x_arg * x_arg / (4.0 * sys.c2 * t), target, table,
-                 coefs, kn, np.column_stack((kn, -kn.conj())).ravel(),
-                 np.column_stack((coefs, -coefs.conj())).ravel(),
-                 2 * int(level.max()), 2 * int(level.min()), level, est)
+    # inside, k_c = 0 at every time, so later has one row per run
+    later = _later(coefs, kn, J, np.zeros(G)) if internal else None
+    for rows in _blocks(first, lens, size, lambda P: P + 1):
+        on = run[rows]
+        P = size[on[0]]
+        real = _rows_of(kn[:, :P].real, on)
+        here = (_rows_of(later[:, :P + 1], on) if internal else _later(
+            _rows_of(coefs[:, :P], on), _rows_of(kn[:, :P], on), J, kc[rows]))
+        n = np.minimum(_count(here, real, bar[rows], edge[rows]), P // 2)
+        level[rows] = n
+        est[rows] = weight[rows] * here[np.arange(len(n)) % len(here), n]
+    n_axis = np.array([len(q) for _, q in axis])
+    axis_c = np.zeros((G, 2), dtype=complex)
+    axis_k = np.full((G, 2), _PAD)
+    for j, (c, q) in enumerate(axis):
+        axis_c[j, :len(q)], axis_k[j, :len(q)] = c, q
+    return _Plan(
+        internal, x, x_arg, k, c2, v, L, np.asarray(f_k), axis_c, axis_k,
+        n_axis, target, tables, size, coefs, kn, _mirrored(kn),
+        _mirrored(coefs),
+        2 * np.maximum.reduceat(level, first),
+        2 * np.minimum.reduceat(level, first), first, lens, run, t, s, kc,
+        HBAR * x_arg[run] * x_arg[run] / (4.0 * c2t * t), level, est)
+
+
+def _mirrored(a):
+    """Each row of a with every entry followed by minus its conjugate."""
+    out = np.empty((len(a), 2 * a.shape[1]), dtype=complex)
+    out[:, 0::2] = a
+    out[:, 1::2] = -a.conj()
+    return out
+
+
+def _rows_of(a, on):
+    """The rows of a of the runs on, one per time: a single row, which
+    broadcasts, where the times are of one run."""
+    return a[on[:1]] if on[0] == on[-1] else a[on]
 
 
 def _slices(n, least, end):
@@ -334,6 +467,35 @@ def _slices(n, least, end):
             hi = n
         out.append(slice(lo, hi))
         lo = hi
+    return out
+
+
+def _blocks(first, lens, size, width):
+    """Blocks of a batch's times, index arrays in time order: the times of
+    runs whose pools hold the same number P of poles, at most
+    _ROWS // width(P) of them, a third of that in a batch of several runs,
+    and at least two.  A block of several runs' times takes a copy of each
+    time's pool row (pool_q and pool_c, or coefs and kn) beside the tables
+    a lone run forms, so the third keeps its memory at a lone run's.
+    numpy sums the series terms of two or more times as it sums them over
+    a whole run, but not of one, so a run of one time is a block of its
+    own, as it is when summed alone.  first, lens and size give each run's
+    first time, count of times and pool size; size None puts all runs in
+    one group."""
+    budget = _ROWS if len(lens) == 1 else _ROWS // 3
+    key = [0] * len(lens) if size is None else size.tolist()
+    if len(set(key)) == 1 and min(lens.tolist()) > 1:
+        return _slices(int(lens.sum()), 2, lambda a: a + budget // width(key[0]))
+    key = np.array(key)
+    runs = np.repeat(np.arange(len(first)), lens)
+    out = []
+    for P in sorted(set(key.tolist())):
+        many = (key == P) & (lens > 1)
+        rows = np.flatnonzero(many[runs])
+        out += [rows[b] for b in _slices(len(rows), 2,
+                                         lambda a: a + budget // width(P))]
+        out += [np.array([first[r]]) for r in np.flatnonzero(
+            (key == P) & (lens == 1))]
     return out
 
 
@@ -359,67 +521,115 @@ def _ragged_sums(count, limit, terms):
     return out
 
 
+def _per_term(values):
+    """A per-run value (c2, x_arg) for the terms of a batch: terms(rows, n)
+    gives it for times rows of n terms each, the batch's one value where
+    every run has it, else one per term."""
+    if len(set(values.tolist())) == 1:
+        one = float(values[0])
+        return lambda run, n: one
+    return lambda run, n: np.repeat(values[run], n)
+
+
 def _heads(plan):
     """The incident pair less the exact poles' Moshinsky terms, and its
     time derivative, per time.
 
-    Time i sums a prefix of one list of (q, c) pairs: +-k, the antibound
-    poles, then the first 2 level[i] entries of the pool.  Each chunk of
-    _ragged_sums, at most _PAIRS (time, pair) terms, is one Moshinsky call.
+    Time i sums a prefix of its run's list of (q, c) pairs: +-k, the
+    antibound poles, then the first 2 level[i] entries of the pool.  Each
+    chunk of _ragged_sums, at most _PAIRS (time, pair) terms, is one
+    Moshinsky call.
     """
-    sys, f_k, axis, top = plan.sys, plan.f_k, plan.axis, plan.top
-    q = np.concatenate(([sys.k, -sys.k], axis[1], plan.pool_q[:top]))
-    c = np.concatenate(([f_k[0], -f_k[1]], -axis[0], -plan.pool_c[:top]))
+    qs, cs = [], []
+    for j, top in enumerate(plan.top):
+        n = plan.n_axis[j]
+        qs += [(plan.k[j], -plan.k[j]), plan.axis_k[j, :n], plan.pool_q[j, :top]]
+        cs += [(-plan.f_k[j, 0], plan.f_k[j, 1]), plan.axis_c[j, :n],
+               plan.pool_c[j, :top]]
+    # each run's list, one after another; the signs flip exactly
+    q, c = np.concatenate(qs), -np.concatenate(cs)
+    lead = np.cumsum(2 + plan.n_axis + plan.top) - (2 + plan.n_axis + plan.top)
+
+    x, c2 = _per_term(plan.x_arg), _per_term(plan.c2)
 
     def terms(rows, n, pos):
-        m, dm = moshinsky_m_dt(plan.x_arg, q[pos], np.repeat(plan.t[rows], n),
-                               sys.c2)
-        c_pos = c[pos]
-        m *= c_pos
-        dm *= c_pos
+        run = plan.run[rows]
+        at = np.repeat(lead[run], n) + pos
+        m, dm = moshinsky_m_dt(x(run, n), q[at], np.repeat(plan.t[rows], n),
+                               c2(run, n))
+        c_at = c[at]
+        m *= c_at
+        dm *= c_at
         return m, dm
 
-    return _ragged_sums(2 + len(axis[1]) + 2 * plan.level, _PAIRS, terms)
+    return _ragged_sums(2 + plan.n_axis[plan.run] + 2 * plan.level, _PAIRS,
+                        terms)
 
 
 def _ring(plan):
-    """(r, g, exact): the internal run's Cauchy ring about 0 of radius half
-    the least |q| any time omits, at most _RING_MAX / L, the closed form
-    less the antibound terms on its nodes, and exact[:, n], the first n
-    pool entries' terms there, for every n a time of the run sums."""
-    pool_q, pool_c, top = plan.pool_q, plan.pool_c, plan.top
-    r = min(0.5 * np.min(np.abs(pool_q[plan.low:])), _RING_MAX / plan.sys.L)
-    c, g = _nodes(plan, 0.0, r, _RING)
-    exact = np.zeros((_RING, top + 1), dtype=complex)
-    np.cumsum(pool_c[:top] / (c - pool_q[:top]), axis=1, out=exact[:, 1:])
-    return r, g, exact
+    """(r, c, g, kept): each run's Cauchy ring about 0 of radius half the
+    least |q| any time of the run omits, at most _RING_MAX / L, a column
+    per run of its nodes c and of g there, the closed form less the
+    antibound terms, and room for the exact terms there of the run that a
+    block of times (_moments) leaves to the next."""
+    col = np.arange(plan.pool_q.shape[1])
+    least = np.min(np.where(col >= plan.low[:, None], np.abs(plan.pool_q),
+                            np.inf), axis=1)
+    r = np.minimum(0.5 * least, _RING_MAX / plan.L)
+    return (r, *_nodes(plan, slice(None), 0.0, r, _RING), {})
 
 
 def _moments(plan, rows, ring):
     """mu_1 .. mu_{2J+2} of each time's omitted poles, shape (2J+2, T).
 
-    Time i sums the first 2 level[i] entries of the pool and the antibound
-    poles exactly; the rest are omitted.  The times are one block of a
-    run.  Both regions take the Taylor coefficients (_taylor) of the closed
-    form less the antibound terms on midpoint nodes (_nodes).  Inside, the
-    nodes are the run's ring (_ring), and each time's exact poles are taken
-    off there too, which leaves a function analytic inside the ring whose
-    coefficients are the omitted moments.  Outside, ring is None, and a
-    circle around each k_c of radius one eighth of the distance to the
-    nearest pole, kept clear of the removable points c = +-k, gives
-    mu_1 .. mu_{2J+1} of every pool pole, less each time's exact share;
-    mu_{2J+2}, which only dPsi/dt uses, is summed directly over the rest of
-    the pool.  Each time's exact share is a prefix sum along the pool read
-    at its count, and its rest a sum from the pool's far end back to that
-    count, so that no exact pole's term cancels into the rest.
+    Time i sums the first 2 level[i] entries of its pool and the antibound
+    poles exactly; the rest are omitted.  The times are one block
+    (_blocks).  Both regions take the Taylor coefficients (_taylor) of the
+    closed form less the antibound terms on midpoint nodes (_nodes).
+    Inside, the nodes are the run's ring (_ring), and each time's exact
+    poles are taken off there too, which leaves a function analytic inside
+    the ring whose coefficients are the omitted moments.  Outside, ring is
+    None, and a circle around each k_c of radius one eighth of the
+    distance to the nearest pole, kept clear of the removable points
+    c = +-k, gives mu_1 .. mu_{2J+1} of every pool pole, less each time's
+    exact share; mu_{2J+2}, which only dPsi/dt uses, is summed directly
+    over the rest of the pool.  Each time's exact share is a prefix sum
+    along its pool read at its count, and its rest a sum from the pool's
+    far end back to that count, so that no exact pole's term cancels into
+    the rest.
     """
-    level = plan.level[rows]
+    level, on = plan.level[rows], plan.run[rows]
     if ring is not None:
-        r, g, exact = ring
-        return _taylor(g - exact[:, 2 * level], r, 2 * _ORDER[True] + 2)
-    J, k, kc = _ORDER[False], plan.sys.k, plan.kc[rows]
-    pool_q, pool_c, top, low = plan.pool_q, plan.pool_c, plan.top, plan.low
-    near = np.min(np.abs(kc[:, None] - plan.axis[1]), axis=1, initial=np.inf)
+        r, c, g, kept = ring
+        # each run's exact terms on its ring, at every count, formed once:
+        # the block's last run may go on into the next block, so its table
+        # is kept for it
+        ends = [len(on)] if on[0] == on[-1] else [
+            *np.flatnonzero(on[1:] != on[:-1]) + 1, len(on)]
+        shares = []
+        for a, b in zip([0, *ends], ends):
+            j = on[a]
+            exact = kept.pop(j, None)
+            if exact is None:
+                top = plan.top[j]
+                exact = np.zeros((_RING, top + 1), dtype=complex)
+                np.cumsum(plan.pool_c[j, :top] / (c[:, j:j + 1]
+                                                  - plan.pool_q[j, :top]),
+                          axis=1, out=exact[:, 1:])
+            shares.append(exact[:, 2 * level[a:b]])
+        kept.clear()
+        kept[j] = exact
+        one = on[:1] if len(ends) == 1 else on
+        share = shares[0] if len(ends) == 1 else np.hstack(shares)
+        return _taylor(g[:, one] - share, r[one], 2 * _ORDER[True] + 2)
+    J, k, kc = _ORDER[False], plan.k[on], plan.kc[rows]
+    # the block's pools are of one size: no padding
+    width = 2 * plan.size[on[0]]
+    pool_q = _rows_of(plan.pool_q[:, :width], on)
+    pool_c = _rows_of(plan.pool_c[:, :width], on)
+    top, low = int(plan.top[on].max()), int(plan.low[on].min())
+    near = np.min(np.abs(kc[:, None] - _rows_of(plan.axis_k, on)), axis=1,
+                  initial=np.inf)
     inv = kc[:, None] - pool_q
     near = np.minimum(near, np.min(np.abs(inv), axis=1))
     np.reciprocal(inv, out=inv)
@@ -428,16 +638,16 @@ def _moments(plan, rows, ring):
     power, exact = 1.0, np.zeros((len(inv), top + 1), dtype=complex)
     for m in range(2 * J + 1):
         power = power * inv
-        np.cumsum(power[:, :top] * pool_c[:top], axis=1, out=exact[:, 1:])
+        np.cumsum(power[:, :top] * pool_c[:, :top], axis=1, out=exact[:, 1:])
         head[m] = exact[i, n]
     power = power * inv
-    rest = np.cumsum((power[:, low:] * pool_c[low:])[:, ::-1], axis=1)
-    mu_last = rest[i, len(pool_q) - 1 - n]
+    rest = np.cumsum((power[:, low:] * pool_c[:, low:])[:, ::-1], axis=1)
+    mu_last = rest[i, width - 1 - n]
     r = near / 8.0
     # the closed form cancels near c = +-k: keep every node r from them
     dk = np.minimum(np.abs(kc - k), kc + k)
     r = np.where((dk >= 0.5 * r) & (dk <= 2.0 * r), 0.5 * dk, r)
-    _, g = _nodes(plan, kc, r, _ARC)
+    _, g = _nodes(plan, on, kc, r, _ARC)
     return np.vstack((_taylor(g, r, 2 * J + 1) - head, mu_last))
 
 
@@ -454,29 +664,38 @@ def _exponentials(plan):
     left is within thr; the search holds |Im q| at low[level[i]], which
     can only move the cut later.  The bound at the cut is what is dropped.
     """
-    t, s, kc, level = plan.t, plan.s, plan.kc, plan.level
-    coefs, kn, thr = plan.coefs, plan.kn, _CUT * plan.target
-    P = len(kn)
-    # the bounds hold for the run; the terms are taken in chunks of at
-    # most _ROWS (time, pole) pairs
-    big = np.maximum.accumulate(np.abs(coefs)[::-1])[::-1]
-    low = np.minimum.accumulate(-kn.imag[::-1])[::-1]
-    left = np.minimum.accumulate(kn.real[::-1])[::-1]
+    t, s, kc, level, on = plan.t, plan.s, plan.kc, plan.level, plan.run
+    coefs, kn, P = plan.coefs, plan.kn, plan.size[plan.run]
+    thr = _CUT * plan.target[on]
+    # the bounds hold for each run, padding included; the terms are taken
+    # in chunks of at most _ROWS (time, pole) pairs
+    big = np.maximum.accumulate(np.abs(coefs)[:, ::-1], axis=1)[:, ::-1]
+    low = np.minimum.accumulate(-kn.imag[:, ::-1], axis=1)[:, ::-1]
+    left = np.minimum.accumulate(kn.real[:, ::-1], axis=1)[:, ::-1]
     two_s2 = 2.0 * s * s
-    reach = np.log((P - level) * big[level] / thr) / (two_s2 * low[level])
-    cut = np.maximum(level, np.searchsorted(left, kc + reach))
+    reach = np.log((P - level) * big[on, level] / thr) / (
+        two_s2 * low[on, level])
+    cut, ahead = np.empty_like(level), kc + reach
+    for j, (a, n, size) in enumerate(zip(plan.first.tolist(),
+                                         plan.lens.tolist(),
+                                         plan.size.tolist())):
+        cut[a:a + n] = np.searchsorted(left[j, :size], ahead[a:a + n])
+    cut = np.maximum(level, cut)
     j = np.minimum(cut, P - 1)
-    dropped = (P - cut) * big[j] * np.exp(
-        -two_s2 * low[j] * np.maximum(left[j] - kc, 0.0))
+    dropped = (P - cut) * big[on, j] * np.exp(
+        -two_s2 * low[on, j] * np.maximum(left[on, j] - kc, 0.0))
+
+    x, c2 = _per_term(plan.x_arg), _per_term(plan.c2)
 
     def terms(rows, n, pos):
+        run = np.repeat(on[rows], n)
         pole = pos + np.repeat(level[rows], n)
-        kt = kn[pole]
-        rate = -1j * (plan.sys.c2 / HBAR) * kt * kt
-        e = rate * np.repeat(t[rows], n) + 1j * kt * plan.x_arg
+        kt = kn[run, pole]
+        rate = -1j * (c2(on[rows], n) / HBAR) * kt * kt
+        e = rate * np.repeat(t[rows], n) + 1j * kt * x(on[rows], n)
         e[kt.real + kt.imag <= np.repeat(kc[rows], n)] = -1e3  # Im z >= 0
         np.exp(e, out=e)
-        e *= coefs[pole]
+        e *= coefs[run, pole]
         return e, e * rate
 
     return (*_ragged_sums(cut - level, _ROWS, terms), dropped)
@@ -488,18 +707,19 @@ def _pole_sum(plan):
     estimate per time.
 
     Every time sums its own exact poles (_heads), takes the omitted poles'
-    series from one set of Cauchy nodes (_moments), inside on the run's
+    series from one set of Cauchy nodes (_moments), inside on its run's
     ring (_ring), and evaluates only the damped exponentials that stay
-    above _CUT times the target (_exponentials).  A block of times holds
-    at least two: numpy sums the series terms of two or more times as it
-    sums them over the whole run, but not of one.
+    above _CUT times the target (_exponentials).  Each step is taken once
+    for every time of every run of the batch, in blocks of times
+    (_blocks) whose numbers do not depend on the cuts.
     """
     t, s, kc, a2t = plan.t, plan.s, plan.kc, plan.a2t
     psi, dpsi = _heads(plan)
     ring = _ring(plan) if plan.internal else None
     j = np.arange(_ORDER[plan.internal] + 1)[:, None]
-    width = _RING if plan.internal else len(plan.pool_q)
-    for rows in _slices(len(t), 2, lambda lo: lo + _ROWS // width):
+    for rows in _blocks(plan.first, plan.lens,
+                        None if plan.internal else plan.size,
+                        lambda P: _RING if plan.internal else 2 * P):
         mu = _moments(plan, rows, ring)
         a2tr = a2t[rows]
         al = _alpha(j, s[rows], np.exp(1j * a2tr))
@@ -512,7 +732,12 @@ def _pole_sum(plan):
     e, de, dropped = _exponentials(plan)
     psi -= e
     dpsi -= de
-    return psi, dpsi, plan.est + _beyond(plan.coefs, plan.kn, s, kc) + dropped
+    # each time's last two pool poles
+    runs = np.arange(len(plan.size))[:, None]
+    tail = plan.size[:, None] - 2 + np.arange(2)
+    last_c, last_k = (_rows_of(a[runs, tail], plan.run)
+                      for a in (plan.coefs, plan.kn))
+    return psi, dpsi, plan.est + _beyond(last_c, last_k, s, kc) + dropped
 
 
 def _runs(t):
@@ -543,59 +768,94 @@ def _check_merging_pair(table, tol):
             f"{loss:.1e} of |Psi| exceeds tol={tol:.1e}")
 
 
-def _assemble(x, t_grid, sys, poles, tol, internal):
-    """Shared evaluator for both regions; returns psi, dpsi, n_used, err."""
-    check_x(x)
-    check_tol(tol)
-    table = pole_cache(sys, poles)
-    _check_merging_pair(table, tol)
+def _assemble(probes, internal):
+    """Shared evaluator of a batch of probes in one region, each a tuple
+    (x, t, sys, table, tol); returns for each (psi, dpsi, n_used, err), or
+    the NotConverged its check raises.
 
-    def f(c):
-        return phi_stationary(x, c, sys) if internal else transmission(c, sys)
+    Each pass sums the r-th runs of every probe (_runs) as one plan and one
+    pole sum, each run sized at its own earliest time, so the working
+    memory grows with the probes of a batch, not with the runs of one; a
+    run's table serves its probe's later runs, so the cap is searched once
+    per system.
+    """
+    x, t, sys, tables, tol = map(list, zip(*probes))
+    k, v, L = np.array([(s.k, s.v_strength, s.L) for s in sys]).T[:, :, None]
+    count = [len(tb.axis_poles) for tb in tables]
 
-    def summed(t, scale):
-        # one plan and one pole sum per run, each sized at its own earliest
-        # time; a run's table serves the next, so the cap is searched once
-        nonlocal table
-        parts = []
-        for run in _runs(t):
-            plan = _plan(x, t[run], sys, table, internal, f, f_k, axis,
-                         tol * _AIM * scale)
-            table = plan.table
-            parts.append((*_pole_sum(plan), plan.level))
-        return [np.concatenate(runs) for runs in zip(*parts)]
+    def summed(items):
+        # items: (probe, times, scale); the r-th runs of all of them are
+        # one plan and one pole sum
+        runs = [_runs(tt) for _, tt, _ in items]
+        parts = [[] for _ in items]
+        for r in range(max(map(len, runs))):
+            on = [j for j, rr in enumerate(runs) if r < len(rr)]
+            ts = [items[j][1][runs[j][r]] for j in on]
+            i = [items[j][0] for j in on]
+            plan = _plan(internal, [x[n] for n in i], ts, [sys[n] for n in i],
+                         f_k[i], [axis[n] for n in i],
+                         [tol[n] * _AIM * items[j][2] for j, n in zip(on, i)],
+                         [tables[n] for n in i])
+            for n, table in zip(i, plan.tables):
+                if len(table) > len(tables[n]):
+                    tables[n] = table
+            sums = (*_pole_sum(plan), plan.level)
+            for j, a, b in zip(on, plan.first, plan.first + plan.lens):
+                parts[j].append([c[a:b] for c in sums])
+        return [[np.concatenate(c) if len(c) > 1 else c[0] for c in zip(*part)]
+                for part in parts]
 
     # an amplitude that overflows (a huge opacity) or a sum that does
     # (s^(2j+1) as t -> 0, a^2/t at a huge x) is not finite, and a sum or
     # estimate that is not finite misses, though no comparison with NaN
     # says so: the check below refuses it, and numpy need not warn
     with np.errstate(all="ignore"):
-        f_k = f(np.array([sys.k, -sys.k]))
-        axis = expansion_coeffs(x, table.axis_poles, internal)
+        kk = np.hstack((k, -k))
+        f_k = (_phi(np.array(x, dtype=float)[:, None], kk, v, L) if internal
+               else _transmission(kk, v, L))
+        coefs, kn = expansion_coeffs(x, [tb.axis_poles for tb in tables],
+                                     internal)
+        ends = np.cumsum(count)
+        axis = [(coefs[b - n:b], kn[b - n:b]) for n, b in zip(count, ends)]
         # size the sums against the stationary amplitude; points whose
         # |psi| lies so far below it that they miss tol are summed once
         # more, sized from |psi|, but not those that took all the cap's
         # exact poles: a second pass sums them at the same N
-        psi, dpsi, est, level = summed(t_grid, abs(f_k[0]))
-        n_poles = int(level.max())
-        redo = np.flatnonzero((est > tol * np.abs(psi))
-                              & (level < HARD_CAP // 2))
-        if redo.size:
-            floor = max(float(np.min(np.abs(psi[redo]))), 1e-300)
-            psi[redo], dpsi[redo], est[redo], level = summed(t_grid[redo],
-                                                             0.5 * floor)
-            n_poles = max(n_poles, int(level.max()))
-        rel = est / np.maximum(np.abs(psi), 1e-300)
+        out = summed([(i, t[i], abs(f_k[i, 0])) for i in range(len(probes))])
+        again = []
+        for i, (psi, dpsi, est, level) in enumerate(out):
+            redo = np.flatnonzero((est > tol[i] * np.abs(psi))
+                                  & (level < HARD_CAP // 2))
+            out[i].append(int(level.max()))
+            if redo.size:
+                floor = max(float(np.min(np.abs(psi[redo]))), 1e-300)
+                again.append((i, redo, 0.5 * floor))
+        if again:
+            for (i, redo, _), (psi, dpsi, est, level) in zip(again, summed(
+                    [(i, t[i][redo], scale) for i, redo, scale in again])):
+                mine = out[i]
+                mine[0][redo], mine[1][redo], mine[2][redo] = psi, dpsi, est
+                mine[4] = max(mine[4], int(level.max()))
+        for mine in out:
+            mine[2] = mine[2] / np.maximum(np.abs(mine[0]), 1e-300)
+    return [_checked(x[i], t[i], tol[i], *out[i], count[i])
+            for i in range(len(probes))]
+
+
+def _checked(x, t, tol, psi, dpsi, rel, level, n_poles, n_axis):
+    """One probe's sums, or the NotConverged that refuses them: the one
+    check of _assemble, of every time whose estimate exceeds tol."""
     rel[~(np.isfinite(psi) & np.isfinite(dpsi) & np.isfinite(rel))] = np.inf
-    miss = rel > tol
-    if miss.any():
+    miss = np.flatnonzero(rel > tol)
+    if miss.size:
         cap = f" (cap {HARD_CAP})" if n_poles == HARD_CAP // 2 else ""
-        raise NotConverged(
+        last = f" to t={t[miss[-1]]:.6g} fs" if miss.size > 1 else ""
+        return NotConverged(
             f"pole sum at x={float(x)} above tol={tol:.1e} at "
-            f"{int(miss.sum())} of {len(t_grid)} time points from "
-            f"t={t_grid[miss.argmax()]:.6g} fs; worst error estimate "
+            f"{miss.size} of {len(t)} time points from "
+            f"t={t[miss[0]]:.6g} fs{last}; worst error estimate "
             f"{rel.max():.1e} with N={n_poles} exact poles{cap}")
-    return psi, dpsi, 2 + 2 * n_poles + len(table.axis_poles), rel
+    return psi, dpsi, 2 + 2 * n_poles + n_axis, rel
 
 
 def check_x(x):
@@ -761,11 +1021,104 @@ def _panels(x, t, sys, cache, tol) -> WaveTrace:
                      n_terms_used=n_used, trunc_error_est=err, system=sys)
 
 
+def _sums(batch, internal):
+    """_assemble over a batch; where one of its shared steps raises, each
+    probe is summed alone, so each gets its own error."""
+    try:
+        return _assemble(batch, internal)
+    except QTransientError as exc:
+        if len(batch) == 1:
+            return [exc]
+        return [r for probe in batch for r in _sums([probe], internal)]
+
+
+def _directs(probes, internal=None):
+    """The direct pole sum of each probe (x, t, sys, poles, tol) at every
+    one of its checked times t: a list of WaveTraces, or of the error each
+    probe's sum raises.  The probes of each region are summed as one
+    batch, inside the barrier (x <= L) unless internal says which."""
+    out, ready = [None] * len(probes), []
+    for i, (x, _, _, _, tol) in enumerate(probes):
+        try:
+            check_x(x)
+            check_tol(tol)
+        except QTransientError as exc:
+            out[i] = exc
+        else:
+            ready.append(i)
+    tables = pole_caches([probes[i][2] for i in ready],
+                         [probes[i][3] for i in ready])
+    groups = {True: [], False: []}
+    for i, table in zip(ready, tables):
+        x, t, sys, _, tol = probes[i]
+        try:
+            if isinstance(table, Exception):
+                raise table
+            _check_merging_pair(table, tol)
+        except QTransientError as exc:
+            out[i] = exc
+        else:
+            region = x <= sys.L if internal is None else internal
+            groups[region].append((i, (x, t, sys, table, tol)))
+    for region, group in groups.items():
+        if group:
+            sums = _sums([probe for _, probe in group], region)
+            for (i, (x, t, sys, _, _)), r in zip(group, sums):
+                out[i] = r if isinstance(r, Exception) else WaveTrace(
+                    x=float(x), times=t, psi=r[0], dpsi_dt=r[1],
+                    n_terms_used=r[2], trunc_error_est=r[3], system=sys)
+    return out
+
+
 def _direct(x, t, sys, poles=None, tol=DEFAULT_TOL) -> WaveTrace:
     """trace's pole sum at every one of the checked times t."""
-    psi, dpsi, n_used, err = _assemble(x, t, sys, poles, tol, x <= sys.L)
-    return WaveTrace(x=float(x), times=t, psi=psi, dpsi_dt=dpsi,
-                     n_terms_used=n_used, trunc_error_est=err, system=sys)
+    return single(_directs([(x, t, sys, poles, tol)]))
+
+
+def batches(n, parts=1):
+    """Contiguous slices of n probes of near-equal size: as few as hold at
+    most BATCH each, and at least `parts` of them while there are probes
+    to fill them.  These are the lockstep batches of traces, of
+    find_time_domain_resonances and of the sweeps (parts one per pool
+    thread), so their working memory does not grow with the probes."""
+    count = max(-(-n // BATCH), min(parts, n))
+    return [slice(n * b // count, n * (b + 1) // count) for b in range(count)]
+
+
+def traces(probes) -> list:
+    """trace for many probes at once, each a tuple (x, t_grid, sys, poles,
+    tol): a list with each probe's WaveTrace, or the error trace raises
+    for it.
+
+    The grids of fewer than PANEL_MIN times are summed in lockstep
+    batches (batches), each one batch per region: one pole search for the
+    systems without a table (pole_caches), then every pass of the pole
+    sum, plan and sum, once for all of them.  Longer grids are read off
+    panels one at a time.  Each probe's numbers do not depend on the
+    others: every probe gets bitwise what trace gives it alone.
+    """
+    out, short = [None] * len(probes), []
+    for i, (x, t_grid, sys, poles, tol) in enumerate(probes):
+        try:
+            t = check_times(t_grid)
+            if len(t) < PANEL_MIN:
+                short.append((i, (x, t, sys, poles, tol)))
+                continue
+            # refused before the pole search, as in the direct sum
+            check_x(x)
+            check_tol(tol)
+            cache = pole_cache(sys, poles)
+            try:
+                out[i] = _panels(x, t, sys, cache, tol)
+            except NotConverged:
+                out[i] = _direct(x, t, sys, cache, tol)
+        except QTransientError as exc:
+            out[i] = exc
+    for part in batches(len(short)):
+        for (i, _), r in zip(short[part],
+                             _directs([probe for _, probe in short[part]])):
+            out[i] = r
+    return out
 
 
 def trace(x, t_grid, sys: BarrierSystem, poles=None,
@@ -781,25 +1134,16 @@ def trace(x, t_grid, sys: BarrierSystem, poles=None,
     summed at every time (_direct), a longer one read off Chebyshev panels
     (_panels); where any panel sum misses tol, the whole grid is summed
     directly, so the panels refuse nothing that the direct sum serves.
+    This is traces of one probe.
     """
-    t = check_times(t_grid)
-    if len(t) < PANEL_MIN:
-        return _direct(x, t, sys, poles, tol)
-    # refused before the pole search, as in the direct sum
-    check_x(x)
-    check_tol(tol)
-    cache = pole_cache(sys, poles)
-    try:
-        return _panels(x, t, sys, cache, tol)
-    except NotConverged:
-        return _direct(x, t, sys, cache, tol)
+    return single(traces([(x, t_grid, sys, poles, tol)]))
 
 
 def _sample(x, t, sys, poles, tol, internal) -> WaveSample:
-    psi, dpsi, n_used, err = _assemble(x, check_times([t]), sys, poles, tol,
-                                       internal)
-    return WaveSample(float(x), float(t), complex(psi[0]), complex(dpsi[0]),
-                      n_used, float(err[0]))
+    tr = single(_directs([(x, check_times([t]), sys, poles, tol)], internal))
+    return WaveSample(float(x), float(t), complex(tr.psi[0]),
+                      complex(tr.dpsi_dt[0]), tr.n_terms_used,
+                      float(tr.trunc_error_est[0]))
 
 
 def psi_internal(x, t, sys: BarrierSystem, poles=None,
@@ -829,10 +1173,24 @@ def pole_cache(sys: BarrierSystem, base: PoleSet | None = None) -> PoleSet:
     first rows are the same.  Poles found for another system raise
     PoleSetMismatch.
     """
-    if base is not None and base.system != sys:
-        raise PoleSetMismatch(
-            f"poles found for {base.system} cannot serve {sys}")
-    depth = HARD_CAP // 4
-    if base is not None and len(base) >= depth:
-        return base
-    return find_poles(sys, depth)
+    return single(pole_caches([sys], [base]))
+
+
+def pole_caches(systems, bases) -> list:
+    """pole_cache of each system with its base (or None): a list of
+    tables, or of the error each raises.  The systems that need a search
+    are searched once each, together in one Newton (find_pole_tables)."""
+    depth, out, need = HARD_CAP // 4, [None] * len(systems), {}
+    for i, (sys, base) in enumerate(zip(systems, bases)):
+        if base is not None and base.system != sys:
+            out[i] = PoleSetMismatch(
+                f"poles found for {base.system} cannot serve {sys}")
+        elif base is not None and len(base) >= depth:
+            out[i] = base
+        else:
+            need.setdefault(sys, []).append(i)
+    found = find_pole_tables(list(need), depth) if need else []
+    for rows, table in zip(need.values(), found):
+        for i in rows:
+            out[i] = table
+    return out

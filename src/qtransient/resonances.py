@@ -27,24 +27,25 @@ from numbers import Integral
 import numpy as np
 
 from .errors import (CountMismatch, NonPositiveParameter,
-                     NormalizationSingular, PoleNotConverged)
+                     NormalizationSingular, PoleNotConverged, single)
 from .stationary import _q_of_k, pole_function
 from .systems import BarrierSystem
 
 RESIDUAL_TOL = 1e-12
 _NEWTON_MAX_ITER = 60
 _WINDING_DEPTH = 14     # bisections of a contour segment before CountMismatch
+_SEEDS = 1 << 15        # most seeds of many systems refined in one Newton
 
 
-def _log_pole_eq(k, sys):
+def _log_pole_eq(k, v, L):
     """H(k) = 2iqL - 2 Log((k+q)/(k-q)), reduced mod 2 pi i, elementwise.
 
     Equivalent zero set to the transmission denominator, but free of the
     exponential cancellation that limits D(k) near machine precision; the
-    derivative is exactly (2iLk - 4)/q.  Returns (H, q, m), where the
-    unreduced H is H + 2 pi i m: at a pole, m is its branch index.
+    derivative is exactly (2iLk - 4)/q.  v = V/c2 and L are the barrier's,
+    scalars or one per k.  Returns (H, q, m), where the unreduced H is
+    H + 2 pi i m: at a pole, m is its branch index.
     """
-    v = sys.v_strength
     q = _q_of_k(k, v)
     kp, km = k + q, k - q
     # avoid the cancelling difference: (k+q)(k-q) = v exactly
@@ -55,13 +56,13 @@ def _log_pole_eq(k, sys):
     ratio = kp**2 / v
     np.divide(v, km**2, out=ratio, where=near_p)
     np.divide(kp, km, out=ratio, where=~(near_m | near_p))
-    h = 2j * q * sys.L - 2.0 * np.log(ratio)
+    h = 2j * q * L - 2.0 * np.log(ratio)
     m = np.rint(h.imag / (2 * math.pi))
     h -= 2j * math.pi * m
     return h, q, m
 
 
-def _pole_residual(k, sys):
+def _pole_residual(k, v, L):
     """Backward error of the pole equation: |H/H'| relative to max(1, |k|).
 
     This is the dimensionless distance from k to the true zero, which is the
@@ -69,31 +70,34 @@ def _pole_residual(k, sys):
     |H(k)| has an unavoidable floor ~eps * |k| L at large |k|).  Elementwise;
     returned with the branch index m of _log_pole_eq.
     """
-    h, q, m = _log_pole_eq(k, sys)
-    res = np.abs(h * q / (2j * sys.L * k - 4.0)) / np.maximum(1.0, np.abs(k))
+    h, q, m = _log_pole_eq(k, v, L)
+    res = np.abs(h * q / (2j * L * k - 4.0)) / np.maximum(1.0, np.abs(k))
     return res, m
 
 
-def _newton_refine(k0, sys):
+def _newton_refine(k0, v, L):
     """Newton iteration on the log-form pole equation, analytic derivative.
 
-    Runs elementwise over a 1-D array of starting points; each one stops on
-    its own step test, so its root does not depend on the others.  A point
+    Runs elementwise over a 1-D array of starting points, each with the v
+    and L of its barrier (scalars or one per point); each one stops on its
+    own step test, so its root does not depend on the others.  A point
     whose final |H| is worse than its best iterate returns that iterate.
     """
     k = np.array(k0, dtype=complex, ndmin=1)
     best_k, best_h = k.copy(), np.full(k.shape, np.inf)
-    # the points still iterating: their indices, iterates and best iterates
+    # the points still iterating: their indices, iterates, best iterates and
+    # barriers
     live, kl, bkl, bhl = np.arange(k.size), k.copy(), k.copy(), best_h.copy()
+    vl, Ll = v, L
     for _ in range(_NEWTON_MAX_ITER):
         if not live.size:
             break
-        h, q, _ = _log_pole_eq(kl, sys)
+        h, q, _ = _log_pole_eq(kl, vl, Ll)
         ah = np.abs(h)
         better = ah < bhl
         np.copyto(bkl, kl, where=better)
         np.copyto(bhl, ah, where=better)
-        step = h / ((2j * sys.L * kl - 4.0) / q)
+        step = h / ((2j * Ll * kl - 4.0) / q)
         kl -= step
         stop = np.abs(step) < 1e-15 * np.maximum(1.0, np.abs(kl))
         if np.count_nonzero(stop):
@@ -101,23 +105,27 @@ def _newton_refine(k0, sys):
             k[done], best_k[done], best_h[done] = kl[stop], bkl[stop], bhl[stop]
             go = ~stop
             live, kl, bkl, bhl = live[go], kl[go], bkl[go], bhl[go]
+            if np.ndim(vl):
+                vl = vl[go]
+            if np.ndim(Ll):
+                Ll = Ll[go]
     k[live], best_k[live], best_h[live] = kl, bkl, bhl
-    h, _, _ = _log_pole_eq(k, sys)
+    h, _, _ = _log_pole_eq(k, v, L)
     return np.where(np.abs(h) <= best_h, k, best_k)
 
 
-def _seed(n, sys):
-    """First-order pole location on rung n, elementwise.
+def _seed(n, v, L):
+    """First-order pole location on rung n, elementwise, for the barrier of
+    strength v = V/c2 and width L (scalars or arrays that broadcast with n).
 
     On the pole equation qL = n pi - i Log((k+q)^2/v).  At q = n pi/L,
     k = a = sqrt(q^2 + v), the log term moves q by -i ln((a+q)^2/v)/L and so
     k by q/a times that; at large n this is the logarithmic growth law
     Im k ~ -ln(16 a^4/v^2)/(2L).
     """
-    v = sys.v_strength
-    q = np.asarray(n, dtype=float) * math.pi / sys.L
+    q = np.asarray(n, dtype=float) * math.pi / L
     a = np.sqrt(q * q + v)
-    return a - 1j * (q / a) * np.log((a + q) ** 2 / v) / sys.L
+    return a - 1j * (q / a) * np.log((a + q) ** 2 / v) / L
 
 
 def _gamow_u(x, k, q):
@@ -157,17 +165,29 @@ def gamow_boundary_data(k_n, sys: BarrierSystem):
     read off its direct evaluation, whose two terms do not cancel.
     """
     k = np.asarray(k_n, dtype=complex)
-    v = sys.v_strength
+    *data, bad = _gamow(k, sys.v_strength, sys.L)
+    if bad.any():
+        raise _singular(k, bad)
+    return tuple(data)
+
+
+def _gamow(k, v, L):
+    """gamow_boundary_data's (u0, uL, q, 1/sqrt(norm)) for poles k of the
+    barriers v, L (scalars or one per pole), and where the norm vanishes."""
     q = _q_of_k(k, v)
-    L = sys.L
     u0 = 2.0 * q
     uL = np.where((_gamow_u(L, k, q) * u0.conj()).real < 0.0, -u0, u0)
     norm = -2.0 * v * (L + 2j / k)
-    bad = np.flatnonzero(np.abs(norm) < 1e-12 * 2.0 * v * (L + 2.0 / np.abs(k)))
-    if bad.size:
-        raise NormalizationSingular(f"vanishing Gamow norm at k = {k.flat[bad[0]]}")
-    inv_sqrt = 1.0 / np.sqrt(norm)
-    return u0 * inv_sqrt, uL * inv_sqrt, q, inv_sqrt
+    bad = np.abs(norm) < 1e-12 * 2.0 * v * (L + 2.0 / np.abs(k))
+    # a vanishing norm is refused by the caller, not warned about here
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv_sqrt = 1.0 / np.sqrt(norm)
+        return u0 * inv_sqrt, uL * inv_sqrt, q, inv_sqrt, bad
+
+
+def _singular(k, bad):
+    return NormalizationSingular(
+        f"vanishing Gamow norm at k = {k.flat[np.flatnonzero(bad)[0]]}")
 
 
 _COLUMNS = ("n", "k", "q", "u0", "uL", "inv_sqrt_norm", "residual")
@@ -210,12 +230,44 @@ class PoleSet:
 def _pole_set(sys, n, k, residual=None, axis_poles=None):
     """PoleSet of the converged roots k, numbered n, with their Gamow data;
     the residuals are evaluated unless given."""
-    u0, uL, q, inv_sqrt = gamow_boundary_data(k, sys)
+    k = np.asarray(k, dtype=complex)
+    return single(_pole_sets([sys], [n], k, np.zeros(len(k), dtype=int),
+                             residual, [axis_poles]))
+
+
+def _shared(values, per):
+    """A parameter of several systems at their roots: the one value where
+    they share it, else one per root, per being each system's root count
+    or the system of each root."""
+    if all(v == values[0] for v in values):
+        return values[0]
+    values = np.array(values)
+    return np.repeat(values, per) if np.ndim(per) == 0 else values[per]
+
+
+def _pole_sets(systems, n, k, owner, residual=None, axis=None):
+    """_pole_set for many systems at once: k holds every system's roots in
+    system order, owner[i] the index in systems of root i and n[j] the
+    numbers of system j's roots.  A list with each system's PoleSet, or
+    the NormalizationSingular its roots raise."""
+    v, L = (_shared([getattr(s, a) for s in systems], owner)
+            for a in ("v_strength", "L"))
+    *data, bad = _gamow(k, v, L)
     if residual is None:
-        residual = _pole_residual(k, sys)[0]
-    return PoleSet(system=sys, n=n, k=k, q=q, u0=u0, uL=uL,
-                   inv_sqrt_norm=inv_sqrt, residual=residual,
-                   axis_poles=axis_poles)
+        residual = _pole_residual(k, v, L)[0]
+    u0, uL, q, inv_sqrt = data
+    ends = np.searchsorted(owner, np.arange(len(systems) + 1)).tolist()
+    out = []
+    for j, sys in enumerate(systems):
+        a, b = ends[j], ends[j + 1]
+        if bad[a:b].any():
+            out.append(_singular(k[a:b], bad[a:b]))
+            continue
+        out.append(PoleSet(system=sys, n=n[j], k=k[a:b], q=q[a:b],
+                           u0=u0[a:b], uL=uL[a:b], inv_sqrt_norm=inv_sqrt[a:b],
+                           residual=residual[a:b],
+                           axis_poles=None if axis is None else axis[j]))
+    return out
 
 
 def _axis_function(eta, alpha):
@@ -237,20 +289,46 @@ def find_axis_poles(sys: BarrierSystem):
     that misses RESIDUAL_TOL, as one may within about 1e-7 of alpha_m,
     raises PoleNotConverged naming pole 0.
     """
-    starts = [0.0, 6.0 + 4.0 * math.log(2.5 / sys.alpha)]
-    eta = np.array(starts if _axis_function(2.0, sys.alpha)[0] < 0.0 else [])
+    return single(_axis_tables([sys]))
+
+
+def _axis_tables(systems):
+    """find_axis_poles for many systems in one Newton pass: a list with
+    each system's table, or the error find_axis_poles raises for it.  An
+    iterate that has stopped stays where it is while others move, so every
+    root is bitwise the one its system gives alone."""
+    alpha = np.array([s.alpha for s in systems])
+    pair = np.flatnonzero(_axis_function(2.0, alpha)[0] < 0.0).tolist()
+    # an iterate stops once F is not positive or no longer moves
+    eta = np.array([[0.0, 6.0 + 4.0 * math.log(2.5 / systems[j].alpha)]
+                    for j in pair]).ravel()
+    a = np.repeat(alpha[pair], 2)
     for _ in range(_NEWTON_MAX_ITER):
-        # an iterate stops once F is not positive or no longer moves
-        f, s = _axis_function(eta, sys.alpha)
+        f, s = _axis_function(eta, a)
         step = np.where(f > 0.0, f * s / (eta - 2.0), 0.0)
         if np.all(eta - step == eta):
             break
         eta -= step
-    axis = _pole_set(sys, np.zeros(len(eta), dtype=int), -1j * eta / sys.L)
-    for k, r in zip(axis.k.tolist(), axis.residual.tolist()):
-        if not r <= RESIDUAL_TOL:
-            raise PoleNotConverged(0, f"(k = {k:.17g}, residual {r:.3g})")
-    return axis
+    # above alpha_m a system has no antibound poles: an empty table
+    none = np.zeros(0, dtype=complex)
+    out = [PoleSet(system=sys, n=np.zeros(0, dtype=int), k=none, q=none,
+                   u0=none, uL=none, inv_sqrt_norm=none,
+                   residual=np.zeros(0)) for sys in systems]
+    if not pair:
+        return out
+    L = np.repeat([systems[j].L for j in pair], 2)
+    found = _pole_sets([systems[j] for j in pair],
+                       [np.zeros(2, dtype=int)] * len(pair), -1j * eta / L,
+                       np.repeat(np.arange(len(pair)), 2))
+    for j, axis in zip(pair, found):
+        out[j] = axis
+        if isinstance(axis, PoleSet):
+            for k, r in zip(axis.k.tolist(), axis.residual.tolist()):
+                if not r <= RESIDUAL_TOL:
+                    out[j] = PoleNotConverged(
+                        0, f"(k = {k:.17g}, residual {r:.3g})")
+                    break
+    return out
 
 
 def _winding_number(sys, corners, samples_per_edge):
@@ -324,7 +402,8 @@ def audit_pole_count(poleset: PoleSet):
     # right edge halfway to the next expected pole: consecutive Re spacings
     # compress below pi/L at strong barrier shift, so a fixed margin can
     # swallow pole N+1; beside antibound poles, pole n has branch index n + 1
-    a_next = _seed(n + 1 + bool(poleset.axis_poles), sys).real
+    a_next = _seed(n + 1 + bool(poleset.axis_poles), sys.v_strength,
+                   sys.L).real
     corners = (x0, 0.5 * (a_max + a_next), -(1.5 * b_max + 1.0 / sys.L), -1e-9)
     # phase advances ~2 pi per enclosed zero along the contour; sample densely
     # enough that no segment can alias a full turn into a small increment.
@@ -351,42 +430,93 @@ def find_poles(sys: BarrierSystem, N: int) -> PoleSet:
     naming the missing pole, with the k and residual of a root on its
     branch that missed RESIDUAL_TOL if there is one.  Every root depends
     only on its own seed, so the first n poles do not depend on N.  An N
-    that is not an integer >= 1 raises NonPositiveParameter.
+    that is not an integer >= 1 raises NonPositiveParameter.  This is
+    find_pole_tables of one system.
+    """
+    return single(find_pole_tables([sys], N))
+
+
+def find_pole_tables(systems, N: int) -> list:
+    """find_poles(sys, N) for every system of a sequence, in one Newton.
+
+    The systems may differ in any parameter, as a width scan's differ in
+    L: each seed carries its own barrier through one array Newton pass,
+    and every root depends only on its own seed, so each system's table
+    is bitwise the one find_poles gives it alone.  The systems are refined
+    in groups of at most _SEEDS seeds, one system at least.  Returns a
+    list with each system's PoleSet, or the error find_poles raises for it.
     """
     if not (isinstance(N, Integral) and N >= 1):
         raise NonPositiveParameter(f"N must be an integer >= 1, got {N!r}")
-    axis = find_axis_poles(sys)
-    L = sys.L
-    seeds = np.append(_seed(np.arange(1, N + 2), sys), (1 - 2j) / L)
-    k = _newton_refine(seeds, sys)
+    systems, per = list(systems), max(1, _SEEDS // (N + 2))
+    if len(systems) > per:
+        return [table for a in range(0, len(systems), per)
+                for table in find_pole_tables(systems[a:a + per], N)]
+    out = _axis_tables(systems)
+    live = [j for j, axis in enumerate(out) if isinstance(axis, PoleSet)]
+    if not live:
+        return out
+    sub = [systems[j] for j in live]
+    v, L = (_shared([getattr(s, a) for s in sub], N + 2)
+            for a in ("v_strength", "L"))
+    # a row of N + 2 seeds per system: rungs 1..N+1, then (1 - 2i)/L
+    seeds = np.empty((len(sub), N + 2), dtype=complex)
+    seeds[:, :-1] = _seed(np.arange(1, N + 2), *(
+        a if np.ndim(a) == 0 else a.reshape(len(sub), -1)[:, :-1]
+        for a in (v, L)))
+    seeds[:, -1] = [(1 - 2j) / s.L for s in sub]
+    vv, LL = v, L
+    k = _newton_refine(seeds.ravel(), vv, LL)
     # the pole equation once: its residual and branch index m ride along
     # with each root through the filter, the sort and the dedupe
-    res, m = _pole_residual(k, sys)
-    keep = np.flatnonzero((res <= RESIDUAL_TOL) & (k.real > 1e-6 / L)
+    res, m = _pole_residual(k, vv, LL)
+    owner = np.repeat(np.arange(len(sub)), N + 2)
+    keep = np.flatnonzero((res <= RESIDUAL_TOL) & (k.real > 1e-6 / LL)
                           & (k.imag < 0))
-    keep = keep[np.argsort(k.real[keep], kind="stable")]
+    keep = keep[np.lexsort((k.real[keep], owner[keep]))]
     near = 1e-8 * np.maximum(1.0, np.abs(k[keep]))
-    keep = keep[np.abs(np.diff(k[keep], prepend=np.inf)) > near][:N]
-    first = 2 if axis else 1
+    step = np.abs(np.diff(k[keep], prepend=np.inf))
+    step[np.flatnonzero(np.diff(owner[keep], prepend=-1))] = np.inf
+    keep = keep[step > near]
+    # the first N kept roots of each system, numbered from first
+    rank = np.arange(len(keep)) - np.searchsorted(owner[keep], owner[keep])
+    keep = keep[rank < N]
+    rank, who = rank[rank < N], owner[keep]
+    first = np.array([2 if out[j] else 1 for j in live])[who]
+    found = np.bincount(who, minlength=len(sub))
+    gap = np.bincount(who[m[keep] != first + rank], minlength=len(sub))
+    tables = _pole_sets(sub, [np.arange(1, N + 1)] * len(sub), k[keep], who,
+                        res[keep], [out[j] for j in live])
+    for i, j in enumerate(live):
+        if gap[i] or found[i] < N:
+            rows = slice(i * (N + 2), (i + 1) * (N + 2))
+            tables[i] = _gap(sub[i], N, bool(out[j]), k[rows], res[rows],
+                             m[rows], m[keep[who == i]])
+        out[j] = tables[i]
+    return out
+
+
+def _gap(sys, N, beside, k, res, m, kept_m):
+    """The PoleNotConverged of a table whose kept roots, with branch
+    indices kept_m, skip a branch or fall short of N; k, res and m are
+    every root of its search."""
+    first = 2 if beside else 1
     want = np.arange(first, first + N)
-    gap = np.flatnonzero(m[keep] != want[:len(keep)])
-    if gap.size or len(keep) < N:
-        n = int(gap[0]) + 1 if gap.size else len(keep) + 1
-        # a root on the missing branch that missed RESIDUAL_TOL, as pole 1
-        # may within about 1e-7 above alpha_m, is named with its residual
-        missed = np.flatnonzero((m == want[n - 1]) & ~(res <= RESIDUAL_TOL))
-        if missed.size:
-            i = missed[0]
-            raise PoleNotConverged(n, f"(k = {k[i]:.17g}, residual "
-                                      f"{res[i]:.3g} on branch m = "
-                                      f"{want[n - 1]})")
-        raise PoleNotConverged(n, f"(no root on branch m = {want[n - 1]} at "
-                                  f"L={L:.6g} nm, alpha={sys.alpha:.6g})")
-    return _pole_set(sys, np.arange(1, N + 1), k[keep], res[keep],
-                     axis_poles=axis)
+    gap = np.flatnonzero(kept_m != want[:len(kept_m)])
+    n = int(gap[0]) + 1 if gap.size else len(kept_m) + 1
+    # a root on the missing branch that missed RESIDUAL_TOL, as pole 1
+    # may within about 1e-7 above alpha_m, is named with its residual
+    missed = np.flatnonzero((m == want[n - 1]) & ~(res <= RESIDUAL_TOL))
+    if missed.size:
+        i = missed[0]
+        return PoleNotConverged(n, f"(k = {k[i]:.17g}, residual "
+                                   f"{res[i]:.3g} on branch m = "
+                                   f"{want[n - 1]})")
+    return PoleNotConverged(n, f"(no root on branch m = {want[n - 1]} at "
+                               f"L={sys.L:.6g} nm, alpha={sys.alpha:.6g})")
 
 
-def expansion_coeffs(x, poles: PoleSet, internal: bool):
+def expansion_coeffs(x, poles, internal: bool):
     """One region's expansion coefficients over the rows of a pole table.
 
     internal: Phi_n(x) = 2ik u_n(0) u_n(x) / (k^2 - k_n^2)
@@ -398,10 +528,29 @@ def expansion_coeffs(x, poles: PoleSet, internal: bool):
     -conj k_n has coefficient -conj of its partner's, so the mirrors need
     no entries of their own.  k^2 - k_n^2 does not vanish (Im k_n^2 < 0 on
     the ladder, k_n^2 < 0 on the axis); if it underflows, the sum refuses.
+    `poles` may also be a sequence of tables, with x a sequence of one
+    position per table: then the arrays run over every table's rows, one
+    table after another, each entry as its table alone gives it.
     """
-    k = poles.system.k
-    kn = poles.k
-    pref = 2j * k * poles.u0 / (k * k - kn * kn)
+    if not isinstance(poles, PoleSet) and len(poles) == 1:
+        x, (poles,) = x[0], poles
+    if isinstance(poles, PoleSet):
+        sys = poles.system
+        return _coeffs(x, sys.k, sys.L, poles.k, poles.q, poles.u0,
+                       poles.uL, poles.inv_sqrt_norm, internal), poles.k
+    count = [len(p) for p in poles]
+    x, k, L = (np.repeat(np.array(a, dtype=float), count) for a in (
+        x, [p.system.k for p in poles], [p.system.L for p in poles]))
+    kn, q, u0, uL, inv_sqrt = (np.concatenate([getattr(p, c) for p in poles])
+                               for c in ("k", "q", "u0", "uL",
+                                         "inv_sqrt_norm"))
+    return _coeffs(x, k, L, kn, q, u0, uL, inv_sqrt, internal), kn
+
+
+def _coeffs(x, k, L, kn, q, u0, uL, inv_sqrt, internal):
+    """expansion_coeffs' coefficients from pole columns kn, q, u0, uL and
+    inv_sqrt_norm, with x, k and L scalars or one per pole."""
+    pref = 2j * k * u0 / (k * k - kn * kn)
     if internal:
-        return pref * (_gamow_u(x, kn, poles.q) * poles.inv_sqrt_norm), kn
-    return pref * poles.uL * np.exp(-1j * kn * poles.system.L), kn
+        return pref * (_gamow_u(x, kn, q) * inv_sqrt)
+    return pref * uL * np.exp(-1j * kn * L)

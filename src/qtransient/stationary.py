@@ -36,17 +36,22 @@ def pole_function(k, sys: BarrierSystem):
     denominator.  D is odd under q -> -q, so D itself is branch dependent;
     G is even in q and single valued in k.
     """
+    return _pole_function(k, sys.v_strength, sys.L)
+
+
+def _pole_function(k, v, L):
+    """pole_function for barriers v = V/c2, L that broadcast with k."""
     k = np.asarray(k, dtype=complex)
-    q = _q_of_k(k, sys.v_strength)
-    t_minus = (k + q) ** 2 * np.exp(-1j * q * sys.L)
-    t_plus = (k - q) ** 2 * np.exp(1j * q * sys.L)
+    q = _q_of_k(k, v)
+    t_minus = (k + q) ** 2 * np.exp(-1j * q * L)
+    t_plus = (k - q) ** 2 * np.exp(1j * q * L)
     small = np.abs(q) < 1e-8
     if np.any(small):
         # removable point q ~ 0: G = 4k - 2i(L k^2 + ...) + O(q^2); expand
         g = np.empty(q.shape, dtype=complex)
         g[~small] = (t_minus[~small] - t_plus[~small]) / q[~small]
         ks = k[small]
-        L = sys.L
+        L = L if np.ndim(L) == 0 else np.broadcast_to(L, q.shape)[small]
         # series of D/q in q^2 around q=0
         qs = q[small] ** 2
         g[small] = (4 * ks - 2j * L * ks**2
@@ -58,11 +63,16 @@ def pole_function(k, sys: BarrierSystem):
 
 def transmission(k, sys: BarrierSystem):
     """Transmission amplitude T(k); accepts complex k (and arrays)."""
+    t = _transmission(k, sys.v_strength, sys.L)
+    return t if t.shape else complex(t)
+
+
+def _transmission(k, v, L):
+    """T(k) as an array, for barriers v, L that broadcast with k."""
     k_arr = np.asarray(k, dtype=complex)
     if np.any(k_arr == 0):
         raise ZeroWavenumber("transmission undefined at k = 0")
-    t = 4 * k_arr * np.exp(-1j * k_arr * sys.L) / pole_function(k_arr, sys)
-    return t if t.shape else complex(t)
+    return 4 * k_arr * np.exp(-1j * k_arr * L) / _pole_function(k_arr, v, L)
 
 
 def reflection(k, sys: BarrierSystem):
@@ -85,16 +95,22 @@ def phi_stationary(x, k, sys: BarrierSystem):
     organized around x - L so that for E < V every magnitude is bounded by
     the dominant barrier scale.
     """
+    val = _phi(x, k, sys.v_strength, sys.L)
+    return val if val.shape else complex(val)
+
+
+def _phi(x, k, v, L):
+    """Phi_k(x) as an array, for x and barriers v, L that broadcast with k."""
     x_arr = np.asarray(x, dtype=float)
-    if np.any((x_arr < 0) | (x_arr > sys.L * (1 + 1e-12))):
+    if np.any((x_arr < 0) | (x_arr > L * (1 + 1e-12))):
         raise XOutOfRange("phi_stationary requires 0 <= x <= L")
     k_c = np.asarray(k, dtype=complex)
-    q = _q_of_k(k_c, sys.v_strength)
-    t = transmission(k_c, sys)
-    pref = t * np.exp(1j * k_c * sys.L) / (2 * q)
-    val = pref * ((q + k_c) * np.exp(1j * q * (x_arr - sys.L))
-                  + (q - k_c) * np.exp(-1j * q * (x_arr - sys.L)))
-    return val if val.shape else complex(val)
+    q = _q_of_k(k_c, v)
+    t = _transmission(k_c, v, L)
+    t = t if t.shape else complex(t)    # as transmission gives it
+    pref = t * np.exp(1j * k_c * L) / (2 * q)
+    return pref * ((q + k_c) * np.exp(1j * q * (x_arr - L))
+                   + (q - k_c) * np.exp(-1j * q * (x_arr - L)))
 
 
 def phase_time_delay(sys: BarrierSystem):

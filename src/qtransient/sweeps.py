@@ -17,10 +17,17 @@ Opacity is realized by varying L at fixed V (and E = V/u): the (alpha, u)
 scaling invariance makes the choice immaterial, and it keeps the pole solver
 in a well-conditioned regime.
 
-Every sweep checks its whole grid before any work starts and maps it in
-ascending order, optionally over `threads` worker threads; rows come out
-sorted whatever the thread count or the order of the grid.  The CLI scan
-commands call these same functions.
+Every sweep checks its whole grid before any work starts, sorts it and
+cuts it into contiguous batches (propagator.batches) of at most BATCH
+probes, and into one per worker thread where `threads` asks for more;
+the threads take the batches.  The probes of a batch are searched in
+lockstep: one pole search for all their systems, then each stage of the
+peak search -- first scan chunk, no-peak check, later chunks, polish --
+as one batched trace over the probes still open.  Each probe gets bitwise
+the row it gets alone, so rows come out the same whatever the thread
+count or the order of the grid, and a failing probe raises, the first in
+grid order, the error it raises alone.  The CLI scan commands call these
+same functions.
 """
 
 from __future__ import annotations
@@ -30,9 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import find_time_domain_resonance
-from .errors import NoCrossing, NonPositiveParameter
-from .propagator import DEFAULT_TOL, check_tol, pole_cache
+from .analysis import (find_time_domain_resonance,
+                       find_time_domain_resonances)
+from .errors import NoCrossing, NonPositiveParameter, QTransientError
+from .propagator import DEFAULT_TOL, batches, check_tol, pole_cache
 from .stationary import phase_time_delay
 from .systems import BarrierSystem, length_for_alpha, make_system
 
@@ -83,14 +91,45 @@ def _scan_map(values, worker, threads):
         return list(pool.map(worker, values))
 
 
-def _sweep(values, peak, threads):
-    """SweepTable of peak(v) at each grid value, one row per value."""
-    def row(v):
-        tdr = peak(v)
-        return SweepRow(independent=v, t_max=tdr.t_max,
-                        omega_ratio=tdr.omega_ratio, exists=tdr.exists)
+def _sweep(values, probe, tol, threads):
+    """SweepTable of the peak at each grid value, one row per value, where
+    probe(v) gives the (sys, x, poles) of value v.
 
-    return SweepTable(rows=tuple(_scan_map(values, row, threads)))
+    The grid is cut into batches (batches), at least one per pool thread,
+    the `threads` pool threads take them, and each batch's searches run
+    in lockstep (find_time_domain_resonances); a batch of one is one call
+    of find_time_domain_resonance.  Every row is what its search gives
+    alone, and the first error in grid order is raised.
+    """
+    def search(batch):
+        out, probes = [None] * len(batch), []
+        for j, v in enumerate(batch):
+            try:
+                probes.append((j, probe(v)))
+            except QTransientError as exc:
+                out[j] = exc
+        if len(probes) == 1:
+            (j, (sys, x, poles)), = probes
+            try:
+                out[j] = find_time_domain_resonance(sys, x=x, tol=tol,
+                                                    poles=poles)
+            except QTransientError as exc:
+                out[j] = exc
+        elif probes:
+            found = find_time_domain_resonances([p for _, p in probes], tol)
+            for (j, _), tdr in zip(probes, found):
+                out[j] = tdr
+        return out
+
+    parts = [values[b] for b in batches(len(values), threads)]
+    found = [r for part in _scan_map(parts, search, threads) for r in part]
+    rows = []
+    for v, tdr in zip(values, found):
+        if isinstance(tdr, Exception):
+            raise tdr
+        rows.append(SweepRow(independent=v, t_max=tdr.t_max,
+                             omega_ratio=tdr.omega_ratio, exists=tdr.exists))
+    return SweepTable(rows=tuple(rows))
 
 
 def sweep_tmax_vs_L(L_grid, V, E, mass_ratio=1.0, tol=DEFAULT_TOL,
@@ -98,11 +137,10 @@ def sweep_tmax_vs_L(L_grid, V, E, mass_ratio=1.0, tol=DEFAULT_TOL,
     """t_max at x = L for each barrier width; rows sorted by L."""
     values = _checked_grid(L_grid, "L", threads, tol)
 
-    def peak(L):
-        sys = make_system(V, E, L, mass_ratio)
-        return find_time_domain_resonance(sys, tol=tol)
+    def probe(L):
+        return make_system(V, E, L, mass_ratio), None, None
 
-    return _sweep(values, peak, threads)
+    return _sweep(values, probe, tol, threads)
 
 
 def sweep_freq_vs_x(x_grid, sys: BarrierSystem, tol=DEFAULT_TOL,
@@ -110,15 +148,16 @@ def sweep_freq_vs_x(x_grid, sys: BarrierSystem, tol=DEFAULT_TOL,
     """Peak frequency ratio at each position, inside and beyond the barrier.
 
     Every probe shares one immutable pole table, found once, so sharing it
-    across threads leaves every row unchanged.
+    across threads leaves every row unchanged; a batch's traces are summed
+    per region, the positions inside the barrier apart from those beyond.
     """
     values = _checked_grid(x_grid, "x", threads, tol)
     cache = pole_cache(sys)
 
-    def peak(x):
-        return find_time_domain_resonance(sys, x=x, tol=tol, poles=cache)
+    def probe(x):
+        return sys, x, cache
 
-    return _sweep(values, peak, threads)
+    return _sweep(values, probe, tol, threads)
 
 
 def check_u(u, name="u"):
@@ -140,11 +179,10 @@ def sweep_freq_vs_alpha(alpha_grid, u, V_ref, mass_ratio=1.0, tol=DEFAULT_TOL,
     check_u(u)
     values = _checked_grid(alpha_grid, "alpha", threads, tol)
 
-    def peak(alpha):
-        return find_time_domain_resonance(
-            _system_at(alpha, u, V_ref, mass_ratio), tol=tol)
+    def probe(alpha):
+        return _system_at(alpha, u, V_ref, mass_ratio), None, None
 
-    return _sweep(values, peak, threads)
+    return _sweep(values, probe, tol, threads)
 
 
 def detect_basin(table: SweepTable):

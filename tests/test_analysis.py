@@ -48,9 +48,9 @@ from numpy.polynomial.chebyshev import Chebyshev, chebfit, chebpts2, chebval
 from qtransient import (analysis, find_time_domain_resonance,
                         local_frequency, make_system, pole_cache, propagator,
                         spectrogram, trace)
-from qtransient.analysis import default_window
+from qtransient.analysis import default_window, find_time_domain_resonances
 from qtransient.errors import (AmplitudeUnderflow, MergingPolePair,
-                               NotConverged)
+                               NotConverged, QTransientError)
 from qtransient.propagator import DEFAULT_TOL
 from qtransient.systems import length_for_alpha
 
@@ -61,6 +61,32 @@ REF_HEIGHT_RATIO = 1.1744800517103586
 # poles at every time and the closed-form tail behind them
 REF_T_MAX_NEAR_SHUTTER = 8.266955774104087
 
+
+
+def _per_request(one):
+    """A stand-in for analysis.traces, the one call through which every
+    peak search traces: each request (x, times, sys, poles, tol) gets
+    one(x, times, sys, poles=poles, tol=tol), or the error it raises."""
+    def batched(requests):
+        out = []
+        for x, times, sys_, poles, tol in requests:
+            try:
+                out.append(one(x, times, sys_, poles=poles, tol=tol))
+            except QTransientError as exc:
+                out.append(exc)
+        return out
+    return batched
+
+
+def _searched(batch, sys_, x=None, tol=DEFAULT_TOL, poles=None):
+    """The peak search of sys_ run as `batch` equal probes in lockstep:
+    each ends in the same class, and the first's result is returned, or
+    its error raised."""
+    found = find_time_domain_resonances([(sys_, x, poles)] * batch, tol)
+    assert len({type(r) for r in found}) == 1
+    if isinstance(found[0], Exception):
+        raise found[0]
+    return found[0]
 
 def test_frequency_identity(gaas, gaas_cache):
     tr = trace(gaas.L, np.linspace(2.0, 10.0, 9), gaas,
@@ -156,7 +182,7 @@ def test_peak_polish_traces_each_time_once(gaas, gaas_cache, monkeypatch, x):
         calls.append((tr, tol))
         return tr
 
-    monkeypatch.setattr(analysis, "trace", spy)
+    monkeypatch.setattr(analysis, "traces", _per_request(spy))
     tol = 1e-9
     tdr = find_time_domain_resonance(gaas, x=x, tol=tol, poles=gaas_cache)
     assert tdr.exists
@@ -270,9 +296,11 @@ def test_noisy_polish_interpolant_raises(gaas, gaas_cache, monkeypatch):
         return dataclasses.replace(
             tr, psi=tr.psi * (1.0 + 1e-7 * rng.standard_normal(len(t_grid))))
 
-    monkeypatch.setattr(analysis, "trace", noisy)
-    with pytest.raises(NotConverged, match=r"x=4.*\[.*\] fs.*tol=1.0e-09"):
-        find_time_domain_resonance(gaas, tol=1e-9, poles=gaas_cache)
+    monkeypatch.setattr(analysis, "traces", _per_request(noisy))
+    # alone and in a lockstep batch of two
+    for batch in (1, 2):
+        with pytest.raises(NotConverged, match=r"x=4.*\[.*\] fs.*tol=1.0e-09"):
+            _searched(batch, gaas, tol=1e-9, poles=gaas_cache)
 
 
 def test_noisy_dpsi_interpolant_raises(gaas, gaas_cache, monkeypatch):
@@ -288,10 +316,13 @@ def test_noisy_dpsi_interpolant_raises(gaas, gaas_cache, monkeypatch):
         return dataclasses.replace(tr, dpsi_dt=tr.dpsi_dt * (
             1.0 + 1e-7 * rng.standard_normal(len(t_grid))))
 
-    monkeypatch.setattr(analysis, "trace", noisy)
-    with pytest.raises(NotConverged, match=r"x=4: the dPsi/dt interpolant "
-                       r"on \[.*\] fs.*tol=1.0e-09 times \|dPsi/dt\(t_max\)\|"):
-        find_time_domain_resonance(gaas, tol=1e-9, poles=gaas_cache)
+    monkeypatch.setattr(analysis, "traces", _per_request(noisy))
+    # alone and in a lockstep batch of two
+    for batch in (1, 2):
+        with pytest.raises(NotConverged, match=(
+                r"x=4: the dPsi/dt interpolant on \[.*\] fs.*tol=1.0e-09 "
+                r"times \|dPsi/dt\(t_max\)\|")):
+            _searched(batch, gaas, tol=1e-9, poles=gaas_cache)
 
 
 def test_polish_that_misses_the_scanned_maximum_raises(gaas, gaas_cache,
@@ -305,10 +336,13 @@ def test_polish_that_misses_the_scanned_maximum_raises(gaas, gaas_cache,
             return tr
         return dataclasses.replace(tr, dpsi_dt=-tr.dpsi_dt)
 
-    monkeypatch.setattr(analysis, "trace", flipped)
-    with pytest.raises(NotConverged, match=r"peak polish at x=4: the envelope "
-                       r"rate on \[.*\] fs goes from -\S+ to \S+ 1/fs"):
-        find_time_domain_resonance(gaas, tol=1e-9, poles=gaas_cache)
+    monkeypatch.setattr(analysis, "traces", _per_request(flipped))
+    # alone and in a lockstep batch of two
+    for batch in (1, 2):
+        with pytest.raises(NotConverged, match=(
+                r"peak polish at x=4: the envelope rate on \[.*\] fs goes "
+                r"from -\S+ to \S+ 1/fs")):
+            _searched(batch, gaas, tol=1e-9, poles=gaas_cache)
 
 
 @pytest.mark.parametrize("E,L,x_over_L,exists", [
@@ -344,9 +378,9 @@ def test_chunked_scan_brackets_like_the_full_scan(monkeypatch, E, L,
         traced.append((t_grid, tol))
         return trace(x_, t_grid, *a, tol=tol, **kw)
 
-    monkeypatch.setattr(analysis, "trace", from_full_scan)
+    monkeypatch.setattr(analysis, "traces", _per_request(from_full_scan))
     ref = find_time_domain_resonance(sys_, x=x, poles=cache)
-    monkeypatch.setattr(analysis, "trace", spy)
+    monkeypatch.setattr(analysis, "traces", _per_request(spy))
     tdr = find_time_domain_resonance(sys_, x=x, poles=cache)
     assert tdr.exists is ref.exists is (len(idx) > 0) is exists
     if exists:
@@ -446,13 +480,15 @@ def test_bracketing_scan_miss_names_the_scan(gaas, gaas_cache, monkeypatch):
     def missed(*args, **kwargs):
         raise NotConverged("pole sum above tol")
 
-    monkeypatch.setattr(analysis, "trace", missed)
-    with pytest.raises(NotConverged) as info:
-        find_time_domain_resonance(gaas, poles=gaas_cache)
-    assert str(info.value) == ("bracketing scan of the peak search, summed "
-                               "at tol=1.0e-03 for tol=1.0e-08: "
-                               "pole sum above tol")
-    assert str(info.value.__cause__) == "pole sum above tol"
+    monkeypatch.setattr(analysis, "traces", _per_request(missed))
+    # alone and in a lockstep batch of two
+    for batch in (1, 2):
+        with pytest.raises(NotConverged) as info:
+            _searched(batch, gaas, poles=gaas_cache)
+        assert str(info.value) == ("bracketing scan of the peak search, "
+                                   "summed at tol=1.0e-03 for tol=1.0e-08: "
+                                   "pole sum above tol")
+        assert str(info.value.__cause__) == "pole sum above tol"
 
 
 def test_scan_miss_keeps_its_class_and_names_the_tol_asked():
@@ -474,12 +510,14 @@ def test_polish_miss_names_the_polish(gaas, gaas_cache, monkeypatch):
             raise NotConverged("pole sum above tol")
         return trace(x_, t_grid, *args, **kwargs)
 
-    monkeypatch.setattr(analysis, "trace", polish_missed)
-    with pytest.raises(NotConverged) as info:
-        find_time_domain_resonance(gaas, poles=gaas_cache)
-    assert str(info.value) == ("peak polish of the peak search: "
-                               "pole sum above tol")
-    assert str(info.value.__cause__) == "pole sum above tol"
+    monkeypatch.setattr(analysis, "traces", _per_request(polish_missed))
+    # alone and in a lockstep batch of two
+    for batch in (1, 2):
+        with pytest.raises(NotConverged) as info:
+            _searched(batch, gaas, poles=gaas_cache)
+        assert str(info.value) == ("peak polish of the peak search: "
+                                   "pole sum above tol")
+        assert str(info.value.__cause__) == "pole sum above tol"
 
 
 def test_scan_tolerance_does_not_leak_into_reported_values(gaas, gaas_cache):
@@ -568,7 +606,7 @@ def test_no_peak_check_declines_before_a_late_peak(monkeypatch, gaas,
         return trace(x_, t_grid, *a, tol=tol, **kw)
 
     monkeypatch.setattr(analysis, "_rises_throughout", spy_check)
-    monkeypatch.setattr(analysis, "trace", spy_trace)
+    monkeypatch.setattr(analysis, "traces", _per_request(spy_trace))
     tdr = find_time_domain_resonance(gaas, x=30.0, poles=gaas_cache)
     assert checks == [False]
     grid = np.linspace(*default_window(gaas, 30.0), analysis.PEAK_SCAN)

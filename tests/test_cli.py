@@ -226,9 +226,10 @@ def test_sum_above_tol_after_its_second_pass_exits_3(capsys, monkeypatch):
     code, out, err = run(capsys, GAAS_FLAGS + [
         "evolve", "--tmin", "1", "--tmax", "3", "--steps", "3"])
     assert code == 3 and out == "" and len(counts) == 2
+    # the first and the last time it refuses
     assert err == ("error: pole sum at x=4.0 above tol=1.0e-08 at 3 of 3 "
-                   "time points from t=1 fs; worst error estimate 1.0e-07 "
-                   f"with N={max(counts)} exact poles\n")
+                   "time points from t=1 fs to t=3 fs; worst error estimate "
+                   f"1.0e-07 with N={max(counts)} exact poles\n")
 
 
 def test_flags_override_config_file(capsys, tmp_path):
@@ -737,12 +738,18 @@ def test_overflowing_amplitude_is_refused_without_a_deeper_search(
     # no pool can meet it: the sizer stops at its first pool, and the shared
     # table of HARD_CAP // 4 poles is the only search before the refusal
     depths, search = [], propagator.find_poles
+    tables = propagator.find_pole_tables
 
     def counted(sys_, n):
         depths.append(n)
         return search(sys_, n)
 
+    def counted_tables(systems, n):
+        depths.extend([n] * len(systems))
+        return tables(systems, n)
+
     monkeypatch.setattr(propagator, "find_poles", counted)
+    monkeypatch.setattr(propagator, "find_pole_tables", counted_tables)
     code, out, err = run(capsys, ["--V", "1e6", "--E", "1", "--L", "4",
                                   "--mass-ratio", "0.067", "tmax"])
     assert code == 3 and out == "" and "x=4.0" in err

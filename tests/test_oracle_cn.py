@@ -626,8 +626,8 @@ def test_default_config_refuses_a_bad_dx(gaas, monkeypatch, dx, error):
     # refused naming dx before the snap, which divides by dx and rounds
     # L/(2 dx), so a negative or infinite dx would come out as L/2.  At
     # 1e-300 (and 1e-320, whose cell count overflows) dt underflows to 0,
-    # and the step bound refuses the run there and in cn_evolve, before
-    # any lattice solve
+    # and the step bound refuses the run there; cn_evolve refuses the
+    # grid first, whose hop c2/dx^2 is not finite, before any lattice solve
     def solved(*args):
         raise AssertionError("a lattice system was solved")
 
@@ -639,5 +639,23 @@ def test_default_config_refuses_a_bad_dx(gaas, monkeypatch, dx, error):
     bound = r"at dt=0 fs needs inf steps; the bound is 250000"
     with pytest.raises(ValidationError, match=bound):
         default_cn_config(gaas, 2.0, dx=dx)
-    with pytest.raises(ValidationError, match=bound):
+    with pytest.raises(NonFiniteInput, match=rf"^dx={dx} makes the lattice "
+                                             r"hop c2/dx\^2 not finite$"):
         cn_evolve(gaas, CnConfig(dx=dx), [gaas.L], np.array([2.0]))
+
+
+@pytest.mark.parametrize("dx", [1e-160, 1e-155])
+def test_grid_whose_hop_is_not_finite_is_refused(gaas, monkeypatch, dx):
+    # a run of 100 steps passes the step bound, but the hop c2/dx^2
+    # overflows, dx^2 being a subnormal (1e-155) or smaller (1e-160): the
+    # grid is refused naming dx, with no numpy warning and no lattice
+    # solve, where numpy warned and the solve raised a bare ValueError
+    def solved(*args):
+        raise AssertionError("a lattice system was solved")
+
+    monkeypatch.setattr(oracle, "solve_banded", solved)
+    run = np.array([100.0 * oracle._dt(gaas, dx)])
+    assert run[0] > 0.0
+    with pytest.raises(NonFiniteInput, match=rf"^dx={dx} makes the lattice "
+                                             r"hop c2/dx\^2 not finite$"):
+        cn_evolve(gaas, CnConfig(dx=dx), [gaas.L], run)

@@ -81,6 +81,7 @@ from qtransient.analysis import PEAK_SCAN, default_window
 from qtransient.errors import (MergingPolePair, NonPositiveTime, NotConverged,
                                PoleNotConverged, PoleSetMismatch,
                                ValidationError, XOutOfRange)
+from qtransient.resonances import expansion_coeffs
 from qtransient.systems import HBAR_EV_FS as HBAR
 
 # pinned reference values for the GaAs barrier, converged to ~1e-11 with
@@ -255,7 +256,7 @@ def test_external_moments_in_blocks_are_bitwise_one_block(gaas, gaas_cache,
 
     def spy(plan, rows, ring):
         calls.append((plan.level[rows], inner(plan, rows, ring),
-                      len(plan.pool_q)))
+                      plan.pool_q.shape[1]))
         return calls[-1][1]
 
     monkeypatch.setattr(propagator, "_moments", spy)
@@ -301,13 +302,15 @@ def test_pole_table_is_found_once_and_shared(gaas, gaas_poles, monkeypatch):
     # that deep is used as it is, and a shorter one is replaced by a search
     # whose first rows are the shorter one's; traces whose pools fit in the
     # table search no further
-    calls = []
+    calls, search = [], propagator.find_pole_tables
 
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return find_poles(*args, **kwargs)
+    def spy(systems, n):
+        calls.append((*systems, n))
+        return search(systems, n)
 
-    monkeypatch.setattr(propagator, "find_poles", spy)
+    monkeypatch.setattr(propagator, "find_pole_tables", spy)
+    monkeypatch.setattr(propagator, "find_poles",
+                        lambda sys_, n: spy([sys_], n)[0])
     table = pole_cache(gaas, gaas_poles)
     depth = propagator.HARD_CAP // 4
     assert calls == [(gaas, depth)] and len(table) == depth == 512
@@ -333,7 +336,7 @@ def test_pool_that_outgrows_the_table_searches_the_cap_once(gaas, gaas_cache,
 
     def sized(*args):
         out = plan(*args)
-        sizes.append(len(out.kn))
+        sizes.append(int(out.size[0]))
         return out
 
     monkeypatch.setattr(propagator, "find_poles", spy)
@@ -358,21 +361,20 @@ def _doubling_size(plan, table):
     omitted term at count n is |alpha_{J+1}| times the sum, over the pool
     poles q from n on, of |c_q| (|k_c - q|^-m + |k_c + conj q|^-m), and n
     never leaves out a pole with Re q below k_c + _Z_MIN / s."""
-    x, internal, target = plan.x, plan.internal, plan.target
+    x, internal, target = plan.x[0], plan.internal, plan.target[0]
     s0, kc0 = plan.s[:1], plan.kc[:1]
     J = propagator._ORDER[internal]
     m, cap = 2 * J + 3, propagator.HARD_CAP
     coefs = kn = np.zeros(0, dtype=complex)
     p = propagator._POOL
     while True:
-        c_new, k_new = propagator.expansion_coeffs(
-            x, table[len(kn):p], internal)
+        c_new, k_new = expansion_coeffs(x, table[len(kn):p], internal)
         coefs, kn = np.concatenate((coefs, c_new)), np.concatenate((kn, k_new))
         weight = np.abs(propagator._alpha(J + 1, s0, 1.0))[0]
         bound = np.abs(coefs) * (np.abs(kc0 - kn) ** -m
                                  + np.abs(kc0 + kn.conj()) ** -m)
         later = np.cumsum(bound[::-1])[::-1]
-        rem = propagator._beyond(coefs, kn, s0, kc0)[0]
+        rem = propagator._beyond(coefs[None, -2:], kn[None, -2:], s0, kc0)[0]
         n = max(int(np.sum(later > 0.5 * target / weight)),
                 int(np.searchsorted(kn.real,
                                     kc0[0] + propagator._Z_MIN / s0[0])))
@@ -397,21 +399,18 @@ def test_pool_sizing_matches_the_whole_pool_doubling(alpha):
         internal = x <= sys_.L
         t0 = np.array(default_window(sys_, x)[:1])
 
-        def f(c):
-            return (phi_stationary(x, c, sys_) if internal
-                    else transmission(c, sys_))
-
-        f_k = f(k2)
-        axis = propagator.expansion_coeffs(x, full.axis_poles, internal)
+        f_k = (phi_stationary(x, k2, sys_) if internal
+               else transmission(k2, sys_))
+        axis = expansion_coeffs(x, full.axis_poles, internal)
         for tol in (1e-6, 1e-10):
             target = tol * propagator._AIM * abs(f_k[0])
             for table in tables:
-                plan = propagator._plan(x, t0, sys_, table, internal, f,
-                                        f_k, axis, target)
+                plan = propagator._plan(internal, [x], [t0], [sys_], [f_k],
+                                        [axis], [target], [table])
                 ref = _doubling_size(plan, full)
                 assert plan.coefs.tobytes() == ref[0].tobytes()
                 assert plan.kn.tobytes() == ref[1].tobytes()
-            pools.append(len(plan.kn))
+            pools.append(int(plan.size[0]))
     expect = {0.83: 32, 20.0: propagator.HARD_CAP}
     if alpha in expect:
         assert expect[alpha] in pools, pools
@@ -452,9 +451,12 @@ def _power_sum_moments(plan, rows):
     max |closed form| / r^m on each circle, what each of the first 2J + 1
     moments cancels, and 0 for the last one, which sums the pool
     directly."""
-    kc, level, axis, f_k = plan.kc[rows], plan.level[rows], plan.axis, plan.f_k
-    J, k, arc = propagator._ORDER[False], plan.sys.k, propagator._ARC
-    pool_q, pool_c = plan.pool_q, plan.pool_c
+    (run,) = set(plan.run[rows])
+    n_axis = plan.n_axis[run]
+    axis = (plan.axis_c[run, :n_axis], plan.axis_k[run, :n_axis])
+    kc, level, f_k = plan.kc[rows], plan.level[rows], plan.f_k[run]
+    J, k, arc = propagator._ORDER[False], plan.k[run], propagator._ARC
+    pool_q, pool_c = plan.pool_q[run], plan.pool_c[run]
     n, top = 2 * level, 2 * int(level.max())
     i = np.arange(len(kc))
     inv = kc[:, None] - pool_q
@@ -467,7 +469,8 @@ def _power_sum_moments(plan, rows):
     theta = 2.0 * math.pi * (np.arange(arc) + 0.5) / arc
     c = kc[:, None] + r[:, None] * np.exp(1j * theta)
     circle = (f_k[0] / (c - k) - f_k[1] / (c + k)
-              + 2.0 * k * transmission(c, plan.sys) / (k * k - c * c))
+              + 2.0 * k * propagator._transmission(c, plan.v[run], plan.L[run])
+              / (k * k - c * c))
     mu, power, power_axis = [], 1.0, 1.0
     exact = np.zeros((len(kc), top + 1), dtype=complex)
     for m in range(2 * J + 1):
@@ -500,7 +503,7 @@ def test_antibound_share_on_the_nodes_matches_the_power_sums(monkeypatch,
     monkeypatch.setattr(propagator, "_moments",
                         lambda *args: calls.append(args) or inner(*args))
     trace(x, np.linspace(*default_window(sys_, x), 40), sys_, tol=1e-10)
-    assert calls and len(calls[0][0].axis[1]) == 2
+    assert calls and calls[0][0].n_axis[0] == 2
     eps = np.finfo(float).eps
     for args in calls:
         got, (ref, cancel) = inner(*args), _power_sum_moments(*args[:2])
@@ -748,11 +751,11 @@ def test_each_time_sums_its_own_exact_count(monkeypatch):
 
     def spy_count(*args):
         out = count(*args)
-        needs.append(out[0])
+        needs.append(out)
         return out
 
     def spy_heads(plan):
-        heads.append((plan.level, len(plan.pool_q) // 2))
+        heads.append((plan.level, int(plan.size[0])))
         return inner(plan)
 
     monkeypatch.setattr(propagator, "_count", spy_count)

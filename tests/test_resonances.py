@@ -321,8 +321,8 @@ def test_branch_index_names_a_missing_pole(gaas, monkeypatch):
     for sys_ in (gaas, below_merge):
         k = find_poles(sys_, 8).k
 
-        def stray(k0, sys_, lost=k[4], kept=k[3]):
-            roots = newton(k0, sys_)
+        def stray(k0, v, L, lost=k[4], kept=k[3]):
+            roots = newton(k0, v, L)
             return np.where(roots == lost, kept, roots)
 
         monkeypatch.setattr(resonances, "_newton_refine", stray)

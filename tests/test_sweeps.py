@@ -75,9 +75,9 @@ def test_sweep_validation(gaas, monkeypatch):
     # the whole grid is checked before any worker thread starts a probe
     with pytest.raises(NonPositiveParameter, match="got -1"):
         sweep_tmax_vs_L([4.0, 5.0, -1.0], 0.3, 0.001, 0.067, threads=2)
-    # a thread count below 1 is rejected before the pole search or a probe
-    monkeypatch.setattr(sweeps, "find_time_domain_resonance", _no_probe)
-    monkeypatch.setattr(sweeps, "pole_cache", _no_probe)
+    # a thread count below 1 is rejected before the pole search or a probe,
+    # alone or in a lockstep batch
+    _refuse_probes(monkeypatch)
     for sweep in (lambda **kw: sweep_tmax_vs_L([4.0], 0.3, 0.001, **kw),
                   lambda **kw: sweep_freq_vs_x([4.0], gaas, **kw),
                   lambda **kw: sweep_freq_vs_alpha([3.0], 300.0, 0.3, **kw)):
@@ -89,11 +89,18 @@ def _no_probe(*args, **kwargs):
     raise AssertionError("a peak search or pole sum ran")
 
 
+def _refuse_probes(monkeypatch):
+    """Make any peak search the sweeps call, a batch of one or a lockstep
+    batch, and the position scan's pole table fail the test."""
+    for name in ("find_time_domain_resonance", "find_time_domain_resonances",
+                 "pole_cache"):
+        monkeypatch.setattr(sweeps, name, _no_probe)
+
+
 def test_infinite_grid_value_rejected_before_any_probe(gaas, monkeypatch):
     # the whole grid is checked before the first peak search (and before
     # the position scan's pole table), so the finite values are not probed
-    monkeypatch.setattr(sweeps, "find_time_domain_resonance", _no_probe)
-    monkeypatch.setattr(sweeps, "pole_cache", _no_probe)
+    _refuse_probes(monkeypatch)
     for name, sweep in (
             ("L", lambda g: sweep_tmax_vs_L(g, 0.3, 0.001, 0.067)),
             ("x", lambda g: sweep_freq_vs_x(g, gaas)),
@@ -217,9 +224,10 @@ def test_window_refinement_is_never_worse_than_bisection_plus_one(
 def test_tol_checked_where_it_enters(gaas, gaas_cache, monkeypatch, bad):
     # rejected as bad input before any pole sum, peak search or delay runs;
     # a relative tolerance of 1 or more asks nothing of trunc_error_est
-    for module, name in ((sweeps, "find_time_domain_resonance"),
-                         (sweeps, "pole_cache"), (sweeps, "phase_time_delay"),
-                         (analysis, "pole_cache"), (analysis, "trace")):
+    _refuse_probes(monkeypatch)
+    for module, name in ((sweeps, "phase_time_delay"),
+                         (analysis, "pole_caches"), (analysis, "trace"),
+                         (analysis, "traces")):
         monkeypatch.setattr(module, name, _no_probe)
     calls = (
         lambda: trace(2.0, np.array([1.0]), gaas, poles=gaas_cache, tol=bad),
